@@ -294,8 +294,8 @@ module type SIM_ENGINE = sig
     Pnut_core.Net.t -> Pnut_sim.Checkpoint.t -> t
 
   val run :
-    ?until:float -> ?max_events:int -> ?wall_limit_s:float ->
-    ?budget:Pnut_exec.Budget.t -> ?finish:bool ->
+    ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
+    ?finish:bool ->
     t -> Pnut_sim.Simulator.outcome
 
   val checkpoint : t -> Pnut_sim.Checkpoint.t
@@ -707,10 +707,8 @@ let reach_cmd =
          & info [ "packed" ] ~docv:"MODE"
              ~doc:"Compact bit-packed state store: auto (on when every \
                    place has a known bound), on, or off.  Cuts memory by \
-                   an order of magnitude on large graphs, and with \
-                   $(b,--jobs) > 1 builds sharded across that many \
-                   domains; the graph built is identical either way and \
-                   for every worker count.  Covers $(b,--timed) too: \
+                   an order of magnitude on large graphs; the graph built \
+                   is identical either way.  Covers $(b,--timed) too: \
                    state classes pack as marking fields plus an interned \
                    (environment, firing-domain) id.")
   in
@@ -728,7 +726,7 @@ let reach_cmd =
                    concurrent nets; state and edge counts are counts of \
                    the reduced graph.")
   in
-  let run path timed explicit max_states ctl query packed por jobs budget =
+  let run path timed explicit max_states ctl query packed por budget =
     let net = load_net path in
     (* On a budget trip the partial graph is still a valid prefix:
        summarize it, run the CTL/query checks on it (a failure on the
@@ -767,8 +765,7 @@ let reach_cmd =
           | `Auto -> Pnut_reach.Packed.bounds_known net
         in
         let outcome =
-          Pnut_reach.Timed.build_supervised ~max_states ~jobs ~packed ?budget
-            net
+          Pnut_reach.Timed.build_supervised ~max_states ~packed ?budget net
         in
         let g = Pnut_exec.Supervisor.value outcome in
         Format.printf "%a@." Pnut_reach.Timed.pp_summary g;
@@ -807,8 +804,8 @@ let reach_cmd =
           && Pnut_reach.Stubborn.unsupported net = None
       in
       let outcome =
-        Pnut_reach.Graph.build_supervised ~max_states ~jobs ?budget ~packed
-          ~por net
+        Pnut_reach.Graph.build_supervised ~max_states ?budget ~packed ~por
+          net
       in
       let g = Pnut_exec.Supervisor.value outcome in
       Format.printf "%a@." Pnut_reach.Graph.pp_summary g;
@@ -871,7 +868,7 @@ let reach_cmd =
   in
   Cmd.v (Cmd.info "reach" ~doc)
     Term.(const run $ net_arg $ timed $ explicit $ max_states $ ctl $ query
-          $ packed $ por $ jobs_arg $ budget_arg)
+          $ packed $ por $ budget_arg)
 
 (* -- pnut invariants -- *)
 
@@ -880,17 +877,25 @@ let invariants_cmd =
   let run path =
     let net = load_net path in
     let inc = Pnut_core.Incidence.of_net net in
+    (* Farkas elimination gives up past its row limit; compute both sets
+       before printing, so that the command exits 2 with nothing
+       half-written *)
+    let p_invs, t_invs =
+      or_die (fun () ->
+          ( Pnut_core.Incidence.p_invariants inc,
+            Pnut_core.Incidence.t_invariants inc ))
+    in
     Format.printf "P-invariants:@.";
     List.iter
       (fun v ->
         Format.printf "  %a@." (Pnut_core.Incidence.pp_vector net `Place) v)
-      (Pnut_core.Incidence.p_invariants inc);
+      p_invs;
     Format.printf "T-invariants:@.";
     List.iter
       (fun v ->
         Format.printf "  %a@."
           (Pnut_core.Incidence.pp_vector net `Transition) v)
-      (Pnut_core.Incidence.t_invariants inc)
+      t_invs
   in
   Cmd.v (Cmd.info "invariants" ~doc) Term.(const run $ net_arg)
 

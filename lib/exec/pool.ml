@@ -71,18 +71,11 @@ type 'a task_outcome =
 (* -- the persistent pool --
 
    Worker domains are spawned once per process, lazily, and parked on a
-   condition variable between batches.  A batch is either:
-
-   - chunked: tasks [0..n-1] are claimed in chunks off a shared atomic
-     cursor by up to [b_limit] participants (the calling domain plus
-     however many parked workers wake in time) — dynamic load balance,
-     still deterministic because task [i]'s result lands in slot [i]
-     whoever computes it; or
-
-   - team: exactly [b_n] members, member [m] pinned to worker [m] (the
-     caller is member 0).  Members are guaranteed their own domain, so
-     they may busy-wait on each other — the sharded reachability BFS
-     runs its co-routined shard loops this way.
+   condition variable between batches.  A batch's tasks [0..n-1] are
+   claimed in chunks off a shared atomic cursor by up to [b_limit]
+   participants (the calling domain plus however many parked workers
+   wake in time) — dynamic load balance, still deterministic because
+   task [i]'s result lands in slot [i] whoever computes it.
 
    [b_attempt] never raises (callers wrap task bodies), so a worker's
    loop is total and the pool never loses a domain.  Completion is a
@@ -95,8 +88,7 @@ type 'a task_outcome =
 type batch = {
   b_n : int;
   b_chunk : int;
-  b_team : bool;
-  b_limit : int;  (* max participants, caller included; chunked only *)
+  b_limit : int;  (* max participants, caller included *)
   b_attempt : int -> unit;  (* must not raise *)
   b_next : int Atomic.t;
   b_done : int Atomic.t;
@@ -151,20 +143,14 @@ let run_chunks (b : batch) =
       done
   done
 
-let run_member (b : batch) m =
-  b.b_attempt m;
-  finish_task b
-
-(* Worker [w] (1-based, stable) parks between batches.  A chunked batch
-   is joined by any worker while participant slots remain; a team batch
-   only by the workers pinned to its members. *)
-let worker_loop w =
+(* A worker parks between batches and joins one while participant slots
+   remain. *)
+let worker_loop () =
   Mutex.lock pool.mutex;
   (* A batch may have been published between this worker's spawn and its
      first lock of the mutex; starting from a sentinel generation makes
      the worker examine the in-flight batch immediately instead of
-     parking until the next one (which, for a team batch pinned to this
-     worker, would never come). *)
+     parking until the next one. *)
   let my_gen = ref (-1) in
   let running = ref true in
   while !running do
@@ -175,21 +161,12 @@ let worker_loop w =
     else begin
       my_gen := pool.generation;
       match pool.batch with
-      | None -> ()
-      | Some b ->
-        if b.b_team then begin
-          if w < b.b_n then begin
-            Mutex.unlock pool.mutex;
-            run_member b w;
-            Mutex.lock pool.mutex
-          end
-        end
-        else if b.b_joined < b.b_limit then begin
-          b.b_joined <- b.b_joined + 1;
-          Mutex.unlock pool.mutex;
-          run_chunks b;
-          Mutex.lock pool.mutex
-        end
+      | Some b when b.b_joined < b.b_limit ->
+        b.b_joined <- b.b_joined + 1;
+        Mutex.unlock pool.mutex;
+        run_chunks b;
+        Mutex.lock pool.mutex
+      | Some _ | None -> ()
     end
   done;
   Mutex.unlock pool.mutex
@@ -201,10 +178,9 @@ let ensure_workers k =
   Mutex.lock pool.mutex;
   (try
      while (not pool.quit) && pool.size < k do
-       let w = pool.size + 1 in
-       let d = Domain.spawn (fun () -> worker_loop w) in
+       let d = Domain.spawn worker_loop in
        pool.domains <- d :: pool.domains;
-       pool.size <- w
+       pool.size <- pool.size + 1
      done
    with _ -> ());
   let n = pool.size in
@@ -221,7 +197,7 @@ let run_batch b =
   pool.generation <- pool.generation + 1;
   Condition.broadcast pool.work;
   Mutex.unlock pool.mutex;
-  (if b.b_team then run_member b 0 else run_chunks b);
+  run_chunks b;
   Mutex.lock pool.mutex;
   while Atomic.get b.b_done < b.b_n do
     Condition.wait pool.idle pool.mutex
@@ -257,7 +233,6 @@ let init_outcomes ~jobs n f =
              {
                b_n = n;
                b_chunk = chunk_for workers n;
-               b_team = false;
                b_limit = workers;
                b_attempt = attempt;
                b_next = Atomic.make 0;
@@ -298,48 +273,6 @@ let map_list ?jobs f l =
   let arr = Array.of_list l in
   Array.to_list (init ?jobs (Array.length arr) (fun i -> f arr.(i)))
 
-(* -- co-scheduled teams -- *)
-
-let team_size ?jobs () =
-  let jobs = resolve ?jobs () in
-  if jobs <= 1 then 1 else min jobs (1 + ensure_workers (jobs - 1))
-
-let run_team j member =
-  if j < 1 then invalid_arg "Pool.run_team: team size must be >= 1";
-  if j = 1 then begin
-    member 0;
-    true
-  end
-  else if 1 + ensure_workers (j - 1) < j then false
-  else if Atomic.exchange busy true then false
-  else begin
-    let slots = Array.make j None in
-    let attempt m =
-      match member m with
-      | () -> slots.(m) <- Some (Done ())
-      | exception e ->
-        let backtrace = Printexc.get_raw_backtrace () in
-        slots.(m) <- Some (Failed { exn = e; backtrace })
-    in
-    Fun.protect
-      ~finally:(fun () -> Atomic.set busy false)
-      (fun () ->
-        run_batch
-          {
-            b_n = j;
-            b_chunk = 1;
-            b_team = true;
-            b_limit = j;
-            b_attempt = attempt;
-            b_next = Atomic.make 0;
-            b_done = Atomic.make 0;
-            b_joined = 1;
-          });
-    reraise_lowest
-      (Array.map (function Some o -> o | None -> assert false) slots);
-    true
-  end
-
 (* Retiring the pool matters on OCaml 5 because *every* live domain
    participates in every stop-the-world minor collection: a process
    that finished its parallel phase and entered a long serial,
@@ -363,10 +296,3 @@ let quiesce () =
         Mutex.lock pool.mutex;
         pool.quit <- false;
         Mutex.unlock pool.mutex)
-
-(* Backoff for busy-wait loops inside team members: stay on the CPU for
-   a short burst (another member is usually about to publish), then
-   yield real time so an oversubscribed box can schedule the member
-   being waited on. *)
-let relax spins =
-  if spins < 512 then Domain.cpu_relax () else Unix.sleepf 0.0002

@@ -71,34 +71,6 @@ val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list ~jobs f l] maps [f] over [l] in parallel, preserving
     order; same guarantees as {!init}. *)
 
-(** {2 Co-scheduled teams}
-
-    {!init} tasks must be independent; team members may communicate.
-    A team of [j] members runs each member on its own domain
-    simultaneously (member 0 on the caller, member [m] pinned to
-    persistent worker [m]), so members can busy-wait on data published
-    by other members — the sharded reachability BFS runs its shard
-    loops this way. *)
-
-val team_size : ?jobs:int -> unit -> int
-(** Resolve [jobs] and make sure enough persistent workers exist to
-    co-schedule that many members; the achievable team size ([>= 1],
-    smaller than the request when domains cannot be spawned). *)
-
-val run_team : int -> (int -> unit) -> bool
-(** [run_team j member] runs [member 0 .. member (j - 1)] concurrently,
-    one per domain, and returns [true] once all have finished (the
-    lowest member's exception, if any, is re-raised after the join).
-    Returns [false] — running nothing — when the pool is busy or the
-    workers are missing; the caller must then take its serial path.
-    [run_team 1 member] runs [member 0] inline and returns [true]. *)
-
-val relax : int -> unit
-(** Backoff helper for busy-wait loops inside team members: spin for
-    small counts, sleep a fraction of a millisecond beyond that so
-    oversubscribed boxes can schedule the member being waited on.
-    Call with an attempt counter that resets on progress. *)
-
 val quiesce : unit -> unit
 (** Retire the parked worker domains and join them; the next parallel
     call respawns the pool.  On OCaml 5 every live domain takes part in

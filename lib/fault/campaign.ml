@@ -42,7 +42,7 @@ type raw_run = {
 (* One experiment: plain when [compiled] is None, segmented around the
    fault token pulses otherwise.  [finish:false] keeps the stat sink
    open across segments; the final call closes it. *)
-let one_run ?wall_limit_s ?budget ~prng ~until ~compiled net =
+let one_run ?budget ~prng ~until ~compiled net =
   let stat_sink, stat_get = Stat.sink () in
   let hooks =
     match compiled with
@@ -53,14 +53,14 @@ let one_run ?wall_limit_s ?budget ~prng ~until ~compiled net =
   match
     let rec segments () =
       match compiled with
-      | None -> Simulator.run ~until ?wall_limit_s ?budget st
+      | None -> Simulator.run ~until ?budget st
       | Some c -> (
         match Fault.next_pulse c ~after:(Simulator.clock st) with
         | Some t when t < until ->
           let tripped =
             if t > Simulator.clock st then
               let seg =
-                Simulator.run ~until:t ?wall_limit_s ?budget ~finish:false st
+                Simulator.run ~until:t ?budget ~finish:false st
               in
               match seg.Simulator.stop with
               | Simulator.Budget_exhausted _ -> Some seg
@@ -72,7 +72,7 @@ let one_run ?wall_limit_s ?budget ~prng ~until ~compiled net =
           | None ->
             Fault.apply_pulses c ~at:t st;
             segments ())
-        | Some _ | None -> Simulator.run ~until ?wall_limit_s ?budget st)
+        | Some _ | None -> Simulator.run ~until ?budget st)
     in
     segments ()
   with
@@ -134,8 +134,8 @@ let fault_error fmt =
     (fun s -> raise (Simulator.Sim_error (Simulator.Fault_error s)))
     fmt
 
-let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
-    ?jobs ~budget ~monitor net specs =
+let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?jobs
+    ~budget ~monitor net specs =
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
   if until <= 0.0 then invalid_arg "Campaign.run: horizon must be positive";
   Fault.validate net specs;
@@ -175,12 +175,12 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
         let sim_stream, fault_stream = streams.(i) in
         let budget = run_budget () in
         let baseline =
-          one_run ?wall_limit_s ?budget ~prng:(Prng.copy sim_stream) ~until
-            ~compiled:None net
+          one_run ?budget ~prng:(Prng.copy sim_stream) ~until ~compiled:None
+            net
         in
         let compiled = Fault.compile ~prng:fault_stream net specs in
         let faulty =
-          one_run ?wall_limit_s ?budget ~prng:(Prng.copy sim_stream) ~until
+          one_run ?budget ~prng:(Prng.copy sim_stream) ~until
             ~compiled:(Some compiled) net
         in
         (* The hooks mutate [compiled] during the run; read the counters
@@ -227,8 +227,8 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?wall_limit_s
     cr_tokens_injected = !injected;
   }
 
-let run ?seed ?runs ?until ?observe ?wall_limit_s ?jobs net specs =
-  run_core ?seed ?runs ?until ?observe ?wall_limit_s ?jobs
+let run ?seed ?runs ?until ?observe ?jobs net specs =
+  run_core ?seed ?runs ?until ?observe ?jobs
     ~budget:Budget.none
     ~monitor:(Supervisor.start Budget.none)
     net specs
@@ -248,13 +248,11 @@ let first_exhausted report =
   in
   zip (report.cr_baseline, report.cr_faulty)
 
-let run_supervised ?seed ?runs ?until ?observe ?wall_limit_s ?jobs ?budget net
-    specs =
+let run_supervised ?seed ?runs ?until ?observe ?jobs ?budget net specs =
   let budget = Option.value budget ~default:Budget.none in
   let monitor = Supervisor.start budget in
   let report =
-    run_core ?seed ?runs ?until ?observe ?wall_limit_s ?jobs ~budget ~monitor
-      net specs
+    run_core ?seed ?runs ?until ?observe ?jobs ~budget ~monitor net specs
   in
   match first_exhausted report with
   | None -> Supervisor.Complete report

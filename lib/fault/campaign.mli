@@ -11,7 +11,7 @@
 type run_class =
   | Completed  (** reached the horizon (or the event limit) *)
   | Deadlocked of float  (** quiescent; the payload is the death time *)
-  | Errored of string  (** livelock, capacity violation, watchdog, ... *)
+  | Errored of string  (** livelock, capacity violation, ... *)
   | Exhausted of Pnut_exec.Supervisor.reason
       (** the campaign budget tripped mid-run; throughput and firing
           counts cover the simulated prefix *)
@@ -45,7 +45,6 @@ val run :
   ?runs:int ->
   ?until:float ->
   ?observe:string ->
-  ?wall_limit_s:float ->
   ?jobs:int ->
   Pnut_core.Net.t ->
   Fault.spec list ->
@@ -53,8 +52,7 @@ val run :
 (** Runs the campaign (defaults: seed 1, 5 runs, horizon 10000).
     [observe] names the transition whose throughput is compared; when
     omitted, the transition with the most completed firings in the
-    first baseline run is picked.  [wall_limit_s] arms the per-run
-    watchdog.  Simulation errors in faulty runs are caught and reported
+    first baseline run is picked.  Simulation errors in faulty runs are caught and reported
     as [Errored]; an error in a {e baseline} run propagates, since it
     means the model is broken without any fault.
 
@@ -68,7 +66,6 @@ val run_supervised :
   ?runs:int ->
   ?until:float ->
   ?observe:string ->
-  ?wall_limit_s:float ->
   ?jobs:int ->
   ?budget:Pnut_exec.Budget.t ->
   Pnut_core.Net.t ->

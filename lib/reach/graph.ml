@@ -95,11 +95,6 @@ let packed_bytes_per_state g =
   | Boxed _ -> None
   | Compact st -> Some (Store.bytes_per_state st)
 
-let packed_arrays g =
-  match g.repr with
-  | Boxed _ -> None
-  | Compact st -> Some (Store.internal_arrays st)
-
 let stochastic_parts net =
   Array.to_list (Net.transitions net)
   |> List.concat_map (fun tr ->
@@ -121,49 +116,6 @@ let stochastic_parts net =
            else []
          in
          pred_bad @ action_bad)
-
-(* Successors of one concrete state: fire every enabled transition on
-   fresh copies and snapshot the result into a hashconsed key.  The
-   firing semantics come from the compiled kernel: arc-array enabling
-   tests and effects, predicates and actions interpreted against the
-   per-state environment.  Action-free transitions share the parent
-   environment instead of copying it (the keys are structural, and
-   expansions only ever read shared environments), so the common
-   variable-free nets allocate nothing per successor beyond the
-   marking.  Pure with respect to shared state, so frontier states can
-   be expanded on worker domains.
-
-   With [?stubborn], only the enabled members of the state's stubborn
-   set fire (the set is a deterministic function of the marking, so the
-   layered parallel sweep stays order-identical to the serial one); a
-   fresh scratch per call keeps the workers independent. *)
-let expand ?stubborn kernel marking env =
-  let out = ref [] in
-  let fire (c : Kernel.ctrans) =
-    let m' = Marking.copy marking in
-    Kernel.apply c m';
-    let env' =
-      if c.Kernel.s_has_action then begin
-        let env' = Env.copy env in
-        Kernel.run_action env' c;
-        env'
-      end
-      else env
-    in
-    out := (c.Kernel.s_id, Statekey.make m' env', m', env') :: !out
-  in
-  (match stubborn with
-  | Some sb ->
-    (* stubborn nets are predicate-free, so token-enabled = enabled *)
-    let trans = Kernel.transitions kernel in
-    let sc = Stubborn.scratch sb in
-    Array.iter (fun tid -> fire trans.(tid)) (Stubborn.fired sb sc marking)
-  | None ->
-    Array.iter
-      (fun (c : Kernel.ctrans) ->
-        if Kernel.enabled c marking env then fire c)
-      (Kernel.transitions kernel));
-  List.rev !out
 
 (* The packed sweep: a serial FIFO over state indices.  The popped
    state is decoded into a scratch array once; each enabled transition
@@ -249,371 +201,7 @@ let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
   Store.finalize store;
   (store, !truncated, !budget_stop, !frontier_left)
 
-(* -- the sharded parallel packed sweep --
-
-   Each team member owns the states whose packed-word FNV hash lands in
-   its shard (hash mod team) and interns them into a private
-   {!Store.Words} table — no locks on the hot path.  Successors hashing
-   into another shard are forwarded through per-ordered-pair SPSC
-   channels; the consumer interns them and records its local id in a
-   reply slot.  Edges are recorded shard-locally as (ref, transition)
-   words, where a ref names the target either directly (owner shard +
-   local id) or as a channel message index resolved through the reply
-   slots.  After the team joins, a serial merge renumbers: a BFS from
-   the initial state over the recorded per-state edge lists (kernel
-   transition order) visits states in exactly the order the serial FIFO
-   sweep interns them, replays the interning through
-   {!Store.append_packed} and the edges through [begin_source]/
-   [add_edge] — so the merged store's arena, index and CSR arrays are
-   byte-identical to the serial builder's, for any team size.
-
-   Termination is a single pending counter: interned-but-unexpanded
-   states plus sent-but-unprocessed messages.  Expanding a state
-   decrements it after any sends/interns it caused incremented it, and a
-   consumed message either decrements (already known) or converts into
-   the new state's pending count (net zero), so the counter can only
-   reach zero when the sweep is globally done — members exit on zero.
-
-   Two ways out of the fast path, both safe: [stop] (budget trip, polled
-   by member 0 on the serial cadence) freezes expansion, un-counts each
-   member's unexpanded states once, drains the in-flight messages and
-   merges the expanded prefix into a valid partial graph; [abort]
-   (layout overflow, state-cap hit, a stochastic action slipping
-   through, or any member raising) discards everything and the caller
-   rebuilds serially from scratch — widening and cap truncation thereby
-   keep their exact serial semantics. *)
-
-type chan = {
-  mutable msg : int array;  (* [w] packed words per message *)
-  sent : int Atomic.t;
-  (* The producer's plain writes into [msg] (including a grown
-     replacement array) happen before its [Atomic.set sent]; the
-     consumer's [Atomic.get sent] therefore acquires them.  [replies]
-     is written by the consumer only and read at merge time, after the
-     team join has already synchronized everything. *)
-  mutable consumed : int;  (* consumer-private *)
-  mutable replies : int array;  (* consumer's local id per message *)
-}
-
-type shard = {
-  tbl : Store.Words.t;
-  mutable cursor : int;  (* local ids below this are expanded *)
-  mutable e_off : int array;  (* per expanded local id: start into e_dat *)
-  mutable e_dat : int array;  (* (ref lsl t_bits) lor transition id *)
-  mutable e_n : int;
-  out_count : int array;  (* messages sent so far, per destination *)
-}
-
-let bits_for v =
-  let rec go w = if v lsr w = 0 then w else go (w + 1) in
-  max 1 (go 0)
-
-let build_packed_sharded ~max_states ~monitor ~monitored ~team ~stubborn net
-    kernel =
-  let codec = Packed.create net in
-  if Packed.has_extra codec then None
-  else begin
-    let lay = Packed.layout codec in
-    let w = Packed.words lay in
-    let np = Net.num_places net in
-    let id0 = Packed.intern_extra codec (Net.initial_env net) in
-    assert (id0 = 0);
-    let env0 = Packed.extra_env codec 0 in
-    let trans = Kernel.transitions kernel in
-    let nt = Net.num_transitions net in
-    let t_bits = bits_for (max 0 (nt - 1)) in
-    let t_mask = (1 lsl t_bits) - 1 in
-    let m0 = Marking.to_array (Net.initial_marking net) in
-    let key0 = Array.make w 0 in
-    match Packed.encode lay key0 ~pos:0 m0 ~extra:0 with
-    | exception Packed.Field_overflow _ -> None
-    | () ->
-      let h0 = Packed.hash lay key0 ~pos:0 in
-      let s0 = h0 mod team in
-      let shards =
-        Array.init team (fun _ ->
-            {
-              tbl = Store.Words.create lay;
-              cursor = 0;
-              e_off = Array.make 64 0;
-              e_dat = Array.make 64 0;
-              e_n = 0;
-              out_count = Array.make team 0;
-            })
-      in
-      (match Store.Words.intern shards.(s0).tbl key0 ~pos:0 ~hash:h0 with
-      | `Added 0 -> ()
-      | `Added _ | `Found _ -> assert false);
-      let chans =
-        Array.init team (fun _ ->
-            Array.init team (fun _ ->
-                {
-                  msg = Array.make (16 * w) 0;
-                  sent = Atomic.make 0;
-                  consumed = 0;
-                  replies = [||];
-                }))
-      in
-      let pending = Atomic.make 1 (* m0 *) in
-      let total = Atomic.make 1 in
-      let stop = Atomic.make false in
-      let abort = Atomic.make false in
-      (* member 0 is the calling domain; only it polls the monitor and
-         writes the trip reason *)
-      let trip = ref None in
-      let member_body me =
-        let sh = shards.(me) in
-        let tbl = sh.tbl in
-        let sb_scratch = Option.map Stubborn.scratch stubborn in
-        let parent = Array.make np 0 in
-        let parent_mk = Marking.unsafe_wrap parent in
-        let child = Array.make np 0 in
-        let child_mk = Marking.unsafe_wrap child in
-        let key = Array.make w 0 in
-        let pops = ref 0 in
-        let spins = ref 0 in
-        let draining = ref false in
-        let running = ref true in
-        let consume_all () =
-          let progress = ref false in
-          for src = 0 to team - 1 do
-            if src <> me then begin
-              let c = chans.(src).(me) in
-              let n = Atomic.get c.sent in
-              if c.consumed < n then begin
-                progress := true;
-                let buf = c.msg in
-                if Array.length c.replies < n then begin
-                  let r =
-                    Array.make (max n (2 * Array.length c.replies)) 0
-                  in
-                  Array.blit c.replies 0 r 0 c.consumed;
-                  c.replies <- r
-                end;
-                while c.consumed < n do
-                  let k = c.consumed in
-                  let pos = k * w in
-                  let h = Packed.hash lay buf ~pos in
-                  (match Store.Words.intern tbl buf ~pos ~hash:h with
-                  | `Found lid ->
-                    c.replies.(k) <- lid;
-                    Atomic.decr pending
-                  | `Added lid ->
-                    c.replies.(k) <- lid;
-                    if Atomic.fetch_and_add total 1 >= max_states then
-                      Atomic.set abort true;
-                    (* normally the message's pending count converts
-                       into the fresh state's (net zero); a draining
-                       shard will never expand it, so drop it *)
-                    if !draining then Atomic.decr pending);
-                  c.consumed <- k + 1
-                done
-              end
-            end
-          done;
-          !progress
-        in
-        let expand_one lid =
-          Packed.decode_into lay (Store.Words.arena tbl) ~pos:(lid * w) parent;
-          if lid >= Array.length sh.e_off then begin
-            let a = Array.make (2 * Array.length sh.e_off) 0 in
-            Array.blit sh.e_off 0 a 0 lid;
-            sh.e_off <- a
-          end;
-          sh.e_off.(lid) <- sh.e_n;
-          let fire (c : Kernel.ctrans) =
-            if c.Kernel.s_has_action then Atomic.set abort true
-            else begin
-              Array.blit parent 0 child 0 np;
-              Kernel.apply c child_mk;
-              match Packed.encode lay key ~pos:0 child ~extra:0 with
-              | exception Packed.Field_overflow _ -> Atomic.set abort true
-              | () ->
-                let h = Packed.hash lay key ~pos:0 in
-                let t_shard = h mod team in
-                let ref_ =
-                  if t_shard = me then begin
-                    match Store.Words.intern tbl key ~pos:0 ~hash:h with
-                    | `Found l -> (l * team + me) * 2
-                    | `Added l ->
-                      if Atomic.fetch_and_add total 1 >= max_states then
-                        Atomic.set abort true;
-                      Atomic.incr pending;
-                      (l * team + me) * 2
-                  end
-                  else begin
-                    let ch = chans.(me).(t_shard) in
-                    let k = sh.out_count.(t_shard) in
-                    if (k + 1) * w > Array.length ch.msg then begin
-                      let m =
-                        Array.make
-                          (max ((k + 1) * w) (2 * Array.length ch.msg))
-                          0
-                      in
-                      Array.blit ch.msg 0 m 0 (k * w);
-                      ch.msg <- m
-                    end;
-                    Array.blit key 0 ch.msg (k * w) w;
-                    sh.out_count.(t_shard) <- k + 1;
-                    Atomic.incr pending;
-                    Atomic.set ch.sent (k + 1);
-                    ((k * team + t_shard) * 2) + 1
-                  end
-                in
-                if sh.e_n >= Array.length sh.e_dat then begin
-                  let a = Array.make (2 * Array.length sh.e_dat) 0 in
-                  Array.blit sh.e_dat 0 a 0 sh.e_n;
-                  sh.e_dat <- a
-                end;
-                sh.e_dat.(sh.e_n) <- (ref_ lsl t_bits) lor c.Kernel.s_id;
-                sh.e_n <- sh.e_n + 1
-            end
-          in
-          (* The stubborn set depends only on the decoded marking, so
-             every member computes the same fired list for a given state
-             and records its edges in the same ascending-tid order the
-             serial sweep uses — the renumbering merge stays
-             byte-identical at any team size. *)
-          match stubborn, sb_scratch with
-          | Some sb, Some sc ->
-            Array.iter
-              (fun tid -> fire trans.(tid))
-              (Stubborn.fired sb sc parent_mk)
-          | _ ->
-            Array.iter
-              (fun (c : Kernel.ctrans) ->
-                if Kernel.enabled c parent_mk env0 then fire c)
-              trans
-        in
-        while !running do
-          if Atomic.get abort then running := false
-          else begin
-            if (not !draining) && Atomic.get stop then begin
-              (* un-count the states this shard will now never expand;
-                 exactly once, before any drain-mode consumption *)
-              let unexp = Store.Words.length tbl - sh.cursor in
-              if unexp > 0 then
-                ignore (Atomic.fetch_and_add pending (-unexp) : int);
-              draining := true
-            end;
-            let progress = ref (consume_all ()) in
-            if not !draining then begin
-              let batch = ref 0 in
-              while
-                !batch < 64
-                && sh.cursor < Store.Words.length tbl
-                && (not (Atomic.get abort))
-                && not (Atomic.get stop)
-              do
-                incr pops;
-                (if me = 0 && monitored && !pops land 255 = 0 then
-                   match Pnut_exec.Supervisor.check monitor with
-                   | Some r ->
-                     trip := Some r;
-                     Atomic.set stop true
-                   | None -> ());
-                if not (Atomic.get stop) then begin
-                  let lid = sh.cursor in
-                  expand_one lid;
-                  sh.cursor <- lid + 1;
-                  Atomic.decr pending;
-                  progress := true;
-                  incr batch
-                end
-              done
-            end;
-            if !progress then spins := 0
-            else if Atomic.get pending = 0 then running := false
-            else begin
-              (* idle: the wall/heap budget must still trip even if this
-                 member has nothing left to do *)
-              (if me = 0 && monitored && not (Atomic.get stop) then
-                 match Pnut_exec.Supervisor.check monitor with
-                 | Some r ->
-                   trip := Some r;
-                   Atomic.set stop true
-                 | None -> ());
-              incr spins;
-              Pnut_exec.Pool.relax !spins
-            end
-          end
-        done
-      in
-      let member me =
-        try member_body me
-        with e ->
-          (* unblock the other members before propagating, or the team
-             would spin on a pending count that can no longer drop *)
-          Atomic.set abort true;
-          raise e
-      in
-      if not (Pnut_exec.Pool.run_team team member) then None
-      else if Atomic.get abort then None
-      else begin
-        (* -- deterministic merge: renumber by BFS over recorded edges -- *)
-        let store = Store.create codec ~num_transitions:nt in
-        let count =
-          Array.fold_left (fun a sh -> a + Store.Words.length sh.tbl) 0 shards
-        in
-        let gmap =
-          Array.map (fun sh -> Array.make (Store.Words.length sh.tbl) (-1)) shards
-        in
-        let q = Array.make count 0 (* (local id * team + shard) *) in
-        let qn = ref 0 in
-        let push s lid =
-          gmap.(s).(lid) <- !qn;
-          q.(!qn) <- (lid * team) + s;
-          incr qn;
-          ignore
-            (Store.append_packed store
-               (Store.Words.arena shards.(s).tbl)
-               ~pos:(lid * w)
-              : int)
-        in
-        push s0 0;
-        let g = ref 0 in
-        while !g < !qn do
-          let v = q.(!g) in
-          let s = v mod team and lid = v / team in
-          let sh = shards.(s) in
-          if lid < sh.cursor then begin
-            Store.begin_source store !g;
-            let e_end =
-              if lid + 1 < sh.cursor then sh.e_off.(lid + 1) else sh.e_n
-            in
-            for k = sh.e_off.(lid) to e_end - 1 do
-              let word = sh.e_dat.(k) in
-              let tid = word land t_mask in
-              let r = word lsr t_bits in
-              let t_shard, tlid =
-                let v = r lsr 1 in
-                if r land 1 = 0 then (v mod team, v / team)
-                else
-                  let t = v mod team in
-                  (t, chans.(s).(t).replies.(v / team))
-              in
-              let gt =
-                match gmap.(t_shard).(tlid) with
-                | -1 ->
-                  let id = !qn in
-                  push t_shard tlid;
-                  id
-                | id -> id
-              in
-              Store.add_edge store ~tid ~target:gt
-            done
-          end;
-          incr g
-        done;
-        Store.finalize store;
-        let expanded =
-          Array.fold_left (fun a sh -> a + sh.cursor) 0 shards
-        in
-        Some (store, false, !trip, count - expanded)
-      end
-  end
-
-let build_supervised ?(max_states = 100_000) ?jobs
+let build_supervised ?(max_states = 100_000) ?jobs:_
     ?(budget = Pnut_exec.Budget.none) ?(packed = false) ?frontier_spill
     ?(por = false) net =
   (match stochastic_parts net with
@@ -664,30 +252,14 @@ let build_supervised ?(max_states = 100_000) ?jobs
       | Some b -> b
       | None -> Pnut_exec.Budget.spill_threshold_bytes budget
     in
-    (* Sharded first when more than one domain is available and the net
-       qualifies (variable-free, initial layout fits); any abort — cap
-       hit, layout overflow, pool busy — falls back to the serial sweep,
-       which owns the exact truncation and widening semantics.  Either
-       way the resulting store is byte-identical for every [jobs]. *)
-    let sharded =
-      let team = Pnut_exec.Pool.team_size ?jobs () in
-      if team > 1 then
-        build_packed_sharded ~max_states ~monitor ~monitored ~team ~stubborn
-          net kernel
-      else None
-    in
     let store, truncated, budget_stop, frontier_left =
-      match sharded with
-      | Some r -> r
-      | None ->
-        build_packed ~max_states ~monitor ~monitored ~spill_threshold
-          ~stubborn net kernel
+      build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
+        net kernel
     in
     finish ~repr:(Compact store) ~truncated ~budget_stop ~frontier_left
       ~n:(Store.num_states store) ~n_edges:(Store.num_edges store)
   end
   else begin
-  let jobs = Pnut_exec.Pool.resolve ?jobs () in
   let index = Statekey.Tbl.create 1024 in
   let states = ref [] in
   let n_states = ref 0 in
@@ -726,25 +298,17 @@ let build_supervised ?(max_states = 100_000) ?jobs
   (match intern (Statekey.make m0 env0) with
   | Some (0, true) -> ()
   | Some _ | None -> assert false);
-  (* Serial: a plain FIFO sweep — the expansion of one state interns
-     its successors and records its edges inline, with no intermediate
-     successor lists or layer arrays.  Parallel: breadth-first by
-     layers; workers expand the frontier in parallel (the expensive
-     part: enabling tests, predicate/action evaluation, structural
-     hashing) and the single interning pass then walks the results in
-     frontier order.  FIFO visit order equals layer-by-frontier order,
-     so state numbering, edge order and truncation behaviour are
-     identical for every [jobs] value. *)
-  (if jobs = 1 then begin
-     let q = Queue.create () in
-     Queue.add (0, m0, env0) q;
-     let trans = Kernel.transitions kernel in
-     let sb_scratch = Option.map Stubborn.scratch stubborn in
-     let pops = ref 0 in
-     (* Budget checks ride the dequeue boundary every 256 states, so a
-        budgeted sweep that completes interns exactly the same states in
-        exactly the same order as an unbudgeted one. *)
-     (try
+  (* A plain FIFO sweep: the expansion of one state interns its
+     successors and records its edges inline, with no intermediate
+     successor lists.  Budget checks ride the dequeue boundary every 256
+     states, so a budgeted sweep that completes interns exactly the same
+     states in exactly the same order as an unbudgeted one. *)
+  let q = Queue.create () in
+  Queue.add (0, m0, env0) q;
+  let trans = Kernel.transitions kernel in
+  let sb_scratch = Option.map Stubborn.scratch stubborn in
+  let pops = ref 0 in
+  (try
      while not (Queue.is_empty q) do
        incr pops;
        if monitored && !pops land 255 = 0 then begin
@@ -785,47 +349,7 @@ let build_supervised ?(max_states = 100_000) ?jobs
              if Kernel.enabled c m env then fire c)
            trans)
      done
-     with Exit -> ())
-   end
-   else begin
-     let frontier = ref [ (0, m0, env0) ] in
-     while !frontier <> [] do
-       (if monitored then
-          match Pnut_exec.Supervisor.check monitor with
-          | Some r ->
-            budget_stop := Some r;
-            frontier_left := List.length !frontier;
-            frontier := []
-          | None -> ());
-       if !frontier <> [] then begin
-       let layer = Array.of_list !frontier in
-       let expanded =
-         if Array.length layer < 2 then
-           Array.map (fun (_, m, e) -> expand ?stubborn kernel m e) layer
-         else
-           Pnut_exec.Pool.init ~jobs (Array.length layer) (fun x ->
-               let _, m, e = layer.(x) in
-               expand ?stubborn kernel m e)
-       in
-       let next = ref [] in
-       Array.iteri
-         (fun x succs ->
-           let i, _, _ = layer.(x) in
-           List.iter
-             (fun (tid, k, m', env') ->
-               match intern k with
-               | None -> ()
-               | Some (j, fresh) ->
-                 edges_rev :=
-                   { e_from = i; e_transition = tid; e_to = j } :: !edges_rev;
-                 incr n_edges;
-                 if fresh then next := (j, m', env') :: !next)
-             succs)
-         expanded;
-       frontier := List.rev !next
-       end
-     done
-   end);
+   with Exit -> ());
   let n = !n_states in
   let states_arr = Array.make n { s_index = 0; s_marking = [||]; s_env = [] } in
   List.iter (fun s -> states_arr.(s.s_index) <- s) !states;
@@ -840,9 +364,8 @@ let build_supervised ?(max_states = 100_000) ?jobs
     ~frontier_left:!frontier_left ~n ~n_edges:!n_edges
   end
 
-let build ?max_states ?jobs ?packed ?por net =
-  Pnut_exec.Supervisor.value
-    (build_supervised ?max_states ?jobs ?packed ?por net)
+let build ?max_states ?packed ?por net =
+  Pnut_exec.Supervisor.value (build_supervised ?max_states ?packed ?por net)
 
 (* monomorphic int-array comparison — [find_state] and friends sit on
    user-facing query paths over millions of states *)

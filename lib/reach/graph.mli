@@ -26,30 +26,20 @@ type t
 
 val build :
   ?max_states:int ->
-  ?jobs:int ->
   ?packed:bool ->
   ?por:bool ->
   Pnut_core.Net.t ->
   t
 (** Default cap: 100_000 states.  Raises [Invalid_argument] if the net
-    has stochastic predicates or actions.
-
-    [jobs] (resolved by {!Pnut_exec.Pool.resolve}) expands the BFS
-    frontier on that many domains; interning stays sequential in
-    frontier order, so the resulting graph — state numbering, edge
-    order, truncation — is identical for every [jobs] value.
+    has stochastic predicates or actions.  The build is a serial
+    breadth-first sweep on the calling domain.
 
     [packed] (default [false]) builds into the {!Store} compact arena:
     states are bit-packed (fields sized from
     {!Pnut_core.Incidence.place_bounds} with a checked widen path) and
     edges CSR-encoded, cutting memory by an order of magnitude at the
-    10^6+-state scale.  With [jobs > 1] the packed sweep runs sharded:
-    each domain owns the states hashing into its shard, interns them
-    lock-free and forwards cross-shard successors through SPSC
-    channels, and a deterministic merge renumbers the result — the
-    store is byte-identical to the serial sweep's for every [jobs]
-    value (nets with variables, layout overflows and cap hits fall back
-    to the serial sweep transparently).
+    10^6+-state scale.  State numbering, edge order and truncation are
+    identical to the boxed build's.
 
     [por] (default [false]) applies the deadlock-preserving stubborn-set
     reduction of {!Stubborn}: at each state only the enabled members of
@@ -58,9 +48,8 @@ val build :
     on terminating nets, the same per-place bounds).  State and edge
     counts, CTL over the full graph and path-sensitive queries are not
     preserved — build without [por] for those.  The reduced set is a
-    deterministic function of the marking, so the graph is still
-    identical across [jobs] values and across the boxed/packed/sharded
-    builders' shared numbering.  Raises {!Stubborn.Unsupported} when
+    deterministic function of the marking, so the boxed and packed
+    builders still share one numbering.  Raises {!Stubborn.Unsupported} when
     the net has variables, tables, predicates or actions (pre-check
     with {!Stubborn.unsupported}). *)
 
@@ -74,8 +63,8 @@ val build_supervised :
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
 (** {!build} under a budget.  Wall, heap and cancellation are polled on
-    the interning cadence (every 256 dequeues serially, every layer in
-    parallel); [budget.max_states] tightens [max_states].  A tripped
+    the interning cadence (every 256 dequeues); [budget.max_states]
+    tightens [max_states].  A tripped
     limit — including the state cap — yields [Degraded] carrying the
     partial graph (a valid prefix: every interned state is present, only
     the unexpanded frontier is missing outgoing edges) plus a progress
@@ -84,7 +73,10 @@ val build_supervised :
 
     With [packed], [frontier_spill] caps the bytes of frontier buffered
     in memory before full chunks spill to a temp file (default:
-    {!Pnut_exec.Budget.spill_threshold_bytes} of [budget]). *)
+    {!Pnut_exec.Budget.spill_threshold_bytes} of [budget]).
+
+    [jobs] is accepted for compatibility and ignored: every build runs
+    serially on the calling domain. *)
 
 val net : t -> Pnut_core.Net.t
 val complete : t -> bool
@@ -103,12 +95,6 @@ val find_state : t -> int array -> int option
 val packed_bytes_per_state : t -> float option
 (** Store footprint (arena + index bytes over states) for a packed
     graph; [None] for the boxed representation. *)
-
-val packed_arrays : t -> (int array * int array * int array * int array) option
-(** The packed store's physical [(arena, index, succ_off, succ_dat)]
-    arrays ([None] for the boxed representation), exposed so the
-    jobs-sweep determinism tests and the bench identity gate can assert
-    byte-for-byte equality across builders.  Read only. *)
 
 (** {2 Analyses} *)
 

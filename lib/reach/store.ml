@@ -149,90 +149,6 @@ module Frontier = struct
       (try Sys.remove path with Sys_error _ -> ())
 end
 
-(* Per-shard intern table for the sharded parallel BFS: the same
-   open-addressing discipline as the main store (probe to first empty or
-   equal slot, grow at load 0.7), but over raw packed words under one
-   fixed layout, with no edges, no extra table and no cap — the sharded
-   builder aborts to the serial path on overflow or cap instead of
-   widening, so a [Words.t] never re-encodes.  Each table is owned by
-   exactly one domain; cross-domain visibility comes from the channel
-   atomics in the builder, never from this structure. *)
-module Words = struct
-  type t = {
-    lay : Packed.layout;
-    w : int;
-    mutable arena : int array;
-    mutable cap : int;
-    mutable n : int;
-    mutable index : int array;  (* local id + 1; 0 = empty *)
-    mutable mask : int;
-  }
-
-  let create lay =
-    let w = Packed.words lay in
-    {
-      lay;
-      w;
-      arena = Array.make (256 * w) 0;
-      cap = 256;
-      n = 0;
-      index = Array.make 1024 0;
-      mask = 1023;
-    }
-
-  let length t = t.n
-  let arena t = t.arena
-
-  let rehash t =
-    let size = t.mask + 1 in
-    let idx = Array.make size 0 in
-    for i = 0 to t.n - 1 do
-      let h = Packed.hash t.lay t.arena ~pos:(i * t.w) in
-      let s = ref (h land t.mask) in
-      while idx.(!s) <> 0 do
-        s := (!s + 1) land t.mask
-      done;
-      idx.(!s) <- i + 1
-    done;
-    t.index <- idx
-
-  let intern t src ~pos ~hash =
-    let mask = t.mask in
-    let s = ref (hash land mask) in
-    let found = ref (-1) in
-    let stop = ref false in
-    while not !stop do
-      match t.index.(!s) with
-      | 0 -> stop := true
-      | e ->
-        let i = e - 1 in
-        if Packed.equal t.lay t.arena ~pos:(i * t.w) src pos then begin
-          found := i;
-          stop := true
-        end
-        else s := (!s + 1) land mask
-    done;
-    if !found >= 0 then `Found !found
-    else begin
-      let i = t.n in
-      if i >= t.cap then begin
-        let cap = 2 * t.cap in
-        let arena = Array.make (cap * t.w) 0 in
-        Array.blit t.arena 0 arena 0 (i * t.w);
-        t.arena <- arena;
-        t.cap <- cap
-      end;
-      Array.blit src pos t.arena (i * t.w) t.w;
-      t.index.(!s) <- i + 1;
-      t.n <- i + 1;
-      if (t.n + 1) * 10 > (mask + 1) * 7 then begin
-        t.mask <- (2 * (mask + 1)) - 1;
-        rehash t
-      end;
-      `Added i
-    end
-end
-
 type t = {
   codec : Packed.t;
   np : int;
@@ -375,29 +291,6 @@ let rec intern st marking ~extra ~max_states =
       `Added i
     end
 
-(* Append a state whose packed words already exist (in a shard arena)
-   and which the caller guarantees is not yet present.  The probe is
-   [intern]'s with the equality arm unreachable — fresh distinct states
-   stop at the first empty slot either way — and arena/index growth
-   follow the same schedules, so a merge that replays the serial
-   interning order through [append_packed] reproduces the serial store's
-   arrays byte for byte. *)
-let append_packed st src ~pos =
-  let lay = Packed.layout st.codec in
-  let i = st.n in
-  ensure_arena st;
-  Array.blit src pos st.arena (i * st.words) st.words;
-  let h = Packed.hash lay st.arena ~pos:(i * st.words) in
-  let mask = st.index_mask in
-  let s = ref (h land mask) in
-  while st.index.(!s) <> 0 do
-    s := (!s + 1) land mask
-  done;
-  st.index.(!s) <- i + 1;
-  st.n <- i + 1;
-  if (st.n + 1) * 10 > (mask + 1) * 7 then grow_index st;
-  i
-
 let marking_into st i dst =
   Packed.decode_into (Packed.layout st.codec) st.arena ~pos:(i * st.words) dst
 
@@ -513,8 +406,6 @@ let iter_pred_sources st j f =
   done
 
 let store_words st = (Array.length st.arena, Array.length st.index)
-
-let internal_arrays st = (st.arena, st.index, st.succ_off, st.succ_dat)
 
 let bytes_per_state st =
   if st.n = 0 then 0.0

@@ -27,14 +27,6 @@ val intern :
     {!Packed.Field_overflow} the codec is widened and the whole arena
     re-encoded transparently, then the intern retries. *)
 
-val append_packed : t -> int array -> pos:int -> int
-(** Append a state given as already-packed words (under the codec's
-    current layout) that the caller guarantees is not present, and
-    return its index.  Probe, arena growth and index growth are exactly
-    {!intern}'s, so replaying the serial interning order through this
-    function reproduces the serial store's arrays byte for byte — the
-    sharded builder's merge step relies on it. *)
-
 val marking_into : t -> int -> int array -> unit
 (** Decode state [i]'s token counts into a caller scratch array. *)
 
@@ -70,39 +62,9 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
 val store_words : t -> int * int
 (** [(arena words, index slots)] currently allocated. *)
 
-val internal_arrays : t -> int array * int array * int array * int array
-(** [(arena, index, succ_off, succ_dat)] — the store's physical arrays,
-    exposed so determinism tests and the bench identity gate can assert
-    byte-for-byte equality between builders without decoding.  Read
-    only; call after {!finalize}. *)
-
 val bytes_per_state : t -> float
 (** Bytes of arena plus index per stored state (call after
     {!finalize}, which trims the arena to size). *)
-
-(** Per-shard intern table for the sharded parallel BFS: the store's
-    open-addressing discipline over raw packed words under one fixed
-    layout, with no edges, no side table and no cap (the sharded builder
-    aborts to the serial path instead of widening).  Each table is owned
-    by exactly one domain. *)
-module Words : sig
-  type t
-
-  val create : Packed.layout -> t
-  val length : t -> int
-
-  val arena : t -> int array
-  (** The backing array: state [i]'s words start at
-      [i * Packed.words layout].  Exposed for zero-copy decoding,
-      channel sends and the merge; invalidated by the next {!intern}
-      (growth may replace it). *)
-
-  val intern :
-    t -> int array -> pos:int -> hash:int -> [ `Found of int | `Added of int ]
-  (** Look up (or append) the packed words at [pos..]; [hash] is
-      [Packed.hash] of those words, which the sharded builder has
-      already computed to pick the owning shard. *)
-end
 
 (** A FIFO of state indices that spills full chunks to a temp file as
     delta varints once the buffered middle exceeds a byte threshold.

@@ -11,9 +11,8 @@
     interleavings are {e not} preserved: CTL over the full graph, state
     or edge counts, and path-sensitive queries must use the full build.
 
-    The chosen set is a deterministic function of the marking, so every
-    builder (serial, layered, sharded) produces the same reduced graph
-    at any [--jobs] level. *)
+    The chosen set is a deterministic function of the marking, so the
+    boxed and packed builders produce the same reduced graph. *)
 
 (** Why a net falls outside the reduction's fragment. *)
 type unsupported_feature =

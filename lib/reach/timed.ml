@@ -34,10 +34,8 @@
 
    The construction is layered onto the one graph stack: classes intern
    via {!Statekey}, pack into the {!Store} arena (marking fields plus
-   the interned (env, in-flight) domain in the extra-id field), run
-   under {!Pnut_exec.Supervisor} budgets, and shard across domains with
-   the same byte-identical-for-any-jobs merge as the untimed builder.
-   {!Timed_explicit} keeps the old semantics frozen as the differential
+   the interned (env, in-flight) domain in the extra-id field) and run
+   under {!Pnut_exec.Supervisor} budgets.  {!Timed_explicit} keeps the old semantics frozen as the differential
    oracle. *)
 
 module Net = Pnut_core.Net
@@ -166,11 +164,6 @@ let packed_bytes_per_state g =
   | Boxed _ -> None
   | Compact st -> Some (Store.bytes_per_state st)
 
-let packed_arrays g =
-  match g.repr with
-  | Boxed _ -> None
-  | Compact st -> Some (Store.internal_arrays st)
-
 let domain_arrays g = (g.sup_off, g.sup, g.iv_lo, g.iv_hi)
 
 (* -- shared timed-semantics helpers (Razouk's two-phase rule) -- *)
@@ -261,8 +254,7 @@ type cand = {
 (* All successor vectors of one vector, in the fixed completion-then-
    firing order.  Normal vectors always have a zero clock (or none at
    all), so the oracle's third branch — the explicit tick — never
-   applies here; it is absorbed into [normalize].  Pure with respect to
-   shared state, so shard workers can expand concurrently. *)
+   applies here; it is absorbed into [normalize]. *)
 let successors_of kernel (marking, flight, pending, env) =
   let acc = ref [] in
   let visit code marking' flight' pending' env' =
@@ -359,8 +351,7 @@ let widen_ranges lo hi flight pending =
       if r > hi.(nf + k) then hi.(nf + k) <- r)
     pending
 
-(* -- class records shared by the serial builder and the sharded
-      merge; [cl_edges] is in reverse emission order -- *)
+(* -- class records; [cl_edges] is in reverse emission order -- *)
 
 type cls = {
   cl_index : int;
@@ -373,7 +364,7 @@ type cls = {
   cl_hi : float array;
   mutable cl_edges : (int * int) list;  (* (code, target class) *)
   cl_eseen : (int * int, unit) Hashtbl.t;
-  cl_vecs : (string, unit) Hashtbl.t;  (* serial builder only *)
+  cl_vecs : (string, unit) Hashtbl.t;
 }
 
 let fresh_cls ~index ~key ~env ~flight ~pending ~frepr =
@@ -481,439 +472,11 @@ let build_serial ~max_states ~monitor ~monitored kernel net =
   let classes = Array.map Option.get classes in
   (classes, !n_vectors, !truncated, !budget_stop, !frontier_left)
 
-(* -- the sharded parallel class sweep --
-
-   The same plan as the untimed {!Graph} sharded builder, lifted from
-   packed markings to residual vectors.  Each team member owns the
-   classes whose {!Statekey} hash lands in its shard (hash mod team)
-   and interns both classes and vectors into private tables — no locks
-   on the hot path, and no packing at all during discovery (a class is
-   only encoded once, at merge time, so widening cannot occur
-   mid-sweep).  Candidate vectors hashing into another shard travel
-   through per-ordered-pair SPSC channels as plain records, published
-   by an [Atomic.set] on the channel's send counter and acquired by the
-   consumer's [Atomic.get].  Edges are recorded per-vector as
-   (ref, code) words, where a ref names the target vector either
-   directly (owner shard + local vid) or as a message index resolved
-   through the consumer's reply slots.
-
-   Termination is the untimed builder's single pending counter —
-   interned-but-unexpanded vectors plus in-flight messages.  [stop]
-   (budget trip, polled by member 0 on the serial cadence) drains and
-   merges the expanded prefix; [abort] (class cap, busy pool, a member
-   raising) discards everything and the caller rebuilds serially,
-   keeping the exact serial truncation semantics.
-
-   The merge replays the serial vector FIFO over the recorded per-vector
-   edge lists: vectors are visited in exactly the order the serial
-   sweep pops them, so classes are numbered in first-reference order
-   and per-class edges dedup in first-emission order — the class list
-   fed to the shared assembly is identical to the serial builder's, and
-   the packed store that comes out is byte-identical for any team
-   size. *)
-
-type lcls = {
-  l_index : int;  (* shard-local class id *)
-  l_marking : int array;
-  l_env : Env.t;
-  l_flight : int list;
-  l_pending : int list;
-  l_flight_repr : string;
-  l_lo : float array;
-  l_hi : float array;
-}
-
-type svec = {
-  v_cls : lcls;
-  v_marking : Marking.t;
-  v_flight : (Net.transition_id * float) list;
-  v_pending : (Net.transition_id * float) list;
-  v_env : Env.t;
-}
-
-type msg = {
-  g_key : Statekey.t;
-  g_marking : Marking.t;
-  g_flight : (Net.transition_id * float) list;
-  g_pending : (Net.transition_id * float) list;
-  g_env : Env.t;
-}
-
-type chan = {
-  mutable msg : msg array;
-  sent : int Atomic.t;
-  (* The producer's plain writes into [msg] (including a grown
-     replacement array) happen before its [Atomic.set sent]; the
-     consumer's [Atomic.get sent] acquires them.  [replies] is written
-     by the consumer only and read at merge time, after the team join
-     has synchronized everything. *)
-  mutable consumed : int;
-  mutable replies : int array;  (* consumer's local vid per message *)
-}
-
-type shard = {
-  cls_tbl : lcls Statekey.Tbl.t;
-  mutable n_cls : int;
-  mutable vecs : svec array;
-  mutable n_vecs : int;
-  mutable vkeys : (string, int) Hashtbl.t array;  (* per local class *)
-  mutable cursor : int;  (* local vids below this are expanded *)
-  mutable e_off : int array;  (* per expanded vid: start into e_dat *)
-  mutable e_dat : int array;  (* (ref lsl code_bits) lor code *)
-  mutable e_n : int;
-  out_count : int array;  (* messages sent so far, per destination *)
-}
-
-let bits_for v =
-  let rec go w = if v lsr w = 0 then w else go (w + 1) in
-  max 1 (go 0)
-
-let build_sharded ~max_states ~monitor ~monitored ~team kernel net =
-  let nt = Net.num_transitions net in
-  let code_bits = bits_for (max 1 ((2 * nt) - 1)) in
-  let code_mask = (1 lsl code_bits) - 1 in
-  let m0, flight0, pending0, env0, _ = initial_vector kernel net in
-  let frepr0 = flight_repr flight0 in
-  let key0 = Statekey.make ~clocks:frepr0 m0 env0 in
-  let cls0 =
-    {
-      l_index = 0;
-      l_marking = key0.Statekey.k_marking;
-      l_env = env0;
-      l_flight = List.map fst flight0;
-      l_pending = List.map fst pending0;
-      l_flight_repr = frepr0;
-      l_lo = [||];
-      l_hi = [||];
-    }
-  in
-  let dummy_vec =
-    { v_cls = cls0; v_marking = m0; v_flight = []; v_pending = []; v_env = env0 }
-  in
-  let dummy_msg =
-    { g_key = key0; g_marking = m0; g_flight = []; g_pending = []; g_env = env0 }
-  in
-  let shards =
-    Array.init team (fun _ ->
-        {
-          cls_tbl = Statekey.Tbl.create 256;
-          n_cls = 0;
-          vecs = Array.make 64 dummy_vec;
-          n_vecs = 0;
-          vkeys = Array.make 64 (Hashtbl.create 0);
-          cursor = 0;
-          e_off = Array.make 64 0;
-          e_dat = Array.make 64 0;
-          e_n = 0;
-          out_count = Array.make team 0;
-        })
-  in
-  let chans =
-    Array.init team (fun _ ->
-        Array.init team (fun _ ->
-            { msg = Array.make 16 dummy_msg; sent = Atomic.make 0;
-              consumed = 0; replies = [||] }))
-  in
-  let pending_ct = Atomic.make 0 in
-  let total = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let abort = Atomic.make false in
-  let trip = ref None in
-  (* Intern one normalized vector into shard [sh] (which must own
-     [key]).  Only the owning domain ever touches a shard's tables, so
-     class records and interval envelopes have a single writer. *)
-  let intern_local sh key marking flight pending env frepr =
-    let cl =
-      match Statekey.Tbl.find_opt sh.cls_tbl key with
-      | Some cl -> cl
-      | None ->
-        if Atomic.fetch_and_add total 1 >= max_states then
-          Atomic.set abort true;
-        let n = List.length flight + List.length pending in
-        let cl =
-          {
-            l_index = sh.n_cls;
-            l_marking = key.Statekey.k_marking;
-            l_env = env;
-            l_flight = List.map fst flight;
-            l_pending = List.map fst pending;
-            l_flight_repr = frepr;
-            l_lo = Array.make n infinity;
-            l_hi = Array.make n neg_infinity;
-          }
-        in
-        if sh.n_cls >= Array.length sh.vkeys then begin
-          let a = Array.make (2 * Array.length sh.vkeys) (Hashtbl.create 0) in
-          Array.blit sh.vkeys 0 a 0 sh.n_cls;
-          sh.vkeys <- a
-        end;
-        sh.vkeys.(sh.n_cls) <- Hashtbl.create 8;
-        sh.n_cls <- sh.n_cls + 1;
-        Statekey.Tbl.replace sh.cls_tbl key cl;
-        cl
-    in
-    let vk = sh.vkeys.(cl.l_index) in
-    let vkey = clocks_repr flight pending in
-    match Hashtbl.find_opt vk vkey with
-    | Some vid -> (vid, false)
-    | None ->
-      let vid = sh.n_vecs in
-      Hashtbl.add vk vkey vid;
-      widen_ranges cl.l_lo cl.l_hi flight pending;
-      if vid >= Array.length sh.vecs then begin
-        let a = Array.make (2 * Array.length sh.vecs) dummy_vec in
-        Array.blit sh.vecs 0 a 0 vid;
-        sh.vecs <- a
-      end;
-      sh.vecs.(vid) <-
-        { v_cls = cl; v_marking = marking; v_flight = flight;
-          v_pending = pending; v_env = env };
-      sh.n_vecs <- vid + 1;
-      (vid, true)
-  in
-  let s0 = key0.Statekey.k_hash mod team in
-  (match intern_local shards.(s0) key0 m0 flight0 pending0 env0 frepr0 with
-  | 0, true -> ()
-  | _ -> assert false);
-  Atomic.set pending_ct 1;
-  let member_body me =
-    let sh = shards.(me) in
-    let pops = ref 0 in
-    let spins = ref 0 in
-    let draining = ref false in
-    let running = ref true in
-    let consume_all () =
-      let progress = ref false in
-      for src = 0 to team - 1 do
-        if src <> me then begin
-          let c = chans.(src).(me) in
-          let n = Atomic.get c.sent in
-          if c.consumed < n then begin
-            progress := true;
-            let buf = c.msg in
-            if Array.length c.replies < n then begin
-              let r = Array.make (max n (2 * Array.length c.replies)) 0 in
-              Array.blit c.replies 0 r 0 c.consumed;
-              c.replies <- r
-            end;
-            while c.consumed < n do
-              let k = c.consumed in
-              let m = buf.(k) in
-              let vid, fresh =
-                intern_local sh m.g_key m.g_marking m.g_flight m.g_pending
-                  m.g_env m.g_key.Statekey.k_clocks
-              in
-              c.replies.(k) <- vid;
-              (* a known vector just drops the message's pending count;
-                 a fresh one converts it into its own (net zero) unless
-                 this shard is draining and will never expand it *)
-              if (not fresh) || !draining then Atomic.decr pending_ct;
-              c.consumed <- k + 1
-            done
-          end
-        end
-      done;
-      !progress
-    in
-    let expand_one vid =
-      let sv = sh.vecs.(vid) in
-      if vid >= Array.length sh.e_off then begin
-        let a = Array.make (2 * Array.length sh.e_off) 0 in
-        Array.blit sh.e_off 0 a 0 vid;
-        sh.e_off <- a
-      end;
-      sh.e_off.(vid) <- sh.e_n;
-      List.iter
-        (fun c ->
-          let frepr = flight_repr c.c_flight in
-          let key = Statekey.make ~clocks:frepr c.c_marking c.c_env in
-          let t_shard = key.Statekey.k_hash mod team in
-          let ref_ =
-            if t_shard = me then begin
-              let vid', fresh =
-                intern_local sh key c.c_marking c.c_flight c.c_pending c.c_env
-                  frepr
-              in
-              if fresh then Atomic.incr pending_ct;
-              ((vid' * team) + me) * 2
-            end
-            else begin
-              let ch = chans.(me).(t_shard) in
-              let k = sh.out_count.(t_shard) in
-              if k >= Array.length ch.msg then begin
-                let m =
-                  Array.make (max (k + 1) (2 * Array.length ch.msg)) dummy_msg
-                in
-                Array.blit ch.msg 0 m 0 k;
-                ch.msg <- m
-              end;
-              ch.msg.(k) <-
-                { g_key = key; g_marking = c.c_marking; g_flight = c.c_flight;
-                  g_pending = c.c_pending; g_env = c.c_env };
-              sh.out_count.(t_shard) <- k + 1;
-              Atomic.incr pending_ct;
-              Atomic.set ch.sent (k + 1);
-              (((k * team) + t_shard) * 2) + 1
-            end
-          in
-          if sh.e_n >= Array.length sh.e_dat then begin
-            let a = Array.make (2 * Array.length sh.e_dat) 0 in
-            Array.blit sh.e_dat 0 a 0 sh.e_n;
-            sh.e_dat <- a
-          end;
-          sh.e_dat.(sh.e_n) <- (ref_ lsl code_bits) lor c.c_code;
-          sh.e_n <- sh.e_n + 1)
-        (successors_of kernel (sv.v_marking, sv.v_flight, sv.v_pending, sv.v_env))
-    in
-    while !running do
-      if Atomic.get abort then running := false
-      else begin
-        if (not !draining) && Atomic.get stop then begin
-          (* un-count the vectors this shard will now never expand;
-             exactly once, before any drain-mode consumption *)
-          let unexp = sh.n_vecs - sh.cursor in
-          if unexp > 0 then
-            ignore (Atomic.fetch_and_add pending_ct (-unexp) : int);
-          draining := true
-        end;
-        let progress = ref (consume_all ()) in
-        if not !draining then begin
-          let batch = ref 0 in
-          while
-            !batch < 64
-            && sh.cursor < sh.n_vecs
-            && (not (Atomic.get abort))
-            && not (Atomic.get stop)
-          do
-            incr pops;
-            (if me = 0 && monitored && !pops land 255 = 0 then
-               match Pnut_exec.Supervisor.check monitor with
-               | Some r ->
-                 trip := Some r;
-                 Atomic.set stop true
-               | None -> ());
-            if not (Atomic.get stop) then begin
-              let vid = sh.cursor in
-              expand_one vid;
-              sh.cursor <- vid + 1;
-              Atomic.decr pending_ct;
-              progress := true;
-              incr batch
-            end
-          done
-        end;
-        if !progress then spins := 0
-        else if Atomic.get pending_ct = 0 then running := false
-        else begin
-          (* idle: the wall/heap budget must still trip even if this
-             member has nothing left to do *)
-          (if me = 0 && monitored && not (Atomic.get stop) then
-             match Pnut_exec.Supervisor.check monitor with
-             | Some r ->
-               trip := Some r;
-               Atomic.set stop true
-             | None -> ());
-          incr spins;
-          Pnut_exec.Pool.relax !spins
-        end
-      end
-    done
-  in
-  let member me =
-    try member_body me
-    with e ->
-      (* unblock the other members before propagating, or the team
-         would spin on a pending count that can no longer drop *)
-      Atomic.set abort true;
-      raise e
-  in
-  if not (Pnut_exec.Pool.run_team team member) then None
-  else if Atomic.get abort then None
-  else begin
-    (* -- deterministic merge: replay the serial vector FIFO over the
-          recorded edges, numbering classes in first-reference order -- *)
-    let total_vecs = Array.fold_left (fun a sh -> a + sh.n_vecs) 0 shards in
-    let vseen =
-      Array.map (fun sh -> Array.make (max 1 sh.n_vecs) false) shards
-    in
-    let gmap = Array.map (fun sh -> Array.make (max 1 sh.n_cls) (-1)) shards in
-    let classes_rev = ref [] in
-    let n_classes = ref 0 in
-    let by_g = Hashtbl.create 1024 in
-    let get_cl s (lc : lcls) =
-      match gmap.(s).(lc.l_index) with
-      | -1 ->
-        let g = !n_classes in
-        gmap.(s).(lc.l_index) <- g;
-        incr n_classes;
-        let cl =
-          {
-            cl_index = g;
-            cl_marking = lc.l_marking;
-            cl_env = lc.l_env;
-            cl_flight = lc.l_flight;
-            cl_pending = lc.l_pending;
-            cl_flight_repr = lc.l_flight_repr;
-            cl_lo = lc.l_lo;
-            cl_hi = lc.l_hi;
-            cl_edges = [];
-            cl_eseen = Hashtbl.create 8;
-            cl_vecs = Hashtbl.create 0;
-          }
-        in
-        classes_rev := cl :: !classes_rev;
-        Hashtbl.replace by_g g cl;
-        cl
-      | g -> Hashtbl.find by_g g
-    in
-    let q = Array.make (max 1 total_vecs) (0, 0) in
-    let qn = ref 0 in
-    let push s vid =
-      vseen.(s).(vid) <- true;
-      q.(!qn) <- (s, vid);
-      incr qn
-    in
-    let cl0 = get_cl s0 shards.(s0).vecs.(0).v_cls in
-    assert (cl0.cl_index = 0);
-    push s0 0;
-    let gp = ref 0 in
-    while !gp < !qn do
-      let s, vid = q.(!gp) in
-      let sh = shards.(s) in
-      if vid < sh.cursor then begin
-        let src_cl = get_cl s sh.vecs.(vid).v_cls in
-        let e_end = if vid + 1 < sh.cursor then sh.e_off.(vid + 1) else sh.e_n in
-        for k = sh.e_off.(vid) to e_end - 1 do
-          let word = sh.e_dat.(k) in
-          let code = word land code_mask in
-          let r = word lsr code_bits in
-          let t_shard, t_vid =
-            let v = r lsr 1 in
-            if r land 1 = 0 then (v mod team, v / team)
-            else
-              let t = v mod team in
-              (t, chans.(s).(t).replies.(v / team))
-          in
-          let tgt_cl = get_cl t_shard shards.(t_shard).vecs.(t_vid).v_cls in
-          add_class_edge src_cl code tgt_cl.cl_index;
-          if not vseen.(t_shard).(t_vid) then push t_shard t_vid
-        done
-      end;
-      incr gp
-    done;
-    let classes = Array.make !n_classes None in
-    List.iter (fun cl -> classes.(cl.cl_index) <- Some cl) !classes_rev;
-    let classes = Array.map Option.get classes in
-    let expanded = Array.fold_left (fun a sh -> a + sh.cursor) 0 shards in
-    Some (classes, total_vecs, false, !trip, total_vecs - expanded)
-  end
-
-(* -- shared final assembly: the one place classes are packed.  Classes
-      are appended in canonical discovery order and their (env,
-      in-flight domain) snapshots are interned in class order, so the
-      arena, index, CSR and side-table contents depend only on the
-      class list — the serial and sharded builders produce the same
-      one, hence byte-identical stores for any [jobs]. -- *)
+(* -- final assembly: the one place classes are packed.  Classes are
+      appended in canonical discovery order and their (env, in-flight
+      domain) snapshots are interned in class order, so the arena,
+      index, CSR and side-table contents depend only on the class
+      list. -- *)
 
 let assemble_store net classes =
   let codec = Packed.create ~with_extra:true net in
@@ -994,7 +557,7 @@ let assemble_boxed classes =
 let count_edges classes =
   Array.fold_left (fun a cl -> a + List.length cl.cl_edges) 0 classes
 
-let build_supervised ?(max_states = 50_000) ?jobs ?(packed = false)
+let build_supervised ?(max_states = 50_000) ?jobs:_ ?(packed = false)
     ?(budget = Pnut_exec.Budget.none) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
@@ -1005,65 +568,43 @@ let build_supervised ?(max_states = 50_000) ?jobs ?(packed = false)
     | None -> max_states
   in
   let kernel = Kernel.of_net net in
-  let finish ~classes ~repr ~n_vectors ~truncated ~budget_stop ~frontier_left =
-    let n = Array.length classes in
-    let n_edges = count_edges classes in
-    let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
-    let complete = (not truncated) && budget_stop = None in
-    let g =
-      { net; repr; complete; n_edges; n_vectors; sup_off; sup; iv_lo; iv_hi }
-    in
-    match budget_stop with
-    | Some reason ->
+  let classes, n_vectors, truncated, budget_stop, frontier_left =
+    build_serial ~max_states ~monitor ~monitored kernel net
+  in
+  let repr =
+    if packed then Compact (assemble_store net classes)
+    else assemble_boxed classes
+  in
+  let n = Array.length classes in
+  let n_edges = count_edges classes in
+  let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
+  let complete = (not truncated) && budget_stop = None in
+  let g =
+    { net; repr; complete; n_edges; n_vectors; sup_off; sup; iv_lo; iv_hi }
+  in
+  match budget_stop with
+  | Some reason ->
+    Pnut_exec.Supervisor.Degraded
+      {
+        reason;
+        partial = g;
+        progress =
+          Pnut_exec.Supervisor.snapshot monitor ~visited:n
+            ~frontier:frontier_left;
+      }
+  | None ->
+    if truncated then
       Pnut_exec.Supervisor.Degraded
         {
-          reason;
+          reason = Pnut_exec.Supervisor.States n;
           partial = g;
           progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:n
-              ~frontier:frontier_left;
+            Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
         }
-    | None ->
-      if truncated then
-        Pnut_exec.Supervisor.Degraded
-          {
-            reason = Pnut_exec.Supervisor.States n;
-            partial = g;
-            progress =
-              Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-          }
-      else Pnut_exec.Supervisor.Complete g
-  in
-  if packed then begin
-    (* Sharded first when more than one domain is available; any abort
-       — class cap, busy pool — falls back to the serial sweep, which
-       owns the exact truncation semantics.  Either way the store is
-       byte-identical for every [jobs]. *)
-    let sharded =
-      let team = Pnut_exec.Pool.team_size ?jobs () in
-      if team > 1 then
-        build_sharded ~max_states ~monitor ~monitored ~team kernel net
-      else None
-    in
-    let classes, n_vectors, truncated, budget_stop, frontier_left =
-      match sharded with
-      | Some r -> r
-      | None -> build_serial ~max_states ~monitor ~monitored kernel net
-    in
-    let store = assemble_store net classes in
-    finish ~classes ~repr:(Compact store) ~n_vectors ~truncated ~budget_stop
-      ~frontier_left
-  end
-  else begin
-    let classes, n_vectors, truncated, budget_stop, frontier_left =
-      build_serial ~max_states ~monitor ~monitored kernel net
-    in
-    finish ~classes ~repr:(assemble_boxed classes) ~n_vectors ~truncated
-      ~budget_stop ~frontier_left
-  end
+    else Pnut_exec.Supervisor.Complete g
 
-let build ?max_states ?jobs ?packed net =
-  Pnut_exec.Supervisor.value (build_supervised ?max_states ?jobs ?packed net)
+let build ?max_states ?packed net =
+  Pnut_exec.Supervisor.value (build_supervised ?max_states ?packed net)
 
 let deadlocks g =
   let acc = ref [] in

@@ -18,12 +18,11 @@
     with a dedicated search over the vector space, and time-bounded
     ([horizon]) exploration remains on the oracle only.
 
-    The construction is unified onto the packed/supervised/parallel
-    graph stack: with [packed], classes encode into the {!Store} arena
+    The construction is unified onto the packed/supervised graph
+    stack: with [packed], classes encode into the {!Store} arena
     (marking fields plus the interned (env, in-flight domain) in the
-    extra-id field) and the class sweep shards across domains with a
-    byte-identical-for-any-[jobs] merge.  The boxed representation is
-    serial-only — [jobs] takes effect with [packed].
+    extra-id field).  Both representations come from one serial class
+    sweep on the calling domain.
 
     All delays must be deterministic (constants, degenerate choices, or
     deterministic [Dynamic] expressions); stochastic nets have infinite
@@ -63,16 +62,13 @@ type edge = {
 type t
 
 val build :
-  ?max_states:int -> ?jobs:int -> ?packed:bool -> Pnut_core.Net.t -> t
+  ?max_states:int -> ?packed:bool -> Pnut_core.Net.t -> t
 (** Build the state-class graph; [max_states] (a cap on {e classes})
     defaults to 50_000.  Raises [Invalid_argument] on stochastic
     delays, predicates or actions.
 
-    With [packed] the graph lives in a bit-packed {!Store} arena and
-    [jobs] (resolved by {!Pnut_exec.Pool.resolve}) shards the class
-    sweep across that many domains; the packed arrays are byte-identical
-    for every [jobs] value.  Without [packed] the build is serial and
-    boxed. *)
+    With [packed] the graph lives in a bit-packed {!Store} arena;
+    without it the classes are boxed records. *)
 
 val build_supervised :
   ?max_states:int ->
@@ -85,7 +81,9 @@ val build_supervised :
     [budget.max_states] tightens [max_states].  A tripped limit —
     including the class cap — yields [Degraded] with the partial graph
     (a valid prefix of classes) and visited/frontier counts; a budgeted
-    build that completes returns a graph identical to {!build}'s. *)
+    build that completes returns a graph identical to {!build}'s.
+    [jobs] is accepted for compatibility and ignored: every build runs
+    serially on the calling domain. *)
 
 val net : t -> Pnut_core.Net.t
 val complete : t -> bool
@@ -105,15 +103,11 @@ val predecessors : t -> int -> edge list
 val packed_bytes_per_state : t -> float option
 (** Arena bytes per class for a packed graph; [None] when boxed. *)
 
-val packed_arrays : t -> (int array * int array * int array * int array) option
-(** [(arena, index, edge offsets, edge data)] of a packed graph —
-    byte-identical across [jobs] values; [None] when boxed. *)
-
 val domain_arrays : t -> int array * int array * float array * float array
 (** [(off, sup, lo, hi)]: for class [i], slots [off.(i) .. off.(i+1)-1]
     hold its timer support — [2*t] an in-flight timer of transition
     [t], [2*t+1] its enabling timer — with the interval domain in
-    [lo]/[hi].  Identical across [jobs] and representations. *)
+    [lo]/[hi].  Identical across representations. *)
 
 val deadlocks : t -> int list
 (** Timed-dead classes: nothing fireable, nothing in flight, nothing

@@ -37,7 +37,6 @@ type error = Simulator.error =
       clock : float;
     }
   | Action_error of { transition : string; clock : float; message : string }
-  | Watchdog of { wall_seconds : float; clock : float; started : int }
   | Fault_error of string
   | Restore_error of string
 
@@ -438,7 +437,7 @@ type outcome = Simulator.outcome = {
 
 exception Budget_trip of Pnut_exec.Supervisor.reason
 
-let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
+let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   if until = None && max_events = None
      && (match budget with
          | Some b -> b.Pnut_exec.Budget.max_events = None
@@ -463,29 +462,15 @@ let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
       st.sink.Trace.on_finish t
     end
   end in
-  (* The watchdog costs one [Unix.gettimeofday] every 256 engine steps —
-     cheap enough to leave armed on production runs.  Budget checks ride
-     the same slot, mirroring the optimized engine exactly. *)
-  let wall_start =
-    match wall_limit_s with Some _ -> Unix.gettimeofday () | None -> 0.0
-  in
+  (* Budget checks cost one monitor poll every 256 engine steps,
+     mirroring the optimized engine exactly. *)
   let steps = ref 0 in
-  let check_watchdog () =
+  let check_budget () =
     incr steps;
-    if !steps land 255 = 0 then begin
-      (match wall_limit_s with
-      | Some limit_s ->
-        if Unix.gettimeofday () -. wall_start > limit_s then
-          sim_error
-            (Watchdog
-               { wall_seconds = limit_s; clock = st.clock;
-                 started = st.started })
-      | None -> ());
-      if monitored then
-        match Pnut_exec.Supervisor.check monitor with
-        | Some reason -> raise_notrace (Budget_trip reason)
-        | None -> ()
-    end
+    if monitored && !steps land 255 = 0 then
+      match Pnut_exec.Supervisor.check monitor with
+      | Some reason -> raise_notrace (Budget_trip reason)
+      | None -> ()
   in
   let stop_budget reason =
     emit_finish st.clock;
@@ -493,7 +478,7 @@ let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
       started = st.started; finished = st.finished }
   in
   let rec loop () =
-    check_watchdog ();
+    check_budget ();
     if st.started >= eff_limit then begin
       if st.started >= limit then begin
         emit_finish st.clock;

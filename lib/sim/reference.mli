@@ -42,8 +42,8 @@ val fireable_transitions : t -> Pnut_core.Net.transition_id list
 val fire_transition : t -> Pnut_core.Net.transition_id -> unit
 
 val run :
-  ?until:float -> ?max_events:int -> ?wall_limit_s:float ->
-  ?budget:Pnut_exec.Budget.t -> ?finish:bool ->
+  ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
+  ?finish:bool ->
   t -> Simulator.outcome
 
 val run_supervised :

@@ -44,7 +44,6 @@ type error =
       clock : float;
     }
   | Action_error of { transition : string; clock : float; message : string }
-  | Watchdog of { wall_seconds : float; clock : float; started : int }
   | Fault_error of string
   | Restore_error of string
 
@@ -62,11 +61,6 @@ let error_message = function
       place tokens capacity transition clock
   | Action_error { transition; clock; message } ->
     Printf.sprintf "action of %s failed at t=%g: %s" transition clock message
-  | Watchdog { wall_seconds; clock; started } ->
-    Printf.sprintf
-      "watchdog: simulation exceeded %g s of wall clock at t=%g (%d events \
-       started)"
-      wall_seconds clock started
   | Fault_error msg -> Printf.sprintf "fault specification error: %s" msg
   | Restore_error msg -> Printf.sprintf "checkpoint restore error: %s" msg
 
@@ -554,7 +548,7 @@ type outcome = {
 
 exception Budget_trip of Pnut_exec.Supervisor.reason
 
-let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
+let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   if until = None && max_events = None
      && (match budget with
          | Some b -> b.Pnut_exec.Budget.max_events = None
@@ -580,29 +574,15 @@ let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
       st.sink.Trace.on_finish t
     end
   end in
-  (* The watchdog costs one [Unix.gettimeofday] every 256 engine steps —
-     cheap enough to leave armed on production runs.  Budget checks ride
-     the same slot, so a budgeted run pays nothing extra per event. *)
-  let wall_start =
-    match wall_limit_s with Some _ -> Unix.gettimeofday () | None -> 0.0
-  in
+  (* Budget checks cost one monitor poll every 256 engine steps, so a
+     budgeted run pays nothing extra per event. *)
   let steps = ref 0 in
-  let check_watchdog () =
+  let check_budget () =
     incr steps;
-    if !steps land 255 = 0 then begin
-      (match wall_limit_s with
-      | Some limit_s ->
-        if Unix.gettimeofday () -. wall_start > limit_s then
-          sim_error
-            (Watchdog
-               { wall_seconds = limit_s; clock = st.clock;
-                 started = st.started })
-      | None -> ());
-      if monitored then
-        match Pnut_exec.Supervisor.check monitor with
-        | Some reason -> raise_notrace (Budget_trip reason)
-        | None -> ()
-    end
+    if monitored && !steps land 255 = 0 then
+      match Pnut_exec.Supervisor.check monitor with
+      | Some reason -> raise_notrace (Budget_trip reason)
+      | None -> ()
   in
   let stop_budget reason =
     emit_finish st.clock;
@@ -610,7 +590,7 @@ let run ?until ?max_events ?wall_limit_s ?budget ?(finish = true) (st : t) =
       started = st.started; finished = st.finished }
   in
   let rec loop () =
-    check_watchdog ();
+    check_budget ();
     if st.started >= eff_limit then begin
       if st.started >= limit then begin
         emit_finish st.clock;

@@ -51,8 +51,6 @@ type error =
     }
   | Action_error of { transition : string; clock : float; message : string }
       (** a transition action failed (unbound table, index out of bounds) *)
-  | Watchdog of { wall_seconds : float; clock : float; started : int }
-      (** the optional wall-clock budget of {!run} was exhausted *)
   | Fault_error of string
       (** a fault specification refers to unknown names or is malformed *)
   | Restore_error of string
@@ -177,8 +175,8 @@ type outcome = {
 }
 
 val run :
-  ?until:float -> ?max_events:int -> ?wall_limit_s:float ->
-  ?budget:Pnut_exec.Budget.t -> ?finish:bool ->
+  ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
+  ?finish:bool ->
   t -> outcome
 (** Runs until the horizon, the event limit, or quiescence; emits
     [on_finish] to the sink.  When the horizon is hit, the final clock is
@@ -192,11 +190,6 @@ val run :
     [on_finish] (so the partial trace is well-formed) and returns
     [stop = Budget_exhausted _].  A budgeted run that completes is
     byte-identical to an unbudgeted one.
-
-    [wall_limit_s] is the historical watchdog, kept as a deprecated
-    alias for [budget] with only a wall limit — except that it
-    {e raises} [Sim_error (Watchdog _)] instead of degrading.  New code
-    should pass a budget.
 
     [finish] (default [true]) controls whether [on_finish] is emitted
     when this call stops at its horizon; pass [false] to pause a run

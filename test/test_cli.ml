@@ -172,7 +172,10 @@ let test_reach_and_ctl () =
       [ "reach"; model_file; "--ctl"; "Bus_free + Bus_busy == 1" ]
   in
   Testutil.check_contains "summary" out "reachability graph";
-  Testutil.check_contains "ctl" out "AG(Bus_free + Bus_busy == 1): true"
+  Testutil.check_contains "ctl" out "AG(Bus_free + Bus_busy == 1): true";
+  (* reachability builds are serial; the worker-count flag is gone *)
+  let code, _ = run [ "reach"; model_file; "--jobs"; "2" ] in
+  Alcotest.(check bool) "--jobs rejected" true (code <> 0)
 
 let test_reach_query () =
   let out =
@@ -291,7 +294,29 @@ let test_model_list () =
 let test_invariants () =
   let out = check_run "invariants" [ "invariants"; model_file ] in
   Testutil.check_contains "p-invariants" out "Bus_busy + Bus_free";
-  Testutil.check_contains "t-invariants header" out "T-invariants:"
+  Testutil.check_contains "t-invariants header" out "T-invariants:";
+  (* the same model with its last four place declarations moved to the
+     front: Farkas elimination outgrows its row limit on this order,
+     which must be a clean exit 2, not an uncaught exception *)
+  let places, rest =
+    List.partition
+      (String.starts_with ~prefix:"place ")
+      (String.split_on_char '\n' (read_file model_file))
+  in
+  let k = List.length places - 4 in
+  let rotated =
+    List.filteri (fun i _ -> i >= k) places
+    @ List.filteri (fun i _ -> i < k) places
+  in
+  let reordered = tmp "pipeline_reordered.pn" in
+  let oc = open_out reordered in
+  output_string oc
+    (String.concat "\n" (List.hd rest :: rotated @ List.tl rest));
+  close_out oc;
+  let code, _ = run [ "invariants"; reordered ] in
+  Alcotest.(check int) "row limit exit" 2 code;
+  Testutil.check_contains "names the limit" (read_file (tmp "err"))
+    "row limit"
 
 let test_anim () =
   let out =

@@ -223,7 +223,7 @@ let prop_graph_matches_oracle =
     ~count:120 gen_spec (fun spec ->
       let net = build_net spec in
       let cap = 400 in
-      let g = Graph.build ~max_states:cap ~jobs:1 net in
+      let g = Graph.build ~max_states:cap net in
       let o = oracle_build ~max_states:cap net in
       Graph.complete g = o.o_complete
       && Graph.num_states g = Array.length o.o_states
@@ -232,22 +232,6 @@ let prop_graph_matches_oracle =
              let om, oe = o.o_states.(s.Graph.s_index) in
              s.Graph.s_marking = om && s.Graph.s_env = oe)
            (Array.init (Graph.num_states g) (Graph.state g))
-      && List.map
-           (fun (e : Graph.edge) -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
-           (Graph.edges g)
-         = o.o_edges)
-
-let prop_graph_parallel_matches_oracle =
-  (* the worker-domain expansion path shares parent environments for
-     action-free transitions; numbering must still match the oracle *)
-  QCheck2.Test.make
-    ~name:"parallel Reach.Graph build equals the interpreted oracle BFS"
-    ~count:40 gen_spec (fun spec ->
-      let net = build_net spec in
-      let cap = 400 in
-      let g = Graph.build ~max_states:cap ~jobs:4 net in
-      let o = oracle_build ~max_states:cap net in
-      Graph.num_states g = Array.length o.o_states
       && List.map
            (fun (e : Graph.edge) -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
            (Graph.edges g)
@@ -332,7 +316,6 @@ let () =
       ( "layers",
         [
           QCheck_alcotest.to_alcotest prop_graph_matches_oracle;
-          QCheck_alcotest.to_alcotest prop_graph_parallel_matches_oracle;
           QCheck_alcotest.to_alcotest prop_fire_transition_matches_reference;
           QCheck_alcotest.to_alcotest prop_steps_match_reference;
         ] );

@@ -178,94 +178,6 @@ let test_bounds_known () =
   Alcotest.(check bool) "pump q is unbounded" false
     (Packed.bounds_known (pump_net ()))
 
-(* -- the sharded parallel builder -- *)
-
-(* [places]-place token ring with [tokens] tokens in place 0:
-   C(tokens + places - 1, places - 1) reachable states, variable-free,
-   with P-invariant bounds — the sharded builder's home turf. *)
-let big_ring ~places ~tokens () =
-  let b = B.create "bigring" in
-  let ps =
-    Array.init places (fun i ->
-        B.add_place b
-          (Printf.sprintf "r%d" i)
-          ~initial:(if i = 0 then tokens else 0))
-  in
-  for i = 0 to places - 1 do
-    ignore
-      (B.add_transition b
-         (Printf.sprintf "t%d" i)
-         ~inputs:[ (ps.(i), 1) ]
-         ~outputs:[ (ps.((i + 1) mod places), 1) ]
-        : Net.transition_id)
-  done;
-  B.build b
-
-(* Byte-for-byte equality of the packed stores' physical arrays —
-   stronger than [graphs_equal]: the arena, the open-addressing index
-   and both CSR arrays must be indistinguishable. *)
-let arrays_identical ga gb =
-  match (Graph.packed_arrays ga, Graph.packed_arrays gb) with
-  | Some (a1, i1, o1, d1), Some (a2, i2, o2, d2) ->
-    a1 = a2 && i1 = i2 && o1 = o2 && d1 = d2
-  | _ -> false
-
-let build_packed_jobs ?frontier_spill ~max_states ~jobs net =
-  Pnut_exec.Supervisor.value
-    (Graph.build_supervised ~max_states ~jobs ~packed:true ?frontier_spill net)
-
-let test_sharded_equals_boxed () =
-  let net = ring ~tokens:6 () in
-  let boxed =
-    Pnut_exec.Supervisor.value (Graph.build_supervised ~max_states:1000 net)
-  in
-  List.iter
-    (fun jobs ->
-      let packed = build_packed_jobs ~max_states:1000 ~jobs net in
-      Alcotest.(check bool)
-        (Printf.sprintf "sharded jobs=%d equals boxed" jobs)
-        true (graphs_equal boxed packed))
-    [ 2; 4 ]
-
-let test_jobs_sweep_identity () =
-  (* 9-place ring with 12 tokens: C(20,8) = 125,970 states — past the
-     10^5 mark, so the sweep crosses many index growths, arena growths
-     and cross-shard message bursts on every jobs value *)
-  let net = big_ring ~places:9 ~tokens:12 () in
-  let base = build_packed_jobs ~max_states:200_000 ~jobs:1 net in
-  Alcotest.(check int) "expected state count" 125_970 (Graph.num_states base);
-  Alcotest.(check bool) "complete" true (Graph.complete base);
-  List.iter
-    (fun jobs ->
-      let g = build_packed_jobs ~max_states:200_000 ~jobs net in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d arrays byte-identical to serial" jobs)
-        true (arrays_identical base g))
-    [ 2; 4; 8 ]
-
-let test_jobs_sweep_capped_identity () =
-  (* under a states budget the degraded prefix must also be identical:
-     the sharded builder aborts on the cap and rebuilds serially, which
-     owns the exact truncation semantics *)
-  let net = big_ring ~places:9 ~tokens:12 () in
-  let build jobs =
-    match
-      Graph.build_supervised ~max_states:40_000 ~jobs ~packed:true net
-    with
-    | Pnut_exec.Supervisor.Degraded { partial; _ } -> partial
-    | Pnut_exec.Supervisor.Complete _ ->
-      Alcotest.fail "expected the state cap to trip"
-  in
-  let base = build 1 in
-  Alcotest.(check int) "capped at the budget" 40_000 (Graph.num_states base);
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d capped arrays byte-identical" jobs)
-        true
-        (arrays_identical base (build jobs)))
-    [ 2; 4; 8 ]
-
 (* -- spill-file lifetime -- *)
 
 (* Run [f] with temp files redirected into a private directory, so the
@@ -300,9 +212,9 @@ let test_no_spill_file_leak () =
       (* widen mid-sweep (Field_overflow re-encodes the arena) plus cap
          truncation, with every chunk forced through the file *)
       ignore
-        (build_packed_jobs ~frontier_spill:0 ~max_states:400 ~jobs:1
+        (Graph.build_supervised ~frontier_spill:0 ~max_states:400 ~packed:true
            (pump_net ())
-          : Graph.t);
+          : Graph.t Pnut_exec.Supervisor.outcome);
       Alcotest.(check (list string))
         "widen + truncation leaves no spill file" [] (spill_files dir);
       (* budget trip mid-drain: a pre-cancelled token fires at the first
@@ -514,46 +426,6 @@ let build_spec_net spec =
     spec.sp_trans;
   B.build b
 
-(* random variable-free nets: arcs only, no predicates, no actions —
-   these route through the sharded fast path when jobs > 1 *)
-let build_varfree_net spec =
-  let b = B.create "plain" in
-  let np = List.length spec.sp_tokens in
-  let places =
-    List.mapi
-      (fun i tokens -> B.add_place b (Printf.sprintf "p%d" i) ~initial:tokens)
-      spec.sp_tokens
-  in
-  let arcs l =
-    List.sort_uniq compare l
-    |> List.map (fun (i, w) -> (List.nth places (i mod np), w))
-    |> List.fold_left
-         (fun acc (p, w) ->
-           match acc with
-           | (p', w') :: rest when p' = p -> (p, max w w') :: rest
-           | _ -> (p, w) :: acc)
-         []
-    |> List.rev
-  in
-  List.iteri
-    (fun ti (inputs, outputs, _, _) ->
-      ignore
-        (B.add_transition b
-           (Printf.sprintf "t%d" ti)
-           ~inputs:(arcs inputs) ~outputs:(arcs outputs)
-          : Net.transition_id))
-    spec.sp_trans;
-  B.build b
-
-let prop_sharded_equals_serial =
-  QCheck2.Test.make
-    ~name:"sharded packed builder equals serial on random variable-free nets"
-    ~count:60 gen_spec (fun spec ->
-      let net = build_varfree_net spec in
-      let serial = build_packed_jobs ~max_states:2000 ~jobs:1 net in
-      let sharded = build_packed_jobs ~max_states:2000 ~jobs:4 net in
-      arrays_identical serial sharded && graphs_equal serial sharded)
-
 let prop_packed_equals_boxed =
   QCheck2.Test.make
     ~name:"packed builder equals boxed builder on random interpreted nets"
@@ -589,14 +461,6 @@ let () =
           Alcotest.test_case "bytes per state" `Quick test_bytes_per_state;
           Alcotest.test_case "bounds known" `Quick test_bounds_known;
         ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "equals boxed" `Quick test_sharded_equals_boxed;
-          Alcotest.test_case "jobs sweep byte-identity (125k states)" `Slow
-            test_jobs_sweep_identity;
-          Alcotest.test_case "jobs sweep capped byte-identity" `Slow
-            test_jobs_sweep_capped_identity;
-        ] );
       ( "frontier",
         [
           Alcotest.test_case "fifo + spill" `Quick test_frontier_fifo_spill;
@@ -613,6 +477,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_roundtrip_and_agreement;
           QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
           QCheck_alcotest.to_alcotest prop_packed_spill_equals_boxed;
-          QCheck_alcotest.to_alcotest prop_sharded_equals_serial;
         ] );
     ]

@@ -1,5 +1,7 @@
-(* The determinism contract of the multicore layer: every parallel
-   entry point returns bit-identical results for every [jobs] value. *)
+(* The determinism contract: every parallel entry point returns
+   bit-identical results for every [jobs] value, and the serial
+   reachability builders produce the same graph in either
+   representation. *)
 
 module Net = Pnut_core.Net
 module Value = Pnut_core.Value
@@ -48,37 +50,13 @@ let graph_digest g =
   (states, Graph.edges g)
 
 let check_graph_parity name net =
-  let serial = Graph.build ~jobs:1 net in
-  List.iter
-    (fun jobs ->
-      let parallel = Graph.build ~jobs net in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d graph identical" name jobs)
-        true
-        (graph_digest serial = graph_digest parallel))
-    [ 2; 4 ]
+  Alcotest.(check bool)
+    (name ^ ": packed graph identical to boxed")
+    true
+    (graph_digest (Graph.build net) = graph_digest (Graph.build ~packed:true net))
 
 let test_graph_pipeline () = check_graph_parity "pipeline" (pipeline ())
 let test_graph_interpreted () = check_graph_parity "interpreted" (interpreted_net ())
-
-let check_packed_parity name net =
-  let serial = Graph.build ~jobs:1 ~packed:true net in
-  List.iter
-    (fun jobs ->
-      let parallel = Graph.build ~jobs ~packed:true net in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: jobs=%d packed graph identical" name jobs)
-        true
-        (graph_digest serial = graph_digest parallel
-        && Graph.packed_arrays serial = Graph.packed_arrays parallel))
-    [ 2; 4 ]
-
-(* the pipeline model is variable-free, so jobs > 1 routes through the
-   sharded builder; the interpreted net exercises its fallback gate *)
-let test_packed_pipeline () = check_packed_parity "pipeline" (pipeline ())
-
-let test_packed_interpreted () =
-  check_packed_parity "interpreted" (interpreted_net ())
 
 (* a deterministic timed net with real concurrency: two producers with
    different periods feeding a consumer *)
@@ -113,28 +91,13 @@ let timed_digest g =
   (states, edges)
 
 let test_timed_parity () =
-  (* the packed arenas — not just the decoded views — must be
-     byte-identical for every team size, and the boxed serial build must
-     decode to the same graph *)
-  let serial = Timed.build ~jobs:1 ~packed:true (timed_net ()) in
+  let packed = Timed.build ~packed:true (timed_net ()) in
   Alcotest.(check bool) "timed class graph non-trivial" true
-    (Timed.num_states serial > 4);
+    (Timed.num_states packed > 4);
   let boxed = Timed.build (timed_net ()) in
   Alcotest.(check bool) "boxed build identical to packed" true
-    (timed_digest serial = timed_digest boxed);
-  List.iter
-    (fun jobs ->
-      let parallel = Timed.build ~jobs ~packed:true (timed_net ()) in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d packed class arrays byte-identical" jobs)
-        true
-        (Timed.packed_arrays serial = Timed.packed_arrays parallel
-        && Timed.domain_arrays serial = Timed.domain_arrays parallel);
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d timed graph identical" jobs)
-        true
-        (timed_digest serial = timed_digest parallel))
-    [ 2; 4 ]
+    (timed_digest packed = timed_digest boxed
+    && Timed.domain_arrays packed = Timed.domain_arrays boxed)
 
 let test_replicate_parity () =
   let net = pipeline () in
@@ -176,9 +139,6 @@ let () =
           Alcotest.test_case "pipeline graph parity" `Slow test_graph_pipeline;
           Alcotest.test_case "interpreted graph parity" `Quick
             test_graph_interpreted;
-          Alcotest.test_case "packed sharded parity" `Slow test_packed_pipeline;
-          Alcotest.test_case "packed fallback parity" `Quick
-            test_packed_interpreted;
           Alcotest.test_case "timed graph parity" `Quick test_timed_parity;
         ] );
       ( "experiments",

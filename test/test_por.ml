@@ -1,5 +1,5 @@
 (* Stubborn-set partial-order reduction: reduction factors on the indep
-   benchmark family, differential agreement with the full build, jobs
+   benchmark family, differential agreement with the full build, build
    determinism, budget behavior and fragment rejection. *)
 
 module Net = Pnut_core.Net
@@ -9,12 +9,7 @@ module Value = Pnut_core.Value
 module B = Net.Builder
 module Graph = Pnut_reach.Graph
 module Stubborn = Pnut_reach.Stubborn
-module Pool = Pnut_exec.Pool
 module Supervisor = Pnut_exec.Supervisor
-
-(* the single-core CI box would otherwise print a contention warning per
-   distinct explicit --jobs value *)
-let () = Pool.set_warning_printer (fun _ -> ())
 
 let deadlock_markings g =
   Graph.deadlocks g
@@ -86,33 +81,33 @@ let test_indep_parse_name () =
     [ "indep0x4"; "indep6x0"; "indep6x"; "indepx4"; "pipeline";
       "indep6x4b"; "indep-1x4" ]
 
-(* -- jobs sweep: the reduced packed arrays are byte-identical -- *)
+(* -- determinism: the reduced set is a function of the marking alone,
+   so repeated builds and the boxed and packed builders share one
+   numbering -- *)
 
-let test_jobs_sweep_identical () =
+let test_reduced_numbering_identical () =
   let net = Pnut_pipeline.Indep.net ~pipelines:4 ~stages:3 in
-  let arrays jobs =
-    let g = Graph.build ~packed:true ~por:true ~jobs net in
-    Alcotest.(check bool)
-      (Printf.sprintf "jobs=%d complete" jobs)
-      true (Graph.complete g);
-    match Graph.packed_arrays g with
-    | Some a -> a
-    | None -> Alcotest.failf "jobs=%d: not a packed graph" jobs
+  let reference = Graph.build ~por:true net in
+  let markings g =
+    Array.init (Graph.num_states g) (fun i -> (Graph.state g i).Graph.s_marking)
   in
-  let a1, i1, o1, d1 = arrays 1 in
+  let edges g =
+    List.map
+      (fun e -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
+      (Graph.edges g)
+  in
   List.iter
-    (fun jobs ->
-      let a, i, o, d = arrays jobs in
-      let chk what x y =
-        Alcotest.(check (array int))
-          (Printf.sprintf "jobs=%d %s identical" jobs what)
-          x y
-      in
-      chk "arena" a1 a;
-      chk "index" i1 i;
-      chk "succ_off" o1 o;
-      chk "succ_dat" d1 d)
-    [ 2; 4 ]
+    (fun packed ->
+      let what = if packed then "packed" else "boxed rebuild" in
+      let g = Graph.build ~packed ~por:true net in
+      Alcotest.(check bool) (what ^ " complete") true (Graph.complete g);
+      Alcotest.(check (array (array int)))
+        (what ^ ": state numbering identical")
+        (markings reference) (markings g);
+      Alcotest.(check (list (triple int int int)))
+        (what ^ ": edges identical")
+        (edges reference) (edges g))
+    [ false; true ]
 
 (* -- random terminating nets: differential full vs reduced -- *)
 
@@ -268,8 +263,8 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "packed arrays identical across jobs" `Quick
-            test_jobs_sweep_identical;
+          Alcotest.test_case "reduced numbering identical across builds"
+            `Quick test_reduced_numbering_identical;
         ] );
       ( "budget",
         [ Alcotest.test_case "state cap degrades" `Quick test_budget_truncation ] );
