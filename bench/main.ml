@@ -823,8 +823,8 @@ let bench_json ~quick ~file ?baseline () =
      valuations the explicit expansion enumerates per marking, and the
      more the interval-domain classes collapse.  Both graphs must agree
      on the reachable-marking and deadlock-marking sets (that is the
-     whole correctness contract) and the class count must be >= 5x
-     smaller. *)
+     whole correctness contract), the class count must be >= 5x
+     smaller and the class build no slower than the explicit one. *)
   let timed_net = Model.full { default with memory_cycles = 10.0 } in
   let timed_cap = 200_000 in
   let timed_class_g, timed_class_s =
@@ -843,6 +843,7 @@ let bench_json ~quick ~file ?baseline () =
   let timed_reduction =
     float_of_int timed_explicit_states /. float_of_int (max 1 timed_classes)
   in
+  let timed_class_over_explicit = timed_class_s /. timed_explicit_s in
   let timed_markings_identical =
     List.sort_uniq compare
       (List.init timed_classes (fun i ->
@@ -1078,6 +1079,8 @@ let bench_json ~quick ~file ?baseline () =
      \"states_per_sec\": %.0f },\n"
     timed_explicit_states timed_explicit_s
     (rate timed_explicit_states timed_explicit_s);
+  Printf.bprintf b "      \"class_over_explicit_s\": %.3f,\n"
+    timed_class_over_explicit;
   Printf.bprintf b "      \"reduction_vs_explicit\": %.2f,\n" timed_reduction;
   Printf.bprintf b "      \"reduction_at_least_5x\": %b,\n"
     (timed_explicit_states >= 5 * timed_classes);
@@ -1226,10 +1229,11 @@ let bench_json ~quick ~file ?baseline () =
       true
     end
   in
-  (* the state-class acceptance thresholds are deterministic, so they
-     gate unconditionally: identical reachable-marking and
-     deadlock-marking sets against the frozen explicit oracle, >= 5x
-     fewer classes than explicit states on the slow-memory pipeline *)
+  (* the state-class acceptance thresholds gate unconditionally:
+     identical reachable-marking and deadlock-marking sets against the
+     frozen explicit oracle, >= 5x fewer classes than explicit states on
+     the slow-memory pipeline, and a class build no slower than the
+     explicit build (best of 3 each, same process) *)
   let timed_ok =
     if not timed_markings_identical then begin
       Printf.eprintf
@@ -1250,11 +1254,20 @@ let bench_json ~quick ~file ?baseline () =
         timed_reduction timed_classes timed_explicit_states;
       false
     end
+    else if timed_class_over_explicit > 1.0 then begin
+      Printf.eprintf
+        "bench: FAIL reach.timed class_over_explicit_s %.3f (class build \
+         %.6f s vs explicit build %.6f s; <= 1.0 required)\n"
+        timed_class_over_explicit timed_class_s timed_explicit_s;
+      false
+    end
     else begin
       Printf.printf
         "bench: reach.timed %d classes vs %d explicit states (%.2fx), \
-         marking and deadlock sets identical: ok\n"
-        timed_classes timed_explicit_states timed_reduction;
+         marking and deadlock sets identical, class_over_explicit_s \
+         %.3f (%.6f s vs %.6f s): ok\n"
+        timed_classes timed_explicit_states timed_reduction
+        timed_class_over_explicit timed_class_s timed_explicit_s;
       true
     end
   in

@@ -15,9 +15,9 @@ type t = private {
   k_bindings : (string * Pnut_core.Value.t) list;
   k_tables : (string * Pnut_core.Value.t array) list;
   k_clocks : string;
-      (** canonical rendering of timer residuals ([""] for untimed
-          graphs); kept as text so the 9-significant-digit rounding that
-          merges nearly equal clock valuations is preserved *)
+      (** canonical clock component ([""] for untimed graphs): the
+          in-flight multiset of a timed class, or the exact residual
+          bit patterns of an explicit timed state *)
 }
 
 val make : ?clocks:string -> Pnut_core.Marking.t -> Pnut_core.Env.t -> t

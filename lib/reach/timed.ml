@@ -23,7 +23,10 @@
      env) — the refresh rule keeps exactly the enabled transitions — so
      class identity only needs the in-flight multiset on top of the
      {!Statekey}; all vectors of a class agree on both supports and
-     differ only in residual values.
+     differ only in residual values.  A vector is identified by those
+     values bit for bit, and the successor class of a class along an
+     edge label is fixed, so the kernel fires once per class edge and a
+     vector only moves residuals between flat arrays.
    - Reachable (marking, env) pairs, the deadlock set and per-place
      bounds all coincide with the explicit expansion's (a class is dead
      iff it has no timers and nothing enabled, which is a per-class
@@ -35,8 +38,8 @@
    The construction is layered onto the one graph stack: classes intern
    via {!Statekey}, pack into the {!Store} arena (marking fields plus
    the interned (env, in-flight) domain in the extra-id field) and run
-   under {!Pnut_exec.Supervisor} budgets.  {!Timed_explicit} keeps the old semantics frozen as the differential
-   oracle. *)
+   under {!Pnut_exec.Supervisor} budgets.  {!Timed_explicit} keeps the
+   old semantics frozen as the differential oracle. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -170,307 +173,570 @@ let domain_arrays g = (g.sup_off, g.sup, g.iv_lo, g.iv_hi)
 
 let det_duration env d = Duration.det ~who:"Reach.Timed" env d
 
-(* Recompute the pending (enabling) list after a state change: enabled
-   transitions keep their old residual, newly enabled ones start at
-   their full enabling delay, [restart] names transitions whose clock
-   restarts regardless (the just-fired one).  Identical to the frozen
-   oracle's rule — the differential suite depends on it. *)
-let refresh_pending kernel marking env old_pending ~restart =
-  Array.to_list (Kernel.transitions kernel)
-  |> List.filter_map (fun (c : Kernel.ctrans) ->
-         if Kernel.enabled c marking env then
-           let residual =
-             match List.assoc_opt c.s_id old_pending with
-             | Some r when not (List.mem c.s_id restart) -> r
-             | Some _ | None -> det_duration env c.s_tr.Net.t_enabling
-           in
-           Some (c.s_id, residual)
-         else None)
+(* -- exact residual vectors --
 
-let float_key f = Printf.sprintf "%.9g" f
+   A class fixes its timer layout: the sorted in-flight tid multiset is
+   part of its identity and the pending tids are a function of (marking,
+   env).  Inside a class a vector is therefore identified by its
+   residual values alone, and every vector of a build is written back to
+   back into one byte arena.  A residual that is a non-negative integer
+   below 2^40 is the LEB128 varint of [2n] (low bit 0); anything else is
+   a [0x01] tag byte followed by its 8-byte IEEE pattern.  Every float
+   has exactly one encoding, so two vectors of a class share bytes iff
+   their residuals are bit-identical — no rounding ever merges two
+   vectors.  An open-addressing table of vector ids, hashed on (class,
+   bytes), dedups them. *)
 
-(* Canonical rendering of one residual vector (both timer lists must be
-   sorted) — the per-class vector-dedup key. *)
-let clocks_repr in_flight pending =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun (t, r) -> Buffer.add_string buf (Printf.sprintf "%d:%s;" t (float_key r)))
-    in_flight;
-  Buffer.add_char buf '|';
-  List.iter
-    (fun (t, r) -> Buffer.add_string buf (Printf.sprintf "%d:%s;" t (float_key r)))
-    pending;
-  Buffer.contents buf
+type arena = {
+  mutable bytes : Bytes.t;
+  mutable fill : int;  (* committed vectors plus the candidate being written *)
+  mutable off : int array;  (* vector v is bytes off.(v) .. off.(v+1)-1 *)
+  mutable owner : int array;  (* class of vector v *)
+  mutable count : int;
+  mutable slots : int array;  (* vector id + 1; 0 = empty *)
+}
 
-(* Canonical rendering of the in-flight transition multiset (sorted) —
-   the clock component of class identity, and the [clocks] string under
-   which the class's domain is interned into the packed extra table. *)
+let arena_create () =
+  {
+    bytes = Bytes.create 4096;
+    fill = 0;
+    off = Array.make 1024 0;
+    owner = Array.make 1024 0;
+    count = 0;
+    slots = Array.make 2048 0;
+  }
+
+let small_residual = 0x1p40
+
+let put_residual a r =
+  if a.fill + 9 > Bytes.length a.bytes then begin
+    let b = Bytes.create (2 * Bytes.length a.bytes) in
+    Bytes.blit a.bytes 0 b 0 a.fill;
+    a.bytes <- b
+  end;
+  let b = a.bytes in
+  if Float.is_integer r && r < small_residual && not (Float.sign_bit r) then begin
+    let n = ref (Float.to_int r lsl 1) and i = ref a.fill in
+    while !n >= 0x80 do
+      Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7;
+      incr i
+    done;
+    Bytes.unsafe_set b !i (Char.unsafe_chr !n);
+    a.fill <- !i + 1
+  end
+  else begin
+    Bytes.unsafe_set b a.fill '\001';
+    Bytes.set_int64_le b (a.fill + 1) (Int64.bits_of_float r);
+    a.fill <- a.fill + 9
+  end
+
+(* Decode vector [v] into [dst.(0 ..)]. *)
+let get_residuals a v dst =
+  let b = a.bytes in
+  let i = ref a.off.(v) and k = ref 0 in
+  let stop = a.off.(v + 1) in
+  while !i < stop do
+    let c = Char.code (Bytes.unsafe_get b !i) in
+    if c land 1 = 1 then begin
+      dst.(!k) <- Int64.float_of_bits (Bytes.get_int64_le b (!i + 1));
+      i := !i + 9
+    end
+    else begin
+      let n = ref (c land 0x7f) and shift = ref 7 and byte = ref c in
+      incr i;
+      while !byte >= 0x80 do
+        byte := Char.code (Bytes.unsafe_get b !i);
+        n := !n lor ((!byte land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        incr i
+      done;
+      dst.(!k) <- Float.of_int (!n lsr 1)
+    end;
+    incr k
+  done
+
+let hash_span b lo hi cls =
+  let h = ref (cls + 1) in
+  for i = lo to hi - 1 do
+    h := (!h * 31) + Char.code (Bytes.unsafe_get b i)
+  done;
+  let h = !h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+let rec probe_free slots i =
+  if slots.(i) = 0 then i else probe_free slots ((i + 1) land (Array.length slots - 1))
+
+let rehash a =
+  let slots = Array.make (2 * Array.length a.slots) 0 in
+  for v = 0 to a.count - 1 do
+    let h = hash_span a.bytes a.off.(v) a.off.(v + 1) a.owner.(v) in
+    slots.(probe_free slots (h land (Array.length slots - 1))) <- v + 1
+  done;
+  a.slots <- slots
+
+let same_span b i j len =
+  let rec go k =
+    k >= len || (Bytes.unsafe_get b (i + k) = Bytes.unsafe_get b (j + k) && go (k + 1))
+  in
+  go 0
+
+(* Intern the candidate written since the last commit as a vector of
+   class [cls], probing from slot [i]: its id.  A duplicate drops the
+   candidate bytes; a new vector is committed. *)
+let rec intern_vector a cls i =
+  let lo = a.off.(a.count) in
+  let s = a.slots.(i) in
+  if s = 0 then begin
+    let v = a.count in
+    if v + 2 > Array.length a.off then begin
+      let grow arr = Array.append arr (Array.make (Array.length arr) 0) in
+      a.off <- grow a.off;
+      a.owner <- grow a.owner
+    end;
+    a.slots.(i) <- v + 1;
+    a.owner.(v) <- cls;
+    a.off.(v + 1) <- a.fill;
+    a.count <- v + 1;
+    if 2 * a.count > Array.length a.slots then rehash a;
+    v
+  end
+  else begin
+    let v = s - 1 in
+    let len = a.fill - lo in
+    if
+      a.owner.(v) = cls
+      && a.off.(v + 1) - a.off.(v) = len
+      && same_span a.bytes a.off.(v) lo len
+    then begin
+      a.fill <- lo;
+      v
+    end
+    else intern_vector a cls ((i + 1) land (Array.length a.slots - 1))
+  end
+
+(* -- classes and their edges -- *)
+
+type cls = {
+  cl_index : int;
+  cl_key : Statekey.t;  (* marking, env and in-flight rendering *)
+  cl_marking : Marking.t;  (* view of the key's marking *)
+  cl_env : Env.t;
+  cl_flight : int array;  (* in-flight tid multiset, sorted *)
+  cl_pending : int array;  (* enabled tids, ascending *)
+  cl_lo : float array;  (* per timer slot: flight entries, then pending *)
+  cl_hi : float array;
+  mutable cl_edges : step list;  (* one per edge code, reverse emission order *)
+}
+
+(* A class edge with what a vector needs to cross it.  The target is a
+   function of (source class, code): marking, env and in-flight
+   multiset all follow from the class, so the kernel runs once per edge,
+   not once per vector.  Per vector only the residuals move: the
+   in-flight entry of a completion is dropped, a firing with a non-zero
+   firing time inserts [st_delay], and each target pending slot either
+   keeps a source pending residual or restarts at its enabling delay. *)
+and step = {
+  st_code : int;
+  st_target : cls;
+  st_delay : float;  (* firing time of a Fire edge; 0 for completions *)
+  st_keep : int array;  (* per target pending slot: source pending slot, or -1 *)
+  st_fresh : float array;  (* enabling delay of the slots with st_keep = -1 *)
+}
+
+(* Canonical rendering of the in-flight tid multiset — the clock
+   component of class identity, and the [clocks] string under which the
+   class's domain is interned into the packed extra table.  Built once
+   per edge, never per vector. *)
 let flight_repr flight =
   let buf = Buffer.create 16 in
-  List.iter
-    (fun (t, _) ->
+  Array.iter
+    (fun t ->
       Buffer.add_string buf (string_of_int t);
       Buffer.add_char buf ';')
     flight;
   Buffer.contents buf
 
-let sort_flight l =
-  List.sort
-    (fun (t1, r1) (t2, r2) ->
-      match compare t1 t2 with 0 -> Float.compare r1 r2 | c -> c)
-    l
-
-(* Shift-normalize a vector: when no clock is at zero, subtract the
-   minimum residual from every clock — the oracle's Tick, performed
-   eagerly with the same float operations so residual values match it
-   bit for bit.  Returns the shift (the Tick duration folded into the
-   incoming edge); 0 when the vector was already normal. *)
-let normalize flight pending =
-  let has_zero = List.exists (fun (_, r) -> Float.equal r 0.0) in
-  if has_zero flight || has_zero pending then (flight, pending, 0.0)
-  else begin
-    let residuals =
-      List.map snd flight
-      @ List.filter_map (fun (_, r) -> if r > 0.0 then Some r else None) pending
-    in
-    match residuals with
-    | [] -> (flight, pending, 0.0)
-    | first :: rest ->
-      let d = List.fold_left Float.min first rest in
-      let tick l = List.map (fun (t, r) -> (t, Float.max 0.0 (r -. d))) l in
-      (tick flight, tick pending, d)
-  end
-
-(* One candidate successor vector, already sorted and normalized. *)
-type cand = {
-  c_code : int;
-  c_marking : Marking.t;
-  c_flight : (Net.transition_id * float) list;
-  c_pending : (Net.transition_id * float) list;
-  c_env : Env.t;
-  c_shift : float;  (* normalization shift = folded Tick duration *)
+(* One exploration: the class index, the vector arena and the scratch
+   buffers of successor construction. *)
+type space = {
+  kernel : Kernel.t;
+  index : cls Statekey.Tbl.t;
+  mutable classes : cls array;  (* discovery order; [n_classes] used *)
+  mutable n_classes : int;
+  cap : int;
+  mutable truncated : bool;
+  arena : arena;
+  mutable src : float array;  (* the vector being expanded *)
+  mutable dst : float array;  (* the successor being built *)
+  mark : int array;  (* per transition: last stamp it was re-tested *)
+  mutable stamp : int;
 }
 
-(* All successor vectors of one vector, in the fixed completion-then-
-   firing order.  Normal vectors always have a zero clock (or none at
-   all), so the oracle's third branch — the explicit tick — never
-   applies here; it is absorbed into [normalize]. *)
-let successors_of kernel (marking, flight, pending, env) =
-  let acc = ref [] in
-  let visit code marking' flight' pending' env' =
-    let flight', pending', shift =
-      normalize (sort_flight flight') (sort_flight pending')
+let space_create kernel ~cap =
+  {
+    kernel;
+    index = Statekey.Tbl.create 1024;
+    classes = [||];
+    n_classes = 0;
+    cap;
+    truncated = false;
+    arena = arena_create ();
+    src = Array.make 16 0.0;
+    dst = Array.make 16 0.0;
+    mark = Array.make (Kernel.num_transitions kernel) 0;
+    stamp = 0;
+  }
+
+(* Find or create the class of (marking, env, in-flight multiset);
+   [None] when it would be fresh beyond the cap — the caller drops the
+   edge and the graph is flagged incomplete (edges into existing classes
+   are still recorded at the cap). *)
+let find_class sp marking env ~flight ~pending =
+  let key = Statekey.make ~clocks:(flight_repr flight) marking env in
+  match Statekey.Tbl.find_opt sp.index key with
+  | Some cl -> Some cl
+  | None when sp.n_classes >= sp.cap ->
+    sp.truncated <- true;
+    None
+  | None ->
+    let n = Array.length flight + Array.length pending in
+    let cl =
+      {
+        cl_index = sp.n_classes;
+        cl_key = key;
+        cl_marking = Marking.unsafe_wrap key.Statekey.k_marking;
+        cl_env = env;
+        cl_flight = flight;
+        cl_pending = pending;
+        cl_lo = Array.make n infinity;
+        cl_hi = Array.make n neg_infinity;
+        cl_edges = [];
+      }
     in
-    acc :=
-      { c_code = code; c_marking = marking'; c_flight = flight';
-        c_pending = pending'; c_env = env'; c_shift = shift }
-      :: !acc
+    if sp.n_classes = Array.length sp.classes then begin
+      let grown = Array.make (max 16 (2 * sp.n_classes)) cl in
+      Array.blit sp.classes 0 grown 0 sp.n_classes;
+      sp.classes <- grown
+    end;
+    sp.classes.(sp.n_classes) <- cl;
+    sp.n_classes <- sp.n_classes + 1;
+    Statekey.Tbl.replace sp.index key cl;
+    Some cl
+
+let reserve sp n =
+  if n > Array.length sp.src then begin
+    sp.src <- Array.make (2 * n) 0.0;
+    sp.dst <- Array.make (2 * n) 0.0
+  end
+
+(* Write [r.(0 .. n-1)] into the arena and intern it in class [cl]:
+   its id.  A new vector widens the class's interval envelope. *)
+let add_vector sp cl r n =
+  let a = sp.arena in
+  for k = 0 to n - 1 do
+    put_residual a r.(k)
+  done;
+  let before = a.count in
+  let lo = a.off.(before) in
+  let h = hash_span a.bytes lo a.fill cl.cl_index in
+  let v = intern_vector a cl.cl_index (h land (Array.length a.slots - 1)) in
+  if a.count > before then
+    for k = 0 to n - 1 do
+      if r.(k) < cl.cl_lo.(k) then cl.cl_lo.(k) <- r.(k);
+      if r.(k) > cl.cl_hi.(k) then cl.cl_hi.(k) <- r.(k)
+    done;
+  v
+
+(* Load vector [v] into [sp.src]; its class. *)
+let load sp v =
+  let cl = sp.classes.(sp.arena.owner.(v)) in
+  (* room for any successor too: one more flight entry, every
+     transition pending *)
+  reserve sp (Array.length cl.cl_flight + 1 + Kernel.num_transitions sp.kernel);
+  get_residuals sp.arena v sp.src;
+  cl
+
+(* The enabled tids after a state change, from the enabled tids
+   [pending] before it: only the readers of the [touched] places, the
+   predicated transitions when the env changed, and the [restart]ed
+   transition can change, so only they are re-tested. *)
+let next_pending sp pending marking env ~touched ~env_changed ~restart =
+  sp.stamp <- sp.stamp + 1;
+  let stamp = sp.stamp in
+  let retest = ref [] in
+  let touch t =
+    if sp.mark.(t) <> stamp then begin
+      sp.mark.(t) <- stamp;
+      retest := t :: !retest
+    end
   in
-  let completable = List.filter (fun (_, r) -> Float.equal r 0.0) flight in
-  List.iter
-    (fun (tid, _) ->
-      let c = Kernel.transition kernel tid in
-      let m' = Marking.copy marking in
-      Kernel.produce c m';
-      let env' =
-        if c.Kernel.s_has_action then begin
-          let env' = Env.copy env in
-          Kernel.run_action env' c;
-          env'
-        end
-        else env
-      in
-      let remove l =
-        let rec go = function
-          | [] -> []
-          | (t, r) :: rest when t = tid && Float.equal r 0.0 -> rest
-          | x :: rest -> x :: go rest
-        in
-        go l
-      in
-      let flight' = remove flight in
-      let pending' = refresh_pending kernel m' env' pending ~restart:[] in
-      visit ((2 * tid) + 1) m' flight' pending' env')
-    (List.sort_uniq compare completable);
-  let fireable =
+  let readers = Kernel.readers sp.kernel in
+  List.iter (Array.iter (fun p -> Array.iter touch readers.(p))) touched;
+  if env_changed then Array.iter touch (Kernel.predicated sp.kernel);
+  if restart >= 0 then touch restart;
+  let kept = List.filter (fun t -> sp.mark.(t) <> stamp) (Array.to_list pending) in
+  let now =
     List.filter
-      (fun (tid, r) ->
-        Float.equal r 0.0
-        && Kernel.enabled (Kernel.transition kernel tid) marking env)
-      pending
+      (fun t -> Kernel.enabled (Kernel.transition sp.kernel t) marking env)
+      !retest
   in
-  List.iter
-    (fun (tid, _) ->
-      let c = Kernel.transition kernel tid in
-      let m' = Marking.copy marking in
+  Array.of_list (List.sort compare (kept @ now))
+
+(* How the residuals of [next] (the enabled tids after the change)
+   derive from those of [pending]: enabled transitions keep their old
+   residual, newly enabled ones start at their full enabling delay,
+   [restart] (the just-fired transition) restarts regardless.  Identical
+   to the frozen oracle's rule — the differential suite depends on
+   it. *)
+let pending_plan sp ~pending ~next env ~restart =
+  let keep =
+    Array.map
+      (fun t ->
+        if t = restart then -1
+        else
+          let rec find k =
+            if k = Array.length pending then -1
+            else if pending.(k) = t then k
+            else find (k + 1)
+          in
+          find 0)
+      next
+  in
+  let fresh =
+    Array.mapi
+      (fun k t ->
+        if keep.(k) >= 0 then 0.0
+        else
+          det_duration env
+            (Kernel.transition sp.kernel t).Kernel.s_tr.Net.t_enabling)
+      next
+  in
+  (keep, fresh)
+
+(* Insert [tid] into a sorted tid multiset; drop one [tid] from it. *)
+let insert_tid tid a =
+  let k = ref 0 in
+  while !k < Array.length a && a.(!k) <= tid do incr k done;
+  Array.concat [ Array.sub a 0 !k; [| tid |]; Array.sub a !k (Array.length a - !k) ]
+
+let remove_tid tid a =
+  let k = ref 0 in
+  while a.(!k) <> tid do incr k done;
+  Array.append (Array.sub a 0 !k) (Array.sub a (!k + 1) (Array.length a - !k - 1))
+
+(* Build the edge of class [cl] labelled [code]: the one place the
+   kernel fires.  [None] when the target class is capped. *)
+let make_step sp cl code =
+  let tid = code asr 1 in
+  let c = Kernel.transition sp.kernel tid in
+  let m' = Marking.copy cl.cl_marking in
+  let env = cl.cl_env in
+  let act () =
+    if c.Kernel.s_has_action then begin
+      let env' = Env.copy env in
+      Kernel.run_action env' c;
+      env'
+    end
+    else env
+  in
+  let flight, env', touched, restart, delay =
+    if code land 1 = 1 then begin
+      Kernel.produce c m';
+      (remove_tid tid cl.cl_flight, act (), [ c.Kernel.s_out_places ], -1, 0.0)
+    end
+    else begin
       Kernel.consume c m';
       let d = det_duration env c.Kernel.s_tr.Net.t_firing in
       if Float.equal d 0.0 then begin
         Kernel.produce c m';
-        let env' =
-          if c.Kernel.s_has_action then begin
-            let env' = Env.copy env in
-            Kernel.run_action env' c;
-            env'
-          end
-          else env
-        in
-        let pending' = refresh_pending kernel m' env' pending ~restart:[ tid ] in
-        visit (2 * tid) m' flight pending' env'
+        ( cl.cl_flight, act (),
+          [ c.Kernel.s_in_places; c.Kernel.s_out_places ], tid, d )
       end
+      else (insert_tid tid cl.cl_flight, env, [ c.Kernel.s_in_places ], tid, d)
+    end
+  in
+  let next =
+    next_pending sp cl.cl_pending m' env' ~touched ~env_changed:(env' != env)
+      ~restart
+  in
+  match find_class sp m' env' ~flight ~pending:next with
+  | None -> None
+  | Some target ->
+    let keep, fresh = pending_plan sp ~pending:cl.cl_pending ~next env' ~restart in
+    Some { st_code = code; st_target = target; st_delay = delay;
+           st_keep = keep; st_fresh = fresh }
+
+(* Shift-normalize [r.(0 .. n-1)] (flight slots first): when no clock is
+   at zero, subtract the minimum residual from every clock — the
+   oracle's Tick, performed eagerly with the same float operations so
+   residual values match it bit for bit.  Returns the shift (the Tick
+   duration folded into the incoming edge); 0 when the vector was
+   already normal. *)
+let normalize r ~nf n =
+  let has_zero = ref false in
+  for k = 0 to n - 1 do
+    if Float.equal r.(k) 0.0 then has_zero := true
+  done;
+  if !has_zero then 0.0
+  else begin
+    let d = ref 0.0 and any = ref false in
+    for k = 0 to n - 1 do
+      let x = r.(k) in
+      if k < nf || x > 0.0 then
+        if !any then d := Float.min !d x
+        else begin
+          d := x;
+          any := true
+        end
+    done;
+    if not !any then 0.0
+    else begin
+      let d = !d in
+      for k = 0 to n - 1 do
+        r.(k) <- Float.max 0.0 (r.(k) -. d)
+      done;
+      d
+    end
+  end
+
+(* Carry the loaded vector of class [cl] across [st] into the target
+   class; [emit v shift] sees the successor's vector id and its
+   normalization shift. *)
+let cross sp cl st emit =
+  let src = sp.src in
+  let nf = Array.length cl.cl_flight in
+  let tgt = st.st_target in
+  let nf' = Array.length tgt.cl_flight in
+  let n' = nf' + Array.length tgt.cl_pending in
+  let dst = sp.dst in
+  let tid = st.st_code asr 1 in
+  if st.st_code land 1 = 1 then begin
+    (* completion: drop the first zero entry of [tid] *)
+    let j = ref 0 and dropped = ref false in
+    for k = 0 to nf - 1 do
+      if (not !dropped) && cl.cl_flight.(k) = tid && Float.equal src.(k) 0.0
+      then dropped := true
       else begin
-        let flight' = (tid, d) :: flight in
-        let pending' = refresh_pending kernel m' env pending ~restart:[ tid ] in
-        visit (2 * tid) m' flight' pending' env
-      end)
-    fireable;
-  List.rev !acc
+        dst.(!j) <- src.(k);
+        incr j
+      end
+    done
+  end
+  else if Float.equal st.st_delay 0.0 then Array.blit src 0 dst 0 nf
+  else begin
+    (* firing: insert [(tid, delay)] before the first entry not below
+       it, where a stable sort of the prepended entry would put it *)
+    let d = st.st_delay in
+    let j = ref 0 and placed = ref false in
+    for k = 0 to nf - 1 do
+      let t = cl.cl_flight.(k) in
+      if (not !placed) && (t > tid || (t = tid && Float.compare src.(k) d >= 0))
+      then begin
+        dst.(!j) <- d;
+        incr j;
+        placed := true
+      end;
+      dst.(!j) <- src.(k);
+      incr j
+    done;
+    if not !placed then dst.(!j) <- d
+  end;
+  for k = 0 to Array.length st.st_keep - 1 do
+    let g = st.st_keep.(k) in
+    dst.(nf' + k) <- (if g >= 0 then src.(nf + g) else st.st_fresh.(k))
+  done;
+  let shift = normalize dst ~nf:nf' n' in
+  emit (add_vector sp tgt dst n') shift
+
+(* Cross the edge of [cl] labelled [code], building it on first use. *)
+let rec follow sp cl code emit = function
+  | st :: rest ->
+    if st.st_code = code then cross sp cl st emit
+    else follow sp cl code emit rest
+  | [] -> (
+    match make_step sp cl code with
+    | Some st ->
+      cl.cl_edges <- st :: cl.cl_edges;
+      cross sp cl st emit
+    | None -> ())
+
+(* All successor vectors of the loaded vector of class [cl], in the
+   fixed completion-then-firing order.  Normal vectors always have a
+   zero clock (or none at all), so the oracle's third branch — the
+   explicit tick — never applies here; it is absorbed into
+   [normalize]. *)
+let expand sp cl emit =
+  let nf = Array.length cl.cl_flight in
+  let last = ref (-1) in
+  for k = 0 to nf - 1 do
+    let tid = cl.cl_flight.(k) in
+    if tid <> !last && Float.equal sp.src.(k) 0.0 then begin
+      last := tid;
+      follow sp cl ((2 * tid) + 1) emit cl.cl_edges
+    end
+  done;
+  for k = 0 to Array.length cl.cl_pending - 1 do
+    if Float.equal sp.src.(nf + k) 0.0 then
+      follow sp cl (2 * cl.cl_pending.(k)) emit cl.cl_edges
+  done
+
+(* The enabled tids of (marking, env) by a full scan, with their full
+   enabling delays. *)
+let initial_pending kernel marking env =
+  let tids =
+    Array.to_list (Kernel.transitions kernel)
+    |> List.filter (fun c -> Kernel.enabled c marking env)
+  in
+  ( Array.of_list (List.map (fun c -> c.Kernel.s_id) tids),
+    Array.of_list
+      (List.map (fun c -> det_duration env c.Kernel.s_tr.Net.t_enabling) tids) )
 
 (* The initial vector: empty flight, full enabling delays pending,
    normalized (the oracle reaches the same point through leading
-   Ticks). *)
-let initial_vector kernel net =
+   Ticks).  Its id (always 0) and normalization shift. *)
+let initial_vector sp net =
   let m0 = Net.initial_marking net in
   let env0 = Net.initial_env net in
-  let pending0 = sort_flight (refresh_pending kernel m0 env0 [] ~restart:[]) in
-  let flight0, pending0, shift0 = normalize [] pending0 in
-  (m0, flight0, pending0, env0, shift0)
+  let pending, delays = initial_pending sp.kernel m0 env0 in
+  let n = Array.length pending in
+  reserve sp (n + 1);
+  Array.blit delays 0 sp.dst 0 n;
+  let shift = normalize sp.dst ~nf:0 n in
+  match find_class sp m0 env0 ~flight:[||] ~pending with
+  | None -> invalid_arg "Reach.Timed: max_states must be positive"
+  | Some cl ->
+    (add_vector sp cl sp.dst n, shift)
 
-(* Widen a class's per-slot interval envelope with one more residual
-   vector (flight slots first, then pending). *)
-let widen_ranges lo hi flight pending =
-  let nf = List.length flight in
-  List.iteri
-    (fun k (_, r) ->
-      if r < lo.(k) then lo.(k) <- r;
-      if r > hi.(k) then hi.(k) <- r)
-    flight;
-  List.iteri
-    (fun k (_, r) ->
-      if r < lo.(nf + k) then lo.(nf + k) <- r;
-      if r > hi.(nf + k) then hi.(nf + k) <- r)
-    pending
-
-(* -- class records; [cl_edges] is in reverse emission order -- *)
-
-type cls = {
-  cl_index : int;
-  cl_marking : int array;
-  cl_env : Env.t;
-  cl_flight : int list;  (* in-flight tid multiset, sorted *)
-  cl_pending : int list;  (* enabled tids, sorted *)
-  cl_flight_repr : string;
-  cl_lo : float array;  (* per timer slot: flight entries, then pending *)
-  cl_hi : float array;
-  mutable cl_edges : (int * int) list;  (* (code, target class) *)
-  cl_eseen : (int * int, unit) Hashtbl.t;
-  cl_vecs : (string, unit) Hashtbl.t;
-}
-
-let fresh_cls ~index ~key ~env ~flight ~pending ~frepr =
-  let n = List.length flight + List.length pending in
-  {
-    cl_index = index;
-    cl_marking = key.Statekey.k_marking;
-    cl_env = env;
-    cl_flight = List.map fst flight;
-    cl_pending = List.map fst pending;
-    cl_flight_repr = frepr;
-    cl_lo = Array.make n infinity;
-    cl_hi = Array.make n neg_infinity;
-    cl_edges = [];
-    cl_eseen = Hashtbl.create 8;
-    cl_vecs = Hashtbl.create 8;
-  }
-
-let add_class_edge cl code target =
-  if not (Hashtbl.mem cl.cl_eseen (code, target)) then begin
-    Hashtbl.add cl.cl_eseen (code, target) ();
-    cl.cl_edges <- (code, target) :: cl.cl_edges
-  end
-
-(* -- serial class fixpoint: a FIFO over residual vectors; classes
-      intern via Statekey, vectors dedup per class by their canonical
-      rendering -- *)
+(* -- serial class fixpoint: a FIFO over residual vectors.  Vectors are
+      numbered in discovery order, so the FIFO is the arena itself and
+      the frontier is every vector past the cursor. -- *)
 
 let build_serial ~max_states ~monitor ~monitored kernel net =
-  let index : cls Statekey.Tbl.t = Statekey.Tbl.create 1024 in
-  let classes_rev = ref [] in
-  let n_classes = ref 0 in
-  let n_vectors = ref 0 in
-  let truncated = ref false in
+  let sp = space_create kernel ~cap:max_states in
+  ignore (initial_vector sp net : int * float);
   let budget_stop = ref None in
   let frontier_left = ref 0 in
-  let q = Queue.create () in
-  (* Intern one normalized vector: find or create its class, then dedup
-     the vector inside it.  [None] means the class would be fresh
-     beyond the cap — the edge is dropped and the graph flagged
-     incomplete, exactly like the untimed builder (edges into existing
-     classes are still recorded at the cap). *)
-  let intern_vec marking flight pending env =
-    let frepr = flight_repr flight in
-    let key = Statekey.make ~clocks:frepr marking env in
-    let cl =
-      match Statekey.Tbl.find_opt index key with
-      | Some cl -> Some cl
-      | None ->
-        if !n_classes >= max_states then begin
-          truncated := true;
-          None
-        end
-        else begin
-          let cl =
-            fresh_cls ~index:!n_classes ~key ~env ~flight ~pending ~frepr
-          in
-          incr n_classes;
-          Statekey.Tbl.replace index key cl;
-          classes_rev := cl :: !classes_rev;
-          Some cl
-        end
-    in
-    match cl with
-    | None -> None
-    | Some cl ->
-      let vkey = clocks_repr flight pending in
-      if not (Hashtbl.mem cl.cl_vecs vkey) then begin
-        Hashtbl.add cl.cl_vecs vkey ();
-        incr n_vectors;
-        widen_ranges cl.cl_lo cl.cl_hi flight pending;
-        Queue.add (cl, marking, flight, pending, env) q
-      end;
-      Some cl
-  in
-  let m0, flight0, pending0, env0, _ = initial_vector kernel net in
-  (match intern_vec m0 flight0 pending0 env0 with
-  | Some cl -> assert (cl.cl_index = 0)
-  | None -> assert false);
-  let pops = ref 0 in
+  let next = ref 0 in
   (* Budget checks ride the dequeue boundary every 256 vectors — the
      cadence of every other builder in the stack. *)
   (try
-     while not (Queue.is_empty q) do
-       incr pops;
-       if monitored && !pops land 255 = 0 then begin
+     while !next < sp.arena.count do
+       if monitored && (!next + 1) land 255 = 0 then begin
          match Pnut_exec.Supervisor.check monitor with
          | Some r ->
            budget_stop := Some r;
-           frontier_left := Queue.length q;
+           frontier_left := sp.arena.count - !next;
            raise_notrace Exit
          | None -> ()
        end;
-       let cl, marking, flight, pending, env = Queue.pop q in
-       List.iter
-         (fun c ->
-           match intern_vec c.c_marking c.c_flight c.c_pending c.c_env with
-           | None -> ()
-           | Some cl' -> add_class_edge cl c.c_code cl'.cl_index)
-         (successors_of kernel (marking, flight, pending, env))
+       let cl = load sp !next in
+       expand sp cl (fun _ _ -> ());
+       incr next
      done
    with Exit -> ());
-  let classes = Array.make !n_classes None in
-  List.iter (fun cl -> classes.(cl.cl_index) <- Some cl) !classes_rev;
-  let classes = Array.map Option.get classes in
-  (classes, !n_vectors, !truncated, !budget_stop, !frontier_left)
+  let classes = Array.sub sp.classes 0 sp.n_classes in
+  (classes, sp.arena.count, sp.truncated, !budget_stop, !frontier_left)
 
 (* -- final assembly: the one place classes are packed.  Classes are
       appended in canonical discovery order and their (env, in-flight
@@ -478,14 +744,18 @@ let build_serial ~max_states ~monitor ~monitored kernel net =
       index, CSR and side-table contents depend only on the class
       list. -- *)
 
+let edge_list cl =
+  List.rev_map (fun st -> (st.st_code, st.st_target.cl_index)) cl.cl_edges
+
 let assemble_store net classes =
   let codec = Packed.create ~with_extra:true net in
   let nt = max 1 (Net.num_transitions net) in
   let store = Store.create codec ~num_transitions:(2 * nt) in
   Array.iter
     (fun cl ->
-      let ex = Packed.intern_extra codec ~clocks:cl.cl_flight_repr cl.cl_env in
-      match Store.intern store cl.cl_marking ~extra:ex ~max_states:max_int with
+      let key = cl.cl_key in
+      let ex = Packed.intern_extra codec ~clocks:key.Statekey.k_clocks cl.cl_env in
+      match Store.intern store key.Statekey.k_marking ~extra:ex ~max_states:max_int with
       | `Added _ -> ()
       | `Found _ | `Capped ->
         (* class identity is exactly (marking, env, in-flight domain) =
@@ -497,7 +767,7 @@ let assemble_store net classes =
       Store.begin_source store i;
       List.iter
         (fun (code, j) -> Store.add_edge store ~tid:code ~target:j)
-        (List.rev cl.cl_edges))
+        (edge_list cl))
     classes;
   Store.finalize store;
   store
@@ -506,10 +776,7 @@ let assemble_domains classes =
   let n = Array.length classes in
   let sup_off = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    sup_off.(i + 1) <-
-      sup_off.(i)
-      + List.length classes.(i).cl_flight
-      + List.length classes.(i).cl_pending
+    sup_off.(i + 1) <- sup_off.(i) + Array.length classes.(i).cl_lo
   done;
   let m = sup_off.(n) in
   let sup = Array.make m 0 in
@@ -518,36 +785,26 @@ let assemble_domains classes =
   Array.iteri
     (fun i cl ->
       let base = sup_off.(i) in
-      let k = ref 0 in
-      List.iter
-        (fun t ->
-          sup.(base + !k) <- 2 * t;
-          lo.(base + !k) <- cl.cl_lo.(!k);
-          hi.(base + !k) <- cl.cl_hi.(!k);
-          incr k)
-        cl.cl_flight;
-      List.iter
-        (fun t ->
-          sup.(base + !k) <- (2 * t) + 1;
-          lo.(base + !k) <- cl.cl_lo.(!k);
-          hi.(base + !k) <- cl.cl_hi.(!k);
-          incr k)
-        cl.cl_pending)
+      let nf = Array.length cl.cl_flight in
+      Array.iteri (fun k t -> sup.(base + k) <- 2 * t) cl.cl_flight;
+      Array.iteri (fun k t -> sup.(base + nf + k) <- (2 * t) + 1) cl.cl_pending;
+      Array.blit cl.cl_lo 0 lo base (Array.length cl.cl_lo);
+      Array.blit cl.cl_hi 0 hi base (Array.length cl.cl_hi))
     classes;
   (sup_off, sup, lo, hi)
 
 let assemble_boxed classes =
   let n = Array.length classes in
-  let markings = Array.map (fun cl -> cl.cl_marking) classes in
+  let markings = Array.map (fun cl -> cl.cl_key.Statekey.k_marking) classes in
   let envs = Array.map (fun cl -> cl.cl_env) classes in
   let succ = Array.make n [] in
   let pred = Array.make n [] in
   Array.iteri
     (fun i cl ->
       succ.(i) <-
-        List.rev_map
+        List.map
           (fun (code, j) -> { e_from = i; e_label = label_of_code code; e_to = j })
-          cl.cl_edges)
+          (edge_list cl))
     classes;
   Array.iter
     (fun l -> List.iter (fun e -> pred.(e.e_to) <- e :: pred.(e.e_to)) l)
@@ -631,57 +888,49 @@ let max_tokens g p =
     done;
     !acc
 
+
 (* Earliest time before [tid] first starts firing: a uniform-cost
    search over normalized vectors where an edge costs its normalization
    shift (the folded Tick).  The class graph cannot answer this — it
    merges vectors reached at different times — so the search runs over
-   the vector space directly. *)
+   the vector space directly, on the builder's exact vector ids. *)
 let min_cycle_time ?(max_states = 50_000) net tid =
   Duration.check_net ~who:"Reach.Timed" net;
-  let kernel = Kernel.of_net net in
+  let sp = space_create (Kernel.of_net net) ~cap:max_int in
+  (* (distance, push sequence, vector id): the sequence breaks ties *)
   let module Pq = Set.Make (struct
-    type t = float * int
+    type t = float * int * int
 
     let compare = compare
   end) in
-  let vkey marking flight pending env =
-    Statekey.make ~clocks:(clocks_repr flight pending) marking env
-  in
-  let data = Hashtbl.create 256 in
   let seq = ref 0 in
   let pq = ref Pq.empty in
-  let push d vec =
-    let s = !seq in
-    incr seq;
-    Hashtbl.replace data s vec;
-    pq := Pq.add (d, s) !pq
+  let push d v =
+    pq := Pq.add (d, !seq, v) !pq;
+    incr seq
   in
-  let settled = Statekey.Tbl.create 256 in
-  let m0, flight0, pending0, env0, shift0 = initial_vector kernel net in
-  push shift0 (m0, flight0, pending0, env0);
+  let settled = Hashtbl.create 256 in
+  let v0, shift0 = initial_vector sp net in
+  push shift0 v0;
   let result = ref None in
   (try
      while not (Pq.is_empty !pq) do
-       let ((d, s) as top) = Pq.min_elt !pq in
+       let ((d, _, v) as top) = Pq.min_elt !pq in
        pq := Pq.remove top !pq;
-       let ((marking, flight, pending, env) as vec) = Hashtbl.find data s in
-       Hashtbl.remove data s;
-       let key = vkey marking flight pending env in
-       if not (Statekey.Tbl.mem settled key) then begin
-         Statekey.Tbl.replace settled key ();
-         if Statekey.Tbl.length settled > max_states then raise_notrace Exit;
-         if List.exists (fun (t, r) -> t = tid && Float.equal r 0.0) pending
-         then begin
-           result := Some d;
-           raise_notrace Exit
-         end;
-         List.iter
-           (fun c ->
-             let k' = vkey c.c_marking c.c_flight c.c_pending c.c_env in
-             if not (Statekey.Tbl.mem settled k') then
-               push (d +. c.c_shift)
-                 (c.c_marking, c.c_flight, c.c_pending, c.c_env))
-           (successors_of kernel vec)
+       if not (Hashtbl.mem settled v) then begin
+         Hashtbl.replace settled v ();
+         if Hashtbl.length settled > max_states then raise_notrace Exit;
+         let cl = load sp v in
+         let nf = Array.length cl.cl_flight in
+         Array.iteri
+           (fun k t ->
+             if t = tid && Float.equal sp.src.(nf + k) 0.0 then begin
+               result := Some d;
+               raise_notrace Exit
+             end)
+           cl.cl_pending;
+         expand sp cl (fun v' shift ->
+             if not (Hashtbl.mem settled v') then push (d +. shift) v')
        end
      done
    with Exit -> ());
@@ -693,19 +942,31 @@ type cycle = {
   cy_firings : int array;
 }
 
-(* Deterministic walk: complete the lowest-id finished firing, else fire
-   the lowest-id fireable transition, else advance time by the minimum
-   residual; detect a repeated (marking, in-flight, pending) state. *)
+(* Deterministic walk: complete the most recently started finished
+   firing, else fire the lowest-id fireable transition, else advance
+   time by the minimum residual; detect a repeated (marking, in-flight,
+   pending) vector by its exact id in a vector space. *)
 let steady_cycle ?(max_steps = 100_000) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let kernel = Kernel.of_net net in
+  let sp = space_create kernel ~cap:max_int in
   let nt = Net.num_transitions net in
   let counts = Array.make nt 0 in
-  let seen = Statekey.Tbl.create 256 in
+  let seen = Hashtbl.create 256 in
   let env = Net.initial_env net in
-  let marking = ref (Net.initial_marking net) in
+  let marking = Net.initial_marking net in
   let in_flight = ref ([] : (int * float) list) in
-  let pending = ref (refresh_pending kernel !marking env [] ~restart:[]) in
+  let pending, delays = initial_pending kernel marking env in
+  let pending = ref pending and residual = ref delays in
+  let refresh ~touched ~restart =
+    let next =
+      next_pending sp !pending marking env ~touched ~env_changed:false ~restart
+    in
+    let keep, fresh = pending_plan sp ~pending:!pending ~next env ~restart in
+    let old = !residual in
+    residual := Array.mapi (fun k g -> if g >= 0 then old.(g) else fresh.(k)) keep;
+    pending := next
+  in
   let clock = ref 0.0 in
   let result = ref None in
   let step = ref 0 in
@@ -715,53 +976,57 @@ let steady_cycle ?(max_steps = 100_000) net =
        let completable =
          List.filter (fun (_, r) -> Float.equal r 0.0) !in_flight
        in
-       let fireable =
-         List.filter
-           (fun (tid, r) ->
-             Float.equal r 0.0
-             && Kernel.enabled (Kernel.transition kernel tid) !marking env)
-           !pending
+       let rec fireable k =
+         if k = Array.length !pending then None
+         else if Float.equal !residual.(k) 0.0 then Some !pending.(k)
+         else fireable (k + 1)
        in
-       match completable, fireable with
+       match completable, fireable 0 with
        | (tid, _) :: _, _ ->
          let c = Kernel.transition kernel tid in
-         Kernel.produce c !marking;
+         Kernel.produce c marking;
          let rec remove = function
            | [] -> []
            | (t, r) :: rest when t = tid && Float.equal r 0.0 -> rest
            | x :: rest -> x :: remove rest
          in
          in_flight := remove !in_flight;
-         pending := refresh_pending kernel !marking env !pending ~restart:[]
-       | [], (tid, _) :: _ ->
+         refresh ~touched:[ c.Kernel.s_out_places ] ~restart:(-1)
+       | [], Some tid ->
          let c = Kernel.transition kernel tid in
-         Kernel.consume c !marking;
+         Kernel.consume c marking;
          counts.(tid) <- counts.(tid) + 1;
          let d = det_duration env c.Kernel.s_tr.Net.t_firing in
          if d > 0.0 then in_flight := (tid, d) :: !in_flight;
-         pending := refresh_pending kernel !marking env !pending ~restart:[ tid ];
+         refresh ~touched:[ c.Kernel.s_in_places ] ~restart:tid;
          if Float.equal d 0.0 then begin
-           Kernel.produce c !marking;
-           pending := refresh_pending kernel !marking env !pending ~restart:[ tid ]
+           Kernel.produce c marking;
+           refresh ~touched:[ c.Kernel.s_out_places ] ~restart:tid
          end
-       | [], [] -> (
+       | [], None -> (
          let residuals =
            List.map snd !in_flight
-           @ List.filter_map
-               (fun (_, r) -> if r > 0.0 then Some r else None)
-               !pending
+           @ List.filter (fun r -> r > 0.0) (Array.to_list !residual)
          in
          match residuals with
          | [] -> raise Exit (* dead *)
          | first :: rest ->
            (* stable instant: check for a repeat before ticking *)
-           let key =
-             Statekey.make
-               ~clocks:
-                 (clocks_repr (sort_flight !in_flight) (sort_flight !pending))
-               !marking env
+           let flight =
+             List.stable_sort
+               (fun (t1, r1) (t2, r2) ->
+                 match compare t1 t2 with 0 -> Float.compare r1 r2 | c -> c)
+               !in_flight
            in
-           (match Statekey.Tbl.find_opt seen key with
+           let cl =
+             Option.get
+               (find_class sp marking env
+                  ~flight:(Array.of_list (List.map fst flight))
+                  ~pending:!pending)
+           in
+           let vec = Array.of_list (List.map snd flight @ Array.to_list !residual) in
+           let v = add_vector sp cl vec (Array.length vec) in
+           (match Hashtbl.find_opt seen v with
            | Some (t0, counts0) ->
              result :=
                Some
@@ -772,14 +1037,12 @@ let steady_cycle ?(max_steps = 100_000) net =
                      Array.init nt (fun i -> counts.(i) - counts0.(i));
                  }
            | None ->
-             Statekey.Tbl.replace seen key (!clock, Array.copy counts);
+             Hashtbl.replace seen v (!clock, Array.copy counts);
              let d = List.fold_left Float.min first rest in
              clock := !clock +. d;
-             let tick l =
-               List.map (fun (t, r) -> (t, Float.max 0.0 (r -. d))) l
-             in
-             in_flight := tick !in_flight;
-             pending := tick !pending))
+             in_flight :=
+               List.map (fun (t, r) -> (t, Float.max 0.0 (r -. d))) !in_flight;
+             residual := Array.map (fun r -> Float.max 0.0 (r -. d)) !residual))
      done
    with Exit -> ());
   !result

@@ -9,6 +9,8 @@
     the class.  Residual vectors are shift-normalized at creation, so
     the oracle's explicit [Tick] edges are folded into the [Fire] /
     [Complete] edges that precede them and never appear in the graph.
+    Vector identity is exact: two vectors of a class are the same only
+    when every residual is bit-identical.
 
     The class graph preserves exactly what the analyses here consume:
     the reachable (marking, environment) set, the deadlock set, and

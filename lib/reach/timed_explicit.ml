@@ -110,21 +110,16 @@ let refresh_pending kernel marking env old_pending ~restart =
            Some (c.s_id, residual)
          else None)
 
-let float_key f = Printf.sprintf "%.9g" f
-
-(* Canonical rendering of the two timer lists (must already be sorted).
-   Kept textual so residuals that agree to 9 significant digits keep
-   merging; marking and environment are hashed structurally by
-   {!Statekey}, never stringified. *)
+(* Canonical rendering of the two timer lists (must already be sorted):
+   each residual as its exact IEEE bit pattern, so two states share a
+   key only when every clock is bit-identical; marking and environment
+   are hashed structurally by {!Statekey}, never stringified. *)
 let clocks_repr in_flight pending =
   let buf = Buffer.create 32 in
-  List.iter
-    (fun (t, r) -> Buffer.add_string buf (Printf.sprintf "%d:%s;" t (float_key r)))
-    in_flight;
+  let add (t, r) = Printf.bprintf buf "%d:%Lx;" t (Int64.bits_of_float r) in
+  List.iter add in_flight;
   Buffer.add_char buf '|';
-  List.iter
-    (fun (t, r) -> Buffer.add_string buf (Printf.sprintf "%d:%s;" t (float_key r)))
-    pending;
+  List.iter add pending;
   Buffer.contents buf
 
 let sort_flight l =

@@ -199,6 +199,171 @@ let test_packed_build () =
   in
   Alcotest.(check bool) "same decoded graph" true (digest boxed = digest packed)
 
+(* -- exact vector identity --
+
+   One class, {u, G}, is reached with two residual vectors for 'b':
+   1.0 +. 1e-12 straight after 'pa', and 1.0 after the detour 'pb' then
+   'delay_v', which spends 1e-12 of b's enabling time.  From there the
+   two vectors part ways: with b at 1.0, 'b' and 'd' come due at the
+   same instant and 'b' fires before 'e' can (marking {Bout, Dout});
+   with b at 1.0 +. 1e-12, 'd' fires first and 'e' (enabling 5e-13)
+   takes G before 'b' comes due (marking {E}).  The old "%.9g" vector
+   key printed both residuals as "1", so the second vector was dropped
+   as a duplicate of the first: {Bout, Dout} went missing from the class
+   graph and the explicit oracle alike, which therefore still agreed,
+   and min_cycle_time never saw 'b' fire. *)
+let near_tie_net () =
+  let b = B.create "near-tie" in
+  let s = B.add_place b "s" ~initial:1 in
+  let u = B.add_place b "u" in
+  let v = B.add_place b "v" in
+  let g = B.add_place b "G" ~initial:1 in
+  let h2 = B.add_place b "h2" in
+  let dout = B.add_place b "Dout" in
+  let bout = B.add_place b "Bout" in
+  let e = B.add_place b "E" in
+  let tr name ?(enabling = Net.Zero) inputs outputs =
+    B.add_transition b name
+      ~inputs:(List.map (fun p -> (p, 1)) inputs)
+      ~outputs:(List.map (fun p -> (p, 1)) outputs)
+      ~enabling
+  in
+  let _ = tr "pa" [ s ] [ u ] in
+  let _ = tr "pb" [ s ] [ v ] in
+  let _ = tr "delay_v" [ v ] [ u ] ~enabling:(Net.Const 1e-12) in
+  let _ = tr "c" [ u ] [ h2 ] in
+  let tb = tr "b" [ g ] [ bout ] ~enabling:(Net.Const (1.0 +. 1e-12)) in
+  let _ = tr "d" [ h2 ] [ dout ] ~enabling:(Net.Const 1.0) in
+  let _ = tr "e" [ dout; g ] [ e ] ~enabling:(Net.Const 5e-13) in
+  (B.build b, u, g, bout, dout, e, tb)
+
+let test_near_tie_vectors_kept () =
+  let net, u, g, bout, dout, e, tb = near_tie_net () in
+  let cg = Timed.build net in
+  let x = Tx.build net in
+  let markings_of n state =
+    List.init n state |> List.map Array.to_list |> List.sort_uniq compare
+  in
+  let class_markings =
+    markings_of (Timed.num_states cg) (fun i -> (Timed.state cg i).Timed.ts_marking)
+  in
+  Alcotest.(check (list (list int))) "same reachable markings as the oracle"
+    (markings_of (Tx.num_states x) (fun i -> (Tx.state x i).Tx.ts_marking))
+    class_markings;
+  let np = Net.num_places net in
+  let only places =
+    List.init np (fun p -> if List.mem p places then 1 else 0)
+  in
+  Alcotest.(check bool) "b-first ending reached" true
+    (List.mem (only [ bout; dout ]) class_markings);
+  Alcotest.(check bool) "e-first ending reached" true
+    (List.mem (only [ e ]) class_markings);
+  (* the {u, G} class keeps both vectors: b's interval spans both *)
+  let ug =
+    List.find
+      (fun i -> Array.to_list (Timed.state cg i).Timed.ts_marking = only [ u; g ])
+      (List.init (Timed.num_states cg) Fun.id)
+  in
+  let s = Timed.state cg ug in
+  let b_iv =
+    List.assoc tb (List.combine s.Timed.ts_pending s.Timed.ts_pending_iv)
+  in
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "b's domain holds both"
+    (1.0, 1.0 +. 1e-12) b_iv;
+  (* only the 1.0 vector lets b fire, 1e-12 + 1.0 after the start *)
+  let expect = Tx.min_cycle_time x tb in
+  Alcotest.(check bool) "b fires in the oracle" true (expect <> None);
+  Alcotest.(check (option (float 0.0))) "b's earliest firing" expect
+    (Timed.min_cycle_time net tb)
+
+let test_residual_encodings () =
+  (* independent countdowns whose residuals take every vector encoding:
+     zero, a three-byte varint (19998), fractions (1.5, 19996.5) and
+     an integer past the varint range (2^41 - 2); each must decode to
+     the exact value its successors are computed from *)
+  let b = B.create "countdowns" in
+  let start name delay =
+    let p = B.add_place b (name ^ "_p") ~initial:1 in
+    let q = B.add_place b (name ^ "_q") in
+    B.add_transition b name ~inputs:[ (p, 1) ] ~outputs:[ (q, 1) ]
+      ~enabling:(Net.Const delay)
+  in
+  let ta = start "a" 2.0 in
+  let tb = start "b" 20000.0 in
+  let tc = start "c" 0x1p41 in
+  let td = start "d" 3.5 in
+  let net = B.build b in
+  let g = Timed.build net in
+  let x = Tx.build net in
+  Alcotest.(check int) "one class per firing" 5 (Timed.num_states g);
+  List.iter
+    (fun (name, t, at) ->
+      Alcotest.(check (option (float 0.0))) name (Some at)
+        (Timed.min_cycle_time net t);
+      Alcotest.(check (option (float 0.0))) (name ^ " (oracle)") (Some at)
+        (Tx.min_cycle_time x t))
+    [ ("a", ta, 2.0); ("b", tb, 20000.0); ("c", tc, 0x1p41); ("d", td, 3.5) ]
+
+(* -- identity pin: the Figure 1-3 pipeline's class graph, byte for
+      byte.  The digests were recorded from the string-keyed builder
+      this one replaced; any change to class numbering, edge order,
+      interval domains or vector dedup moves them. -- *)
+
+let graph_digest g =
+  let b = Buffer.create 65536 in
+  let ints a =
+    Array.iter (fun x -> Printf.bprintf b "%d," x) a;
+    Buffer.add_char b '|'
+  in
+  let floats a =
+    Array.iter (fun x -> Printf.bprintf b "%Lx," (Int64.bits_of_float x)) a;
+    Buffer.add_char b '|'
+  in
+  let off, sup, lo, hi = Timed.domain_arrays g in
+  ints off;
+  ints sup;
+  floats lo;
+  floats hi;
+  for i = 0 to Timed.num_states g - 1 do
+    ints (Timed.state g i).Timed.ts_marking;
+    List.iter
+      (fun e ->
+        match e.Timed.e_label with
+        | Timed.Fire t -> Printf.bprintf b "f%d>%d;" t e.Timed.e_to
+        | Timed.Complete t -> Printf.bprintf b "c%d>%d;" t e.Timed.e_to)
+      (Timed.successors g i);
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pin_pipeline ~memory ?buffer ~classes ~edges ~vectors ~digest () =
+  let cfg = { Pnut_pipeline.Config.default with memory_cycles = memory } in
+  let cfg =
+    match buffer with
+    | Some w -> { cfg with Pnut_pipeline.Config.buffer_words = w }
+    | None -> cfg
+  in
+  let net = Pnut_pipeline.Model.full cfg in
+  List.iter
+    (fun packed ->
+      let g = Timed.build ~max_states:100_000 ~packed net in
+      Alcotest.(check bool) "complete" true (Timed.complete g);
+      Alcotest.(check int) "classes" classes (Timed.num_states g);
+      Alcotest.(check int) "edges" edges (Timed.num_edges g);
+      Alcotest.(check int) "vectors" vectors (Timed.num_vectors g);
+      Alcotest.(check string)
+        (if packed then "packed digest" else "boxed digest")
+        digest (graph_digest g))
+    [ true; false ]
+
+let test_pin_memory_10 () =
+  pin_pipeline ~memory:10.0 ~classes:914 ~edges:1903 ~vectors:5167
+    ~digest:"2839612d434e61ab4d38b146cef53120" ()
+
+let test_pin_memory_50 () =
+  pin_pipeline ~memory:50.0 ~buffer:48 ~classes:8610 ~edges:19653
+    ~vectors:200959 ~digest:"b29ce471fc8b2c527d1d9e9da211c17e" ()
+
 (* -- frozen explicit-expansion oracle -- *)
 
 let test_explicit_four_states () =
@@ -362,6 +527,9 @@ let () =
           Alcotest.test_case "residual enabling" `Quick
             test_residual_enabling_preserved;
           Alcotest.test_case "packed build" `Quick test_packed_build;
+          Alcotest.test_case "near-tie vectors kept" `Quick
+            test_near_tie_vectors_kept;
+          Alcotest.test_case "residual encodings" `Quick test_residual_encodings;
         ] );
       ( "durations",
         [
@@ -376,6 +544,12 @@ let () =
           Alcotest.test_case "simulator agreement" `Quick
             test_agreement_with_simulator;
           Alcotest.test_case "summaries" `Quick test_summaries;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "pipeline memory 10" `Quick test_pin_memory_10;
+          Alcotest.test_case "pipeline memory 50 buffer 48" `Quick
+            test_pin_memory_50;
         ] );
       ( "explicit oracle",
         [
