@@ -4,12 +4,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
@@ -27,6 +21,21 @@ let write_file path contents =
       valid prefix of the full result — but incomplete. *)
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
+
+(* An unreadable input file is a usage error.  A directory opens fine
+   on Linux but fails on its length with an unhelpful EOVERFLOW, so it
+   is named as such up front. *)
+let read_file path =
+  if Sys.file_exists path && Sys.is_directory path then
+    die "%s: is a directory, not a file" path;
+  match open_in_bin path with
+  | exception Sys_error msg -> die "%s" msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        try really_input_string ic (in_channel_length ic)
+        with Sys_error msg -> die "%s: %s" path msg)
 
 let exit_degraded = 3
 
@@ -727,6 +736,8 @@ let reach_cmd =
                    the reduced graph.")
   in
   let run path timed explicit max_states ctl query packed por budget =
+    if max_states < 1 then
+      die "--max-states must be positive (got %d)" max_states;
     let net = load_net path in
     (* On a budget trip the partial graph is still a valid prefix:
        summarize it, run the CTL/query checks on it (a failure on the

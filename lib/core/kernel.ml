@@ -121,19 +121,28 @@ let predicated k = k.k_predicated
 
 (* -- the transition relation over the static arrays -- *)
 
+(* Plain loops over the arc arrays: a local [let rec] capturing the
+   marking is a heap closure per call on the non-flambda compiler, and
+   this test runs once per transition per explored state.  Shared with
+   the compiled view, whose arrays are the same. *)
+let arcs_enabled m in_place in_weight inh_place inh_weight =
+  let ok = ref true in
+  let i = ref 0 in
+  let n = Array.length in_place in
+  while !ok && !i < n do
+    if Marking.get m in_place.(!i) < in_weight.(!i) then ok := false;
+    incr i
+  done;
+  let i = ref 0 in
+  let n = Array.length inh_place in
+  while !ok && !i < n do
+    if Marking.get m inh_place.(!i) >= inh_weight.(!i) then ok := false;
+    incr i
+  done;
+  !ok
+
 let token_enabled c m =
-  let n = Array.length c.s_in_place in
-  let rec inputs i =
-    i >= n
-    || (Marking.get m c.s_in_place.(i) >= c.s_in_weight.(i) && inputs (i + 1))
-  in
-  let ni = Array.length c.s_inh_place in
-  let rec inhibitors i =
-    i >= ni
-    || (Marking.get m c.s_inh_place.(i) < c.s_inh_weight.(i)
-        && inhibitors (i + 1))
-  in
-  inputs 0 && inhibitors 0
+  arcs_enabled m c.s_in_place c.s_in_weight c.s_inh_place c.s_inh_weight
 
 let enabled ?prng c m env =
   token_enabled c m
@@ -256,18 +265,7 @@ let compile_one ?prng env c =
 let compile ?prng env k = Array.map (compile_one ?prng env) k.k_trans
 
 let compiled_token_enabled c m =
-  let n = Array.length c.c_in_place in
-  let rec inputs i =
-    i >= n
-    || (Marking.get m c.c_in_place.(i) >= c.c_in_weight.(i) && inputs (i + 1))
-  in
-  let ni = Array.length c.c_inh_place in
-  let rec inhibitors i =
-    i >= ni
-    || (Marking.get m c.c_inh_place.(i) < c.c_inh_weight.(i)
-        && inhibitors (i + 1))
-  in
-  inputs 0 && inhibitors 0
+  arcs_enabled m c.c_in_place c.c_in_weight c.c_inh_place c.c_inh_weight
 
 let compiled_enabled c m =
   compiled_token_enabled c m

@@ -117,12 +117,17 @@ let stochastic_parts net =
          in
          pred_bad @ action_bad)
 
-(* The packed sweep: a serial FIFO over state indices.  The popped
-   state is decoded into a scratch array once; each enabled transition
-   fires on a second scratch (blit + kernel apply — no per-edge
-   allocation for variable-free nets) and interns straight into the
-   arena.  Pop order is push order is interning order, so begin_source
-   sees ascending sources and the CSR offsets append in one pass. *)
+(* The packed sweep: a serial FIFO over state indices.  Pop order is
+   push order is interning order, so begin_source sees ascending
+   sources and the CSR offsets append in one pass.  The popped state is
+   decoded into a scratch array once.  An action-free firing whose
+   changed places all still fit their fields skips the marking
+   altogether: the child key is the parent's arena words plus the
+   transition's precomputed word delta, interned in place — no per-edge
+   allocation.  Firings with actions, and any firing that would
+   overflow a field, take the general path (blit, kernel apply, encode)
+   whose overflow widens the layout; the deltas are rebuilt whenever the
+   codec's layout is no longer the one they were computed for. *)
 let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
     net kernel =
   let codec = Packed.create net in
@@ -142,12 +147,55 @@ let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
   let parent_mk = Marking.unsafe_wrap parent in
   let child = Array.make np 0 in
   let child_mk = Marking.unsafe_wrap child in
+  let trans = Kernel.transitions kernel in
+  let deltas = Array.make (Array.length trans) [||] in
+  let delta_layout = ref (Packed.layout codec) in
+  let refresh_deltas lay =
+    delta_layout := lay;
+    Array.iter
+      (fun (c : Kernel.ctrans) ->
+        if not c.Kernel.s_has_action then
+          deltas.(c.Kernel.s_id) <-
+            Packed.word_delta lay c.Kernel.s_delta_place
+              c.Kernel.s_delta_weight)
+      trans
+  in
+  refresh_deltas !delta_layout;
   let q = Store.Frontier.create ~threshold:spill_threshold () in
+  let fire i ex env (c : Kernel.ctrans) =
+    let lay = Packed.layout codec in
+    if lay != !delta_layout then refresh_deltas lay;
+    let n0 = Store.num_states store in
+    let j =
+      if
+        (not c.Kernel.s_has_action)
+        && Packed.delta_fits lay parent c.Kernel.s_delta_place
+             c.Kernel.s_delta_weight
+      then Store.intern_delta store ~src:i deltas.(c.Kernel.s_id) ~max_states
+      else begin
+        Array.blit parent 0 child 0 np;
+        Kernel.apply c child_mk;
+        let ex' =
+          if c.Kernel.s_has_action then begin
+            let env' = Env.copy env in
+            Kernel.run_action env' c;
+            Packed.intern_extra codec env'
+          end
+          else ex
+        in
+        Store.intern_index store child ~extra:ex' ~max_states
+      end
+    in
+    if j < 0 then truncated := true
+    else begin
+      Store.add_edge store ~tid:c.Kernel.s_id ~target:j;
+      if j >= n0 then Store.Frontier.push q j
+    end
+  in
   Fun.protect
     ~finally:(fun () -> Store.Frontier.close q)
     (fun () ->
       Store.Frontier.push q 0;
-      let trans = Kernel.transitions kernel in
       let sb_scratch = Option.map Stubborn.scratch stubborn in
       let pops = ref 0 in
       (* Budget checks ride the dequeue boundary every 256 states —
@@ -168,34 +216,17 @@ let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
           Store.marking_into store i parent;
           let ex = Store.extra store i in
           let env = Packed.extra_env codec ex in
-          let fire (c : Kernel.ctrans) =
-            Array.blit parent 0 child 0 np;
-            Kernel.apply c child_mk;
-            let ex' =
-              if c.Kernel.s_has_action then begin
-                let env' = Env.copy env in
-                Kernel.run_action env' c;
-                Packed.intern_extra codec env'
-              end
-              else ex
-            in
-            match Store.intern store child ~extra:ex' ~max_states with
-            | `Capped -> truncated := true
-            | `Found j -> Store.add_edge store ~tid:c.Kernel.s_id ~target:j
-            | `Added j ->
-              Store.add_edge store ~tid:c.Kernel.s_id ~target:j;
-              Store.Frontier.push q j
-          in
-          (match stubborn, sb_scratch with
+          match stubborn, sb_scratch with
           | Some sb, Some sc ->
-            Array.iter
-              (fun tid -> fire trans.(tid))
-              (Stubborn.fired sb sc parent_mk)
+            let tids = Stubborn.fired sb sc parent_mk in
+            for k = 0 to Array.length tids - 1 do
+              fire i ex env trans.(tids.(k))
+            done
           | _ ->
-            Array.iter
-              (fun (c : Kernel.ctrans) ->
-                if Kernel.enabled c parent_mk env then fire c)
-              trans)
+            for tid = 0 to Array.length trans - 1 do
+              let c = trans.(tid) in
+              if Kernel.enabled c parent_mk env then fire i ex env c
+            done
         done
       with Exit -> ());
   Store.finalize store;
@@ -217,6 +248,7 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
     | Some cap -> min cap max_states
     | None -> max_states
   in
+  if max_states < 1 then invalid_arg "Reach.Graph: max_states must be positive";
   let kernel = Kernel.of_net net in
   (* Raises Stubborn.Unsupported when the net falls outside the
      reduction's fragment — callers choosing [por] must catch it or
@@ -480,34 +512,44 @@ let iter_pred_sources g i f =
   | Boxed b -> List.iter (fun e -> f e.e_from) b.pred.(i)
   | Compact st -> Store.iter_pred_sources st i f
 
-(* States from which [targets] is reachable: backward closure. *)
-let backward_closure g targets =
-  let marked = Array.make (num_states g) false in
-  let stack = ref targets in
-  List.iter (fun i -> marked.(i) <- true) targets;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | i :: rest ->
-      stack := rest;
-      iter_pred_sources g i (fun src ->
-          if not marked.(src) then begin
-            marked.(src) <- true;
-            stack := src :: !stack
-          end)
+(* How many states reach [target] (itself included): a backward walk
+   over the predecessors.  Each state is marked before it is pushed, so
+   it enters the int stack at most once, and the walk allocates nothing
+   per visited state beyond the stack's occasional doubling.  Marks are
+   bytes, not words: the random reads of a million-state walk then stay
+   in cache. *)
+let count_reaching g target =
+  let marked = Bytes.make (num_states g) '\000' in
+  let stack = ref (Array.make 256 0) in
+  let sp = ref 0 in
+  let count = ref 0 in
+  let visit i =
+    if Bytes.get marked i = '\000' then begin
+      Bytes.set marked i '\001';
+      incr count;
+      if !sp = Array.length !stack then begin
+        let bigger = Array.make (2 * !sp) 0 in
+        Array.blit !stack 0 bigger 0 !sp;
+        stack := bigger
+      end;
+      !stack.(!sp) <- i;
+      incr sp
+    end
+  in
+  visit target;
+  while !sp > 0 do
+    decr sp;
+    iter_pred_sources g !stack.(!sp) visit
   done;
-  marked
+  !count
 
-let is_reversible g =
-  let can_return = backward_closure g [ 0 ] in
-  Array.for_all (fun b -> b) can_return
+let is_reversible g = count_reaching g 0 = num_states g
 
 let home_states g =
   let n = num_states g in
   let acc = ref [] in
   for i = n - 1 downto 0 do
-    let reach_i = backward_closure g [ i ] in
-    if Array.for_all (fun b -> b) reach_i then acc := i :: !acc
+    if count_reaching g i = n then acc := i :: !acc
   done;
   !acc
 

@@ -198,10 +198,36 @@ let hash lay src ~pos =
   (h * fnv_prime) land max_int
 
 let equal lay a ~pos b pos2 =
-  let rec go i =
-    i >= lay.l_words || (a.(pos + i) = b.(pos2 + i) && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < lay.l_words && a.(pos + !i) = b.(pos2 + !i) do
+    incr i
+  done;
+  !i = lay.l_words
+
+(* -- word deltas: an action-free firing changes a packed state by a
+      constant amount per word (fields are disjoint, arithmetic wraps
+      modulo the word), valid whenever every changed field stays inside
+      its width -- *)
+
+let word_delta lay places weights =
+  let d = Array.make lay.l_words 0 in
+  for k = 0 to Array.length places - 1 do
+    let p = places.(k) in
+    let w = lay.l_word.(p) in
+    d.(w) <- d.(w) + (weights.(k) lsl lay.l_shift.(p))
+  done;
+  d
+
+let delta_fits lay marking places weights =
+  let ok = ref true in
+  let k = ref 0 in
+  while !ok && !k < Array.length places do
+    let p = places.(!k) in
+    let v = marking.(p) + weights.(!k) in
+    if v < 0 || v > lay.l_mask.(p) then ok := false;
+    incr k
+  done;
+  !ok
 
 (* Widen the overflowing field to fit [value] and rebuild the layout;
    returns the previous layout so the caller can still decode states

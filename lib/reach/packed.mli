@@ -66,6 +66,18 @@ val hash : layout -> int array -> pos:int -> int
 val equal : layout -> int array -> pos:int -> int array -> int -> bool
 (** Word-for-word equality of two packed states. *)
 
+val word_delta : layout -> int array -> int array -> int array
+(** [word_delta lay places weights] is the per-word change, one entry
+    per word of [lay], of adding [weights.(k)] tokens to
+    [places.(k)]: [Σ weight lsl shift] summed per word.  Adding it word
+    by word to a packed state yields exactly what {!encode} writes for
+    the changed marking, provided {!delta_fits} (fields are disjoint
+    and the arithmetic wraps modulo the word). *)
+
+val delta_fits : layout -> int array -> int array -> int array -> bool
+(** [delta_fits lay marking places weights]: every changed count
+    [marking.(p) + weight] fits its field of [lay]. *)
+
 val widen : t -> field:int -> value:int -> layout
 (** Grow [field] (a place id, or [-1] for the id field) to fit [value],
     install the new layout, and return the previous one for decoding

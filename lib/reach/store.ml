@@ -254,42 +254,62 @@ let ensure_arena st =
     st.cap_states <- cap
   end
 
-let rec intern st marking ~extra ~max_states =
+(* Look up the packed key in [key_buf], inserting it when fresh: the
+   state index, or -1 when the key is fresh and the store already holds
+   [max_states] states.  No boxed result, so the sweep's per-edge intern
+   allocates nothing. *)
+let intern_key st ~max_states =
+  let lay = Packed.layout st.codec in
+  let h = Packed.hash lay st.key_buf ~pos:0 in
+  let mask = st.index_mask in
+  let s = ref (h land mask) in
+  let found = ref (-1) in
+  let e = ref st.index.(!s) in
+  while !e <> 0 && !found < 0 do
+    let i = !e - 1 in
+    if Packed.equal lay st.arena ~pos:(i * st.words) st.key_buf 0 then
+      found := i
+    else begin
+      s := (!s + 1) land mask;
+      e := st.index.(!s)
+    end
+  done;
+  if !found >= 0 then !found
+  else if st.n >= max_states then -1
+  else begin
+    let i = st.n in
+    ensure_arena st;
+    Array.blit st.key_buf 0 st.arena (i * st.words) st.words;
+    st.index.(!s) <- i + 1;
+    st.n <- i + 1;
+    (* keep the load factor under 0.7 — linear probing stays short and
+       the slots cost stays well inside the bytes/state budget *)
+    if (st.n + 1) * 10 > (mask + 1) * 7 then grow_index st;
+    i
+  end
+
+let rec intern_index st marking ~extra ~max_states =
   let lay = Packed.layout st.codec in
   match Packed.encode lay st.key_buf ~pos:0 marking ~extra with
   | exception Packed.Field_overflow { field; value } ->
     widen st ~field ~value;
-    intern st marking ~extra ~max_states
-  | () ->
-    let h = Packed.hash lay st.key_buf ~pos:0 in
-    let mask = st.index_mask in
-    let s = ref (h land mask) in
-    let found = ref (-1) in
-    let stop = ref false in
-    while not !stop do
-      match st.index.(!s) with
-      | 0 -> stop := true
-      | e ->
-        let i = e - 1 in
-        if Packed.equal lay st.arena ~pos:(i * st.words) st.key_buf 0 then begin
-          found := i;
-          stop := true
-        end
-        else s := (!s + 1) land mask
-    done;
-    if !found >= 0 then `Found !found
-    else if st.n >= max_states then `Capped
-    else begin
-      let i = st.n in
-      ensure_arena st;
-      Array.blit st.key_buf 0 st.arena (i * st.words) st.words;
-      st.index.(!s) <- i + 1;
-      st.n <- i + 1;
-      (* keep the load factor under 0.7 — linear probing stays short and
-         the slots cost stays well inside the bytes/state budget *)
-      if (st.n + 1) * 10 > (mask + 1) * 7 then grow_index st;
-      `Added i
-    end
+    intern_index st marking ~extra ~max_states
+  | () -> intern_key st ~max_states
+
+let intern st marking ~extra ~max_states =
+  let n0 = st.n in
+  match intern_index st marking ~extra ~max_states with
+  | -1 -> `Capped
+  | i when i >= n0 -> `Added i
+  | i -> `Found i
+
+let intern_delta st ~src delta ~max_states =
+  let w = st.words in
+  let base = src * w in
+  for k = 0 to w - 1 do
+    st.key_buf.(k) <- st.arena.(base + k) + delta.(k)
+  done;
+  intern_key st ~max_states
 
 let marking_into st i dst =
   Packed.decode_into (Packed.layout st.codec) st.arena ~pos:(i * st.words) dst

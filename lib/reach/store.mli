@@ -27,6 +27,18 @@ val intern :
     {!Packed.Field_overflow} the codec is widened and the whole arena
     re-encoded transparently, then the intern retries. *)
 
+val intern_index : t -> int array -> extra:int -> max_states:int -> int
+(** {!intern} without the boxed result: the state index (fresh iff it
+    is at least the {!num_states} before the call), or [-1] for
+    [`Capped]. *)
+
+val intern_delta : t -> src:int -> int array -> max_states:int -> int
+(** [intern_delta st ~src delta] interns the packed words of state
+    [src] plus [delta] word by word (see {!Packed.word_delta}; [delta]
+    is for the codec's current layout), with {!intern_index}'s result.
+    The caller guarantees that every field the delta changes stays
+    within its width, so nothing is encoded and no widen can happen. *)
+
 val marking_into : t -> int -> int array -> unit
 (** Decode state [i]'s token counts into a caller scratch array. *)
 

@@ -107,44 +107,96 @@ let create kernel =
     consumers = Incidence.consumers net;
   }
 
-(* Mutable per-worker workspace: closures stamp membership with a round
+(* Mutable per-worker workspace.  Closures stamp membership with a round
    counter instead of clearing, so one [fired] call is O(|S| + |E|)
-   beyond the enabling scan. *)
+   beyond the enabling scan, and nothing but the returned array is
+   allocated: the stack pointer and the running counts live here, not
+   in boxed refs or per-call closures. *)
 type scratch = {
-  enabled : int array;  (* enabled tids, ascending, prefix of length n *)
+  enabled : int array;  (* enabled tids, ascending, prefix of length ne *)
+  is_enabled : bool array;  (* per tid, from this call's enabling scan *)
   stamp : int array;    (* stamp.(t) = round when t joined that round's S *)
+  tried : int array;    (* tried.(t) = call when t was this call's seed *)
   stack : int array;    (* closure worklist; each tid pushed once per round *)
+  mutable sp : int;
   mutable round : int;
+  mutable call : int;
+  mutable captured : int;  (* enabled members of the current round's S *)
+  mutable hit_seed : bool; (* the current round captured an earlier seed *)
 }
 
 let scratch t =
   let n = max 1 t.nt in
-  { enabled = Array.make n 0; stamp = Array.make n 0; stack = Array.make n 0;
-    round = 0 }
+  { enabled = Array.make n 0; is_enabled = Array.make n false;
+    stamp = Array.make n 0; tried = Array.make n 0; stack = Array.make n 0;
+    sp = 0; round = 0; call = 0; captured = 0; hit_seed = false }
 
 (* The disabling condition the closure commits to for a disabled
    transition: the first insufficient input place in arc order, else the
    first over-threshold inhibitor place.  One of the two exists, or the
    transition would be enabled. *)
 let scapegoat_relation t (c : Kernel.ctrans) m =
-  let n = Array.length c.Kernel.s_in_place in
-  let rec inputs i =
-    if i >= n then inhibitors 0
-    else if Marking.get m c.Kernel.s_in_place.(i) < c.Kernel.s_in_weight.(i)
-    then t.producers.(c.Kernel.s_in_place.(i))
-    else inputs (i + 1)
-  and inhibitors i =
-    if i >= Array.length c.Kernel.s_inh_place then [||]
-    else if Marking.get m c.Kernel.s_inh_place.(i) >= c.Kernel.s_inh_weight.(i)
-    then t.consumers.(c.Kernel.s_inh_place.(i))
-    else inhibitors (i + 1)
-  in
-  inputs 0
+  let places = c.Kernel.s_in_place and weights = c.Kernel.s_in_weight in
+  let n = Array.length places in
+  let i = ref 0 in
+  while !i < n && Marking.get m places.(!i) >= weights.(!i) do
+    incr i
+  done;
+  if !i < n then t.producers.(places.(!i))
+  else begin
+    let places = c.Kernel.s_inh_place and weights = c.Kernel.s_inh_weight in
+    let n = Array.length places in
+    let i = ref 0 in
+    while !i < n && Marking.get m places.(!i) < weights.(!i) do
+      incr i
+    done;
+    if !i < n then t.consumers.(places.(!i)) else [||]
+  end
+
+let push sc tid =
+  if sc.stamp.(tid) <> sc.round then begin
+    sc.stamp.(tid) <- sc.round;
+    if sc.is_enabled.(tid) then sc.captured <- sc.captured + 1;
+    if sc.tried.(tid) = sc.call then sc.hit_seed <- true;
+    sc.stack.(sc.sp) <- tid;
+    sc.sp <- sc.sp + 1
+  end
+
+let push_all sc rel =
+  for k = 0 to Array.length rel - 1 do
+    push sc rel.(k)
+  done
+
+(* Close [seed] under the relations in a fresh round and return how many
+   enabled transitions its stubborn set captured — or [max_int] as soon
+   as it is known not to beat [best]: it captured [best] enabled
+   transitions, or an earlier seed of this call.  In the latter case the
+   earlier seed's set is a subset of this one (the rules applied to a
+   member depend on the member and the marking only, so the closure of
+   any member lies inside the closure), and every seed tried so far
+   counts at least [best].  Only a strictly smaller count replaces the
+   best set, so stopping early never changes the chosen set. *)
+let close t sc m seed ~best =
+  sc.round <- sc.round + 1;
+  sc.sp <- 0;
+  sc.captured <- 0;
+  sc.hit_seed <- false;
+  push sc seed;
+  sc.tried.(seed) <- sc.call;
+  while sc.sp > 0 && sc.captured < best && not sc.hit_seed do
+    sc.sp <- sc.sp - 1;
+    let tid = sc.stack.(sc.sp) in
+    if sc.is_enabled.(tid) then push_all sc t.conflicts.(tid)
+    else push_all sc (scapegoat_relation t t.trans.(tid) m)
+  done;
+  if sc.captured >= best || sc.hit_seed then max_int else sc.captured
 
 let fired t sc m =
   let ne = ref 0 in
   for tid = 0 to t.nt - 1 do
-    if Kernel.token_enabled t.trans.(tid) m then begin
+    let en = Kernel.token_enabled t.trans.(tid) m in
+    sc.is_enabled.(tid) <- en;
+    if en then begin
       sc.enabled.(!ne) <- tid;
       incr ne
     end
@@ -152,61 +204,40 @@ let fired t sc m =
   let ne = !ne in
   if ne <= 1 then Array.sub sc.enabled 0 ne
   else begin
-    (* Close one seed under the relations; returns how many enabled
-       transitions its stubborn set captured.  Membership in round [r]
-       is [stamp.(tid) = r], so successive closures need no clearing. *)
-    let closure seed =
-      sc.round <- sc.round + 1;
-      let round = sc.round in
-      let sp = ref 0 in
-      let push tid =
-        if sc.stamp.(tid) <> round then begin
-          sc.stamp.(tid) <- round;
-          sc.stack.(!sp) <- tid;
-          incr sp
-        end
-      in
-      push seed;
-      while !sp > 0 do
-        decr sp;
-        let tid = sc.stack.(!sp) in
-        let c = t.trans.(tid) in
-        if Kernel.token_enabled c m then Array.iter push t.conflicts.(tid)
-        else Array.iter push (scapegoat_relation t c m)
-      done;
-      let cnt = ref 0 in
-      for i = 0 to ne - 1 do
-        if sc.stamp.(sc.enabled.(i)) = round then incr cnt
-      done;
-      !cnt
-    in
-    (* Smallest-result heuristic over a few spread-out seeds; stop early
-       on a singleton, the best any stubborn set can do. *)
+    (* Smallest-result heuristic over a few spread-out seeds, each tried
+       once (for ne = 2 the positions collide); stop early on a
+       singleton, the best any stubborn set can do. *)
+    sc.call <- sc.call + 1;
     let best_cnt = ref max_int in
     let best_seed = ref (-1) in
-    let try_seed i =
-      if !best_cnt > 1 then begin
-        let seed = sc.enabled.(i) in
-        let cnt = closure seed in
+    let best_round = ref 0 in
+    let seeds = if ne > 3 then 4 else 3 in
+    for k = 0 to seeds - 1 do
+      let i = match k with 0 -> 0 | 1 -> ne - 1 | 2 -> ne / 2 | _ -> ne / 4 in
+      let seed = sc.enabled.(i) in
+      if !best_cnt > 1 && sc.tried.(seed) <> sc.call then begin
+        let cnt = close t sc m seed ~best:!best_cnt in
         if cnt < !best_cnt then begin
           best_cnt := cnt;
-          best_seed := seed
+          best_seed := seed;
+          best_round := sc.round
         end
       end
-    in
-    try_seed 0;
-    try_seed (ne - 1);
-    try_seed (ne / 2);
-    if ne > 3 then try_seed (ne / 4);
+    done;
     if !best_cnt >= ne then Array.sub sc.enabled 0 ne
     else begin
-      (* Later closures stamped over earlier rounds, so membership of
-         the winning set must be recomputed: re-close the best seed
-         (deterministic, same count) and collect that round's stamps. *)
-      let cnt = closure !best_seed in
-      assert (cnt = !best_cnt);
+      (* Later closures stamped over earlier rounds, so unless the
+         winner was the last round its membership must be recomputed:
+         re-close the best seed (deterministic, same count; a new call
+         number so earlier seeds do not stop it) and collect that
+         round's stamps. *)
+      if !best_round <> sc.round then begin
+        sc.call <- sc.call + 1;
+        let cnt = close t sc m !best_seed ~best:max_int in
+        assert (cnt = !best_cnt)
+      end;
       let round = sc.round in
-      let out = Array.make cnt 0 in
+      let out = Array.make !best_cnt 0 in
       let k = ref 0 in
       for i = 0 to ne - 1 do
         let tid = sc.enabled.(i) in

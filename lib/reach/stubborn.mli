@@ -57,4 +57,5 @@ val fired : t -> scratch -> Pnut_core.Marking.t -> int array
     the smallest stubborn set found over a few candidate seeds, sorted
     ascending.  Empty iff the marking is a deadlock; equal to the full
     enabled set when no reduction applies.  All returned transitions
-    are token-enabled at the marking. *)
+    are token-enabled at the marking.  Allocates the returned array and
+    nothing else. *)

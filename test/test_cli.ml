@@ -584,6 +584,30 @@ let test_bad_model_error () =
   let code, _ = run [ "validate"; bad ] in
   Alcotest.(check int) "parse error exit" 2 code
 
+let test_reach_max_states_zero () =
+  (* a zero state cap is a usage error, untimed and timed alike — not
+     an internal assertion or an uncaught Invalid_argument *)
+  List.iter
+    (fun extra ->
+      let what = String.concat " " ("reach --max-states 0" :: extra) in
+      let code, out =
+        run ([ "reach"; model_file; "--max-states"; "0" ] @ extra)
+      in
+      Alcotest.(check int) (what ^ ": exit") 2 code;
+      Alcotest.(check string) (what ^ ": no stdout") "" out;
+      Testutil.check_contains (what ^ ": message") (read_file (tmp "err"))
+        "--max-states must be positive")
+    [ []; [ "--timed" ] ]
+
+let test_model_is_directory () =
+  List.iter
+    (fun cmd ->
+      let code, _ = run [ cmd; tmp_dir ] in
+      Alcotest.(check int) (cmd ^ " DIR: exit") 2 code;
+      Testutil.check_contains (cmd ^ " DIR: message") (read_file (tmp "err"))
+        "is a directory")
+    [ "reach"; "sim" ]
+
 let () =
   if not (Sys.file_exists pnut) then begin
     (* the binary is declared as a dune dependency; this is a safeguard
@@ -632,5 +656,9 @@ let () =
           Alcotest.test_case "sim explain deadlock" `Quick
             test_sim_explain_deadlock;
           Alcotest.test_case "bad model" `Quick test_bad_model_error;
+          Alcotest.test_case "reach max-states 0" `Quick
+            test_reach_max_states_zero;
+          Alcotest.test_case "model is a directory" `Quick
+            test_model_is_directory;
         ] );
     ]

@@ -178,6 +178,112 @@ let test_bounds_known () =
   Alcotest.(check bool) "pump q is unbounded" false
     (Packed.bounds_known (pump_net ()))
 
+(* -- word-delta successors -- *)
+
+(* Action-free firings intern the parent's packed words plus a
+   precomputed per-word delta.  [c] has no known bound (no P-invariant
+   covers it; the fuel stops it at 24), so it starts in a guessed 4-bit
+   field and overflows on the word-delta path mid-build: the firing
+   must fall back to the encode path, widen, and carry on with deltas
+   rebuilt for the new layout.  The inhibitor and the two-token ring
+   interleave with the growth. *)
+let delta_overflow_net () =
+  let b = B.create "delta_overflow" in
+  let fuel = B.add_place b "fuel" ~initial:24 in
+  let c = B.add_place b "c" in
+  let d = B.add_place b "d" in
+  let r0 = B.add_place b "r0" ~initial:2 in
+  let r1 = B.add_place b "r1" in
+  let t name ?inhibitors inputs outputs =
+    ignore
+      (B.add_transition b name ~inputs ?inhibitors ~outputs
+        : Net.transition_id)
+  in
+  t "inc" [ (fuel, 1) ] [ (c, 1) ];
+  t "fold" [ (c, 3) ] [ (d, 1) ];
+  t "back" ~inhibitors:[ (d, 2) ] [ (d, 1) ] [ (c, 1) ];
+  t "fwd" [ (r0, 1) ] [ (r1, 1) ];
+  t "ret" [ (r1, 1) ] [ (r0, 1) ];
+  B.build b
+
+let edge_triples g =
+  List.map
+    (fun e -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
+    (Graph.edges g)
+
+let test_delta_overflow_identical () =
+  let net = delta_overflow_net () in
+  Alcotest.(check bool) "c has no known bound" false (Packed.bounds_known net);
+  List.iter
+    (fun por ->
+      let what = if por then "por on" else "por off" in
+      let boxed = Graph.build ~max_states:50_000 ~por net in
+      let packed = Graph.build ~max_states:50_000 ~packed:true ~por net in
+      Alcotest.(check bool) (what ^ ": complete") true
+        (Graph.complete boxed && Graph.complete packed);
+      Alcotest.(check bool)
+        (what ^ ": c outgrew its guessed 4-bit field")
+        true
+        (Graph.bound packed 1 > 15);
+      Alcotest.(check int) (what ^ ": states") (Graph.num_states boxed)
+        (Graph.num_states packed);
+      for i = 0 to Graph.num_states boxed - 1 do
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s: marking of state %d" what i)
+          (Graph.state boxed i).Graph.s_marking
+          (Graph.state packed i).Graph.s_marking
+      done;
+      Alcotest.(check (list (triple int int int)))
+        (what ^ ": edges") (edge_triples boxed) (edge_triples packed);
+      Alcotest.(check bool) (what ^ ": whole graph") true
+        (graphs_equal boxed packed))
+    [ false; true ]
+
+(* The 9-place ring with 8 tokens (C(16,8) = 12,870 states): an MD5 of
+   every state's successor list, recorded from the builders before
+   word-delta successors and pinned for both representations, with and
+   without POR (which prunes nothing on a ring). *)
+let ring9 ~tokens =
+  let b = B.create "ring9" in
+  let ps =
+    Array.init 9 (fun i ->
+        B.add_place b (Printf.sprintf "r%d" i)
+          ~initial:(if i = 0 then tokens else 0))
+  in
+  for i = 0 to 8 do
+    ignore
+      (B.add_transition b (Printf.sprintf "rt%d" i)
+         ~inputs:[ (ps.(i), 1) ]
+         ~outputs:[ (ps.((i + 1) mod 9), 1) ]
+        : Net.transition_id)
+  done;
+  B.build b
+
+let successor_digest g =
+  let buf = Buffer.create (1 lsl 16) in
+  for i = 0 to Graph.num_states g - 1 do
+    Buffer.add_string buf (string_of_int i);
+    List.iter
+      (fun e ->
+        Printf.bprintf buf " %d>%d" e.Graph.e_transition e.Graph.e_to)
+      (Graph.successors g i);
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let ring9_successor_digest = "b5cb821a38520ff1e1a9292cbd1be374"
+
+let test_ring_successor_digest () =
+  let net = ring9 ~tokens:8 in
+  List.iter
+    (fun (packed, por) ->
+      let g = Graph.build ~packed ~por net in
+      let what = Printf.sprintf "packed=%b por=%b" packed por in
+      Alcotest.(check int) (what ^ ": states") 12870 (Graph.num_states g);
+      Alcotest.(check string) (what ^ ": successor digest")
+        ring9_successor_digest (successor_digest g))
+    [ (true, true); (false, true); (true, false); (false, false) ]
+
 (* -- spill-file lifetime -- *)
 
 (* Run [f] with temp files redirected into a private directory, so the
@@ -460,6 +566,10 @@ let () =
             test_budget_trip_identical;
           Alcotest.test_case "bytes per state" `Quick test_bytes_per_state;
           Alcotest.test_case "bounds known" `Quick test_bounds_known;
+          Alcotest.test_case "word delta overflow" `Quick
+            test_delta_overflow_identical;
+          Alcotest.test_case "ring successor digest" `Quick
+            test_ring_successor_digest;
         ] );
       ( "frontier",
         [

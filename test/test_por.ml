@@ -250,6 +250,247 @@ let test_prefetch_model_differential () =
   Alcotest.(check bool) "no more states than full" true
     (Graph.num_states reduced <= Graph.num_states full)
 
+(* -- the closure-free stubborn set against a frozen oracle -- *)
+
+(* The closure-based [Stubborn.fired] as it was before the set went
+   allocation-free, kept verbatim (modulo field access) as the oracle:
+   every seed closed to completion, duplicate seeds re-closed, the best
+   seed always re-closed. *)
+module Oracle = struct
+  module Kernel = Pnut_core.Kernel
+  module Incidence = Pnut_core.Incidence
+
+  type t = {
+    trans : Kernel.ctrans array;
+    nt : int;
+    conflicts : int array array;
+    producers : int array array;
+    consumers : int array array;
+  }
+
+  let create net =
+    let kernel = Kernel.of_net net in
+    {
+      trans = Kernel.transitions kernel;
+      nt = Kernel.num_transitions kernel;
+      conflicts = Incidence.conflicts net;
+      producers = Incidence.enablers net;
+      consumers = Incidence.consumers net;
+    }
+
+  type scratch = {
+    enabled : int array;
+    stamp : int array;
+    stack : int array;
+    mutable round : int;
+  }
+
+  let scratch t =
+    let n = max 1 t.nt in
+    { enabled = Array.make n 0; stamp = Array.make n 0;
+      stack = Array.make n 0; round = 0 }
+
+  let scapegoat_relation t (c : Kernel.ctrans) m =
+    let n = Array.length c.Kernel.s_in_place in
+    let rec inputs i =
+      if i >= n then inhibitors 0
+      else if Marking.get m c.Kernel.s_in_place.(i) < c.Kernel.s_in_weight.(i)
+      then t.producers.(c.Kernel.s_in_place.(i))
+      else inputs (i + 1)
+    and inhibitors i =
+      if i >= Array.length c.Kernel.s_inh_place then [||]
+      else if
+        Marking.get m c.Kernel.s_inh_place.(i) >= c.Kernel.s_inh_weight.(i)
+      then t.consumers.(c.Kernel.s_inh_place.(i))
+      else inhibitors (i + 1)
+    in
+    inputs 0
+
+  let fired t sc m =
+    let ne = ref 0 in
+    for tid = 0 to t.nt - 1 do
+      if Kernel.token_enabled t.trans.(tid) m then begin
+        sc.enabled.(!ne) <- tid;
+        incr ne
+      end
+    done;
+    let ne = !ne in
+    if ne <= 1 then Array.sub sc.enabled 0 ne
+    else begin
+      let closure seed =
+        sc.round <- sc.round + 1;
+        let round = sc.round in
+        let sp = ref 0 in
+        let push tid =
+          if sc.stamp.(tid) <> round then begin
+            sc.stamp.(tid) <- round;
+            sc.stack.(!sp) <- tid;
+            incr sp
+          end
+        in
+        push seed;
+        while !sp > 0 do
+          decr sp;
+          let tid = sc.stack.(!sp) in
+          let c = t.trans.(tid) in
+          if Kernel.token_enabled c m then Array.iter push t.conflicts.(tid)
+          else Array.iter push (scapegoat_relation t c m)
+        done;
+        let cnt = ref 0 in
+        for i = 0 to ne - 1 do
+          if sc.stamp.(sc.enabled.(i)) = round then incr cnt
+        done;
+        !cnt
+      in
+      let best_cnt = ref max_int in
+      let best_seed = ref (-1) in
+      let try_seed i =
+        if !best_cnt > 1 then begin
+          let seed = sc.enabled.(i) in
+          let cnt = closure seed in
+          if cnt < !best_cnt then begin
+            best_cnt := cnt;
+            best_seed := seed
+          end
+        end
+      in
+      try_seed 0;
+      try_seed (ne - 1);
+      try_seed (ne / 2);
+      if ne > 3 then try_seed (ne / 4);
+      if !best_cnt >= ne then Array.sub sc.enabled 0 ne
+      else begin
+        let cnt = closure !best_seed in
+        assert (cnt = !best_cnt);
+        let round = sc.round in
+        let out = Array.make cnt 0 in
+        let k = ref 0 in
+        for i = 0 to ne - 1 do
+          let tid = sc.enabled.(i) in
+          if sc.stamp.(tid) = round then begin
+            out.(!k) <- tid;
+            incr k
+          end
+        done;
+        out
+      end
+    end
+end
+
+(* A random plain net with weighted input and output arcs and inhibitor
+   arcs, plus random markings over it: small enough that anywhere from
+   zero to all of its transitions are enabled. *)
+let random_plain_net rng =
+  let int n = Random.State.int rng n in
+  let np = 2 + int 6 in
+  let nt = 1 + int 8 in
+  let b = B.create "plain" in
+  let places =
+    Array.init np (fun i -> B.add_place b (Printf.sprintf "p%d" i))
+  in
+  let arcs k =
+    List.init k (fun _ -> int np)
+    |> List.sort_uniq compare
+    |> List.map (fun p -> (places.(p), 1 + int 2))
+  in
+  for t = 0 to nt - 1 do
+    ignore
+      (B.add_transition b (Printf.sprintf "t%d" t)
+         ~inputs:(arcs (int 3)) ~outputs:(arcs (int 3))
+         ~inhibitors:(if int 3 = 0 then arcs 1 else [])
+        : Net.transition_id)
+  done;
+  B.build b
+
+let random_marking rng net =
+  Marking.of_array
+    (Array.init (Net.num_places net) (fun _ -> Random.State.int rng 3))
+
+(* Both implementations on [markings] in turn, each with one scratch
+   reused across calls; the enabled counts seen go to [seen]. *)
+let fired_agrees ?(seen = Array.make 0 0) net markings =
+  let sb = Stubborn.create (Pnut_core.Kernel.of_net net) in
+  let sc = Stubborn.scratch sb in
+  let oracle = Oracle.create net in
+  let osc = Oracle.scratch oracle in
+  List.for_all
+    (fun m ->
+      let ne =
+        Array.fold_left
+          (fun n c -> if Pnut_core.Kernel.token_enabled c m then n + 1 else n)
+          0 oracle.Oracle.trans
+      in
+      if ne < Array.length seen then seen.(ne) <- seen.(ne) + 1;
+      Stubborn.fired sb sc m = Oracle.fired oracle osc m)
+    markings
+
+let test_fired_matches_oracle () =
+  let seen = Array.make 5 0 in
+  for seed = 0 to 1999 do
+    let rng = Random.State.make [| seed |] in
+    let net = random_plain_net rng in
+    let markings = List.init 4 (fun _ -> random_marking rng net) in
+    if not (fired_agrees ~seen net markings) then
+      Alcotest.failf "seed %d: fired differs from the oracle" seed
+  done;
+  Array.iteri
+    (fun ne n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "markings with %d enabled transitions covered" ne)
+        true (n > 0))
+    seen
+
+let prop_fired_matches_oracle =
+  QCheck2.Test.make ~name:"fired equals the closure-based oracle" ~count:300
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 14 |] in
+      let net = random_plain_net rng in
+      fired_agrees net (List.init 8 (fun _ -> random_marking rng net)))
+
+(* Minor words allocated by [f ()], net of the two [Gc.minor_words]
+   calls that measure it. *)
+let minor_words_of f =
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  let b = Gc.minor_words () in
+  b -. a -. overhead
+
+let test_allocation_free () =
+  let net = Pnut_pipeline.Indep.net ~pipelines:4 ~stages:3 in
+  let kernel = Pnut_core.Kernel.of_net net in
+  let m = Net.initial_marking net in
+  let trans = Pnut_core.Kernel.transitions kernel in
+  let hits = ref 0 in
+  let words =
+    minor_words_of (fun () ->
+        for k = 0 to 9_999 do
+          if Pnut_core.Kernel.token_enabled trans.(k mod Array.length trans) m
+          then incr hits
+        done)
+  in
+  Alcotest.(check bool) "some transitions enabled" true (!hits > 0);
+  Alcotest.(check (float 0.)) "token_enabled: 0 minor words over 10k calls"
+    0. words;
+  (* the stubborn set allocates its result array and nothing else *)
+  let sb = Stubborn.create kernel in
+  let sc = Stubborn.scratch sb in
+  let size = Array.length (Stubborn.fired sb sc m) in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Stubborn.fired sb sc m : int array)
+        done)
+  in
+  Alcotest.(check (float 0.)) "fired: only the result array"
+    (float_of_int (1_000 * (size + 1)))
+    words
+
 let () =
   Alcotest.run "por"
     [
@@ -275,5 +516,16 @@ let () =
           Alcotest.test_case "prefetch model agrees" `Quick
             test_prefetch_model_differential;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_differential ]);
+      ( "alloc-free",
+        [
+          Alcotest.test_case "fired equals the frozen oracle" `Quick
+            test_fired_matches_oracle;
+          Alcotest.test_case "enabling test and stubborn set" `Quick
+            test_allocation_free;
+        ] );
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_differential;
+          QCheck_alcotest.to_alcotest prop_fired_matches_oracle;
+        ] );
     ]
