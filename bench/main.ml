@@ -20,6 +20,7 @@ module Signal = Pnut_tracer.Signal
 module Waveform = Pnut_tracer.Waveform
 module Query = Pnut_tracer.Query
 module Parser = Pnut_lang.Parser
+module Boxed = Pnut_oracle.Boxed_graph
 
 let section title =
   Printf.printf "\n%s\n%s\n%s\n\n"
@@ -692,9 +693,10 @@ let bench_json ~quick ~file ?baseline () =
   let _, kernel_states, kernel_s =
     match reach_models with r :: _ -> r | [] -> assert false
   in
-  (* PR 7: the compact arena store against the boxed store.  The model
-     is a 9-place token ring (states = C(N+8,8): N=17 gives 1,081,575,
-     N=10 the quick run's 43,758) — big enough that per-state boxing
+  (* The compact arena store against the frozen boxed builder of the
+     test-only oracle library.  The model is a 9-place token ring
+     (states = C(N+8,8): N=17 gives 1,081,575, N=10 the quick run's
+     43,758) — big enough that per-state boxing
      and hashtable nodes dominate the boxed build.  The ring conserves
      its tokens, so every place bound is known to the codec and a state
      packs into a single word. *)
@@ -720,23 +722,20 @@ let bench_json ~quick ~file ?baseline () =
   let ring_cap = 2_000_000 in
   let packed_reps = 3 in
   let ring_boxed_g, ring_boxed_s =
-    best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:ring_cap ring)
+    best_of packed_reps (fun () -> Boxed.build ~max_states:ring_cap ring)
   in
   let ring_packed_g, ring_packed_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:ring_cap ~packed:true ring)
+        Pnut_reach.Graph.build ~max_states:ring_cap ring)
   in
   let ring_states = Pnut_reach.Graph.num_states ring_packed_g in
   let ring_edges = Pnut_reach.Graph.num_edges ring_packed_g in
   let packed_bytes_per_state =
-    match Pnut_reach.Graph.packed_bytes_per_state ring_packed_g with
-    | Some x -> x
-    | None -> Float.nan
+    Option.get (Pnut_reach.Graph.packed_bytes_per_state ring_packed_g)
   in
-  (* bit-identity of the two representations on the Figure 1-3 models:
-     every state (marking and environment), every successor and
-     predecessor list in order, truncation flag *)
+  (* bit-identity of the packed graph and the boxed oracle on the
+     Figure 1-3 models: every state (marking and environment), every
+     successor and predecessor list in order, truncation flag *)
   let edge_triples es =
     List.map
       (fun (e : Pnut_reach.Graph.edge) ->
@@ -745,21 +744,20 @@ let bench_json ~quick ~file ?baseline () =
       es
   in
   let graphs_identical a b =
-    Pnut_reach.Graph.complete a = Pnut_reach.Graph.complete b
-    && Pnut_reach.Graph.num_states a = Pnut_reach.Graph.num_states b
-    && Pnut_reach.Graph.num_edges a = Pnut_reach.Graph.num_edges b
+    Boxed.complete a = Pnut_reach.Graph.complete b
+    && Boxed.num_states a = Pnut_reach.Graph.num_states b
+    && Boxed.num_edges a = Pnut_reach.Graph.num_edges b
     &&
-    let n = Pnut_reach.Graph.num_states a in
+    let n = Boxed.num_states a in
     let ok = ref true in
     for i = 0 to n - 1 do
-      let sa = Pnut_reach.Graph.state a i
-      and sb = Pnut_reach.Graph.state b i in
+      let sa = Boxed.state a i and sb = Pnut_reach.Graph.state b i in
       if
         sa.Pnut_reach.Graph.s_marking <> sb.Pnut_reach.Graph.s_marking
         || sa.Pnut_reach.Graph.s_env <> sb.Pnut_reach.Graph.s_env
-        || edge_triples (Pnut_reach.Graph.successors a i)
+        || edge_triples (Boxed.successors a i)
            <> edge_triples (Pnut_reach.Graph.successors b i)
-        || edge_triples (Pnut_reach.Graph.predecessors a i)
+        || edge_triples (Boxed.predecessors a i)
            <> edge_triples (Pnut_reach.Graph.predecessors b i)
       then ok := false
     done;
@@ -769,17 +767,17 @@ let bench_json ~quick ~file ?baseline () =
     List.for_all
       (fun m ->
         graphs_identical
-          (Pnut_reach.Graph.build ~max_states:reach_cap m)
-          (Pnut_reach.Graph.build ~max_states:reach_cap ~packed:true m))
+          (Boxed.build ~max_states:reach_cap m)
+          (Pnut_reach.Graph.build ~max_states:reach_cap m))
       [ net; Pnut_pipeline.Branching.full default ]
     && (if quick then graphs_identical ring_boxed_g ring_packed_g
         else
           (* at 10^6 states the full deep compare costs more than the
              builds; counts and truncation are checked, the per-state
              deep identity rides the quick run and the test suite *)
-          Pnut_reach.Graph.num_states ring_boxed_g = ring_states
-          && Pnut_reach.Graph.num_edges ring_boxed_g = ring_edges
-          && Pnut_reach.Graph.complete ring_boxed_g
+          Boxed.num_states ring_boxed_g = ring_states
+          && Boxed.num_edges ring_boxed_g = ring_edges
+          && Boxed.complete ring_boxed_g
              = Pnut_reach.Graph.complete ring_packed_g)
   in
   (* PR 9: stubborn-set reduction on indep6x4 — six independent 4-stage
@@ -791,12 +789,11 @@ let bench_json ~quick ~file ?baseline () =
   let por_cap = 200_000 in
   let por_full_g, por_full_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:por_cap ~packed:true indep)
+        Pnut_reach.Graph.build ~max_states:por_cap indep)
   in
   let por_red_g, por_red_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:por_cap ~packed:true ~por:true
-          indep)
+        Pnut_reach.Graph.build ~max_states:por_cap ~por:true indep)
   in
   let por_full_states = Pnut_reach.Graph.num_states por_full_g in
   let por_red_states = Pnut_reach.Graph.num_states por_red_g in
@@ -807,12 +804,17 @@ let bench_json ~quick ~file ?baseline () =
            (Pnut_reach.Graph.state g i).Pnut_reach.Graph.s_marking)
          (Pnut_reach.Graph.deadlocks g))
   in
+  let boxed_deadlock_markings g =
+    List.sort compare
+      (List.map
+         (fun i -> (Boxed.state g i).Pnut_reach.Graph.s_marking)
+         (Boxed.deadlocks g))
+  in
   let por_deadlocks_identical =
     deadlock_markings por_full_g = deadlock_markings por_red_g
-    && (* the boxed builders must agree with each other too *)
-    deadlock_markings (Pnut_reach.Graph.build ~max_states:por_cap indep)
-    = deadlock_markings
-        (Pnut_reach.Graph.build ~max_states:por_cap ~por:true indep)
+    && (* the boxed oracle's builds must agree with each other too *)
+    boxed_deadlock_markings (Boxed.build ~max_states:por_cap indep)
+    = boxed_deadlock_markings (Boxed.build ~max_states:por_cap ~por:true indep)
   in
   let por_reduction =
     float_of_int por_full_states /. float_of_int (max 1 por_red_states)
@@ -829,16 +831,16 @@ let bench_json ~quick ~file ?baseline () =
   let timed_cap = 200_000 in
   let timed_class_g, timed_class_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Timed.build ~max_states:timed_cap ~packed:true timed_net)
+        Pnut_reach.Timed.build ~max_states:timed_cap timed_net)
   in
   let timed_explicit_g, timed_explicit_s =
     best_of packed_reps (fun () ->
-        Pnut_reach.Timed_explicit.build ~max_states:timed_cap timed_net)
+        Pnut_oracle.Timed_explicit.build ~max_states:timed_cap timed_net)
   in
   let timed_classes = Pnut_reach.Timed.num_states timed_class_g in
   let timed_vectors = Pnut_reach.Timed.num_vectors timed_class_g in
   let timed_explicit_states =
-    Pnut_reach.Timed_explicit.num_states timed_explicit_g
+    Pnut_oracle.Timed_explicit.num_states timed_explicit_g
   in
   let timed_reduction =
     float_of_int timed_explicit_states /. float_of_int (max 1 timed_classes)
@@ -851,8 +853,8 @@ let bench_json ~quick ~file ?baseline () =
              .Pnut_reach.Timed.ts_marking))
     = List.sort_uniq compare
         (List.init timed_explicit_states (fun i ->
-             (Pnut_reach.Timed_explicit.state timed_explicit_g i)
-               .Pnut_reach.Timed_explicit.ts_marking))
+             (Pnut_oracle.Timed_explicit.state timed_explicit_g i)
+               .Pnut_oracle.Timed_explicit.ts_marking))
   in
   let timed_deadlocks_identical =
     List.sort_uniq compare
@@ -864,14 +866,12 @@ let bench_json ~quick ~file ?baseline () =
     = List.sort_uniq compare
         (List.map
            (fun i ->
-             (Pnut_reach.Timed_explicit.state timed_explicit_g i)
-               .Pnut_reach.Timed_explicit.ts_marking)
-           (Pnut_reach.Timed_explicit.deadlocks timed_explicit_g))
+             (Pnut_oracle.Timed_explicit.state timed_explicit_g i)
+               .Pnut_oracle.Timed_explicit.ts_marking)
+           (Pnut_oracle.Timed_explicit.deadlocks timed_explicit_g))
   in
   let timed_bytes_per_state =
-    match Pnut_reach.Timed.packed_bytes_per_state timed_class_g with
-    | Some x -> x
-    | None -> Float.nan
+    Option.get (Pnut_reach.Timed.packed_bytes_per_state timed_class_g)
   in
   (* raw simulation events/sec (single stream; the per-run engine),
      measured against the frozen pre-optimization engine on the same
@@ -889,7 +889,7 @@ let bench_json ~quick ~file ?baseline () =
   in
   let events = outcome.Sim.started in
   let ref_outcome, ref_s =
-    wall (fun () -> Pnut_sim.Reference.simulate ~seed:42 ~until:sim_until net)
+    wall (fun () -> Pnut_oracle.Reference.simulate ~seed:42 ~until:sim_until net)
   in
   let ref_events = ref_outcome.Sim.started in
   (* supervision overhead: the same Figure-5 model under a generous

@@ -279,52 +279,8 @@ let model_cmd =
 
 (* -- pnut sim -- *)
 
-(* The operations [pnut sim] needs from a simulation engine; both
-   [Simulator] (the incremental compiled engine) and [Reference] (the
-   straightforward baseline) satisfy it, so the CLI can run either for
-   cross-checking.  All result types are the shared [Simulator] ones. *)
-module type SIM_ENGINE = sig
-  type t
-
-  val create :
-    ?seed:int ->
-    ?prng:Pnut_core.Prng.t ->
-    ?sink:Pnut_trace.Trace.sink ->
-    ?max_instant_firings:int ->
-    ?check_capacities:bool ->
-    ?hooks:Pnut_sim.Simulator.hooks ->
-    Pnut_core.Net.t -> t
-
-  val restore :
-    ?sink:Pnut_trace.Trace.sink ->
-    ?max_instant_firings:int ->
-    ?check_capacities:bool ->
-    ?hooks:Pnut_sim.Simulator.hooks ->
-    Pnut_core.Net.t -> Pnut_sim.Checkpoint.t -> t
-
-  val run :
-    ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
-    ?finish:bool ->
-    t -> Pnut_sim.Simulator.outcome
-
-  val checkpoint : t -> Pnut_sim.Checkpoint.t
-  val diagnose : t -> Pnut_sim.Simulator.diagnosis
-end
-
 let sim_cmd =
   let doc = "Simulate a model, writing a trace and/or statistics." in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("fast", `Fast); ("interpreted", `Interpreted) ]) `Fast
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Simulation engine: $(b,fast) (default; incremental fireable \
-             set, deadline heap and compiled expressions) or \
-             $(b,interpreted) (the straightforward reference engine). Both \
-             produce bit-identical traces on the same seed; the reference \
-             engine exists for cross-checking and differential debugging.")
-  in
   let trace_out =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write the simulation trace to FILE (- for stdout).")
@@ -358,12 +314,7 @@ let sim_cmd =
                  done.")
   in
   let run path seed until max_events trace_out format stats runs explain
-      budget save_state load_state engine =
-    let module E =
-      (val match engine with
-           | `Fast -> (module Pnut_sim.Simulator : SIM_ENGINE)
-           | `Interpreted -> (module Pnut_sim.Reference : SIM_ENGINE))
-    in
+      budget save_state load_state =
     let net = load_net path in
     if runs < 1 then die "--runs must be at least 1";
     if load_state <> None && runs > 1 then
@@ -404,7 +355,7 @@ let sim_cmd =
               die "%s:%d: %s" file line msg
             | Sys_error msg -> die "%s" msg
           in
-          (try E.restore ~sink net ck
+          (try Pnut_sim.Simulator.restore ~sink net ck
            with Pnut_sim.Simulator.Sim_error e ->
              die "%s" (Pnut_sim.Simulator.error_message e))
         | None ->
@@ -414,9 +365,9 @@ let sim_cmd =
             if runs = 1 then Pnut_core.Prng.create seed
             else Pnut_core.Prng.split master
           in
-          E.create ~prng ~sink net
+          Pnut_sim.Simulator.create ~prng ~sink net
       in
-      match E.run ?until ?max_events ?budget st with
+      match Pnut_sim.Simulator.run ?until ?max_events ?budget st with
       | outcome ->
         (match outcome.Pnut_sim.Simulator.stop with
         | Pnut_sim.Simulator.Budget_exhausted _ -> degraded := true
@@ -438,11 +389,12 @@ let sim_cmd =
           outcome.Pnut_sim.Simulator.finished;
         (match outcome.Pnut_sim.Simulator.stop with
         | Pnut_sim.Simulator.Dead when explain ->
-          Format.eprintf "%a@." Pnut_sim.Simulator.pp_diagnosis (E.diagnose st)
+          Format.eprintf "%a@." Pnut_sim.Simulator.pp_diagnosis
+            (Pnut_sim.Simulator.diagnose st)
         | _ -> ());
         (match save_state with
         | Some file when run_number = 1 ->
-          Pnut_sim.Checkpoint.save file (E.checkpoint st)
+          Pnut_sim.Checkpoint.save file (Pnut_sim.Simulator.checkpoint st)
         | Some _ | None -> ())
       | exception Pnut_sim.Simulator.Sim_error e ->
         Printf.eprintf "run %d aborted: %s\n" run_number
@@ -456,7 +408,7 @@ let sim_cmd =
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(const run $ net_arg $ seed_arg $ until_arg $ max_events_arg
           $ trace_out $ format_arg $ stats $ runs $ explain $ budget_arg
-          $ save_state $ load_state $ engine_arg)
+          $ save_state $ load_state)
 
 (* -- pnut faults -- *)
 
@@ -689,13 +641,6 @@ let reach_cmd =
                  of the explicit timed expansion without its tick \
                  interpolation.")
   in
-  let explicit =
-    Arg.(value & flag & info [ "explicit" ]
-           ~doc:"With $(b,--timed): build the explicit timed expansion \
-                 (concrete clock valuations and Tick edges) instead of \
-                 the state-class graph.  Orders of magnitude larger on \
-                 delay-heavy models; kept as the reference semantics.")
-  in
   let max_states =
     Arg.(value & opt int 100000 & info [ "max-states" ] ~docv:"N"
            ~doc:"State cap.")
@@ -709,17 +654,6 @@ let reach_cmd =
            ~doc:"Prove a forall/exists query over all reachable states \
                  (inev/alw are branching-time AF/AG), e.g. \
                  'forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]'.")
-  in
-  let packed =
-    Arg.(value
-         & opt (enum [ ("auto", `Auto); ("on", `On); ("off", `Off) ]) `Auto
-         & info [ "packed" ] ~docv:"MODE"
-             ~doc:"Compact bit-packed state store: auto (on when every \
-                   place has a known bound), on, or off.  Cuts memory by \
-                   an order of magnitude on large graphs; the graph built \
-                   is identical either way.  Covers $(b,--timed) too: \
-                   state classes pack as marking fields plus an interned \
-                   (environment, firing-domain) id.")
   in
   let por =
     Arg.(value
@@ -735,7 +669,7 @@ let reach_cmd =
                    concurrent nets; state and edge counts are counts of \
                    the reduced graph.")
   in
-  let run path timed explicit max_states ctl query packed por budget =
+  let run path timed max_states ctl query por budget =
     if max_states < 1 then
       die "--max-states must be positive (got %d)" max_states;
     let net = load_net path in
@@ -749,57 +683,21 @@ let reach_cmd =
         report_degraded "reach" reason progress;
         exit exit_degraded
     in
-    if explicit && not timed then die "--explicit only applies to --timed";
     if timed then begin
       if por = `On then
         die "--por on: partial-order reduction supports untimed \
              reachability only";
-      if explicit then begin
-        if packed = `On then
-          die "--packed on: the explicit timed expansion is boxed only; \
-               drop --explicit for the packed state-class graph";
-        let outcome =
-          Pnut_reach.Timed_explicit.build_supervised ~max_states ?budget net
-        in
-        let g = Pnut_exec.Supervisor.value outcome in
-        Format.printf "%a@." Pnut_reach.Timed_explicit.pp_summary g;
-        Printf.eprintf "reach: states=%d edges=%d bytes/state=-\n%!"
-          (Pnut_reach.Timed_explicit.num_states g)
-          (Pnut_reach.Timed_explicit.num_edges g);
-        finish_outcome outcome
-      end
-      else begin
-        let packed =
-          match packed with
-          | `On -> true
-          | `Off -> false
-          | `Auto -> Pnut_reach.Packed.bounds_known net
-        in
-        let outcome =
-          Pnut_reach.Timed.build_supervised ~max_states ~packed ?budget net
-        in
-        let g = Pnut_exec.Supervisor.value outcome in
-        Format.printf "%a@." Pnut_reach.Timed.pp_summary g;
-        let bytes_per_state =
-          match Pnut_reach.Timed.packed_bytes_per_state g with
-          | Some b -> Printf.sprintf "%.1f" b
-          | None -> "-"
-        in
-        Printf.eprintf "reach: classes=%d edges=%d vectors=%d bytes/state=%s\n%!"
-          (Pnut_reach.Timed.num_states g)
-          (Pnut_reach.Timed.num_edges g)
-          (Pnut_reach.Timed.num_vectors g)
-          bytes_per_state;
-        finish_outcome outcome
-      end
+      let outcome = Pnut_reach.Timed.build_supervised ~max_states ?budget net in
+      let g = Pnut_exec.Supervisor.value outcome in
+      Format.printf "%a@." Pnut_reach.Timed.pp_summary g;
+      Printf.eprintf "reach: classes=%d edges=%d vectors=%d bytes/state=%.1f\n%!"
+        (Pnut_reach.Timed.num_states g)
+        (Pnut_reach.Timed.num_edges g)
+        (Pnut_reach.Timed.num_vectors g)
+        (Option.get (Pnut_reach.Timed.packed_bytes_per_state g));
+      finish_outcome outcome
     end
     else begin
-      let packed =
-        match packed with
-        | `On -> true
-        | `Off -> false
-        | `Auto -> Pnut_reach.Packed.bounds_known net
-      in
       let por =
         match por with
         | `On ->
@@ -815,8 +713,7 @@ let reach_cmd =
           && Pnut_reach.Stubborn.unsupported net = None
       in
       let outcome =
-        Pnut_reach.Graph.build_supervised ~max_states ?budget ~packed ~por
-          net
+        Pnut_reach.Graph.build_supervised ~max_states ?budget ~por net
       in
       let g = Pnut_exec.Supervisor.value outcome in
       Format.printf "%a@." Pnut_reach.Graph.pp_summary g;
@@ -825,11 +722,6 @@ let reach_cmd =
          expansion would have taken, over edges actually recorded) — a
          lower bound on the state-count reduction, measurable without
          building the full graph; 1.0x when the reduction is off. *)
-      let bytes_per_state =
-        match Pnut_reach.Graph.packed_bytes_per_state g with
-        | Some b -> Printf.sprintf "%.1f" b
-        | None -> "-"
-      in
       let por_reduction =
         if not por then 1.0
         else begin
@@ -850,11 +742,12 @@ let reach_cmd =
           /. float_of_int (max 1 (Pnut_reach.Graph.num_edges g))
         end
       in
-      Printf.eprintf "reach: states=%d edges=%d bytes/state=%s \
+      Printf.eprintf "reach: states=%d edges=%d bytes/state=%.1f \
                       por_reduction=%.1fx\n%!"
         (Pnut_reach.Graph.num_states g)
         (Pnut_reach.Graph.num_edges g)
-        bytes_per_state por_reduction;
+        (Option.get (Pnut_reach.Graph.packed_bytes_per_state g))
+        por_reduction;
       let failures = ref 0 in
       List.iter
         (fun f ->
@@ -878,8 +771,8 @@ let reach_cmd =
     end
   in
   Cmd.v (Cmd.info "reach" ~doc)
-    Term.(const run $ net_arg $ timed $ explicit $ max_states $ ctl $ query
-          $ packed $ por $ budget_arg)
+    Term.(const run $ net_arg $ timed $ max_states $ ctl $ query $ por
+          $ budget_arg)
 
 (* -- pnut invariants -- *)
 

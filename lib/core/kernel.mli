@@ -7,9 +7,9 @@
     arc lists flattened to parallel [int] arrays, the weight/inhibitor
     enabledness test, the firing effect (consume/produce), precomputed
     trace deltas, and the per-place reader index used for incremental
-    enabled-set maintenance.  The only deliberate exception is
-    {!Pnut_sim.Reference}, the frozen interpreted engine kept verbatim
-    as a differential oracle.
+    enabled-set maintenance.  The only deliberate exception is the
+    frozen interpreted engine kept verbatim, in the test-only oracle
+    library, as a differential reference.
 
     The kernel has two layers:
 

@@ -17,83 +17,46 @@ type edge = {
   e_to : int;
 }
 
-(* Two physical layouts behind one graph type.  [Boxed] is the classic
-   per-state record plus edge lists — cheap to build, rich to walk.
-   [Compact] keeps every state bit-packed in the {!Store} arena with
-   CSR edges; accessors decode on the fly.  Both builders intern states
-   in the same FIFO order and record edges at the same points, so the
-   numbering, edge order and truncation behaviour are bit-identical —
-   the representation is invisible to every analysis. *)
-type repr =
-  | Boxed of {
-      states : state array;
-      succ : edge list array;   (* indexed by source state *)
-      pred : edge list array;   (* indexed by target state *)
-    }
-  | Compact of Store.t
-
+(* Every state lives bit-packed in the {!Store} arena with CSR edges;
+   the accessors decode on the fly. *)
 type t = {
   net : Net.t;
-  repr : repr;
+  store : Store.t;
   complete : bool;
-  n_edges : int;  (* cached at construction; [edges] stays O(E) to list *)
 }
 
 let net g = g.net
 let complete g = g.complete
-
-let num_states g =
-  match g.repr with
-  | Boxed b -> Array.length b.states
-  | Compact st -> Store.num_states st
-
-let num_edges g = g.n_edges
+let num_states g = Store.num_states g.store
+let num_edges g = Store.num_edges g.store
 
 let state g i =
-  match g.repr with
-  | Boxed b -> b.states.(i)
-  | Compact st ->
-    let codec = Store.codec st in
-    let np = Packed.places (Packed.layout codec) in
-    let m = Array.make np 0 in
-    Store.marking_into st i m;
-    {
-      s_index = i;
-      s_marking = m;
-      s_env = Packed.extra_bindings codec (Store.extra st i);
-    }
+  let codec = Store.codec g.store in
+  let np = Packed.places (Packed.layout codec) in
+  let m = Array.make np 0 in
+  Store.marking_into g.store i m;
+  { s_index = i; s_marking = m;
+    s_env = Packed.extra_bindings codec (Store.extra g.store i) }
 
 let initial _ = 0
 
 let successors g i =
-  match g.repr with
-  | Boxed b -> b.succ.(i)
-  | Compact st ->
-    List.map
-      (fun (tid, tgt) -> { e_from = i; e_transition = tid; e_to = tgt })
-      (Store.successors st i)
+  List.map
+    (fun (tid, tgt) -> { e_from = i; e_transition = tid; e_to = tgt })
+    (Store.successors g.store i)
 
 let predecessors g j =
-  match g.repr with
-  | Boxed b -> b.pred.(j)
-  | Compact st ->
-    List.map
-      (fun (src, tid) -> { e_from = src; e_transition = tid; e_to = j })
-      (Store.predecessors st j)
+  List.map
+    (fun (src, tid) -> { e_from = src; e_transition = tid; e_to = j })
+    (Store.predecessors g.store j)
 
 let edges g =
-  match g.repr with
-  | Boxed b -> List.concat (Array.to_list b.succ)
-  | Compact st ->
-    let acc = ref [] in
-    Store.iter_edges st (fun src tid tgt ->
-        acc := { e_from = src; e_transition = tid; e_to = tgt } :: !acc);
-    List.rev !acc
+  let acc = ref [] in
+  Store.iter_edges g.store (fun src tid tgt ->
+      acc := { e_from = src; e_transition = tid; e_to = tgt } :: !acc);
+  List.rev !acc
 
-let packed_bytes_per_state g =
-  match g.repr with
-  | Boxed _ -> None
-  | Compact st -> Some (Store.bytes_per_state st)
+let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 
 let stochastic_parts net =
   Array.to_list (Net.transitions net)
@@ -117,7 +80,7 @@ let stochastic_parts net =
          in
          pred_bad @ action_bad)
 
-(* The packed sweep: a serial FIFO over state indices.  Pop order is
+(* The sweep: a serial FIFO over state indices.  Pop order is
    push order is interning order, so begin_source sees ascending
    sources and the CSR offsets append in one pass.  The popped state is
    decoded into a scratch array once.  An action-free firing whose
@@ -128,8 +91,8 @@ let stochastic_parts net =
    overflow a field, take the general path (blit, kernel apply, encode)
    whose overflow widens the layout; the deltas are rebuilt whenever the
    codec's layout is no longer the one they were computed for. *)
-let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
-    net kernel =
+let sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
+    kernel =
   let codec = Packed.create net in
   let store = Store.create codec ~num_transitions:(Net.num_transitions net) in
   let np = Net.num_places net in
@@ -198,8 +161,9 @@ let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
       Store.Frontier.push q 0;
       let sb_scratch = Option.map Stubborn.scratch stubborn in
       let pops = ref 0 in
-      (* Budget checks ride the dequeue boundary every 256 states —
-         the exact cadence of the boxed sweep. *)
+      (* Budget checks ride the dequeue boundary every 256 states, so
+         a budgeted sweep that completes interns exactly the same
+         states in the same order as an unbudgeted one. *)
       try
         while not (Store.Frontier.is_empty q) do
           incr pops;
@@ -233,7 +197,7 @@ let build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
   (store, !truncated, !budget_stop, !frontier_left)
 
 let build_supervised ?(max_states = 100_000) ?jobs:_
-    ?(budget = Pnut_exec.Budget.none) ?(packed = false) ?frontier_spill
+    ?(budget = Pnut_exec.Budget.none) ?packed:_ ?frontier_spill
     ?(por = false) net =
   (match stochastic_parts net with
   | [] -> ()
@@ -254,150 +218,42 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
      reduction's fragment — callers choosing [por] must catch it or
      pre-check with Stubborn.unsupported. *)
   let stubborn = if por then Some (Stubborn.create kernel) else None in
-  let finish ~repr ~truncated ~budget_stop ~frontier_left ~n ~n_edges =
-    let complete = (not truncated) && budget_stop = None in
-    let g = { net; repr; complete; n_edges } in
-    match budget_stop with
-    | Some reason ->
+  let spill_threshold =
+    match frontier_spill with
+    | Some b -> b
+    | None -> Pnut_exec.Budget.spill_threshold_bytes budget
+  in
+  let store, truncated, budget_stop, frontier_left =
+    sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
+      kernel
+  in
+  let n = Store.num_states store in
+  let g =
+    { net; store; complete = (not truncated) && budget_stop = None }
+  in
+  match budget_stop with
+  | Some reason ->
+    Pnut_exec.Supervisor.Degraded
+      {
+        reason;
+        partial = g;
+        progress =
+          Pnut_exec.Supervisor.snapshot monitor ~visited:n
+            ~frontier:frontier_left;
+      }
+  | None ->
+    if truncated then
       Pnut_exec.Supervisor.Degraded
         {
-          reason;
+          reason = Pnut_exec.Supervisor.States n;
           partial = g;
           progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:n
-              ~frontier:frontier_left;
+            Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
         }
-    | None ->
-      if truncated then
-        Pnut_exec.Supervisor.Degraded
-          {
-            reason = Pnut_exec.Supervisor.States n;
-            partial = g;
-            progress =
-              Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-          }
-      else Pnut_exec.Supervisor.Complete g
-  in
-  if packed then begin
-    let spill_threshold =
-      match frontier_spill with
-      | Some b -> b
-      | None -> Pnut_exec.Budget.spill_threshold_bytes budget
-    in
-    let store, truncated, budget_stop, frontier_left =
-      build_packed ~max_states ~monitor ~monitored ~spill_threshold ~stubborn
-        net kernel
-    in
-    finish ~repr:(Compact store) ~truncated ~budget_stop ~frontier_left
-      ~n:(Store.num_states store) ~n_edges:(Store.num_edges store)
-  end
-  else begin
-  let index = Statekey.Tbl.create 1024 in
-  let states = ref [] in
-  let n_states = ref 0 in
-  let edges_rev = ref [] in   (* every edge, most recent first *)
-  let n_edges = ref 0 in
-  let truncated = ref false in
-  (* wall/heap/cancellation trip — [None] until the budget fires *)
-  let budget_stop = ref None in
-  (* states interned but not yet expanded when a trip stopped the sweep *)
-  let frontier_left = ref 0 in
-  (* Intern a key, computed exactly once per explored edge.  [None]
-     means the target would be a fresh state beyond the cap: the edge
-     is dropped and the graph flagged incomplete (edges into
-     already-interned states are still recorded at the cap). *)
-  let intern k =
-    match Statekey.Tbl.find_opt index k with
-    | Some i -> Some (i, false)
-    | None ->
-      if !n_states >= max_states then begin
-        truncated := true;
-        None
-      end
-      else begin
-        let i = !n_states in
-        incr n_states;
-        Statekey.Tbl.replace index k i;
-        states :=
-          { s_index = i; s_marking = k.Statekey.k_marking;
-            s_env = k.Statekey.k_bindings }
-          :: !states;
-        Some (i, true)
-      end
-  in
-  let m0 = Net.initial_marking net in
-  let env0 = Net.initial_env net in
-  (match intern (Statekey.make m0 env0) with
-  | Some (0, true) -> ()
-  | Some _ | None -> assert false);
-  (* A plain FIFO sweep: the expansion of one state interns its
-     successors and records its edges inline, with no intermediate
-     successor lists.  Budget checks ride the dequeue boundary every 256
-     states, so a budgeted sweep that completes interns exactly the same
-     states in exactly the same order as an unbudgeted one. *)
-  let q = Queue.create () in
-  Queue.add (0, m0, env0) q;
-  let trans = Kernel.transitions kernel in
-  let sb_scratch = Option.map Stubborn.scratch stubborn in
-  let pops = ref 0 in
-  (try
-     while not (Queue.is_empty q) do
-       incr pops;
-       if monitored && !pops land 255 = 0 then begin
-         match Pnut_exec.Supervisor.check monitor with
-         | Some r ->
-           budget_stop := Some r;
-           frontier_left := Queue.length q;
-           raise_notrace Exit
-         | None -> ()
-       end;
-       let i, m, env = Queue.pop q in
-       let fire (c : Kernel.ctrans) =
-         let m' = Marking.copy m in
-         Kernel.apply c m';
-         let env' =
-           if c.Kernel.s_has_action then begin
-             let env' = Env.copy env in
-             Kernel.run_action env' c;
-             env'
-           end
-           else env
-         in
-         match intern (Statekey.make m' env') with
-         | None -> ()
-         | Some (j, fresh) ->
-           edges_rev :=
-             { e_from = i; e_transition = c.Kernel.s_id; e_to = j }
-             :: !edges_rev;
-           incr n_edges;
-           if fresh then Queue.add (j, m', env') q
-       in
-       (match stubborn, sb_scratch with
-       | Some sb, Some sc ->
-         Array.iter (fun tid -> fire trans.(tid)) (Stubborn.fired sb sc m)
-       | _ ->
-         Array.iter
-           (fun (c : Kernel.ctrans) ->
-             if Kernel.enabled c m env then fire c)
-           trans)
-     done
-   with Exit -> ());
-  let n = !n_states in
-  let states_arr = Array.make n { s_index = 0; s_marking = [||]; s_env = [] } in
-  List.iter (fun s -> states_arr.(s.s_index) <- s) !states;
-  let succ = Array.make n [] in
-  (* walking most-recent-first and prepending leaves every per-source
-     list in emission order *)
-  List.iter (fun e -> succ.(e.e_from) <- e :: succ.(e.e_from)) !edges_rev;
-  let pred = Array.make n [] in
-  Array.iter (fun l -> List.iter (fun e -> pred.(e.e_to) <- e :: pred.(e.e_to)) l) succ;
-  finish ~repr:(Boxed { states = states_arr; succ; pred })
-    ~truncated:!truncated ~budget_stop:!budget_stop
-    ~frontier_left:!frontier_left ~n ~n_edges:!n_edges
-  end
+    else Pnut_exec.Supervisor.Complete g
 
-let build ?max_states ?packed ?por net =
-  Pnut_exec.Supervisor.value (build_supervised ?max_states ?packed ?por net)
+let build ?max_states ?por net =
+  Pnut_exec.Supervisor.value (build_supervised ?max_states ?por net)
 
 (* monomorphic int-array comparison — [find_state] and friends sit on
    user-facing query paths over millions of states *)
@@ -410,85 +266,53 @@ let marking_eq (a : int array) b =
      go 0)
 
 let find_state g marking =
-  match g.repr with
-  | Boxed b ->
-    let n = Array.length b.states in
+  let np = Net.num_places g.net in
+  if Array.length marking <> np then None
+  else begin
+    let scratch = Array.make np 0 in
+    let n = num_states g in
     let rec go i =
       if i >= n then None
-      else if marking_eq b.states.(i).s_marking marking then Some i
-      else go (i + 1)
+      else begin
+        Store.marking_into g.store i scratch;
+        if marking_eq scratch marking then Some i else go (i + 1)
+      end
     in
     go 0
-  | Compact st ->
-    let np = Net.num_places g.net in
-    if Array.length marking <> np then None
-    else begin
-      let scratch = Array.make np 0 in
-      let n = Store.num_states st in
-      let rec go i =
-        if i >= n then None
-        else begin
-          Store.marking_into st i scratch;
-          if marking_eq scratch marking then Some i else go (i + 1)
-        end
-      in
-      go 0
-    end
+  end
 
 let deadlocks g =
   let acc = ref [] in
-  (match g.repr with
-  | Boxed b ->
-    for i = Array.length b.states - 1 downto 0 do
-      if b.succ.(i) = [] then acc := i :: !acc
-    done
-  | Compact st ->
-    for i = Store.num_states st - 1 downto 0 do
-      if Store.out_degree st i = 0 then acc := i :: !acc
-    done);
+  for i = num_states g - 1 downto 0 do
+    if Store.out_degree g.store i = 0 then acc := i :: !acc
+  done;
   !acc
 
 let bound g p =
-  match g.repr with
-  | Boxed b ->
-    Array.fold_left (fun acc s -> max acc s.s_marking.(p)) 0 b.states
-  | Compact st ->
-    let scratch = Array.make (Net.num_places g.net) 0 in
-    let acc = ref 0 in
-    for i = 0 to Store.num_states st - 1 do
-      Store.marking_into st i scratch;
-      if scratch.(p) > !acc then acc := scratch.(p)
-    done;
-    !acc
+  let scratch = Array.make (Net.num_places g.net) 0 in
+  let acc = ref 0 in
+  for i = 0 to num_states g - 1 do
+    Store.marking_into g.store i scratch;
+    if scratch.(p) > !acc then acc := scratch.(p)
+  done;
+  !acc
 
 let is_safe g =
-  match g.repr with
-  | Boxed b ->
-    Array.for_all
-      (fun s -> Array.for_all (fun c -> c <= 1) s.s_marking)
-      b.states
-  | Compact st ->
-    let np = Net.num_places g.net in
-    let scratch = Array.make np 0 in
-    let n = Store.num_states st in
-    let rec go i =
-      i >= n
-      || (Store.marking_into st i scratch;
-          Array.for_all (fun c -> c <= 1) scratch && go (i + 1))
-    in
-    go 0
+  let scratch = Array.make (Net.num_places g.net) 0 in
+  let n = num_states g in
+  let rec go i =
+    i >= n
+    || (Store.marking_into g.store i scratch;
+        Array.for_all (fun c -> c <= 1) scratch && go (i + 1))
+  in
+  go 0
 
 (* One pass over the edges marks fired transitions; both liveness
    queries read the same bool array instead of the old O(T^2)
    list-membership scan. *)
 let transition_fired g =
   let seen = Array.make (Net.num_transitions g.net) false in
-  (match g.repr with
-  | Boxed b ->
-    Array.iter
-      (fun l -> List.iter (fun e -> seen.(e.e_transition) <- true) l)
-      b.succ
-  | Compact st -> Store.iter_edges st (fun _ tid _ -> seen.(tid) <- true));
+  Store.iter_edges g.store (fun _ tid _ -> seen.(tid) <- true);
   seen
 
 let live_transitions g =
@@ -506,11 +330,6 @@ let dead_transitions g =
     if not seen.(i) then acc := i :: !acc
   done;
   !acc
-
-let iter_pred_sources g i f =
-  match g.repr with
-  | Boxed b -> List.iter (fun e -> f e.e_from) b.pred.(i)
-  | Compact st -> Store.iter_pred_sources st i f
 
 (* How many states reach [target] (itself included): a backward walk
    over the predecessors.  Each state is marked before it is pushed, so
@@ -539,7 +358,7 @@ let count_reaching g target =
   visit target;
   while !sp > 0 do
     decr sp;
-    iter_pred_sources g !stack.(!sp) visit
+    Store.iter_pred_sources g.store !stack.(!sp) visit
   done;
   !count
 

@@ -26,7 +26,6 @@ type t
 
 val build :
   ?max_states:int ->
-  ?packed:bool ->
   ?por:bool ->
   Pnut_core.Net.t ->
   t
@@ -34,12 +33,13 @@ val build :
     has stochastic predicates or actions.  The build is a serial
     breadth-first sweep on the calling domain.
 
-    [packed] (default [false]) builds into the {!Store} compact arena:
-    states are bit-packed (fields sized from
-    {!Pnut_core.Incidence.place_bounds} with a checked widen path) and
-    edges CSR-encoded, cutting memory by an order of magnitude at the
-    10^6+-state scale.  State numbering, edge order and truncation are
-    identical to the boxed build's.
+    States are bit-packed in the {!Store} arena and edges CSR-encoded.
+    Field widths come from {!Pnut_core.Incidence.place_bounds}; a place
+    with no known bound starts from a guessed width, and a token count
+    that outgrows its field re-lays the arena out ({!Packed.widen}), so
+    unbounded nets build too, up to the cap.  The frozen boxed builder
+    the test suites compare against interns in the same order, so the
+    numbering, edge order and truncation are fixed by the net alone.
 
     [por] (default [false]) applies the deadlock-preserving stubborn-set
     reduction of {!Stubborn}: at each state only the enabled members of
@@ -48,8 +48,8 @@ val build :
     on terminating nets, the same per-place bounds).  State and edge
     counts, CTL over the full graph and path-sensitive queries are not
     preserved — build without [por] for those.  The reduced set is a
-    deterministic function of the marking, so the boxed and packed
-    builders still share one numbering.  Raises {!Stubborn.Unsupported} when
+    deterministic function of the marking, so the numbering is still
+    fixed by the net.  Raises {!Stubborn.Unsupported} when
     the net has variables, tables, predicates or actions (pre-check
     with {!Stubborn.unsupported}). *)
 
@@ -71,12 +71,13 @@ val build_supervised :
     snapshot with visited and frontier counts.  A budgeted build that
     completes returns a graph identical to {!build}'s.
 
-    With [packed], [frontier_spill] caps the bytes of frontier buffered
-    in memory before full chunks spill to a temp file (default:
+    [frontier_spill] caps the bytes of frontier buffered in memory
+    before full chunks spill to a temp file (default:
     {!Pnut_exec.Budget.spill_threshold_bytes} of [budget]).
 
-    [jobs] is accepted for compatibility and ignored: every build runs
-    serially on the calling domain. *)
+    [jobs] and [packed] are accepted for compatibility and ignored:
+    every build runs serially on the calling domain, into the packed
+    store. *)
 
 val net : t -> Pnut_core.Net.t
 val complete : t -> bool
@@ -93,8 +94,9 @@ val find_state : t -> int array -> int option
     the marking — returns the first). *)
 
 val packed_bytes_per_state : t -> float option
-(** Store footprint (arena + index bytes over states) for a packed
-    graph; [None] for the boxed representation. *)
+(** Store footprint (arena + index bytes over states).  Always [Some]:
+    the option survives for callers written when a boxed layout
+    existed. *)
 
 (** {2 Analyses} *)
 

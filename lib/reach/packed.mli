@@ -35,8 +35,10 @@ val create :
     demand via {!widen} either way. *)
 
 val bounds_known : Pnut_core.Net.t -> bool
-(** Every place has a known bound — the condition under which the CLI
-    turns the packed store on by default. *)
+(** Every place has a known bound, so every field width comes from
+    {!Pnut_core.Incidence.place_bounds} rather than a guess that
+    {!widen} may later grow.  Advisory only: every graph is packed
+    either way. *)
 
 val layout : t -> layout
 val words : layout -> int

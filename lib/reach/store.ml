@@ -379,8 +379,8 @@ let iter_edges st f =
   done
 
 (* -- predecessor CSR: counting sort over the successor array, stable
-      in sweep order so per-target slices match the boxed builder's
-      traversal -- *)
+      in sweep order so per-target slices match the frozen boxed
+      oracle's traversal -- *)
 
 let build_pred st =
   if not st.pred_built then begin
@@ -408,8 +408,8 @@ let build_pred st =
     st.pred_built <- true
   end
 
-(* Reverse sweep order, matching the boxed builder (which prepends while
-   walking sources ascending). *)
+(* Reverse sweep order, matching the frozen boxed oracle (which
+   prepends while walking sources ascending). *)
 let predecessors st j =
   build_pred st;
   let acc = ref [] in

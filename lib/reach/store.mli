@@ -60,16 +60,17 @@ val out_degree : t -> int -> int
 
 val successors : t -> int -> (int * int) list
 (** [(transition, target)] pairs of state [i], in emission order —
-    exactly the boxed builder's successor order. *)
+    exactly the frozen boxed oracle's successor order. *)
 
 val predecessors : t -> int -> (int * int) list
 (** [(source, transition)] pairs pointing at state [j], in reverse
-    sweep order — exactly the boxed builder's predecessor order. *)
+    sweep order — exactly the frozen boxed oracle's predecessor order. *)
 
 val iter_pred_sources : t -> int -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges st f] calls [f source transition target] for every edge
-    in ascending-source sweep order — the boxed builder's edge order. *)
+    in ascending-source sweep order — the frozen boxed oracle's edge
+    order. *)
 
 val store_words : t -> int * int
 (** [(arena words, index slots)] currently allocated. *)

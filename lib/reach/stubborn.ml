@@ -28,8 +28,8 @@
    The seed is always enabled, giving D2's key transition.  Determinism
    matters more than cleverness here: the chosen set is a function of
    the marking alone (fixed seed candidates, fixed scapegoat choice,
-   fixed iteration order), so the boxed and packed builders compute the
-   same reduced graph. *)
+   fixed iteration order), so every build — and the frozen boxed oracle
+   the tests hold it against — computes the same reduced graph. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking

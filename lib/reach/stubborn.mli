@@ -11,8 +11,9 @@
     interleavings are {e not} preserved: CTL over the full graph, state
     or edge counts, and path-sensitive queries must use the full build.
 
-    The chosen set is a deterministic function of the marking, so the
-    boxed and packed builders produce the same reduced graph. *)
+    The chosen set is a deterministic function of the marking, so
+    repeated builds, and the frozen boxed oracle the tests compare
+    against, produce the same reduced graph. *)
 
 (** Why a net falls outside the reduction's fragment. *)
 type unsupported_feature =

@@ -38,8 +38,9 @@
    The construction is layered onto the one graph stack: classes intern
    via {!Statekey}, pack into the {!Store} arena (marking fields plus
    the interned (env, in-flight) domain in the extra-id field) and run
-   under {!Pnut_exec.Supervisor} budgets.  {!Timed_explicit} keeps the
-   old semantics frozen as the differential oracle. *)
+   under {!Pnut_exec.Supervisor} budgets.  The old explicit expansion
+   is frozen in the test-only oracle library as the differential
+   reference. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -68,25 +69,14 @@ type edge = {
   e_to : int;
 }
 
-(* Same two physical layouts as {!Graph}: [Boxed] keeps per-class
-   records and edge lists, [Compact] is the packed arena with CSR
-   edges.  The timer supports and interval envelopes live in flat side
-   arrays shared by both layouts (they are small — one slot per timer
-   per class — and have no packed encoding). *)
-type repr =
-  | Boxed of {
-      markings : int array array;
-      envs : Env.t array;
-      succ : edge list array;
-      pred : edge list array;
-    }
-  | Compact of Store.t
-
+(* Classes live in the packed {!Store} arena with CSR edges, as in
+   {!Graph}.  The timer supports and interval envelopes live in flat
+   side arrays (they are small — one slot per timer per class — and
+   have no packed encoding). *)
 type t = {
   net : Net.t;
-  repr : repr;
+  store : Store.t;
   complete : bool;
-  n_edges : int;
   n_vectors : int;  (* residual vectors explored to close the classes *)
   sup_off : int array;  (* class -> start into sup/iv; length n+1 *)
   sup : int array;  (* 2*tid = in-flight slot, 2*tid+1 = pending slot *)
@@ -97,28 +87,18 @@ type t = {
 let net g = g.net
 let complete g = g.complete
 let num_vectors g = g.n_vectors
-let num_edges g = g.n_edges
+let num_edges g = Store.num_edges g.store
 
-let num_states g =
-  match g.repr with
-  | Boxed b -> Array.length b.markings
-  | Compact st -> Store.num_states st
+let num_states g = Store.num_states g.store
 
 (* Fire and Complete edges share the store's transition-id field:
    even codes fire, odd codes complete. *)
 let label_of_code c = if c land 1 = 0 then Fire (c asr 1) else Complete (c asr 1)
 
 let state g i =
-  let marking, env_bindings =
-    match g.repr with
-    | Boxed b -> (b.markings.(i), Env.bindings b.envs.(i))
-    | Compact st ->
-      let codec = Store.codec st in
-      let np = Packed.places (Packed.layout codec) in
-      let m = Array.make np 0 in
-      Store.marking_into st i m;
-      (m, Packed.extra_bindings codec (Store.extra st i))
-  in
+  let codec = Store.codec g.store in
+  let marking = Array.make (Packed.places (Packed.layout codec)) 0 in
+  Store.marking_into g.store i marking;
   let lo = g.sup_off.(i) and hi = g.sup_off.(i + 1) in
   let flight = ref [] and pending = ref [] in
   let flight_iv = ref [] and pending_iv = ref [] in
@@ -141,31 +121,22 @@ let state g i =
     ts_pending = !pending;
     ts_flight_iv = !flight_iv;
     ts_pending_iv = !pending_iv;
-    ts_env = env_bindings;
+    ts_env = Packed.extra_bindings codec (Store.extra g.store i);
   }
 
 let initial _ = 0
 
 let successors g i =
-  match g.repr with
-  | Boxed b -> b.succ.(i)
-  | Compact st ->
-    List.map
-      (fun (code, tgt) -> { e_from = i; e_label = label_of_code code; e_to = tgt })
-      (Store.successors st i)
+  List.map
+    (fun (code, tgt) -> { e_from = i; e_label = label_of_code code; e_to = tgt })
+    (Store.successors g.store i)
 
 let predecessors g j =
-  match g.repr with
-  | Boxed b -> b.pred.(j)
-  | Compact st ->
-    List.map
-      (fun (src, code) -> { e_from = src; e_label = label_of_code code; e_to = j })
-      (Store.predecessors st j)
+  List.map
+    (fun (src, code) -> { e_from = src; e_label = label_of_code code; e_to = j })
+    (Store.predecessors g.store j)
 
-let packed_bytes_per_state g =
-  match g.repr with
-  | Boxed _ -> None
-  | Compact st -> Some (Store.bytes_per_state st)
+let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 
 let domain_arrays g = (g.sup_off, g.sup, g.iv_lo, g.iv_hi)
 
@@ -793,28 +764,7 @@ let assemble_domains classes =
     classes;
   (sup_off, sup, lo, hi)
 
-let assemble_boxed classes =
-  let n = Array.length classes in
-  let markings = Array.map (fun cl -> cl.cl_key.Statekey.k_marking) classes in
-  let envs = Array.map (fun cl -> cl.cl_env) classes in
-  let succ = Array.make n [] in
-  let pred = Array.make n [] in
-  Array.iteri
-    (fun i cl ->
-      succ.(i) <-
-        List.map
-          (fun (code, j) -> { e_from = i; e_label = label_of_code code; e_to = j })
-          (edge_list cl))
-    classes;
-  Array.iter
-    (fun l -> List.iter (fun e -> pred.(e.e_to) <- e :: pred.(e.e_to)) l)
-    succ;
-  Boxed { markings; envs; succ; pred }
-
-let count_edges classes =
-  Array.fold_left (fun a cl -> a + List.length cl.cl_edges) 0 classes
-
-let build_supervised ?(max_states = 50_000) ?jobs:_ ?(packed = false)
+let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
     ?(budget = Pnut_exec.Budget.none) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
@@ -828,16 +778,12 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?(packed = false)
   let classes, n_vectors, truncated, budget_stop, frontier_left =
     build_serial ~max_states ~monitor ~monitored kernel net
   in
-  let repr =
-    if packed then Compact (assemble_store net classes)
-    else assemble_boxed classes
-  in
+  let store = assemble_store net classes in
   let n = Array.length classes in
-  let n_edges = count_edges classes in
   let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
   let complete = (not truncated) && budget_stop = None in
   let g =
-    { net; repr; complete; n_edges; n_vectors; sup_off; sup; iv_lo; iv_hi }
+    { net; store; complete; n_vectors; sup_off; sup; iv_lo; iv_hi }
   in
   match budget_stop with
   | Some reason ->
@@ -860,33 +806,24 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?(packed = false)
         }
     else Pnut_exec.Supervisor.Complete g
 
-let build ?max_states ?packed net =
-  Pnut_exec.Supervisor.value (build_supervised ?max_states ?packed net)
+let build ?max_states net =
+  Pnut_exec.Supervisor.value (build_supervised ?max_states net)
 
 let deadlocks g =
   let acc = ref [] in
-  (match g.repr with
-  | Boxed b ->
-    for i = Array.length b.succ - 1 downto 0 do
-      if b.succ.(i) = [] then acc := i :: !acc
-    done
-  | Compact st ->
-    for i = Store.num_states st - 1 downto 0 do
-      if Store.out_degree st i = 0 then acc := i :: !acc
-    done);
+  for i = num_states g - 1 downto 0 do
+    if Store.out_degree g.store i = 0 then acc := i :: !acc
+  done;
   !acc
 
 let max_tokens g p =
-  match g.repr with
-  | Boxed b -> Array.fold_left (fun acc m -> max acc m.(p)) 0 b.markings
-  | Compact st ->
-    let scratch = Array.make (Net.num_places g.net) 0 in
-    let acc = ref 0 in
-    for i = 0 to Store.num_states st - 1 do
-      Store.marking_into st i scratch;
-      if scratch.(p) > !acc then acc := scratch.(p)
-    done;
-    !acc
+  let scratch = Array.make (Net.num_places g.net) 0 in
+  let acc = ref 0 in
+  for i = 0 to num_states g - 1 do
+    Store.marking_into g.store i scratch;
+    if scratch.(p) > !acc then acc := scratch.(p)
+  done;
+  !acc
 
 
 (* Earliest time before [tid] first starts firing: a uniform-cost
@@ -895,6 +832,8 @@ let max_tokens g p =
    merges vectors reached at different times — so the search runs over
    the vector space directly, on the builder's exact vector ids. *)
 let min_cycle_time ?(max_states = 50_000) net tid =
+  if max_states < 1 then
+    invalid_arg "Reach.Timed: max_states must be positive";
   Duration.check_net ~who:"Reach.Timed" net;
   let sp = space_create (Kernel.of_net net) ~cap:max_int in
   (* (distance, push sequence, vector id): the sequence breaks ties *)

@@ -1,8 +1,8 @@
 (** Timed reachability as a state-class graph [RP84, BM83-style].
 
     Exhaustive exploration of a timed net with {e deterministic} delays.
-    Rather than enumerating concrete clock valuations (the frozen
-    {!Timed_explicit} oracle), states here are {e classes}: a marking,
+    Rather than enumerating concrete clock valuations (the explicit
+    timed expansion, frozen as a test oracle), states here are {e classes}: a marking,
     an environment, and the multiset of transitions currently in
     flight, annotated with the canonical firing-interval domain — the
     per-timer [lo, hi] envelope over every residual vector that reaches
@@ -21,10 +21,9 @@
     ([horizon]) exploration remains on the oracle only.
 
     The construction is unified onto the packed/supervised graph
-    stack: with [packed], classes encode into the {!Store} arena
-    (marking fields plus the interned (env, in-flight domain) in the
-    extra-id field).  Both representations come from one serial class
-    sweep on the calling domain.
+    stack: classes encode into the {!Store} arena (marking fields plus
+    the interned (env, in-flight domain) in the extra-id field), built
+    by one serial class sweep on the calling domain.
 
     All delays must be deterministic (constants, degenerate choices, or
     deterministic [Dynamic] expressions); stochastic nets have infinite
@@ -63,14 +62,10 @@ type edge = {
 
 type t
 
-val build :
-  ?max_states:int -> ?packed:bool -> Pnut_core.Net.t -> t
+val build : ?max_states:int -> Pnut_core.Net.t -> t
 (** Build the state-class graph; [max_states] (a cap on {e classes})
     defaults to 50_000.  Raises [Invalid_argument] on stochastic
-    delays, predicates or actions.
-
-    With [packed] the graph lives in a bit-packed {!Store} arena;
-    without it the classes are boxed records. *)
+    delays, predicates or actions. *)
 
 val build_supervised :
   ?max_states:int ->
@@ -84,8 +79,9 @@ val build_supervised :
     including the class cap — yields [Degraded] with the partial graph
     (a valid prefix of classes) and visited/frontier counts; a budgeted
     build that completes returns a graph identical to {!build}'s.
-    [jobs] is accepted for compatibility and ignored: every build runs
-    serially on the calling domain. *)
+    [jobs] and [packed] are accepted for compatibility and ignored:
+    every build runs serially on the calling domain, into the packed
+    store. *)
 
 val net : t -> Pnut_core.Net.t
 val complete : t -> bool
@@ -103,13 +99,14 @@ val successors : t -> int -> edge list
 val predecessors : t -> int -> edge list
 
 val packed_bytes_per_state : t -> float option
-(** Arena bytes per class for a packed graph; [None] when boxed. *)
+(** Arena bytes per class.  Always [Some]: the option survives for
+    callers written when a boxed layout existed. *)
 
 val domain_arrays : t -> int array * int array * float array * float array
 (** [(off, sup, lo, hi)]: for class [i], slots [off.(i) .. off.(i+1)-1]
     hold its timer support — [2*t] an in-flight timer of transition
     [t], [2*t+1] its enabling timer — with the interval domain in
-    [lo]/[hi].  Identical across representations. *)
+    [lo]/[hi]. *)
 
 val deadlocks : t -> int list
 (** Timed-dead classes: nothing fireable, nothing in flight, nothing
@@ -123,7 +120,10 @@ val min_cycle_time :
     fires.  Runs a uniform-cost search over residual vectors (edge
     weight = folded Tick duration) rather than the class graph, which
     merges vectors reached at different times; [max_states] bounds the
-    settled vectors (default 50_000). *)
+    settled vectors (default 50_000).  [None] is also returned when
+    that cap is reached before the transition fires.  Raises
+    [Invalid_argument] if [max_states] is not positive, as {!build}
+    does. *)
 
 val max_tokens : t -> Pnut_core.Net.place_id -> int
 

@@ -23,8 +23,8 @@
 
    Everything observable — trace deltas, random draw order, checkpoints,
    errors, outcomes — is bit-for-bit identical to the straightforward
-   engine preserved in [Reference]; the differential test suite holds
-   the two against each other on random nets. *)
+   engine preserved in the test-only oracle library; the differential
+   test suite holds the two against each other on random nets. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking

@@ -2,14 +2,14 @@
    bounded timed nets the class graph must agree with the frozen
    explicit expansion (Timed_explicit) on everything the analyses
    consume — reachable markings, deadlocks, place bounds — and the
-   packed and boxed class graphs must decode identically. *)
+   packed store must decode every class consistently. *)
 
 module Net = Pnut_core.Net
 module Expr = Pnut_core.Expr
 module Value = Pnut_core.Value
 module B = Net.Builder
 module Timed = Pnut_reach.Timed
-module Tx = Pnut_reach.Timed_explicit
+module Tx = Pnut_oracle.Timed_explicit
 
 (* -- random timed net generation --
 
@@ -143,20 +143,34 @@ let prop_never_larger =
       | None -> true
       | Some (g, x) -> Timed.num_states g <= Tx.num_states x)
 
-let prop_packed_boxed_agree =
-  QCheck2.Test.make ~name:"packed and boxed class graphs decode identically"
+(* The packed store interns each class exactly once and keeps its CSR
+   edge arrays consistent: a class decodes under its own id, no two
+   ids decode to the same class, every edge leaves its source and
+   lands in range, and the predecessor lists invert the successors. *)
+let prop_packed_store_consistent =
+  QCheck2.Test.make ~name:"packed class graph decodes one class per id"
     ~count:60 gen_spec (fun spec ->
-      let net = build_net spec in
-      let digest g =
-        List.init (Timed.num_states g) (fun i ->
-            let s = Timed.state g i in
-            ( s.Timed.ts_marking, s.Timed.ts_flight, s.Timed.ts_pending,
-              s.Timed.ts_flight_iv, s.Timed.ts_pending_iv, s.Timed.ts_env,
-              Timed.successors g i ))
+      let g = Timed.build ~max_states:3_000 (build_net spec) in
+      let n = Timed.num_states g in
+      let key i = { (Timed.state g i) with Timed.ts_index = 0 } in
+      let ids = List.init n Fun.id in
+      let edges dir =
+        List.concat_map dir ids
+        |> List.map (fun e -> (e.Timed.e_from, e.Timed.e_label, e.Timed.e_to))
+        |> List.sort compare
       in
-      let boxed = Timed.build ~max_states:3_000 net in
-      let packed = Timed.build ~max_states:3_000 ~packed:true net in
-      digest boxed = digest packed)
+      List.for_all (fun i -> (Timed.state g i).Timed.ts_index = i) ids
+      && List.length (List.sort_uniq compare (List.map key ids)) = n
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun e ->
+                 e.Timed.e_from = i && e.Timed.e_to >= 0 && e.Timed.e_to < n)
+               (Timed.successors g i)
+             && List.for_all (fun e -> e.Timed.e_to = i) (Timed.predecessors g i))
+           ids
+      && edges (Timed.successors g) = edges (Timed.predecessors g)
+      && List.length (edges (Timed.successors g)) = Timed.num_edges g)
 
 (* A net drawn by QCHECK_SEED=551362141: the explicit oracle hits the
    state cap in a fraction of a second, while the class construction
@@ -212,7 +226,7 @@ let () =
           Alcotest.test_case "slow class net skipped" `Quick
             test_slow_class_net_skipped;
         ] );
-      ("representations", [ q prop_packed_boxed_agree ]);
+      ("representations", [ q prop_packed_store_consistent ]);
       ( "pipeline",
         [ Alcotest.test_case "figure-5 reduction" `Quick test_pipeline_reduction ] );
     ]

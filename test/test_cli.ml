@@ -235,55 +235,64 @@ let test_reach_por () =
   Alcotest.(check bool) "bad generator params rejected" true (code <> 0)
 
 let test_timed_reach () =
-  (* the state-class graph is the default --timed construction; the
-     frozen explicit expansion stays reachable behind --explicit and is
-     strictly larger on the delay-heavy pipeline *)
+  (* --timed builds the packed state-class graph *)
   let out =
     check_run "timed reach" [ "reach"; model_file; "--timed" ]
   in
   Testutil.check_contains "class summary" out "timed state-class graph";
   let err = read_file (tmp "err") in
-  Testutil.check_contains "class stderr" err "reach: classes=";
-  let class_states =
-    Scanf.sscanf
-      (String.concat ""
-         (List.filter
-            (fun l -> String.length l > 7 && String.sub l 0 7 = "states:")
-            (String.split_on_char '\n' out)))
-      "states: %d" Fun.id
-  in
-  let explicit =
-    check_run "explicit timed reach"
-      [ "reach"; model_file; "--timed"; "--explicit" ]
-  in
-  Testutil.check_contains "explicit summary" explicit
-    "timed reachability graph";
-  let explicit_states =
-    Scanf.sscanf
-      (String.concat ""
-         (List.filter
-            (fun l -> String.length l > 7 && String.sub l 0 7 = "states:")
-            (String.split_on_char '\n' explicit)))
-      "states: %d" Fun.id
-  in
-  Alcotest.(check bool) "classes beat explicit states" true
-    (class_states < explicit_states);
-  (* --packed covers --timed now: auto packs the bounded pipeline, off
-     falls back to the boxed build of the same graph *)
-  let boxed =
-    check_run "timed boxed" [ "reach"; model_file; "--timed"; "--packed"; "off" ]
-  in
+  Testutil.check_contains "class stderr" err "reach: classes="
+
+(* The representation and engine switches are gone: the packed store is
+   the only graph layout and the fast simulator the only engine, so the
+   old flags are unknown options (cmdliner's exit 124). *)
+let test_removed_flags () =
+  List.iter
+    (fun args ->
+      let code, _ = run args in
+      Alcotest.(check int) (String.concat " " args ^ " exits 124") 124 code)
+    [ [ "reach"; model_file; "--packed"; "on" ];
+      [ "reach"; model_file; "--timed"; "--explicit" ];
+      [ "sim"; model_file; "--engine"; "fast" ] ];
+  let help cmd = check_run (cmd ^ " help") [ cmd; "--help=plain" ] in
+  let reach = help "reach" and sim = help "sim" in
+  List.iter
+    (fun (what, text, flag) ->
+      Alcotest.(check bool) (what ^ " does not list " ^ flag) false
+        (Testutil.contains text flag))
+    [ ("reach help", reach, "--packed"); ("reach help", reach, "--explicit");
+      ("sim help", sim, "--engine") ]
+
+(* An unbounded pump capped at 50 states: the packed store starts from a
+   guessed field width and widens, so even this net reports a numeric
+   footprint.  The stdout summary and exit 3 are pinned from the
+   boxed-store days. *)
+let test_reach_unbounded_packed () =
+  let pump = tmp "pump4.pn" in
+  let oc = open_out pump in
+  output_string oc
+    "net pump\nplace p init 1\nplace q\ntransition t\n  in p\n  out p, q\n";
+  close_out oc;
+  let code, out = run [ "reach"; pump; "--max-states"; "50" ] in
+  Alcotest.(check int) "state cap exits 3" 3 code;
+  Alcotest.(check string) "summary"
+    "reachability graph of pump\nstates: 50 (truncated)\nedges: 49\n\
+     deadlocks: 1\nsafe: false\nreversible: false\ndead transitions: none\n"
+    out;
   let err = read_file (tmp "err") in
-  Testutil.check_contains "boxed stderr" err "bytes/state=-";
-  Alcotest.(check string) "packed and boxed summaries agree" out boxed;
-  (* --explicit is a --timed refinement, and the explicit expansion has
-     no packed encoding *)
-  let code, _ = run [ "reach"; model_file; "--explicit" ] in
-  Alcotest.(check int) "--explicit without --timed exits 2" 2 code;
-  let code, _ =
-    run [ "reach"; model_file; "--timed"; "--explicit"; "--packed"; "on" ]
-  in
-  Alcotest.(check int) "--explicit --packed on exits 2" 2 code
+  match
+    Scanf.sscanf err "reach: states=50 edges=49 bytes/state=%f " Fun.id
+  with
+  | b -> Alcotest.(check bool) "positive footprint" true (b > 0.0)
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+    Alcotest.failf "no numeric bytes/state on stderr: %S" err
+
+(* The reachability dot of the pipeline, pinned by MD5 from the build
+   that still defaulted to the boxed layout. *)
+let test_dot_reach_digest () =
+  let out = check_run "dot reach" [ "dot"; model_file; "--kind"; "reach" ] in
+  Alcotest.(check string) "dot digest" "377dd827da403e2c4e19baf8ac425448"
+    (Digest.to_hex (Digest.string out))
 
 let test_model_list () =
   let out = check_run "model list" [ "model"; "--list" ] in
@@ -636,6 +645,10 @@ let () =
           Alcotest.test_case "reach query" `Quick test_reach_query;
           Alcotest.test_case "reach por" `Quick test_reach_por;
           Alcotest.test_case "timed reach" `Quick test_timed_reach;
+          Alcotest.test_case "removed flags" `Quick test_removed_flags;
+          Alcotest.test_case "reach unbounded packed" `Quick
+            test_reach_unbounded_packed;
+          Alcotest.test_case "dot reach digest" `Quick test_dot_reach_digest;
           Alcotest.test_case "model list" `Quick test_model_list;
           Alcotest.test_case "invariants" `Quick test_invariants;
           Alcotest.test_case "anim" `Quick test_anim;

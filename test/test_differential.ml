@@ -17,7 +17,7 @@ module B = Net.Builder
 module Expr = Pnut_core.Expr
 module Value = Pnut_core.Value
 module Sim = Pnut_sim.Simulator
-module Ref = Pnut_sim.Reference
+module Ref = Pnut_oracle.Reference
 module Checkpoint = Pnut_sim.Checkpoint
 module Trace = Pnut_trace.Trace
 module Codec = Pnut_trace.Codec

@@ -28,7 +28,7 @@ module Value = Pnut_core.Value
 module Marking = Pnut_core.Marking
 module Env = Pnut_core.Env
 module Sim = Pnut_sim.Simulator
-module Ref = Pnut_sim.Reference
+module Ref = Pnut_oracle.Reference
 module Checkpoint = Pnut_sim.Checkpoint
 module Graph = Pnut_reach.Graph
 

@@ -1,6 +1,6 @@
-(* PR 7: the compact state store.  The packed builder must be
-   invisible: same state numbering, same edge order, same truncation
-   and budget behaviour as the boxed builder, on every class of net the
+(* The compact state store.  The packed builder must be invisible:
+   same state numbering, same edge order, same truncation and budget
+   behaviour as the frozen boxed oracle, on every class of net the
    codec handles — variable-free bounded nets (the zero-env fast
    path), env-bearing interpreted nets (the side table), nets with
    lying declared capacities and unbounded growth (the checked widen
@@ -16,39 +16,41 @@ module Graph = Pnut_reach.Graph
 module Packed = Pnut_reach.Packed
 module Store = Pnut_reach.Store
 module Statekey = Pnut_reach.Statekey
+module Boxed = Pnut_oracle.Boxed_graph
 
 let triples es =
   List.map
     (fun (e : Graph.edge) -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
     es
 
-let summary g = Format.asprintf "%a" Graph.pp_summary g
-
-(* Structural equality of two graphs, representation-blind: states with
-   markings and environments, per-state successor and predecessor
-   lists in order, the global edge list, and the printed summary
-   (which additionally exercises deadlocks, safety, reversibility and
-   dead transitions on both representations). *)
-let graphs_equal ga gb =
-  Graph.complete ga = Graph.complete gb
-  && Graph.num_states ga = Graph.num_states gb
-  && Graph.num_edges ga = Graph.num_edges gb
-  && (let n = Graph.num_states ga in
+(* Structural equality of the oracle's boxed graph and the packed
+   graph: states with markings and environments, per-state successor
+   and predecessor lists in order, the global edge list, and the
+   printed summary (the oracle renders deadlocks, safety,
+   reversibility and dead transitions from its own arrays, so the
+   packed analyses are cross-checked too). *)
+let graphs_equal (ga : Boxed.t) (gb : Graph.t) =
+  Boxed.complete ga = Graph.complete gb
+  && Boxed.num_states ga = Graph.num_states gb
+  && Boxed.num_edges ga = Graph.num_edges gb
+  && (let n = Boxed.num_states ga in
       let ok = ref true in
       for i = 0 to n - 1 do
-        let sa = Graph.state ga i and sb = Graph.state gb i in
+        let sa = Boxed.state ga i and sb = Graph.state gb i in
         if sa.Graph.s_marking <> sb.Graph.s_marking then ok := false;
         if sa.Graph.s_env <> sb.Graph.s_env then ok := false;
-        if triples (Graph.successors ga i) <> triples (Graph.successors gb i)
+        if triples (Boxed.successors ga i) <> triples (Graph.successors gb i)
         then ok := false;
         if
-          triples (Graph.predecessors ga i)
+          triples (Boxed.predecessors ga i)
           <> triples (Graph.predecessors gb i)
         then ok := false
       done;
       !ok)
-  && triples (Graph.edges ga) = triples (Graph.edges gb)
-  && String.equal (summary ga) (summary gb)
+  && triples (Boxed.edges ga) = triples (Graph.edges gb)
+  && String.equal
+       (Format.asprintf "%a" Boxed.pp_summary ga)
+       (Format.asprintf "%a" Graph.pp_summary gb)
 
 (* -- fixed nets -- *)
 
@@ -99,11 +101,11 @@ let pump_net () =
 
 let both ?max_states ?frontier_spill net =
   let boxed =
-    Pnut_exec.Supervisor.value (Graph.build_supervised ?max_states net)
+    Pnut_exec.Supervisor.value (Boxed.build_supervised ?max_states net)
   in
   let packed =
     Pnut_exec.Supervisor.value
-      (Graph.build_supervised ?max_states ~packed:true ?frontier_spill net)
+      (Graph.build_supervised ?max_states ?frontier_spill net)
   in
   (boxed, packed)
 
@@ -133,8 +135,8 @@ let test_lying_capacity_identical () =
     (B.add_transition b "drain" ~inputs:[ (p, 1) ] ~outputs:[ (s, 1) ]
       : Net.transition_id);
   let net = B.build b in
-  let boxed = Graph.build net in
-  let packed = Graph.build ~packed:true net in
+  let boxed = Boxed.build net in
+  let packed = Graph.build net in
   Alcotest.(check int) "sink really exceeds its declared capacity" 5
     (Graph.bound packed 1);
   Alcotest.(check bool) "packed graph equals boxed graph" true
@@ -149,8 +151,8 @@ let test_budget_trip_identical () =
   (* a tripped state budget degrades both builders at the same point *)
   let net = ring ~tokens:6 () in
   let budget = { Pnut_exec.Budget.none with max_states = Some 50 } in
-  let out_boxed = Graph.build_supervised ~budget net in
-  let out_packed = Graph.build_supervised ~budget ~packed:true net in
+  let out_boxed = Boxed.build_supervised ~budget net in
+  let out_packed = Graph.build_supervised ~budget net in
   match (out_boxed, out_packed) with
   | ( Pnut_exec.Supervisor.Degraded { partial = gb; _ },
       Pnut_exec.Supervisor.Degraded { partial = gp; _ } ) ->
@@ -162,10 +164,7 @@ let test_bytes_per_state () =
      the fixed index floor to amortize below the 32-bytes/state target
      (one arena word per state for this net) *)
   let net = ring ~tokens:17 () in
-  let boxed, packed = both ~max_states:10_000 net in
-  Alcotest.(check bool) "boxed graph reports no packed footprint" true
-    (Graph.packed_bytes_per_state boxed = None);
-  match Graph.packed_bytes_per_state packed with
+  match Graph.packed_bytes_per_state (Graph.build ~max_states:10_000 net) with
   | None -> Alcotest.fail "packed graph must report its footprint"
   | Some b ->
     Alcotest.(check bool)
@@ -206,10 +205,6 @@ let delta_overflow_net () =
   t "ret" [ (r1, 1) ] [ (r0, 1) ];
   B.build b
 
-let edge_triples g =
-  List.map
-    (fun e -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
-    (Graph.edges g)
 
 let test_delta_overflow_identical () =
   let net = delta_overflow_net () in
@@ -217,32 +212,34 @@ let test_delta_overflow_identical () =
   List.iter
     (fun por ->
       let what = if por then "por on" else "por off" in
-      let boxed = Graph.build ~max_states:50_000 ~por net in
-      let packed = Graph.build ~max_states:50_000 ~packed:true ~por net in
+      let boxed = Boxed.build ~max_states:50_000 ~por net in
+      let packed = Graph.build ~max_states:50_000 ~por net in
       Alcotest.(check bool) (what ^ ": complete") true
-        (Graph.complete boxed && Graph.complete packed);
+        (Boxed.complete boxed && Graph.complete packed);
       Alcotest.(check bool)
         (what ^ ": c outgrew its guessed 4-bit field")
         true
         (Graph.bound packed 1 > 15);
-      Alcotest.(check int) (what ^ ": states") (Graph.num_states boxed)
+      Alcotest.(check int) (what ^ ": states") (Boxed.num_states boxed)
         (Graph.num_states packed);
-      for i = 0 to Graph.num_states boxed - 1 do
+      for i = 0 to Boxed.num_states boxed - 1 do
         Alcotest.(check (array int))
           (Printf.sprintf "%s: marking of state %d" what i)
-          (Graph.state boxed i).Graph.s_marking
+          (Boxed.state boxed i).Graph.s_marking
           (Graph.state packed i).Graph.s_marking
       done;
       Alcotest.(check (list (triple int int int)))
-        (what ^ ": edges") (edge_triples boxed) (edge_triples packed);
+        (what ^ ": edges")
+        (triples (Boxed.edges boxed))
+        (triples (Graph.edges packed));
       Alcotest.(check bool) (what ^ ": whole graph") true
         (graphs_equal boxed packed))
     [ false; true ]
 
 (* The 9-place ring with 8 tokens (C(16,8) = 12,870 states): an MD5 of
    every state's successor list, recorded from the builders before
-   word-delta successors and pinned for both representations, with and
-   without POR (which prunes nothing on a ring). *)
+   word-delta successors and pinned for the packed graph and the boxed
+   oracle, with and without POR (which prunes nothing on a ring). *)
 let ring9 ~tokens =
   let b = B.create "ring9" in
   let ps =
@@ -259,14 +256,14 @@ let ring9 ~tokens =
   done;
   B.build b
 
-let successor_digest g =
+let successor_digest n successors =
   let buf = Buffer.create (1 lsl 16) in
-  for i = 0 to Graph.num_states g - 1 do
+  for i = 0 to n - 1 do
     Buffer.add_string buf (string_of_int i);
     List.iter
       (fun e ->
         Printf.bprintf buf " %d>%d" e.Graph.e_transition e.Graph.e_to)
-      (Graph.successors g i);
+      (successors i);
     Buffer.add_char buf '\n'
   done;
   Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -276,13 +273,18 @@ let ring9_successor_digest = "b5cb821a38520ff1e1a9292cbd1be374"
 let test_ring_successor_digest () =
   let net = ring9 ~tokens:8 in
   List.iter
-    (fun (packed, por) ->
-      let g = Graph.build ~packed ~por net in
-      let what = Printf.sprintf "packed=%b por=%b" packed por in
+    (fun por ->
+      let g = Graph.build ~por net in
+      let o = Boxed.build ~por net in
+      let what = Printf.sprintf "por=%b" por in
       Alcotest.(check int) (what ^ ": states") 12870 (Graph.num_states g);
       Alcotest.(check string) (what ^ ": successor digest")
-        ring9_successor_digest (successor_digest g))
-    [ (true, true); (false, true); (true, false); (false, false) ]
+        ring9_successor_digest
+        (successor_digest (Graph.num_states g) (Graph.successors g));
+      Alcotest.(check string) (what ^ ": oracle successor digest")
+        ring9_successor_digest
+        (successor_digest (Boxed.num_states o) (Boxed.successors o)))
+    [ true; false ]
 
 (* -- spill-file lifetime -- *)
 
@@ -318,8 +320,7 @@ let test_no_spill_file_leak () =
       (* widen mid-sweep (Field_overflow re-encodes the arena) plus cap
          truncation, with every chunk forced through the file *)
       ignore
-        (Graph.build_supervised ~frontier_spill:0 ~max_states:400 ~packed:true
-           (pump_net ())
+        (Graph.build_supervised ~frontier_spill:0 ~max_states:400 (pump_net ())
           : Graph.t Pnut_exec.Supervisor.outcome);
       Alcotest.(check (list string))
         "widen + truncation leaves no spill file" [] (spill_files dir);
@@ -330,7 +331,7 @@ let test_no_spill_file_leak () =
       (match
          Graph.build_supervised
            ~budget:(Pnut_exec.Budget.make ~cancel:tok ())
-           ~packed:true ~frontier_spill:0 ~max_states:10_000
+           ~frontier_spill:0 ~max_states:10_000
            (ring ~tokens:17 ())
        with
       | Pnut_exec.Supervisor.Degraded _ -> ()
@@ -449,7 +450,7 @@ let prop_roundtrip_and_agreement =
       && ((not same_marking)
          || Packed.hash lay buf ~pos:0 = Packed.hash lay buf ~pos:w))
 
-(* -- qcheck: packed builder equals boxed builder on random
+(* -- qcheck: packed builder equals the boxed oracle on random
       interpreted nets (variables, tables, predicates, actions) -- *)
 
 type spec = {

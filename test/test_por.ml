@@ -10,6 +10,7 @@ module B = Net.Builder
 module Graph = Pnut_reach.Graph
 module Stubborn = Pnut_reach.Stubborn
 module Supervisor = Pnut_exec.Supervisor
+module Boxed = Pnut_oracle.Boxed_graph
 
 let deadlock_markings g =
   Graph.deadlocks g
@@ -32,22 +33,29 @@ let check_same_bounds what net full reduced =
 
 let test_indep_reduction () =
   let net = Pnut_pipeline.Indep.net ~pipelines:6 ~stages:4 in
-  List.iter
-    (fun packed ->
-      let what = if packed then "packed" else "boxed" in
-      let full = Graph.build ~packed net in
-      let reduced = Graph.build ~packed ~por:true net in
-      Alcotest.(check int) (what ^ ": full graph is 5^6") 15625
-        (Graph.num_states full);
-      Alcotest.(check bool)
-        (what ^ ": reduced visits >= 5x fewer states")
-        true
-        (Graph.num_states full >= 5 * Graph.num_states reduced);
-      Alcotest.(check bool) (what ^ ": both complete") true
-        (Graph.complete full && Graph.complete reduced);
-      check_same_deadlocks what full reduced;
-      check_same_bounds what net full reduced)
-    [ false; true ]
+  let full = Graph.build net in
+  let reduced = Graph.build ~por:true net in
+  Alcotest.(check int) "full graph is 5^6" 15625 (Graph.num_states full);
+  Alcotest.(check bool) "reduced visits >= 5x fewer states" true
+    (Graph.num_states full >= 5 * Graph.num_states reduced);
+  Alcotest.(check bool) "both complete" true
+    (Graph.complete full && Graph.complete reduced);
+  check_same_deadlocks "packed" full reduced;
+  check_same_bounds "packed" net full reduced;
+  (* the frozen boxed builder reduces to the same graph *)
+  let oracle = Boxed.build ~por:true net in
+  Alcotest.(check int) "oracle: full graph is 5^6" 15625
+    (Boxed.num_states (Boxed.build net));
+  Alcotest.(check int) "oracle: reduced states" (Graph.num_states reduced)
+    (Boxed.num_states oracle);
+  Alcotest.(check int) "oracle: reduced edges" (Graph.num_edges reduced)
+    (Boxed.num_edges oracle);
+  Alcotest.(check (list (array int)))
+    "oracle: deadlock markings" (deadlock_markings reduced)
+    (List.sort compare
+       (List.map
+          (fun i -> (Boxed.state oracle i).Graph.s_marking)
+          (Boxed.deadlocks oracle)))
 
 let test_indep_deadlock_is_final_slots () =
   (* the unique deadlock has every token in its pipeline's last slot —
@@ -82,32 +90,32 @@ let test_indep_parse_name () =
       "indep6x4b"; "indep-1x4" ]
 
 (* -- determinism: the reduced set is a function of the marking alone,
-   so repeated builds and the boxed and packed builders share one
+   so repeated builds and the frozen boxed builder share one
    numbering -- *)
 
 let test_reduced_numbering_identical () =
   let net = Pnut_pipeline.Indep.net ~pipelines:4 ~stages:3 in
   let reference = Graph.build ~por:true net in
-  let markings g =
-    Array.init (Graph.num_states g) (fun i -> (Graph.state g i).Graph.s_marking)
+  let markings n state = Array.init n (fun i -> (state i).Graph.s_marking) in
+  let triples =
+    List.map (fun e -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
   in
-  let edges g =
-    List.map
-      (fun e -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
-      (Graph.edges g)
+  let check what complete n state edges =
+    Alcotest.(check bool) (what ^ " complete") true complete;
+    Alcotest.(check (array (array int)))
+      (what ^ ": state numbering identical")
+      (markings (Graph.num_states reference) (Graph.state reference))
+      (markings n state);
+    Alcotest.(check (list (triple int int int)))
+      (what ^ ": edges identical")
+      (triples (Graph.edges reference)) (triples edges)
   in
-  List.iter
-    (fun packed ->
-      let what = if packed then "packed" else "boxed rebuild" in
-      let g = Graph.build ~packed ~por:true net in
-      Alcotest.(check bool) (what ^ " complete") true (Graph.complete g);
-      Alcotest.(check (array (array int)))
-        (what ^ ": state numbering identical")
-        (markings reference) (markings g);
-      Alcotest.(check (list (triple int int int)))
-        (what ^ ": edges identical")
-        (edges reference) (edges g))
-    [ false; true ]
+  let g = Graph.build ~por:true net in
+  check "rebuild" (Graph.complete g) (Graph.num_states g) (Graph.state g)
+    (Graph.edges g);
+  let o = Boxed.build ~por:true net in
+  check "boxed oracle" (Boxed.complete o) (Boxed.num_states o) (Boxed.state o)
+    (Boxed.edges o)
 
 (* -- random terminating nets: differential full vs reduced -- *)
 
@@ -177,13 +185,13 @@ let prop_differential =
           QCheck2.Test.fail_reportf "bound of place %d differs: %d vs %d" p
             (Graph.bound full p) (Graph.bound reduced p)
       done;
-      (* never more states than the full graph, and the packed reduced
-         build matches the boxed reduced build state-for-state *)
+      (* never more states than the full graph, and the reduced build
+         matches the frozen boxed reduced build *)
       if Graph.num_states reduced > Graph.num_states full then
         QCheck2.Test.fail_report "reduced graph larger than full";
-      let packed = Graph.build ~max_states:200_000 ~packed:true ~por:true net in
-      if Graph.num_states packed <> Graph.num_states reduced
-         || Graph.num_edges packed <> Graph.num_edges reduced
+      let boxed = Boxed.build ~max_states:200_000 ~por:true net in
+      if Boxed.num_states boxed <> Graph.num_states reduced
+         || Boxed.num_edges boxed <> Graph.num_edges reduced
       then QCheck2.Test.fail_report "packed/boxed reduced builds disagree";
       true)
 

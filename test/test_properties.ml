@@ -253,21 +253,21 @@ let prop_timed_graph_well_formed =
   QCheck2.Test.make ~name:"explicit timed graphs are well-formed" ~count:60 gen_spec
     (fun spec ->
       let net = build_net spec in
-      match Pnut_reach.Timed_explicit.build ~max_states:400 ~horizon:20.0 net with
+      match Pnut_oracle.Timed_explicit.build ~max_states:400 ~horizon:20.0 net with
       | exception Invalid_argument _ -> true
       | g ->
         let ok = ref true in
-        for i = 0 to Pnut_reach.Timed_explicit.num_states g - 1 do
-          let s = Pnut_reach.Timed_explicit.state g i in
+        for i = 0 to Pnut_oracle.Timed_explicit.num_states g - 1 do
+          let s = Pnut_oracle.Timed_explicit.state g i in
           let residuals =
-            List.map snd s.Pnut_reach.Timed_explicit.ts_in_flight
-            @ List.map snd s.Pnut_reach.Timed_explicit.ts_pending
+            List.map snd s.Pnut_oracle.Timed_explicit.ts_in_flight
+            @ List.map snd s.Pnut_oracle.Timed_explicit.ts_pending
           in
           if List.exists (fun r -> r < 0.0) residuals then ok := false;
           List.iter
             (fun e ->
-              match e.Pnut_reach.Timed_explicit.e_label with
-              | Pnut_reach.Timed_explicit.Tick d ->
+              match e.Pnut_oracle.Timed_explicit.e_label with
+              | Pnut_oracle.Timed_explicit.Tick d ->
                 let positive_residuals =
                   List.filter (fun r -> r > 0.0) residuals
                 in
@@ -277,18 +277,18 @@ let prop_timed_graph_well_formed =
                         (List.fold_left Float.min d positive_residuals -. d)
                       > 1e-9
                 then ok := false
-              | Pnut_reach.Timed_explicit.Fire tid ->
-                (match List.assoc_opt tid s.Pnut_reach.Timed_explicit.ts_pending with
+              | Pnut_oracle.Timed_explicit.Fire tid ->
+                (match List.assoc_opt tid s.Pnut_oracle.Timed_explicit.ts_pending with
                 | Some r when Float.equal r 0.0 -> ()
                 | Some _ | None -> ok := false)
-              | Pnut_reach.Timed_explicit.Complete tid ->
+              | Pnut_oracle.Timed_explicit.Complete tid ->
                 if
                   not
                     (List.exists
                        (fun (t, r) -> t = tid && Float.equal r 0.0)
-                       s.Pnut_reach.Timed_explicit.ts_in_flight)
+                       s.Pnut_oracle.Timed_explicit.ts_in_flight)
                 then ok := false)
-            (Pnut_reach.Timed_explicit.successors g i)
+            (Pnut_oracle.Timed_explicit.successors g i)
         done;
         !ok)
 

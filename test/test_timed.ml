@@ -6,7 +6,7 @@ module Expr = Pnut_core.Expr
 module Value = Pnut_core.Value
 module B = Net.Builder
 module Timed = Pnut_reach.Timed
-module Tx = Pnut_reach.Timed_explicit
+module Tx = Pnut_oracle.Timed_explicit
 
 let one_shot ~firing ~enabling =
   let b = B.create "oneshot" in
@@ -152,6 +152,21 @@ let test_never_fires () =
   Alcotest.(check (option (float 0.0))) "unreachable firing" None
     (Timed.min_cycle_time net t)
 
+(* A non-positive cap is a usage error, as for [build] — not [None],
+   which would claim the transition never fires.  A cap of one settles
+   the initial vector, where the pipeline's first transition fires. *)
+let test_min_cycle_time_cap () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let t = Net.transition_id net "Start_prefetch" in
+  List.iter
+    (fun cap ->
+      match Timed.min_cycle_time ~max_states:cap net t with
+      | _ -> Alcotest.failf "max_states:%d accepted" cap
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ];
+  Alcotest.(check (option (float 0.0))) "cap 1" (Some 0.0)
+    (Timed.min_cycle_time ~max_states:1 net t)
+
 let three_stage () =
   let b = B.create "3stage" in
   let a = B.add_place b "a" ~initial:1 in
@@ -180,16 +195,23 @@ let test_agreement_with_simulator () =
   in
   Alcotest.(check (list (float 0.0))) "simulator agrees" [ 5.0 ] s3_starts
 
+(* Every class graph lives in the packed store, and a budgeted build
+   that completes decodes to exactly the unbudgeted graph. *)
 let test_packed_build () =
   let net, _ = three_stage () in
-  let boxed = Timed.build net in
-  let packed = Timed.build ~packed:true net in
+  let plain = Timed.build net in
+  let budgeted =
+    Pnut_exec.Supervisor.value
+      (Timed.build_supervised
+         ~budget:(Pnut_exec.Budget.make ~wall_s:3600.0 ())
+         net)
+  in
   Alcotest.(check bool) "packed is packed" true
-    (Timed.packed_bytes_per_state packed <> None);
-  Alcotest.(check int) "same classes" (Timed.num_states boxed)
-    (Timed.num_states packed);
-  Alcotest.(check int) "same edges" (Timed.num_edges boxed)
-    (Timed.num_edges packed);
+    (Timed.packed_bytes_per_state plain <> None);
+  Alcotest.(check int) "same classes" (Timed.num_states plain)
+    (Timed.num_states budgeted);
+  Alcotest.(check int) "same edges" (Timed.num_edges plain)
+    (Timed.num_edges budgeted);
   let digest g =
     List.init (Timed.num_states g) (fun i ->
         let s = Timed.state g i in
@@ -197,7 +219,8 @@ let test_packed_build () =
           s.Timed.ts_flight_iv, s.Timed.ts_pending_iv, s.Timed.ts_env,
           Timed.successors g i ))
   in
-  Alcotest.(check bool) "same decoded graph" true (digest boxed = digest packed)
+  Alcotest.(check bool) "same decoded graph" true
+    (digest plain = digest budgeted)
 
 (* -- exact vector identity --
 
@@ -344,17 +367,12 @@ let pin_pipeline ~memory ?buffer ~classes ~edges ~vectors ~digest () =
     | None -> cfg
   in
   let net = Pnut_pipeline.Model.full cfg in
-  List.iter
-    (fun packed ->
-      let g = Timed.build ~max_states:100_000 ~packed net in
-      Alcotest.(check bool) "complete" true (Timed.complete g);
-      Alcotest.(check int) "classes" classes (Timed.num_states g);
-      Alcotest.(check int) "edges" edges (Timed.num_edges g);
-      Alcotest.(check int) "vectors" vectors (Timed.num_vectors g);
-      Alcotest.(check string)
-        (if packed then "packed digest" else "boxed digest")
-        digest (graph_digest g))
-    [ true; false ]
+  let g = Timed.build ~max_states:100_000 net in
+  Alcotest.(check bool) "complete" true (Timed.complete g);
+  Alcotest.(check int) "classes" classes (Timed.num_states g);
+  Alcotest.(check int) "edges" edges (Timed.num_edges g);
+  Alcotest.(check int) "vectors" vectors (Timed.num_vectors g);
+  Alcotest.(check string) "digest" digest (graph_digest g)
 
 let test_pin_memory_10 () =
   pin_pipeline ~memory:10.0 ~classes:914 ~edges:1903 ~vectors:5167
@@ -541,6 +559,8 @@ let () =
       ( "queries",
         [
           Alcotest.test_case "never fires" `Quick test_never_fires;
+          Alcotest.test_case "min cycle time cap" `Quick
+            test_min_cycle_time_cap;
           Alcotest.test_case "simulator agreement" `Quick
             test_agreement_with_simulator;
           Alcotest.test_case "summaries" `Quick test_summaries;
