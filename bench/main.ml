@@ -577,6 +577,97 @@ let shape_verdicts () =
 
 (* -- Machine-readable benchmarks (--bench-json) -- *)
 
+(* The report is a table of cases: each measures one section as a [json]
+   value and gates it with checks on paths of that value.  One emitter
+   prints the tree, one reporter the gates; floors read the baseline by path. *)
+
+module Graph = Pnut_reach.Graph
+module Timed = Pnut_reach.Timed
+module Timed_explicit = Pnut_oracle.Timed_explicit
+
+type json =
+  | Int of int | Float of float | Bool of bool | Str of string
+  | List of json list | Obj of (string * json) list
+
+(* [x] rounded to [dp] decimals (seconds keep 6, rates 0); the emitter
+   prints the shortest decimal of the rounded value. *)
+let num ?(dp = 6) x =
+  let scale = 10.0 ** float_of_int dp in
+  Float (Float.round (x *. scale) /. scale)
+
+let ratio ?(dp = 3) a b = num ~dp (if b > 0.0 then a /. b else 0.0)
+let rate count s = ratio ~dp:0 (float_of_int count) s
+
+(* [n] [what] (states, events) in [s] seconds, and their rate *)
+let throughput what n s =
+  [ (what, Int n); ("seconds", num s); (what ^ "_per_sec", rate n s) ]
+
+(* Containers of scalars print on one line, anything deeper one member
+   per line. *)
+let rec to_string indent = function
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%.15g" f
+  | Bool v -> string_of_bool v
+  | Str s -> Printf.sprintf "%S" s
+  | List l -> members indent "[" "]" (List.map (fun v -> ("", v)) l)
+  | Obj kv ->
+    members indent "{" "}" (List.map (fun (k, v) -> (Printf.sprintf "%S: " k, v)) kv)
+
+and members indent opening closing ms =
+  let nested = List.exists (function _, (List _ | Obj _) -> true | _ -> false) ms in
+  let pad n = if nested then "\n" ^ String.make n ' ' else " " in
+  let item (key, v) = pad (indent + 2) ^ key ^ to_string (indent + 2) v in
+  opening ^ String.concat "," (List.map item ms) ^ pad indent ^ closing
+
+(* Enough of JSON to read a report back: strings carry no escapes. *)
+let parse s =
+  let pos = ref 0 in
+  let fail () = failwith (Printf.sprintf "malformed JSON at byte %d" !pos) in
+  let span ok =
+    let i = !pos in
+    while !pos < String.length s && ok s.[!pos] do incr pos done;
+    String.sub s i (!pos - i)
+  in
+  let peek () =
+    ignore (span (String.contains " \t\r\n"));
+    if !pos < String.length s then s.[!pos] else '\000'
+  in
+  let expect c = if peek () = c then incr pos else fail () in
+  let str () = expect '"'; let v = span (( <> ) '"') in expect '"'; v in
+  let seq close item =
+    if peek () = close then (incr pos; [])
+    else
+      let rec more acc =
+        let acc = item () :: acc in
+        if peek () = ',' then (incr pos; more acc) else (expect close; List.rev acc)
+      in
+      more []
+  in
+  let rec value () =
+    match peek () with
+    | '{' -> incr pos; Obj (seq '}' (fun () -> let k = str () in expect ':'; (k, value ())))
+    | '[' -> incr pos; List (seq ']' value)
+    | '"' -> Str (str ())
+    | _ -> (
+      match span (String.contains "+-.0123456789Eaeflnrstu") with
+      | "true" -> Bool true
+      | "false" -> Bool false
+      | w -> (match float_of_string_opt w with Some f -> Float f | None -> fail ()))
+  in
+  let v = value () in
+  if peek () <> '\000' then fail ();
+  v
+
+(* The value at a dotted path such as [reach.timed.states_per_sec]. *)
+let at j path =
+  List.fold_left
+    (fun j key -> match j with Some (Obj kv) -> List.assoc_opt key kv | _ -> None)
+    (Some j) (String.split_on_char '.' path)
+
+let number j path =
+  match at j path with
+  | Some (Int i) -> Some (float_of_int i) | Some (Float f) -> Some f | _ -> None
+
 let wall f =
   let t0 = Unix.gettimeofday () in
   let v = f () in
@@ -594,764 +685,465 @@ let best_of n f =
   done;
   (v, !best)
 
-(* Extract [<section>.<field>] from a committed BENCH_*.json without a
-   JSON dependency: find the section key, then the first occurrence of
-   the field after it.  Returns [None] when the file or key is missing —
-   the caller treats that as "no baseline to compare". *)
-let baseline_metric file ~section ~field =
-  match
-    (try
-       let ic = open_in file in
-       let len = in_channel_length ic in
-       let s = really_input_string ic len in
-       close_in ic;
-       Some s
-     with Sys_error _ -> None)
-  with
-  | None -> None
-  | Some s ->
-    let index_sub sub start =
-      let n = String.length s and m = String.length sub in
-      let rec go i =
-        if i + m > n then None
-        else if String.sub s i m = sub then Some i
-        else go (i + 1)
-      in
-      go start
-    in
-    let needle = Printf.sprintf "\"%s\":" field in
-    Option.bind (index_sub (Printf.sprintf "\"%s\"" section) 0) (fun i ->
-        Option.bind (index_sub needle i) (fun j ->
-            let k = ref (j + String.length needle) in
-            while !k < String.length s && s.[!k] = ' ' do incr k done;
-            let start = !k in
-            while
-              !k < String.length s
-              && (match s.[!k] with
-                 | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-                 | _ -> false)
-            do
-              incr k
-            done;
-            float_of_string_opt (String.sub s start (!k - start))))
+(* A check reads a path below its gate's path. *)
+type check =
+  | Show of string  (* only prints the value next to the verdict *)
+  | Is of string  (* a boolean that must be true *)
+  | At_most of string * float
+  | At_least of string * float
 
-let bench_json ~quick ~file ?baseline () =
-  (* Read the committed baselines before anything is written: CI points
-     [~baseline] at the same path it regenerates. *)
-  let baseline_sim_rate =
-    Option.bind baseline
-      (baseline_metric ~section:"sim" ~field:"events_per_sec")
+(* A case's gates are named by their path below the section [name]. *)
+type case = {
+  name : string;
+  run : quick:bool -> json;
+  gates : quick:bool -> (string * check list) list;
+}
+
+let replicate =
+  let run ~quick =
+    let runs = if quick then 16 else 64 and until = if quick then 1_000.0 else 2_000.0 in
+    let net = Model.full default and read r = Stat.throughput r "Issue" in
+    let rep jobs = Pnut_stat.Replication.replicate ~seed:7 ~jobs ~runs ~until net read in
+    let sweep = List.map (fun jobs -> (jobs, wall (fun () -> rep jobs))) [ 1; 2; 4 ] in
+    let _, (e1, serial_s) = List.hd sweep in
+    (* Parked worker domains join every stop-the-world minor GC, which
+       taxes the serial allocation-heavy measurements that follow — ~2x
+       on a single-core box.  Retire the pool after the replication
+       sweep so the serial sections measure a serial process. *)
+    Pnut_exec.Pool.quiesce ();
+    let row (jobs, (_, s)) =
+      let speedup = if s > 0.0 then serial_s /. s else 0.0 in
+      Obj
+        [ ("jobs", Int jobs); ("seconds", num s); ("speedup", num ~dp:3 speedup);
+          ("parallel_efficiency", num ~dp:3 (speedup /. float_of_int jobs)) ]
+    in
+    Obj
+      [ ("runs", Int runs); ("until", Float until);
+        ("identical_across_jobs", Bool (List.for_all (fun (_, (e, _)) -> e = e1) sweep));
+        ("sweep", List (List.map row sweep)) ]
   in
-  let baseline_reach_rate =
-    Option.bind baseline
-      (baseline_metric ~section:"reach" ~field:"states_per_sec")
+  { name = "replicate"; run; gates = (fun ~quick:_ -> []) }
+
+(* bit-identity of the packed graph and the boxed oracle: every state
+   (marking and environment), every successor and predecessor list in
+   order, truncation flag *)
+let graphs_identical a b =
+  let triples es =
+    List.map (fun (e : Graph.edge) -> (e.e_from, e.e_transition, e.e_to)) es
   in
-  let baseline_timed_rate =
-    Option.bind baseline
-      (baseline_metric ~section:"timed" ~field:"states_per_sec")
-  in
-  let cores = Domain.recommended_domain_count () in
-  let b = Buffer.create 4096 in
-  (* replicate sweep *)
-  let rep_runs = if quick then 16 else 64 in
-  let rep_until = if quick then 1_000.0 else 2_000.0 in
-  let net = Model.full default in
-  let read r = Stat.throughput r "Issue" in
-  let rep =
-    List.map
-      (fun jobs ->
-        let e, s =
-          wall (fun () ->
-              Pnut_stat.Replication.replicate ~seed:7 ~jobs ~runs:rep_runs
-                ~until:rep_until net read)
-        in
-        (jobs, e, s))
-      [ 1; 2; 4 ]
-  in
-  let _, e1, rep_serial_s = List.hd rep in
-  let rep_identical = List.for_all (fun (_, e, _) -> e = e1) rep in
-  (* Parked worker domains join every stop-the-world minor GC, which
-     taxes the serial allocation-heavy measurements that follow — ~2x
-     on a single-core box.  Retire the pool after the replication sweep
-     so the serial sections measure a serial process. *)
-  Pnut_exec.Pool.quiesce ();
-  (* reachability: the serial kernel build on the Figure 1-3 pipeline
-     and the branching model *)
-  let reach_cap = if quick then 10_000 else 20_000 in
-  let reach_reps = if quick then 3 else 5 in
-  let reach_models =
-    List.map
-      (fun (name, m) ->
-        let g, s =
-          best_of reach_reps (fun () ->
-              Pnut_reach.Graph.build ~max_states:reach_cap m)
-        in
-        (name, Pnut_reach.Graph.num_states g, s))
-      [ ("pipeline", net);
-        ("branching", Pnut_pipeline.Branching.full default) ]
-  in
-  let _, kernel_states, kernel_s =
-    match reach_models with r :: _ -> r | [] -> assert false
-  in
-  (* The compact arena store against the frozen boxed builder of the
-     test-only oracle library.  The model is a 9-place token ring
-     (states = C(N+8,8): N=17 gives 1,081,575, N=10 the quick run's
-     43,758) — big enough that per-state boxing
-     and hashtable nodes dominate the boxed build.  The ring conserves
-     its tokens, so every place bound is known to the codec and a state
-     packs into a single word. *)
-  let ring_tokens = if quick then 10 else 17 in
+  Boxed.complete a = Graph.complete b
+  && Boxed.num_states a = Graph.num_states b
+  && Boxed.num_edges a = Graph.num_edges b
+  && List.for_all
+       (fun i ->
+         let sa = Boxed.state a i and sb = Graph.state b i in
+         sa.Graph.s_marking = sb.Graph.s_marking
+         && sa.s_env = sb.s_env
+         && triples (Boxed.successors a i) = triples (Graph.successors b i)
+         && triples (Boxed.predecessors a i) = triples (Graph.predecessors b i))
+       (List.init (Boxed.num_states a) Fun.id)
+
+(* The compact arena store against the frozen boxed builder of the
+   test-only oracle library.  The model is a 9-place token ring (states
+   = C(N+8,8): N=17 gives 1,081,575, N=10 the quick run's 43,758) — big
+   enough that per-state boxing and hashtable nodes dominate the boxed
+   build.  The ring conserves its tokens, so every place bound is known
+   to the codec and a state packs into a single word.  The [figures]
+   are compared with the oracle state by state at the kernel cap. *)
+let packed_section ~quick ~cap figures =
+  let tokens = if quick then 10 else 17 in
   let ring =
     let rb = Net.Builder.create "ring9" in
-    let ps =
-      Array.init 9 (fun i ->
-          Net.Builder.add_place rb
-            (Printf.sprintf "r%d" i)
-            ~initial:(if i = 0 then ring_tokens else 0))
+    let place i =
+      Net.Builder.add_place rb (Printf.sprintf "r%d" i)
+        ~initial:(if i = 0 then tokens else 0)
     in
+    let ps = Array.init 9 place in
     for i = 0 to 8 do
       ignore
-        (Net.Builder.add_transition rb
-           (Printf.sprintf "rt%d" i)
-           ~inputs:[ (ps.(i), 1) ]
-           ~outputs:[ (ps.((i + 1) mod 9), 1) ]
+        (Net.Builder.add_transition rb (Printf.sprintf "rt%d" i)
+           ~inputs:[ (ps.(i), 1) ] ~outputs:[ (ps.((i + 1) mod 9), 1) ]
           : Net.transition_id)
     done;
     Net.Builder.build rb
   in
   let ring_cap = 2_000_000 in
-  let packed_reps = 3 in
-  let ring_boxed_g, ring_boxed_s =
-    best_of packed_reps (fun () -> Boxed.build ~max_states:ring_cap ring)
-  in
-  let ring_packed_g, ring_packed_s =
-    best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:ring_cap ring)
-  in
-  let ring_states = Pnut_reach.Graph.num_states ring_packed_g in
-  let ring_edges = Pnut_reach.Graph.num_edges ring_packed_g in
-  let packed_bytes_per_state =
-    Option.get (Pnut_reach.Graph.packed_bytes_per_state ring_packed_g)
-  in
-  (* bit-identity of the packed graph and the boxed oracle on the
-     Figure 1-3 models: every state (marking and environment), every
-     successor and predecessor list in order, truncation flag *)
-  let edge_triples es =
-    List.map
-      (fun (e : Pnut_reach.Graph.edge) ->
-        (e.Pnut_reach.Graph.e_from, e.Pnut_reach.Graph.e_transition,
-         e.Pnut_reach.Graph.e_to))
-      es
-  in
-  let graphs_identical a b =
-    Boxed.complete a = Pnut_reach.Graph.complete b
-    && Boxed.num_states a = Pnut_reach.Graph.num_states b
-    && Boxed.num_edges a = Pnut_reach.Graph.num_edges b
-    &&
-    let n = Boxed.num_states a in
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      let sa = Boxed.state a i and sb = Pnut_reach.Graph.state b i in
-      if
-        sa.Pnut_reach.Graph.s_marking <> sb.Pnut_reach.Graph.s_marking
-        || sa.Pnut_reach.Graph.s_env <> sb.Pnut_reach.Graph.s_env
-        || edge_triples (Boxed.successors a i)
-           <> edge_triples (Pnut_reach.Graph.successors b i)
-        || edge_triples (Boxed.predecessors a i)
-           <> edge_triples (Pnut_reach.Graph.predecessors b i)
-      then ok := false
-    done;
-    !ok
-  in
-  let packed_identical =
+  let boxed_g, boxed_s = best_of 3 (fun () -> Boxed.build ~max_states:ring_cap ring) in
+  let g, s = best_of 3 (fun () -> Graph.build ~max_states:ring_cap ring) in
+  let states = Graph.num_states g and edges = Graph.num_edges g in
+  let bytes_per_state = Option.get (Graph.packed_bytes_per_state g) in
+  let identical =
     List.for_all
       (fun m ->
-        graphs_identical
-          (Boxed.build ~max_states:reach_cap m)
-          (Pnut_reach.Graph.build ~max_states:reach_cap m))
-      [ net; Pnut_pipeline.Branching.full default ]
-    && (if quick then graphs_identical ring_boxed_g ring_packed_g
+        graphs_identical (Boxed.build ~max_states:cap m) (Graph.build ~max_states:cap m))
+      figures
+    && (if quick then graphs_identical boxed_g g
         else
           (* at 10^6 states the full deep compare costs more than the
              builds; counts and truncation are checked, the per-state
              deep identity rides the quick run and the test suite *)
-          Boxed.num_states ring_boxed_g = ring_states
-          && Boxed.num_edges ring_boxed_g = ring_edges
-          && Boxed.complete ring_boxed_g
-             = Pnut_reach.Graph.complete ring_packed_g)
+          Boxed.num_states boxed_g = states
+          && Boxed.num_edges boxed_g = edges
+          && Boxed.complete boxed_g = Graph.complete g)
   in
-  (* PR 9: stubborn-set reduction on indep6x4 — six independent 4-stage
-     pipelines, the pure interleaving explosion (5^6 = 15625 full
-     states).  Both the deadlock-set identity and the >= 5x reduction
-     are deterministic state counts, gated absolutely in quick and full
-     runs alike; the timings ride along as advisory data. *)
-  let indep = Pnut_pipeline.Indep.net ~pipelines:6 ~stages:4 in
-  let por_cap = 200_000 in
-  let por_full_g, por_full_s =
-    best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:por_cap indep)
+  Obj
+    [ ("model", Str "ring9"); ("tokens", Int tokens); ("states", Int states);
+      ("edges", Int edges);
+      ("boxed",
+       Obj [ ("seconds", num boxed_s); ("states_per_sec", rate states boxed_s) ]);
+      ("seconds", num s); ("states_per_sec", rate states s);
+      ("speedup_vs_boxed", ratio boxed_s s);
+      ("speedup_at_least_1_5x", Bool (boxed_s >= 1.5 *. s));
+      ("bytes_per_state", num ~dp:2 bytes_per_state);
+      ("bytes_per_state_at_most_32", Bool (bytes_per_state <= 32.0));
+      ("identical_on_figures", Bool identical) ]
+
+(* Stubborn-set reduction on indep6x4 — six independent 4-stage
+   pipelines, the pure interleaving explosion (5^6 = 15625 full
+   states).  Both the deadlock-set identity and the >= 5x reduction
+   are deterministic state counts, gated absolutely in quick and full
+   runs alike; the timings ride along as advisory data. *)
+let por_section () =
+  let indep = Pnut_pipeline.Indep.net ~pipelines:6 ~stages:4 and cap = 200_000 in
+  let build por = best_of 3 (fun () -> Graph.build ~max_states:cap ~por indep) in
+  let full_g, full_s = build false in
+  let red_g, red_s = build true in
+  let full = Graph.num_states full_g and red = Graph.num_states red_g in
+  let deadlocks state ids =
+    List.sort compare (List.map (fun i -> (state i).Graph.s_marking) ids)
   in
-  let por_red_g, por_red_s =
-    best_of packed_reps (fun () ->
-        Pnut_reach.Graph.build ~max_states:por_cap ~por:true indep)
+  let boxed por =
+    let g = Boxed.build ~max_states:cap ~por indep in
+    deadlocks (Boxed.state g) (Boxed.deadlocks g)
   in
-  let por_full_states = Pnut_reach.Graph.num_states por_full_g in
-  let por_red_states = Pnut_reach.Graph.num_states por_red_g in
-  let deadlock_markings g =
-    List.sort compare
-      (List.map
-         (fun i ->
-           (Pnut_reach.Graph.state g i).Pnut_reach.Graph.s_marking)
-         (Pnut_reach.Graph.deadlocks g))
-  in
-  let boxed_deadlock_markings g =
-    List.sort compare
-      (List.map
-         (fun i -> (Boxed.state g i).Pnut_reach.Graph.s_marking)
-         (Boxed.deadlocks g))
-  in
-  let por_deadlocks_identical =
-    deadlock_markings por_full_g = deadlock_markings por_red_g
+  let deadlocks_identical =
+    deadlocks (Graph.state full_g) (Graph.deadlocks full_g)
+    = deadlocks (Graph.state red_g) (Graph.deadlocks red_g)
     && (* the boxed oracle's builds must agree with each other too *)
-    boxed_deadlock_markings (Boxed.build ~max_states:por_cap indep)
-    = boxed_deadlock_markings (Boxed.build ~max_states:por_cap ~por:true indep)
+    boxed false = boxed true
   in
-  let por_reduction =
-    float_of_int por_full_states /. float_of_int (max 1 por_red_states)
+  Obj
+    [ ("model", Str "indep6x4");
+      ("full", Obj [ ("states", Int full); ("seconds", num full_s) ]);
+      ("reduced", Obj [ ("states", Int red); ("seconds", num red_s) ]);
+      ("reduction", ratio ~dp:1 (float_of_int full) (float_of_int (max 1 red)));
+      ("reduction_at_least_5x", Bool (full >= 5 * red));
+      ("deadlock_sets_identical", Bool deadlocks_identical) ]
+
+(* The timed state-class graph against the frozen explicit
+   expansion on the Figure 1-3 pipeline with a 10-cycle memory — the
+   longer the deterministic delays, the more distinct clock valuations
+   the explicit expansion enumerates per marking, and the more the
+   interval-domain classes collapse.  Both graphs must agree on the
+   reachable-marking and deadlock-marking sets (that is the whole
+   correctness contract), the class count must be >= 5x smaller and
+   the class build no slower than the explicit one. *)
+let timed_section () =
+  let net = Model.full { default with memory_cycles = 10.0 } and cap = 200_000 in
+  let g, s = best_of 3 (fun () -> Timed.build ~max_states:cap net) in
+  let xg, xs = best_of 3 (fun () -> Timed_explicit.build ~max_states:cap net) in
+  let classes = Timed.num_states g and explicit = Timed_explicit.num_states xg in
+  let marking i = (Timed.state g i).ts_marking
+  and explicit_marking i = (Timed_explicit.state xg i).ts_marking in
+  let same_sets a b = List.sort_uniq compare a = List.sort_uniq compare b in
+  Obj
+    [ ("states_per_sec", rate classes s);
+      ("model", Str "pipeline (Model.full, memory_cycles=10)");
+      ("classes", Int classes); ("vectors", Int (Timed.num_vectors g));
+      ("seconds", num s);
+      ("explicit", Obj (throughput "states" explicit xs));
+      ("class_over_explicit_s", ratio s xs);
+      ("reduction_vs_explicit",
+       ratio ~dp:2 (float_of_int explicit) (float_of_int (max 1 classes)));
+      ("reduction_at_least_5x", Bool (explicit >= 5 * classes));
+      ("marking_sets_identical",
+       Bool (same_sets (List.init classes marking) (List.init explicit explicit_marking)));
+      ("deadlock_sets_identical",
+       Bool
+         (same_sets (List.map marking (Timed.deadlocks g))
+            (List.map explicit_marking (Timed_explicit.deadlocks xg))));
+      ("bytes_per_state", num ~dp:2 (Option.get (Timed.packed_bytes_per_state g))) ]
+
+let reach =
+  let run ~quick =
+    (* the serial kernel build on the Figure 1-3 pipeline and the
+       branching model; the pipeline row is the gated headline *)
+    let figures = [ Model.full default; Pnut_pipeline.Branching.full default ] in
+    let cap = if quick then 10_000 else 20_000 and reps = if quick then 3 else 5 in
+    let models =
+      List.map2
+        (fun name m ->
+          let g, s = best_of reps (fun () -> Graph.build ~max_states:cap m) in
+          (name, Graph.num_states g, s))
+        [ "pipeline"; "branching" ] figures
+    in
+    let packed = packed_section ~quick ~cap figures in
+    let por = por_section () in
+    let timed = timed_section () in
+    let _, states, s = List.hd models in
+    let row (name, n, s) = Obj (("model", Str name) :: throughput "states" n s) in
+    Obj
+      [ ("states_per_sec", rate states s); ("max_states", Int cap);
+        ("kernel", Obj [ ("states", Int states); ("seconds", num s) ]);
+        ("models", List (List.map row models));
+        ("packed", packed); ("por", por); ("timed", timed) ]
   in
-  (* PR 10: the timed state-class graph against the frozen explicit
-     expansion on the Figure 1-3 pipeline with a 10-cycle memory — the
-     longer the deterministic delays, the more distinct clock
-     valuations the explicit expansion enumerates per marking, and the
-     more the interval-domain classes collapse.  Both graphs must agree
-     on the reachable-marking and deadlock-marking sets (that is the
-     whole correctness contract), the class count must be >= 5x
-     smaller and the class build no slower than the explicit one. *)
-  let timed_net = Model.full { default with memory_cycles = 10.0 } in
-  let timed_cap = 200_000 in
-  let timed_class_g, timed_class_s =
-    best_of packed_reps (fun () ->
-        Pnut_reach.Timed.build ~max_states:timed_cap timed_net)
-  in
-  let timed_explicit_g, timed_explicit_s =
-    best_of packed_reps (fun () ->
-        Pnut_oracle.Timed_explicit.build ~max_states:timed_cap timed_net)
-  in
-  let timed_classes = Pnut_reach.Timed.num_states timed_class_g in
-  let timed_vectors = Pnut_reach.Timed.num_vectors timed_class_g in
-  let timed_explicit_states =
-    Pnut_oracle.Timed_explicit.num_states timed_explicit_g
-  in
-  let timed_reduction =
-    float_of_int timed_explicit_states /. float_of_int (max 1 timed_classes)
-  in
-  let timed_class_over_explicit = timed_class_s /. timed_explicit_s in
-  let timed_markings_identical =
-    List.sort_uniq compare
-      (List.init timed_classes (fun i ->
-           (Pnut_reach.Timed.state timed_class_g i)
-             .Pnut_reach.Timed.ts_marking))
-    = List.sort_uniq compare
-        (List.init timed_explicit_states (fun i ->
-             (Pnut_oracle.Timed_explicit.state timed_explicit_g i)
-               .Pnut_oracle.Timed_explicit.ts_marking))
-  in
-  let timed_deadlocks_identical =
-    List.sort_uniq compare
-      (List.map
-         (fun i ->
-           (Pnut_reach.Timed.state timed_class_g i)
-             .Pnut_reach.Timed.ts_marking)
-         (Pnut_reach.Timed.deadlocks timed_class_g))
-    = List.sort_uniq compare
-        (List.map
-           (fun i ->
-             (Pnut_oracle.Timed_explicit.state timed_explicit_g i)
-               .Pnut_oracle.Timed_explicit.ts_marking)
-           (Pnut_oracle.Timed_explicit.deadlocks timed_explicit_g))
-  in
-  let timed_bytes_per_state =
-    Option.get (Pnut_reach.Timed.packed_bytes_per_state timed_class_g)
-  in
-  (* raw simulation events/sec (single stream; the per-run engine),
-     measured against the frozen pre-optimization engine on the same
-     model and seed, and swept across every built-in model — locality
-     differs (the serial model fires one transition at a time, the
-     pipeline keeps five stages busy), so one model alone would hide
-     regressions *)
-  (* Always the full horizon, even under [--quick]: the whole sweep
-     costs tens of milliseconds, and the CI regression gate compares
-     a quick run against the committed full-run baseline — the two must
-     measure the same thing. *)
-  let sim_until = 10_000.0 in
-  let outcome, sim_s =
-    wall (fun () -> Sim.simulate ~seed:42 ~until:sim_until net)
-  in
-  let events = outcome.Sim.started in
-  let ref_outcome, ref_s =
-    wall (fun () -> Pnut_oracle.Reference.simulate ~seed:42 ~until:sim_until net)
-  in
-  let ref_events = ref_outcome.Sim.started in
-  (* supervision overhead: the same Figure-5 model under a generous
-     budget (never trips, but arms the 256-step monitor poll) against
-     the unbudgeted engine.  A 10x horizon and best-of keep the ratio
-     out of scheduler noise: the 10k-cycle run lasts ~2.5 ms, where a
-     single preemption swamps a sub-3% comparison. *)
-  let budget_reps = if quick then 7 else 11 in
-  let budget_until = 10.0 *. sim_until in
-  let generous_budget =
-    Pnut_exec.Budget.make ~wall_s:3600.0 ~heap_mb:65536 ()
-  in
-  let run_plain () = Sim.simulate ~seed:42 ~until:budget_until net in
-  let run_budgeted () =
-    let st = Sim.create ~seed:42 net in
-    Sim.run ~until:budget_until ~budget:generous_budget st
-  in
-  (* Interleave the pair so slow drift (thermal, noisy neighbours) hits
-     both sides equally; the per-side minimum is the cleanest shot. *)
-  let plain_outcome, plain_s0 = wall run_plain in
-  let budgeted_outcome, budgeted_s0 = wall run_budgeted in
-  let plain_s = ref plain_s0 and budgeted_s = ref budgeted_s0 in
-  for _ = 2 to budget_reps do
-    let _, p = wall run_plain in
-    if p < !plain_s then plain_s := p;
-    let _, g = wall run_budgeted in
-    if g < !budgeted_s then budgeted_s := g
-  done;
-  let plain_s = !plain_s and budgeted_s = !budgeted_s in
-  let budget_identical =
-    budgeted_outcome.Sim.started = plain_outcome.Sim.started
-    && budgeted_outcome.Sim.final_clock = plain_outcome.Sim.final_clock
-  in
-  let budget_overhead_ratio =
-    if budgeted_s > 0.0 then plain_s /. budgeted_s else 0.0
-  in
-  let sim_sweep =
-    List.map
-      (fun (name, m) ->
-        let o, s = wall (fun () -> Sim.simulate ~seed:42 ~until:sim_until m) in
-        (name, o.Sim.started, s))
-      [ ("pipeline", net);
-        ("prefetch", Model.prefetch_only default);
-        ("interpreted_isa", Interpreted.full default);
-        ("branching", Pnut_pipeline.Branching.full default);
-        ("serial", Pnut_pipeline.Serial.full default) ]
-  in
-  (* codec throughput: text vs binary on the Figure-5 reference trace *)
-  let codec_until = if quick then 2_000.0 else 10_000.0 in
-  let codec_trace = fst (Sim.trace ~seed:42 ~until:codec_until net) in
-  let codec_events = Trace.length codec_trace in
-  let reps = if quick then 3 else 10 in
-  let per_rep f =
-    let (), s = wall (fun () -> for _ = 1 to reps do ignore (f ()) done) in
-    s /. float_of_int reps
-  in
-  let text = Pnut_trace.Codec.to_string codec_trace in
-  let bin = Pnut_trace.Binary.to_string codec_trace in
-  let text_enc_s = per_rep (fun () -> Pnut_trace.Codec.to_string codec_trace) in
-  let bin_enc_s = per_rep (fun () -> Pnut_trace.Binary.to_string codec_trace) in
-  let text_dec_s = per_rep (fun () -> Pnut_trace.Codec.parse text) in
-  let bin_dec_s = per_rep (fun () -> Pnut_trace.Binary.parse bin) in
-  (* peak-RSS proxy: live words a stat pass must hold over the same
-     stored trace.  The streaming pass retains only the accumulator;
-     the materializing pass additionally retains the whole Trace.t. *)
-  let trace_file = Filename.temp_file "pnut_bench" ".trace" in
-  let oc = open_out_bin trace_file in
-  output_string oc text;
-  close_out oc;
-  let retained f =
-    Gc.compact ();
-    let before = (Gc.stat ()).Gc.live_words in
-    let minor0 = Gc.minor_words () in
-    let keep = f () in
-    Gc.compact ();
-    let after = (Gc.stat ()).Gc.live_words in
-    let alloc_mb = (Gc.minor_words () -. minor0) *. 8.0 /. 1e6 in
-    ignore (Sys.opaque_identity keep);
-    (after - before, alloc_mb)
-  in
-  let with_trace_file f =
-    let ic = open_in_bin trace_file in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-  in
-  let streaming_heap, streaming_alloc_mb =
-    retained (fun () ->
-        with_trace_file (fun ic ->
-            let sink, get = Stat.sink () in
-            Pnut_trace.Codec.stream_channel ic sink;
-            get ()))
-  in
-  let materialized_heap, materialized_alloc_mb =
-    retained (fun () ->
-        with_trace_file (fun ic ->
-            let tr = Pnut_trace.Codec.read_channel ic in
-            (tr, Stat.of_trace tr)))
-  in
-  Sys.remove trace_file;
-  (* emit *)
-  let rate count s = if s > 0.0 then float_of_int count /. s else 0.0 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"bench\": \"pr10\",\n";
-  Printf.bprintf b "  \"model\": \"pipeline (Model.full default)\",\n";
-  Printf.bprintf b "  \"cores\": %d,\n" cores;
-  Printf.bprintf b "  \"quick\": %b,\n" quick;
-  Printf.bprintf b "  \"replicate\": {\n";
-  Printf.bprintf b "    \"runs\": %d,\n" rep_runs;
-  Printf.bprintf b "    \"until\": %g,\n" rep_until;
-  Printf.bprintf b "    \"identical_across_jobs\": %b,\n" rep_identical;
-  Printf.bprintf b "    \"sweep\": [\n";
-  List.iteri
-    (fun i (jobs, _, s) ->
-      let speedup = if s > 0.0 then rep_serial_s /. s else 0.0 in
-      Printf.bprintf b
-        "      { \"jobs\": %d, \"seconds\": %.6f, \"speedup\": %.3f, \
-         \"parallel_efficiency\": %.3f }%s\n"
-        jobs s speedup
-        (speedup /. float_of_int jobs)
-        (if i = List.length rep - 1 then "" else ","))
-    rep;
-  Printf.bprintf b "    ]\n  },\n";
-  Printf.bprintf b "  \"reach\": {\n";
-  (* headline first: the serial kernel build on the Figure 1-3 pipeline,
-     which is what the regression gate reads back *)
-  Printf.bprintf b "    \"states_per_sec\": %.0f,\n" (rate kernel_states kernel_s);
-  Printf.bprintf b "    \"max_states\": %d,\n" reach_cap;
-  Printf.bprintf b
-    "    \"kernel\": { \"states\": %d, \"seconds\": %.6f },\n"
-    kernel_states kernel_s;
-  Printf.bprintf b "    \"models\": [\n";
-  List.iteri
-    (fun i (name, states, s) ->
-      Printf.bprintf b
-        "      { \"model\": %S, \"states\": %d, \"seconds\": %.6f, \
-         \"states_per_sec\": %.0f }%s\n"
-        name states s (rate states s)
-        (if i = List.length reach_models - 1 then "" else ","))
-    reach_models;
-  Printf.bprintf b "    ],\n";
-  Printf.bprintf b "    \"packed\": {\n";
-  Printf.bprintf b
-    "      \"model\": \"ring9\", \"tokens\": %d, \"states\": %d, \
-     \"edges\": %d,\n"
-    ring_tokens ring_states ring_edges;
-  Printf.bprintf b
-    "      \"boxed\": { \"seconds\": %.6f, \"states_per_sec\": %.0f },\n"
-    ring_boxed_s (rate ring_states ring_boxed_s);
-  Printf.bprintf b
-    "      \"seconds\": %.6f, \"states_per_sec\": %.0f,\n" ring_packed_s
-    (rate ring_states ring_packed_s);
-  Printf.bprintf b "      \"speedup_vs_boxed\": %.3f,\n"
-    (if ring_packed_s > 0.0 then ring_boxed_s /. ring_packed_s else 0.0);
-  Printf.bprintf b "      \"speedup_at_least_1_5x\": %b,\n"
-    (ring_boxed_s >= 1.5 *. ring_packed_s);
-  Printf.bprintf b "      \"bytes_per_state\": %.2f,\n" packed_bytes_per_state;
-  Printf.bprintf b "      \"bytes_per_state_at_most_32\": %b,\n"
-    (packed_bytes_per_state <= 32.0);
-  Printf.bprintf b "      \"identical_on_figures\": %b\n" packed_identical;
-  Printf.bprintf b "    },\n";
-  Printf.bprintf b "    \"por\": {\n";
-  Printf.bprintf b "      \"model\": \"indep6x4\",\n";
-  Printf.bprintf b
-    "      \"full\": { \"states\": %d, \"seconds\": %.6f },\n"
-    por_full_states por_full_s;
-  Printf.bprintf b
-    "      \"reduced\": { \"states\": %d, \"seconds\": %.6f },\n"
-    por_red_states por_red_s;
-  Printf.bprintf b "      \"reduction\": %.1f,\n" por_reduction;
-  Printf.bprintf b "      \"reduction_at_least_5x\": %b,\n"
-    (por_full_states >= 5 * por_red_states);
-  Printf.bprintf b "      \"deadlock_sets_identical\": %b\n"
-    por_deadlocks_identical;
-  Printf.bprintf b "    },\n";
-  (* [states_per_sec] stays the first field after the "timed" key: the
-     regression gate reads it back with the same text scan used for
-     the sim and reach headlines *)
-  Printf.bprintf b "    \"timed\": {\n";
-  Printf.bprintf b "      \"states_per_sec\": %.0f,\n"
-    (rate timed_classes timed_class_s);
-  Printf.bprintf b
-    "      \"model\": \"pipeline (Model.full, memory_cycles=10)\",\n";
-  Printf.bprintf b
-    "      \"classes\": %d, \"vectors\": %d, \"seconds\": %.6f,\n"
-    timed_classes timed_vectors timed_class_s;
-  Printf.bprintf b
-    "      \"explicit\": { \"states\": %d, \"seconds\": %.6f, \
-     \"states_per_sec\": %.0f },\n"
-    timed_explicit_states timed_explicit_s
-    (rate timed_explicit_states timed_explicit_s);
-  Printf.bprintf b "      \"class_over_explicit_s\": %.3f,\n"
-    timed_class_over_explicit;
-  Printf.bprintf b "      \"reduction_vs_explicit\": %.2f,\n" timed_reduction;
-  Printf.bprintf b "      \"reduction_at_least_5x\": %b,\n"
-    (timed_explicit_states >= 5 * timed_classes);
-  Printf.bprintf b "      \"marking_sets_identical\": %b,\n"
-    timed_markings_identical;
-  Printf.bprintf b "      \"deadlock_sets_identical\": %b,\n"
-    timed_deadlocks_identical;
-  Printf.bprintf b "      \"bytes_per_state\": %.2f\n" timed_bytes_per_state;
-  Printf.bprintf b "    }\n";
-  Printf.bprintf b "  },\n";
-  Printf.bprintf b "  \"sim\": {\n";
-  Printf.bprintf b
-    "    \"until\": %g, \"events\": %d, \"seconds\": %.6f, \
-     \"events_per_sec\": %.0f,\n"
-    sim_until events sim_s (rate events sim_s);
-  Printf.bprintf b
-    "    \"reference_engine\": { \"events\": %d, \"seconds\": %.6f, \
-     \"events_per_sec\": %.0f },\n"
-    ref_events ref_s (rate ref_events ref_s);
-  Printf.bprintf b "    \"speedup_vs_reference\": %.3f,\n"
-    (if sim_s > 0.0 then ref_s /. sim_s else 0.0);
-  Printf.bprintf b "    \"traces_identical\": %b,\n" (events = ref_events);
-  Printf.bprintf b
-    "    \"budget_overhead\": { \"until\": %g, \"plain_seconds\": %.6f, \
-     \"budgeted_seconds\": %.6f, \"budgeted_events_per_sec\": %.0f, \
-     \"events_per_sec_ratio\": %.4f, \"outcome_identical\": %b },\n"
-    budget_until plain_s budgeted_s
-    (rate budgeted_outcome.Sim.started budgeted_s)
-    budget_overhead_ratio budget_identical;
-  Printf.bprintf b "    \"sweep\": [\n";
-  List.iteri
-    (fun i (name, ev, s) ->
-      Printf.bprintf b
-        "      { \"model\": %S, \"events\": %d, \"seconds\": %.6f, \
-         \"events_per_sec\": %.0f }%s\n"
-        name ev s (rate ev s)
-        (if i = List.length sim_sweep - 1 then "" else ","))
-    sim_sweep;
-  Printf.bprintf b "    ]\n  },\n";
-  Printf.bprintf b "  \"codec\": {\n";
-  Printf.bprintf b "    \"until\": %g,\n" codec_until;
-  Printf.bprintf b "    \"deltas\": %d,\n" codec_events;
-  Printf.bprintf b
-    "    \"text\": { \"bytes\": %d, \"encode_seconds\": %.6f, \
-     \"decode_seconds\": %.6f, \"decode_deltas_per_sec\": %.0f },\n"
-    (String.length text) text_enc_s text_dec_s (rate codec_events text_dec_s);
-  Printf.bprintf b
-    "    \"binary\": { \"bytes\": %d, \"encode_seconds\": %.6f, \
-     \"decode_seconds\": %.6f, \"decode_deltas_per_sec\": %.0f },\n"
-    (String.length bin) bin_enc_s bin_dec_s (rate codec_events bin_dec_s);
-  Printf.bprintf b "    \"size_ratio\": %.3f,\n"
-    (float_of_int (String.length text) /. float_of_int (String.length bin));
-  Printf.bprintf b "    \"decode_speedup\": %.3f,\n" (text_dec_s /. bin_dec_s);
-  Printf.bprintf b "    \"encode_speedup\": %.3f,\n" (text_enc_s /. bin_enc_s);
-  Printf.bprintf b "    \"binary_at_least_5x_smaller\": %b,\n"
-    (5 * String.length bin <= String.length text);
-  Printf.bprintf b "    \"binary_decodes_faster\": %b,\n"
-    (bin_dec_s < text_dec_s);
-  Printf.bprintf b
-    "    \"streaming_stat\": { \"retained_live_words\": %d, \
-     \"minor_alloc_mb\": %.2f },\n"
-    streaming_heap streaming_alloc_mb;
-  Printf.bprintf b
-    "    \"materialized_stat\": { \"retained_live_words\": %d, \
-     \"minor_alloc_mb\": %.2f }\n"
-    materialized_heap materialized_alloc_mb;
-  Printf.bprintf b "  }\n";
-  Printf.bprintf b "}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s (cores=%d, reach %d states, identical=%b)\n"
-    file cores kernel_states rep_identical;
-  let gate name current = function
-    | None -> true
-    | Some base ->
-      let floor = 0.7 *. base in
-      if current < floor then begin
-        Printf.eprintf
-          "bench: FAIL %s %.0f is more than 30%% below the committed \
-           baseline %.0f (floor %.0f)\n"
-          name current base floor;
-        false
-      end
-      else begin
-        Printf.printf "bench: %s %.0f vs baseline %.0f: ok\n" name current
-          base;
-        true
-      end
-  in
-  (* the packed store's acceptance thresholds: bit-identity always;
-     the bytes/state and speedup floors only on the full-size ring (the
+  (* the packed store's thresholds: bit-identity always; the
+     bytes/state and speedup floors only on the full-size ring (the
      quick run's 43k states can't amortize fixed costs and would make
-     the CI verdict flaky) *)
-  let packed_ok =
-    if not packed_identical then begin
-      Printf.eprintf
-        "bench: FAIL reach.packed graphs differ from the boxed builder\n";
-      false
-    end
-    else if
-      (not quick)
-      && not
-           (packed_bytes_per_state <= 32.0
-           && ring_boxed_s >= 1.5 *. ring_packed_s)
-    then begin
-      Printf.eprintf
-        "bench: FAIL reach.packed %.2f bytes/state (<=32 required), \
-         speedup %.2fx (>=1.5 required)\n"
-        packed_bytes_per_state
-        (if ring_packed_s > 0.0 then ring_boxed_s /. ring_packed_s else 0.0);
-      false
-    end
-    else begin
-      Printf.printf
-        "bench: reach.packed %d states, %.2f bytes/state, %.2fx vs boxed, \
-         identical=%b: ok\n"
-        ring_states packed_bytes_per_state
-        (if ring_packed_s > 0.0 then ring_boxed_s /. ring_packed_s else 0.0)
-        packed_identical;
-      true
-    end
+     the CI verdict flaky).  The stubborn-set and state-class thresholds
+     are deterministic counts and set identities, gated in quick and
+     full runs alike, plus a class build no slower than the explicit
+     build (best of 3 each, same process). *)
+  let gates ~quick =
+    [ ("packed",
+       [ Show "states"; Show "bytes_per_state"; Show "speedup_vs_boxed";
+         Is "identical_on_figures" ]
+       @ if quick then []
+         else [ Is "bytes_per_state_at_most_32"; Is "speedup_at_least_1_5x" ]);
+      ("por",
+       [ Show "full.states"; Show "reduced.states"; Is "reduction_at_least_5x";
+         Is "deadlock_sets_identical" ]);
+      ("timed",
+       [ Show "classes"; Show "explicit.states"; Is "reduction_at_least_5x";
+         Is "marking_sets_identical"; Is "deadlock_sets_identical";
+         Show "seconds"; Show "explicit.seconds";
+         At_most ("class_over_explicit_s", 1.0) ]) ]
   in
-  (* the stubborn-set acceptance thresholds are deterministic state
-     counts, so they gate unconditionally: identical deadlock marking
-     sets always and >= 5x fewer states on indep6x4 *)
-  let por_ok =
-    if not por_deadlocks_identical then begin
-      Printf.eprintf
-        "bench: FAIL reach.por deadlock marking sets differ between the \
-         full and reduced builds\n";
-      false
-    end
-    else if por_full_states < 5 * por_red_states then begin
-      Printf.eprintf
-        "bench: FAIL reach.por reduction %.1fx on indep6x4 (%d vs %d \
-         states; >= 5x required)\n"
-        por_reduction por_full_states por_red_states;
-      false
-    end
-    else begin
-      Printf.printf
-        "bench: reach.por indep6x4 %d -> %d states (%.1fx), deadlock sets \
-         identical: ok\n"
-        por_full_states por_red_states por_reduction;
-      true
-    end
+  { name = "reach"; run; gates }
+
+(* raw simulation events/sec (single stream; the per-run engine),
+   measured against the frozen pre-optimization engine on the same model
+   and seed, and swept across every built-in model — locality differs
+   (the serial model fires one transition at a time, the pipeline keeps
+   five stages busy), so one model alone would hide regressions *)
+let sim =
+  let run ~quick =
+    let net = Model.full default in
+    (* Always the full horizon and repetitions, even under [--quick]:
+       the whole sweep costs tens of milliseconds, and the CI regression
+       gate compares a quick run against the committed full-run baseline
+       — the two must measure the same thing.  Best-of: see [best_of]. *)
+    let until = 10_000.0 and reps = 7 in
+    let outcome, sim_s = best_of reps (fun () -> Sim.simulate ~seed:42 ~until net) in
+    let ref_outcome, ref_s =
+      best_of reps (fun () -> Pnut_oracle.Reference.simulate ~seed:42 ~until net)
+    in
+    let events = outcome.Sim.started and ref_events = ref_outcome.Sim.started in
+    (* supervision overhead: the same Figure-5 model under a generous
+       budget (never trips, but arms the 256-step monitor poll) against
+       the unbudgeted engine.  A 10x horizon and best-of keep the ratio
+       out of scheduler noise: the 10k-cycle run lasts ~2.5 ms, where a
+       single preemption swamps a sub-3% comparison. *)
+    let budget_reps = if quick then 7 else 11 and budget_until = 10.0 *. until in
+    let generous_budget = Pnut_exec.Budget.make ~wall_s:3600.0 ~heap_mb:65536 () in
+    let run_plain () = Sim.simulate ~seed:42 ~until:budget_until net in
+    let run_budgeted () =
+      Sim.run ~until:budget_until ~budget:generous_budget (Sim.create ~seed:42 net)
+    in
+    (* Interleave the pair so slow drift (thermal, noisy neighbours) hits
+       both sides equally; the per-side minimum is the cleanest shot. *)
+    let plain = ref (wall run_plain) in
+    let budgeted = ref (wall run_budgeted) in
+    let keep best (o, s) = if s < snd !best then best := (o, s) in
+    for _ = 2 to budget_reps do
+      keep plain (wall run_plain);
+      keep budgeted (wall run_budgeted)
+    done;
+    let (plain_outcome, plain_s), (budgeted_outcome, budgeted_s) = (!plain, !budgeted) in
+    let sweep =
+      List.map
+        (fun (name, m) ->
+          let o, s = wall (fun () -> Sim.simulate ~seed:42 ~until m) in
+          Obj (("model", Str name) :: throughput "events" o.Sim.started s))
+        [ ("pipeline", net); ("prefetch", Model.prefetch_only default);
+          ("interpreted_isa", Interpreted.full default);
+          ("branching", Pnut_pipeline.Branching.full default);
+          ("serial", Pnut_pipeline.Serial.full default) ]
+    in
+    Obj
+      ((("until", Float until) :: throughput "events" events sim_s)
+      @ [ ("reference_engine", Obj (throughput "events" ref_events ref_s));
+          ("speedup_vs_reference", ratio ref_s sim_s);
+          ("traces_identical", Bool (events = ref_events));
+          ("budget_overhead",
+           Obj
+             [ ("until", Float budget_until); ("plain_seconds", num plain_s);
+               ("budgeted_seconds", num budgeted_s);
+               ("budgeted_events_per_sec", rate budgeted_outcome.Sim.started budgeted_s);
+               ("events_per_sec_ratio", ratio ~dp:4 plain_s budgeted_s);
+               ("outcome_identical",
+                Bool
+                  (budgeted_outcome.started = plain_outcome.started
+                  && budgeted_outcome.final_clock = plain_outcome.final_clock)) ]);
+          ("sweep", List sweep) ])
   in
-  (* the state-class acceptance thresholds gate unconditionally:
-     identical reachable-marking and deadlock-marking sets against the
-     frozen explicit oracle, >= 5x fewer classes than explicit states on
-     the slow-memory pipeline, and a class build no slower than the
-     explicit build (best of 3 each, same process) *)
-  let timed_ok =
-    if not timed_markings_identical then begin
-      Printf.eprintf
-        "bench: FAIL reach.timed reachable-marking sets differ between \
-         the class graph and the explicit expansion\n";
-      false
-    end
-    else if not timed_deadlocks_identical then begin
-      Printf.eprintf
-        "bench: FAIL reach.timed deadlock marking sets differ between \
-         the class graph and the explicit expansion\n";
-      false
-    end
-    else if timed_explicit_states < 5 * timed_classes then begin
-      Printf.eprintf
-        "bench: FAIL reach.timed reduction %.2fx on the slow-memory \
-         pipeline (%d classes vs %d explicit states; >= 5x required)\n"
-        timed_reduction timed_classes timed_explicit_states;
-      false
-    end
-    else if timed_class_over_explicit > 1.0 then begin
-      Printf.eprintf
-        "bench: FAIL reach.timed class_over_explicit_s %.3f (class build \
-         %.6f s vs explicit build %.6f s; <= 1.0 required)\n"
-        timed_class_over_explicit timed_class_s timed_explicit_s;
-      false
-    end
-    else begin
-      Printf.printf
-        "bench: reach.timed %d classes vs %d explicit states (%.2fx), \
-         marking and deadlock sets identical, class_over_explicit_s \
-         %.3f (%.6f s vs %.6f s): ok\n"
-        timed_classes timed_explicit_states timed_reduction
-        timed_class_over_explicit timed_class_s timed_explicit_s;
-      true
-    end
+  (* an armed-but-untripped budget must keep its events/sec within 3%
+     of the unbudgeted engine's — the monitor poll rides the existing
+     watchdog cadence, so anything slower means a check leaked into the
+     hot loop.  Both sides come from the interleaved pairs in this
+     process, so the host's speed cancels out. *)
+  let gates ~quick:_ =
+    [ ("budget_overhead",
+       [ Show "plain_seconds"; Show "budgeted_seconds";
+         At_least ("events_per_sec_ratio", 0.97) ]) ]
   in
-  let sim_ok = gate "sim.events_per_sec" (rate events sim_s) baseline_sim_rate in
-  let reach_ok =
-    gate "reach.states_per_sec" (rate kernel_states kernel_s)
-      baseline_reach_rate
+  { name = "sim"; run; gates }
+
+(* codec throughput: text vs binary on the Figure-5 reference trace *)
+let codec =
+  let run ~quick =
+    let until = if quick then 2_000.0 else 10_000.0 in
+    let trace = fst (Sim.trace ~seed:42 ~until (Model.full default)) in
+    let deltas = Trace.length trace and reps = if quick then 3 else 10 in
+    let per_rep f =
+      let (), s = wall (fun () -> for _ = 1 to reps do ignore (f ()) done) in
+      s /. float_of_int reps
+    in
+    let text = Pnut_trace.Codec.to_string trace in
+    let bin = Pnut_trace.Binary.to_string trace in
+    let text_enc_s = per_rep (fun () -> Pnut_trace.Codec.to_string trace) in
+    let bin_enc_s = per_rep (fun () -> Pnut_trace.Binary.to_string trace) in
+    let text_dec_s = per_rep (fun () -> Pnut_trace.Codec.parse text) in
+    let bin_dec_s = per_rep (fun () -> Pnut_trace.Binary.parse bin) in
+    (* peak-RSS proxy: live words a stat pass must hold over the same
+       stored trace.  The streaming pass retains only the accumulator;
+       the materializing pass additionally retains the whole Trace.t. *)
+    let trace_file = Filename.temp_file "pnut_bench" ".trace" in
+    Out_channel.with_open_bin trace_file (fun oc -> output_string oc text);
+    let retained f =
+      Gc.compact ();
+      let before = (Gc.stat ()).Gc.live_words in
+      let minor0 = Gc.minor_words () in
+      let keep = In_channel.with_open_bin trace_file f in
+      Gc.compact ();
+      let after = (Gc.stat ()).Gc.live_words in
+      let alloc_mb = (Gc.minor_words () -. minor0) *. 8.0 /. 1e6 in
+      ignore (Sys.opaque_identity keep);
+      Obj
+        [ ("retained_live_words", Int (after - before));
+          ("minor_alloc_mb", num ~dp:2 alloc_mb) ]
+    in
+    let streaming =
+      retained (fun ic ->
+          let sink, get = Stat.sink () in
+          Pnut_trace.Codec.stream_channel ic sink;
+          get ())
+    in
+    let materialized =
+      retained (fun ic ->
+          let tr = Pnut_trace.Codec.read_channel ic in
+          (tr, Stat.of_trace tr))
+    in
+    Sys.remove trace_file;
+    let side bytes enc_s dec_s =
+      Obj
+        [ ("bytes", Int (String.length bytes)); ("encode_seconds", num enc_s);
+          ("decode_seconds", num dec_s); ("decode_deltas_per_sec", rate deltas dec_s) ]
+    in
+    let text_bytes = String.length text and bin_bytes = String.length bin in
+    Obj
+      [ ("until", Float until); ("deltas", Int deltas);
+        ("text", side text text_enc_s text_dec_s);
+        ("binary", side bin bin_enc_s bin_dec_s);
+        ("size_ratio", ratio (float_of_int text_bytes) (float_of_int bin_bytes));
+        ("decode_speedup", ratio text_dec_s bin_dec_s);
+        ("encode_speedup", ratio text_enc_s bin_enc_s);
+        ("binary_at_least_5x_smaller", Bool (5 * bin_bytes <= text_bytes));
+        ("binary_decodes_faster", Bool (bin_dec_s < text_dec_s));
+        ("streaming_stat", streaming); ("materialized_stat", materialized) ]
   in
-  let timed_rate_ok =
-    gate "reach.timed.states_per_sec" (rate timed_classes timed_class_s)
-      baseline_timed_rate
+  { name = "codec"; run; gates = (fun ~quick:_ -> []) }
+
+let cases = [ replicate; reach; sim; codec ]
+
+(* Regression floors: the fresh value at each path must reach [floor]
+   times the baseline's value at the same path. *)
+let floors =
+  [ ("sim.events_per_sec", 0.7); ("reach.states_per_sec", 0.7);
+    ("reach.timed.states_per_sec", 0.7) ]
+
+let usage_error fmt =
+  Printf.ksprintf (fun m -> prerr_endline ("bench: " ^ m); exit 2) fmt
+
+(* The floor gates against a baseline file; a file that cannot be read
+   or lacks a floor path is a usage error, never a skipped gate. *)
+let floor_gates file =
+  let j =
+    try parse (In_channel.with_open_bin file In_channel.input_all)
+    with Sys_error e | Failure e -> usage_error "cannot read baseline %s: %s" file e
   in
-  (* an armed-but-untripped budget must stay within 3% of the committed
-     unbudgeted events/sec baseline — the monitor poll rides the
-     existing watchdog cadence, so anything slower means a check leaked
-     into the hot loop.  Gating against the committed number (like the
-     other gates) keeps the verdict out of same-process scheduler
-     noise; the measured plain/budgeted ratio is still in the JSON. *)
-  let budgeted_rate = rate budgeted_outcome.Sim.started budgeted_s in
-  let budget_ok =
-    match baseline_sim_rate with
-    | None -> true
-    | Some base ->
-      let floor = 0.97 *. base in
-      if budgeted_rate >= floor then begin
-        Printf.printf
-          "bench: sim.budget_overhead budgeted %.0f ev/s vs baseline %.0f \
-           (floor %.0f): ok\n"
-          budgeted_rate base floor;
-        true
-      end
-      else begin
-        Printf.eprintf
-          "bench: FAIL sim.budget_overhead budgeted %.0f ev/s is more than \
-           3%% below the committed baseline %.0f (floor %.0f)\n"
-          budgeted_rate base floor;
-        false
-      end
+  List.map
+    (fun (path, floor) ->
+      match number j path with
+      | Some base -> (path, [ At_least ("", floor *. base) ])
+      | None -> usage_error "baseline %s has no number at %s" file path)
+    floors
+
+(* [bench: <gate> <checks>: ok] on stdout or [bench: FAIL <gate> <checks>]
+   on stderr; [true] when it passed.  The check path [""] is the gate's. *)
+let report_gate report (gate, checks) =
+  let path p = if p = "" then gate else gate ^ "." ^ p in
+  let number_at p = Option.get (number report (path p)) in
+  let shown ?(bound = "") p =
+    let v = to_string 0 (Option.get (at report (path p))) in
+    (if p = "" then v else p ^ "=" ^ v) ^ bound
   in
-  if
-    not
-      (sim_ok && reach_ok && timed_rate_ok && budget_ok && packed_ok
-     && por_ok && timed_ok)
-  then exit 1
+  let bound op x = Printf.sprintf " (%s %s)" op (to_string 0 (Float x)) in
+  let check = function
+    | Show p -> (true, shown p)
+    | Is p -> (at report (path p) = Some (Bool true), shown p)
+    | At_most (p, x) -> (number_at p <= x, shown ~bound:(bound "<=" x) p)
+    | At_least (p, x) -> (number_at p >= x, shown ~bound:(bound ">=" x) p)
+  in
+  let results = List.map check checks in
+  let ok = List.for_all fst results in
+  let detail = String.concat ", " (List.map snd results) in
+  if ok then Printf.printf "bench: %s %s: ok\n" gate detail
+  else Printf.eprintf "bench: FAIL %s %s\n" gate detail;
+  ok
+
+let bench_json ~quick ~file ?baseline () =
+  (* Read the baseline before anything is measured or written: CI
+     points [--baseline] at the same path it regenerates. *)
+  let floor_gates = Option.fold ~none:[] ~some:floor_gates baseline in
+  let cores = Domain.recommended_domain_count () in
+  let sections = List.map (fun c -> (c.name, c.run ~quick)) cases in
+  let report =
+    Obj ([ ("bench", Str "pr10"); ("model", Str "pipeline (Model.full default)");
+           ("cores", Int cores); ("quick", Bool quick) ] @ sections)
+  in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (to_string 0 report ^ "\n"));
+  Printf.printf "wrote %s (cores=%d)\n" file cores;
+  let case_gates c = List.map (fun (g, cs) -> (c.name ^ "." ^ g, cs)) (c.gates ~quick) in
+  let gates = List.concat_map case_gates cases @ floor_gates in
+  let verdicts = List.map (report_gate report) gates in
+  if not (List.for_all Fun.id verdicts) then exit 1
 
 let run_figures () =
-  figure_1_to_3 ();
-  figure_4 ();
-  figure_5 ();
-  figure_6 ();
-  figure_7 ();
-  section_4_4 ();
-  ablation_firing_vs_enabling ();
-  ablation_memory_speed ();
-  ablation_buffer_size ();
-  ablation_cache ();
-  ablation_instruction_mix ();
-  ablation_interpreted ();
-  ablation_analytic ();
-  ablation_branches ();
-  ablation_serial ();
-  bechamel_micro ();
-  shape_verdicts ();
+  List.iter (fun figure -> figure ())
+    [ figure_1_to_3; figure_4; figure_5; figure_6; figure_7; section_4_4;
+      ablation_firing_vs_enabling; ablation_memory_speed; ablation_buffer_size;
+      ablation_cache; ablation_instruction_mix; ablation_interpreted;
+      ablation_analytic; ablation_branches; ablation_serial; bechamel_micro;
+      shape_verdicts ];
   print_newline ()
 
+(* No argument reproduces the figures; [--bench-json [FILE] [--quick]
+   [--baseline FILE]] writes the report.  Anything else is exit 2. *)
 let () =
-  let argv = Array.to_list Sys.argv in
-  let rec json_file = function
-    | "--bench-json" :: next :: _ when String.length next > 0 && next.[0] <> '-'
-      ->
-      Some next
-    | "--bench-json" :: _ -> Some "BENCH_pr10.json"
-    | _ :: rest -> json_file rest
-    | [] -> None
+  let usage = "usage: main.exe [--bench-json [FILE] [--quick] [--baseline FILE]]" in
+  let is_value f = f <> "" && f.[0] <> '-' in
+  let rec args json quick baseline = function
+    | [] -> (json, quick, baseline)
+    | "--bench-json" :: f :: rest when is_value f -> args (Some f) quick baseline rest
+    | "--bench-json" :: rest -> args (Some "BENCH_pr10.json") quick baseline rest
+    | "--quick" :: rest -> args json true baseline rest
+    | "--baseline" :: f :: rest when is_value f -> args json quick (Some f) rest
+    | a :: _ -> usage_error "unexpected argument %s; %s" a usage
   in
-  let rec baseline = function
-    | "--baseline" :: next :: _
-      when String.length next > 0 && next.[0] <> '-' ->
-      Some next
-    | _ :: rest -> baseline rest
-    | [] -> None
-  in
-  match json_file argv with
-  | Some file ->
-    bench_json ~quick:(List.mem "--quick" argv) ~file ?baseline:(baseline argv)
-      ()
-  | None -> run_figures ()
+  match args None false None (List.tl (Array.to_list Sys.argv)) with
+  | None, false, None -> run_figures ()
+  | Some file, quick, baseline -> bench_json ~quick ~file ?baseline ()
+  | None, _, _ -> usage_error "--quick and --baseline need --bench-json; %s" usage
