@@ -63,7 +63,7 @@ type wstate = {
   flush : unit -> unit;  (* drains [buf] when it grows past the cap *)
   names : (string, int) Hashtbl.t;     (* interned env-variable names *)
   mutable n_names : int;
-  last_marking : (int, (int * int) list) Hashtbl.t;  (* tid*2+kind *)
+  mutable last_marking : (int * int) list array;  (* by tid*2+kind *)
   mutable prev_time : float;
   mutable prev_start_fid : int;
 }
@@ -89,6 +89,7 @@ let emit_header w (h : Trace.header) =
       add_varint buf (zigzag h.Trace.h_initial.(i)))
     h.Trace.h_places;
   add_varint buf (Array.length h.Trace.h_transitions);
+  w.last_marking <- Array.make (2 * Array.length h.Trace.h_transitions) [];
   Array.iter (fun name -> add_string buf name) h.Trace.h_transitions;
   add_varint buf (List.length h.Trace.h_variables);
   List.iter
@@ -113,19 +114,24 @@ let add_time w time =
   end;
   w.prev_time <- time
 
+let same_entry ((p : int), (d : int)) (q, e) = p = q && d = e
+
 let emit_delta w (d : Trace.delta) =
   let buf = w.buf in
   let kind = match d.Trace.d_kind with Trace.Fire_start -> 0 | Trace.Fire_end -> 1 in
   let mkey = (d.Trace.d_transition * 2) + kind in
+  (* [] in the dictionary is "none yet": empty markings are not stored.
+     An id outside the header has no slot and is always explicit. *)
+  let slot = mkey >= 0 && mkey < Array.length w.last_marking in
   let mark_mode =
-    if d.Trace.d_marking = [] then 0
-    else if Hashtbl.find_opt w.last_marking mkey = Some d.Trace.d_marking then 1
-    else begin
-      Hashtbl.replace w.last_marking mkey d.Trace.d_marking;
+    match d.Trace.d_marking with
+    | [] -> 0
+    | m when slot && List.equal same_entry m w.last_marking.(mkey) -> 1
+    | m ->
+      if slot then w.last_marking.(mkey) <- m;
       2
-    end
   in
-  let has_env = d.Trace.d_env <> [] in
+  let has_env = match d.Trace.d_env with [] -> false | _ -> true in
   Buffer.add_char buf
     (Char.chr (kind lor (mark_mode lsl 1) lor (if has_env then 8 else 0)));
   add_time w d.Trace.d_time;
@@ -166,7 +172,7 @@ let make_sink ~flush buf =
       flush;
       names = Hashtbl.create 16;
       n_names = 0;
-      last_marking = Hashtbl.create 64;
+      last_marking = [||];
       prev_time = 0.0;
       prev_start_fid = -1;
     }
@@ -176,8 +182,6 @@ let make_sink ~flush buf =
     on_delta = emit_delta w;
     on_finish = emit_finish w;
   }
-
-let buffer_sink buf = make_sink ~flush:(fun () -> ()) buf
 
 let channel_sink oc =
   let buf = Buffer.create 65536 in
@@ -198,47 +202,41 @@ let channel_sink oc =
         Stdlib.flush oc);
   }
 
-let write_channel oc tr =
-  Trace.replay tr (channel_sink oc)
-
 let to_string tr =
   let buf = Buffer.create 65536 in
-  Trace.replay tr (buffer_sink buf);
+  Trace.replay tr (make_sink ~flush:ignore buf);
   Buffer.contents buf
 
 (* -- reading -- *)
 
-(* A pull source over a channel or a string; [pos] feeds error
-   offsets. *)
+(* A byte window over the input: the whole string for [parse], a
+   refillable buffer for a channel.  [base + i] is the offset error
+   messages report. *)
 type src = {
-  next : unit -> int;  (* raises End_of_file *)
-  mutable pos : int;
+  ic : in_channel option;
+  win : bytes;
+  mutable lim : int;  (* bytes of [win] holding input *)
+  mutable i : int;    (* next unread byte of [win] *)
+  mutable base : int; (* offset of [win.[0]] *)
 }
 
-let src_of_channel ic = { next = (fun () -> input_byte ic); pos = 0 }
+let fail src msg = raise (Parse_error (src.base + src.i, msg))
 
-let src_of_string s =
-  let i = ref 0 in
-  {
-    next =
-      (fun () ->
-        if !i >= String.length s then raise End_of_file
-        else begin
-          let c = Char.code s.[!i] in
-          incr i;
-          c
-        end);
-    pos = 0;
-  }
-
-let fail src msg = raise (Parse_error (src.pos, msg))
+(* Makes at least one unread byte available, or fails at end of input. *)
+let refill src =
+  (match src.ic with
+  | Some ic ->
+    src.base <- src.base + src.lim;
+    src.lim <- input ic src.win 0 (Bytes.length src.win);
+    src.i <- 0
+  | None -> ());
+  if src.i >= src.lim then fail src "unexpected end of binary trace"
 
 let read_byte src =
-  match src.next () with
-  | b ->
-    src.pos <- src.pos + 1;
-    b
-  | exception End_of_file -> fail src "unexpected end of binary trace"
+  if src.i >= src.lim then refill src;
+  let b = Bytes.unsafe_get src.win src.i in
+  src.i <- src.i + 1;
+  Char.code b
 
 let read_varint src =
   let rec go shift acc =
@@ -253,8 +251,13 @@ let read_string src =
   let len = read_varint src in
   if len > 0x10000000 then fail src "string length out of range";
   let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set b i (Char.chr (read_byte src))
+  let k = ref 0 in
+  while !k < len do
+    if src.i >= src.lim then refill src;
+    let n = min (len - !k) (src.lim - src.i) in
+    Bytes.blit src.win src.i b !k n;
+    src.i <- src.i + n;
+    k := !k + n
   done;
   Bytes.unsafe_to_string b
 
@@ -277,7 +280,9 @@ type rstate = {
   src : src;
   mutable r_names : string array;   (* growable interned name table *)
   mutable r_n_names : int;
-  r_last_marking : (int, (int * int) list) Hashtbl.t;
+  mutable r_places : int;  (* id bounds, from the header *)
+  mutable r_transitions : int;
+  mutable r_last_marking : (int * int) list array;  (* by tid*2+kind *)
   mutable r_prev_time : float;
   mutable r_prev_start_fid : int;
 }
@@ -301,6 +306,13 @@ let read_name r =
     if k - 1 >= r.r_n_names then fail r.src "name-table reference out of range";
     r.r_names.(k - 1)
 
+(* The dictionary slot of a transition and kind not yet seen. *)
+let no_marking = [ (-1, 0) ]
+
+let check_id src what id bound =
+  if id < 0 || id >= bound then
+    fail src (Printf.sprintf "%s id %d out of range [0, %d)" what id bound)
+
 let read_header r =
   let src = r.src in
   let net = read_string src in
@@ -321,6 +333,9 @@ let read_header r =
         table_add r name;
         (name, v))
   in
+  r.r_places <- nplaces;
+  r.r_transitions <- ntrans;
+  r.r_last_marking <- Array.make (2 * ntrans) no_marking;
   {
     Trace.h_net = net;
     h_places = places;
@@ -351,6 +366,7 @@ let read_delta r head =
     fail src (Printf.sprintf "bad record head byte %#x" head);
   let time = read_time r in
   let tid = read_varint src in
+  check_id src "transition" tid r.r_transitions;
   let fid =
     let e = unzigzag (read_varint src) in
     match kind with
@@ -364,19 +380,19 @@ let read_delta r head =
   let marking =
     match mark_mode with
     | 0 -> []
-    | 1 -> (
-      match Hashtbl.find_opt r.r_last_marking mkey with
-      | Some m -> m
-      | None -> fail src "marking back-reference before any explicit marking")
+    | 1 when r.r_last_marking.(mkey) == no_marking ->
+      fail src "marking back-reference before any explicit marking"
+    | 1 -> r.r_last_marking.(mkey)
     | _ ->
       let n = read_varint src in
       let m =
         List.init n (fun _ ->
             let p = read_varint src in
+            check_id src "place" p r.r_places;
             let dm = unzigzag (read_varint src) in
             (p, dm))
       in
-      Hashtbl.replace r.r_last_marking mkey m;
+      r.r_last_marking.(mkey) <- m;
       m
   in
   let env =
@@ -409,14 +425,8 @@ let stream ?(skip_first_byte = false) src (sink : Trace.sink) =
   | 1 -> ()
   | v -> fail src (Printf.sprintf "unsupported binary trace version %d" v));
   let r =
-    {
-      src;
-      r_names = [||];
-      r_n_names = 0;
-      r_last_marking = Hashtbl.create 64;
-      r_prev_time = 0.0;
-      r_prev_start_fid = -1;
-    }
+    { src; r_names = [||]; r_n_names = 0; r_places = 0; r_transitions = 0;
+      r_last_marking = [||]; r_prev_time = 0.0; r_prev_start_fid = -1 }
   in
   sink.Trace.on_header (read_header r);
   let rec loop () =
@@ -429,14 +439,11 @@ let stream ?(skip_first_byte = false) src (sink : Trace.sink) =
   loop ()
 
 let stream_channel ?skip_first_byte ic sink =
-  stream ?skip_first_byte (src_of_channel ic) sink
-
-let read_channel ic =
-  let sink, get = Trace.collector () in
-  stream_channel ic sink;
-  get ()
+  stream ?skip_first_byte
+    { ic = Some ic; win = Bytes.create 65536; lim = 0; i = 0; base = 0 } sink
 
 let parse s =
   let sink, get = Trace.collector () in
-  stream (src_of_string s) sink;
+  let win = Bytes.unsafe_of_string s in
+  stream { ic = None; win; lim = Bytes.length win; i = 0; base = 0 } sink;
   get ()

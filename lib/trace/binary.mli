@@ -72,14 +72,9 @@ val get_varint : string -> pos:int ref -> int
 
 (** {2 Writing} *)
 
-val buffer_sink : Buffer.t -> Trace.sink
-(** Streaming writer: each record is appended as it arrives. *)
-
 val channel_sink : out_channel -> Trace.sink
 (** Streaming writer with bounded buffering; records are flushed to the
     channel as they are produced. *)
-
-val write_channel : out_channel -> Trace.t -> unit
 
 val to_string : Trace.t -> string
 
@@ -87,12 +82,10 @@ val to_string : Trace.t -> string
 
 val stream_channel :
   ?skip_first_byte:bool -> in_channel -> Trace.sink -> unit
-(** Streams a binary trace into a sink in O(1) memory (no intermediate
-    trace is built).  Stops after the end record, leaving any trailing
-    channel content unread.  [skip_first_byte] is for callers that
-    already consumed the leading magic byte during format
-    auto-detection.  Raises {!Parse_error} on malformed input. *)
-
-val read_channel : in_channel -> Trace.t
+(** Streams a binary trace into a sink in O(1) memory, reading ahead in
+    64 KiB windows but never waiting for input past the end record.
+    [skip_first_byte] is for callers that already consumed the leading
+    magic byte during format auto-detection.  Raises {!Parse_error} on
+    malformed input, including an id outside the header's tables. *)
 
 val parse : string -> Trace.t

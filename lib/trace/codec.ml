@@ -1,9 +1,34 @@
 exception Parse_error of int * string
 
+(* -- writing --
+
+   Each record is built in one reusable buffer per sink and handed on
+   whole.  Delta records never go through [Printf]. *)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else (Buffer.add_char buf '-'; add_digits buf (-n))
+
+(* An integral double below 1e12, other than -0, has at most 12 digits,
+   so [%.12g] would print exactly its integer. *)
+let prints_as_int f =
+  Float.is_integer f && Float.abs f < 1e12 && not (f = 0.0 && Float.sign_bit f)
+
 let float_str f =
-  (* Shortest representation that round-trips a double. *)
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  if prints_as_int f then string_of_int (int_of_float f)
+  else
+    (* Shortest representation that round-trips a double. *)
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let add_float buf f =
+  if prints_as_int f then add_int buf (int_of_float f)
+  else Buffer.add_string buf (float_str f)
 
 (* -- name escaping --
 
@@ -16,19 +41,18 @@ let float_str f =
 
 let must_escape c = c <= ' ' || c = ';' || c = ':' || c = '=' || c = '%' || c = '\x7f'
 
-let escape_name name =
+let add_name buf name =
   if name = "" then
-    invalid_arg "Codec: empty names cannot be written to a text trace"
-  else if String.exists must_escape name then begin
-    let buf = Buffer.create (String.length name + 8) in
-    String.iter
-      (fun c ->
-        if must_escape c then Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-        else Buffer.add_char buf c)
-      name;
-    Buffer.contents buf
-  end
-  else name
+    invalid_arg "Codec: empty names cannot be written to a text trace";
+  String.iter
+    (fun c ->
+      if must_escape c then begin
+        Buffer.add_char buf '%';
+        Buffer.add_char buf "0123456789ABCDEF".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789ABCDEF".[Char.code c land 15]
+      end
+      else Buffer.add_char buf c)
+    name
 
 let hex_digit line_no c =
   match c with
@@ -57,96 +81,71 @@ let unescape_name line_no s =
     Buffer.contents buf
   end
 
-let value_str v =
+let add_value buf v =
   match v with
-  | Pnut_core.Value.Int i -> Printf.sprintf "i%d" i
-  | Pnut_core.Value.Float f -> Printf.sprintf "f%s" (float_str f)
-  | Pnut_core.Value.Bool b -> if b then "btrue" else "bfalse"
+  | Pnut_core.Value.Int i -> Buffer.add_char buf 'i'; add_int buf i
+  | Pnut_core.Value.Float f -> Buffer.add_char buf 'f'; add_float buf f
+  | Pnut_core.Value.Bool b -> Buffer.add_string buf (if b then "btrue" else "bfalse")
 
-let value_of_string line_no s =
-  let fail msg = raise (Parse_error (line_no, msg)) in
-  if String.length s < 2 then fail ("bad value: " ^ s)
-  else
-    let body = String.sub s 1 (String.length s - 1) in
-    match s.[0] with
-    | 'i' -> (
-      match int_of_string_opt body with
-      | Some i -> Pnut_core.Value.Int i
-      | None -> fail ("bad int value: " ^ s))
-    | 'f' -> (
-      match float_of_string_opt body with
-      | Some f -> Pnut_core.Value.Float f
-      | None -> fail ("bad float value: " ^ s))
-    | 'b' -> (
-      match body with
-      | "true" -> Pnut_core.Value.Bool true
-      | "false" -> Pnut_core.Value.Bool false
-      | _ -> fail ("bad bool value: " ^ s))
-    | _ -> fail ("bad value tag: " ^ s)
-
-let emit_header out (h : Trace.header) =
-  out "%pnut-trace 1\n";
-  out (Printf.sprintf "net %s\n" (escape_name h.Trace.h_net));
+let emit_header buf (h : Trace.header) =
+  Printf.bprintf buf "%%pnut-trace 1\nnet %a\n" add_name h.Trace.h_net;
   Array.iteri
     (fun i name ->
-      out
-        (Printf.sprintf "place %d %s %d\n" i (escape_name name)
-           h.Trace.h_initial.(i)))
+      Printf.bprintf buf "place %d %a %d\n" i add_name name h.Trace.h_initial.(i))
     h.Trace.h_places;
   Array.iteri
-    (fun i name -> out (Printf.sprintf "transition %d %s\n" i (escape_name name)))
+    (fun i name -> Printf.bprintf buf "transition %d %a\n" i add_name name)
     h.Trace.h_transitions;
   List.iter
-    (fun (name, v) ->
-      out (Printf.sprintf "var %s %s\n" (escape_name name) (value_str v)))
+    (fun (name, v) -> Printf.bprintf buf "var %a %a\n" add_name name add_value v)
     h.Trace.h_variables;
-  out "begin\n"
+  Buffer.add_string buf "begin\n"
 
-let emit_delta out (d : Trace.delta) =
-  let kind = match d.Trace.d_kind with Trace.Fire_start -> "S" | Trace.Fire_end -> "E" in
-  let buf = Buffer.create 64 in
+let emit_delta buf (d : Trace.delta) =
+  Buffer.add_string buf "@ ";
+  add_float buf d.Trace.d_time;
   Buffer.add_string buf
-    (Printf.sprintf "@ %s %s %d %d" (float_str d.Trace.d_time) kind
-       d.Trace.d_transition d.Trace.d_firing);
-  if d.Trace.d_marking <> [] then begin
-    Buffer.add_string buf " ;";
-    List.iter
-      (fun (p, dm) -> Buffer.add_string buf (Printf.sprintf " %d:%d" p dm))
-      d.Trace.d_marking
-  end;
-  if d.Trace.d_env <> [] then begin
-    Buffer.add_string buf " ;";
-    List.iter
-      (fun (name, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf " %s=%s" (escape_name name) (value_str v)))
-      d.Trace.d_env
-  end;
-  Buffer.add_char buf '\n';
-  out (Buffer.contents buf)
+    (match d.Trace.d_kind with Trace.Fire_start -> " S " | Trace.Fire_end -> " E ");
+  add_int buf d.Trace.d_transition;
+  Buffer.add_char buf ' ';
+  add_int buf d.Trace.d_firing;
+  if d.Trace.d_marking <> [] then Buffer.add_string buf " ;";
+  List.iter
+    (fun (p, dm) ->
+      Buffer.add_char buf ' '; add_int buf p; Buffer.add_char buf ':'; add_int buf dm)
+    d.Trace.d_marking;
+  if d.Trace.d_env <> [] then Buffer.add_string buf " ;";
+  List.iter
+    (fun (name, v) ->
+      Buffer.add_char buf ' '; add_name buf name; Buffer.add_char buf '=';
+      add_value buf v)
+    d.Trace.d_env;
+  Buffer.add_char buf '\n'
 
-let emit_finish out time = out (Printf.sprintf "end %s\n" (float_str time))
+let emit_finish buf time = Printf.bprintf buf "end %a\n" add_float time
 
+(* [out] takes each finished record.  The buffer is cleared before a
+   record, so one that raises half-built (an empty name) never reaches
+   [out]. *)
 let sink_of_out out =
-  {
-    Trace.on_header = emit_header out;
-    on_delta = emit_delta out;
-    on_finish = emit_finish out;
-  }
+  let line = Buffer.create 256 in
+  let record emit x = Buffer.clear line; emit line x; out line in
+  { Trace.on_header = record emit_header; on_delta = record emit_delta;
+    on_finish = record emit_finish }
 
-let writer_sink buf = sink_of_out (Buffer.add_string buf)
-let channel_sink oc = sink_of_out (output_string oc)
-
-let write buf tr = Trace.replay tr (writer_sink buf)
+let writer_sink buf = sink_of_out (Buffer.add_buffer buf)
+let channel_sink oc = sink_of_out (Buffer.output_buffer oc)
 
 let to_string tr =
   let buf = Buffer.create 4096 in
-  write buf tr;
+  Trace.replay tr (writer_sink buf);
   Buffer.contents buf
 
-let write_channel oc tr = Trace.replay tr (channel_sink oc)
+(* -- parsing --
 
-(* -- parsing -- *)
+   A body line is read in place, by one cursor over [s.[pos..hi)]; any
+   blank of [String.trim] separates its fields.  Header lines are rare
+   and are split into words. *)
 
 (* Header accumulation state; deltas are never stored, they flow to the
    sink as they are parsed. *)
@@ -160,69 +159,146 @@ type header_state = {
 let split_ws s =
   String.split_on_char ' ' s |> List.filter (fun x -> x <> "")
 
+type cursor = { s : string; hi : int; line_no : int; mutable pos : int }
+
+let fail c msg = raise (Parse_error (c.line_no, msg))
+let is_blank = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let skip_blanks c =
+  while c.pos < c.hi && is_blank (String.unsafe_get c.s c.pos) do c.pos <- c.pos + 1 done
+
+(* End of the field at [i]: the next blank, ';' or the end of the line. *)
+let rec field_end c i =
+  if i >= c.hi || match String.unsafe_get c.s i with ';' -> true | ch -> is_blank ch
+  then i
+  else field_end c (i + 1)
+
+let field c a = String.sub c.s a (field_end c a - a)
+let rest c a = String.sub c.s a (c.hi - a)
+
+let rec index_in s ch i hi =
+  if i >= hi || String.unsafe_get s i = ch then i else index_in s ch (i + 1) hi
+
+(* An integer is an optional '-' and at least one decimal digit, and
+   must end at [stop], or at the end of its field when [stop < 0].  It
+   is accumulated negated, so that [min_int] reads too. *)
+let int_at c stop =
+  let a = c.pos in
+  let first = if a < c.hi && String.unsafe_get c.s a = '-' then a + 1 else a in
+  let i = ref first and acc = ref 0 in
+  while !i < c.hi && is_digit (String.unsafe_get c.s !i) do
+    let d = Char.code (String.unsafe_get c.s !i) - 48 in
+    if !acc < (min_int + d) / 10 then fail c ("integer out of range: " ^ field c a);
+    acc := (!acc * 10) - d;
+    incr i
+  done;
+  c.pos <- !i;
+  if !i = first || (if stop < 0 then field_end c !i > !i else !i <> stop) then
+    fail c ("expected integer, got " ^ field c a);
+  if first > a then !acc
+  else if !acc = min_int then fail c ("integer out of range: " ^ field c a)
+  else - !acc
+
 let parse_int line_no s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> raise (Parse_error (line_no, "expected integer, got " ^ s))
+  int_at { s; hi = String.length s; line_no; pos = 0 } (String.length s)
 
-let parse_float line_no s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> raise (Parse_error (line_no, "expected float, got " ^ s))
+(* A time field, at a non-empty field.  Up to 15 digits is below 2^53,
+   so such an integer converts to exactly the double [float_of_string]
+   gives; any other spelling goes through [float_of_string] itself. *)
+let time_field c =
+  let a = c.pos in
+  let first = if String.unsafe_get c.s a = '-' then a + 1 else a in
+  let i = ref first and n = ref 0 in
+  while !i < c.hi && is_digit (String.unsafe_get c.s !i) do
+    n := (10 * !n) + Char.code (String.unsafe_get c.s !i) - 48;
+    incr i
+  done;
+  c.pos <- field_end c !i;
+  if c.pos = !i && !i > first && !i - a <= 15 then
+    if first > a then -.float_of_int !n else float_of_int !n
+  else
+    let tok = String.sub c.s a (c.pos - a) in
+    match float_of_string_opt tok with
+    | Some f -> f
+    | None -> fail c ("expected float, got " ^ tok)
 
-(* "@ time kind tid fid ; p:d p:d ; v=x v=x" -- the two ';' sections are
-   optional but ordered: a section containing ':' entries is marking, '='
-   entries env (unambiguous because ':' and '=' are escaped inside
-   names). *)
-let parse_delta line_no rest =
-  let sections =
-    String.split_on_char ';' rest |> List.map String.trim
+let value_of_string line_no s =
+  let fail msg = raise (Parse_error (line_no, msg)) in
+  if String.length s < 2 then fail ("bad value: " ^ s)
+  else
+    let body = String.sub s 1 (String.length s - 1) in
+    match s.[0] with
+    | 'i' -> Pnut_core.Value.Int (parse_int line_no body)
+    | 'f' -> (
+      match float_of_string_opt body with
+      | Some f -> Pnut_core.Value.Float f
+      | None -> fail ("bad float value: " ^ s))
+    | 'b' -> (
+      match body with
+      | "true" -> Pnut_core.Value.Bool true
+      | "false" -> Pnut_core.Value.Bool false
+      | _ -> fail ("bad bool value: " ^ s))
+    | _ -> fail ("bad value tag: " ^ s)
+
+let check_id c what id bound =
+  if id < 0 || id >= bound then
+    fail c (Printf.sprintf "%s id %d out of range [0, %d)" what id bound)
+
+(* The head of a delta, from [head] to the first ';', is four fields. *)
+let bad_head c head =
+  let e = index_in c.s ';' head c.hi in
+  fail c ("bad delta header: " ^ String.trim (String.sub c.s head (e - head)))
+
+let next_field c head =
+  skip_blanks c;
+  if c.pos >= c.hi || c.s.[c.pos] = ';' then bad_head c head
+
+(* "@ time kind tid fid ; p:d p:d ; v=x v=x", the cursor just past the
+   '@'.  After the head, ';' only separates sections, and an entry is
+   marking if it holds ':' and env if it holds '=' (unambiguous because
+   both are escaped inside names). *)
+let parse_delta c ~places ~transitions =
+  let head = c.pos in
+  next_field c head;
+  let time = time_field c in
+  next_field c head;
+  let k = c.pos in
+  let kind =
+    match c.s.[k] with
+    | 'S' when field_end c k = k + 1 -> Trace.Fire_start
+    | 'E' when field_end c k = k + 1 -> Trace.Fire_end
+    | _ -> fail c ("bad event kind " ^ field c k)
   in
-  match sections with
-  | [] -> raise (Parse_error (line_no, "empty delta"))
-  | head :: extra ->
-    let time, kind, tid, fid =
-      match split_ws head with
-      | [ t; k; tr; f ] ->
-        let kind =
-          match k with
-          | "S" -> Trace.Fire_start
-          | "E" -> Trace.Fire_end
-          | _ -> raise (Parse_error (line_no, "bad event kind " ^ k))
-        in
-        (parse_float line_no t, kind, parse_int line_no tr, parse_int line_no f)
-      | _ -> raise (Parse_error (line_no, "bad delta header: " ^ head))
-    in
-    let marking = ref [] in
-    let env = ref [] in
-    let parse_entry tok =
-      match String.index_opt tok ':' with
-      | Some i ->
-        let p = parse_int line_no (String.sub tok 0 i) in
-        let d =
-          parse_int line_no (String.sub tok (i + 1) (String.length tok - i - 1))
-        in
-        marking := (p, d) :: !marking
-      | None -> (
-        match String.index_opt tok '=' with
-        | Some i ->
-          let name = unescape_name line_no (String.sub tok 0 i) in
-          let v =
-            value_of_string line_no
-              (String.sub tok (i + 1) (String.length tok - i - 1))
-          in
-          env := (name, v) :: !env
-        | None -> raise (Parse_error (line_no, "bad delta entry " ^ tok)))
-    in
-    List.iter (fun sec -> List.iter parse_entry (split_ws sec)) extra;
-    {
-      Trace.d_time = time;
-      d_kind = kind;
-      d_transition = tid;
-      d_firing = fid;
-      d_marking = List.rev !marking;
-      d_env = List.rev !env;
-    }
+  c.pos <- k + 1;
+  next_field c head;
+  let tid = int_at c (-1) in
+  next_field c head;
+  let fid = int_at c (-1) in
+  skip_blanks c;
+  if c.pos < c.hi && c.s.[c.pos] <> ';' then bad_head c head;
+  check_id c "transition" tid transitions;
+  let marking = ref [] and env = ref [] in
+  while c.pos < c.hi do
+    let a = c.pos and b = field_end c c.pos in
+    let colon = index_in c.s ':' a b in
+    if a = b then c.pos <- a + 1
+    else if colon < b then begin
+      let p = int_at c colon in
+      check_id c "place" p places;
+      c.pos <- colon + 1;
+      marking := (p, int_at c b) :: !marking
+    end
+    else begin
+      let eq = index_in c.s '=' a b in
+      if eq = b then fail c ("bad delta entry " ^ field c a);
+      let v = value_of_string c.line_no (String.sub c.s (eq + 1) (b - eq - 1)) in
+      env := (unescape_name c.line_no (String.sub c.s a (eq - a)), v) :: !env;
+      c.pos <- b
+    end
+  done;
+  { Trace.d_time = time; d_kind = kind; d_transition = tid; d_firing = fid;
+    d_marking = List.rev !marking; d_env = List.rev !env }
 
 let build_header line_no st =
   let net =
@@ -261,55 +337,67 @@ type reader = {
   mutable r_line : int;
   mutable r_in_body : bool;
   mutable r_finished : bool;
+  mutable r_places : int;  (* id bounds, set at [begin] *)
+  mutable r_transitions : int;
 }
 
 let reader sink =
-  {
-    r_sink = sink;
-    r_st = { net = None; places = []; transitions = []; vars = [] };
-    r_line = 0;
-    r_in_body = false;
-    r_finished = false;
-  }
+  { r_sink = sink; r_st = { net = None; places = []; transitions = []; vars = [] };
+    r_line = 0; r_in_body = false; r_finished = false; r_places = 0; r_transitions = 0 }
 
 let finished r = r.r_finished
 
-let feed_line r line =
-  r.r_line <- r.r_line + 1;
-  let line_no = r.r_line in
+let feed_header_line r line_no line =
   let st = r.r_st in
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then ()
-  else if r.r_finished then
-    raise (Parse_error (line_no, "unexpected body line: " ^ line))
-  else if not r.r_in_body then begin
-    match split_ws line with
-    | [ "%pnut-trace"; "1" ] -> ()
-    | "%pnut-trace" :: v :: _ ->
-      raise (Parse_error (line_no, "unsupported trace version " ^ v))
-    | [ "net"; name ] -> st.net <- Some (unescape_name line_no name)
-    | [ "place"; id; name; init ] ->
-      st.places <-
-        (parse_int line_no id, unescape_name line_no name, parse_int line_no init)
-        :: st.places
-    | [ "transition"; id; name ] ->
-      st.transitions <- (parse_int line_no id, unescape_name line_no name) :: st.transitions
-    | [ "var"; name; v ] ->
-      st.vars <- (unescape_name line_no name, value_of_string line_no v) :: st.vars
-    | [ "begin" ] ->
-      r.r_in_body <- true;
-      r.r_sink.Trace.on_header (build_header line_no st)
-    | _ -> raise (Parse_error (line_no, "unexpected header line: " ^ line))
+  match split_ws line with
+  | [ "%pnut-trace"; "1" ] -> ()
+  | "%pnut-trace" :: v :: _ ->
+    raise (Parse_error (line_no, "unsupported trace version " ^ v))
+  | [ "net"; name ] -> st.net <- Some (unescape_name line_no name)
+  | [ "place"; id; name; init ] ->
+    st.places <-
+      (parse_int line_no id, unescape_name line_no name, parse_int line_no init)
+      :: st.places
+  | [ "transition"; id; name ] ->
+    st.transitions <- (parse_int line_no id, unescape_name line_no name) :: st.transitions
+  | [ "var"; name; v ] ->
+    st.vars <- (unescape_name line_no name, value_of_string line_no v) :: st.vars
+  | [ "begin" ] ->
+    let h = build_header line_no st in
+    r.r_in_body <- true;
+    r.r_places <- Array.length h.Trace.h_places;
+    r.r_transitions <- Array.length h.Trace.h_transitions;
+    r.r_sink.Trace.on_header h
+  | _ -> raise (Parse_error (line_no, "unexpected header line: " ^ line))
+
+(* Feeds the line [s.[lo..hi)], without its newline. *)
+let feed r s lo hi =
+  r.r_line <- r.r_line + 1;
+  let hi = ref hi in
+  while !hi > lo && is_blank (String.unsafe_get s (!hi - 1)) do decr hi done;
+  let c = { s; hi = !hi; line_no = r.r_line; pos = lo } in
+  skip_blanks c;
+  let lo = c.pos in
+  if lo = c.hi || s.[lo] = '#' then ()
+  else if r.r_finished then fail c ("unexpected body line: " ^ rest c lo)
+  else if not r.r_in_body then feed_header_line r c.line_no (rest c lo)
+  else if s.[lo] = '@' then begin
+    c.pos <- lo + 1;
+    r.r_sink.Trace.on_delta
+      (parse_delta c ~places:r.r_places ~transitions:r.r_transitions)
   end
-  else if String.length line >= 1 && line.[0] = '@' then
-    let rest = String.sub line 1 (String.length line - 1) in
-    r.r_sink.Trace.on_delta (parse_delta line_no rest)
-  else
-    match split_ws line with
-    | [ "end"; t ] ->
-      r.r_finished <- true;
-      r.r_sink.Trace.on_finish (parse_float line_no t)
-    | _ -> raise (Parse_error (line_no, "unexpected body line: " ^ line))
+  else begin
+    c.pos <- lo + 3;
+    skip_blanks c;
+    if field_end c lo <> lo + 3 || String.sub s lo 3 <> "end" || c.pos = c.hi then
+      fail c ("unexpected body line: " ^ rest c lo);
+    r.r_finished <- true;
+    let t = time_field c in
+    if c.pos < c.hi then fail c ("unexpected body line: " ^ rest c lo);
+    r.r_sink.Trace.on_finish t
+  end
+
+let feed_line r line = feed r line 0 (String.length line)
 
 let check_finished r =
   if not r.r_finished then begin
@@ -329,30 +417,38 @@ let parse text =
 
 (* -- channel streaming with format auto-detection -- *)
 
-let stream_text_channel ?first_line ic sink =
+(* Lines are parsed in place in a window refilled from the channel,
+   which [first] starts.  A line longer than the window doubles it. *)
+let stream_text_channel ic first sink =
   let r = reader sink in
-  (match first_line with Some l -> feed_line r l | None -> ());
-  let rec go () =
-    if not r.r_finished then
-      match input_line ic with
-      | line ->
-        feed_line r line;
-        go ()
-      | exception End_of_file -> check_finished r
-  in
-  go ()
+  let win = ref (Bytes.make 65536 first) and lo = ref 0 and lim = ref 1 in
+  while not r.r_finished do
+    let nl = index_in (Bytes.unsafe_to_string !win) '\n' !lo !lim in
+    if nl < !lim then begin
+      feed r (Bytes.unsafe_to_string !win) !lo nl;
+      lo := nl + 1
+    end
+    else begin
+      (* move the partial line to the front and read more after it *)
+      let part = !lim - !lo in
+      let w = if part = Bytes.length !win then Bytes.create (2 * part) else !win in
+      Bytes.blit !win !lo w 0 part;
+      win := w;
+      lo := 0;
+      lim := part + input ic w part (Bytes.length w - part);
+      if !lim = part then begin
+        (* end of input: the last line may lack its newline *)
+        if part > 0 then feed r (Bytes.unsafe_to_string w) 0 part;
+        check_finished r
+      end
+    end
+  done
 
 let stream_channel ic sink =
   match input_char ic with
   | exception End_of_file -> raise (Parse_error (0, "empty trace"))
   | '\x00' -> Binary.stream_channel ~skip_first_byte:true ic sink
-  | c ->
-    let first_line =
-      match input_line ic with
-      | rest -> String.make 1 c ^ rest
-      | exception End_of_file -> String.make 1 c
-    in
-    stream_text_channel ~first_line ic sink
+  | c -> stream_text_channel ic c sink
 
 let read_channel ic =
   let sink, get = Trace.collector () in

@@ -15,7 +15,10 @@
     @ <time> S|E <transition-id> <firing-id> [; <place>:<delta> ...] [; <var>=<value> ...]
     end <final-time>
     v}
-    Floats are written in round-trippable precision.
+    An integer is an optional ['-'] and decimal digits, within the
+    native int range; ids must lie inside the header's tables.  Floats
+    are written by {!float_str}.  In body lines any blank separates
+    fields.
 
     Names must be non-empty; bytes that would collide with the format's
     separators (space and control characters, [';'], [':'], ['='],
@@ -24,11 +27,11 @@
     Plain identifiers are written verbatim — traces from older emitters
     and external producers parse unchanged. *)
 
-val write : Buffer.t -> Trace.t -> unit
+val float_str : float -> string
+(** [%.12g] if it reads back as the same double, else [%.17g]; an
+    integral float below 1e12 (not -0) prints as the same int bytes. *)
 
 val to_string : Trace.t -> string
-
-val write_channel : out_channel -> Trace.t -> unit
 
 val writer_sink : Buffer.t -> Trace.sink
 (** Streaming writer: serializes records as they arrive. *)
@@ -67,9 +70,10 @@ val finished : reader -> bool
 val stream_channel : in_channel -> Trace.sink -> unit
 (** Streams a whole trace from a channel into a sink in O(1) memory,
     auto-detecting the format: a leading [0x00] byte selects the binary
-    codec (see {!Binary.magic}), anything else the textual one.  Stops
-    reading after the end record, so trailing unrelated bytes (or a
-    still-open pipe) are left untouched.  Raises [Parse_error] (or
-    [Binary.Parse_error]) on malformed input, including truncation. *)
+    codec (see {!Binary.magic}), anything else the textual one.  Input
+    is read in 64 KiB windows; parsing stops at the end record, ignores
+    whatever else the window holds and never waits for input past it
+    (a still-open pipe).  Raises [Parse_error] (or [Binary.Parse_error])
+    on malformed input, including truncation. *)
 
 exception Parse_error of int * string

@@ -135,6 +135,20 @@ let test_stat_rejects_corrupt_trace () =
   Testutil.check_contains "names the regression" (read_file (tmp "err"))
     "went backwards"
 
+(* An id outside the header's tables used to escape as an uncaught
+   Invalid_argument (exit 125). *)
+let test_out_of_range_id_rejected () =
+  let bad = tmp "out_of_range.trace" in
+  Out_channel.with_open_bin bad (fun oc ->
+      output_string oc
+        "net x\nplace 0 p 0\ntransition 0 t\nbegin\n@ 1 S 7 0\n@ 2 E 7 0 ; 5:1\nend 10\n");
+  List.iter
+    (fun cmd ->
+      let code, _ = run [ cmd; bad ] in
+      Alcotest.(check int) (cmd ^ " exit") 2 code;
+      Testutil.check_contains cmd (read_file (tmp "err")) "transition id 7 out of range")
+    [ "stat"; "filter" ]
+
 let test_tracer () =
   let out =
     check_run "tracer"
@@ -638,6 +652,8 @@ let () =
           Alcotest.test_case "binary pipeline" `Quick test_binary_pipeline;
           Alcotest.test_case "corrupt trace rejected" `Quick
             test_stat_rejects_corrupt_trace;
+          Alcotest.test_case "out-of-range id rejected" `Quick
+            test_out_of_range_id_rejected;
           Alcotest.test_case "tracer" `Quick test_tracer;
           Alcotest.test_case "tracer csv" `Quick test_tracer_csv;
           Alcotest.test_case "check" `Quick test_check_queries;

@@ -352,6 +352,146 @@ let test_auto_detection () =
       Alcotest.(check string) "text detected" (Codec.to_string tr)
         (Codec.to_string from_text))
 
+(* -- pinned bytes: the codecs were rewritten without Printf, and these
+   digests were recorded before the rewrite -- *)
+
+let with_temp f =
+  let path = Filename.temp_file "pnut_pin" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let simulate_to path sink_of =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  Out_channel.with_open_bin path (fun oc ->
+      let sim = Pnut_sim.Simulator.create ~seed:7 ~sink:(sink_of oc) net in
+      ignore (Pnut_sim.Simulator.run ~until:5000.0 sim))
+
+let test_pinned_bytes () =
+  let md5 path = Digest.to_hex (Digest.file path) in
+  with_temp (fun text ->
+      with_temp (fun bin ->
+          with_temp (fun filtered ->
+              simulate_to text Codec.channel_sink;
+              simulate_to bin Binary.channel_sink;
+              (* the Figure-5 filter, reading the binary trace back *)
+              let spec =
+                Filter.make_spec
+                  ~places:[ "Bus_busy"; "Bus_free"; "pre_fetching"; "fetching";
+                            "storing"; "Full_I_buffers" ]
+                  ~transitions:[ "Issue" ] ()
+              in
+              Out_channel.with_open_bin filtered (fun oc ->
+                  In_channel.with_open_bin bin (fun ic ->
+                      Codec.stream_channel ic (Filter.sink spec (Codec.channel_sink oc))));
+              Alcotest.(check string) "text trace" "1a48c59541bbca104ff90ae378fd4148"
+                (md5 text);
+              Alcotest.(check string) "binary trace" "b02b9835dcba721241b8b6ea3681f7ff"
+                (md5 bin);
+              Alcotest.(check string) "filtered text" "521497133d30184f215413c20f5cd68d"
+                (md5 filtered);
+              let decoded = In_channel.with_open_bin text Codec.read_channel in
+              Alcotest.(check string) "text decodes back to its bytes"
+                (In_channel.with_open_bin text In_channel.input_all)
+                (Codec.to_string decoded))))
+
+(* The float printer before integral floats got their own path. *)
+let oracle_float_str f =
+  let s = Printf.sprintf "%.12g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let test_float_str_cases () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (oracle_float_str f)
+        (Codec.float_str f))
+    [ -0.; 0.; 1e12 -. 1.; -.(1e12 -. 1.); 1e12; -1e12; 0x1p53; 0x1p53 +. 2.;
+      Float.nan; Float.infinity; Float.neg_infinity; 0x0.0000000000001p-1022;
+      0.1 +. 0.2 ]
+
+let prop_float_str =
+  QCheck2.Test.make ~name:"float_str prints what %.12g/%.17g printed" ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [ float; map Int64.float_of_bits int64;
+          map float_of_int (int_range (-2_000_000_000_000) 2_000_000_000_000);
+          map (fun i -> float_of_int i /. 8.) (int_range (-1_000_000) 1_000_000) ])
+    (fun f -> String.equal (oracle_float_str f) (Codec.float_str f))
+
+(* -- decoder grammar -- *)
+
+let one_place_header = "net x\nplace 0 p 1\ntransition 0 t\nbegin\n"
+
+let expect_text_error body fragment =
+  match Codec.parse (one_place_header ^ body ^ "\nend 9") with
+  | _ -> Alcotest.failf "expected a parse error for %S" body
+  | exception Codec.Parse_error (_, msg) -> Testutil.check_contains body msg fragment
+
+let expect_binary_error deltas fragment =
+  let header =
+    { (sample_header ()) with
+      Trace.h_places = [| "p" |]; h_transitions = [| "t" |]; h_initial = [| 1 |] }
+  in
+  match Binary.parse (Binary.to_string (Trace.make header deltas 9.0)) with
+  | _ -> Alcotest.failf "expected a binary parse error: %s" fragment
+  | exception Binary.Parse_error (_, msg) -> Testutil.check_contains fragment msg fragment
+
+let delta ?(marking = []) tid =
+  { Trace.d_time = 1.0; d_kind = Trace.Fire_start; d_transition = tid; d_firing = 0;
+    d_marking = marking; d_env = [] }
+
+let test_integer_grammar () =
+  expect_text_error "@ 1 S 0 0 ; 4611686018427387904:1" "integer out of range";
+  expect_text_error "@ 1 S 0 0 ; 99999999999999999999:1" "integer out of range";
+  expect_text_error "@ 1 S 0 0 ; 0:4611686018427387904" "integer out of range";
+  expect_text_error "@ 1 S 0 0 ; 0:-4611686018427387905" "integer out of range";
+  expect_text_error "@ 1 S 0 0x10" "expected integer, got 0x10";
+  expect_text_error "@ 1 S 0 0 ; 1_0:1" "expected integer, got 1_0";
+  expect_text_error "@ 1 S 0 0 ; 0:+1" "expected integer, got +1";
+  expect_text_error "@ 1 S 0 -" "expected integer";
+  (match Codec.parse "net x\nplace 0 p +1\nbegin\nend 1" with
+  | _ -> Alcotest.fail "a '+' sign in a header integer was accepted"
+  | exception Codec.Parse_error (_, msg) ->
+    Testutil.check_contains "header" msg "expected integer, got +1");
+  let tr = Codec.parse (one_place_header ^ "@ 1 S 0 0 ; 0:-4611686018427387904\nend 9") in
+  Alcotest.(check (list (pair int int))) "min_int reads" [ (0, min_int) ]
+    (Trace.deltas tr).(0).Trace.d_marking
+
+let test_out_of_range_ids () =
+  expect_text_error "@ 1 S 7 0" "transition id 7 out of range [0, 1)";
+  expect_text_error "@ 1 S -1 0" "transition id -1 out of range [0, 1)";
+  expect_text_error "@ 1 S 0 0\n@ 2 E 0 0 ; 5:1" "place id 5 out of range [0, 1)";
+  expect_binary_error [ delta 7 ] "transition id 7 out of range [0, 1)";
+  expect_binary_error [ delta 0 ~marking:[ (5, 1) ] ] "place id 5 out of range [0, 1)"
+
+(* Spellings the rewritten parser must read exactly as before. *)
+let test_parser_parity () =
+  let header = "%pnut-trace 1\n" ^ one_place_header in
+  let canonical =
+    header ^ "@ 1 S 0 0 ; 0:-1\n@ 2 E 0 0\n@ 2.5 E 0 1 ; 0:1 ; v=i-3\nend 9\n"
+  in
+  let parses_as variant =
+    Alcotest.(check string) (String.escaped variant) canonical
+      (Codec.to_string (Codec.parse variant))
+  in
+  parses_as canonical;
+  parses_as (String.concat "\r\n" (String.split_on_char '\n' canonical));
+  parses_as
+    (header ^ "@ 1 S 0 0 ; 0:-1\n@ 2 E 0 0 ;\n@ 2.5 E 0 1 ; 0:1 ; v=i-3 ;\nend 9\n");
+  parses_as
+    (header
+    ^ "@  1   S  0    0   ;   0:-1  \n@ 2  E 0 0\n@   2.5 E  0 1;0:1;  v=i-3\nend   9\n");
+  (* the truncated-binary offset, as recorded before the buffered reader *)
+  let good = Binary.to_string (sample_trace ()) in
+  let cut = String.sub good 0 (String.length good - 3) in
+  (match Binary.parse cut with
+  | _ -> Alcotest.fail "truncated binary accepted"
+  | exception Binary.Parse_error (off, _) -> Alcotest.(check int) "offset" 82 off);
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc cut);
+      match In_channel.with_open_bin path Codec.read_channel with
+      | _ -> Alcotest.fail "truncated binary accepted"
+      | exception Binary.Parse_error (off, _) ->
+        Alcotest.(check int) "offset after auto-detection" 81 off)
+
 (* -- filter -- *)
 
 let test_filter_identity () =
@@ -585,6 +725,11 @@ let () =
             test_codec_empty_name_rejected;
           Alcotest.test_case "bad escapes" `Quick test_codec_bad_escape;
           Alcotest.test_case "incremental reader" `Quick test_incremental_reader;
+          Alcotest.test_case "pinned bytes" `Quick test_pinned_bytes;
+          Alcotest.test_case "float_str cases" `Quick test_float_str_cases;
+          Alcotest.test_case "integer grammar" `Quick test_integer_grammar;
+          Alcotest.test_case "out-of-range ids" `Quick test_out_of_range_ids;
+          Alcotest.test_case "parser parity" `Quick test_parser_parity;
         ] );
       ( "binary",
         [
@@ -615,5 +760,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_codec_adversarial_names;
           QCheck_alcotest.to_alcotest prop_binary_adversarial_names;
           QCheck_alcotest.to_alcotest prop_cross_conversion;
+          QCheck_alcotest.to_alcotest prop_float_str;
         ] );
     ]
