@@ -331,46 +331,25 @@ let dead_transitions g =
   done;
   !acc
 
-(* How many states reach [target] (itself included): a backward walk
-   over the predecessors.  Each state is marked before it is pushed, so
-   it enters the int stack at most once, and the walk allocates nothing
-   per visited state beyond the stack's occasional doubling.  Marks are
-   bytes, not words: the random reads of a million-state walk then stay
-   in cache. *)
-let count_reaching g target =
-  let marked = Bytes.make (num_states g) '\000' in
-  let stack = ref (Array.make 256 0) in
-  let sp = ref 0 in
-  let count = ref 0 in
-  let visit i =
-    if Bytes.get marked i = '\000' then begin
-      Bytes.set marked i '\001';
-      incr count;
-      if !sp = Array.length !stack then begin
-        let bigger = Array.make (2 * !sp) 0 in
-        Array.blit !stack 0 bigger 0 !sp;
-        stack := bigger
-      end;
-      !stack.(!sp) <- i;
-      incr sp
-    end
-  in
-  visit target;
-  while !sp > 0 do
-    decr sp;
-    Store.iter_pred_sources g.store !stack.(!sp) visit
-  done;
-  !count
+(* Every interned state is reachable from state 0 — each was interned
+   together with its incoming edge, in a truncated or budget-stopped
+   prefix too — so state 0 is reachable from every state exactly when
+   the graph is one SCC. *)
+let is_reversible g = (Store.sccs g.store).Store.components = 1
 
-let is_reversible g = count_reaching g 0 = num_states g
-
+(* A home state is reachable from every state.  Every state reaches
+   some bottom SCC, and nothing leaves one, so the home states are the
+   members of the bottom SCC when it is unique, and none otherwise. *)
 let home_states g =
-  let n = num_states g in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if count_reaching g i = n then acc := i :: !acc
-  done;
-  !acc
+  let c = Store.sccs g.store in
+  if c.Store.bottoms <> 1 then []
+  else begin
+    let acc = ref [] in
+    for i = num_states g - 1 downto 0 do
+      if c.Store.component.(i) = c.Store.bottom_id then acc := i :: !acc
+    done;
+    !acc
+  end
 
 let check_invariant g p =
   let n = num_states g in

@@ -115,10 +115,16 @@ val live_transitions : t -> Pnut_core.Net.transition_id list
 val dead_transitions : t -> Pnut_core.Net.transition_id list
 
 val is_reversible : t -> bool
-(** The initial state is reachable from every reachable state. *)
+(** The initial state is reachable from every reachable state.  Every
+    recorded state is reachable from the initial one (in a truncated
+    prefix too), so this holds exactly when the recorded graph is one
+    strongly connected component: one linear {!Store.sccs} pass over
+    the successors, with no predecessors built. *)
 
 val home_states : t -> int list
-(** States reachable from every reachable state. *)
+(** States reachable from every reachable state, ascending: the members
+    of the unique bottom SCC, or [[]] when there are two or more.  One
+    linear {!Store.sccs} pass. *)
 
 val check_invariant : t -> (state -> bool) -> int option
 (** First state violating a predicate, if any. *)

@@ -1,13 +1,13 @@
 module Binary = Pnut_trace.Binary
 
-(* Arena-backed compact state store: packed markings in one flat int
-   array, an open-addressing index over arena offsets (no per-state
+(* Arena-backed compact state store: packed markings in int-array
+   pages, an open-addressing index over state indices (no per-state
    boxes, no stored hashes — they are recomputed from the arena when
-   the table grows), and successor/predecessor edges in CSR form built
-   in one pass.  BFS interns states in ascending order and expands them
-   in ascending order, so the successor offsets can be appended as the
-   sweep runs; predecessors are a counting sort over the finished
-   successor array, built on first use. *)
+   the table grows), and successor edges in CSR form built in one pass.
+   BFS interns states in ascending order and expands them in ascending
+   order, so the successor offsets can be appended as the sweep runs;
+   predecessors are a counting sort over the finished successor
+   entries, built on first use (CTL and {!predecessors} only). *)
 
 (* FIFO of state indices with a bounded in-memory footprint: indices
    accumulate in fixed-size chunks, and once the buffered middle chunks
@@ -149,11 +149,108 @@ module Frontier = struct
       (try Sys.remove path with Sys_error _ -> ())
 end
 
+(* Unsigned words in byte pages: the CSR offsets, and the edge words
+   [(target lsl t_bits) lor tid] (a source in place of the target in
+   the predecessor CSR).  Entries are 4 bytes, in pages of [page_len]
+   appended as the sweep runs, so there is no doubling copy of what is
+   stored and no trim at finalize; only page 0 starts small and doubles
+   up to [page_len], which keeps tiny graphs tiny.  The GC never scans
+   [Bytes], yet they count in the major heap, so a heap budget still
+   covers the edges.  The first word that does not fit 32 bits
+   re-encodes every page once to 8-byte entries, the way
+   {!Packed.widen} re-lays the arena; entries keep their page and slot,
+   only the page bytes double. *)
+module Pages = struct
+  let page_bits = 16
+  let page_len = 1 lsl page_bits
+  let page_mask = page_len - 1
+
+  type t = {
+    mutable pages : Bytes.t array;
+    mutable n_pages : int;
+    mutable cap : int;  (* entries the pages hold *)
+    mutable wide : bool;  (* 8-byte entries *)
+    mutable len : int;
+  }
+
+  let entry_bytes p = if p.wide then 8 else 4
+  let fits32 v = v lsr 32 = 0
+
+  let grow p =
+    if p.cap < page_len then begin
+      let cap = min page_len (2 * p.cap) in
+      p.pages.(0) <- Bytes.extend p.pages.(0) 0 ((cap - p.cap) * entry_bytes p);
+      p.cap <- cap
+    end
+    else begin
+      if p.n_pages = Array.length p.pages then begin
+        let a = Array.make (2 * p.n_pages) Bytes.empty in
+        Array.blit p.pages 0 a 0 p.n_pages;
+        p.pages <- a
+      end;
+      p.pages.(p.n_pages) <- Bytes.create (page_len * entry_bytes p);
+      p.n_pages <- p.n_pages + 1;
+      p.cap <- p.cap + page_len
+    end
+
+  (* [len] entries of room up front (the predecessor CSR's size is
+     known before it is filled) *)
+  let create ?(len = 0) ~wide () =
+    let cap = min page_len (max 256 len) in
+    let eb = if wide then 8 else 4 in
+    let p =
+      { pages = [| Bytes.create (cap * eb) |]; n_pages = 1; cap; wide; len }
+    in
+    while p.cap < len do
+      grow p
+    done;
+    p
+
+  let[@inline] get p k =
+    let pg = p.pages.(k lsr page_bits) in
+    let e = k land page_mask in
+    if p.wide then Int64.to_int (Bytes.get_int64_le pg (e lsl 3))
+    else Int32.to_int (Bytes.get_int32_le pg (e lsl 2)) land 0xFFFF_FFFF
+
+  let[@inline] set p k v =
+    let pg = p.pages.(k lsr page_bits) in
+    let e = k land page_mask in
+    if p.wide then Bytes.set_int64_le pg (e lsl 3) (Int64.of_int v)
+    else Bytes.set_int32_le pg (e lsl 2) (Int32.of_int v)
+
+  let widen p =
+    for i = 0 to p.n_pages - 1 do
+      let narrow = p.pages.(i) in
+      let entries = Bytes.length narrow / 4 in
+      let pg = Bytes.create (entries * 8) in
+      for e = 0 to entries - 1 do
+        let v = Int32.to_int (Bytes.get_int32_le narrow (e lsl 2)) in
+        Bytes.set_int64_le pg (e lsl 3) (Int64.of_int (v land 0xFFFF_FFFF))
+      done;
+      p.pages.(i) <- pg
+    done;
+    p.wide <- true
+
+  let push p v =
+    if not (p.wide || fits32 v) then widen p;
+    let k = p.len in
+    if k = p.cap then grow p;
+    set p k v;
+    p.len <- k + 1
+end
+
+(* The arena is an array of int-array pages of [arena_page] states
+   each, so it grows without copying what is stored; only page 0 starts
+   small and doubles up to that size, which keeps tiny graphs tiny. *)
+let arena_page_bits = 16
+let arena_page = 1 lsl arena_page_bits
+let arena_page_mask = arena_page - 1
+
 type t = {
   codec : Packed.t;
   np : int;
   mutable words : int;
-  mutable arena : int array;
+  mutable arena : int array array;
   mutable cap_states : int;
   mutable n : int;
   mutable index : int array;  (* state index + 1; 0 = empty *)
@@ -161,14 +258,12 @@ type t = {
   mutable key_buf : int array;  (* candidate scratch, [words] long *)
   t_bits : int;
   t_mask : int;
-  mutable succ_off : int array;
-  mutable succ_dat : int array;  (* (target lsl t_bits) lor tid *)
-  mutable n_edges : int;
+  succ_off : Pages.t;  (* state -> its first edge; [n + 1] entries *)
+  succ_dat : Pages.t;  (* (target lsl t_bits) lor tid *)
   mutable last_src : int;
   mutable finalized : bool;
-  mutable pred_off : int array;
-  mutable pred_dat : int array;
-  mutable pred_built : bool;
+  mutable pred : (int array * Pages.t) option;
+      (* offsets and (source lsl t_bits) lor tid, built on first use *)
 }
 
 let bits_for v =
@@ -183,7 +278,7 @@ let create codec ~num_transitions =
     codec;
     np = Packed.places lay;
     words;
-    arena = Array.make (256 * words) 0;
+    arena = [| Array.make (256 * words) 0 |];
     cap_states = 256;
     n = 0;
     index = Array.make 1024 0;
@@ -191,19 +286,20 @@ let create codec ~num_transitions =
     key_buf = Array.make words 0;
     t_bits;
     t_mask = (1 lsl t_bits) - 1;
-    succ_off = Array.make 256 0;
-    succ_dat = Array.make 256 0;
-    n_edges = 0;
+    succ_off = Pages.create ~wide:false ();
+    succ_dat = Pages.create ~wide:false ();
     last_src = -1;
     finalized = false;
-    pred_off = [||];
-    pred_dat = [||];
-    pred_built = false;
+    pred = None;
   }
 
 let codec st = st.codec
 let num_states st = st.n
-let num_edges st = st.n_edges
+let num_edges st = st.succ_dat.Pages.len
+
+(* state [i]'s words start at [pos_of st i] in [page_of st i] *)
+let[@inline] page_of st i = st.arena.(i lsr arena_page_bits)
+let[@inline] pos_of st i = (i land arena_page_mask) * st.words
 
 let rehash st =
   let size = st.index_mask + 1 in
@@ -211,7 +307,7 @@ let rehash st =
   let lay = Packed.layout st.codec in
   let mask = st.index_mask in
   for i = 0 to st.n - 1 do
-    let h = Packed.hash lay st.arena ~pos:(i * st.words) in
+    let h = Packed.hash lay (page_of st i) ~pos:(pos_of st i) in
     let s = ref (h land mask) in
     while idx.(!s) <> 0 do
       s := (!s + 1) land mask
@@ -234,24 +330,38 @@ let widen st ~field ~value =
   let ow = Packed.words old in
   let nw = Packed.words lay in
   let tmp = Array.make st.np 0 in
-  let arena' = Array.make (st.cap_states * nw) 0 in
-  for i = 0 to st.n - 1 do
-    Packed.decode_into old st.arena ~pos:(i * ow) tmp;
-    let ex = Packed.extra_of old st.arena ~pos:(i * ow) in
-    Packed.encode lay arena' ~pos:(i * nw) tmp ~extra:ex
-  done;
-  st.arena <- arena';
+  st.arena <-
+    Array.mapi
+      (fun p page ->
+        let states =
+          if p = 0 then min st.cap_states arena_page else arena_page
+        in
+        let page' = Array.make (states * nw) 0 in
+        for j = 0 to min states (st.n - (p lsl arena_page_bits)) - 1 do
+          Packed.decode_into old page ~pos:(j * ow) tmp;
+          let ex = Packed.extra_of old page ~pos:(j * ow) in
+          Packed.encode lay page' ~pos:(j * nw) tmp ~extra:ex
+        done;
+        page')
+      st.arena;
   st.words <- nw;
   st.key_buf <- Array.make nw 0;
   rehash st
 
 let ensure_arena st =
   if st.n >= st.cap_states then begin
-    let cap = 2 * st.cap_states in
-    let arena = Array.make (cap * st.words) 0 in
-    Array.blit st.arena 0 arena 0 (st.n * st.words);
-    st.arena <- arena;
-    st.cap_states <- cap
+    if st.cap_states < arena_page then begin
+      let cap = 2 * st.cap_states in
+      let page = Array.make (cap * st.words) 0 in
+      Array.blit st.arena.(0) 0 page 0 (st.n * st.words);
+      st.arena.(0) <- page;
+      st.cap_states <- cap
+    end
+    else begin
+      st.arena <-
+        Array.append st.arena [| Array.make (arena_page * st.words) 0 |];
+      st.cap_states <- st.cap_states + arena_page
+    end
   end
 
 (* Look up the packed key in [key_buf], inserting it when fresh: the
@@ -267,7 +377,7 @@ let intern_key st ~max_states =
   let e = ref st.index.(!s) in
   while !e <> 0 && !found < 0 do
     let i = !e - 1 in
-    if Packed.equal lay st.arena ~pos:(i * st.words) st.key_buf 0 then
+    if Packed.equal lay (page_of st i) ~pos:(pos_of st i) st.key_buf 0 then
       found := i
     else begin
       s := (!s + 1) land mask;
@@ -279,7 +389,7 @@ let intern_key st ~max_states =
   else begin
     let i = st.n in
     ensure_arena st;
-    Array.blit st.key_buf 0 st.arena (i * st.words) st.words;
+    Array.blit st.key_buf 0 (page_of st i) (pos_of st i) st.words;
     st.index.(!s) <- i + 1;
     st.n <- i + 1;
     (* keep the load factor under 0.7 — linear probing stays short and
@@ -304,131 +414,235 @@ let intern st marking ~extra ~max_states =
   | i -> `Found i
 
 let intern_delta st ~src delta ~max_states =
-  let w = st.words in
-  let base = src * w in
-  for k = 0 to w - 1 do
-    st.key_buf.(k) <- st.arena.(base + k) + delta.(k)
+  let page = page_of st src and base = pos_of st src in
+  for k = 0 to st.words - 1 do
+    st.key_buf.(k) <- page.(base + k) + delta.(k)
   done;
   intern_key st ~max_states
 
 let marking_into st i dst =
-  Packed.decode_into (Packed.layout st.codec) st.arena ~pos:(i * st.words) dst
+  Packed.decode_into (Packed.layout st.codec) (page_of st i) ~pos:(pos_of st i)
+    dst
 
 let extra st i =
-  Packed.extra_of (Packed.layout st.codec) st.arena ~pos:(i * st.words)
+  Packed.extra_of (Packed.layout st.codec) (page_of st i) ~pos:(pos_of st i)
 
 (* -- CSR successors, appended in sweep order -- *)
 
-let ensure_succ_off st upto =
-  if upto >= Array.length st.succ_off then begin
-    let cap = max (upto + 1) (2 * Array.length st.succ_off) in
-    let a = Array.make cap 0 in
-    Array.blit st.succ_off 0 a 0 (st.last_src + 1);
-    st.succ_off <- a
-  end
-
 let begin_source st i =
   if i <= st.last_src then invalid_arg "Store.begin_source: not ascending";
-  ensure_succ_off st i;
-  for j = st.last_src + 1 to i do
-    st.succ_off.(j) <- st.n_edges
+  for _ = st.last_src + 1 to i do
+    Pages.push st.succ_off (num_edges st)
   done;
   st.last_src <- i
 
 let add_edge st ~tid ~target =
-  if st.n_edges >= Array.length st.succ_dat then begin
-    let a = Array.make (2 * Array.length st.succ_dat) 0 in
-    Array.blit st.succ_dat 0 a 0 st.n_edges;
-    st.succ_dat <- a
-  end;
-  st.succ_dat.(st.n_edges) <- (target lsl st.t_bits) lor tid;
-  st.n_edges <- st.n_edges + 1
+  Pages.push st.succ_dat ((target lsl st.t_bits) lor tid)
 
 let finalize st =
   if not st.finalized then begin
-    ensure_succ_off st st.n;
-    for j = st.last_src + 1 to st.n do
-      st.succ_off.(j) <- st.n_edges
+    for _ = st.last_src + 1 to st.n do
+      Pages.push st.succ_off (num_edges st)
     done;
     st.last_src <- st.n;
-    st.succ_off <- Array.sub st.succ_off 0 (st.n + 1);
-    st.succ_dat <- Array.sub st.succ_dat 0 st.n_edges;
-    if st.n * st.words < Array.length st.arena then begin
-      st.arena <- Array.sub st.arena 0 (st.n * st.words);
-      st.cap_states <- st.n
-    end;
     st.finalized <- true
   end
 
-let out_degree st i = st.succ_off.(i + 1) - st.succ_off.(i)
+let[@inline] first_edge st i = Pages.get st.succ_off i
+let out_degree st i = first_edge st (i + 1) - first_edge st i
 
 let successors st i =
   let acc = ref [] in
-  for k = st.succ_off.(i + 1) - 1 downto st.succ_off.(i) do
-    let v = st.succ_dat.(k) in
+  for k = first_edge st (i + 1) - 1 downto first_edge st i do
+    let v = Pages.get st.succ_dat k in
     acc := (v land st.t_mask, v lsr st.t_bits) :: !acc
   done;
   !acc
 
 let iter_edges st f =
   for i = 0 to st.n - 1 do
-    for k = st.succ_off.(i) to st.succ_off.(i + 1) - 1 do
-      let v = st.succ_dat.(k) in
+    for k = first_edge st i to first_edge st (i + 1) - 1 do
+      let v = Pages.get st.succ_dat k in
       f i (v land st.t_mask) (v lsr st.t_bits)
     done
   done
 
-(* -- predecessor CSR: counting sort over the successor array, stable
+(* -- predecessor CSR: counting sort over the successor entries, stable
       in sweep order so per-target slices match the frozen boxed
       oracle's traversal -- *)
 
 let build_pred st =
-  if not st.pred_built then begin
+  match st.pred with
+  | Some p -> p
+  | None ->
     let n = st.n in
+    let n_edges = num_edges st in
     let off = Array.make (n + 1) 0 in
-    for k = 0 to st.n_edges - 1 do
-      let tgt = st.succ_dat.(k) lsr st.t_bits in
+    for k = 0 to n_edges - 1 do
+      let tgt = Pages.get st.succ_dat k lsr st.t_bits in
       off.(tgt + 1) <- off.(tgt + 1) + 1
     done;
     for i = 1 to n do
       off.(i) <- off.(i) + off.(i - 1)
     done;
     let cursor = Array.sub off 0 n in
-    let dat = Array.make st.n_edges 0 in
+    let widest = (max 0 (n - 1) lsl st.t_bits) lor st.t_mask in
+    let dat = Pages.create ~len:n_edges ~wide:(not (Pages.fits32 widest)) () in
     for src = 0 to n - 1 do
-      for k = st.succ_off.(src) to st.succ_off.(src + 1) - 1 do
-        let v = st.succ_dat.(k) in
+      for k = first_edge st src to first_edge st (src + 1) - 1 do
+        let v = Pages.get st.succ_dat k in
         let tgt = v lsr st.t_bits in
-        dat.(cursor.(tgt)) <- (src lsl st.t_bits) lor (v land st.t_mask);
+        Pages.set dat cursor.(tgt) ((src lsl st.t_bits) lor (v land st.t_mask));
         cursor.(tgt) <- cursor.(tgt) + 1
       done
     done;
-    st.pred_off <- off;
-    st.pred_dat <- dat;
-    st.pred_built <- true
-  end
+    st.pred <- Some (off, dat);
+    (off, dat)
 
 (* Reverse sweep order, matching the frozen boxed oracle (which
    prepends while walking sources ascending). *)
 let predecessors st j =
-  build_pred st;
+  let off, dat = build_pred st in
   let acc = ref [] in
-  for k = st.pred_off.(j) to st.pred_off.(j + 1) - 1 do
-    let v = st.pred_dat.(k) in
+  for k = off.(j) to off.(j + 1) - 1 do
+    let v = Pages.get dat k in
     acc := (v lsr st.t_bits, v land st.t_mask) :: !acc
   done;
   !acc
 
-let iter_pred_sources st j f =
-  build_pred st;
-  for k = st.pred_off.(j) to st.pred_off.(j + 1) - 1 do
-    f (st.pred_dat.(k) lsr st.t_bits)
-  done
+(* Strongly connected components of the recorded graph, in one
+   iterative pass over the successors: Pearce's one-array variant of
+   Tarjan ("A space-efficient algorithm for finding strongly connected
+   components", IPL 2016).  [rindex.(v)] is 0 while [v] is unvisited,
+   its visit rank while its component is open, and the component id
+   once that closes.  Ids count down from [n], so every open rank stays
+   below every closed id: an edge into a closed component is told apart
+   by value, with no on-stack bit.
 
-let store_words st = (Array.length st.arena, Array.length st.index)
+   A state is on the DFS path, or done but waiting for its component's
+   root, or closed — never two at once — so both stacks share one
+   [n]-slot array, the path growing up from 0 and the waiting states
+   down from [n].  A path frame packs the state, its edge cursor
+   (relative to its first edge) and two bits: "root" (no edge has yet
+   reached a lower rank) and "leaves" (some edge reaches a closed
+   component).  A waiting entry keeps the state and its "leaves" bit;
+   OR-ed over a component as the root pops it, that bit tells whether
+   the component is a bottom SCC. *)
+type sccs = {
+  components : int;
+  bottoms : int;
+  bottom_id : int;
+  component : int array;
+}
+
+let root_bit = 1
+let leaves_bit = 2
+
+let sccs st =
+  let n = st.n in
+  let max_degree = ref 0 in
+  for v = 0 to n - 1 do
+    let d = first_edge st (v + 1) - first_edge st v in
+    if d > !max_degree then max_degree := d
+  done;
+  let d_bits = bits_for !max_degree in
+  let d_mask = (1 lsl d_bits) - 1 in
+  let rindex = Array.make n 0 in
+  let stack = Array.make n 0 in
+  let path = ref 0 (* frames in stack.(0 .. path - 1) *) in
+  let wait = ref n (* waiting states in stack.(wait .. n - 1) *) in
+  let rank = ref 1 and next_id = ref n in
+  let components = ref 0 and bottoms = ref 0 and bottom_id = ref 0 in
+  for s = 0 to n - 1 do
+    if rindex.(s) = 0 then begin
+      (* the frame of the state being explored lives in these refs:
+         state [v], next edge [k], edges end at [k_end], bits [f] *)
+      let v = ref s and f = ref root_bit in
+      let k = ref (first_edge st s) in
+      let k_end = ref (first_edge st (s + 1)) in
+      rindex.(s) <- !rank;
+      incr rank;
+      let active = ref true in
+      while !active do
+        if !k < !k_end then begin
+          let w = Pages.get st.succ_dat !k lsr st.t_bits in
+          let rw = rindex.(w) in
+          if rw = 0 then begin
+            (* descend, parking [v] with its cursor on this edge *)
+            let rel = !k - first_edge st !v in
+            stack.(!path) <- (((!v lsl d_bits) lor rel) lsl 2) lor !f;
+            incr path;
+            v := w;
+            f := root_bit;
+            k := first_edge st w;
+            k_end := first_edge st (w + 1);
+            rindex.(w) <- !rank;
+            incr rank
+          end
+          else begin
+            if rw > !next_id then f := !f lor leaves_bit
+            else if rw < rindex.(!v) then begin
+              rindex.(!v) <- rw;
+              f := !f land lnot root_bit
+            end;
+            incr k
+          end
+        end
+        else begin
+          (* [v]'s edges are done: it waits for its root, or it is the
+             root and closes its component *)
+          let w = !v in
+          if !f land root_bit = 0 then begin
+            decr wait;
+            stack.(!wait) <- (w lsl 1) lor ((!f lsr 1) land 1)
+          end
+          else begin
+            let id = !next_id in
+            let r = rindex.(w) in
+            let leaves = ref (!f land leaves_bit) in
+            while !wait < n && r <= rindex.(stack.(!wait) lsr 1) do
+              let x = stack.(!wait) in
+              leaves := !leaves lor ((x land 1) lsl 1);
+              rindex.(x lsr 1) <- id;
+              incr wait;
+              decr rank
+            done;
+            rindex.(w) <- id;
+            decr rank;
+            decr next_id;
+            incr components;
+            if !leaves = 0 then begin
+              incr bottoms;
+              bottom_id := id
+            end
+          end;
+          if !path = 0 then active := false
+          else begin
+            (* back in the parent, on its edge to [w]: now that [w] is
+               visited, the next turn finishes that edge *)
+            decr path;
+            let frame = stack.(!path) in
+            let u = frame lsr (d_bits + 2) in
+            v := u;
+            f := frame land 3;
+            k := first_edge st u + ((frame lsr 2) land d_mask);
+            k_end := first_edge st (u + 1)
+          end
+        end
+      done
+    end
+  done;
+  {
+    components = !components;
+    bottoms = !bottoms;
+    bottom_id = !bottom_id;
+    component = rindex;
+  }
+
+let edge_bytes st = Pages.entry_bytes st.succ_dat
 
 let bytes_per_state st =
   if st.n = 0 then 0.0
   else
-    let arena, index = store_words st in
-    float_of_int ((arena + index) * (Sys.word_size / 8)) /. float_of_int st.n
+    let words = (st.n * st.words) + Array.length st.index in
+    float_of_int (words * (Sys.word_size / 8)) /. float_of_int st.n

@@ -1,12 +1,22 @@
 (** Arena-backed compact state store for the reachability builder.
 
-    States live as {!Packed} words in one flat int array; membership is
-    an open-addressing table of arena offsets (no per-state boxes, no
-    stored hashes — they are recomputed from the arena on growth); and
-    edges are appended in sweep order into CSR successor arrays, with
-    the predecessor CSR counting-sorted lazily on first use.  The whole
-    store for a variable-free bounded net is a handful of flat arrays:
-    one word per state plus ~1.5 index slots. *)
+    States live as {!Packed} words in an arena of int-array pages
+    (2{^16} states each, appended as it fills, so stored states are
+    never copied to grow it); membership is an open-addressing table of
+    state indices (no per-state boxes, no stored hashes — they are
+    recomputed from the arena on growth).
+    Edges are appended in sweep order as CSR successors: one offset per
+    state and one word per edge, each a 4-byte entry in [Bytes] pages
+    of 2{^16} entries (only the first starts small and doubles), so they
+    grow page by page without copying what is stored.  The GC does not scan the pages, but they are
+    major-heap words, so a [--heap-limit-mb] budget counts them.  Once
+    a word (an edge's [(target lsl t_bits) lor tid], or an offset) no
+    longer fits 32 bits, its pages are re-encoded once to 8-byte
+    entries.  The predecessor CSR is a counting sort into the same kind
+    of pages, built lazily on the first {!predecessors} call: only CTL
+    and [Graph.predecessors] need it, the reachability summary does
+    not.  A variable-free bounded net costs one word per state, ~1.5
+    index slots and 4 bytes per state and per edge. *)
 
 type t
 
@@ -58,6 +68,10 @@ val finalize : t -> unit
 
 val out_degree : t -> int -> int
 
+val edge_bytes : t -> int
+(** Bytes per successor entry: 4, or 8 once an edge word outgrew 32
+    bits. *)
+
 val successors : t -> int -> (int * int) list
 (** [(transition, target)] pairs of state [i], in emission order —
     exactly the frozen boxed oracle's successor order. *)
@@ -66,18 +80,28 @@ val predecessors : t -> int -> (int * int) list
 (** [(source, transition)] pairs pointing at state [j], in reverse
     sweep order — exactly the frozen boxed oracle's predecessor order. *)
 
-val iter_pred_sources : t -> int -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges st f] calls [f source transition target] for every edge
     in ascending-source sweep order — the frozen boxed oracle's edge
     order. *)
 
-val store_words : t -> int * int
-(** [(arena words, index slots)] currently allocated. *)
+(** {2 Strongly connected components} *)
+
+type sccs = {
+  components : int;  (** number of SCCs *)
+  bottoms : int;  (** SCCs that no edge leaves *)
+  bottom_id : int;  (** the id of the last bottom SCC found *)
+  component : int array;  (** state -> SCC id *)
+}
+
+val sccs : t -> sccs
+(** The SCCs of the successor graph (after {!finalize}), in one
+    iterative pass: linear in states plus edges, with two [n]-int
+    scratch arrays and no predecessors.  Ids lie in
+    [\[n - components + 1, n\]]. *)
 
 val bytes_per_state : t -> float
-(** Bytes of arena plus index per stored state (call after
-    {!finalize}, which trims the arena to size). *)
+(** Bytes of stored arena words plus index slots per stored state. *)
 
 (** A FIFO of state indices that spills full chunks to a temp file as
     delta varints once the buffered middle exceeds a byte threshold.

@@ -165,11 +165,11 @@ let bound g p =
 let is_safe g =
   Array.for_all (fun s -> Array.for_all (fun c -> c <= 1) s.s_marking) g.states
 
-(* every state reaches the initial one: a backward walk from state 0 *)
-let is_reversible g =
+(* every state reaches [target]: a backward walk from it *)
+let reached_by_all g target =
   let seen = Array.make (num_states g) false in
   let stack = Stack.create () in
-  Stack.push 0 stack;
+  Stack.push target stack;
   while not (Stack.is_empty stack) do
     let i = Stack.pop stack in
     if not seen.(i) then begin
@@ -178,6 +178,12 @@ let is_reversible g =
     end
   done;
   Array.for_all Fun.id seen
+
+let is_reversible g = reached_by_all g 0
+
+(* one backward walk per state: quadratic, for small graphs only *)
+let home_states g =
+  List.filter (reached_by_all g) (List.init (num_states g) Fun.id)
 
 let dead_transitions g =
   let fired = Array.make (Net.num_transitions g.net) false in

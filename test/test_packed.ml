@@ -142,6 +142,45 @@ let test_lying_capacity_identical () =
   Alcotest.(check bool) "packed graph equals boxed graph" true
     (graphs_equal boxed packed)
 
+let test_late_widen_identical () =
+  (* the lying sink again, gated on 8 of the ring's 11 tokens sitting
+     in r8: its 1-bit field overflows only after more than one arena
+     page (65,536 states) is stored, so the widen re-encodes a full
+     page and a partial one; the cap lets the build fill a third page *)
+  let b = B.create "late liar" in
+  let ps =
+    Array.init 9 (fun i ->
+        B.add_place b (Printf.sprintf "r%d" i)
+          ~initial:(if i = 0 then 11 else 0))
+  in
+  for i = 0 to 8 do
+    ignore
+      (B.add_transition b (Printf.sprintf "rt%d" i)
+         ~inputs:[ (ps.(i), 1) ]
+         ~outputs:[ (ps.((i + 1) mod 9), 1) ]
+        : Net.transition_id)
+  done;
+  let src = B.add_place b "src" ~initial:2 ~capacity:2 in
+  let sink = B.add_place b "sink" ~capacity:1 in
+  ignore
+    (B.add_transition b "drain"
+       ~inputs:[ (ps.(8), 8); (src, 1) ]
+       ~outputs:[ (ps.(8), 8); (sink, 1) ]
+      : Net.transition_id);
+  let net = B.build b in
+  let boxed, packed = both ~max_states:150_000 net in
+  let first_overflow =
+    let rec go i =
+      if (Graph.state packed i).Graph.s_marking.(sink) >= 2 then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  Alcotest.(check bool) "the sink overflows past the first arena page" true
+    (first_overflow > 65_536);
+  Alcotest.(check bool) "packed graph equals boxed graph" true
+    (graphs_equal boxed packed)
+
 let test_spill_identical =
   (* threshold 0 forces every full frontier chunk through the temp
      file; the graph must come out byte-identical *)
@@ -551,6 +590,186 @@ let prop_packed_spill_equals_boxed =
       let boxed, packed = both ~max_states:cap ~frontier_spill:0 net in
       graphs_equal boxed packed)
 
+(* -- edge pages: 4-byte entries, the switch to 8 bytes, page
+      boundaries -- *)
+
+(* Store [edges] (source, tid, target), grouped by ascending source,
+   into a store of [n] one-place states. *)
+let store_of_edges ~num_transitions ~n edges =
+  let codec = Packed.create (carrier_net [| n |]) in
+  let st = Store.create codec ~num_transitions in
+  for i = 0 to n - 1 do
+    match Store.intern st [| i |] ~extra:0 ~max_states:max_int with
+    | `Added j when j = i -> ()
+    | _ -> Alcotest.fail "states intern in order"
+  done;
+  let last = ref (-1) in
+  List.iter
+    (fun (src, tid, tgt) ->
+      if src <> !last then begin
+        Store.begin_source st src;
+        last := src
+      end;
+      Store.add_edge st ~tid ~target:tgt)
+    edges;
+  Store.finalize st;
+  st
+
+(* Every edge accessor against the plain edge list. *)
+let check_against_model what st ~n edges =
+  Alcotest.(check int) (what ^ ": edge count") (List.length edges)
+    (Store.num_edges st);
+  let seen = ref [] in
+  Store.iter_edges st (fun src tid tgt -> seen := (src, tid, tgt) :: !seen);
+  Alcotest.(check bool) (what ^ ": iter_edges in sweep order") true
+    (List.rev !seen = edges);
+  (* successors in sweep order, predecessors in reverse sweep order *)
+  let out = Array.make n [] and into = Array.make n [] in
+  List.iter
+    (fun (src, tid, tgt) ->
+      out.(src) <- (tid, tgt) :: out.(src);
+      into.(tgt) <- (src, tid) :: into.(tgt))
+    edges;
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if
+      Store.out_degree st i <> List.length out.(i)
+      || Store.successors st i <> List.rev out.(i)
+      || Store.predecessors st i <> into.(i)
+    then ok := false
+  done;
+  Alcotest.(check bool)
+    (what ^ ": out_degree, successors and predecessors")
+    true !ok
+
+let test_edge_width_switch () =
+  (* 30 transition bits: a word for target 3 still fits 32 bits, one
+     for target 4 does not *)
+  let num_transitions = 1 lsl 30 in
+  let big = num_transitions - 1 in
+  let narrow =
+    [ (0, 0, 1); (0, big, 2); (1, 5, 3); (1, 7, 0); (2, big, 3); (3, 1, 1) ]
+  in
+  let wide = narrow @ [ (4, 2, 4); (4, big, 5); (5, 3, 0) ] in
+  let st = store_of_edges ~num_transitions ~n:6 narrow in
+  Alcotest.(check int) "targets below 4 keep 4-byte entries" 4
+    (Store.edge_bytes st);
+  check_against_model "narrow" st ~n:6 narrow;
+  let st = store_of_edges ~num_transitions ~n:6 wide in
+  Alcotest.(check int) "target 4 switches to 8-byte entries" 8
+    (Store.edge_bytes st);
+  check_against_model "wide" st ~n:6 wide
+
+let test_edge_pages_cross () =
+  (* 70,000 states with one edge each: the offsets and the edges both
+     cross from the first page of 65,536 entries into the second.  With
+     24 transition bits, targets below 256 fit 32 bits and the last
+     state does not: the wide variant switches once the first page is
+     full, so a full page and a partial one are re-encoded. *)
+  let n = 70_000 in
+  let gen ~wide_after =
+    List.init n (fun k ->
+        (k, k mod 1000, if k >= wide_after then n - 1 else k * 7 mod 200))
+  in
+  let narrow = gen ~wide_after:max_int in
+  let st = store_of_edges ~num_transitions:1000 ~n narrow in
+  Alcotest.(check int) "4-byte entries" 4 (Store.edge_bytes st);
+  check_against_model "paged" st ~n narrow;
+  let wide = gen ~wide_after:66_000 in
+  let st = store_of_edges ~num_transitions:(1 lsl 24) ~n wide in
+  Alcotest.(check int) "8-byte entries after the switch" 8
+    (Store.edge_bytes st);
+  check_against_model "paged wide" st ~n wide
+
+(* -- reversibility and home states: one SCC pass against the boxed
+      oracle's backward walks -- *)
+
+let net_of name ~places transitions =
+  let b = B.create name in
+  let ps =
+    List.map (fun (p, initial) -> (p, B.add_place b p ~initial)) places
+  in
+  List.iter
+    (fun (t, i, o) ->
+      ignore
+        (B.add_transition b t
+           ~inputs:[ (List.assoc i ps, 1) ]
+           ~outputs:[ (List.assoc o ps, 1) ]
+          : Net.transition_id))
+    transitions;
+  B.build b
+
+let check_scc ?max_states net ~reversible ~home () =
+  let o = Pnut_exec.Supervisor.value (Boxed.build_supervised ?max_states net) in
+  let g = Pnut_exec.Supervisor.value (Graph.build_supervised ?max_states net) in
+  Alcotest.(check bool) "oracle reversible" reversible (Boxed.is_reversible o);
+  Alcotest.(check (list int)) "oracle home states" home (Boxed.home_states o);
+  Alcotest.(check bool) "reversible" reversible (Graph.is_reversible g);
+  Alcotest.(check (list int)) "home states" home (Graph.home_states g)
+
+(* p branches into two 2-cycles: two bottom SCCs, no home state *)
+let test_scc_two_bottoms =
+  check_scc
+    (net_of "forks"
+       ~places:[ ("p", 1); ("a", 0); ("a2", 0); ("b", 0); ("b2", 0) ]
+       [ ("ta", "p", "a"); ("tb", "p", "b"); ("ta2", "a", "a2");
+         ("ta1", "a2", "a"); ("tb2", "b", "b2"); ("tb1", "b2", "b") ])
+    ~reversible:false ~home:[]
+
+let test_scc_sink =
+  check_scc
+    (net_of "sink" ~places:[ ("p", 1); ("q", 0) ] [ ("t", "p", "q") ])
+    ~reversible:false ~home:[ 1 ]
+
+(* [a <-> b] with the exit [b -> c] on the member that is not the
+   component's root: the root must inherit b's leaving edge *)
+let test_scc_exit_from_member =
+  check_scc
+    (net_of "member exit" ~places:[ ("a", 1); ("b", 0); ("c", 0) ]
+       [ ("ab", "a", "b"); ("ba", "b", "a"); ("bc", "b", "c") ])
+    ~reversible:false ~home:[ 2 ]
+
+(* p reaches the sink q directly and through r; r's only edge leads
+   into the component closed just before *)
+let test_scc_into_last_closed =
+  check_scc
+    (net_of "diamond" ~places:[ ("p", 1); ("q", 0); ("r", 0) ]
+       [ ("pq", "p", "q"); ("pr", "p", "r"); ("rq", "r", "q") ])
+    ~reversible:false ~home:[ 1 ]
+
+let test_scc_one_state () =
+  check_scc
+    (net_of "loop" ~places:[ ("p", 1) ] [ ("t", "p", "p") ])
+    ~reversible:true ~home:[ 0 ] ();
+  check_scc
+    (net_of "dead" ~places:[ ("p", 0); ("q", 0) ] [ ("t", "p", "q") ])
+    ~reversible:true ~home:[ 0 ] ()
+
+(* a capped prefix: the unexpanded frontier states are sinks *)
+let test_scc_truncated () =
+  check_scc ~max_states:50 (pump_net ()) ~reversible:false ~home:[ 49 ] ();
+  check_scc ~max_states:50 (ring ~tokens:6 ()) ~reversible:false ~home:[] ()
+
+let test_scc_ring_scale () =
+  let net = ring9 ~tokens:8 in
+  List.iter
+    (fun por ->
+      let g = Graph.build ~por net in
+      let what = Printf.sprintf "por=%b" por in
+      Alcotest.(check bool) (what ^ ": reversible") true
+        (Graph.is_reversible g);
+      Alcotest.(check bool) (what ^ ": every state is a home state") true
+        (Graph.home_states g = List.init 12870 Fun.id))
+    [ true; false ]
+
+let prop_scc_equals_backward_walks =
+  QCheck2.Test.make
+    ~name:"SCC reversibility and home states equal the backward walks"
+    ~count:120 gen_spec (fun spec ->
+      let boxed, packed = both ~max_states:300 (build_spec_net spec) in
+      Boxed.is_reversible boxed = Graph.is_reversible packed
+      && Boxed.home_states boxed = Graph.home_states packed)
+
 let () =
   Alcotest.run "packed"
     [
@@ -562,6 +781,8 @@ let () =
             test_pump_widen_identical;
           Alcotest.test_case "lying capacity widen" `Quick
             test_lying_capacity_identical;
+          Alcotest.test_case "late widen across arena pages" `Quick
+            test_late_widen_identical;
           Alcotest.test_case "forced spill" `Quick test_spill_identical;
           Alcotest.test_case "budget trip partial" `Quick
             test_budget_trip_identical;
@@ -571,6 +792,24 @@ let () =
             test_delta_overflow_identical;
           Alcotest.test_case "ring successor digest" `Quick
             test_ring_successor_digest;
+        ] );
+      ( "edge pages",
+        [
+          Alcotest.test_case "4- to 8-byte switch" `Quick
+            test_edge_width_switch;
+          Alcotest.test_case "page boundary" `Quick test_edge_pages_cross;
+        ] );
+      ( "scc",
+        [
+          Alcotest.test_case "two bottom SCCs" `Quick test_scc_two_bottoms;
+          Alcotest.test_case "deadlock sink" `Quick test_scc_sink;
+          Alcotest.test_case "exit from a member" `Quick
+            test_scc_exit_from_member;
+          Alcotest.test_case "edge into the last closed" `Quick
+            test_scc_into_last_closed;
+          Alcotest.test_case "one state" `Quick test_scc_one_state;
+          Alcotest.test_case "truncated prefix" `Quick test_scc_truncated;
+          Alcotest.test_case "ring9 home states" `Quick test_scc_ring_scale;
         ] );
       ( "frontier",
         [
@@ -588,5 +827,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_roundtrip_and_agreement;
           QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
           QCheck_alcotest.to_alcotest prop_packed_spill_equals_boxed;
+          QCheck_alcotest.to_alcotest prop_scc_equals_backward_walks;
         ] );
     ]
