@@ -40,12 +40,21 @@ let pp_progress ppf p =
     p.visited p.frontier p.elapsed_s
     (float_of_int p.heap_words /. 1e6)
 
-type monitor = { budget : Budget.t; started : float; is_active : bool }
+type monitor = {
+  budget : Budget.t;
+  started : float;
+  is_active : bool;
+  mutable heap_read : float;  (* when [check] last read the heap *)
+}
 
 let start budget =
   let is_active = not (Budget.is_none budget) in
   let started = if is_active then Unix.gettimeofday () else 0.0 in
-  { budget; started; is_active }
+  { budget; started; is_active; heap_read = neg_infinity }
+
+(* [Gc.quick_stat] costs ~30 clock reads, so the heap is read at most
+   once per millisecond of wall clock, whatever the caller's cadence. *)
+let heap_interval_s = 1e-3
 
 let active m = m.is_active
 
@@ -58,21 +67,18 @@ let check m =
     match b.Budget.cancel with
     | Some tok when Budget.cancelled tok -> Some Cancelled
     | _ -> (
-      let wall_hit =
-        match b.Budget.wall_s with
-        | Some limit ->
-          let e = Unix.gettimeofday () -. m.started in
-          if e >= limit then Some (Wall e) else None
-        | None -> None
-      in
-      match wall_hit with
-      | Some _ as r -> r
-      | None -> (
-        match b.Budget.heap_words with
-        | Some limit ->
+      match (b.Budget.wall_s, b.Budget.heap_words) with
+      | None, None -> None
+      | wall_s, heap_words -> (
+        let now = Unix.gettimeofday () in
+        let e = now -. m.started in
+        match (wall_s, heap_words) with
+        | Some limit, _ when e >= limit -> Some (Wall e)
+        | _, Some limit when now -. m.heap_read >= heap_interval_s ->
+          m.heap_read <- now;
           let w = (Gc.quick_stat ()).Gc.heap_words in
           if w >= limit then Some (Heap w) else None
-        | None -> None))
+        | _ -> None))
 
 let max_states m = m.budget.Budget.max_states
 let max_events m = m.budget.Budget.max_events

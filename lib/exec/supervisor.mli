@@ -59,8 +59,10 @@ val active : monitor -> bool
 
 val check : monitor -> reason option
 (** Poll cancellation, wall clock and heap (in that order).  Intended
-    for existing cheap cadences; a call costs one [Atomic.get], at most
-    one [Unix.gettimeofday] and one [Gc.quick_stat]. *)
+    for existing cheap cadences; a call costs one [Atomic.get] and at
+    most one [Unix.gettimeofday], and reads the heap ([Gc.quick_stat])
+    on the first call and then at most once per millisecond of wall
+    clock, so a heap trip is seen within 1 ms plus one poll interval. *)
 
 val states_over : monitor -> int -> reason option
 (** [states_over m n] is [Some (States n)] when the budget caps states

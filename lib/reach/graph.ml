@@ -335,18 +335,19 @@ let dead_transitions g =
    together with its incoming edge, in a truncated or budget-stopped
    prefix too — so state 0 is reachable from every state exactly when
    the graph is one SCC. *)
-let is_reversible g = (Store.sccs g.store).Store.components = 1
+let is_reversible g = Store.components (Store.sccs g.store) = 1
 
 (* A home state is reachable from every state.  Every state reaches
    some bottom SCC, and nothing leaves one, so the home states are the
    members of the bottom SCC when it is unique, and none otherwise. *)
 let home_states g =
   let c = Store.sccs g.store in
-  if c.Store.bottoms <> 1 then []
+  if Store.bottoms c <> 1 then []
   else begin
+    let bottom = Store.bottom_id c in
     let acc = ref [] in
     for i = num_states g - 1 downto 0 do
-      if c.Store.component.(i) = c.Store.bottom_id then acc := i :: !acc
+      if Store.component c i = bottom then acc := i :: !acc
     done;
     !acc
   end

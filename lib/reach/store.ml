@@ -3,7 +3,8 @@ module Binary = Pnut_trace.Binary
 (* Arena-backed compact state store: packed markings in int-array
    pages, an open-addressing index over state indices (no per-state
    boxes, no stored hashes — they are recomputed from the arena when
-   the table grows), and successor edges in CSR form built in one pass.
+   the table grows; 4-byte slots, released at [finalize]), and
+   successor edges in CSR form built in one pass.
    BFS interns states in ascending order and expands them in ascending
    order, so the successor offsets can be appended as the sweep runs;
    predecessors are a counting sort over the finished successor
@@ -149,17 +150,19 @@ module Frontier = struct
       (try Sys.remove path with Sys_error _ -> ())
 end
 
-(* Unsigned words in byte pages: the CSR offsets, and the edge words
+(* Unsigned words in byte pages: the CSR offsets, the edge words
    [(target lsl t_bits) lor tid] (a source in place of the target in
-   the predecessor CSR).  Entries are 4 bytes, in pages of [page_len]
-   appended as the sweep runs, so there is no doubling copy of what is
-   stored and no trim at finalize; only page 0 starts small and doubles
-   up to [page_len], which keeps tiny graphs tiny.  The GC never scans
+   the predecessor CSR), the intern index and the SCC scratch.  Entries
+   are 4 bytes, in pages of [page_len]; the CSR tables are appended as
+   the sweep runs, so there is no doubling copy of what is stored and
+   no trim at finalize; only page 0 starts small and doubles up to
+   [page_len], which keeps tiny graphs tiny.  The GC never scans
    [Bytes], yet they count in the major heap, so a heap budget still
-   covers the edges.  The first word that does not fit 32 bits
-   re-encodes every page once to 8-byte entries, the way
-   {!Packed.widen} re-lays the arena; entries keep their page and slot,
-   only the page bytes double. *)
+   covers them.  The first word that does not fit 32 bits re-encodes
+   every page once to 8-byte entries, the way {!Packed.widen} re-lays
+   the arena; entries keep their page and slot, only the page bytes
+   double.  Tables of a known size and widest value (the index, the
+   SCC scratch, the predecessor CSR) pick their width up front. *)
 module Pages = struct
   let page_bits = 16
   let page_len = 1 lsl page_bits
@@ -194,8 +197,9 @@ module Pages = struct
     end
 
   (* [len] entries of room up front (the predecessor CSR's size is
-     known before it is filled) *)
-  let create ?(len = 0) ~wide () =
+     known before it is filled); [zero] fills them with 0 (an empty
+     index, unvisited SCC ranks) *)
+  let create ?(len = 0) ?(zero = false) ~wide () =
     let cap = min page_len (max 256 len) in
     let eb = if wide then 8 else 4 in
     let p =
@@ -204,19 +208,33 @@ module Pages = struct
     while p.cap < len do
       grow p
     done;
+    if zero then
+      for i = 0 to p.n_pages - 1 do
+        Bytes.fill p.pages.(i) 0 (Bytes.length p.pages.(i)) '\000'
+      done;
     p
 
+  (* Native-endian and unchecked: the bytes never leave the process,
+     and [k < cap] bounds both the page number and the offset in its
+     page, so one check replaces the array's and the page's. *)
+  external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+  external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
   let[@inline] get p k =
-    let pg = p.pages.(k lsr page_bits) in
+    if k < 0 || k >= p.cap then invalid_arg "Store.Pages.get";
+    let pg = Array.unsafe_get p.pages (k lsr page_bits) in
     let e = k land page_mask in
-    if p.wide then Int64.to_int (Bytes.get_int64_le pg (e lsl 3))
-    else Int32.to_int (Bytes.get_int32_le pg (e lsl 2)) land 0xFFFF_FFFF
+    if p.wide then Int64.to_int (get64u pg (e lsl 3))
+    else Int32.to_int (get32u pg (e lsl 2)) land 0xFFFF_FFFF
 
   let[@inline] set p k v =
-    let pg = p.pages.(k lsr page_bits) in
+    if k < 0 || k >= p.cap then invalid_arg "Store.Pages.set";
+    let pg = Array.unsafe_get p.pages (k lsr page_bits) in
     let e = k land page_mask in
-    if p.wide then Bytes.set_int64_le pg (e lsl 3) (Int64.of_int v)
-    else Bytes.set_int32_le pg (e lsl 2) (Int32.of_int v)
+    if p.wide then set64u pg (e lsl 3) (Int64.of_int v)
+    else set32u pg (e lsl 2) (Int32.of_int v)
 
   let widen p =
     for i = 0 to p.n_pages - 1 do
@@ -224,8 +242,8 @@ module Pages = struct
       let entries = Bytes.length narrow / 4 in
       let pg = Bytes.create (entries * 8) in
       for e = 0 to entries - 1 do
-        let v = Int32.to_int (Bytes.get_int32_le narrow (e lsl 2)) in
-        Bytes.set_int64_le pg (e lsl 3) (Int64.of_int (v land 0xFFFF_FFFF))
+        let v = Int32.to_int (get32u narrow (e lsl 2)) in
+        set64u pg (e lsl 3) (Int64.of_int (v land 0xFFFF_FFFF))
       done;
       p.pages.(i) <- pg
     done;
@@ -253,8 +271,9 @@ type t = {
   mutable arena : int array array;
   mutable cap_states : int;
   mutable n : int;
-  mutable index : int array;  (* state index + 1; 0 = empty *)
-  mutable index_mask : int;
+  mutable index : Pages.t;
+      (* state index + 1 per slot, 0 = empty; released at finalize *)
+  mutable index_mask : int;  (* slots - 1, kept after the release *)
   mutable key_buf : int array;  (* candidate scratch, [words] long *)
   t_bits : int;
   t_mask : int;
@@ -270,6 +289,13 @@ let bits_for v =
   let rec go w = if v lsr w = 0 then w else go (w + 1) in
   max 1 (go 0)
 
+(* Every stored [i + 1] is below the slot count (the load factor stays
+   under 0.7), so the slots are 4 bytes until there are more than 2^32
+   of them. *)
+let index_wide slots = slots > 1 lsl 32
+let new_index slots =
+  Pages.create ~len:slots ~zero:true ~wide:(index_wide slots) ()
+
 let create codec ~num_transitions =
   let lay = Packed.layout codec in
   let words = Packed.words lay in
@@ -281,7 +307,7 @@ let create codec ~num_transitions =
     arena = [| Array.make (256 * words) 0 |];
     cap_states = 256;
     n = 0;
-    index = Array.make 1024 0;
+    index = new_index 1024;
     index_mask = 1023;
     key_buf = Array.make words 0;
     t_bits;
@@ -302,17 +328,16 @@ let[@inline] page_of st i = st.arena.(i lsr arena_page_bits)
 let[@inline] pos_of st i = (i land arena_page_mask) * st.words
 
 let rehash st =
-  let size = st.index_mask + 1 in
-  let idx = Array.make size 0 in
+  let idx = new_index (st.index_mask + 1) in
   let lay = Packed.layout st.codec in
   let mask = st.index_mask in
   for i = 0 to st.n - 1 do
     let h = Packed.hash lay (page_of st i) ~pos:(pos_of st i) in
     let s = ref (h land mask) in
-    while idx.(!s) <> 0 do
+    while Pages.get idx !s <> 0 do
       s := (!s + 1) land mask
     done;
-    idx.(!s) <- i + 1
+    Pages.set idx !s (i + 1)
   done;
   st.index <- idx
 
@@ -371,17 +396,17 @@ let ensure_arena st =
 let intern_key st ~max_states =
   let lay = Packed.layout st.codec in
   let h = Packed.hash lay st.key_buf ~pos:0 in
-  let mask = st.index_mask in
+  let idx = st.index and mask = st.index_mask in
   let s = ref (h land mask) in
   let found = ref (-1) in
-  let e = ref st.index.(!s) in
+  let e = ref (Pages.get idx !s) in
   while !e <> 0 && !found < 0 do
     let i = !e - 1 in
     if Packed.equal lay (page_of st i) ~pos:(pos_of st i) st.key_buf 0 then
       found := i
     else begin
       s := (!s + 1) land mask;
-      e := st.index.(!s)
+      e := Pages.get idx !s
     end
   done;
   if !found >= 0 then !found
@@ -390,7 +415,7 @@ let intern_key st ~max_states =
     let i = st.n in
     ensure_arena st;
     Array.blit st.key_buf 0 (page_of st i) (pos_of st i) st.words;
-    st.index.(!s) <- i + 1;
+    Pages.set idx !s (i + 1);
     st.n <- i + 1;
     (* keep the load factor under 0.7 — linear probing stays short and
        the slots cost stays well inside the bytes/state budget *)
@@ -398,7 +423,12 @@ let intern_key st ~max_states =
     i
   end
 
+(* [finalize] releases the index, so nothing interns after it. *)
+let check_open st =
+  if st.finalized then invalid_arg "Store: intern after finalize"
+
 let rec intern_index st marking ~extra ~max_states =
+  check_open st;
   let lay = Packed.layout st.codec in
   match Packed.encode lay st.key_buf ~pos:0 marking ~extra with
   | exception Packed.Field_overflow { field; value } ->
@@ -414,6 +444,7 @@ let intern st marking ~extra ~max_states =
   | i -> `Found i
 
 let intern_delta st ~src delta ~max_states =
+  check_open st;
   let page = page_of st src and base = pos_of st src in
   for k = 0 to st.words - 1 do
     st.key_buf.(k) <- page.(base + k) + delta.(k)
@@ -445,7 +476,8 @@ let finalize st =
       Pages.push st.succ_off (num_edges st)
     done;
     st.last_src <- st.n;
-    st.finalized <- true
+    st.finalized <- true;
+    st.index <- Pages.create ~wide:false ()
   end
 
 let[@inline] first_edge st i = Pages.get st.succ_off i
@@ -513,7 +545,7 @@ let predecessors st j =
 (* Strongly connected components of the recorded graph, in one
    iterative pass over the successors: Pearce's one-array variant of
    Tarjan ("A space-efficient algorithm for finding strongly connected
-   components", IPL 2016).  [rindex.(v)] is 0 while [v] is unvisited,
+   components", IPL 2016).  [rindex] at [v] is 0 while [v] is unvisited,
    its visit rank while its component is open, and the component id
    once that closes.  Ids count down from [n], so every open rank stays
    below every closed id: an edge into a closed component is told apart
@@ -527,13 +559,22 @@ let predecessors st j =
    reached a lower rank) and "leaves" (some edge reaches a closed
    component).  A waiting entry keeps the state and its "leaves" bit;
    OR-ed over a component as the root pops it, that bit tells whether
-   the component is a bottom SCC. *)
+   the component is a bottom SCC.
+
+   Both arrays are {!Pages}, each 4 bytes an entry unless its widest
+   possible value (the state count, a frame of the last state at the
+   largest degree) needs 8. *)
 type sccs = {
   components : int;
   bottoms : int;
   bottom_id : int;
-  component : int array;
+  ids : Pages.t;  (* state -> component id *)
 }
+
+let components c = c.components
+let bottoms c = c.bottoms
+let bottom_id c = c.bottom_id
+let component c i = Pages.get c.ids i
 
 let root_bit = 1
 let leaves_bit = 2
@@ -547,42 +588,52 @@ let sccs st =
   done;
   let d_bits = bits_for !max_degree in
   let d_mask = (1 lsl d_bits) - 1 in
-  let rindex = Array.make n 0 in
-  let stack = Array.make n 0 in
-  let path = ref 0 (* frames in stack.(0 .. path - 1) *) in
-  let wait = ref n (* waiting states in stack.(wait .. n - 1) *) in
+  let rindex =
+    Pages.create ~len:n ~zero:true ~wide:(not (Pages.fits32 n)) ()
+  in
+  let widest_frame = (((max 0 (n - 1) lsl d_bits) lor d_mask) lsl 2) lor 3 in
+  let stack =
+    Pages.create ~len:n ~wide:(not (Pages.fits32 widest_frame)) ()
+  in
+  let path = ref 0 (* frames in stack entries 0 .. path - 1 *) in
+  let wait = ref n (* waiting states in entries wait .. n - 1 *) in
   let rank = ref 1 and next_id = ref n in
   let components = ref 0 and bottoms = ref 0 and bottom_id = ref 0 in
   for s = 0 to n - 1 do
-    if rindex.(s) = 0 then begin
+    if Pages.get rindex s = 0 then begin
       (* the frame of the state being explored lives in these refs:
-         state [v], next edge [k], edges end at [k_end], bits [f] *)
-      let v = ref s and f = ref root_bit in
-      let k = ref (first_edge st s) in
+         state [v] with its rank [rv] (as in [rindex]), first edge
+         [k0], next edge [k], edges end at [k_end], bits [f] *)
+      let v = ref s and rv = ref !rank and f = ref root_bit in
+      let k0 = ref (first_edge st s) in
+      let k = ref !k0 in
       let k_end = ref (first_edge st (s + 1)) in
-      rindex.(s) <- !rank;
+      Pages.set rindex s !rank;
       incr rank;
       let active = ref true in
       while !active do
         if !k < !k_end then begin
           let w = Pages.get st.succ_dat !k lsr st.t_bits in
-          let rw = rindex.(w) in
+          let rw = Pages.get rindex w in
           if rw = 0 then begin
             (* descend, parking [v] with its cursor on this edge *)
-            let rel = !k - first_edge st !v in
-            stack.(!path) <- (((!v lsl d_bits) lor rel) lsl 2) lor !f;
+            let rel = !k - !k0 in
+            Pages.set stack !path ((((!v lsl d_bits) lor rel) lsl 2) lor !f);
             incr path;
             v := w;
+            rv := !rank;
             f := root_bit;
-            k := first_edge st w;
+            k0 := first_edge st w;
+            k := !k0;
             k_end := first_edge st (w + 1);
-            rindex.(w) <- !rank;
+            Pages.set rindex w !rank;
             incr rank
           end
           else begin
             if rw > !next_id then f := !f lor leaves_bit
-            else if rw < rindex.(!v) then begin
-              rindex.(!v) <- rw;
+            else if rw < !rv then begin
+              rv := rw;
+              Pages.set rindex !v rw;
               f := !f land lnot root_bit
             end;
             incr k
@@ -594,20 +645,25 @@ let sccs st =
           let w = !v in
           if !f land root_bit = 0 then begin
             decr wait;
-            stack.(!wait) <- (w lsl 1) lor ((!f lsr 1) land 1)
+            Pages.set stack !wait ((w lsl 1) lor ((!f lsr 1) land 1))
           end
           else begin
             let id = !next_id in
-            let r = rindex.(w) in
+            let r = !rv in
             let leaves = ref (!f land leaves_bit) in
-            while !wait < n && r <= rindex.(stack.(!wait) lsr 1) do
-              let x = stack.(!wait) in
-              leaves := !leaves lor ((x land 1) lsl 1);
-              rindex.(x lsr 1) <- id;
-              incr wait;
-              decr rank
+            let popping = ref (!wait < n) in
+            while !popping do
+              let x = Pages.get stack !wait in
+              if Pages.get rindex (x lsr 1) < r then popping := false
+              else begin
+                leaves := !leaves lor ((x land 1) lsl 1);
+                Pages.set rindex (x lsr 1) id;
+                incr wait;
+                decr rank;
+                popping := !wait < n
+              end
             done;
-            rindex.(w) <- id;
+            Pages.set rindex w id;
             decr rank;
             decr next_id;
             incr components;
@@ -621,11 +677,13 @@ let sccs st =
             (* back in the parent, on its edge to [w]: now that [w] is
                visited, the next turn finishes that edge *)
             decr path;
-            let frame = stack.(!path) in
+            let frame = Pages.get stack !path in
             let u = frame lsr (d_bits + 2) in
             v := u;
+            rv := Pages.get rindex u;
             f := frame land 3;
-            k := first_edge st u + ((frame lsr 2) land d_mask);
+            k0 := first_edge st u;
+            k := !k0 + ((frame lsr 2) land d_mask);
             k_end := first_edge st (u + 1)
           end
         end
@@ -636,13 +694,19 @@ let sccs st =
     components = !components;
     bottoms = !bottoms;
     bottom_id = !bottom_id;
-    component = rindex;
+    ids = rindex;
   }
 
 let edge_bytes st = Pages.entry_bytes st.succ_dat
 
+(* The index slots count at their width even after [finalize] released
+   them: the figure is what interning held. *)
 let bytes_per_state st =
   if st.n = 0 then 0.0
   else
-    let words = (st.n * st.words) + Array.length st.index in
-    float_of_int (words * (Sys.word_size / 8)) /. float_of_int st.n
+    let slots = st.index_mask + 1 in
+    let bytes =
+      (st.n * st.words * (Sys.word_size / 8))
+      + (slots * if index_wide slots then 8 else 4)
+    in
+    float_of_int bytes /. float_of_int st.n

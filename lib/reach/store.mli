@@ -4,7 +4,9 @@
     (2{^16} states each, appended as it fills, so stored states are
     never copied to grow it); membership is an open-addressing table of
     state indices (no per-state boxes, no stored hashes — they are
-    recomputed from the arena on growth).
+    recomputed from the arena on growth) in 4-byte slots, doubled and
+    rehashed under a 0.7 load factor and released by {!finalize}, after
+    which nothing can be interned.
     Edges are appended in sweep order as CSR successors: one offset per
     state and one word per edge, each a 4-byte entry in [Bytes] pages
     of 2{^16} entries (only the first starts small and doubles), so they
@@ -15,8 +17,9 @@
     entries.  The predecessor CSR is a counting sort into the same kind
     of pages, built lazily on the first {!predecessors} call: only CTL
     and [Graph.predecessors] need it, the reachability summary does
-    not.  A variable-free bounded net costs one word per state, ~1.5
-    index slots and 4 bytes per state and per edge. *)
+    not.  A variable-free bounded net costs one word per state, 1.4 to
+    2.9 index slots of 4 bytes while interning, and 4 bytes per state
+    and per edge. *)
 
 type t
 
@@ -35,7 +38,9 @@ val intern :
     table id.  [`Capped] means the state is fresh but the store already
     holds [max_states] states; nothing is inserted.  On a
     {!Packed.Field_overflow} the codec is widened and the whole arena
-    re-encoded transparently, then the intern retries. *)
+    re-encoded transparently, then the intern retries.
+    @raise Invalid_argument after {!finalize}, as do {!intern_index}
+    and {!intern_delta}. *)
 
 val intern_index : t -> int array -> extra:int -> max_states:int -> int
 (** {!intern} without the boxed result: the state index (fresh iff it
@@ -60,7 +65,8 @@ val extra : t -> int -> int
     The builder calls [begin_source i] before expanding state [i] (in
     ascending order — BFS interning order), then [add_edge] once per
     fired transition, and [finalize] after the sweep.  Skipped sources
-    simply get empty ranges. *)
+    simply get empty ranges.  [finalize] releases the intern index:
+    interning is over once the edges are closed. *)
 
 val begin_source : t -> int -> unit
 val add_edge : t -> tid:int -> target:int -> unit
@@ -87,21 +93,31 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
 
 (** {2 Strongly connected components} *)
 
-type sccs = {
-  components : int;  (** number of SCCs *)
-  bottoms : int;  (** SCCs that no edge leaves *)
-  bottom_id : int;  (** the id of the last bottom SCC found *)
-  component : int array;  (** state -> SCC id *)
-}
+type sccs
 
 val sccs : t -> sccs
 (** The SCCs of the successor graph (after {!finalize}), in one
-    iterative pass: linear in states plus edges, with two [n]-int
-    scratch arrays and no predecessors.  Ids lie in
+    iterative pass: linear in states plus edges, with two [n]-entry
+    scratch tables of 4 bytes an entry (8 once a rank or a DFS frame
+    needs more than 32 bits) and no predecessors.  Ids lie in
     [\[n - components + 1, n\]]. *)
 
+val components : sccs -> int
+(** Number of SCCs. *)
+
+val bottoms : sccs -> int
+(** SCCs that no edge leaves. *)
+
+val bottom_id : sccs -> int
+(** The id of the last bottom SCC found. *)
+
+val component : sccs -> int -> int
+(** [component c i] is state [i]'s SCC id. *)
+
 val bytes_per_state : t -> float
-(** Bytes of stored arena words plus index slots per stored state. *)
+(** Bytes held per stored state: the stored arena words plus the index
+    slots at their entry width.  The slots still count after
+    {!finalize} has released them. *)
 
 (** A FIFO of state indices that spills full chunks to a temp file as
     delta varints once the buffered middle exceeds a byte threshold.

@@ -325,6 +325,18 @@ let test_ring_successor_digest () =
         (successor_digest (Boxed.num_states o) (Boxed.successors o)))
     [ true; false ]
 
+(* Exact bytes held: ring9 with 8 tokens packs into one word per state,
+   and its 12,870 states grow the index to 32,768 slots of 4 bytes
+   (the load factor passes 0.7 of 16,384 at 11,468 states).  The slots
+   still count after [finalize] released them. *)
+let test_bytes_per_state_exact () =
+  let g = Graph.build (ring9 ~tokens:8) in
+  Alcotest.(check int) "states" 12_870 (Graph.num_states g);
+  Alcotest.(check (option (float 0.0)))
+    "arena words plus 4-byte slots"
+    (Some (float_of_int ((12_870 * 8) + (32_768 * 4)) /. 12_870.0))
+    (Graph.packed_bytes_per_state g)
+
 (* -- spill-file lifetime -- *)
 
 (* Run [f] with temp files redirected into a private directory, so the
@@ -642,6 +654,24 @@ let check_against_model what st ~n edges =
     (what ^ ": out_degree, successors and predecessors")
     true !ok
 
+(* [finalize] releases the intern index: every intern entry point
+   refuses afterwards instead of probing the released table. *)
+let test_intern_after_finalize () =
+  let st = store_of_edges ~num_transitions:1 ~n:3 [ (0, 0, 1); (1, 0, 2) ] in
+  let refuses what f =
+    Alcotest.(check bool) (what ^ " raises Invalid_argument") true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  refuses "intern" (fun () ->
+      ignore (Store.intern st [| 7 |] ~extra:0 ~max_states:max_int));
+  refuses "intern_index" (fun () ->
+      ignore (Store.intern_index st [| 0 |] ~extra:0 ~max_states:max_int));
+  refuses "intern_delta" (fun () ->
+      ignore (Store.intern_delta st ~src:0 [| 1 |] ~max_states:max_int));
+  Alcotest.(check int) "the states stay" 3 (Store.num_states st);
+  Alcotest.(check (list (pair int int))) "the edges stay" [ (0, 2) ]
+    (Store.successors st 1)
+
 let test_edge_width_switch () =
   (* 30 transition bits: a word for target 3 still fits 32 bits, one
      for target 4 does not *)
@@ -762,6 +792,60 @@ let test_scc_ring_scale () =
         (Graph.home_states g = List.init 12870 Fun.id))
     [ true; false ]
 
+(* ring9 with 10 tokens (C(18,8) = 43,758 markings) and a one-shot
+   [latch], enabled while r8 holds 8 tokens, that moves the token of
+   [armed] to [latched]: 87,516 states.  That is more than 0.7 of a
+   65,536-slot page, so the intern index grows into a second page, and
+   the SCC ranks and stack cross a page too.  Every marking stays
+   reachable after the latch, so the latched half is the one bottom
+   SCC and its states are exactly the home states. *)
+let latched_ring () =
+  let b = B.create "latched ring" in
+  let ps =
+    Array.init 9 (fun i ->
+        B.add_place b (Printf.sprintf "r%d" i)
+          ~initial:(if i = 0 then 10 else 0))
+  in
+  for i = 0 to 8 do
+    ignore
+      (B.add_transition b (Printf.sprintf "rt%d" i)
+         ~inputs:[ (ps.(i), 1) ]
+         ~outputs:[ (ps.((i + 1) mod 9), 1) ]
+        : Net.transition_id)
+  done;
+  let armed = B.add_place b "armed" ~initial:1 in
+  let latched = B.add_place b "latched" in
+  ignore
+    (B.add_transition b "latch"
+       ~inputs:[ (ps.(8), 8); (armed, 1) ]
+       ~outputs:[ (ps.(8), 8); (latched, 1) ]
+      : Net.transition_id);
+  (B.build b, latched)
+
+let test_scc_index_pages () =
+  let net, latched = latched_ring () in
+  List.iter
+    (fun por ->
+      let what = Printf.sprintf "por=%b" por in
+      let boxed = Boxed.build ~por net and packed = Graph.build ~por net in
+      let n = Graph.num_states packed in
+      Alcotest.(check bool) (what ^ ": the index outgrows one page") true
+        (n * 10 > 65_536 * 7);
+      Alcotest.(check bool) (what ^ ": packed graph equals boxed graph") true
+        (graphs_equal boxed packed);
+      Alcotest.(check bool) (what ^ ": reversible as the oracle")
+        (Boxed.is_reversible boxed) (Graph.is_reversible packed);
+      let latched_states =
+        List.filter
+          (fun i -> (Graph.state packed i).Graph.s_marking.(latched) = 1)
+          (List.init n Fun.id)
+      in
+      Alcotest.(check int) (what ^ ": half the states are latched") (n / 2)
+        (List.length latched_states);
+      Alcotest.(check bool) (what ^ ": home states are the latched ones") true
+        (Graph.home_states packed = latched_states))
+    [ true; false ]
+
 let prop_scc_equals_backward_walks =
   QCheck2.Test.make
     ~name:"SCC reversibility and home states equal the backward walks"
@@ -787,6 +871,8 @@ let () =
           Alcotest.test_case "budget trip partial" `Quick
             test_budget_trip_identical;
           Alcotest.test_case "bytes per state" `Quick test_bytes_per_state;
+          Alcotest.test_case "exact bytes per state" `Quick
+            test_bytes_per_state_exact;
           Alcotest.test_case "bounds known" `Quick test_bounds_known;
           Alcotest.test_case "word delta overflow" `Quick
             test_delta_overflow_identical;
@@ -798,6 +884,8 @@ let () =
           Alcotest.test_case "4- to 8-byte switch" `Quick
             test_edge_width_switch;
           Alcotest.test_case "page boundary" `Quick test_edge_pages_cross;
+          Alcotest.test_case "intern after finalize" `Quick
+            test_intern_after_finalize;
         ] );
       ( "scc",
         [
@@ -810,6 +898,8 @@ let () =
           Alcotest.test_case "one state" `Quick test_scc_one_state;
           Alcotest.test_case "truncated prefix" `Quick test_scc_truncated;
           Alcotest.test_case "ring9 home states" `Quick test_scc_ring_scale;
+          Alcotest.test_case "index past one page" `Quick
+            test_scc_index_pages;
         ] );
       ( "frontier",
         [

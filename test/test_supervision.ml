@@ -109,6 +109,33 @@ let test_supervisor () =
   Testutil.check_contains "cancel message"
     (Supervisor.reason_message Supervisor.Cancelled) "cancel"
 
+(* The heap is read on the first poll, then at most once a millisecond:
+   a limit below the heap trips at once, and one just above it trips
+   once the heap grows past it, however fast the polls come. *)
+let test_heap_trip () =
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let m = Supervisor.start (Budget.make ~heap_words:1 ()) in
+  (match Supervisor.check m with
+  | Some (Supervisor.Heap _) -> ()
+  | _ -> Alcotest.fail "the first poll reads the heap");
+  let limit = heap () + (1 lsl 20) in
+  let m = Supervisor.start (Budget.make ~heap_words:limit ~wall_s:10.0 ()) in
+  ignore (Supervisor.check m : Supervisor.reason option);
+  let kept = ref [] in
+  while heap () < limit do
+    kept := Array.make 4096 0 :: !kept
+  done;
+  let rec poll () =
+    match Supervisor.check m with None -> poll () | Some r -> r
+  in
+  let r = poll () in
+  ignore (Sys.opaque_identity !kept);
+  match r with
+  | Supervisor.Heap w ->
+    Alcotest.(check bool) "tripped at the limit" true (w >= limit)
+  | r ->
+    Alcotest.failf "expected a heap trip, got %s" (Supervisor.reason_message r)
+
 let test_outcome_helpers () =
   let c = Supervisor.Complete 41 in
   let m = Supervisor.start Budget.none in
@@ -386,6 +413,7 @@ let () =
         [
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "supervisor" `Quick test_supervisor;
+          Alcotest.test_case "heap trip" `Quick test_heap_trip;
           Alcotest.test_case "outcome helpers" `Quick test_outcome_helpers;
           Alcotest.test_case "pool supervised" `Quick test_pool_supervised;
           Alcotest.test_case "sim budget" `Quick test_sim_budget;
