@@ -21,8 +21,8 @@
      a [Fire] or a [Complete].
    - The pending (enabling) timer support is a function of (marking,
      env) — the refresh rule keeps exactly the enabled transitions — so
-     class identity only needs the in-flight multiset on top of the
-     {!Statekey}; all vectors of a class agree on both supports and
+     class identity only needs the in-flight multiset on top of
+     (marking, env); all vectors of a class agree on both supports and
      differ only in residual values.  A vector is identified by those
      values bit for bit, and the successor class of a class along an
      edge label is fixed, so the kernel fires once per class edge and a
@@ -35,12 +35,13 @@
      search over normalized vectors where the edge weight is the
      normalization shift.
 
-   The construction is layered onto the one graph stack: classes intern
-   via {!Statekey}, pack into the {!Store} arena (marking fields plus
-   the interned (env, in-flight) domain in the extra-id field) and run
-   under {!Pnut_exec.Supervisor} budgets.  The old explicit expansion
-   is frozen in the test-only oracle library as the differential
-   reference. *)
+   One index identifies the classes: the packed {!Store}, created with
+   the exploration and filled during the sweep.  A class is its marking
+   fields plus an extra id interning (env, in-flight rendering), so a
+   class id is its store index from the first edge on, and assembly
+   only closes the CSR.  Builds run under {!Pnut_exec.Supervisor}
+   budgets.  The old explicit expansion is frozen in the test-only
+   oracle library as the differential reference. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -71,8 +72,8 @@ type edge = {
 
 (* Classes live in the packed {!Store} arena with CSR edges, as in
    {!Graph}.  The timer supports and interval envelopes live in flat
-   side arrays (they are small — one slot per timer per class — and
-   have no packed encoding). *)
+   side arrays, filled as classes are created (they are small — one
+   slot per timer per class — and have no packed encoding). *)
 type t = {
   net : Net.t;
   store : Store.t;
@@ -288,15 +289,12 @@ let rec intern_vector a cls i =
 
 (* -- classes and their edges -- *)
 
+(* What the hot loop needs of a class; its marking, env and interval
+   domain live in the store and the space's flat arrays. *)
 type cls = {
-  cl_index : int;
-  cl_key : Statekey.t;  (* marking, env and in-flight rendering *)
-  cl_marking : Marking.t;  (* view of the key's marking *)
-  cl_env : Env.t;
+  cl_index : int;  (* store index *)
   cl_flight : int array;  (* in-flight tid multiset, sorted *)
   cl_pending : int array;  (* enabled tids, ascending *)
-  cl_lo : float array;  (* per timer slot: flight entries, then pending *)
-  cl_hi : float array;
   mutable cl_edges : step list;  (* one per edge code, reverse emission order *)
 }
 
@@ -316,9 +314,9 @@ and step = {
 }
 
 (* Canonical rendering of the in-flight tid multiset — the clock
-   component of class identity, and the [clocks] string under which the
-   class's domain is interned into the packed extra table.  Built once
-   per edge, never per vector. *)
+   component of class identity, under which the class's env is
+   interned into the packed extra table.  Built once per edge, never
+   per vector. *)
 let flight_repr flight =
   let buf = Buffer.create 16 in
   Array.iter
@@ -328,13 +326,18 @@ let flight_repr flight =
     flight;
   Buffer.contents buf
 
-(* One exploration: the class index, the vector arena and the scratch
-   buffers of successor construction. *)
+(* One exploration: the class index (the packed store), the flat
+   interval domains, the vector arena and the scratch buffers of
+   successor construction. *)
 type space = {
   kernel : Kernel.t;
-  index : cls Statekey.Tbl.t;
-  mutable classes : cls array;  (* discovery order; [n_classes] used *)
-  mutable n_classes : int;
+  codec : Packed.t;
+  store : Store.t;
+  mutable classes : cls array;  (* by store index *)
+  mutable dom_off : int array;  (* class -> start into sup/lo/hi *)
+  mutable sup : int array;  (* 2*tid = in-flight slot, 2*tid+1 = pending slot *)
+  mutable lo : float array;
+  mutable hi : float array;
   cap : int;
   mutable truncated : bool;
   arena : arena;
@@ -344,12 +347,19 @@ type space = {
   mutable stamp : int;
 }
 
-let space_create kernel ~cap =
+let space_create net ~cap =
+  let kernel = Kernel.of_net net in
+  let codec = Packed.create ~with_extra:true net in
   {
     kernel;
-    index = Statekey.Tbl.create 1024;
+    codec;
+    store =
+      Store.create codec ~num_transitions:(2 * max 1 (Net.num_transitions net));
     classes = [||];
-    n_classes = 0;
+    dom_off = [| 0 |];
+    sup = [||];
+    lo = [||];
+    hi = [||];
     cap;
     truncated = false;
     arena = arena_create ();
@@ -359,41 +369,48 @@ let space_create kernel ~cap =
     stamp = 0;
   }
 
-(* Find or create the class of (marking, env, in-flight multiset);
-   [None] when it would be fresh beyond the cap — the caller drops the
-   edge and the graph is flagged incomplete (edges into existing classes
-   are still recorded at the cap). *)
+(* [a] with room for [n] entries: doubled, padded with [x], when short. *)
+let room a n x =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Find or create the class of (marking, env, in-flight multiset) in
+   the store; [None] when it would be fresh beyond the cap — the caller
+   drops the edge and the graph is flagged incomplete (edges into
+   existing classes are still recorded at the cap).  A new class
+   appends its timer support and an empty domain to the flat arrays. *)
 let find_class sp marking env ~flight ~pending =
-  let key = Statekey.make ~clocks:(flight_repr flight) marking env in
-  match Statekey.Tbl.find_opt sp.index key with
-  | Some cl -> Some cl
-  | None when sp.n_classes >= sp.cap ->
+  let extra = Packed.intern_extra sp.codec ~clocks:(flight_repr flight) env in
+  let known = Store.num_states sp.store in
+  let i = Store.intern_index sp.store marking ~extra ~max_states:sp.cap in
+  if i < 0 then begin
     sp.truncated <- true;
     None
-  | None ->
-    let n = Array.length flight + Array.length pending in
+  end
+  else if i < known then Some sp.classes.(i)
+  else begin
     let cl =
-      {
-        cl_index = sp.n_classes;
-        cl_key = key;
-        cl_marking = Marking.unsafe_wrap key.Statekey.k_marking;
-        cl_env = env;
-        cl_flight = flight;
-        cl_pending = pending;
-        cl_lo = Array.make n infinity;
-        cl_hi = Array.make n neg_infinity;
-        cl_edges = [];
-      }
+      { cl_index = i; cl_flight = flight; cl_pending = pending; cl_edges = [] }
     in
-    if sp.n_classes = Array.length sp.classes then begin
-      let grown = Array.make (max 16 (2 * sp.n_classes)) cl in
-      Array.blit sp.classes 0 grown 0 sp.n_classes;
-      sp.classes <- grown
-    end;
-    sp.classes.(sp.n_classes) <- cl;
-    sp.n_classes <- sp.n_classes + 1;
-    Statekey.Tbl.replace sp.index key cl;
+    sp.classes <- room sp.classes (i + 1) cl;
+    sp.classes.(i) <- cl;
+    let nf = Array.length flight in
+    let base = sp.dom_off.(i) in
+    let stop = base + nf + Array.length pending in
+    sp.dom_off <- room sp.dom_off (i + 2) 0;
+    sp.dom_off.(i + 1) <- stop;
+    sp.sup <- room sp.sup stop 0;
+    (* the padding is the empty domain: no slot past a class is written *)
+    sp.lo <- room sp.lo stop infinity;
+    sp.hi <- room sp.hi stop neg_infinity;
+    Array.iteri (fun k t -> sp.sup.(base + k) <- 2 * t) flight;
+    Array.iteri (fun k t -> sp.sup.(base + nf + k) <- (2 * t) + 1) pending;
     Some cl
+  end
 
 let reserve sp n =
   if n > Array.length sp.src then begin
@@ -402,7 +419,7 @@ let reserve sp n =
   end
 
 (* Write [r.(0 .. n-1)] into the arena and intern it in class [cl]:
-   its id.  A new vector widens the class's interval envelope. *)
+   its id.  A new vector widens the class's interval domain in place. *)
 let add_vector sp cl r n =
   let a = sp.arena in
   for k = 0 to n - 1 do
@@ -412,11 +429,13 @@ let add_vector sp cl r n =
   let lo = a.off.(before) in
   let h = hash_span a.bytes lo a.fill cl.cl_index in
   let v = intern_vector a cl.cl_index (h land (Array.length a.slots - 1)) in
-  if a.count > before then
+  if a.count > before then begin
+    let base = sp.dom_off.(cl.cl_index) in
     for k = 0 to n - 1 do
-      if r.(k) < cl.cl_lo.(k) then cl.cl_lo.(k) <- r.(k);
-      if r.(k) > cl.cl_hi.(k) then cl.cl_hi.(k) <- r.(k)
-    done;
+      if r.(k) < sp.lo.(base + k) then sp.lo.(base + k) <- r.(k);
+      if r.(k) > sp.hi.(base + k) then sp.hi.(base + k) <- r.(k)
+    done
+  end;
   v
 
 (* Load vector [v] into [sp.src]; its class. *)
@@ -501,8 +520,10 @@ let remove_tid tid a =
 let make_step sp cl code =
   let tid = code asr 1 in
   let c = Kernel.transition sp.kernel tid in
-  let m' = Marking.copy cl.cl_marking in
-  let env = cl.cl_env in
+  let counts = Array.make (Net.num_places (Kernel.net sp.kernel)) 0 in
+  Store.marking_into sp.store cl.cl_index counts;
+  let m' = Marking.unsafe_wrap counts in
+  let env = Packed.extra_env sp.codec (Store.extra sp.store cl.cl_index) in
   let act () =
     if c.Kernel.s_has_action then begin
       let env' = Env.copy env in
@@ -531,7 +552,7 @@ let make_step sp cl code =
     next_pending sp cl.cl_pending m' env' ~touched ~env_changed:(env' != env)
       ~restart
   in
-  match find_class sp m' env' ~flight ~pending:next with
+  match find_class sp counts env' ~flight ~pending:next with
   | None -> None
   | Some target ->
     let keep, fresh = pending_plan sp ~pending:cl.cl_pending ~next env' ~restart in
@@ -674,95 +695,44 @@ let initial_vector sp net =
   reserve sp (n + 1);
   Array.blit delays 0 sp.dst 0 n;
   let shift = normalize sp.dst ~nf:0 n in
-  match find_class sp m0 env0 ~flight:[||] ~pending with
+  match find_class sp (Marking.to_array m0) env0 ~flight:[||] ~pending with
   | None -> invalid_arg "Reach.Timed: max_states must be positive"
   | Some cl ->
     (add_vector sp cl sp.dst n, shift)
 
 (* -- serial class fixpoint: a FIFO over residual vectors.  Vectors are
       numbered in discovery order, so the FIFO is the arena itself and
-      the frontier is every vector past the cursor. -- *)
+      the frontier is every vector past the cursor.  Returns the budget
+      stop, if any, with the frontier it left. -- *)
 
-let build_serial ~max_states ~monitor ~monitored kernel net =
-  let sp = space_create kernel ~cap:max_states in
+let sweep sp ~monitor ~monitored net =
   ignore (initial_vector sp net : int * float);
-  let budget_stop = ref None in
-  let frontier_left = ref 0 in
-  let next = ref 0 in
   (* Budget checks ride the dequeue boundary every 256 vectors — the
      cadence of every other builder in the stack. *)
-  (try
-     while !next < sp.arena.count do
-       if monitored && (!next + 1) land 255 = 0 then begin
-         match Pnut_exec.Supervisor.check monitor with
-         | Some r ->
-           budget_stop := Some r;
-           frontier_left := sp.arena.count - !next;
-           raise_notrace Exit
-         | None -> ()
-       end;
-       let cl = load sp !next in
-       expand sp cl (fun _ _ -> ());
-       incr next
-     done
-   with Exit -> ());
-  let classes = Array.sub sp.classes 0 sp.n_classes in
-  (classes, sp.arena.count, sp.truncated, !budget_stop, !frontier_left)
+  let rec go next =
+    if next >= sp.arena.count then None
+    else
+      let check = monitored && (next + 1) land 255 = 0 in
+      match if check then Pnut_exec.Supervisor.check monitor else None with
+      | Some r -> Some (r, sp.arena.count - next)
+      | None ->
+        expand sp (load sp next) (fun _ _ -> ());
+        go (next + 1)
+  in
+  go 0
 
-(* -- final assembly: the one place classes are packed.  Classes are
-      appended in canonical discovery order and their (env, in-flight
-      domain) snapshots are interned in class order, so the arena,
-      index, CSR and side-table contents depend only on the class
-      list. -- *)
+(* -- assembly: the classes are already stored, so only the CSR is
+      closed, from each class's steps in emission order. -- *)
 
-let edge_list cl =
-  List.rev_map (fun st -> (st.st_code, st.st_target.cl_index)) cl.cl_edges
-
-let assemble_store net classes =
-  let codec = Packed.create ~with_extra:true net in
-  let nt = max 1 (Net.num_transitions net) in
-  let store = Store.create codec ~num_transitions:(2 * nt) in
-  Array.iter
-    (fun cl ->
-      let key = cl.cl_key in
-      let ex = Packed.intern_extra codec ~clocks:key.Statekey.k_clocks cl.cl_env in
-      match Store.intern store key.Statekey.k_marking ~extra:ex ~max_states:max_int with
-      | `Added _ -> ()
-      | `Found _ | `Capped ->
-        (* class identity is exactly (marking, env, in-flight domain) =
-           (marking fields, extra id) — duplicates are impossible *)
-        assert false)
-    classes;
-  Array.iteri
-    (fun i cl ->
-      Store.begin_source store i;
-      List.iter
-        (fun (code, j) -> Store.add_edge store ~tid:code ~target:j)
-        (edge_list cl))
-    classes;
-  Store.finalize store;
-  store
-
-let assemble_domains classes =
-  let n = Array.length classes in
-  let sup_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    sup_off.(i + 1) <- sup_off.(i) + Array.length classes.(i).cl_lo
+let close_edges sp =
+  for i = 0 to Store.num_states sp.store - 1 do
+    Store.begin_source sp.store i;
+    List.iter
+      (fun st ->
+        Store.add_edge sp.store ~tid:st.st_code ~target:st.st_target.cl_index)
+      (List.rev sp.classes.(i).cl_edges)
   done;
-  let m = sup_off.(n) in
-  let sup = Array.make m 0 in
-  let lo = Array.make m 0.0 in
-  let hi = Array.make m 0.0 in
-  Array.iteri
-    (fun i cl ->
-      let base = sup_off.(i) in
-      let nf = Array.length cl.cl_flight in
-      Array.iteri (fun k t -> sup.(base + k) <- 2 * t) cl.cl_flight;
-      Array.iteri (fun k t -> sup.(base + nf + k) <- (2 * t) + 1) cl.cl_pending;
-      Array.blit cl.cl_lo 0 lo base (Array.length cl.cl_lo);
-      Array.blit cl.cl_hi 0 hi base (Array.length cl.cl_hi))
-    classes;
-  (sup_off, sup, lo, hi)
+  Store.finalize sp.store
 
 let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
     ?(budget = Pnut_exec.Budget.none) net =
@@ -774,37 +744,37 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
     | Some cap -> min cap max_states
     | None -> max_states
   in
-  let kernel = Kernel.of_net net in
-  let classes, n_vectors, truncated, budget_stop, frontier_left =
-    build_serial ~max_states ~monitor ~monitored kernel net
+  let sp = space_create net ~cap:max_states in
+  let stop =
+    match sweep sp ~monitor ~monitored net with
+    | None when sp.truncated ->
+      Some (Pnut_exec.Supervisor.States (Store.num_states sp.store), 0)
+    | stop -> stop
   in
-  let store = assemble_store net classes in
-  let n = Array.length classes in
-  let sup_off, sup, iv_lo, iv_hi = assemble_domains classes in
-  let complete = (not truncated) && budget_stop = None in
+  close_edges sp;
+  let n = Store.num_states sp.store in
+  let m = sp.dom_off.(n) in
   let g =
-    { net; store; complete; n_vectors; sup_off; sup; iv_lo; iv_hi }
+    {
+      net;
+      store = sp.store;
+      complete = Option.is_none stop;
+      n_vectors = sp.arena.count;
+      sup_off = Array.sub sp.dom_off 0 (n + 1);
+      sup = Array.sub sp.sup 0 m;
+      iv_lo = Array.sub sp.lo 0 m;
+      iv_hi = Array.sub sp.hi 0 m;
+    }
   in
-  match budget_stop with
-  | Some reason ->
+  match stop with
+  | None -> Pnut_exec.Supervisor.Complete g
+  | Some (reason, frontier) ->
     Pnut_exec.Supervisor.Degraded
       {
         reason;
         partial = g;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:n
-            ~frontier:frontier_left;
+        progress = Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier;
       }
-  | None ->
-    if truncated then
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason = Pnut_exec.Supervisor.States n;
-          partial = g;
-          progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-        }
-    else Pnut_exec.Supervisor.Complete g
 
 let build ?max_states net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states net)
@@ -835,7 +805,7 @@ let min_cycle_time ?(max_states = 50_000) net tid =
   if max_states < 1 then
     invalid_arg "Reach.Timed: max_states must be positive";
   Duration.check_net ~who:"Reach.Timed" net;
-  let sp = space_create (Kernel.of_net net) ~cap:max_int in
+  let sp = space_create net ~cap:max_int in
   (* (distance, push sequence, vector id): the sequence breaks ties *)
   let module Pq = Set.Make (struct
     type t = float * int * int
@@ -883,25 +853,37 @@ type cycle = {
 
 (* Deterministic walk: complete the most recently started finished
    firing, else fire the lowest-id fireable transition, else advance
-   time by the minimum residual; detect a repeated (marking, in-flight,
-   pending) vector by its exact id in a vector space. *)
+   time by the minimum residual; detect a repeated (marking, env,
+   in-flight, pending) vector by its exact id in a vector space.  An
+   action runs where [make_step] runs it: at completion, or at the
+   firing itself when the firing time is zero. *)
 let steady_cycle ?(max_steps = 100_000) net =
   Duration.check_net ~who:"Reach.Timed" net;
-  let kernel = Kernel.of_net net in
-  let sp = space_create kernel ~cap:max_int in
+  let sp = space_create net ~cap:max_int in
+  let kernel = sp.kernel in
   let nt = Net.num_transitions net in
   let counts = Array.make nt 0 in
   let seen = Hashtbl.create 256 in
-  let env = Net.initial_env net in
-  let marking = Net.initial_marking net in
+  let env = ref (Net.initial_env net) in
+  let tokens = Marking.to_array (Net.initial_marking net) in
+  let marking = Marking.unsafe_wrap tokens in
   let in_flight = ref ([] : (int * float) list) in
-  let pending, delays = initial_pending kernel marking env in
+  let pending, delays = initial_pending kernel marking !env in
   let pending = ref pending and residual = ref delays in
-  let refresh ~touched ~restart =
+  (* on a copy: the class index keeps every env it interned *)
+  let act c =
+    if c.Kernel.s_has_action then begin
+      let env' = Env.copy !env in
+      Kernel.run_action env' c;
+      env := env'
+    end;
+    c.Kernel.s_has_action
+  in
+  let refresh ~touched ~env_changed ~restart =
     let next =
-      next_pending sp !pending marking env ~touched ~env_changed:false ~restart
+      next_pending sp !pending marking !env ~touched ~env_changed ~restart
     in
-    let keep, fresh = pending_plan sp ~pending:!pending ~next env ~restart in
+    let keep, fresh = pending_plan sp ~pending:!pending ~next !env ~restart in
     let old = !residual in
     residual := Array.mapi (fun k g -> if g >= 0 then old.(g) else fresh.(k)) keep;
     pending := next
@@ -930,17 +912,20 @@ let steady_cycle ?(max_steps = 100_000) net =
            | x :: rest -> x :: remove rest
          in
          in_flight := remove !in_flight;
-         refresh ~touched:[ c.Kernel.s_out_places ] ~restart:(-1)
+         let env_changed = act c in
+         refresh ~touched:[ c.Kernel.s_out_places ] ~env_changed ~restart:(-1)
        | [], Some tid ->
          let c = Kernel.transition kernel tid in
          Kernel.consume c marking;
          counts.(tid) <- counts.(tid) + 1;
-         let d = det_duration env c.Kernel.s_tr.Net.t_firing in
+         let d = det_duration !env c.Kernel.s_tr.Net.t_firing in
          if d > 0.0 then in_flight := (tid, d) :: !in_flight;
-         refresh ~touched:[ c.Kernel.s_in_places ] ~restart:tid;
+         refresh ~touched:[ c.Kernel.s_in_places ] ~env_changed:false
+           ~restart:tid;
          if Float.equal d 0.0 then begin
            Kernel.produce c marking;
-           refresh ~touched:[ c.Kernel.s_out_places ] ~restart:tid
+           let env_changed = act c in
+           refresh ~touched:[ c.Kernel.s_out_places ] ~env_changed ~restart:tid
          end
        | [], None -> (
          let residuals =
@@ -959,7 +944,7 @@ let steady_cycle ?(max_steps = 100_000) net =
            in
            let cl =
              Option.get
-               (find_class sp marking env
+               (find_class sp tokens !env
                   ~flight:(Array.of_list (List.map fst flight))
                   ~pending:!pending)
            in

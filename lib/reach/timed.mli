@@ -20,10 +20,11 @@
     with a dedicated search over the vector space, and time-bounded
     ([horizon]) exploration remains on the oracle only.
 
-    The construction is unified onto the packed/supervised graph
-    stack: classes encode into the {!Store} arena (marking fields plus
-    the interned (env, in-flight domain) in the extra-id field), built
-    by one serial class sweep on the calling domain.
+    The packed {!Store} is the one class index: one serial sweep on the
+    calling domain interns each class into it as the class is found
+    (marking fields plus the interned (env, in-flight multiset) in the
+    extra-id field), so a class id is its store index.  {!min_cycle_time}
+    and {!steady_cycle} identify classes the same way.
 
     All delays must be deterministic (constants, degenerate choices, or
     deterministic [Dynamic] expressions); stochastic nets have infinite
@@ -103,10 +104,12 @@ val packed_bytes_per_state : t -> float option
     callers written when a boxed layout existed. *)
 
 val domain_arrays : t -> int array * int array * float array * float array
-(** [(off, sup, lo, hi)]: for class [i], slots [off.(i) .. off.(i+1)-1]
-    hold its timer support — [2*t] an in-flight timer of transition
-    [t], [2*t+1] its enabling timer — with the interval domain in
-    [lo]/[hi]. *)
+(** [(off, sup, lo, hi)]: for class [i] (its store index), slots
+    [off.(i) .. off.(i+1)-1] hold its timer support — [2*t] an in-flight
+    timer of transition [t], [2*t+1] its enabling timer, in-flight slots
+    first — with the interval domain in [lo]/[hi].  The slots are
+    appended when the class is created and widened in place as its
+    vectors arrive; [off] has [num_states + 1] entries. *)
 
 val deadlocks : t -> int list
 (** Timed-dead classes: nothing fireable, nothing in flight, nothing
@@ -139,8 +142,10 @@ val steady_cycle : ?max_steps:int -> Pnut_core.Net.t -> cycle option
 (** Follows one deterministic execution (conflicts resolved by the lowest
     transition id — any fixed rule yields {e a} steady cycle) until a
     state repeats; [None] if the net dies or no repeat is found within
-    [max_steps] (default 100_000) steps.  Exact transition throughputs of
-    that execution are [firings.(t) / period].  Delays must be
-    deterministic, as for {!build}. *)
+    [max_steps] (default 100_000) steps.  Actions run at completion (at
+    the firing itself when the firing time is zero), as in {!build}, and
+    delays are read under the current environment.  Exact transition
+    throughputs of that execution are [firings.(t) / period].  Delays
+    must be deterministic, as for {!build}. *)
 
 val pp_summary : Format.formatter -> t -> unit

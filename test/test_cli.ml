@@ -506,7 +506,18 @@ let test_cycle () =
   let _ = check_run "model prefetch" [ "model"; "prefetch"; "-o"; prefetch ] in
   let out = check_run "cycle" [ "cycle"; prefetch ] in
   Testutil.check_contains "period" out "period:    5";
-  Testutil.check_contains "decode throughput" out "0.400000"
+  Testutil.check_contains "decode throughput" out "0.400000";
+  (* actions run in the walk: [a] and [b] toggle x, period 1 + 2 *)
+  let toggle = tmp "toggle_cycle.pn" in
+  let oc = open_out toggle in
+  output_string oc
+    "net toggle\nvar x = 0\nplace p init 1\n\
+     transition a\n  in p\n  out p\n  firing 1\n  predicate x == 0\n  action x = 1\n\
+     transition b\n  in p\n  out p\n  firing 2\n  predicate x == 1\n  action x = 0\n";
+  close_out oc;
+  let out = check_run "cycle toggle" [ "cycle"; toggle ] in
+  Testutil.check_contains "toggle period" out "period:    3";
+  Testutil.check_contains "b fires" out "b                                         1     0.333333"
 
 let test_faults_campaign () =
   let out =

@@ -359,7 +359,8 @@ let graph_digest g =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let pin_pipeline ~memory ?buffer ~classes ~edges ~vectors ~digest () =
+let pin_pipeline ~memory ?buffer ?max_states ~classes ~edges ~vectors ~digest
+    () =
   let cfg = { Pnut_pipeline.Config.default with memory_cycles = memory } in
   let cfg =
     match buffer with
@@ -367,8 +368,9 @@ let pin_pipeline ~memory ?buffer ~classes ~edges ~vectors ~digest () =
     | None -> cfg
   in
   let net = Pnut_pipeline.Model.full cfg in
-  let g = Timed.build ~max_states:100_000 net in
-  Alcotest.(check bool) "complete" true (Timed.complete g);
+  let cap = Option.value max_states ~default:100_000 in
+  let g = Timed.build ~max_states:cap net in
+  Alcotest.(check bool) "complete" (max_states = None) (Timed.complete g);
   Alcotest.(check int) "classes" classes (Timed.num_states g);
   Alcotest.(check int) "edges" edges (Timed.num_edges g);
   Alcotest.(check int) "vectors" vectors (Timed.num_vectors g);
@@ -381,6 +383,12 @@ let test_pin_memory_10 () =
 let test_pin_memory_50 () =
   pin_pipeline ~memory:50.0 ~buffer:48 ~classes:8610 ~edges:19653
     ~vectors:200959 ~digest:"b29ce471fc8b2c527d1d9e9da211c17e" ()
+
+(* The same model capped at 500 classes: a truncated prefix whose
+   edges into existing classes are kept and into fresh ones dropped. *)
+let test_pin_memory_50_capped () =
+  pin_pipeline ~memory:50.0 ~buffer:48 ~max_states:500 ~classes:500 ~edges:858
+    ~vectors:17430 ~digest:"8752df21f73b3e3a273dc565cad59247" ()
 
 (* -- frozen explicit-expansion oracle -- *)
 
@@ -533,6 +541,31 @@ let test_steady_cycle_matches_simulation () =
       true
       (Float.abs (analytic_rate -. sim_rate) < 0.01)
 
+(* Actions drive the walk: [a]'s completion sets x, which enables [b],
+   whose completion clears it again.  Each fires once per period of
+   1 + 2, at the simulator's rate. *)
+let toggle_model =
+  "net toggle\nvar x = 0\nplace p init 1\n\
+   transition a\n  in p\n  out p\n  firing 1\n  predicate x == 0\n  action x = 1\n\
+   transition b\n  in p\n  out p\n  firing 2\n  predicate x == 1\n  action x = 0\n"
+
+let test_steady_cycle_actions () =
+  let net = Pnut_lang.Parser.parse_net toggle_model in
+  match Timed.steady_cycle net with
+  | None -> Alcotest.fail "expected a cycle"
+  | Some c ->
+    Alcotest.(check (float 1e-9)) "period 3" 3.0 c.Timed.cy_period;
+    let sink, get = Pnut_stat.Stat.sink () in
+    let _ = Pnut_sim.Simulator.simulate ~seed:1 ~until:3_000.0 ~sink net in
+    List.iter
+      (fun name ->
+        let t = Net.transition_id net name in
+        Alcotest.(check int) (name ^ " once") 1 c.Timed.cy_firings.(t);
+        Alcotest.(check (float 1e-3))
+          (name ^ " rate") (Pnut_stat.Stat.throughput (get ()) name)
+          (float_of_int c.Timed.cy_firings.(t) /. c.Timed.cy_period))
+      [ "a"; "b" ]
+
 let () =
   Alcotest.run "timed-reach"
     [
@@ -570,6 +603,8 @@ let () =
           Alcotest.test_case "pipeline memory 10" `Quick test_pin_memory_10;
           Alcotest.test_case "pipeline memory 50 buffer 48" `Quick
             test_pin_memory_50;
+          Alcotest.test_case "pipeline memory 50 buffer 48 cap 500" `Quick
+            test_pin_memory_50_capped;
         ] );
       ( "explicit oracle",
         [
@@ -584,6 +619,7 @@ let () =
           Alcotest.test_case "two-stage ring" `Quick
             test_steady_cycle_pipeline_stages;
           Alcotest.test_case "dead net" `Quick test_steady_cycle_dead_net;
+          Alcotest.test_case "actions" `Quick test_steady_cycle_actions;
           Alcotest.test_case "matches simulation" `Slow
             test_steady_cycle_matches_simulation;
         ] );
