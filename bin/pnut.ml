@@ -61,12 +61,18 @@ let budget_arg =
   in
   Term.(const mk $ wall $ heap)
 
-(* Report a budget trip on stderr; callers exit [exit_degraded] after
-   emitting whatever partial output they have. *)
+(* Report a budget trip on stderr, after whatever partial output the
+   caller has; [exit_if_degraded] then exits [exit_degraded]. *)
 let report_degraded what reason progress =
   Format.eprintf "%s degraded: %s (%a)@." what
     (Pnut_exec.Supervisor.reason_message reason)
     Pnut_exec.Supervisor.pp_progress progress
+
+let exit_if_degraded what = function
+  | Pnut_exec.Supervisor.Complete _ -> ()
+  | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
+    report_degraded what reason progress;
+    exit exit_degraded
 
 (* Parse a mini-language argument (query, signal, CTL formula), exiting
    2 with a uniform location message on failure. *)
@@ -488,11 +494,7 @@ let faults_cmd =
                 r.Pnut_fault.Campaign.rr_run d
             | None -> ())
           report.Pnut_fault.Campaign.cr_faulty;
-      (match outcome with
-      | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-        report_degraded "campaign" reason progress;
-        exit exit_degraded
-      | Pnut_exec.Supervisor.Complete _ -> ());
+      exit_if_degraded "campaign" outcome;
       if
         Pnut_fault.Campaign.deadlocks report > 0
         || Pnut_fault.Campaign.errors report > 0
@@ -663,7 +665,9 @@ let reach_cmd =
                    deadlock/boundedness runs on plain place/transition \
                    nets; off when $(b,--ctl)/$(b,--query) needs the full \
                    graph or variables/predicates/actions make firings \
-                   visible), on, or off.  Preserves the exact deadlock \
+                   visible; auto skips the reduction when the net's \
+                   structure guarantees it removes nothing), on, or off.  \
+                   Preserves the exact deadlock \
                    markings (and place bounds on terminating nets) while \
                    visiting orders of magnitude fewer states on wide \
                    concurrent nets; state and edge counts are counts of \
@@ -676,18 +680,14 @@ let reach_cmd =
     (* On a budget trip the partial graph is still a valid prefix:
        summarize it, run the CTL/query checks on it (a failure on the
        prefix is a failure on the full graph), then exit 3. *)
-    let finish_outcome outcome =
-      match outcome with
-      | Pnut_exec.Supervisor.Complete _ -> ()
-      | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-        report_degraded "reach" reason progress;
-        exit exit_degraded
-    in
     if timed then begin
       if por = `On then
         die "--por on: partial-order reduction supports untimed \
              reachability only";
-      let outcome = Pnut_reach.Timed.build_supervised ~max_states ?budget net in
+      let outcome =
+        or_die (fun () ->
+            Pnut_reach.Timed.build_supervised ~max_states ?budget net)
+      in
       let g = Pnut_exec.Supervisor.value outcome in
       Format.printf "%a@." Pnut_reach.Timed.pp_summary g;
       Printf.eprintf "reach: classes=%d edges=%d vectors=%d bytes/state=%.1f\n%!"
@@ -695,7 +695,7 @@ let reach_cmd =
         (Pnut_reach.Timed.num_edges g)
         (Pnut_reach.Timed.num_vectors g)
         (Option.get (Pnut_reach.Timed.packed_bytes_per_state g));
-      finish_outcome outcome
+      exit_if_degraded "reach" outcome
     end
     else begin
       let por =
@@ -713,41 +713,22 @@ let reach_cmd =
           && Pnut_reach.Stubborn.unsupported net = None
       in
       let outcome =
-        Pnut_reach.Graph.build_supervised ~max_states ?budget ~por net
+        or_die (fun () ->
+            Pnut_reach.Graph.build_supervised ~max_states ?budget ~por net)
       in
       let g = Pnut_exec.Supervisor.value outcome in
       Format.printf "%a@." Pnut_reach.Graph.pp_summary g;
       (* One-line machine-grepable stats on stderr.  por_reduction is the
          per-state branching reduction (token-enabled firings the full
          expansion would have taken, over edges actually recorded) — a
-         lower bound on the state-count reduction, measurable without
-         building the full graph; 1.0x when the reduction is off. *)
-      let por_reduction =
-        if not por then 1.0
-        else begin
-          let kernel = Pnut_core.Kernel.of_net net in
-          let trans = Pnut_core.Kernel.transitions kernel in
-          let total = ref 0 in
-          for i = 0 to Pnut_reach.Graph.num_states g - 1 do
-            let m =
-              Pnut_core.Marking.of_array
-                (Pnut_reach.Graph.state g i).Pnut_reach.Graph.s_marking
-            in
-            Array.iter
-              (fun c ->
-                if Pnut_core.Kernel.token_enabled c m then incr total)
-              trans
-          done;
-          float_of_int !total
-          /. float_of_int (max 1 (Pnut_reach.Graph.num_edges g))
-        end
-      in
+         lower bound on the state-count reduction, counted by the sweep;
+         1.0x when the reduction is off. *)
       Printf.eprintf "reach: states=%d edges=%d bytes/state=%.1f \
                       por_reduction=%.1fx\n%!"
         (Pnut_reach.Graph.num_states g)
         (Pnut_reach.Graph.num_edges g)
         (Option.get (Pnut_reach.Graph.packed_bytes_per_state g))
-        por_reduction;
+        (Pnut_reach.Graph.por_reduction g);
       let failures = ref 0 in
       List.iter
         (fun f ->
@@ -767,7 +748,7 @@ let reach_cmd =
             die "query %S: %s" q msg)
         query;
       if !failures > 0 then exit 1;
-      finish_outcome outcome
+      exit_if_degraded "reach" outcome
     end
   in
   Cmd.v (Cmd.info "reach" ~doc)
@@ -899,11 +880,7 @@ let analytic_cmd =
         Printf.printf "%-32s %12.6f\n"
           (Pnut_core.Net.transition net t).Pnut_core.Net.t_name thr)
       r.Pnut_analytic.Gspn.throughputs;
-    match outcome with
-    | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-      report_degraded "analytic" reason progress;
-      exit exit_degraded
-    | Pnut_exec.Supervisor.Complete _ -> ()
+    exit_if_degraded "analytic" outcome
   in
   Cmd.v (Cmd.info "analytic" ~doc)
     Term.(const run $ net_arg $ exponentialize $ max_states $ budget_arg)
@@ -929,11 +906,7 @@ let coverability_cmd =
     Format.printf "%a@." (Pnut_reach.Coverability.pp_summary net) g;
     (* A tripped budget means the verdict below would be drawn from an
        incomplete tree, so degradation takes precedence over it. *)
-    (match outcome with
-    | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-      report_degraded "coverability" reason progress;
-      exit exit_degraded
-    | Pnut_exec.Supervisor.Complete _ -> ());
+    exit_if_degraded "coverability" outcome;
     if not (Pnut_reach.Coverability.is_bounded g) then exit 1
   in
   Cmd.v (Cmd.info "coverability" ~doc)

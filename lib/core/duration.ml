@@ -25,6 +25,20 @@ let deterministic = function
   | Net.Dynamic e when Expr.is_deterministic e -> true
   | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ -> false
 
+let stochastic_logic tr =
+  match tr.Net.t_predicate with
+  | Some p when not (Expr.is_deterministic p) -> Some "predicate"
+  | Some _ | None ->
+    if
+      List.exists
+        (function
+          | Expr.Assign (_, e) -> not (Expr.is_deterministic e)
+          | Expr.Table_assign (_, i, e) ->
+            not (Expr.is_deterministic i && Expr.is_deterministic e))
+        tr.Net.t_action
+    then Some "action"
+    else None
+
 let check_net ~who net =
   Array.iter
     (fun tr ->
@@ -36,18 +50,10 @@ let check_net ~who net =
       in
       check_dur "firing" tr.Net.t_firing;
       check_dur "enabling" tr.Net.t_enabling;
-      (match tr.Net.t_predicate with
-      | Some p when not (Expr.is_deterministic p) ->
-        invalid_arg (who ^ ": stochastic predicate on transition " ^ tr.Net.t_name)
-      | Some _ | None -> ());
-      if
-        List.exists
-          (fun s ->
-            match s with
-            | Expr.Assign (_, e) -> not (Expr.is_deterministic e)
-            | Expr.Table_assign (_, i, e) ->
-              not (Expr.is_deterministic i && Expr.is_deterministic e))
-          tr.Net.t_action
-      then
-        invalid_arg (who ^ ": stochastic action on transition " ^ tr.Net.t_name))
+      match stochastic_logic tr with
+      | Some what ->
+        invalid_arg
+          (Printf.sprintf "%s: stochastic %s on transition %s" who what
+             tr.Net.t_name)
+      | None -> ())
     (Net.transitions net)

@@ -13,10 +13,10 @@ val det : who:string -> Env.t -> Net.duration -> float
     duration in a timed reachability net") on genuinely random
     kinds. *)
 
-val deterministic : Net.duration -> bool
-(** Whether {!det} would accept the duration (environment-independent
-    check; [Dynamic] counts as deterministic when its expression
-    is). *)
+val stochastic_logic : Net.transition -> string option
+(** [Some "predicate"] or [Some "action"] when the transition's
+    predicate, or else one of its action statements, draws random
+    numbers; [None] otherwise. *)
 
 val check_net : who:string -> Net.t -> unit
 (** Raise [Invalid_argument] (messages prefixed with [who]) if any

@@ -35,9 +35,6 @@ val find_table : t -> string -> Value.t array option
 (** The live table array, if bound (tables are created only at
     {!of_bindings} time and never resized, so the array is stable). *)
 
-val get_table : t -> string -> Value.t array
-(** The live table array (not a copy). Raises [Unbound]. *)
-
 val table_get : t -> string -> int -> Value.t
 (** [table_get env name i] with bounds checking; raises [Unbound] or
     [Invalid_argument] on a bad index. *)

@@ -330,10 +330,6 @@ let compile_bool ?prng env e =
     | (Value.Int _ | Value.Float _) as v ->
       eval_error "expected a boolean, got %s" (Value.to_string v))
 
-let compile_float ?prng env e =
-  let c = compile ?prng env e in
-  fun () -> Value.to_float (c ())
-
 let compile_int ?prng env e =
   let c = compile ?prng env e in
   fun () -> Value.to_int (c ())

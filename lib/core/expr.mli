@@ -61,7 +61,6 @@ val eval_bool : ?prng:Prng.t -> Env.t -> t -> bool
 val eval_float : ?prng:Prng.t -> Env.t -> t -> float
 val eval_int : ?prng:Prng.t -> Env.t -> t -> int
 
-val run_stmt : ?prng:Prng.t -> Env.t -> stmt -> unit
 val run_stmts : ?prng:Prng.t -> Env.t -> stmt list -> unit
 
 (** {2 Compilation}
@@ -77,7 +76,6 @@ val run_stmts : ?prng:Prng.t -> Env.t -> stmt list -> unit
 
 val compile : ?prng:Prng.t -> Env.t -> t -> (unit -> Value.t)
 val compile_bool : ?prng:Prng.t -> Env.t -> t -> (unit -> bool)
-val compile_float : ?prng:Prng.t -> Env.t -> t -> (unit -> float)
 val compile_int : ?prng:Prng.t -> Env.t -> t -> (unit -> int)
 
 val variables : t -> string list

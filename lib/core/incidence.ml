@@ -27,8 +27,6 @@ let num_transitions c = c.nt
 
 let entry c p t = c.matrix.(p).(t)
 
-let effect c t = Array.init c.np (fun p -> c.matrix.(p).(t))
-
 let apply c marking t =
   for p = 0 to c.np - 1 do
     marking.(p) <- marking.(p) + c.matrix.(p).(t)

@@ -12,9 +12,6 @@ type t
 
 val of_net : Net.t -> t
 
-val effect : t -> Net.transition_id -> int array
-(** Column of the matrix: net token change per place for one firing. *)
-
 val entry : t -> Net.place_id -> Net.transition_id -> int
 
 val num_places : t -> int

@@ -264,19 +264,6 @@ let compile_one ?prng env c =
 
 let compile ?prng env k = Array.map (compile_one ?prng env) k.k_trans
 
-let compiled_token_enabled c m =
-  arcs_enabled m c.c_in_place c.c_in_weight c.c_inh_place c.c_inh_weight
-
 let compiled_enabled c m =
-  compiled_token_enabled c m
+  arcs_enabled m c.c_in_place c.c_in_weight c.c_inh_place c.c_inh_weight
   && (match c.c_pred with None -> true | Some p -> p ())
-
-let compiled_consume c m =
-  for k = 0 to Array.length c.c_in_place - 1 do
-    Marking.add m c.c_in_place.(k) (-c.c_in_weight.(k))
-  done
-
-let compiled_produce c m =
-  for k = 0 to Array.length c.c_out_place - 1 do
-    Marking.add m c.c_out_place.(k) c.c_out_weight.(k)
-  done

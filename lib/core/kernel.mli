@@ -144,9 +144,5 @@ val compile : ?prng:Prng.t -> Env.t -> t -> compiled array
     resolves names once; the closures read and write the environment's
     live cells thereafter. *)
 
-val compiled_token_enabled : compiled -> Marking.t -> bool
 val compiled_enabled : compiled -> Marking.t -> bool
 (** Token conditions and the compiled predicate closure. *)
-
-val compiled_consume : compiled -> Marking.t -> unit
-val compiled_produce : compiled -> Marking.t -> unit

@@ -233,13 +233,6 @@ let pp_transition_in net ppf t =
   List.iter (fun s -> Format.fprintf ppf "@,action %a" Expr.pp_stmt s) t.t_action;
   Format.fprintf ppf "@]"
 
-(* Used by tools that print a transition without net context (arc names
-   unavailable); prints ids. *)
-let pp_transition ppf t =
-  Format.fprintf ppf "transition %s (%d in, %d out, %d inhibit)" t.t_name
-    (List.length t.t_inputs) (List.length t.t_outputs)
-    (List.length t.t_inhibitors)
-
 let pp ppf net =
   Format.fprintf ppf "@[<v>net %s@," net.name;
   List.iter

@@ -77,10 +77,6 @@ val tables : t -> (string * Value.t array) list
 
 (** {2 Semantics helpers} *)
 
-val marking_enabled : t -> Marking.t -> transition -> bool
-(** Token conditions only: inputs have enough tokens, inhibitors are
-    below their weights.  Ignores the predicate. *)
-
 val enabled : ?prng:Prng.t -> t -> Marking.t -> Env.t -> transition -> bool
 (** Full enabledness: token conditions and predicate. *)
 
@@ -111,8 +107,6 @@ val max_duration : duration -> float option
 val pp_duration : Format.formatter -> duration -> unit
 (** Prints in the textual model syntax (e.g. [choice(1:0.5, 2:0.5)]). *)
 
-val pp_place : Format.formatter -> place -> unit
-val pp_transition : Format.formatter -> transition -> unit
 val pp : Format.formatter -> t -> unit
 (** Renders the net in the textual model language (parseable by
     [Pnut_lang]). *)

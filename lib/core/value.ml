@@ -23,10 +23,6 @@ let to_int = function
   | Float f -> int_of_float f
   | Bool _ as v -> type_error "number" v
 
-let to_bool = function
-  | Bool b -> b
-  | (Int _ | Float _) as v -> type_error "bool" v
-
 let equal a b =
   match a, b with
   | Bool x, Bool y -> x = y

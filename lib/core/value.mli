@@ -22,9 +22,6 @@ val to_float : t -> float
 val to_int : t -> int
 (** [Int] passes through, [Float] truncates; raises [Type_error] on booleans. *)
 
-val to_bool : t -> bool
-(** Raises [Type_error] unless the value is a boolean. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

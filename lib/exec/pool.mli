@@ -26,12 +26,6 @@
     clamped to the core count — only an {e explicit} [?jobs] override
     can oversubscribe the machine. *)
 
-val auto : unit -> int
-(** [PNUT_JOBS] when set to a positive integer, else
-    [Domain.recommended_domain_count ()] (at least 1).  Either way the
-    result is clamped to [Domain.recommended_domain_count ()]:
-    auto-detection never oversubscribes the machine. *)
-
 val resolve : ?jobs:int -> unit -> int
 (** Resolve a [?jobs] argument to a concrete worker count (see the
     table above).  Raises [Invalid_argument] on a negative count.

@@ -80,10 +80,6 @@ val run_supervised :
     tripped reason in run order.  A campaign that completes within the
     budget returns [Complete] with a report byte-identical to {!run}'s. *)
 
-val mean_throughput : run_result list -> float
-(** Mean over all runs (deadlocked runs count with their degraded
-    throughput; errored runs count as 0). *)
-
 val degradation : report -> float
 (** [1 - mean faulty / mean baseline]; 0 when the baseline mean is 0. *)
 

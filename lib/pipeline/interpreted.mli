@@ -42,9 +42,6 @@ type instruction_class = {
 
 type instruction_set = instruction_class list
 
-val default_instruction_set : Config.t -> instruction_set
-(** Three classes reproducing the paper's 70-20-10 mix, single-word. *)
-
 val wide_instruction_set : unit -> instruction_set
 (** A 30-class instruction set (the paper's "as many as 30 addressing
     modes"), with 1-3 word encodings and 0-2 operands — the case where

@@ -218,8 +218,6 @@ let prefetch_only ?consumer_cycles c =
       : Net.transition_id);
   B.build b
 
-let bus_breakdown_places = [ "pre_fetching"; "fetching"; "storing" ]
-
 module Internal = struct
   type nonrec shared = shared = {
     bus_free : Net.place_id;
@@ -237,7 +235,6 @@ module Internal = struct
   }
 
   let add_shared = add_shared
-  let add_prefetch = add_prefetch
   let add_decode = add_decode
   let add_decoder = add_decoder
   let add_execution = add_execution

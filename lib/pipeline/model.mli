@@ -38,12 +38,6 @@ val prefetch_only : ?consumer_cycles:float -> Config.t -> Pnut_core.Net.t
 val exec_transition_names : Config.t -> string list
 (** [exec_type_1 .. exec_type_n] for the configured profile, in order. *)
 
-(** {2 Analytic cross-checks} *)
-
-val bus_breakdown_places : string list
-(** The places whose average markings decompose bus utilization:
-    [pre_fetching; fetching; storing]. *)
-
 (**/**)
 
 (** Building blocks shared with derived models (e.g. the cache
@@ -65,7 +59,6 @@ module Internal : sig
   }
 
   val add_shared : Pnut_core.Net.Builder.t -> Config.t -> shared
-  val add_prefetch : Pnut_core.Net.Builder.t -> Config.t -> shared -> unit
   val add_decode : Pnut_core.Net.Builder.t -> Config.t -> shared -> unit
 
   val add_decoder :

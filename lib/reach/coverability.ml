@@ -297,10 +297,6 @@ let covers g target =
       !ok)
     g.nodes
 
-let pp_token ppf = function
-  | Finite n -> Format.pp_print_int ppf n
-  | Omega -> Format.pp_print_string ppf "ω"
-
 let pp_summary net ppf g =
   Format.fprintf ppf "@[<v>coverability graph of %s@,nodes: %d%s@,bounded: %b"
     (Net.name net) (num_nodes g)

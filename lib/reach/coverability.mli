@@ -89,5 +89,4 @@ val covers : t -> int array -> bool
     at least [m]?  This is the classical coverability question, e.g.
     "can two tokens ever sit on the critical section place". *)
 
-val pp_token : Format.formatter -> token -> unit
 val pp_summary : Pnut_core.Net.t -> Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
 module Env = Pnut_core.Env
-module Expr = Pnut_core.Expr
 module Value = Pnut_core.Value
 module Kernel = Pnut_core.Kernel
 
@@ -23,12 +22,14 @@ type t = {
   net : Net.t;
   store : Store.t;
   complete : bool;
+  por_reduction : float;
 }
 
 let net g = g.net
 let complete g = g.complete
 let num_states g = Store.num_states g.store
 let num_edges g = Store.num_edges g.store
+let por_reduction g = g.por_reduction
 
 let state g i =
   let codec = Store.codec g.store in
@@ -58,28 +59,6 @@ let edges g =
 
 let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 
-let stochastic_parts net =
-  Array.to_list (Net.transitions net)
-  |> List.concat_map (fun tr ->
-         let pred_bad =
-           match tr.Net.t_predicate with
-           | Some p when not (Expr.is_deterministic p) -> [ tr.Net.t_name ]
-           | Some _ | None -> []
-         in
-         let action_bad =
-           if
-             List.exists
-               (fun s ->
-                 match s with
-                 | Expr.Assign (_, e) -> not (Expr.is_deterministic e)
-                 | Expr.Table_assign (_, i, e) ->
-                   not (Expr.is_deterministic i && Expr.is_deterministic e))
-               tr.Net.t_action
-           then [ tr.Net.t_name ]
-           else []
-         in
-         pred_bad @ action_bad)
-
 (* The sweep: a serial FIFO over state indices.  Pop order is
    push order is interning order, so begin_source sees ascending
    sources and the CSR offsets append in one pass.  The popped state is
@@ -91,8 +70,8 @@ let stochastic_parts net =
    overflow a field, take the general path (blit, kernel apply, encode)
    whose overflow widens the layout; the deltas are rebuilt whenever the
    codec's layout is no longer the one they were computed for. *)
-let sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
-    kernel =
+let sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
+    net kernel =
   let codec = Packed.create net in
   let store = Store.create codec ~num_transitions:(Net.num_transitions net) in
   let np = Net.num_places net in
@@ -100,6 +79,7 @@ let sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
   let id0 = Packed.intern_extra codec env0 in
   assert (id0 = 0);
   let truncated = ref false in
+  let enabled = ref 0 in
   let budget_stop = ref None in
   let frontier_left = ref 0 in
   let m0 = Marking.to_array (Net.initial_marking net) in
@@ -183,28 +163,48 @@ let sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
           match stubborn, sb_scratch with
           | Some sb, Some sc ->
             let tids = Stubborn.fired sb sc parent_mk in
+            enabled := !enabled + Stubborn.enabled_count sc;
             for k = 0 to Array.length tids - 1 do
               fire i ex env trans.(tids.(k))
             done
           | _ ->
             for tid = 0 to Array.length trans - 1 do
               let c = trans.(tid) in
-              if Kernel.enabled c parent_mk env then fire i ex env c
+              if Kernel.enabled c parent_mk env then begin
+                incr enabled;
+                fire i ex env c
+              end
             done
         done
       with Exit -> ());
+  (* A budget trip leaves the frontier unexpanded: FIFO order makes it
+     the last [frontier_left] indices.  Under [por], count their enabled
+     transitions too, so the total covers every recorded state. *)
+  if por then
+    for i = Store.num_states store - !frontier_left
+        to Store.num_states store - 1 do
+      Store.marking_into store i parent;
+      Array.iter
+        (fun c -> if Kernel.token_enabled c parent_mk then incr enabled)
+        trans
+    done;
   Store.finalize store;
-  (store, !truncated, !budget_stop, !frontier_left)
+  (store, !truncated, !budget_stop, !frontier_left, !enabled)
 
 let build_supervised ?(max_states = 100_000) ?jobs:_
     ?(budget = Pnut_exec.Budget.none) ?packed:_ ?frontier_spill
     ?(por = false) net =
-  (match stochastic_parts net with
+  (match
+     Array.to_list (Net.transitions net)
+     |> List.filter (fun tr -> Pnut_core.Duration.stochastic_logic tr <> None)
+   with
   | [] -> ()
   | bad ->
     invalid_arg
       ("Reach.Graph.build: stochastic predicate/action on transitions: "
-      ^ String.concat ", " (List.sort_uniq String.compare bad)));
+      ^ String.concat ", "
+          (List.sort_uniq String.compare
+             (List.map (fun tr -> tr.Net.t_name) bad))));
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states =
@@ -217,19 +217,32 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
   (* Raises Stubborn.Unsupported when the net falls outside the
      reduction's fragment — callers choosing [por] must catch it or
      pre-check with Stubborn.unsupported. *)
-  let stubborn = if por then Some (Stubborn.create kernel) else None in
+  let stubborn =
+    if not por then None
+    else
+      (* A net the static test proves irreducible takes the plain loop:
+         [fired] would return the full ascending enabled set anyway, so
+         the graph is the same, without the closures. *)
+      let sb = Stubborn.create kernel in
+      if Stubborn.reduces sb then Some sb else None
+  in
   let spill_threshold =
     match frontier_spill with
     | Some b -> b
     | None -> Pnut_exec.Budget.spill_threshold_bytes budget
   in
-  let store, truncated, budget_stop, frontier_left =
-    sweep ~max_states ~monitor ~monitored ~spill_threshold ~stubborn net
-      kernel
+  let store, truncated, budget_stop, frontier_left, enabled =
+    sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
+      net kernel
   in
   let n = Store.num_states store in
+  let por_reduction =
+    if not por then 1.0
+    else float_of_int enabled /. float_of_int (max 1 (Store.num_edges store))
+  in
   let g =
-    { net; store; complete = (not truncated) && budget_stop = None }
+    { net; store; complete = (not truncated) && budget_stop = None;
+      por_reduction }
   in
   match budget_stop with
   | Some reason ->

@@ -83,6 +83,14 @@ val net : t -> Pnut_core.Net.t
 val complete : t -> bool
 val num_states : t -> int
 val num_edges : t -> int
+
+val por_reduction : t -> float
+(** The per-state branching reduction: token-enabled firings the full
+    expansion would have taken at every recorded state (expanded or
+    left on a budget-tripped frontier), over the edges recorded.
+    Counted during the sweep; a lower bound on the state-count
+    reduction.  [1.0] when the build ran without [por]. *)
+
 val state : t -> int -> state
 val initial : t -> int
 val successors : t -> int -> edge list

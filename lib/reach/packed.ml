@@ -82,7 +82,6 @@ type t = {
 }
 
 let layout t = t.lay
-let has_extra t = t.lay.l_extra <> None
 
 let create ?bounds ?with_extra net =
   let np = Net.num_places net in
@@ -142,7 +141,6 @@ let intern_extra t ?(clocks = "") env =
     t.n_extra <- id + 1;
     id
 
-let num_extra t = t.n_extra
 let extra_env t id = t.extra_envs.(id)
 let extra_key t id = t.extra_keys.(id)
 let extra_bindings t id = (extra_key t id).Statekey.k_bindings

@@ -45,7 +45,6 @@ val words : layout -> int
 (** Words per state. *)
 
 val places : layout -> int
-val has_extra : t -> bool
 
 (** {2 Codec} *)
 
@@ -95,7 +94,6 @@ val intern_extra : t -> ?clocks:string -> Pnut_core.Env.t -> int
     must not be mutated afterwards (the graph builders copy before
     running actions, so sharing is safe there). *)
 
-val num_extra : t -> int
 val extra_env : t -> int -> Pnut_core.Env.t
 val extra_key : t -> int -> Statekey.t
 (** The interned snapshot: bindings, tables and clocks of the id. *)

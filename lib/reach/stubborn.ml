@@ -92,20 +92,69 @@ type t = {
   conflicts : int array array;
   producers : int array array;  (* per place: net-delta > 0 *)
   consumers : int array array;  (* per place: net-delta < 0 *)
+  reduces : bool;
 }
+
+(* The static no-reduction test.  Whatever the marking, a member [v] of
+   a closure pushes either [conflicts.(v)] (enabled) or the relation of
+   one of its input or inhibitor places (disabled: only those arcs can
+   disable it in {!Kernel.token_enabled}), so it always pushes at least
+   their intersection A(v).  When the digraph v -> A(v) is strongly
+   connected, every closure captures every transition, the first seed's
+   set holds every enabled transition, and [fired] returns the full
+   enabled set at every marking.  O(sum of the relation sizes). *)
+let irreducible t =
+  let owner = Array.make t.nt (-1) and hits = Array.make t.nt 0 in
+  let succ = Array.make t.nt [] and pred = Array.make t.nt [] in
+  Array.iteri
+    (fun v (c : Kernel.ctrans) ->
+      let rels =
+        Array.append
+          (Array.map (fun p -> t.producers.(p)) c.Kernel.s_in_place)
+          (Array.map (fun q -> t.consumers.(q)) c.Kernel.s_inh_place)
+      in
+      Array.iter (fun u -> owner.(u) <- v; hits.(u) <- 0) t.conflicts.(v);
+      Array.iteri
+        (fun k -> Array.iter (fun u ->
+             if owner.(u) = v && hits.(u) = k then hits.(u) <- k + 1))
+        rels;
+      Array.iter
+        (fun u -> if hits.(u) = Array.length rels then begin
+             succ.(v) <- u :: succ.(v);
+             pred.(u) <- v :: pred.(u)
+           end)
+        t.conflicts.(v))
+    t.trans;
+  let reaches_all adj =
+    let seen = Array.make t.nt false in
+    let rec go = function
+      | [] -> ()
+      | v :: rest when seen.(v) -> go rest
+      | v :: rest -> seen.(v) <- true; go (List.rev_append adj.(v) rest)
+    in
+    go [ 0 ];
+    Array.for_all Fun.id seen
+  in
+  t.nt <= 1 || (reaches_all succ && reaches_all pred)
 
 let create kernel =
   let net = Kernel.net kernel in
   (match unsupported net with
   | None -> ()
   | Some r -> raise (Unsupported r));
-  {
-    trans = Kernel.transitions kernel;
-    nt = Kernel.num_transitions kernel;
-    conflicts = Incidence.conflicts net;
-    producers = Incidence.enablers net;
-    consumers = Incidence.consumers net;
-  }
+  let t =
+    {
+      trans = Kernel.transitions kernel;
+      nt = Kernel.num_transitions kernel;
+      conflicts = Incidence.conflicts net;
+      producers = Incidence.enablers net;
+      consumers = Incidence.consumers net;
+      reduces = true;
+    }
+  in
+  { t with reduces = not (irreducible t) }
+
+let reduces t = t.reduces
 
 (* Mutable per-worker workspace.  Closures stamp membership with a round
    counter instead of clearing, so one [fired] call is O(|S| + |E|)
@@ -118,6 +167,7 @@ type scratch = {
   stamp : int array;    (* stamp.(t) = round when t joined that round's S *)
   tried : int array;    (* tried.(t) = call when t was this call's seed *)
   stack : int array;    (* closure worklist; each tid pushed once per round *)
+  mutable ne : int;      (* length of the [enabled] prefix *)
   mutable sp : int;
   mutable round : int;
   mutable call : int;
@@ -129,7 +179,7 @@ let scratch t =
   let n = max 1 t.nt in
   { enabled = Array.make n 0; is_enabled = Array.make n false;
     stamp = Array.make n 0; tried = Array.make n 0; stack = Array.make n 0;
-    sp = 0; round = 0; call = 0; captured = 0; hit_seed = false }
+    ne = 0; sp = 0; round = 0; call = 0; captured = 0; hit_seed = false }
 
 (* The disabling condition the closure commits to for a disabled
    transition: the first insufficient input place in arc order, else the
@@ -202,7 +252,8 @@ let fired t sc m =
     end
   done;
   let ne = !ne in
-  if ne <= 1 then Array.sub sc.enabled 0 ne
+  sc.ne <- ne;
+  if ne <= 1 || not t.reduces then Array.sub sc.enabled 0 ne
   else begin
     (* Smallest-result heuristic over a few spread-out seeds, each tried
        once (for ne = 2 the positions collide); stop early on a
@@ -249,3 +300,5 @@ let fired t sc m =
       out
     end
   end
+
+let enabled_count sc = sc.ne

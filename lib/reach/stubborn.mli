@@ -44,8 +44,21 @@ type t
     workers. *)
 
 val create : Pnut_core.Kernel.t -> t
-(** Precomputes the relations.  @raise Unsupported when
-    {!unsupported} is [Some _] for the kernel's net. *)
+(** Precomputes the relations and runs the {!reduces} test.  @raise
+    Unsupported when {!unsupported} is [Some _] for the kernel's net. *)
+
+val reduces : t -> bool
+(** [false] when the net's structure guarantees that no stubborn set is
+    ever smaller than the enabled set.  Whatever the marking, a closure
+    member [t] pulls in at least A(t): its [conflicts] intersected with
+    the producers of each input place and the consumers of each
+    inhibitor place (only those arcs can disable it).  When the digraph
+    t -> A(t) is strongly connected, every closure captures every
+    transition, so {!fired} always returns the full enabled set; it then
+    skips the closures, and a builder can skip {!fired} altogether.  The
+    9-place ring of single-input transitions is such a net; the
+    [indep] family, the pipeline and the prefetch models are not.
+    Computed in [O(sum of the relation sizes)] by {!create}. *)
 
 type scratch
 (** Mutable per-worker workspace ([O(num_transitions)] words).  Not
@@ -60,3 +73,7 @@ val fired : t -> scratch -> Pnut_core.Marking.t -> int array
     enabled set when no reduction applies.  All returned transitions
     are token-enabled at the marking.  Allocates the returned array and
     nothing else. *)
+
+val enabled_count : scratch -> int
+(** The number of token-enabled transitions at the marking of the last
+    {!fired} call on this scratch. *)

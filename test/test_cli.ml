@@ -244,6 +244,18 @@ let test_reach_por () =
   Alcotest.(check int) "unsupported net rejected" 2 code;
   let err = read_file (tmp "err") in
   Testutil.check_contains "structured rejection" err "--por off";
+  (* the interpreted model draws random numbers in its actions: both
+     builders reject it with a specification error, not a crash *)
+  List.iter
+    (fun extra ->
+      let code, _ = run ([ "reach"; interp ] @ extra) in
+      let what = String.concat " " ("reach interpreted" :: extra) in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      let err = read_file (tmp "err") in
+      Testutil.check_contains what err "stochastic";
+      Alcotest.(check bool) (what ^ ": no uncaught exception") false
+        (Testutil.contains err "uncaught exception"))
+    [ []; [ "--timed" ] ];
   (* unknown model names still die with the full menu *)
   let code, _ = run [ "model"; "indep0x4" ] in
   Alcotest.(check bool) "bad generator params rejected" true (code <> 0)

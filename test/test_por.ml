@@ -499,6 +499,188 @@ let test_allocation_free () =
     (float_of_int (1_000 * (size + 1)))
     words
 
+(* -- the static no-reduction test -- *)
+
+(* The 9-place token ring of the reachability benchmark: one
+   single-input transition per place, passing a token to the next. *)
+let ring ~tokens =
+  let b = B.create "ring9" in
+  let places =
+    Array.init 9 (fun i ->
+        B.add_place b (Printf.sprintf "r%d" i)
+          ~initial:(if i = 0 then tokens else 0))
+  in
+  for i = 0 to 8 do
+    ignore
+      (B.add_transition b (Printf.sprintf "rt%d" i)
+         ~inputs:[ (places.(i), 1) ]
+         ~outputs:[ (places.((i + 1) mod 9), 1) ]
+        : Net.transition_id)
+  done;
+  B.build b
+
+let reduces net = Stubborn.reduces (Stubborn.create (Pnut_core.Kernel.of_net net))
+
+let test_static_test_corpus () =
+  Alcotest.(check bool) "ring: nothing to reduce" false
+    (reduces (ring ~tokens:17));
+  let config = Pnut_pipeline.Config.default in
+  List.iter
+    (fun (name, net) -> Alcotest.(check bool) (name ^ " reduces") true
+        (reduces net))
+    [ ("indep6x4", Pnut_pipeline.Indep.net ~pipelines:6 ~stages:4);
+      ("pipeline", Pnut_pipeline.Model.full config);
+      ("prefetch", Pnut_pipeline.Model.prefetch_only config) ]
+
+(* A random plain net biased toward the static test: a cycle of
+   single-input transitions through some of the places, each passing a
+   token on (sometimes also dropping one elsewhere), plus up to two
+   extra transitions — half of them single-input moves between cycle
+   places, which keep the always-pulled digraph strongly connected, the
+   rest with random arcs, which usually break it. *)
+let ring_like_net rng =
+  let int n = Random.State.int rng n in
+  let np = 2 + int 6 in
+  let b = B.create "ringlike" in
+  let places =
+    Array.init np (fun i -> B.add_place b (Printf.sprintf "p%d" i)
+                      ~initial:(int 3))
+  in
+  let cycle = Array.sub places 0 (2 + int (np - 1)) in
+  let k = Array.length cycle in
+  let add name ~inputs ~outputs ~inhibitors =
+    ignore (B.add_transition b name ~inputs ~outputs ~inhibitors
+            : Net.transition_id)
+  in
+  Array.iteri
+    (fun i p ->
+      let extra = if int 4 = 0 then [ (places.(int np), 1) ] else [] in
+      add (Printf.sprintf "c%d" i) ~inputs:[ (p, 1) ]
+        ~outputs:((cycle.((i + 1) mod k), 1) :: extra) ~inhibitors:[])
+    cycle;
+  for x = 0 to int 3 - 1 do
+    let name = Printf.sprintf "x%d" x in
+    if int 2 = 0 then
+      add name ~inputs:[ (cycle.(int k), 1) ] ~outputs:[ (cycle.(int k), 1) ]
+        ~inhibitors:[]
+    else begin
+      let arcs n =
+        List.init n (fun _ -> int np)
+        |> List.sort_uniq compare
+        |> List.map (fun p -> (places.(p), 1 + int 2))
+      in
+      add name ~inputs:(arcs (1 + int 2)) ~outputs:(arcs (int 3))
+        ~inhibitors:(if int 3 = 0 then arcs 1 else [])
+    end
+  done;
+  B.build b
+
+(* On a net the test passes, [fired] and the frozen closure oracle both
+   return the full ascending enabled set at every reachable marking (the
+   first 300 in breadth-first order: some of these nets are
+   unbounded). *)
+let prop_static_test_sound =
+  QCheck2.Test.make ~name:"irreducible nets fire their full enabled set"
+    ~count:100 ~max_gen:2000 ~if_assumptions_fail:(`Fatal, 1.0)
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let net = ring_like_net (Random.State.make [| seed; 21 |]) in
+      let kernel = Pnut_core.Kernel.of_net net in
+      let sb = Stubborn.create kernel in
+      QCheck2.assume (not (Stubborn.reduces sb));
+      let sc = Stubborn.scratch sb in
+      let oracle = Oracle.create net in
+      let osc = Oracle.scratch oracle in
+      let trans = Pnut_core.Kernel.transitions kernel in
+      let g = Graph.build ~max_states:300 net in
+      List.for_all
+        (fun i ->
+          let m = Marking.of_array (Graph.state g i).Graph.s_marking in
+          let enabled =
+            List.filter
+              (fun tid -> Pnut_core.Kernel.token_enabled trans.(tid) m)
+              (List.init (Array.length trans) Fun.id)
+            |> Array.of_list
+          in
+          Stubborn.fired sb sc m = enabled
+          && Stubborn.enabled_count sc = Array.length enabled
+          && Oracle.fired oracle osc m = enabled)
+        (List.init (Graph.num_states g) Fun.id))
+
+(* The builder skips the stubborn sets on the ring; the frozen boxed
+   builder still calls [fired] at every state, and the two graphs, and
+   the full one, coincide. *)
+let test_ring_boxed_agrees () =
+  let net = ring ~tokens:5 in
+  let triples =
+    List.map (fun e -> (e.Graph.e_from, e.Graph.e_transition, e.Graph.e_to))
+  in
+  let packed = Graph.build ~por:true net in
+  let full = Graph.build net in
+  let boxed = Boxed.build ~por:true net in
+  Alcotest.(check int) "C(13, 8) states" 1287 (Graph.num_states packed);
+  List.iter
+    (fun (what, n, state, edges) ->
+      Alcotest.(check (array (array int)))
+        (what ^ ": states identical")
+        (Array.init (Graph.num_states packed) (fun i ->
+             (Graph.state packed i).Graph.s_marking))
+        (Array.init n (fun i -> (state i).Graph.s_marking));
+      Alcotest.(check (list (triple int int int)))
+        (what ^ ": edges identical")
+        (triples (Graph.edges packed)) (triples edges))
+    [ ("boxed por", Boxed.num_states boxed, Boxed.state boxed,
+       Boxed.edges boxed);
+      ("full", Graph.num_states full, Graph.state full, Graph.edges full) ]
+
+(* [por_reduction] as the CLI once computed it after the build: every
+   recorded state's token-enabled transitions over the recorded edges. *)
+let post_pass_reduction net g =
+  let trans = Pnut_core.Kernel.transitions (Pnut_core.Kernel.of_net net) in
+  let total = ref 0 in
+  for i = 0 to Graph.num_states g - 1 do
+    let m = Marking.of_array (Graph.state g i).Graph.s_marking in
+    Array.iter
+      (fun c -> if Pnut_core.Kernel.token_enabled c m then incr total)
+      trans
+  done;
+  float_of_int !total /. float_of_int (max 1 (Graph.num_edges g))
+
+(* The sweep's count equals the post-pass on complete, capped and
+   cancelled builds, through the plain loop (the ring) and the stubborn
+   loop (the pipeline and branching models). *)
+let test_por_reduction_counted () =
+  let config = Pnut_pipeline.Config.default in
+  let cancelled () =
+    let tok = Pnut_exec.Budget.token () in
+    Pnut_exec.Budget.cancel tok;
+    Pnut_exec.Budget.make ~cancel:tok ()
+  in
+  List.iter
+    (fun (name, net) ->
+      let check what ?budget ?max_states expect_reason =
+        let outcome = Graph.build_supervised ?budget ?max_states ~por:true net in
+        let g = Supervisor.value outcome in
+        (match (outcome, expect_reason) with
+        | Supervisor.Complete _, None -> ()
+        | Supervisor.Degraded { reason; progress; _ }, Some r when reason = r ->
+          if r = Supervisor.Cancelled then
+            Alcotest.(check bool) (name ^ ": frontier left") true
+              (progress.Supervisor.frontier > 0)
+        | _ -> Alcotest.failf "%s %s: unexpected outcome" name what);
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s %s: por_reduction" name what)
+          (post_pass_reduction net g) (Graph.por_reduction g)
+      in
+      check "complete" None;
+      check "capped" ~max_states:200 (Some (Supervisor.States 200));
+      check "cancelled" ~budget:(cancelled ()) (Some Supervisor.Cancelled);
+      Alcotest.(check (float 0.)) (name ^ ": 1.0 without por") 1.0
+        (Graph.por_reduction (Graph.build net)))
+    [ ("ring", ring ~tokens:5);
+      ("pipeline", Pnut_pipeline.Model.full config);
+      ("branching", Pnut_pipeline.Branching.full config) ]
+
 let () =
   Alcotest.run "por"
     [
@@ -531,9 +713,19 @@ let () =
           Alcotest.test_case "enabling test and stubborn set" `Quick
             test_allocation_free;
         ] );
+      ( "static",
+        [
+          Alcotest.test_case "ring irreducible, corpus reduces" `Quick
+            test_static_test_corpus;
+          Alcotest.test_case "boxed oracle agrees on the ring" `Quick
+            test_ring_boxed_agrees;
+          Alcotest.test_case "por_reduction counted in the sweep" `Quick
+            test_por_reduction_counted;
+        ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_differential;
           QCheck_alcotest.to_alcotest prop_fired_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_static_test_sound;
         ] );
     ]
