@@ -1043,7 +1043,8 @@ let cycle_cmd =
   in
   let max_steps =
     Arg.(value & opt int 100000 & info [ "max-steps" ] ~docv:"N"
-           ~doc:"Exploration bound.")
+           ~doc:"Walk bound: firings and completions (time advances are \
+                 folded into them and not counted).")
   in
   let marked_graph =
     Arg.(value & flag & info [ "marked-graph" ]
@@ -1054,6 +1055,9 @@ let cycle_cmd =
     let net = load_net path in
     if marked_graph then begin
       match Pnut_analytic.Marked_graph.cycle_time net with
+      | Pnut_analytic.Marked_graph.Cycle_time 0.0 ->
+        Printf.printf "zero-time livelock: no circuit has a positive delay\n";
+        exit 1
       | Pnut_analytic.Marked_graph.Cycle_time t ->
         Printf.printf "cycle time: %g (throughput %g per transition)\n" t
           (1.0 /. t);

@@ -65,7 +65,7 @@ let is_marked_graph net =
 
 (* Edge list of the transition graph: one edge per place, from its
    producer to its consumer, carrying the consumer's mean delay and the
-   place's initial tokens. *)
+   place's initial tokens, plus the enabling self-loops. *)
 let edges net =
   let np = Net.num_places net in
   let producer = Array.make np (-1) in
@@ -87,9 +87,19 @@ let edges net =
         +. mean_duration tr "firing" tr.Net.t_firing)
     (Net.transitions net);
   let m0 = Pnut_core.Marking.to_array (Net.initial_marking net) in
-  List.init np (fun p -> p)
+  (* A transition's enabling clock is a single server: it restarts at
+     each firing, so starts are at least one enabling delay apart — a
+     one-token self-loop carrying that delay. *)
+  let self_loops =
+    Array.to_list (Net.transitions net)
+    |> List.filter_map (fun tr ->
+           let e = mean_duration tr "enabling" tr.Net.t_enabling in
+           if e > 0.0 then Some (tr.Net.t_id, tr.Net.t_id, e, 1) else None)
+  in
+  (List.init np (fun p -> p)
   |> List.filter (fun p -> producer.(p) >= 0 && consumer.(p) >= 0)
-  |> List.map (fun p -> (producer.(p), consumer.(p), delay.(consumer.(p)), m0.(p)))
+  |> List.map (fun p -> (producer.(p), consumer.(p), delay.(consumer.(p)), m0.(p))))
+  @ self_loops
 
 (* Longest-path Bellman-Ford over weights (delay - lambda * tokens):
    detects whether some circuit has positive weight; optionally returns a
@@ -120,32 +130,12 @@ let positive_cycle nt edge_list lambda =
     Some (!v, pred)
   end
 
-(* Zero-token circuits mean transitions that can never fire. *)
-let has_tokenless_cycle nt edge_list =
+(* Whether the edges satisfying [keep] close a circuit. *)
+let has_cycle nt keep edge_list =
   let adjacency = Array.make nt [] in
   List.iter
-    (fun (u, v, _, m) -> if m = 0 then adjacency.(u) <- v :: adjacency.(u))
+    (fun ((u, v, _, _) as e) -> if keep e then adjacency.(u) <- v :: adjacency.(u))
     edge_list;
-  let color = Array.make nt 0 in
-  let rec dfs v =
-    color.(v) <- 1;
-    let hit =
-      List.exists
-        (fun w ->
-          if color.(w) = 1 then true
-          else if color.(w) = 0 then dfs w
-          else false)
-        adjacency.(v)
-    in
-    if not hit then color.(v) <- 2;
-    hit
-  in
-  let rec any v = v < nt && ((color.(v) = 0 && dfs v) || any (v + 1)) in
-  any 0
-
-let has_any_cycle nt edge_list =
-  let adjacency = Array.make nt [] in
-  List.iter (fun (u, v, _, _) -> adjacency.(u) <- v :: adjacency.(u)) edge_list;
   let color = Array.make nt 0 in
   let rec dfs v =
     color.(v) <- 1;
@@ -171,8 +161,11 @@ let prepare net =
 
 let cycle_time net =
   let nt, edge_list = prepare net in
-  if not (has_any_cycle nt edge_list) then Unbounded_rate
-  else if has_tokenless_cycle nt edge_list then Deadlock
+  if not (has_cycle nt (fun _ -> true) edge_list) then Unbounded_rate
+  else if has_cycle nt (fun (_, _, _, m) -> m = 0) edge_list then
+    Deadlock (* a tokenless circuit never fires *)
+  else if positive_cycle nt edge_list 0.0 = None then
+    Cycle_time 0.0 (* no circuit has a positive delay *)
   else begin
     let hi0 =
       1.0 +. List.fold_left (fun acc (_, _, d, _) -> acc +. d) 0.0 edge_list
@@ -190,26 +183,22 @@ let cycle_time net =
 
 let critical_circuit net =
   let nt, edge_list = prepare net in
-  if not (has_any_cycle nt edge_list) || has_tokenless_cycle nt edge_list then
-    None
-  else begin
-    match cycle_time net with
-    | Deadlock | Unbounded_rate -> None
-    | Cycle_time rho ->
-      (* slightly below the ratio a positive cycle exists; extract it *)
-      let lambda = rho -. Float.max 1e-9 (rho *. 1e-9) in
-      (match positive_cycle nt edge_list lambda with
-      | None -> None
-      | Some (start, pred) ->
-        let rec collect v acc =
-          if List.mem v acc then
-            (* rotate so the cycle starts at its first repeat *)
-            let rec drop = function
-              | w :: rest when w <> v -> drop rest
-              | l -> l
-            in
-            List.rev (drop (List.rev acc))
-          else collect pred.(v) (v :: acc)
-        in
-        Some (collect start [], rho))
-  end
+  match cycle_time net with
+  | Deadlock | Unbounded_rate -> None
+  | Cycle_time rho -> (
+    (* slightly below the ratio a positive cycle exists; extract it *)
+    let lambda = rho -. Float.max 1e-9 (rho *. 1e-9) in
+    match positive_cycle nt edge_list lambda with
+    | None -> None
+    | Some (start, pred) ->
+      let rec collect v acc =
+        if List.mem v acc then
+          (* rotate so the cycle starts at its first repeat *)
+          let rec drop = function
+            | w :: rest when w <> v -> drop rest
+            | l -> l
+          in
+          List.rev (drop (List.rev acc))
+        else collect pred.(v) (v :: acc)
+      in
+      Some (collect start [], rho))

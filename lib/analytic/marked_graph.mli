@@ -17,14 +17,20 @@
     The critical ratio is computed by parametric binary search with
     Bellman-Ford positive-cycle detection (maximum ratio cycle).
 
-    Transition delay is the {e mean} of enabling + firing durations, so
-    the result is exact for deterministic nets and a first-order
-    approximation for stochastic ones. *)
+    Transition delay is the {e mean} of enabling + firing durations.  A
+    transition's enabling clock is a single server — it restarts at each
+    firing — so a transition with a positive enabling delay also gets a
+    one-token self-loop carrying that delay.  On deterministic marked
+    graphs the ratio then equals the period per firing of
+    {!Pnut_reach.Timed.steady_cycle} (the test suite checks this on
+    random nets); for stochastic delays it is a first-order
+    approximation. *)
 
 type verdict =
   | Cycle_time of float
       (** the critical ratio; throughput of every transition (in a
-          strongly connected net) is its inverse *)
+          strongly connected net) is its inverse.  Exactly [0.] when no
+          circuit has a positive delay: a zero-time livelock. *)
   | Deadlock
       (** some circuit carries no tokens: the net (partially) dies *)
   | Unbounded_rate

@@ -593,8 +593,8 @@ let normalize r ~nf n =
   end
 
 (* Carry the loaded vector of class [cl] across [st] into the target
-   class; [emit v shift] sees the successor's vector id and its
-   normalization shift. *)
+   class; [emit code v shift] sees the edge code, the successor's vector
+   id and its normalization shift. *)
 let cross sp cl st emit =
   let src = sp.src in
   let nf = Array.length cl.cl_flight in
@@ -639,7 +639,7 @@ let cross sp cl st emit =
     dst.(nf' + k) <- (if g >= 0 then src.(nf + g) else st.st_fresh.(k))
   done;
   let shift = normalize dst ~nf:nf' n' in
-  emit (add_vector sp tgt dst n') shift
+  emit st.st_code (add_vector sp tgt dst n') shift
 
 (* Cross the edge of [cl] labelled [code], building it on first use. *)
 let rec follow sp cl code emit = function
@@ -673,27 +673,23 @@ let expand sp cl emit =
       follow sp cl (2 * cl.cl_pending.(k)) emit cl.cl_edges
   done
 
-(* The enabled tids of (marking, env) by a full scan, with their full
-   enabling delays. *)
-let initial_pending kernel marking env =
-  let tids =
-    Array.to_list (Kernel.transitions kernel)
-    |> List.filter (fun c -> Kernel.enabled c marking env)
-  in
-  ( Array.of_list (List.map (fun c -> c.Kernel.s_id) tids),
-    Array.of_list
-      (List.map (fun c -> det_duration env c.Kernel.s_tr.Net.t_enabling) tids) )
-
 (* The initial vector: empty flight, full enabling delays pending,
    normalized (the oracle reaches the same point through leading
    Ticks).  Its id (always 0) and normalization shift. *)
 let initial_vector sp net =
   let m0 = Net.initial_marking net in
   let env0 = Net.initial_env net in
-  let pending, delays = initial_pending sp.kernel m0 env0 in
+  let enabled =
+    List.filter
+      (fun c -> Kernel.enabled c m0 env0)
+      (Array.to_list (Kernel.transitions sp.kernel))
+  in
+  let pending = Array.of_list (List.map (fun c -> c.Kernel.s_id) enabled) in
   let n = Array.length pending in
   reserve sp (n + 1);
-  Array.blit delays 0 sp.dst 0 n;
+  List.iteri
+    (fun k c -> sp.dst.(k) <- det_duration env0 c.Kernel.s_tr.Net.t_enabling)
+    enabled;
   let shift = normalize sp.dst ~nf:0 n in
   match find_class sp (Marking.to_array m0) env0 ~flight:[||] ~pending with
   | None -> invalid_arg "Reach.Timed: max_states must be positive"
@@ -716,7 +712,7 @@ let sweep sp ~monitor ~monitored net =
       match if check then Pnut_exec.Supervisor.check monitor else None with
       | Some r -> Some (r, sp.arena.count - next)
       | None ->
-        expand sp (load sp next) (fun _ _ -> ());
+        expand sp (load sp next) (fun _ _ _ -> ());
         go (next + 1)
   in
   go 0
@@ -838,7 +834,7 @@ let min_cycle_time ?(max_states = 50_000) net tid =
                raise_notrace Exit
              end)
            cl.cl_pending;
-         expand sp cl (fun v' shift ->
+         expand sp cl (fun _ v' shift ->
              if not (Hashtbl.mem settled v') then push (d +. shift) v')
        end
      done
@@ -851,125 +847,54 @@ type cycle = {
   cy_firings : int array;
 }
 
-(* Deterministic walk: complete the most recently started finished
-   firing, else fire the lowest-id fireable transition, else advance
-   time by the minimum residual; detect a repeated (marking, env,
-   in-flight, pending) vector by its exact id in a vector space.  An
-   action runs where [make_step] runs it: at completion, or at the
-   firing itself when the firing time is zero. *)
+(* One deterministic execution over the class graph's own successor
+   relation: from each vector take the first successor [expand] emits —
+   the lowest-id completion, else the lowest-id firing.  A positive
+   normalization shift is a tick, so the vector just before it is a
+   stable instant; stable instants are keyed on (vector after the tick,
+   shift) with the clock and firing counts before the tick, and the walk
+   stops at the first repeat. *)
 let steady_cycle ?(max_steps = 100_000) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let sp = space_create net ~cap:max_int in
-  let kernel = sp.kernel in
-  let nt = Net.num_transitions net in
-  let counts = Array.make nt 0 in
+  let counts = Array.make (Net.num_transitions net) 0 in
   let seen = Hashtbl.create 256 in
-  let env = ref (Net.initial_env net) in
-  let tokens = Marking.to_array (Net.initial_marking net) in
-  let marking = Marking.unsafe_wrap tokens in
-  let in_flight = ref ([] : (int * float) list) in
-  let pending, delays = initial_pending kernel marking !env in
-  let pending = ref pending and residual = ref delays in
-  (* on a copy: the class index keeps every env it interned *)
-  let act c =
-    if c.Kernel.s_has_action then begin
-      let env' = Env.copy !env in
-      Kernel.run_action env' c;
-      env := env'
-    end;
-    c.Kernel.s_has_action
-  in
-  let refresh ~touched ~env_changed ~restart =
-    let next =
-      next_pending sp !pending marking !env ~touched ~env_changed ~restart
-    in
-    let keep, fresh = pending_plan sp ~pending:!pending ~next !env ~restart in
-    let old = !residual in
-    residual := Array.mapi (fun k g -> if g >= 0 then old.(g) else fresh.(k)) keep;
-    pending := next
-  in
   let clock = ref 0.0 in
-  let result = ref None in
-  let step = ref 0 in
-  (try
-     while !result = None && !step < max_steps do
-       incr step;
-       let completable =
-         List.filter (fun (_, r) -> Float.equal r 0.0) !in_flight
-       in
-       let rec fireable k =
-         if k = Array.length !pending then None
-         else if Float.equal !residual.(k) 0.0 then Some !pending.(k)
-         else fireable (k + 1)
-       in
-       match completable, fireable 0 with
-       | (tid, _) :: _, _ ->
-         let c = Kernel.transition kernel tid in
-         Kernel.produce c marking;
-         let rec remove = function
-           | [] -> []
-           | (t, r) :: rest when t = tid && Float.equal r 0.0 -> rest
-           | x :: rest -> x :: remove rest
-         in
-         in_flight := remove !in_flight;
-         let env_changed = act c in
-         refresh ~touched:[ c.Kernel.s_out_places ] ~env_changed ~restart:(-1)
-       | [], Some tid ->
-         let c = Kernel.transition kernel tid in
-         Kernel.consume c marking;
-         counts.(tid) <- counts.(tid) + 1;
-         let d = det_duration !env c.Kernel.s_tr.Net.t_firing in
-         if d > 0.0 then in_flight := (tid, d) :: !in_flight;
-         refresh ~touched:[ c.Kernel.s_in_places ] ~env_changed:false
-           ~restart:tid;
-         if Float.equal d 0.0 then begin
-           Kernel.produce c marking;
-           let env_changed = act c in
-           refresh ~touched:[ c.Kernel.s_out_places ] ~env_changed ~restart:tid
-         end
-       | [], None -> (
-         let residuals =
-           List.map snd !in_flight
-           @ List.filter (fun r -> r > 0.0) (Array.to_list !residual)
-         in
-         match residuals with
-         | [] -> raise Exit (* dead *)
-         | first :: rest ->
-           (* stable instant: check for a repeat before ticking *)
-           let flight =
-             List.stable_sort
-               (fun (t1, r1) (t2, r2) ->
-                 match compare t1 t2 with 0 -> Float.compare r1 r2 | c -> c)
-               !in_flight
-           in
-           let cl =
-             Option.get
-               (find_class sp tokens !env
-                  ~flight:(Array.of_list (List.map fst flight))
-                  ~pending:!pending)
-           in
-           let vec = Array.of_list (List.map snd flight @ Array.to_list !residual) in
-           let v = add_vector sp cl vec (Array.length vec) in
-           (match Hashtbl.find_opt seen v with
-           | Some (t0, counts0) ->
-             result :=
-               Some
-                 {
-                   cy_transient = t0;
-                   cy_period = !clock -. t0;
-                   cy_firings =
-                     Array.init nt (fun i -> counts.(i) - counts0.(i));
-                 }
-           | None ->
-             Hashtbl.replace seen v (!clock, Array.copy counts);
-             let d = List.fold_left Float.min first rest in
-             clock := !clock +. d;
-             in_flight :=
-               List.map (fun (t, r) -> (t, Float.max 0.0 (r -. d))) !in_flight;
-             residual := Array.map (fun r -> Float.max 0.0 (r -. d)) !residual))
-     done
-   with Exit -> ());
-  !result
+  (* Arrive at [v] after a tick of [shift]: the cycle closed by a
+     repeated stable instant, if any. *)
+  let arrive v shift =
+    if shift > 0.0 then
+      match Hashtbl.find_opt seen (v, shift) with
+      | Some (t0, counts0) ->
+        Some
+          {
+            cy_transient = t0;
+            cy_period = !clock -. t0;
+            cy_firings = Array.mapi (fun t n -> n - counts0.(t)) counts;
+          }
+      | None ->
+        Hashtbl.replace seen (v, shift) (!clock, Array.copy counts);
+        clock := !clock +. shift;
+        None
+    else None
+  in
+  let exception First of int * int * float in
+  let rec walk v steps =
+    if steps >= max_steps then None
+    else
+      match
+        expand sp (load sp v) (fun code v' shift ->
+            raise_notrace (First (code, v', shift)))
+      with
+      | () -> None (* dead *)
+      | exception First (code, v', shift) -> (
+        if code land 1 = 0 then counts.(code asr 1) <- counts.(code asr 1) + 1;
+        match arrive v' shift with
+        | Some _ as cycle -> cycle
+        | None -> walk v' (steps + 1))
+  in
+  let v0, shift0 = initial_vector sp net in
+  match arrive v0 shift0 with Some _ as cycle -> cycle | None -> walk v0 0
 
 let pp_summary ppf g =
   Format.fprintf ppf

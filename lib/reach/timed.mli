@@ -139,13 +139,19 @@ type cycle = {
 }
 
 val steady_cycle : ?max_steps:int -> Pnut_core.Net.t -> cycle option
-(** Follows one deterministic execution (conflicts resolved by the lowest
-    transition id — any fixed rule yields {e a} steady cycle) until a
-    state repeats; [None] if the net dies or no repeat is found within
-    [max_steps] (default 100_000) steps.  Actions run at completion (at
-    the firing itself when the firing time is zero), as in {!build}, and
-    delays are read under the current environment.  Exact transition
-    throughputs of that execution are [firings.(t) / period].  Delays
-    must be deterministic, as for {!build}. *)
+(** Follows one deterministic execution through the successor relation
+    of {!build}: from each residual vector it takes the first successor
+    the class graph emits — the lowest-id completion, otherwise the
+    lowest-id firing (any fixed rule yields {e a} steady cycle).  A
+    positive normalization shift is a time advance, so the vector just
+    before it is a stable instant; stable instants are keyed on (vector
+    after the shift, shift) and the walk stops at the first repeat.
+    [None] if the net dies or no repeat is found within [max_steps]
+    (default 100_000) firings and completions; time advances are folded
+    into them and not counted.  Actions run at completion (at the firing
+    itself when the firing time is zero), as in {!build}, and delays are
+    read under the current environment.  Exact transition throughputs of
+    that execution are [firings.(t) / period].  Delays must be
+    deterministic, as for {!build}. *)
 
 val pp_summary : Format.formatter -> t -> unit

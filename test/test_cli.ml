@@ -529,7 +529,33 @@ let test_cycle () =
   close_out oc;
   let out = check_run "cycle toggle" [ "cycle"; toggle ] in
   Testutil.check_contains "toggle period" out "period:    3";
-  Testutil.check_contains "b fires" out "b                                         1     0.333333"
+  Testutil.check_contains "b fires" out "b                                         1     0.333333";
+  let write name text =
+    let path = tmp name in
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    path
+  in
+  (* single-server enabling clocks: [a] starts once every 3 *)
+  let ring =
+    write "ring2_cycle.pn"
+      "net ring2\nplace p init 2\nplace q\n\
+       transition a\n  in p\n  out q\n  enabling 3\n\
+       transition b\n  in q\n  out p\n  enabling 1\n"
+  in
+  let out = check_run "cycle --marked-graph ring" [ "cycle"; ring; "--marked-graph" ] in
+  Testutil.check_contains "RH80 cycle time" out "cycle time: 3";
+  let out = check_run "cycle ring" [ "cycle"; ring ] in
+  Testutil.check_contains "walker period" out "period:    3";
+  let zero =
+    write "zero_cycle.pn"
+      "net zero\nplace p init 1\nplace q\n\
+       transition a\n  in p\n  out q\ntransition b\n  in q\n  out p\n"
+  in
+  let code, out = run [ "cycle"; zero; "--marked-graph" ] in
+  Alcotest.(check int) "zero-time livelock exit code" 1 code;
+  Testutil.check_contains "zero-time livelock" out "zero-time livelock"
 
 let test_faults_campaign () =
   let out =

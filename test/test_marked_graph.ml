@@ -175,6 +175,62 @@ let test_agrees_with_simulation () =
   Testutil.check_close ~tolerance:0.001 "throughput = 1 / cycle time"
     (1.0 /. analytic) rate
 
+let test_zero_delay_circuits () =
+  (* no circuit takes time: an exact zero, not a vanishing ratio *)
+  let net = ring [ 0.0; 0.0 ] 1 in
+  Alcotest.(check bool) "cycle time 0" true (Mg.cycle_time net = Mg.Cycle_time 0.0);
+  Alcotest.(check bool) "the walker finds no cycle" true
+    (Timed.steady_cycle net = None)
+
+(* A transition's enabling clock is a single server: with 2 tokens and
+   enabling delays 3 and 1, [a] starts once every 3, not every 2. *)
+let test_enabling_clock () =
+  let b = B.create "ring2" in
+  let p = B.add_place b "p" ~initial:2 in
+  let q = B.add_place b "q" in
+  let _ =
+    B.add_transition b "a" ~inputs:[ (p, 1) ] ~outputs:[ (q, 1) ]
+      ~enabling:(Net.Const 3.0)
+  in
+  let _ =
+    B.add_transition b "b" ~inputs:[ (q, 1) ] ~outputs:[ (p, 1) ]
+      ~enabling:(Net.Const 1.0)
+  in
+  let net = B.build b in
+  Testutil.check_close ~tolerance:1e-6 "cycle = 3" 3.0 (cycle_value (Mg.cycle_time net));
+  match Timed.steady_cycle net with
+  | Some c -> Testutil.check_close "walker period" 3.0 c.Timed.cy_period
+  | None -> Alcotest.fail "expected a steady cycle"
+
+(* On random marked graphs (a ring through every transition plus
+   chords) the critical ratio is the walker's period per firing of each
+   transition; without a steady cycle the net deadlocks or no circuit
+   takes time. *)
+let test_random_marked_graphs () =
+  let rng = Random.State.make [| 22 |] in
+  let cycled = ref 0 in
+  for _ = 1 to 1000 do
+    let net = Testutil.random_timed_net ~marked_graph:true rng in
+    let fail what =
+      Alcotest.failf "%s\n%s" what (Format.asprintf "%a" Net.pp net)
+    in
+    match Timed.steady_cycle net, Mg.cycle_time net with
+    | Some c, Mg.Cycle_time rho ->
+      incr cycled;
+      Array.iter
+        (fun n ->
+          if not (Testutil.close ~tolerance:1e-6 rho (c.Timed.cy_period /. float_of_int n))
+          then
+            fail
+              (Printf.sprintf "cycle time %g, walker period %g over %d firings" rho
+                 c.Timed.cy_period n))
+        c.Timed.cy_firings
+    | Some _, _ -> fail "the walker cycles, RH80 finds no cycle time"
+    | None, (Mg.Deadlock | Mg.Cycle_time 0.0) -> ()
+    | None, _ -> fail "RH80 finds a cycle time, the walker none"
+  done;
+  Alcotest.(check bool) "most nets cycle" true (!cycled > 500)
+
 let () =
   Alcotest.run "marked-graph"
     [
@@ -188,10 +244,13 @@ let () =
           Alcotest.test_case "structure violations" `Quick test_structure_checks;
           Alcotest.test_case "dangling places" `Quick test_acyclic_unbounded;
           Alcotest.test_case "mean delays" `Quick test_mean_delays_used;
+          Alcotest.test_case "zero-delay circuits" `Quick test_zero_delay_circuits;
+          Alcotest.test_case "enabling clock" `Quick test_enabling_clock;
         ] );
       ( "cross-validation",
         [
           Alcotest.test_case "vs steady cycle" `Quick test_agrees_with_steady_cycle;
+          Alcotest.test_case "random marked graphs" `Quick test_random_marked_graphs;
           Alcotest.test_case "vs simulation" `Slow test_agrees_with_simulation;
         ] );
     ]

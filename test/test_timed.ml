@@ -566,6 +566,75 @@ let test_steady_cycle_actions () =
           (float_of_int c.Timed.cy_firings.(t) /. c.Timed.cy_period))
       [ "a"; "b" ]
 
+(* The simulator is the oracle for the walk on random conflict-free
+   nets: a steady cycle's rates are the long-run rates, and a net
+   without one dies or livelocks in the simulator too. *)
+let test_steady_cycle_simulator_oracle () =
+  let rng = Random.State.make [| 22 |] in
+  let cycled = ref 0 and stopped = ref 0 in
+  for _ = 1 to 300 do
+    let net = Testutil.random_timed_net rng in
+    match Timed.steady_cycle net with
+    | Some c ->
+      incr cycled;
+      let sink, get = Pnut_stat.Stat.sink () in
+      ignore (Pnut_sim.Simulator.simulate ~until:20_000.0 ~sink net
+              : Pnut_sim.Simulator.outcome);
+      let report = get () in
+      Array.iteri
+        (fun t n ->
+          let name = (Net.transition net t).Net.t_name in
+          let expect = float_of_int n /. c.Timed.cy_period in
+          let got = Pnut_stat.Stat.throughput report name in
+          if Float.abs (expect -. got) > 0.002 +. (0.01 *. expect) then
+            Alcotest.failf "%s: cycle rate %g, simulated %g\n%s" name expect got
+              (Format.asprintf "%a" Net.pp net))
+        c.Timed.cy_firings
+    | None -> (
+      incr stopped;
+      match Pnut_sim.Simulator.simulate ~until:20_000.0 net with
+      | { Pnut_sim.Simulator.stop = Pnut_sim.Simulator.Dead; _ } -> ()
+      | exception Pnut_sim.Simulator.Sim_error (Pnut_sim.Simulator.Livelock _) -> ()
+      | _ ->
+        Alcotest.failf "no steady cycle, but the simulator runs on\n%s"
+          (Format.asprintf "%a" Net.pp net))
+  done;
+  Alcotest.(check bool) "both outcomes occur" true (!cycled > 20 && !stopped > 20)
+
+(* [t] and [u] share [p] and neither takes time to fire.  Zero firing
+   duration is atomic in the walk and in the class graph: [t]'s token is
+   back before [u]'s enabling clock is re-tested, so [u] fires at time 2
+   ([t] fired at 1 and restarted).  The simulator re-tests enabling
+   between consume and produce, which restarts [u]'s clock at every [t]
+   firing, so [u] never fires there (docs/SEMANTICS.md § Time). *)
+let zero_time_model =
+  "net zero_time\nplace p init 1\n\
+   transition t\n  in p\n  out p\n  enabling 1\n\
+   transition u\n  in p\n  out p\n  enabling 2\n"
+
+let test_steady_cycle_zero_time_corner () =
+  let net = Pnut_lang.Parser.parse_net zero_time_model in
+  let t = Net.transition_id net "t" and u = Net.transition_id net "u" in
+  (match Timed.steady_cycle net with
+  | None -> Alcotest.fail "expected a cycle"
+  | Some c ->
+    Alcotest.(check (float 1e-9)) "period 2" 2.0 c.Timed.cy_period;
+    Alcotest.(check int) "t twice" 2 c.Timed.cy_firings.(t);
+    Alcotest.(check int) "u once" 1 c.Timed.cy_firings.(u));
+  let g = Timed.build net in
+  let fires_u =
+    List.exists
+      (fun i ->
+        List.exists (fun e -> e.Timed.e_label = Timed.Fire u) (Timed.successors g i))
+      (List.init (Timed.num_states g) Fun.id)
+  in
+  Alcotest.(check bool) "class graph fires u" true fires_u;
+  let sink, get = Pnut_stat.Stat.sink () in
+  ignore (Pnut_sim.Simulator.simulate ~until:100.0 ~sink net
+          : Pnut_sim.Simulator.outcome);
+  Alcotest.(check (float 0.0)) "simulator never fires u" 0.0
+    (Pnut_stat.Stat.throughput (get ()) "u")
+
 let () =
   Alcotest.run "timed-reach"
     [
@@ -620,6 +689,10 @@ let () =
             test_steady_cycle_pipeline_stages;
           Alcotest.test_case "dead net" `Quick test_steady_cycle_dead_net;
           Alcotest.test_case "actions" `Quick test_steady_cycle_actions;
+          Alcotest.test_case "simulator oracle" `Quick
+            test_steady_cycle_simulator_oracle;
+          Alcotest.test_case "zero-time corner" `Quick
+            test_steady_cycle_zero_time_corner;
           Alcotest.test_case "matches simulation" `Slow
             test_steady_cycle_matches_simulation;
         ] );

@@ -21,3 +21,55 @@ let close ?(tolerance = 1e-9) expected actual =
 let check_close what ?tolerance expected actual =
   if not (close ?tolerance expected actual) then
     Alcotest.failf "%s: expected %g, got %g" what expected actual
+
+(* Random timed nets for the steady-cycle oracles.  Each net has 2–5
+   transitions; firing and enabling times are constants in 0–3 and each
+   place starts with 0–3 tokens.  By default every transition owns 1–2
+   input places, so no two transitions share an input, and gives back
+   as many tokens as it takes: the first to a place of the next
+   transition, the rest to places drawn at random.  With
+   [~marked_graph:true] the places are a ring through every transition
+   plus 0–2 chords, each place with one producer and one consumer. *)
+let random_timed_net ?(marked_graph = false) rng =
+  let module Net = Pnut_core.Net in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let n = int 2 5 in
+  (* places as (producer, consumer) pairs; without [marked_graph] only
+     the consumer is fixed *)
+  let arcs =
+    if marked_graph then
+      let chord _ =
+        let u = int 0 (n - 1) in
+        (u, int 0 (n - 1))
+      in
+      List.init n (fun t -> (t, (t + 1) mod n)) @ List.init (int 0 2) chord
+    else List.concat (List.init n (fun t -> List.init (int 1 2) (fun _ -> (-1, t))))
+  in
+  let places = List.mapi (fun p arc -> (p, arc)) arcs in
+  let inputs t = List.filter_map (fun (p, (_, c)) -> if c = t then Some p else None) places in
+  let outputs t =
+    if marked_graph then
+      List.filter_map (fun (p, (u, _)) -> if u = t then Some p else None) places
+    else
+      let first = pick (inputs ((t + 1) mod n)) in
+      first :: List.init (List.length (inputs t) - 1) (fun _ -> fst (pick places))
+  in
+  let weights ps =
+    List.map (fun p -> (p, List.length (List.filter (( = ) p) ps))) (List.sort_uniq compare ps)
+  in
+  let delay () = match int 0 3 with 0 -> Net.Zero | d -> Net.Const (float_of_int d) in
+  let b = Net.Builder.create "random" in
+  List.iter
+    (fun (p, _) ->
+      ignore (Net.Builder.add_place b (Printf.sprintf "p%d" p) ~initial:(int 0 3) : int))
+    places;
+  for t = 0 to n - 1 do
+    let firing = delay () in
+    let enabling = delay () in
+    ignore
+      (Net.Builder.add_transition b (Printf.sprintf "t%d" t)
+         ~inputs:(weights (inputs t)) ~outputs:(weights (outputs t)) ~firing ~enabling
+        : int)
+  done;
+  Net.Builder.build b
