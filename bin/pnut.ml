@@ -1079,6 +1079,10 @@ let cycle_cmd =
     end
     else
       match Pnut_reach.Timed.steady_cycle ~max_steps net with
+      | Some c when c.Pnut_reach.Timed.cy_period = 0.0 ->
+        Printf.printf "zero-time livelock: time stops at %g\n"
+          c.Pnut_reach.Timed.cy_transient;
+        exit 1
       | Some c ->
         Printf.printf "transient: %g\nperiod:    %g\n\n"
           c.Pnut_reach.Timed.cy_transient c.Pnut_reach.Timed.cy_period;

@@ -42,15 +42,6 @@ let make ?wall_s ?heap_mb ?heap_words ?max_states ?max_events ?cancel () =
     cancel;
   }
 
-(* Frontier-spill threshold for the packed reachability store: keep the
-   in-memory frontier within a sliver (1/16) of the heap budget so the
-   closed-set arena gets the rest, or within a fixed 64 MB when no heap
-   limit is set. *)
-let spill_threshold_bytes b =
-  match b.heap_words with
-  | Some w -> max 4096 (w * (Sys.word_size / 8) / 16)
-  | None -> 64 * 1024 * 1024
-
 let is_none b =
   b.wall_s = None && b.heap_words = None && b.max_states = None
   && b.max_events = None && b.cancel = None

@@ -53,7 +53,3 @@ val is_none : t -> bool
 val words_of_mb : int -> int
 (** Megabytes to OCaml heap words on this platform. *)
 
-val spill_threshold_bytes : t -> int
-(** Byte budget for in-memory BFS frontiers before they spill to disk:
-    1/16 of the heap limit when one is set (never below 4 KB), 64 MB
-    otherwise.  Consumed by the packed reachability store. *)

@@ -48,9 +48,8 @@ type monitor = {
 }
 
 let start budget =
-  let is_active = not (Budget.is_none budget) in
-  let started = if is_active then Unix.gettimeofday () else 0.0 in
-  { budget; started; is_active; heap_read = neg_infinity }
+  { budget; started = Unix.gettimeofday ();
+    is_active = not (Budget.is_none budget); heap_read = neg_infinity }
 
 (* [Gc.quick_stat] costs ~30 clock reads, so the heap is read at most
    once per millisecond of wall clock, whatever the caller's cadence. *)
@@ -58,7 +57,7 @@ let heap_interval_s = 1e-3
 
 let active m = m.is_active
 
-let elapsed m = if m.is_active then Unix.gettimeofday () -. m.started else 0.0
+let elapsed m = Unix.gettimeofday () -. m.started
 
 let check m =
   if not m.is_active then None

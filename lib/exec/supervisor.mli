@@ -51,7 +51,8 @@ type monitor
 
 val start : Budget.t -> monitor
 (** Start the clock.  [start Budget.none] yields a monitor whose checks
-    are branch-cheap no-ops. *)
+    are branch-cheap no-ops; its clock still runs, so {!snapshot}
+    reports the elapsed time of a run cut by a plain state cap. *)
 
 val active : monitor -> bool
 (** [false] iff the underlying budget is {!Budget.none} — callers may

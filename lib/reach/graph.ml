@@ -59,9 +59,11 @@ let edges g =
 
 let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 
-(* The sweep: a serial FIFO over state indices.  Pop order is
-   push order is interning order, so begin_source sees ascending
-   sources and the CSR offsets append in one pass.  The popped state is
+(* The sweep: a cursor [next] over state indices.  States are
+   interned in discovery order and expanded in index order, so the
+   store is the BFS frontier — every index at or past [next] is still
+   unexpanded — and begin_source sees ascending sources, letting the
+   CSR offsets append in one pass.  The expanded state is
    decoded into a scratch array once.  An action-free firing whose
    changed places all still fit their fields skips the marking
    altogether: the child key is the parent's arena words plus the
@@ -70,8 +72,7 @@ let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
    overflow a field, take the general path (blit, kernel apply, encode)
    whose overflow widens the layout; the deltas are rebuilt whenever the
    codec's layout is no longer the one they were computed for. *)
-let sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
-    net kernel =
+let sweep ~max_states ~monitor ~monitored ~por ~stubborn net kernel =
   let codec = Packed.create net in
   let store = Store.create codec ~num_transitions:(Net.num_transitions net) in
   let np = Net.num_places net in
@@ -81,7 +82,6 @@ let sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
   let truncated = ref false in
   let enabled = ref 0 in
   let budget_stop = ref None in
-  let frontier_left = ref 0 in
   let m0 = Marking.to_array (Net.initial_marking net) in
   (match Store.intern store m0 ~extra:id0 ~max_states with
   | `Added 0 -> ()
@@ -104,11 +104,9 @@ let sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
       trans
   in
   refresh_deltas !delta_layout;
-  let q = Store.Frontier.create ~threshold:spill_threshold () in
   let fire i ex env (c : Kernel.ctrans) =
     let lay = Packed.layout codec in
     if lay != !delta_layout then refresh_deltas lay;
-    let n0 = Store.num_states store in
     let j =
       if
         (not c.Kernel.s_has_action)
@@ -130,70 +128,61 @@ let sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
       end
     in
     if j < 0 then truncated := true
-    else begin
-      Store.add_edge store ~tid:c.Kernel.s_id ~target:j;
-      if j >= n0 then Store.Frontier.push q j
-    end
+    else Store.add_edge store ~tid:c.Kernel.s_id ~target:j
   in
-  Fun.protect
-    ~finally:(fun () -> Store.Frontier.close q)
-    (fun () ->
-      Store.Frontier.push q 0;
-      let sb_scratch = Option.map Stubborn.scratch stubborn in
-      let pops = ref 0 in
-      (* Budget checks ride the dequeue boundary every 256 states, so
-         a budgeted sweep that completes interns exactly the same
-         states in the same order as an unbudgeted one. *)
-      try
-        while not (Store.Frontier.is_empty q) do
-          incr pops;
-          if monitored && !pops land 255 = 0 then begin
-            match Pnut_exec.Supervisor.check monitor with
-            | Some r ->
-              budget_stop := Some r;
-              frontier_left := Store.Frontier.length q;
-              raise_notrace Exit
-            | None -> ()
-          end;
-          let i = Store.Frontier.pop q in
-          Store.begin_source store i;
-          Store.marking_into store i parent;
-          let ex = Store.extra store i in
-          let env = Packed.extra_env codec ex in
-          match stubborn, sb_scratch with
-          | Some sb, Some sc ->
-            let tids = Stubborn.fired sb sc parent_mk in
-            enabled := !enabled + Stubborn.enabled_count sc;
-            for k = 0 to Array.length tids - 1 do
-              fire i ex env trans.(tids.(k))
-            done
-          | _ ->
-            for tid = 0 to Array.length trans - 1 do
-              let c = trans.(tid) in
-              if Kernel.enabled c parent_mk env then begin
-                incr enabled;
-                fire i ex env c
-              end
-            done
-        done
-      with Exit -> ());
-  (* A budget trip leaves the frontier unexpanded: FIFO order makes it
-     the last [frontier_left] indices.  Under [por], count their enabled
-     transitions too, so the total covers every recorded state. *)
+  let sb_scratch = Option.map Stubborn.scratch stubborn in
+  let next = ref 0 in
+  (* Budget checks come before every 256th expansion (indices 255,
+     511, ...), so a budgeted sweep that completes interns exactly the
+     same states in the same order as an unbudgeted one. *)
+  (try
+     while !next < Store.num_states store do
+       let i = !next in
+       if monitored && (i + 1) land 255 = 0 then begin
+         match Pnut_exec.Supervisor.check monitor with
+         | Some r ->
+           budget_stop := Some r;
+           raise_notrace Exit
+         | None -> ()
+       end;
+       next := i + 1;
+       Store.begin_source store i;
+       Store.marking_into store i parent;
+       let ex = Store.extra store i in
+       let env = Packed.extra_env codec ex in
+       match stubborn, sb_scratch with
+       | Some sb, Some sc ->
+         let tids = Stubborn.fired sb sc parent_mk in
+         enabled := !enabled + Stubborn.enabled_count sc;
+         for k = 0 to Array.length tids - 1 do
+           fire i ex env trans.(tids.(k))
+         done
+       | _ ->
+         for tid = 0 to Array.length trans - 1 do
+           let c = trans.(tid) in
+           if Kernel.enabled c parent_mk env then begin
+             incr enabled;
+             fire i ex env c
+           end
+         done
+     done
+   with Exit -> ());
+  (* A budget trip leaves the states from [next] on unexpanded.  Under
+     [por], count their enabled transitions too, so the total covers
+     every recorded state. *)
+  let frontier_left = Store.num_states store - !next in
   if por then
-    for i = Store.num_states store - !frontier_left
-        to Store.num_states store - 1 do
+    for i = !next to Store.num_states store - 1 do
       Store.marking_into store i parent;
       Array.iter
         (fun c -> if Kernel.token_enabled c parent_mk then incr enabled)
         trans
     done;
   Store.finalize store;
-  (store, !truncated, !budget_stop, !frontier_left, !enabled)
+  (store, !truncated, !budget_stop, frontier_left, !enabled)
 
 let build_supervised ?(max_states = 100_000) ?jobs:_
-    ?(budget = Pnut_exec.Budget.none) ?packed:_ ?frontier_spill
-    ?(por = false) net =
+    ?(budget = Pnut_exec.Budget.none) ?packed:_ ?(por = false) net =
   (match
      Array.to_list (Net.transitions net)
      |> List.filter (fun tr -> Pnut_core.Duration.stochastic_logic tr <> None)
@@ -226,14 +215,8 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
       let sb = Stubborn.create kernel in
       if Stubborn.reduces sb then Some sb else None
   in
-  let spill_threshold =
-    match frontier_spill with
-    | Some b -> b
-    | None -> Pnut_exec.Budget.spill_threshold_bytes budget
-  in
   let store, truncated, budget_stop, frontier_left, enabled =
-    sweep ~max_states ~monitor ~monitored ~spill_threshold ~por ~stubborn
-      net kernel
+    sweep ~max_states ~monitor ~monitored ~por ~stubborn net kernel
   in
   let n = Store.num_states store in
   let por_reduction =

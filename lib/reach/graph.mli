@@ -58,22 +58,17 @@ val build_supervised :
   ?jobs:int ->
   ?budget:Pnut_exec.Budget.t ->
   ?packed:bool ->
-  ?frontier_spill:int ->
   ?por:bool ->
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
 (** {!build} under a budget.  Wall, heap and cancellation are polled on
-    the interning cadence (every 256 dequeues); [budget.max_states]
+    the interning cadence (every 256 expanded states); [budget.max_states]
     tightens [max_states].  A tripped
     limit — including the state cap — yields [Degraded] carrying the
     partial graph (a valid prefix: every interned state is present, only
     the unexpanded frontier is missing outgoing edges) plus a progress
     snapshot with visited and frontier counts.  A budgeted build that
     completes returns a graph identical to {!build}'s.
-
-    [frontier_spill] caps the bytes of frontier buffered in memory
-    before full chunks spill to a temp file (default:
-    {!Pnut_exec.Budget.spill_threshold_bytes} of [budget]).
 
     [jobs] and [packed] are accepted for compatibility and ignored:
     every build runs serially on the calling domain, into the packed

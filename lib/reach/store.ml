@@ -1,154 +1,15 @@
-module Binary = Pnut_trace.Binary
-
 (* Arena-backed compact state store: packed markings in int-array
    pages, an open-addressing index over state indices (no per-state
    boxes, no stored hashes — they are recomputed from the arena when
    the table grows; 4-byte slots, released at [finalize]), and
    successor edges in CSR form built in one pass.
    BFS interns states in ascending order and expands them in ascending
-   order, so the successor offsets can be appended as the sweep runs;
-   predecessors are a counting sort over the finished successor
-   entries, built on first use (CTL and {!predecessors} only). *)
-
-(* FIFO of state indices with a bounded in-memory footprint: indices
-   accumulate in fixed-size chunks, and once the buffered middle chunks
-   exceed the byte threshold, full chunks are written to an anonymous
-   temp file as delta varints (ascending BFS indices make the deltas
-   tiny).  Head and tail chunks always stay in memory, so the floor is
-   two chunks regardless of threshold. *)
-module Frontier = struct
-  type chunk =
-    | Mem of int array
-    | Disk of { off : int; bytes : int; count : int }
-
-  type t = {
-    threshold : int;
-    chunk_ints : int;
-    mutable head : int array;
-    mutable head_pos : int;
-    mutable head_len : int;
-    middle : chunk Queue.t;
-    mutable mem_bytes : int;  (* bytes of Mem chunks in [middle] *)
-    mutable tail : int array;
-    mutable tail_len : int;
-    mutable count : int;
-    mutable file : (string * out_channel * in_channel) option;
-    mutable file_end : int;
-    mutable spilled : int;
-    buf : Buffer.t;
-  }
-
-  let create ~threshold () =
-    if threshold < 0 then invalid_arg "Frontier.create: negative threshold";
-    let chunk_ints = max 16 (min 8192 (threshold / 32)) in
-    {
-      threshold;
-      chunk_ints;
-      head = [||];
-      head_pos = 0;
-      head_len = 0;
-      middle = Queue.create ();
-      mem_bytes = 0;
-      tail = Array.make chunk_ints 0;
-      tail_len = 0;
-      count = 0;
-      file = None;
-      file_end = 0;
-      spilled = 0;
-      buf = Buffer.create 256;
-    }
-
-  let length t = t.count
-  let is_empty t = t.count = 0
-  let spilled_chunks t = t.spilled
-
-  let channels t =
-    match t.file with
-    | Some (_, oc, ic) -> (oc, ic)
-    | None ->
-      let path = Filename.temp_file "pnut-frontier" ".spill" in
-      let oc = open_out_bin path in
-      let ic = open_in_bin path in
-      t.file <- Some (path, oc, ic);
-      (oc, ic)
-
-  let spill_tail t =
-    let oc, _ = channels t in
-    Buffer.clear t.buf;
-    Binary.add_varint t.buf t.tail.(0);
-    for k = 1 to t.tail_len - 1 do
-      Binary.add_varint t.buf (Binary.zigzag (t.tail.(k) - t.tail.(k - 1)))
-    done;
-    let bytes = Buffer.length t.buf in
-    Buffer.output_buffer oc t.buf;
-    flush oc;
-    Queue.add (Disk { off = t.file_end; bytes; count = t.tail_len }) t.middle;
-    t.file_end <- t.file_end + bytes;
-    t.spilled <- t.spilled + 1
-
-  let flush_tail t =
-    if t.tail_len > 0 then begin
-      if t.mem_bytes + (t.tail_len * 8) > t.threshold then spill_tail t
-      else begin
-        Queue.add (Mem (Array.sub t.tail 0 t.tail_len)) t.middle;
-        t.mem_bytes <- t.mem_bytes + (t.tail_len * 8)
-      end;
-      t.tail_len <- 0
-    end
-
-  let push t v =
-    if v < 0 then invalid_arg "Frontier.push: negative index";
-    if t.tail_len >= t.chunk_ints then flush_tail t;
-    t.tail.(t.tail_len) <- v;
-    t.tail_len <- t.tail_len + 1;
-    t.count <- t.count + 1
-
-  let read_chunk t ~off ~bytes ~count =
-    let _, ic = channels t in
-    seek_in ic off;
-    let s = really_input_string ic bytes in
-    let a = Array.make count 0 in
-    let pos = ref 0 in
-    a.(0) <- Binary.get_varint s ~pos;
-    for k = 1 to count - 1 do
-      a.(k) <- a.(k - 1) + Binary.unzigzag (Binary.get_varint s ~pos)
-    done;
-    a
-
-  let pop t =
-    if t.count = 0 then invalid_arg "Frontier.pop: empty";
-    if t.head_pos >= t.head_len then begin
-      match Queue.take_opt t.middle with
-      | Some (Mem a) ->
-        t.head <- a;
-        t.head_pos <- 0;
-        t.head_len <- Array.length a;
-        t.mem_bytes <- t.mem_bytes - (8 * Array.length a)
-      | Some (Disk { off; bytes; count }) ->
-        t.head <- read_chunk t ~off ~bytes ~count;
-        t.head_pos <- 0;
-        t.head_len <- count
-      | None ->
-        t.head <- t.tail;
-        t.head_pos <- 0;
-        t.head_len <- t.tail_len;
-        t.tail <- Array.make t.chunk_ints 0;
-        t.tail_len <- 0
-    end;
-    let v = t.head.(t.head_pos) in
-    t.head_pos <- t.head_pos + 1;
-    t.count <- t.count - 1;
-    v
-
-  let close t =
-    match t.file with
-    | None -> ()
-    | Some (path, oc, ic) ->
-      t.file <- None;
-      close_out_noerr oc;
-      close_in_noerr ic;
-      (try Sys.remove path with Sys_error _ -> ())
-end
+   order, so the store is its own frontier: the sweep walks a cursor
+   over state indices, everything past it is still unexpanded, and no
+   queue holds a second copy of them.  The successor offsets are
+   appended as the sweep runs; predecessors are a counting sort over
+   the finished successor entries, built on first use (CTL and
+   {!predecessors} only). *)
 
 (* Unsigned words in byte pages: the CSR offsets, the edge words
    [(target lsl t_bits) lor tid] (a source in place of the target in

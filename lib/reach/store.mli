@@ -118,24 +118,3 @@ val bytes_per_state : t -> float
 (** Bytes held per stored state: the stored arena words plus the index
     slots at their entry width.  The slots still count after
     {!finalize} has released them. *)
-
-(** A FIFO of state indices that spills full chunks to a temp file as
-    delta varints once the buffered middle exceeds a byte threshold.
-    The head and tail chunks always stay in memory.  [close] removes
-    the temp file; it must be called even on abnormal exit (the builder
-    uses [Fun.protect]). *)
-module Frontier : sig
-  type t
-
-  val create : threshold:int -> unit -> t
-  val push : t -> int -> unit
-  val pop : t -> int
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val spilled_chunks : t -> int
-  (** Number of chunks written to disk so far (tests assert > 0 when
-      forcing [threshold:0]). *)
-
-  val close : t -> unit
-end

@@ -853,30 +853,42 @@ type cycle = {
    normalization shift is a tick, so the vector just before it is a
    stable instant; stable instants are keyed on (vector after the tick,
    shift) with the clock and firing counts before the tick, and the walk
-   stops at the first repeat. *)
+   stops at the first repeat.  Between ticks every vector is recorded
+   the same way: the walk is deterministic, so a vector met twice
+   without a tick is a zero-time livelock, a cycle of period 0. *)
 let steady_cycle ?(max_steps = 100_000) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let sp = space_create net ~cap:max_int in
   let counts = Array.make (Net.num_transitions net) 0 in
   let seen = Hashtbl.create 256 in
+  let since_tick = Hashtbl.create 64 in
   let clock = ref 0.0 in
   (* Arrive at [v] after a tick of [shift]: the cycle closed by a
-     repeated stable instant, if any. *)
+     repeated stable instant or a zero-time loop, if any. *)
   let arrive v shift =
-    if shift > 0.0 then
-      match Hashtbl.find_opt seen (v, shift) with
-      | Some (t0, counts0) ->
-        Some
-          {
-            cy_transient = t0;
-            cy_period = !clock -. t0;
-            cy_firings = Array.mapi (fun t n -> n - counts0.(t)) counts;
-          }
-      | None ->
-        Hashtbl.replace seen (v, shift) (!clock, Array.copy counts);
-        clock := !clock +. shift;
-        None
-    else None
+    let stable =
+      if shift > 0.0 then begin
+        Hashtbl.reset since_tick;
+        match Hashtbl.find_opt seen (v, shift) with
+        | Some _ as first -> first
+        | None ->
+          Hashtbl.replace seen (v, shift) (!clock, Array.copy counts);
+          clock := !clock +. shift;
+          None
+      end
+      else None
+    in
+    match stable, Hashtbl.find_opt since_tick v with
+    | Some (t0, counts0), _ | None, Some (t0, counts0) ->
+      Some
+        {
+          cy_transient = t0;
+          cy_period = !clock -. t0;
+          cy_firings = Array.mapi (fun t n -> n - counts0.(t)) counts;
+        }
+    | None, None ->
+      Hashtbl.replace since_tick v (!clock, Array.copy counts);
+      None
   in
   let exception First of int * int * float in
   let rec walk v steps =

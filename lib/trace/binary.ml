@@ -26,21 +26,6 @@ let add_varint buf n =
   done;
   Buffer.add_char buf (Char.chr !n)
 
-(* A pure companion reader over a string for other compact encoders
-   (the reachability frontier spill); the trace reader below streams
-   from a channel instead. *)
-let get_varint s ~pos =
-  let rec go shift acc =
-    if shift > 62 then raise (Parse_error (!pos, "varint overflow"));
-    if !pos >= String.length s then
-      raise (Parse_error (!pos, "truncated varint"));
-    let b = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  go 0 0
-
 let add_string buf s =
   add_varint buf (String.length s);
   Buffer.add_string buf s

@@ -52,24 +52,6 @@ val magic : string
 (** ["\x00pnut-bin"] — the first byte of every binary trace is [0x00],
     which can never begin a textual trace. *)
 
-(** {2 Varint primitives}
-
-    The LEB128/zigzag machinery of the codec, exposed for other compact
-    encoders (the reachability frontier spill files). *)
-
-val zigzag : int -> int
-(** Signed to unsigned, small magnitudes staying small:
-    [0 -1 1 -2 2 ... -> 0 1 2 3 4 ...]. *)
-
-val unzigzag : int -> int
-
-val add_varint : Buffer.t -> int -> unit
-(** Append a non-negative int as an unsigned LEB128 varint. *)
-
-val get_varint : string -> pos:int ref -> int
-(** Read one varint at [!pos], advancing the position.  Raises
-    {!Parse_error} on truncation or overflow. *)
-
 (** {2 Writing} *)
 
 val channel_sink : out_channel -> Trace.sink

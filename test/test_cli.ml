@@ -555,7 +555,12 @@ let test_cycle () =
   in
   let code, out = run [ "cycle"; zero; "--marked-graph" ] in
   Alcotest.(check int) "zero-time livelock exit code" 1 code;
-  Testutil.check_contains "zero-time livelock" out "zero-time livelock"
+  Testutil.check_contains "zero-time livelock" out "zero-time livelock";
+  (* the walker reports the same livelock instead of walking its bound *)
+  let code, out = run [ "cycle"; zero ] in
+  Alcotest.(check int) "walker livelock exit code" 1 code;
+  Testutil.check_contains "walker livelock" out
+    "zero-time livelock: time stops at 0"
 
 let test_faults_campaign () =
   let out =

@@ -4,7 +4,7 @@
    codec handles — variable-free bounded nets (the zero-env fast
    path), env-bearing interpreted nets (the side table), nets with
    lying declared capacities and unbounded growth (the checked widen
-   path), and frontiers forced through the disk spill. *)
+   path), and sweeps cut short by the state cap or a budget. *)
 
 module Net = Pnut_core.Net
 module B = Net.Builder
@@ -99,18 +99,18 @@ let pump_net () =
       : Net.transition_id);
   B.build b
 
-let both ?max_states ?frontier_spill net =
+let both ?max_states net =
   let boxed =
     Pnut_exec.Supervisor.value (Boxed.build_supervised ?max_states net)
   in
   let packed =
     Pnut_exec.Supervisor.value
-      (Graph.build_supervised ?max_states ?frontier_spill net)
+      (Graph.build_supervised ?max_states net)
   in
   (boxed, packed)
 
-let check_identical ?max_states ?frontier_spill net () =
-  let boxed, packed = both ?max_states ?frontier_spill net in
+let check_identical ?max_states net () =
+  let boxed, packed = both ?max_states net in
   Alcotest.(check bool) "packed graph equals boxed graph" true
     (graphs_equal boxed packed)
 
@@ -180,11 +180,6 @@ let test_late_widen_identical () =
     (first_overflow > 65_536);
   Alcotest.(check bool) "packed graph equals boxed graph" true
     (graphs_equal boxed packed)
-
-let test_spill_identical =
-  (* threshold 0 forces every full frontier chunk through the temp
-     file; the graph must come out byte-identical *)
-  check_identical ~frontier_spill:0 (ring ~tokens:6 ())
 
 let test_budget_trip_identical () =
   (* a tripped state budget degrades both builders at the same point *)
@@ -337,104 +332,41 @@ let test_bytes_per_state_exact () =
     (Some (float_of_int ((12_870 * 8) + (32_768 * 4)) /. 12_870.0))
     (Graph.packed_bytes_per_state g)
 
-(* -- spill-file lifetime -- *)
+(* -- the unexpanded frontier -- *)
 
-(* Run [f] with temp files redirected into a private directory, so the
-   leak counts cannot race other tests or stale files in the shared
-   temp dir. *)
-let with_private_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pnut-spill-test-%d" (Unix.getpid ()))
+(* Both builders, degraded at the same point with the same partial
+   graph and the same progress counts.  The packed sweep's frontier is
+   every state index past its cursor; the boxed oracle's is its queue,
+   and both check the budget on the same 256-expansion cadence. *)
+let check_degraded_identical ?budget ~max_states net =
+  match
+    ( Boxed.build_supervised ?budget ~max_states net,
+      Graph.build_supervised ?budget ~max_states net )
+  with
+  | ( Pnut_exec.Supervisor.Degraded { partial = gb; progress = pb; _ },
+      Pnut_exec.Supervisor.Degraded { partial = gp; progress = pp; _ } ) ->
+    Alcotest.(check bool) "partial graphs equal" true (graphs_equal gb gp);
+    Alcotest.(check int) "visited" pb.Pnut_exec.Supervisor.visited
+      pp.Pnut_exec.Supervisor.visited;
+    Alcotest.(check int) "frontier" pb.Pnut_exec.Supervisor.frontier
+      pp.Pnut_exec.Supervisor.frontier;
+    pp.Pnut_exec.Supervisor.frontier
+  | _ -> Alcotest.fail "expected both builds to degrade"
+
+let test_trip_frontier_identical () =
+  (* widen mid-sweep (Field_overflow re-encodes the arena) plus cap
+     truncation *)
+  ignore (check_degraded_identical ~max_states:400 (pump_net ()) : int);
+  (* a pre-cancelled token trips at the first check, before state 255
+     is expanded: the frontier is everything interned from 255 on *)
+  let tok = Pnut_exec.Budget.token () in
+  Pnut_exec.Budget.cancel tok;
+  let frontier =
+    check_degraded_identical
+      ~budget:(Pnut_exec.Budget.make ~cancel:tok ())
+      ~max_states:10_000 (ring ~tokens:17 ())
   in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let old = Filename.get_temp_dir_name () in
-  Filename.set_temp_dir_name dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Filename.set_temp_dir_name old;
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-let spill_files dir =
-  (try Sys.readdir dir with Sys_error _ -> [||])
-  |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f >= 13 && String.sub f 0 13 = "pnut-frontier")
-
-let test_no_spill_file_leak () =
-  with_private_tmpdir (fun dir ->
-      (* widen mid-sweep (Field_overflow re-encodes the arena) plus cap
-         truncation, with every chunk forced through the file *)
-      ignore
-        (Graph.build_supervised ~frontier_spill:0 ~max_states:400 (pump_net ())
-          : Graph.t Pnut_exec.Supervisor.outcome);
-      Alcotest.(check (list string))
-        "widen + truncation leaves no spill file" [] (spill_files dir);
-      (* budget trip mid-drain: a pre-cancelled token fires at the first
-         256-pop check, aborting the sweep while chunks sit on disk *)
-      let tok = Pnut_exec.Budget.token () in
-      Pnut_exec.Budget.cancel tok;
-      (match
-         Graph.build_supervised
-           ~budget:(Pnut_exec.Budget.make ~cancel:tok ())
-           ~frontier_spill:0 ~max_states:10_000
-           (ring ~tokens:17 ())
-       with
-      | Pnut_exec.Supervisor.Degraded _ -> ()
-      | Pnut_exec.Supervisor.Complete _ ->
-        Alcotest.fail "expected the cancellation to trip");
-      Alcotest.(check (list string))
-        "budget trip mid-drain leaves no spill file" [] (spill_files dir))
-
-let test_frontier_close_idempotent () =
-  with_private_tmpdir (fun dir ->
-      let f = Store.Frontier.create ~threshold:0 () in
-      for i = 0 to 99 do
-        Store.Frontier.push f i
-      done;
-      Alcotest.(check bool) "chunks spilled to disk" true
-        (Store.Frontier.spilled_chunks f > 0);
-      Alcotest.(check bool) "spill file exists while open" true
-        (spill_files dir <> []);
-      Store.Frontier.close f;
-      Alcotest.(check (list string)) "close removes the file" []
-        (spill_files dir);
-      (* closing again must be a no-op, not an exception or a stray
-         recreation *)
-      Store.Frontier.close f;
-      Alcotest.(check (list string)) "second close is a no-op" []
-        (spill_files dir))
-
-(* -- the frontier in isolation -- *)
-
-let test_frontier_fifo_spill () =
-  let f = Store.Frontier.create ~threshold:0 () in
-  Fun.protect
-    ~finally:(fun () -> Store.Frontier.close f)
-    (fun () ->
-      (* interleave pushes and pops the way the BFS does *)
-      let next = ref 0 in
-      for i = 0 to 9999 do
-        Store.Frontier.push f i;
-        if i land 3 = 0 then begin
-          let v = Store.Frontier.pop f in
-          Alcotest.(check int) "fifo order" !next v;
-          incr next
-        end
-      done;
-      Alcotest.(check bool) "threshold 0 spilled chunks to disk" true
-        (Store.Frontier.spilled_chunks f > 0);
-      while not (Store.Frontier.is_empty f) do
-        let v = Store.Frontier.pop f in
-        Alcotest.(check int) "fifo order" !next v;
-        incr next
-      done;
-      Alcotest.(check int) "drained everything" 10000 !next)
+  Alcotest.(check bool) "a non-empty frontier is left" true (frontier > 0)
 
 (* -- side table -- *)
 
@@ -591,15 +523,6 @@ let prop_packed_equals_boxed =
       let net = build_spec_net spec in
       let cap = 300 in
       let boxed, packed = both ~max_states:cap net in
-      graphs_equal boxed packed)
-
-let prop_packed_spill_equals_boxed =
-  QCheck2.Test.make
-    ~name:"forced frontier spill changes nothing"
-    ~count:40 gen_spec (fun spec ->
-      let net = build_spec_net spec in
-      let cap = 300 in
-      let boxed, packed = both ~max_states:cap ~frontier_spill:0 net in
       graphs_equal boxed packed)
 
 (* -- edge pages: 4-byte entries, the switch to 8 bytes, page
@@ -867,9 +790,10 @@ let () =
             test_lying_capacity_identical;
           Alcotest.test_case "late widen across arena pages" `Quick
             test_late_widen_identical;
-          Alcotest.test_case "forced spill" `Quick test_spill_identical;
           Alcotest.test_case "budget trip partial" `Quick
             test_budget_trip_identical;
+          Alcotest.test_case "trip frontier" `Quick
+            test_trip_frontier_identical;
           Alcotest.test_case "bytes per state" `Quick test_bytes_per_state;
           Alcotest.test_case "exact bytes per state" `Quick
             test_bytes_per_state_exact;
@@ -901,14 +825,6 @@ let () =
           Alcotest.test_case "index past one page" `Quick
             test_scc_index_pages;
         ] );
-      ( "frontier",
-        [
-          Alcotest.test_case "fifo + spill" `Quick test_frontier_fifo_spill;
-          Alcotest.test_case "no spill-file leak on failures" `Quick
-            test_no_spill_file_leak;
-          Alcotest.test_case "close idempotent" `Quick
-            test_frontier_close_idempotent;
-        ] );
       ( "side table",
         [ Alcotest.test_case "env and clocks" `Quick test_intern_extra_clocks ]
       );
@@ -916,7 +832,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_roundtrip_and_agreement;
           QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
-          QCheck_alcotest.to_alcotest prop_packed_spill_equals_boxed;
           QCheck_alcotest.to_alcotest prop_scc_equals_backward_walks;
         ] );
     ]

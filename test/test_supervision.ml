@@ -109,6 +109,16 @@ let test_supervisor () =
   Testutil.check_contains "cancel message"
     (Supervisor.reason_message Supervisor.Cancelled) "cancel"
 
+(* An unbudgeted monitor never trips, yet its clock runs: a run cut by
+   a plain state cap still reports how long it took. *)
+let test_unbudgeted_elapsed () =
+  let m = Supervisor.start Budget.none in
+  Unix.sleepf 0.01;
+  Alcotest.(check bool) "check is a no-op" true (Supervisor.check m = None);
+  let p = Supervisor.snapshot m ~visited:1 ~frontier:0 in
+  Alcotest.(check bool) "elapsed covers the sleep" true
+    (p.Supervisor.elapsed_s >= 0.01)
+
 (* The heap is read on the first poll, then at most once a millisecond:
    a limit below the heap trips at once, and one just above it trips
    once the heap grows past it, however fast the polls come. *)
@@ -413,6 +423,8 @@ let () =
         [
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "supervisor" `Quick test_supervisor;
+          Alcotest.test_case "unbudgeted elapsed" `Quick
+            test_unbudgeted_elapsed;
           Alcotest.test_case "heap trip" `Quick test_heap_trip;
           Alcotest.test_case "outcome helpers" `Quick test_outcome_helpers;
           Alcotest.test_case "pool supervised" `Quick test_pool_supervised;

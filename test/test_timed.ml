@@ -567,14 +567,22 @@ let test_steady_cycle_actions () =
       [ "a"; "b" ]
 
 (* The simulator is the oracle for the walk on random conflict-free
-   nets: a steady cycle's rates are the long-run rates, and a net
-   without one dies or livelocks in the simulator too. *)
+   nets: a steady cycle's rates are the long-run rates, a zero-period
+   cycle is the simulator's livelock, and a net without a cycle dies or
+   livelocks in the simulator too. *)
 let test_steady_cycle_simulator_oracle () =
   let rng = Random.State.make [| 22 |] in
   let cycled = ref 0 and stopped = ref 0 in
   for _ = 1 to 300 do
     let net = Testutil.random_timed_net rng in
     match Timed.steady_cycle net with
+    | Some c when c.Timed.cy_period = 0.0 -> (
+      incr stopped;
+      match Pnut_sim.Simulator.simulate ~until:20_000.0 net with
+      | exception Pnut_sim.Simulator.Sim_error (Pnut_sim.Simulator.Livelock _) -> ()
+      | _ ->
+        Alcotest.failf "zero-time livelock, but the simulator does not livelock\n%s"
+          (Format.asprintf "%a" Net.pp net))
     | Some c ->
       incr cycled;
       let sink, get = Pnut_stat.Stat.sink () in
@@ -600,6 +608,28 @@ let test_steady_cycle_simulator_oracle () =
           (Format.asprintf "%a" Net.pp net))
   done;
   Alcotest.(check bool) "both outcomes occur" true (!cycled > 20 && !stopped > 20)
+
+(* After [s] moves the token at time 2, [a] and [b] pass it back and
+   forth with no delay: the walk meets the vector after [a] again
+   without a tick and reports a zero-time livelock of one [a] and one
+   [b], starting at 2, instead of walking all its steps. *)
+let test_steady_cycle_zero_time_livelock () =
+  let net =
+    Pnut_lang.Parser.parse_net
+      "net livelock\nplace p init 1\nplace q\nplace r\n\
+       transition s\n  in p\n  out q\n  enabling 2\n\
+       transition a\n  in q\n  out r\ntransition b\n  in r\n  out q\n"
+  in
+  match Timed.steady_cycle net with
+  | None -> Alcotest.fail "expected a zero-time livelock"
+  | Some c ->
+    Alcotest.(check (float 0.0)) "period 0" 0.0 c.Timed.cy_period;
+    Alcotest.(check (float 1e-9)) "starts at 2" 2.0 c.Timed.cy_transient;
+    Alcotest.(check (array int)) "one a and one b" [| 0; 1; 1 |]
+      c.Timed.cy_firings;
+    match Pnut_sim.Simulator.simulate ~until:100.0 net with
+    | exception Pnut_sim.Simulator.Sim_error (Pnut_sim.Simulator.Livelock _) -> ()
+    | _ -> Alcotest.fail "the simulator should livelock too"
 
 (* [t] and [u] share [p] and neither takes time to fire.  Zero firing
    duration is atomic in the walk and in the class graph: [t]'s token is
@@ -693,6 +723,8 @@ let () =
             test_steady_cycle_simulator_oracle;
           Alcotest.test_case "zero-time corner" `Quick
             test_steady_cycle_zero_time_corner;
+          Alcotest.test_case "zero-time livelock" `Quick
+            test_steady_cycle_zero_time_livelock;
           Alcotest.test_case "matches simulation" `Slow
             test_steady_cycle_matches_simulation;
         ] );
