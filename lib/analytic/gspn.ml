@@ -84,8 +84,8 @@ let explore ?(max_states = 2000) ~monitor net kinds =
       (fun (c : Kernel.ctrans) ->
         let acc = ref [] in
         let note p = acc := Array.to_list readers.(p) @ !acc in
-        Array.iter note c.Kernel.s_in_places;
-        Array.iter note c.Kernel.s_out_places;
+        Array.iter note c.Kernel.s_in_place;
+        Array.iter note c.Kernel.s_out_place;
         Array.of_list (List.sort_uniq compare !acc))
       trans
   in

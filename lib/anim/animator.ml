@@ -16,7 +16,7 @@ type frame = {
 }
 
 let gauge count =
-  let shown = min count 12 in
+  let shown = max 0 (min count 12) in
   let dots = String.concat "" (List.init shown (fun _ -> "o")) in
   if count > shown then dots ^ "+" else dots
 
@@ -104,49 +104,30 @@ let check_header net (h : Trace.header) =
     invalid_arg "Animator: trace does not match the net"
 
 let sink ?places net emit =
-  let marking = ref (Net.initial_marking net) in
+  let cursor = ref (Trace.cursor (Trace.header_of_net net)) in
   let step = ref 0 in
+  let frame d phase =
+    let marking = Marking.unsafe_wrap (Trace.marking !cursor) in
+    let f_caption, f_text = frame_for ?places net marking d phase in
+    emit
+      { f_time = d.Trace.d_time; f_step = !step; f_phase = phase; f_caption;
+        f_text }
+  in
   {
     Trace.on_header =
       (fun h ->
         check_header net h;
-        marking := Net.initial_marking net);
+        cursor := Trace.cursor h);
     on_delta =
       (fun d ->
-        let marking = !marking in
         (* pre-state frame: tokens about to move *)
-        let pre_phase =
-          match d.Trace.d_kind with
-          | Trace.Fire_start -> Consume
-          | Trace.Fire_end -> Transit
-        in
-        let caption_pre, text_pre = frame_for ?places net marking d pre_phase in
-        emit
-          {
-            f_time = d.Trace.d_time;
-            f_step = !step;
-            f_phase = pre_phase;
-            f_caption = caption_pre;
-            f_text = text_pre;
-          };
-        (* apply the delta *)
-        List.iter (fun (p, dm) -> Marking.add marking p dm) d.Trace.d_marking;
-        let post_phase =
-          match d.Trace.d_kind with
-          | Trace.Fire_start -> Transit
-          | Trace.Fire_end -> Produce
-        in
-        let caption_post, text_post =
-          frame_for ?places net marking d post_phase
-        in
-        emit
-          {
-            f_time = d.Trace.d_time;
-            f_step = !step;
-            f_phase = post_phase;
-            f_caption = caption_post;
-            f_text = text_post;
-          };
+        (match d.Trace.d_kind with
+        | Trace.Fire_start -> frame d Consume
+        | Trace.Fire_end -> frame d Transit);
+        Trace.step !cursor d;
+        (match d.Trace.d_kind with
+        | Trace.Fire_start -> frame d Transit
+        | Trace.Fire_end -> frame d Produce);
         incr step);
     on_finish = (fun _ -> ());
   }

@@ -31,9 +31,10 @@ val sink :
   (frame -> unit) ->
   Pnut_trace.Trace.sink
 (** Streaming renderer: calls the callback with each frame as trace
-    records arrive, holding only the current marking — suitable for
-    animating an unbounded piped trace.  [places] restricts the state
-    panel (default all).  [on_header] raises [Invalid_argument] if the
+    records arrive, holding only the current state, which starts from
+    the trace header (a resumed trace starts at its checkpoint) —
+    suitable for animating an unbounded piped trace.  [places]
+    restricts the state panel (default all).  [on_header] raises [Invalid_argument] if the
     trace was not produced from (a net isomorphic to) [net] —
     place/transition name tables must match. *)
 

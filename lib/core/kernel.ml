@@ -23,8 +23,6 @@ type ctrans = {
   s_net_delta : (int * int) list;
   s_delta_place : int array;
   s_delta_weight : int array;
-  s_in_places : int array;
-  s_out_places : int array;
   s_has_action : bool;
 }
 
@@ -76,8 +74,6 @@ let static_of_transition tr =
     s_net_delta = net_delta;
     s_delta_place = Array.of_list (List.map fst net_delta);
     s_delta_weight = Array.of_list (List.map snd net_delta);
-    s_in_places = places tr.Net.t_inputs;
-    s_out_places = places tr.Net.t_outputs;
     s_has_action = tr.Net.t_action <> [];
   }
 
@@ -189,8 +185,6 @@ type compiled = {
   c_consumed : (int * int) list;
   c_out_delta : (int * int) list;
   c_net_delta : (int * int) list;
-  c_in_places : int array;
-  c_out_places : int array;
 }
 
 (* Compile one action statement.  Mirrors the interpreted runner: the
@@ -258,8 +252,6 @@ let compile_one ?prng env c =
     c_consumed = c.s_consumed;
     c_out_delta = c.s_out_delta;
     c_net_delta = c.s_net_delta;
-    c_in_places = c.s_in_places;
-    c_out_places = c.s_out_places;
   }
 
 let compile ?prng env k = Array.map (compile_one ?prng env) k.k_trans

@@ -46,8 +46,6 @@ type ctrans = {
   s_delta_place : int array;
   s_delta_weight : int array;
       (** [s_net_delta] flattened to parallel arrays for {!apply} *)
-  s_in_places : int array;  (** places touched by consuming *)
-  s_out_places : int array; (** places touched by producing *)
   s_has_action : bool;
 }
 
@@ -134,8 +132,6 @@ type compiled = {
   c_consumed : (int * int) list;
   c_out_delta : (int * int) list;
   c_net_delta : (int * int) list;
-  c_in_places : int array;
-  c_out_places : int array;
 }
 
 val compile : ?prng:Prng.t -> Env.t -> t -> compiled array

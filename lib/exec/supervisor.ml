@@ -82,15 +82,15 @@ let check m =
 let max_states m = m.budget.Budget.max_states
 let max_events m = m.budget.Budget.max_events
 
-let states_over m n =
-  match m.budget.Budget.max_states with
-  | Some cap when n >= cap -> Some (States n)
-  | _ -> None
-
-let events_over m n =
-  match m.budget.Budget.max_events with
-  | Some cap when n >= cap -> Some (Events n)
-  | _ -> None
+let run_budget m =
+  if not m.is_active then None
+  else
+    let b = m.budget in
+    Some
+      { b with
+        Budget.wall_s =
+          Option.map (fun w -> Float.max 1e-6 (w -. elapsed m)) b.Budget.wall_s;
+        max_states = None }
 
 let snapshot m ~visited ~frontier =
   {

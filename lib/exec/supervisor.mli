@@ -65,19 +65,19 @@ val check : monitor -> reason option
     on the first call and then at most once per millisecond of wall
     clock, so a heap trip is seen within 1 ms plus one poll interval. *)
 
-val states_over : monitor -> int -> reason option
-(** [states_over m n] is [Some (States n)] when the budget caps states
-    at or below [n]. *)
-
-val events_over : monitor -> int -> reason option
-(** [events_over m n] is [Some (Events n)] when the budget caps events
-    at or below [n]. *)
-
 val max_states : monitor -> int option
 val max_events : monitor -> int option
 
 val elapsed : monitor -> float
 (** Wall-clock seconds since {!start}. *)
+
+val run_budget : monitor -> Budget.t option
+(** The budget of one run of a sweep (replications, fault campaigns)
+    starting now: [None] for {!Budget.none}, else the sweep's budget
+    with the wall time still left (at least 1 µs) and no state cap.
+    The sweep's wall limit is thus one absolute deadline: once it
+    passes, every in-flight run, on any worker domain, degrades at its
+    next watchdog slot. *)
 
 val snapshot : monitor -> visited:int -> frontier:int -> progress
 (** Progress record at this instant. *)

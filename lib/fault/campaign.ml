@@ -135,7 +135,7 @@ let fault_error fmt =
     fmt
 
 let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?jobs
-    ~budget ~monitor net specs =
+    ~monitor net specs =
   if runs <= 0 then invalid_arg "Campaign.run: runs must be positive";
   if until <= 0.0 then invalid_arg "Campaign.run: horizon must be positive";
   Fault.validate net specs;
@@ -155,25 +155,10 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?jobs
         let fault_stream = Prng.split master in
         (sim_stream, fault_stream))
   in
-  (* The campaign-level wall budget is a shared absolute deadline: each
-     run starts with whatever wall time is left, so once the deadline
-     passes every in-flight twin (on any worker domain) degrades at its
-     next watchdog slot instead of running to its own full horizon. *)
-  let run_budget () =
-    if Budget.is_none budget then None
-    else
-      Some
-        { budget with
-          Budget.wall_s =
-            (match budget.Budget.wall_s with
-            | Some w -> Some (Float.max 1e-6 (w -. Supervisor.elapsed monitor))
-            | None -> None);
-          max_states = None }
-  in
   let results =
     Pnut_exec.Pool.init ?jobs runs (fun i ->
         let sim_stream, fault_stream = streams.(i) in
-        let budget = run_budget () in
+        let budget = Supervisor.run_budget monitor in
         let baseline =
           one_run ?budget ~prng:(Prng.copy sim_stream) ~until ~compiled:None
             net
@@ -229,9 +214,7 @@ let run_core ?(seed = 1) ?(runs = 5) ?(until = 10_000.0) ?observe ?jobs
 
 let run ?seed ?runs ?until ?observe ?jobs net specs =
   run_core ?seed ?runs ?until ?observe ?jobs
-    ~budget:Budget.none
-    ~monitor:(Supervisor.start Budget.none)
-    net specs
+    ~monitor:(Supervisor.start Budget.none) net specs
 
 (* First budget-tripped twin, in run order (baseline before faulty). *)
 let first_exhausted report =
@@ -249,11 +232,10 @@ let first_exhausted report =
   zip (report.cr_baseline, report.cr_faulty)
 
 let run_supervised ?seed ?runs ?until ?observe ?jobs ?budget net specs =
-  let budget = Option.value budget ~default:Budget.none in
-  let monitor = Supervisor.start budget in
-  let report =
-    run_core ?seed ?runs ?until ?observe ?jobs ~budget ~monitor net specs
+  let monitor =
+    Supervisor.start (Option.value budget ~default:Budget.none)
   in
+  let report = run_core ?seed ?runs ?until ?observe ?jobs ~monitor net specs in
   match first_exhausted report with
   | None -> Supervisor.Complete report
   | Some reason ->

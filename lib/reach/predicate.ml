@@ -17,34 +17,6 @@ let sat g f =
 let eval g query =
   if not (Graph.complete g) then
     invalid_arg "Reach.Predicate.eval: reachability graph was truncated";
-  let n = Graph.num_states g in
-  let domain_member (d : Query.domain) =
-    let filter =
-      match d.Query.such_that with
-      | Some f -> sat g f
-      | None -> Array.make n true
-    in
-    fun i -> filter.(i) && not (List.mem i d.Query.except)
-  in
-  match query with
-  | Query.Forall (d, f) ->
-    let member = domain_member d in
-    let truth = sat g f in
-    let rec go i saw_any =
-      if i >= n then if saw_any then Query.Holds None else Query.Vacuous
-      else if member i then
-        if truth.(i) then go (i + 1) true else Query.Fails (Some i)
-      else go (i + 1) saw_any
-    in
-    go 0 false
-  | Query.Exists (d, f) ->
-    let member = domain_member d in
-    let truth = sat g f in
-    let rec go i =
-      if i >= n then Query.Fails None
-      else if member i && truth.(i) then Query.Holds (Some i)
-      else go (i + 1)
-    in
-    go 0
+  Query.decide query (Graph.num_states g) (sat g)
 
 let holds g query = Query.holds (eval g query)

@@ -535,7 +535,7 @@ let make_step sp cl code =
   let flight, env', touched, restart, delay =
     if code land 1 = 1 then begin
       Kernel.produce c m';
-      (remove_tid tid cl.cl_flight, act (), [ c.Kernel.s_out_places ], -1, 0.0)
+      (remove_tid tid cl.cl_flight, act (), [ c.Kernel.s_out_place ], -1, 0.0)
     end
     else begin
       Kernel.consume c m';
@@ -543,9 +543,9 @@ let make_step sp cl code =
       if Float.equal d 0.0 then begin
         Kernel.produce c m';
         ( cl.cl_flight, act (),
-          [ c.Kernel.s_in_places; c.Kernel.s_out_places ], tid, d )
+          [ c.Kernel.s_in_place; c.Kernel.s_out_place ], tid, d )
       end
-      else (insert_tid tid cl.cl_flight, env, [ c.Kernel.s_in_places ], tid, d)
+      else (insert_tid tid cl.cl_flight, env, [ c.Kernel.s_in_place ], tid, d)
     end
   in
   let next =

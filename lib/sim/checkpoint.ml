@@ -155,3 +155,16 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+
+let resume_trace sink net ck =
+  let module Trace = Pnut_trace.Trace in
+  sink.Trace.on_header
+    { (Trace.header_of_net net) with
+      Trace.h_initial = ck.ck_marking;
+      h_variables = ck.ck_variables };
+  List.iter
+    (fun (_, tid, fid) ->
+      sink.Trace.on_delta
+        { Trace.d_time = ck.ck_clock; d_kind = Trace.Fire_start;
+          d_transition = tid; d_firing = fid; d_marking = []; d_env = [] })
+    ck.ck_pending

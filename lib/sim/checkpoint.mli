@@ -42,4 +42,13 @@ val save : string -> t -> unit
 val load : string -> t
 (** Raises [Parse_error] or [Sys_error]. *)
 
+val resume_trace : Pnut_trace.Trace.sink -> Pnut_core.Net.t -> t -> unit
+(** Opens the trace of a run resumed from the checkpoint: a header
+    holding the checkpoint's marking and variables, then, at the
+    checkpoint clock, one [Fire_start] with no marking change for each
+    pending completion, in [ck_pending] order and with its own firing
+    id.  Every [Fire_end] of the resumed run thus has its start, and
+    replaying the trace gives the uninterrupted run's state from the
+    cut on. *)
+
 exception Parse_error of int * string

@@ -390,7 +390,7 @@ let complete_firing ?(zero = false) st (c : Kernel.compiled) firing =
   emit_delta st Trace.Fire_end c.c_tr firing
     (if zero then c.c_net_delta else c.c_out_delta)
     env_changes;
-  refresh_after st ~places:c.c_out_places ~env_changed:c.c_has_action
+  refresh_after st ~places:c.c_out_place ~env_changed:c.c_has_action
 
 (* Starting a firing consumes the input tokens.  For a positive firing
    time this is observable (tokens are on neither side while the
@@ -419,14 +419,14 @@ let start_firing st (c : Kernel.compiled) =
   in
   if duration <= 0.0 then begin
     emit_delta st Trace.Fire_start c.c_tr firing [] [];
-    refresh_after st ~places:c.c_in_places ~env_changed:false;
+    refresh_after st ~places:c.c_in_place ~env_changed:false;
     complete_firing ~zero:true st c firing
   end
   else begin
     emit_delta st Trace.Fire_start c.c_tr firing c.c_consumed [];
     Event_queue.push st.queue (st.clock +. duration)
       { pe_transition = c.c_id; pe_firing = firing };
-    refresh_after st ~places:c.c_in_places ~env_changed:false
+    refresh_after st ~places:c.c_in_place ~env_changed:false
   end;
   c.c_id
 
@@ -668,23 +668,6 @@ let trace ?seed ?until ?max_events net =
   let outcome = simulate ?seed ?until ?max_events ~sink net in
   (get (), outcome)
 
-let replications ?(seed = 1) ?jobs ~runs ?until ?max_events net make_sink =
-  if runs <= 0 then invalid_arg "Simulator.replications: runs must be positive";
-  let master = Prng.create seed in
-  (* Split every stream up front, in run order: [Prng.split] mutates the
-     master, so each run's stream is the same regardless of how the runs
-     are later scheduled across workers. *)
-  let streams = Array.init runs (fun _ -> Prng.split master) in
-  (* Sinks are also created up front in the main domain, in run order —
-     sink constructors routinely capture shared state (collectors,
-     report accumulators) that must not be touched from workers. *)
-  let sinks = Array.init runs make_sink in
-  let outcomes =
-    Pnut_exec.Pool.init ?jobs runs (fun i ->
-        simulate ~prng:streams.(i) ?until ?max_events ~sink:sinks.(i) net)
-  in
-  Array.to_list outcomes
-
 (* -- deadlock diagnosis -- *)
 
 type block_reason =
@@ -889,5 +872,5 @@ let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
       st.deadline.(tid) <- t;
       if t <= st.clock then ready_add st tid else Dheap.insert st.heap tid t)
     ck.Checkpoint.ck_deadlines;
-  sink.Trace.on_header (Trace.header_of_net net);
+  Checkpoint.resume_trace sink net ck;
   st

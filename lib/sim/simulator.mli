@@ -221,28 +221,6 @@ val trace :
   Pnut_core.Net.t -> Pnut_trace.Trace.t * outcome
 (** Convenience: simulate into an in-memory trace. *)
 
-val replications :
-  ?seed:int ->
-  ?jobs:int ->
-  runs:int ->
-  ?until:float ->
-  ?max_events:int ->
-  Pnut_core.Net.t ->
-  (int -> Pnut_trace.Trace.sink) -> outcome list
-(** Independent replications: run [runs] experiments with split random
-    streams; the callback provides a sink per run index (the paper's
-    "one or more simulation experiments").
-
-    Runs are distributed over [jobs] worker domains through
-    {!Pnut_exec.Pool} ([0]/absent: honour [PNUT_JOBS], else auto-detect;
-    [1]: sequential).  Results are bit-identical whatever [jobs] is:
-    every run's random stream is split from the master seed up front in
-    run order, and all sinks are created by [make_sink] in the calling
-    domain, in run order, before any worker starts.  Sinks themselves
-    must tolerate being {e written} from a worker domain; sinks that
-    mutate shared state (collectors, accumulators) are safe only because
-    each run owns its own sink. *)
-
 (** {2 Deadlock diagnosis}
 
     When a run ends [Dead], the quiescence has a concrete, explainable

@@ -1,14 +1,5 @@
 module Trace = Pnut_trace.Trace
 
-let find_index names name =
-  let n = Array.length names in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if names.(i) = name then i
-    else go (i + 1)
-  in
-  go 0
-
 let windows ~warmup ~batches trace =
   let t_end = Trace.final_time trace in
   if batches < 2 then invalid_arg "Batch: need at least 2 batches";
@@ -19,8 +10,13 @@ let windows ~warmup ~batches trace =
 
 (* Integrate a place's token count over each batch window in one sweep. *)
 let place_utilization ?(warmup = 0.0) ?(batches = 10) ?confidence trace name =
-  let h = Trace.header trace in
-  let p = find_index h.Trace.h_places name in
+  let cursor = Trace.cursor (Trace.header trace) in
+  let p =
+    match Trace.lookup cursor name with
+    | Trace.Place p :: _ -> p
+    | _ -> raise Not_found
+  in
+  let marking = Trace.marking cursor in
   let start, width = windows ~warmup ~batches trace in
   let sums = Array.make batches 0.0 in
   let batch_of t =
@@ -42,24 +38,30 @@ let place_utilization ?(warmup = 0.0) ?(batches = 10) ?confidence trace name =
       done
     end
   in
-  let current = ref h.Trace.h_initial.(p) in
+  let current = ref marking.(p) in
   let since = ref 0.0 in
   Array.iter
-    (fun (d : Trace.delta) ->
-      match List.assoc_opt p d.Trace.d_marking with
-      | None -> ()
-      | Some dm ->
+    (fun d ->
+      Trace.step cursor d;
+      if marking.(p) <> !current then begin
         accumulate !current !since d.Trace.d_time;
-        current := !current + dm;
-        since := d.Trace.d_time)
+        current := marking.(p);
+        since := d.Trace.d_time
+      end)
     (Trace.deltas trace);
   accumulate !current !since (Trace.final_time trace);
   Replication.of_samples ?confidence
     (Array.to_list (Array.map (fun s -> s /. width) sums))
 
 let transition_throughput ?(warmup = 0.0) ?(batches = 10) ?confidence trace name =
-  let h = Trace.header trace in
-  let t = find_index h.Trace.h_transitions name in
+  let t =
+    match
+      Array.find_index (String.equal name)
+        (Trace.header trace).Trace.h_transitions
+    with
+    | Some t -> t
+    | None -> raise Not_found
+  in
   let start, width = windows ~warmup ~batches trace in
   let counts = Array.make batches 0 in
   Array.iter

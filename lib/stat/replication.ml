@@ -51,23 +51,6 @@ let contains e x =
   let lo, hi = interval e in
   x >= lo && x <= hi
 
-let replicate ?(seed = 1) ?confidence ?jobs ~runs ~until net read =
-  if runs < 2 then invalid_arg "Replication.replicate: need at least two runs";
-  let master = Pnut_core.Prng.create seed in
-  (* Split every stream up front, in run order: [Prng.split] mutates the
-     master, so the streams — and hence the samples — are the same
-     regardless of how the runs are later scheduled. *)
-  let streams = Array.init runs (fun _ -> Pnut_core.Prng.split master) in
-  let samples =
-    Pnut_exec.Pool.init ?jobs runs (fun i ->
-        let sink, get = Stat.sink () in
-        let _ =
-          Pnut_sim.Simulator.simulate ~prng:streams.(i) ~until ~sink net
-        in
-        read (get ()))
-  in
-  of_samples ?confidence (Array.to_list samples)
-
 type partial_sweep = {
   pr_estimate : estimate option;
   pr_samples : float list;
@@ -83,28 +66,17 @@ let replicate_supervised ?(seed = 1) ?confidence ?jobs
   if runs < 2 then invalid_arg "Replication.replicate: need at least two runs";
   let monitor = Supervisor.start budget in
   let master = Pnut_core.Prng.create seed in
+  (* Split every stream up front, in run order: [Prng.split] mutates the
+     master, so the streams — and hence the samples — are the same
+     regardless of how the runs are later scheduled. *)
   let streams = Array.init runs (fun _ -> Pnut_core.Prng.split master) in
-  (* The sweep-level wall budget is an absolute deadline: every run
-     starts with the remaining wall time, so in-flight replications on
-     all worker domains degrade at their next watchdog slot once the
-     deadline passes. *)
-  let run_budget () =
-    if Budget.is_none budget then None
-    else
-      Some
-        { budget with
-          Budget.wall_s =
-            (match budget.Budget.wall_s with
-            | Some w -> Some (Float.max 1e-6 (w -. Supervisor.elapsed monitor))
-            | None -> None);
-          max_states = None }
-  in
   let results =
     Pnut_exec.Pool.init ?jobs runs (fun i ->
         let sink, get = Stat.sink () in
         let st = Pnut_sim.Simulator.create ~prng:streams.(i) ~sink net in
         let outcome =
-          Pnut_sim.Simulator.run ~until ?budget:(run_budget ()) st
+          Pnut_sim.Simulator.run ~until ?budget:(Supervisor.run_budget monitor)
+            st
         in
         match outcome.Pnut_sim.Simulator.stop with
         | Pnut_sim.Simulator.Budget_exhausted r -> Error r
@@ -140,6 +112,12 @@ let replicate_supervised ?(seed = 1) ?confidence ?jobs
           Supervisor.snapshot monitor ~visited:completed
             ~frontier:(runs - completed);
       }
+
+let replicate ?seed ?confidence ?jobs ~runs ~until net read =
+  match replicate_supervised ?seed ?confidence ?jobs ~runs ~until net read with
+  | Supervisor.Complete { pr_estimate = Some e; _ } -> e
+  | Supervisor.Complete { pr_estimate = None; _ } | Supervisor.Degraded _ ->
+    assert false (* no budget, and at least two runs *)
 
 let pp ppf e =
   Format.fprintf ppf "%.4f ± %.4f (%.0f%% CI, %d runs)" e.mean e.half_width

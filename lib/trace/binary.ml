@@ -311,13 +311,14 @@ let read_header r =
   let ntrans = read_varint src in
   let transitions = Array.init ntrans (fun _ -> read_string src) in
   let nvars = read_varint src in
-  let vars =
-    List.init nvars (fun _ ->
-        let name = read_string src in
-        let v = read_value src in
-        table_add r name;
-        (name, v))
-  in
+  let vars = ref [] in
+  for _ = 1 to nvars do
+    let name = read_string src in
+    if List.mem_assoc name !vars then fail src ("duplicate variable " ^ name);
+    let v = read_value src in
+    table_add r name;
+    vars := (name, v) :: !vars
+  done;
   r.r_places <- nplaces;
   r.r_transitions <- ntrans;
   r.r_last_marking <- Array.make (2 * ntrans) no_marking;
@@ -326,7 +327,7 @@ let read_header r =
     h_places = places;
     h_transitions = transitions;
     h_initial = initial;
-    h_variables = vars;
+    h_variables = List.rev !vars;
   }
 
 let read_time r =

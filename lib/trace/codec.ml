@@ -361,7 +361,10 @@ let feed_header_line r line_no line =
   | [ "transition"; id; name ] ->
     st.transitions <- (parse_int line_no id, unescape_name line_no name) :: st.transitions
   | [ "var"; name; v ] ->
-    st.vars <- (unescape_name line_no name, value_of_string line_no v) :: st.vars
+    let name = unescape_name line_no name in
+    if List.mem_assoc name st.vars then
+      raise (Parse_error (line_no, "duplicate variable " ^ name));
+    st.vars <- (name, value_of_string line_no v) :: st.vars
   | [ "begin" ] ->
     let h = build_header line_no st in
     r.r_in_body <- true;

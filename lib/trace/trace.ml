@@ -84,61 +84,56 @@ let replay tr sink =
   Array.iter sink.on_delta tr.deltas;
   sink.on_finish tr.final_time
 
-let apply_marking marking changes =
-  List.iter (fun (p, dm) -> marking.(p) <- marking.(p) + dm) changes
+type cursor = {
+  c_header : header;
+  c_marking : int array;
+  c_in_flight : int array;
+  c_env : Pnut_core.Env.t;
+}
 
-let states tr =
-  let n = Array.length tr.deltas in
-  let result = Array.make (n + 1) (0.0, [||]) in
-  let current = Array.copy tr.header.h_initial in
-  let t0 = if n = 0 then 0.0 else Float.min 0.0 tr.deltas.(0).d_time in
-  result.(0) <- (t0, Array.copy current);
-  Array.iteri
-    (fun i d ->
-      apply_marking current d.d_marking;
-      result.(i + 1) <- (d.d_time, Array.copy current))
-    tr.deltas;
-  result
+let cursor h =
+  {
+    c_header = h;
+    c_marking = Array.copy h.h_initial;
+    c_in_flight = Array.make (Array.length h.h_transitions) 0;
+    c_env = Pnut_core.Env.of_bindings h.h_variables;
+  }
 
-let marking_after tr i =
+let step c d =
+  List.iter (fun (p, dm) -> c.c_marking.(p) <- c.c_marking.(p) + dm) d.d_marking;
+  let t = d.d_transition in
+  (match d.d_kind with
+  | Fire_start -> c.c_in_flight.(t) <- c.c_in_flight.(t) + 1
+  | Fire_end -> c.c_in_flight.(t) <- c.c_in_flight.(t) - 1);
+  List.iter (fun (name, v) -> Pnut_core.Env.set c.c_env name v) d.d_env
+
+let marking c = c.c_marking
+let in_flight c = c.c_in_flight
+let env c = c.c_env
+
+type source =
+  | Place of int
+  | Transition of int
+  | Variable of string
+
+let lookup c name =
+  let find names mk =
+    Option.to_list (Option.map mk (Array.find_index (String.equal name) names))
+  in
+  find c.c_header.h_places (fun p -> Place p)
+  @ find c.c_header.h_transitions (fun t -> Transition t)
+  @ if Pnut_core.Env.mem c.c_env name then [ Variable name ] else []
+
+let read c = function
+  | Place p -> Pnut_core.Value.Int c.c_marking.(p)
+  | Transition t -> Pnut_core.Value.Int c.c_in_flight.(t)
+  | Variable name -> Pnut_core.Env.get c.c_env name
+
+let after tr i =
   if i < 0 || i > Array.length tr.deltas then
-    invalid_arg "Trace.marking_after: index out of range";
-  let current = Array.copy tr.header.h_initial in
+    invalid_arg "Trace.after: index out of range";
+  let c = cursor tr.header in
   for k = 0 to i - 1 do
-    apply_marking current tr.deltas.(k).d_marking
+    step c tr.deltas.(k)
   done;
-  current
-
-let state_at tr time =
-  let current = Array.copy tr.header.h_initial in
-  (try
-     Array.iter
-       (fun d ->
-         if d.d_time > time then raise Exit;
-         apply_marking current d.d_marking)
-       tr.deltas
-   with Exit -> ());
-  current
-
-let env_after tr i =
-  if i < 0 || i > Array.length tr.deltas then
-    invalid_arg "Trace.env_after: index out of range";
-  let table = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace table k v) tr.header.h_variables;
-  for k = 0 to i - 1 do
-    List.iter (fun (nm, v) -> Hashtbl.replace table nm v) tr.deltas.(k).d_env
-  done;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let in_flight_after tr i =
-  if i < 0 || i > Array.length tr.deltas then
-    invalid_arg "Trace.in_flight_after: index out of range";
-  let counts = Array.make (Array.length tr.header.h_transitions) 0 in
-  for k = 0 to i - 1 do
-    let d = tr.deltas.(k) in
-    match d.d_kind with
-    | Fire_start -> counts.(d.d_transition) <- counts.(d.d_transition) + 1
-    | Fire_end -> counts.(d.d_transition) <- counts.(d.d_transition) - 1
-  done;
-  counts
+  c

@@ -71,22 +71,49 @@ val collector : unit -> sink * (unit -> t)
 
 val replay : t -> sink -> unit
 
-val states : t -> (float * int array) array
-(** State sequence: entry 0 is the initial state at the initial time;
-    entry [i+1] is the marking after delta [i], stamped with its time.
-    Each array is fresh. *)
+(** {2 Replay}
 
-val state_at : t -> float -> int array
-(** Marking in effect at the given time (last delta at or before it). *)
+    Every analysis tool reads a trace the same way: start from the
+    header's state and apply the deltas in order. *)
 
-val marking_after : t -> int -> int array
-(** [marking_after tr i] is the marking after applying deltas [0..i-1];
-    [marking_after tr 0] is the initial marking. *)
+type cursor
+(** The state of a trace after some prefix of its deltas: marking,
+    per-transition count of firings started but not yet ended (the
+    "concurrent firings" signal of the paper's statistics and tracer
+    displays) and variable bindings. *)
 
-val env_after : t -> int -> (string * Pnut_core.Value.t) list
-(** Variable bindings after applying deltas [0..i-1], sorted by name. *)
+val cursor : header -> cursor
+(** The initial state the header describes.  Raises [Invalid_argument]
+    if the header binds a variable twice (both trace readers reject
+    such a header). *)
 
-val in_flight_after : t -> int -> int array
-(** Per-transition count of firings started but not yet ended after
-    deltas [0..i-1] (the "concurrent firings" signal of the paper's
-    statistics and tracer displays). *)
+val step : cursor -> delta -> unit
+(** Applies every marking entry of the delta, its start or end and
+    every variable update. *)
+
+val marking : cursor -> int array
+val in_flight : cursor -> int array
+(** Live arrays, indexed by header place and transition id; [step]
+    updates them in place.  Do not mutate them. *)
+
+val env : cursor -> Pnut_core.Env.t
+(** The live variable bindings. *)
+
+(** What a name denotes in a trace's state. *)
+type source =
+  | Place of int       (** token count of the place *)
+  | Transition of int  (** concurrent firings of the transition *)
+  | Variable of string (** the variable's value *)
+
+val lookup : cursor -> string -> source list
+(** Everything the name denotes, in precedence order: the place, then
+    the transition, then the variable.  A free identifier of a query or
+    a signal function denotes the head of the list. *)
+
+val read : cursor -> source -> Pnut_core.Value.t
+(** The source's value in the cursor's current state. *)
+
+val after : t -> int -> cursor
+(** [after tr i] is a fresh cursor after deltas [0..i-1]; [after tr 0]
+    is the initial state.  Raises [Invalid_argument] unless
+    [0 <= i <= length tr]. *)

@@ -44,46 +44,28 @@ let formula_atoms f = atoms [] f
 (* Evaluate every atom at every state of the trace in one forward pass.
    Returns a lookup: atom index -> bool array over states 0..n. *)
 let atom_matrix trace atom_list =
-  let h = Trace.header trace in
   let deltas = Trace.deltas trace in
   let n_states = Array.length deltas + 1 in
-  let marking = Array.copy h.Trace.h_initial in
-  let in_flight = Array.make (Array.length h.Trace.h_transitions) 0 in
-  let env = Env.of_bindings h.Trace.h_variables in
-  let find names name =
-    let len = Array.length names in
-    let rec go i =
-      if i >= len then None else if names.(i) = name then Some i else go (i + 1)
-    in
-    go 0
-  in
-  (* Free variables of all atoms, each bound to a live reader. *)
-  let readers = Hashtbl.create 16 in
+  let cursor = Trace.cursor (Trace.header trace) in
+  (* Free variables of all atoms, each bound to its source. *)
+  let sources = Hashtbl.create 16 in
   let resolve name =
-    if Hashtbl.mem readers name then ()
-    else
-      let reader =
-        match find h.Trace.h_places name with
-        | Some p -> fun () -> Value.Int marking.(p)
-        | None -> (
-          match find h.Trace.h_transitions name with
-          | Some t -> fun () -> Value.Int in_flight.(t)
-          | None ->
-            if Env.mem env name then fun () -> Env.get env name
-            else
-              raise
-                (Query_error
-                   (Printf.sprintf
-                      "unknown identifier %s (no such place, transition or \
-                       variable)"
-                      name)))
-      in
-      Hashtbl.replace readers name reader
+    if not (Hashtbl.mem sources name) then
+      match Trace.lookup cursor name with
+      | source :: _ -> Hashtbl.replace sources name source
+      | [] ->
+        raise
+          (Query_error
+             (Printf.sprintf
+                "unknown identifier %s (no such place, transition or variable)"
+                name))
   in
   List.iter (fun e -> List.iter resolve (Expr.variables e)) atom_list;
   let scratch = Env.create () in
   let eval_atom e =
-    Hashtbl.iter (fun name reader -> Env.set scratch name (reader ())) readers;
+    Hashtbl.iter
+      (fun name source -> Env.set scratch name (Trace.read cursor source))
+      sources;
     match Expr.eval scratch e with
     | Value.Bool b -> b
     | (Value.Int _ | Value.Float _) as v ->
@@ -101,14 +83,8 @@ let atom_matrix trace atom_list =
   in
   record 0;
   Array.iteri
-    (fun i (d : Trace.delta) ->
-      List.iter (fun (p, dm) -> marking.(p) <- marking.(p) + dm) d.Trace.d_marking;
-      (match d.Trace.d_kind with
-      | Trace.Fire_start ->
-        in_flight.(d.Trace.d_transition) <- in_flight.(d.Trace.d_transition) + 1
-      | Trace.Fire_end ->
-        in_flight.(d.Trace.d_transition) <- in_flight.(d.Trace.d_transition) - 1);
-      List.iter (fun (name, v) -> Env.set env name v) d.Trace.d_env;
+    (fun i d ->
+      Trace.step cursor d;
       record (i + 1))
     deltas;
   matrix
@@ -162,12 +138,7 @@ let query_formulas = function
     | Some g -> [ g; f ]
     | None -> [ f ])
 
-let eval trace q =
-  let formulas = query_formulas q in
-  let atom_list = List.concat_map formula_atoms formulas in
-  let matrix = atom_matrix trace atom_list in
-  let rows f = eval_rows atom_list matrix f in
-  let n_states = Array.length (Trace.deltas trace) + 1 in
+let decide q n_states rows =
   let in_domain d =
     let filter =
       match d.such_that with
@@ -197,9 +168,13 @@ let eval trace q =
     in
     go 0
 
+let eval trace q =
+  let atom_list = List.concat_map formula_atoms (query_formulas q) in
+  let matrix = atom_matrix trace atom_list in
+  decide q (Trace.length trace + 1) (eval_rows atom_list matrix)
+
 let eval_formula trace f state =
-  let n_states = Array.length (Trace.deltas trace) + 1 in
-  if state < 0 || state >= n_states then
+  if state < 0 || state > Trace.length trace then
     invalid_arg "Query.eval_formula: state index out of range";
   let atom_list = formula_atoms f in
   let matrix = atom_matrix trace atom_list in

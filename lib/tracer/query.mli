@@ -55,6 +55,13 @@ val holds : result -> bool
 
 val eval : Pnut_trace.Trace.t -> t -> result
 
+val decide : t -> int -> (formula -> bool array) -> result
+(** [decide q n rows] quantifies over states [0..n-1], given the truth
+    of each formula at every state as [rows f].  Both trace queries
+    ({!eval}) and reachability-graph queries decide this way; the
+    domain filter is computed before the quantified formula, so an
+    error in either surfaces in that order. *)
+
 val eval_formula : Pnut_trace.Trace.t -> formula -> int -> bool
 (** Evaluate a formula at one state index (0 = initial state).
     Raises [Invalid_argument] on an out-of-range index and

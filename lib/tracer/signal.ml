@@ -35,12 +35,6 @@ let value_at s time =
     if time < s.times.(0) then s.values.(0) else go 0 n
   end
 
-(* Index of a name in a name table. *)
-let find_index names name =
-  let n = Array.length names in
-  let rec go i = if i >= n then None else if names.(i) = name then Some i else go (i + 1) in
-  go 0
-
 type probe = {
   signal : t;
   compute : unit -> float;  (* reads the live cursor state *)
@@ -51,42 +45,21 @@ type probe = {
 }
 
 let sample trace signals =
-  let h = Trace.header trace in
-  let marking = Array.copy h.Trace.h_initial in
-  let in_flight = Array.make (Array.length h.Trace.h_transitions) 0 in
-  let env = Env.of_bindings h.Trace.h_variables in
-  let resolve name =
-    match find_index h.Trace.h_places name with
-    | Some p -> Some (fun () -> float_of_int marking.(p))
-    | None -> (
-      match find_index h.Trace.h_transitions name with
-      | Some t -> Some (fun () -> float_of_int in_flight.(t))
-      | None ->
-        if Env.mem env name then
-          Some (fun () -> Value.to_float (Env.get env name))
-        else None)
+  let cursor = Trace.cursor (Trace.header trace) in
+  (* The first source the name denotes among those [keep] accepts. *)
+  let reader keep name =
+    match List.find_opt keep (Trace.lookup cursor name) with
+    | Some source -> fun () -> Value.to_float (Trace.read cursor source)
+    | None -> raise (Unknown_signal name)
   in
   let compute_of_signal = function
-    | Place name -> (
-      match find_index h.Trace.h_places name with
-      | Some p -> fun () -> float_of_int marking.(p)
-      | None -> raise (Unknown_signal name))
-    | Transition name -> (
-      match find_index h.Trace.h_transitions name with
-      | Some t -> fun () -> float_of_int in_flight.(t)
-      | None -> raise (Unknown_signal name))
-    | Var name ->
-      if Env.mem env name then fun () -> Value.to_float (Env.get env name)
-      else raise (Unknown_signal name)
+    | Place name -> reader (function Trace.Place _ -> true | _ -> false) name
+    | Transition name ->
+      reader (function Trace.Transition _ -> true | _ -> false) name
+    | Var name -> reader (function Trace.Variable _ -> true | _ -> false) name
     | Fun (_, expr) ->
-      (* Bind every free variable of the expression to a live reader. *)
       let readers =
-        List.map
-          (fun v ->
-            match resolve v with
-            | Some f -> (v, f)
-            | None -> raise (Unknown_signal v))
-          (Expr.variables expr)
+        List.map (fun v -> (v, reader (fun _ -> true) v)) (Expr.variables expr)
       in
       fun () ->
         let scratch = Env.create () in
@@ -121,16 +94,8 @@ let sample trace signals =
   in
   List.iter (record 0.0) probes;
   Array.iter
-    (fun (d : Trace.delta) ->
-      List.iter
-        (fun (pl, dm) -> marking.(pl) <- marking.(pl) + dm)
-        d.Trace.d_marking;
-      (match d.Trace.d_kind with
-      | Trace.Fire_start ->
-        in_flight.(d.Trace.d_transition) <- in_flight.(d.Trace.d_transition) + 1
-      | Trace.Fire_end ->
-        in_flight.(d.Trace.d_transition) <- in_flight.(d.Trace.d_transition) - 1);
-      List.iter (fun (name, v) -> Env.set env name v) d.Trace.d_env;
+    (fun d ->
+      Trace.step cursor d;
       List.iter (record d.Trace.d_time) probes)
     (Trace.deltas trace);
   let t_end = Trace.final_time trace in

@@ -719,5 +719,5 @@ let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
   (* The deadlines were captured live, so no [refresh_enabling] here:
      re-sampling enabling delays would fork the random stream and break
      the identical-suffix guarantee. *)
-  sink.Trace.on_header (Trace.header_of_net net);
+  Checkpoint.resume_trace sink net ck;
   st

@@ -315,44 +315,35 @@ let prop_fireable_sets_agree =
       | Sim.Sim_error _ -> ());
       !ok)
 
-(* -- replications through the pool: run-order determinism -- *)
+(* -- replications: the sweep's stream split, replayed on the oracle -- *)
 
-let test_replications_jobs_deterministic () =
-  let net = build_net { sp_tokens = [ 2; 1; 0 ];
-                        sp_trans =
-                          [ { ts_inputs = [ (0, 1) ]; ts_inhibitors = [];
-                              ts_outputs = [ (1, 1) ]; ts_enabling = 1;
-                              ts_firing = 3; ts_frequency = 1;
-                              ts_predicate = 0; ts_action = 1 };
-                            { ts_inputs = [ (1, 1) ]; ts_inhibitors = [];
-                              ts_outputs = [ (0, 1); (2, 1) ]; ts_enabling = 4;
-                              ts_firing = 1; ts_frequency = 2;
-                              ts_predicate = 0; ts_action = 0 } ] }
+let test_replication_streams_match_reference () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let read r = Pnut_stat.Stat.throughput r "Issue" in
+  let runs = 4 and until = 300.0 in
+  (* every run's stream is split from the master in run order *)
+  let master = Pnut_core.Prng.create 9 in
+  let expected =
+    List.init runs (fun _ ->
+        let prng = Pnut_core.Prng.split master in
+        let sink, get = Pnut_stat.Stat.sink () in
+        ignore (Ref.simulate ~prng ~until ~sink net);
+        read (get ()))
   in
-  let gather jobs =
-    (* collectors mutate shared per-run slots: exactly the sink shape
-       [replications] must keep safe by pre-creating sinks in run order *)
-    let traces = Array.make 6 "" in
-    let outcomes =
-      Sim.replications ~seed:9 ~jobs ~runs:6 ~until:100.0 net (fun i ->
-          let sink, get = Trace.collector () in
-          let wrap = { sink with
-                       Trace.on_finish = (fun t ->
-                           sink.Trace.on_finish t;
-                           traces.(i) <- Codec.to_string (get ())) }
-          in
-          wrap)
-    in
-    (outcomes, Array.to_list traces)
-  in
-  let serial = gather 1 in
+  Alcotest.(check bool) "streams differ" true
+    (List.length (List.sort_uniq compare expected) > 1);
   List.iter
     (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d replications bit-identical" jobs)
-        true
-        (gather jobs = serial))
-    [ 2; 4 ]
+      match
+        Pnut_stat.Replication.replicate_supervised ~seed:9 ~jobs ~runs ~until
+          net read
+      with
+      | Pnut_exec.Supervisor.Complete p ->
+        Alcotest.(check (list (float 0.0)))
+          (Printf.sprintf "jobs=%d samples" jobs)
+          expected p.Pnut_stat.Replication.pr_samples
+      | Pnut_exec.Supervisor.Degraded _ -> Alcotest.fail "unbudgeted sweep degraded")
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "differential"
@@ -367,7 +358,7 @@ let () =
         ] );
       ( "replications",
         [
-          Alcotest.test_case "pool run-order determinism" `Quick
-            test_replications_jobs_deterministic;
+          Alcotest.test_case "split streams match the oracle" `Quick
+            test_replication_streams_match_reference;
         ] );
     ]

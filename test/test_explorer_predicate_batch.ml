@@ -254,6 +254,47 @@ let test_batch_step_change () =
   (* sample stddev of {0, 2} = sqrt 2 *)
   Testutil.check_close "stddev" (sqrt 2.0) e.Pnut_stat.Replication.stddev
 
+let test_batch_two_input_arcs () =
+  (* [take] has two input arcs from [p], so its start delta names [p]
+     twice; the batch integral must read the count the trace replays to
+     (p never holds more than 40 tokens, and always an even number) *)
+  let b = B.create "twice" in
+  let p = B.add_place b "p" ~initial:40 in
+  let q = B.add_place b "q" in
+  let _ =
+    B.add_transition b "take" ~inputs:[ (p, 1); (p, 1) ] ~outputs:[ (q, 1) ]
+      ~enabling:(Net.Const 1.0) ~firing:(Net.Const 1.0)
+  in
+  let _ =
+    B.add_transition b "give" ~inputs:[ (q, 1) ] ~outputs:[ (p, 2) ]
+      ~firing:(Net.Const 3.0)
+  in
+  let trace, _ = Sim.trace ~seed:1 ~until:1000.0 (B.build b) in
+  Alcotest.(check bool) "a delta names p twice" true
+    (Array.exists
+       (fun d ->
+         List.length (List.filter (fun (pl, _) -> pl = p) d.Trace.d_marking)
+         = 2)
+       (Trace.deltas trace));
+  let c = Trace.cursor (Trace.header trace) in
+  let area = ref 0.0 and since = ref 0.0 and in_range = ref true in
+  Array.iter
+    (fun d ->
+      let held = float_of_int (Trace.marking c).(p) in
+      area := !area +. (held *. (d.Trace.d_time -. !since));
+      since := d.Trace.d_time;
+      Trace.step c d;
+      let n = (Trace.marking c).(p) in
+      if n < 0 || n > 40 then in_range := false)
+    (Trace.deltas trace);
+  Alcotest.(check bool) "p stays within 0..40" true !in_range;
+  let t_end = Trace.final_time trace in
+  area := !area +. (float_of_int (Trace.marking c).(p) *. (t_end -. !since));
+  let e = Batch.place_utilization trace "p" in
+  Alcotest.(check bool) "p holds tokens" true (!area > 0.0);
+  Testutil.check_close ~tolerance:1e-9 "time-average of p" (!area /. t_end)
+    e.Pnut_stat.Replication.mean
+
 let test_batch_validation () =
   let trace = batch_trace () in
   Alcotest.check_raises "one batch"
@@ -297,6 +338,7 @@ let () =
           Alcotest.test_case "constant signal" `Quick
             test_batch_exact_on_constant_signal;
           Alcotest.test_case "step change" `Quick test_batch_step_change;
+          Alcotest.test_case "two input arcs" `Quick test_batch_two_input_arcs;
           Alcotest.test_case "validation" `Quick test_batch_validation;
         ] );
     ]

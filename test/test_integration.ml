@@ -111,9 +111,11 @@ let test_queries_on_text_model () =
   in
   let deltas = Trace.deltas trace in
   let last_free = ref 0 in
+  let cursor = Trace.cursor (Trace.header trace) in
   Array.iteri
-    (fun i _ ->
-      if (Trace.marking_after trace (i + 1)).(free_id) = 1 then last_free := i + 1)
+    (fun i d ->
+      Trace.step cursor d;
+      if (Trace.marking cursor).(free_id) = 1 then last_free := i + 1)
     deltas;
   let truncated =
     Trace.make (Trace.header trace)

@@ -78,9 +78,10 @@ let prop_markings_never_negative =
   QCheck2.Test.make ~name:"simulated markings never go negative" ~count:150
     gen_spec (fun spec ->
       let _, trace = short_trace spec in
-      Array.for_all
-        (fun (_, m) -> Array.for_all (fun c -> c >= 0) m)
-        (Trace.states trace))
+      let c = Trace.cursor (Trace.header trace) in
+      let nonneg () = Array.for_all (fun n -> n >= 0) (Trace.marking c) in
+      nonneg ()
+      && Array.for_all (fun d -> Trace.step c d; nonneg ()) (Trace.deltas trace))
 
 let prop_trace_times_monotone =
   QCheck2.Test.make ~name:"trace timestamps are non-decreasing" ~count:150
@@ -157,14 +158,14 @@ let prop_simulated_quiescent_states_reachable =
         else begin
           let trace, _ = Sim.trace ~seed:3 ~until:30.0 ~max_events:300 net in
           let ok = ref true in
-          let n = Trace.length trace in
-          for i = 0 to n do
-            let in_flight = Trace.in_flight_after trace i in
-            if Array.for_all (fun c -> c = 0) in_flight then begin
-              let m = Trace.marking_after trace i in
-              if Graph.find_state g m = None then ok := false
-            end
-          done;
+          let c = Trace.cursor (Trace.header trace) in
+          let check () =
+            if Array.for_all (fun n -> n = 0) (Trace.in_flight c)
+               && Graph.find_state g (Trace.marking c) = None
+            then ok := false
+          in
+          check ();
+          Array.iter (fun d -> Trace.step c d; check ()) (Trace.deltas trace);
           !ok
         end)
 

@@ -161,6 +161,49 @@ let test_paper_queries_on_pipeline () =
         T3_operands_outstanding(s) + ready_to_issue_instruction(s) + \
         Decode(s) + calc_eaddr_1(s) + calc_eaddr_2(s) <= 1 ]")
 
+let test_name_shadowing () =
+  (* [a] names a place, a transition and a variable; [b] a transition
+     and a variable; [c] only a variable.  A place shadows a transition,
+     which shadows a variable — in queries and in signal functions alike.
+     The one delta starts transition [b]. *)
+  let tr =
+    Trace.make
+      {
+        Trace.h_net = "shadow";
+        h_places = [| "a" |];
+        h_transitions = [| "a"; "b" |];
+        h_initial = [| 5 |];
+        h_variables =
+          [ ("a", Value.Int 100); ("b", Value.Int 200); ("c", Value.Int 7) ];
+      }
+      [ { (delta 1.0 Trace.Fire_start [] []) with Trace.d_transition = 1 } ]
+      2.0
+  in
+  let holds s =
+    Query.holds (Query.eval tr (Query.Forall (Query.whole, atom s)))
+  in
+  Alcotest.(check bool) "a is the place" true (holds "a == 5");
+  Alcotest.(check bool) "b is the transition" true
+    (Query.eval tr (Query.Exists (Query.whole, atom "b == 1"))
+     = Query.Holds (Some 1));
+  Alcotest.(check bool) "b is never the variable" false
+    (Query.holds (Query.eval tr (Query.Exists (Query.whole, atom "b == 200"))));
+  Alcotest.(check bool) "c is the variable" true (holds "c == 7");
+  let module Signal = Pnut_tracer.Signal in
+  let values sg =
+    let s = List.assoc sg (Signal.sample tr [ sg ]) in
+    Array.to_list s.Signal.values
+  in
+  Alcotest.(check (list (float 0.0))) "function" [ 507.0; 517.0 ]
+    (values
+       (Signal.Fun ("f", Pnut_lang.Parser.parse_expr "a * 100 + b * 10 + c")));
+  Alcotest.(check (list (float 0.0))) "explicit place" [ 5.0 ]
+    (values (Signal.Place "a"));
+  Alcotest.(check (list (float 0.0))) "explicit transition" [ 0.0 ]
+    (values (Signal.Transition "a"));
+  Alcotest.(check (list (float 0.0))) "explicit variable" [ 100.0 ]
+    (values (Signal.Var "a"))
+
 let () =
   Alcotest.run "query"
     [
@@ -189,6 +232,7 @@ let () =
           Alcotest.test_case "non-boolean atom" `Quick test_non_boolean_atom;
           Alcotest.test_case "transition activity" `Quick
             test_transition_activity_in_query;
+          Alcotest.test_case "name shadowing" `Quick test_name_shadowing;
         ] );
       ( "pipeline",
         [ Alcotest.test_case "paper queries" `Quick test_paper_queries_on_pipeline ]

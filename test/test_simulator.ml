@@ -39,9 +39,9 @@ let test_firing_time () =
     (delta_times Trace.Fire_end trace "t");
   Alcotest.(check bool) "dead after" true (outcome.Sim.stop = Sim.Dead);
   (* tokens on neither side during the firing *)
-  let mid = Trace.state_at trace 2.5 in
+  let mid = Testutil.state_at trace 2.5 in
   Alcotest.(check (array int)) "in transit" [| 0; 0 |] mid;
-  let after = Trace.state_at trace 10.0 in
+  let after = Testutil.state_at trace 10.0 in
   Alcotest.(check (array int)) "delivered" [| 0; 1 |] after
 
 let test_enabling_time () =
@@ -50,7 +50,7 @@ let test_enabling_time () =
   Alcotest.(check (list (float 0.0))) "fires at 5" [ 5.0 ]
     (delta_times Trace.Fire_start trace "t");
   (* contrast with firing time: the token stays visible until t=5 *)
-  let mid = Trace.state_at trace 2.5 in
+  let mid = Testutil.state_at trace 2.5 in
   Alcotest.(check (array int)) "token still on input" [| 1; 0 |] mid
 
 let test_enabling_interrupted () =
@@ -251,7 +251,9 @@ let test_predicates_and_actions () =
     (List.length (delta_times Trace.Fire_start trace "done_"));
   Alcotest.(check bool) "net dead after" true (outcome.Sim.stop = Sim.Dead);
   (* env changes recorded in the trace *)
-  let env_final = Trace.env_after trace (Trace.length trace) in
+  let env_final =
+    Pnut_core.Env.bindings (Trace.env (Trace.after trace (Trace.length trace)))
+  in
   Alcotest.(check bool) "n reached 0" true
     (List.assoc "n" env_final = Value.Int 0)
 
@@ -265,9 +267,9 @@ let test_combined_enabling_and_firing () =
   Alcotest.(check (list (float 0.0))) "end at 5" [ 5.0 ]
     (delta_times Trace.Fire_end trace "t");
   Alcotest.(check (array int)) "visible during enabling" [| 1; 0 |]
-    (Trace.state_at trace 1.0);
+    (Testutil.state_at trace 1.0);
   Alcotest.(check (array int)) "in transit during firing" [| 0; 0 |]
-    (Trace.state_at trace 3.5)
+    (Testutil.state_at trace 3.5)
 
 let test_weighted_arcs_consume_and_produce () =
   let b = B.create "weights" in
@@ -339,23 +341,6 @@ let test_step_api_sequence () =
   match Sim.step st with
   | Sim.Quiescent -> ()
   | _ -> Alcotest.fail "expected quiescence"
-
-let test_replications_differ () =
-  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
-  let reports = ref [] in
-  let outcomes =
-    Sim.replications ~seed:5 ~runs:3 ~until:300.0 net (fun i ->
-        let sink, get = Pnut_stat.Stat.sink ~run:(i + 1) () in
-        reports := (fun () -> get ()) :: !reports;
-        sink)
-  in
-  Alcotest.(check int) "three runs" 3 (List.length outcomes);
-  let throughputs =
-    List.map (fun get -> (Pnut_stat.Stat.transition (get ()) "Issue").Pnut_stat.Stat.ts_ends) !reports
-  in
-  (* independent streams: not all three runs coincide *)
-  Alcotest.(check bool) "streams differ" true
-    (List.length (List.sort_uniq compare throughputs) > 1)
 
 let test_action_error_surfaces () =
   (* an action writing past a table's bounds must raise Sim_error with a
@@ -526,6 +511,50 @@ let test_checkpoint_restore_identical () =
   Alcotest.(check bool) "suffix is non-trivial" true (List.length expected > 10);
   Alcotest.(check (list string)) "identical suffix" expected got
 
+(* The states a cursor passes through, from the last delta at or before
+   [cut] on: marking, in-flight counts and variables. *)
+let states_from trace ~cut =
+  let c = Trace.cursor (Trace.header trace) in
+  let state () =
+    ( Array.to_list (Trace.marking c),
+      Array.to_list (Trace.in_flight c),
+      Pnut_core.Env.bindings (Trace.env c) )
+  in
+  let at_cut = ref (state ()) and after = ref [] in
+  Array.iter
+    (fun d ->
+      Trace.step c d;
+      if d.Trace.d_time <= cut then at_cut := state ()
+      else after := state () :: !after)
+    (Trace.deltas trace);
+  !at_cut :: List.rev !after
+
+let test_resumed_trace_replays_state () =
+  (* the resumed trace starts from the checkpoint: its header carries the
+     checkpoint's marking and variables and its pending completions are
+     restarted, so replaying it gives the uninterrupted run's state at
+     the cut and after every later delta *)
+  List.iter
+    (fun (what, net) ->
+      let cut = 150.0 and stop = 400.0 in
+      let uninterrupted, _ = Sim.trace ~seed:11 ~until:stop net in
+      let st1 = Sim.create ~seed:11 net in
+      let _ = Sim.run ~until:cut ~finish:false st1 in
+      let ck = Sim.checkpoint st1 in
+      Alcotest.(check bool) (what ^ ": firings pending at the cut") true
+        (ck.Pnut_sim.Checkpoint.ck_pending <> []);
+      let rest_sink, rest_get = Trace.collector () in
+      let _ = Sim.run ~until:stop (Sim.restore ~sink:rest_sink net ck) in
+      let expected = states_from uninterrupted ~cut in
+      let got = states_from (rest_get ()) ~cut in
+      Alcotest.(check bool) (what ^ ": suffix is non-trivial") true
+        (List.length expected > 10);
+      Alcotest.(check bool) (what ^ ": identical states") true (expected = got))
+    [
+      ("pipeline", Pnut_pipeline.Model.full Pnut_pipeline.Config.default);
+      ("interpreted", Pnut_pipeline.Interpreted.full Pnut_pipeline.Config.default);
+    ]
+
 let test_restore_rejects_wrong_net () =
   let net = one_shot_net ~firing:Net.Zero ~enabling:(Net.Const 1.0) in
   let st = Sim.create net in
@@ -572,7 +601,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_trace;
           Alcotest.test_case "step API" `Quick test_step_api_sequence;
-          Alcotest.test_case "replications" `Quick test_replications_differ;
           Alcotest.test_case "action errors" `Quick test_action_error_surfaces;
           Alcotest.test_case "capacity monitoring" `Quick test_capacity_monitoring;
           Alcotest.test_case "manual firing" `Quick test_manual_fire_api;
@@ -589,5 +617,7 @@ let () =
             test_checkpoint_restore_identical;
           Alcotest.test_case "restore wrong net" `Quick
             test_restore_rejects_wrong_net;
+          Alcotest.test_case "resumed trace replays state" `Quick
+            test_resumed_trace_replays_state;
         ] );
     ]

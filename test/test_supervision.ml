@@ -79,15 +79,16 @@ let test_supervisor () =
   let m = Supervisor.start Budget.none in
   Alcotest.(check bool) "none monitor inactive" false (Supervisor.active m);
   Alcotest.(check bool) "none never trips" true (Supervisor.check m = None);
-  Alcotest.(check bool) "no state cap" true (Supervisor.states_over m 1_000_000 = None);
+  Alcotest.(check bool) "none runs unbudgeted" true
+    (Supervisor.run_budget m = None);
   let m = Supervisor.start (Budget.make ~max_states:10 ~max_events:20 ()) in
-  Alcotest.(check bool) "under cap" true (Supervisor.states_over m 9 = None);
-  (match Supervisor.states_over m 10 with
-  | Some (Supervisor.States 10) -> ()
-  | _ -> Alcotest.fail "state cap should trip at 10");
-  (match Supervisor.events_over m 20 with
-  | Some (Supervisor.Events 20) -> ()
-  | _ -> Alcotest.fail "event cap should trip at 20");
+  (match Supervisor.run_budget m with
+  | Some b ->
+    Alcotest.(check (option int)) "runs drop the state cap" None
+      b.Budget.max_states;
+    Alcotest.(check (option int)) "runs keep the event cap" (Some 20)
+      b.Budget.max_events
+  | None -> Alcotest.fail "a capped sweep budgets its runs");
   Alcotest.(check (option int)) "max_states" (Some 10) (Supervisor.max_states m);
   Alcotest.(check (option int)) "max_events" (Some 20) (Supervisor.max_events m);
   (* a cancelled token trips check immediately *)

@@ -54,45 +54,54 @@ let test_accessors () =
   Alcotest.(check (float 0.0)) "final time" 10.0 (Trace.final_time tr);
   Alcotest.(check string) "net name" "demo" (Trace.header tr).Trace.h_net
 
+let marking_after tr i = Trace.marking (Trace.after tr i)
+
 let test_states_reconstruction () =
   let tr = sample_trace () in
-  let states = Trace.states tr in
-  Alcotest.(check int) "n+1 states" 4 (Array.length states);
-  let _, s0 = states.(0) in
-  Alcotest.(check (array int)) "initial" [| 2; 0; 1 |] s0;
-  let t1, s1 = states.(1) in
-  Alcotest.(check (float 0.0)) "time 1" 1.0 t1;
-  Alcotest.(check (array int)) "after d1" [| 1; 0; 1 |] s1;
-  let _, s3 = states.(3) in
-  Alcotest.(check (array int)) "after d3" [| 1; 0; 0 |] s3
+  let c = Trace.cursor (Trace.header tr) in
+  Alcotest.(check (array int)) "initial" [| 2; 0; 1 |] (Trace.marking c);
+  let d = Trace.deltas tr in
+  Trace.step c d.(0);
+  Alcotest.(check (float 0.0)) "time 1" 1.0 d.(0).Trace.d_time;
+  Alcotest.(check (array int)) "after d1" [| 1; 0; 1 |] (Trace.marking c);
+  Trace.step c d.(1);
+  Trace.step c d.(2);
+  Alcotest.(check (array int)) "after d3" [| 1; 0; 0 |] (Trace.marking c);
+  Alcotest.(check (array int)) "after agrees" (Trace.marking c)
+    (marking_after tr 3)
 
 let test_marking_after_and_state_at () =
   let tr = sample_trace () in
-  Alcotest.(check (array int)) "after 0" [| 2; 0; 1 |] (Trace.marking_after tr 0);
-  Alcotest.(check (array int)) "after 2" [| 1; 1; 1 |] (Trace.marking_after tr 2);
-  Alcotest.(check (array int)) "state at 2.0" [| 1; 0; 1 |] (Trace.state_at tr 2.0);
-  Alcotest.(check (array int)) "state at 3.5" [| 1; 1; 1 |] (Trace.state_at tr 3.5);
+  Alcotest.(check (array int)) "after 0" [| 2; 0; 1 |] (marking_after tr 0);
+  Alcotest.(check (array int)) "after 2" [| 1; 1; 1 |] (marking_after tr 2);
+  Alcotest.(check (array int)) "state at 2.0" [| 1; 0; 1 |]
+    (Testutil.state_at tr 2.0);
+  Alcotest.(check (array int)) "state at 3.5" [| 1; 1; 1 |]
+    (Testutil.state_at tr 3.5);
   Alcotest.(check (array int)) "state before any delta" [| 2; 0; 1 |]
-    (Trace.state_at tr 0.5);
+    (Testutil.state_at tr 0.5);
   Alcotest.check_raises "out of range"
-    (Invalid_argument "Trace.marking_after: index out of range") (fun () ->
-      ignore (Trace.marking_after tr 9))
+    (Invalid_argument "Trace.after: index out of range") (fun () ->
+      ignore (Trace.after tr 9))
+
+let env_after tr i = Pnut_core.Env.bindings (Trace.env (Trace.after tr i))
 
 let test_env_after () =
   let tr = sample_trace () in
   Alcotest.(check bool) "initial n" true
-    (List.assoc "n" (Trace.env_after tr 0) = Value.Int 3);
+    (List.assoc "n" (env_after tr 0) = Value.Int 3);
   Alcotest.(check bool) "updated n" true
-    (List.assoc "n" (Trace.env_after tr 2) = Value.Int 2);
+    (List.assoc "n" (env_after tr 2) = Value.Int 2);
   Alcotest.(check bool) "floats kept" true
-    (List.assoc "x" (Trace.env_after tr 2) = Value.Float 1.5)
+    (List.assoc "x" (env_after tr 2) = Value.Float 1.5)
 
 let test_in_flight_after () =
   let tr = sample_trace () in
-  Alcotest.(check (array int)) "none initially" [| 0; 0 |] (Trace.in_flight_after tr 0);
-  Alcotest.(check (array int)) "t in flight" [| 1; 0 |] (Trace.in_flight_after tr 1);
-  Alcotest.(check (array int)) "t done" [| 0; 0 |] (Trace.in_flight_after tr 2);
-  Alcotest.(check (array int)) "u in flight" [| 0; 1 |] (Trace.in_flight_after tr 3)
+  let in_flight_after i = Trace.in_flight (Trace.after tr i) in
+  Alcotest.(check (array int)) "none initially" [| 0; 0 |] (in_flight_after 0);
+  Alcotest.(check (array int)) "t in flight" [| 1; 0 |] (in_flight_after 1);
+  Alcotest.(check (array int)) "t done" [| 0; 0 |] (in_flight_after 2);
+  Alcotest.(check (array int)) "u in flight" [| 0; 1 |] (in_flight_after 3)
 
 let test_collector_and_replay () =
   let tr = sample_trace () in
@@ -162,9 +171,9 @@ let test_codec_foreign_trace () =
   in
   let tr = Codec.parse text in
   Alcotest.(check int) "deltas" 2 (Trace.length tr);
-  Alcotest.(check (array int)) "marking applies" [| 5 |] (Trace.marking_after tr 2);
+  Alcotest.(check (array int)) "marking applies" [| 5 |] (marking_after tr 2);
   Alcotest.(check bool) "env parsed" true
-    (List.assoc "load" (Trace.env_after tr 2) = Value.Float 0.75)
+    (List.assoc "load" (env_after tr 2) = Value.Float 0.75)
 
 let test_codec_errors () =
   let expect_error text fragment =
@@ -529,7 +538,7 @@ let test_filter_orphan_attribution () =
   Alcotest.(check bool) "_filtered present" true
     (Array.exists (fun n -> n = "_filtered") h.Trace.h_transitions);
   Alcotest.(check bool) "q signal exact" true
-    (Trace.marking_after filtered (Trace.length filtered) = [| 0 |])
+    (marking_after filtered (Trace.length filtered) = [| 0 |])
 
 let test_filter_preserves_place_signals () =
   let tr = sim_trace () in
@@ -546,8 +555,8 @@ let test_filter_preserves_place_signals () =
     (fun t ->
       Alcotest.(check int)
         (Printf.sprintf "Bus_busy at %g" t)
-        (Trace.state_at tr t).(busy_before)
-        (Trace.state_at filtered t).(0))
+        (Testutil.state_at tr t).(busy_before)
+        (Testutil.state_at filtered t).(0))
     samples;
   (* and the filtered trace is much smaller *)
   Alcotest.(check bool) "smaller" true
@@ -582,8 +591,8 @@ let test_filter_balanced_accounting () =
     (fun t ->
       Alcotest.(check int)
         (Printf.sprintf "Bus_busy at %g" t)
-        (Trace.state_at tr t).(bus)
-        (Trace.state_at filtered t).(bus'))
+        (Testutil.state_at tr t).(bus)
+        (Testutil.state_at filtered t).(bus'))
     [ 0.0; 42.0; 133.5; 299.0 ]
 
 let test_filter_streaming_matches_batch () =
@@ -698,6 +707,30 @@ let prop_cross_conversion =
         (Codec.to_string (Codec.parse (Codec.to_string tr)))
         (Codec.to_string (Binary.parse (Binary.to_string tr))))
 
+(* A header binding a variable twice has no initial state; both readers
+   reject it as malformed input. *)
+let duplicate_variable_trace () =
+  Trace.make
+    { (sample_header ()) with
+      Trace.h_variables =
+        [ ("n", Value.Int 1); ("x", Value.Int 2); ("n", Value.Int 3) ] }
+    [] 5.0
+
+let test_codec_duplicate_variable () =
+  match Codec.parse (Codec.to_string (duplicate_variable_trace ())) with
+  | _ -> Alcotest.fail "duplicate variable accepted"
+  | exception Codec.Parse_error (line, msg) ->
+    Alcotest.(check string) "message" "duplicate variable n" msg;
+    (* the second [var n] line, after the version, net, 3 place and 2
+       transition lines and the first two variables *)
+    Alcotest.(check int) "line" 10 line
+
+let test_binary_duplicate_variable () =
+  match Binary.parse (Binary.to_string (duplicate_variable_trace ())) with
+  | _ -> Alcotest.fail "duplicate variable accepted"
+  | exception Binary.Parse_error (_, msg) ->
+    Alcotest.(check string) "message" "duplicate variable n" msg
+
 let () =
   Alcotest.run "trace"
     [
@@ -730,6 +763,8 @@ let () =
           Alcotest.test_case "integer grammar" `Quick test_integer_grammar;
           Alcotest.test_case "out-of-range ids" `Quick test_out_of_range_ids;
           Alcotest.test_case "parser parity" `Quick test_parser_parity;
+          Alcotest.test_case "duplicate variable" `Quick
+            test_codec_duplicate_variable;
         ] );
       ( "binary",
         [
@@ -740,6 +775,8 @@ let () =
             test_binary_cross_conversion;
           Alcotest.test_case "errors" `Quick test_binary_errors;
           Alcotest.test_case "auto-detection" `Quick test_auto_detection;
+          Alcotest.test_case "duplicate variable" `Quick
+            test_binary_duplicate_variable;
         ] );
       ( "filter",
         [

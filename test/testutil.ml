@@ -22,6 +22,16 @@ let check_close what ?tolerance expected actual =
   if not (close ?tolerance expected actual) then
     Alcotest.failf "%s: expected %g, got %g" what expected actual
 
+(* Marking in effect at [time]: after every delta stamped at or before
+   it (deltas are in time order). *)
+let state_at trace time =
+  let module Trace = Pnut_trace.Trace in
+  let n = ref 0 in
+  Array.iter
+    (fun d -> if d.Trace.d_time <= time then incr n)
+    (Trace.deltas trace);
+  Trace.marking (Trace.after trace !n)
+
 (* Random timed nets for the steady-cycle oracles.  Each net has 2–5
    transitions; firing and enabling times are constants in 0–3 and each
    place starts with 0–3 tokens.  By default every transition owns 1–2
