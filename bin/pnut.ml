@@ -598,13 +598,17 @@ let tracer_cmd =
           { Pnut_tracer.Waveform.m_label = label; m_time = time })
         markers
     in
-    if csv then print_string (Pnut_tracer.Signal.to_csv trace sigs)
-    else begin
-      let style = { Pnut_tracer.Waveform.default_style with width } in
-      print_string
-        (Pnut_tracer.Waveform.render ~style ~from_time:from_t ?to_time:to_t
-           ~markers trace sigs)
-    end
+    let output =
+      try
+        if csv then Pnut_tracer.Signal.to_csv trace sigs
+        else
+          let style = { Pnut_tracer.Waveform.default_style with width } in
+          Pnut_tracer.Waveform.render ~style ~from_time:from_t ?to_time:to_t
+            ~markers trace sigs
+      with Pnut_tracer.Signal.Unknown_signal name ->
+        die "signal %S: no place, transition or variable of that name" name
+    in
+    print_string output
   in
   Cmd.v (Cmd.info "tracer" ~doc)
     Term.(const run $ trace_arg $ signals $ from_t $ to_t $ width $ markers
@@ -624,9 +628,12 @@ let check_cmd =
     List.iter
       (fun q ->
         let query = parse_arg "query" Pnut_lang.Parser.parse_query q in
-        let result = Pnut_tracer.Query.eval trace query in
-        if not (Pnut_tracer.Query.holds result) then incr failures;
-        Format.printf "%-60s %a@." q Pnut_tracer.Query.pp_result result)
+        match Pnut_tracer.Query.eval trace query with
+        | result ->
+          if not (Pnut_tracer.Query.holds result) then incr failures;
+          Format.printf "%-60s %a@." q Pnut_tracer.Query.pp_result result
+        | exception Pnut_tracer.Query.Query_error msg ->
+          die "query %S: %s" q msg)
       queries;
     if !failures > 0 then exit 1
   in

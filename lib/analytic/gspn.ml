@@ -3,6 +3,8 @@ module Marking = Pnut_core.Marking
 module Kernel = Pnut_core.Kernel
 module Budget = Pnut_exec.Budget
 module Supervisor = Pnut_exec.Supervisor
+module Packed = Pnut_reach.Packed
+module Store = Pnut_reach.Store
 
 type rejection = {
   rj_explored : int;
@@ -56,10 +58,20 @@ type state = {
   marking : int array;
   (* outgoing edges: immediate (probability) for vanishing states, timed
      (rate) for tangible ones; targets are state indices *)
-  mutable edges : (int * float * int) list;  (* transition id, weight, target *)
+  edges : (int * float * int) list;  (* transition id, weight, target *)
   vanishing : bool;
 }
 
+(* The chain is interned in the packed store: states get indices in
+   discovery order and a cursor [next] expands them in index order, so
+   the store is the BFS frontier — every index at or past [next] is
+   still unexpanded.  Bounds are left unknown (fields widen on demand),
+   so no invariant analysis runs before the first state.  A state that
+   enables an immediate transition is vanishing and fires only its
+   immediate transitions, weighted by frequency; a tangible one fires
+   its timed transitions at their rates.  Firings follow ascending
+   transition ids, so state indices, edge order and every float sum
+   downstream are fixed by the net alone. *)
 let explore ?(max_states = 2000) ~monitor net kinds =
   let monitored = Supervisor.active monitor in
   let max_states =
@@ -67,115 +79,79 @@ let explore ?(max_states = 2000) ~monitor net kinds =
     | Some cap -> min cap max_states
     | None -> max_states
   in
-  let kernel = Kernel.of_net net in
-  let trans = Kernel.transitions kernel in
-  let readers = Kernel.readers kernel in
-  let index = Hashtbl.create 512 in
-  let states = ref [] in  (* reversed; index !n - 1 is the head *)
-  let n = ref 0 in
-  let queue = Queue.create () in
-  (* The enabled set (ascending transition ids) is carried along with
-     each queued marking and maintained incrementally: firing [tid]
-     touches only its input/output places, so only the kernel's readers
-     of those places can change enabledness — everything else is
-     inherited from the parent marking without a rescan. *)
-  let affected =
-    Array.map
-      (fun (c : Kernel.ctrans) ->
-        let acc = ref [] in
-        let note p = acc := Array.to_list readers.(p) @ !acc in
-        Array.iter note c.Kernel.s_in_place;
-        Array.iter note c.Kernel.s_out_place;
-        Array.of_list (List.sort_uniq compare !acc))
-      trans
+  let np = Net.num_places net in
+  let trans = Kernel.transitions (Kernel.of_net net) in
+  let tids = List.init (Array.length trans) Fun.id in
+  let codec =
+    Packed.create ~bounds:(Array.make np None) ~with_extra:false net
   in
-  let full_scan m =
-    Array.to_list trans
-    |> List.filter_map (fun (c : Kernel.ctrans) ->
-           if Kernel.token_enabled c m then Some c.Kernel.s_id else None)
+  let store = Store.create codec ~num_transitions:(Array.length trans) in
+  let intern m =
+    let j = Store.intern_index store m ~extra:0 ~max_states in
+    if j < 0 then
+      raise
+        (Too_many_states
+           { rj_explored = Store.num_states store; rj_cap = max_states });
+    j
   in
-  let update_enabled parent_enabled fired m' =
-    let cand = affected.(fired) in
-    let is_cand tid = Array.exists (fun x -> x = tid) cand in
-    let kept = List.filter (fun tid -> not (is_cand tid)) parent_enabled in
-    let added =
-      Array.to_list cand
-      |> List.filter (fun tid -> Kernel.token_enabled trans.(tid) m')
+  ignore (intern (Marking.to_array (Net.initial_marking net)) : int);
+  let child = Array.make np 0 in
+  let child_mk = Marking.unsafe_wrap child in
+  let param tid = match kinds.(tid) with Immediate w | Timed w -> w in
+  (* State [i]'s record; [expanded] fires its transitions, else its
+     edge list stays empty. *)
+  let state ~expanded i =
+    let m = Array.make np 0 in
+    Store.marking_into store i m;
+    let mk = Marking.unsafe_wrap m in
+    let immediates, timed =
+      List.filter (fun tid -> Kernel.token_enabled trans.(tid) mk) tids
+      |> List.partition (fun tid ->
+             match kinds.(tid) with Immediate _ -> true | Timed _ -> false)
     in
-    List.merge compare kept added
-  in
-  let is_immediate tid =
-    match kinds.(tid) with Immediate _ -> true | Timed _ -> false
-  in
-  let intern m enabled =
-    let key = Marking.to_key m in
-    match Hashtbl.find_opt index key with
-    | Some i -> i
-    | None ->
-      if !n >= max_states then
-        raise (Too_many_states { rj_explored = !n; rj_cap = max_states });
-      let vanishing = List.exists is_immediate enabled in
-      let state =
-        { marking = Marking.to_array m; edges = []; vanishing }
-      in
-      let i = !n in
-      incr n;
-      Hashtbl.replace index key i;
-      states := state :: !states;
-      Queue.add (state, m, enabled) queue;
-      i
-  in
-  let m0 = Net.initial_marking net in
-  let _ = intern m0 (full_scan m0) in
-  let trip = ref None in
-  let processed = ref 0 in
-  (* Budget checks ride the dequeue boundary every 256 states.  A trip
-     leaves already-interned states with empty edge lists; downstream
-     they behave as absorbing states, which uniformization tolerates. *)
-  (try
-  while not (Queue.is_empty queue) do
-    incr processed;
-    if monitored && !processed land 255 = 0 then begin
-      match Supervisor.check monitor with
-      | Some r ->
-        trip := Some r;
-        raise_notrace Exit
-      | None -> ()
-    end;
-    let state, m, enabled = Queue.pop queue in
     let fire tid =
-      let c = trans.(tid) in
-      let m' = Marking.copy m in
-      Kernel.consume c m';
-      Kernel.produce c m';
-      intern m' (update_enabled enabled tid m')
+      Array.blit m 0 child 0 np;
+      Kernel.apply trans.(tid) child_mk;
+      intern child
     in
-    let immediates = List.filter is_immediate enabled in
     let edges =
-      if immediates <> [] then begin
-        let weight tid =
-          match kinds.(tid) with
-          | Immediate w -> w
-          | Timed _ -> assert false
-        in
+      match immediates with
+      | _ when not expanded -> []
+      | [] -> List.map (fun tid -> (tid, param tid, fire tid)) timed
+      | _ ->
         let total =
-          List.fold_left (fun acc tid -> acc +. weight tid) 0.0 immediates
+          List.fold_left (fun acc tid -> acc +. param tid) 0.0 immediates
         in
-        List.map (fun tid -> (tid, weight tid /. total, fire tid)) immediates
-      end
-      else
-        List.filter_map
-          (fun tid ->
-            match kinds.(tid) with
-            | Timed rate -> Some (tid, rate, fire tid)
-            | Immediate _ -> None)
-          enabled
+        List.map (fun tid -> (tid, param tid /. total, fire tid)) immediates
     in
-    state.edges <- edges
-  done
-  with Exit -> ());
-  (* the list is reversed relative to the indices *)
-  (Array.of_list (List.rev !states), !trip, Queue.length queue)
+    { marking = m; edges; vanishing = immediates <> [] }
+  in
+  let states = ref [] in  (* reversed: the head is the last state built *)
+  let next = ref 0 in
+  let trip = ref None in
+  (* Budget checks come before every 256th expansion (indices 255,
+     511, ...).  A trip leaves the states from [next] on with empty edge
+     lists; downstream they behave as absorbing states, which
+     uniformization tolerates. *)
+  (try
+     while !next < Store.num_states store do
+       let i = !next in
+       if monitored && (i + 1) land 255 = 0 then begin
+         match Supervisor.check monitor with
+         | Some r ->
+           trip := Some r;
+           raise_notrace Exit
+         | None -> ()
+       end;
+       next := i + 1;
+       states := state ~expanded:true i :: !states
+     done
+   with Exit -> ());
+  let frontier = Store.num_states store - !next in
+  for i = !next to Store.num_states store - 1 do
+    states := state ~expanded:false i :: !states
+  done;
+  (Array.of_list (List.rev !states), !trip, frontier)
 
 (* -- vanishing elimination (Jacobi over absorption vectors) -- *)
 

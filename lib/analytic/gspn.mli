@@ -12,10 +12,13 @@
       would need state expansion, and the memoryless enabling form
       expresses the same distribution.
 
-    The reachability graph is built with atomic firings; markings enabling
-    an immediate transition are {e vanishing} (zero sojourn) and are
-    eliminated exactly (dense linear algebra), giving a continuous-time
-    Markov chain over the tangible markings.  Its stationary distribution
+    The reachability graph is built with atomic firings and interned in
+    the packed {!Pnut_reach.Store} (fields widen on demand), expanded
+    breadth-first in ascending transition order.  A marking enabling an
+    immediate transition is {e vanishing} (zero sojourn) and fires only
+    its immediate transitions; vanishing markings are eliminated
+    exactly, giving a continuous-time Markov chain over the tangible
+    markings.  Its stationary distribution
     is computed by uniformized power iteration.
 
     Restrictions (checked, [Invalid_argument] otherwise): no predicates or
@@ -65,8 +68,8 @@ val analyze_supervised :
   ?max_iterations:int ->
   ?budget:Pnut_exec.Budget.t ->
   Pnut_core.Net.t -> result Pnut_exec.Supervisor.outcome
-(** {!analyze} under a budget, polled on the exploration dequeue
-    cadence; [budget.max_states] tightens [max_states].  A wall, heap
+(** {!analyze} under a budget, polled before every 256th state
+    expansion; [budget.max_states] tightens [max_states].  A wall, heap
     or cancellation trip yields [Degraded] with the analysis restricted
     to the explored prefix (unexpanded states act as absorbing, and the
     stationary vector is re-normalized); the state cap still raises

@@ -67,12 +67,3 @@ let pp ppf m =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
        Format.pp_print_int)
     (Array.to_list m)
-
-let to_key m =
-  let buf = Buffer.create (2 * Array.length m) in
-  Array.iter
-    (fun c ->
-      Buffer.add_string buf (string_of_int c);
-      Buffer.add_char buf ',')
-    m;
-  Buffer.contents buf

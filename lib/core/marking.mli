@@ -46,6 +46,3 @@ val total : t -> int
 (** Total number of tokens across all places. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_key : t -> string
-(** Compact canonical string, usable as a hash key. *)

@@ -291,10 +291,12 @@ module Builder = struct
     Hashtbl.replace b.b_place_index nm id;
     id
 
-  let check_arcs b what nm arcs =
+  (* One arc per place: a place repeated within one list gets a single
+     arc whose weight is [merge] of the repeated weights. *)
+  let check_arcs b what nm ~merge arcs =
     let n = Hashtbl.length b.b_place_index in
-    List.map
-      (fun (pid, w) ->
+    List.fold_left
+      (fun acc (pid, w) ->
         if pid < 0 || pid >= n then
           invalid_arg
             (Printf.sprintf "Net.Builder: %s arc of %s names unknown place %d"
@@ -302,8 +304,15 @@ module Builder = struct
         if w <= 0 then
           invalid_arg
             (Printf.sprintf "Net.Builder: %s arc of %s has weight %d" what nm w);
-        { a_place = pid; a_weight = w })
-      arcs
+        if List.exists (fun a -> a.a_place = pid) acc then
+          List.map
+            (fun a ->
+              if a.a_place = pid then { a with a_weight = merge a.a_weight w }
+              else a)
+            acc
+        else { a_place = pid; a_weight = w } :: acc)
+      [] arcs
+    |> List.rev
 
   let add_transition ?(inputs = []) ?(inhibitors = []) ?(outputs = [])
       ?(firing = Zero) ?(enabling = Zero) ?(frequency = 1.0) ?predicate
@@ -317,9 +326,9 @@ module Builder = struct
       {
         t_id = id;
         t_name = nm;
-        t_inputs = check_arcs b "input" nm inputs;
-        t_inhibitors = check_arcs b "inhibitor" nm inhibitors;
-        t_outputs = check_arcs b "output" nm outputs;
+        t_inputs = check_arcs b "input" nm ~merge:( + ) inputs;
+        t_inhibitors = check_arcs b "inhibitor" nm ~merge:min inhibitors;
+        t_outputs = check_arcs b "output" nm ~merge:( + ) outputs;
         t_firing = firing;
         t_enabling = enabling;
         t_frequency = frequency;

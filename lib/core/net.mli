@@ -133,7 +133,9 @@ module Builder : sig
     ?predicate:Expr.t ->
     ?action:Expr.stmt list ->
     t -> string -> transition_id
-  (** Raises [Invalid_argument] on duplicate names, unknown place ids,
+  (** A place repeated within one arc list gets a single arc: input and
+      output weights add up, an inhibitor keeps the smallest weight.
+      Raises [Invalid_argument] on duplicate names, unknown place ids,
       non-positive weights or frequencies. *)
 
   val set_variable : t -> string -> Value.t -> unit

@@ -64,10 +64,6 @@ let resolve ?jobs () =
   warn_if_oversubscribed n;
   n
 
-type 'a task_outcome =
-  | Done of 'a
-  | Failed of { exn : exn; backtrace : Printexc.raw_backtrace }
-
 (* -- the persistent pool --
 
    Worker domains are spawned once per process, lazily, and parked on a
@@ -213,10 +209,9 @@ let init_outcomes ~jobs n f =
   let slots = Array.make n None in
   let attempt i =
     match f i with
-    | v -> slots.(i) <- Some (Done v)
+    | v -> slots.(i) <- Some (Ok v)
     | exception e ->
-      let backtrace = Printexc.get_raw_backtrace () in
-      slots.(i) <- Some (Failed { exn = e; backtrace })
+      slots.(i) <- Some (Error (e, Printexc.get_raw_backtrace ()))
   in
   let inline () =
     for i = 0 to n - 1 do
@@ -248,30 +243,16 @@ let init_outcomes ~jobs n f =
     (function Some o -> o | None -> assert false (* filled above *))
     slots
 
-let reraise_lowest slots =
-  Array.iter
-    (function
-      | Failed { exn; backtrace } ->
-        (* lowest-numbered failure wins, with its original backtrace *)
-        Printexc.raise_with_backtrace exn backtrace
-      | Done _ -> ())
-    slots
-
 let init ?jobs n f =
   if n < 0 then invalid_arg "Pool.init: negative size";
   let jobs = min (resolve ?jobs ()) (max 1 n) in
-  let slots = init_outcomes ~jobs n f in
-  reraise_lowest slots;
-  Array.map (function Done v -> v | Failed _ -> assert false) slots
-
-let init_supervised ?jobs n f =
-  if n < 0 then invalid_arg "Pool.init_supervised: negative size";
-  let jobs = min (resolve ?jobs ()) (max 1 n) in
-  init_outcomes ~jobs n f
-
-let map_list ?jobs f l =
-  let arr = Array.of_list l in
-  Array.to_list (init ?jobs (Array.length arr) (fun i -> f arr.(i)))
+  (* slots are read in index order, so the lowest-numbered failure
+     wins, re-raised with its original backtrace *)
+  Array.map
+    (function
+      | Ok v -> v
+      | Error (exn, backtrace) -> Printexc.raise_with_backtrace exn backtrace)
+    (init_outcomes ~jobs n f)
 
 (* Retiring the pool matters on OCaml 5 because *every* live domain
    participates in every stop-the-world minor collection: a process

@@ -52,19 +52,6 @@ val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
     With one worker (or fewer than two tasks) everything runs inline in
     the calling domain. *)
 
-type 'a task_outcome =
-  | Done of 'a
-  | Failed of { exn : exn; backtrace : Printexc.raw_backtrace }
-
-val init_supervised : ?jobs:int -> int -> (int -> 'a) -> 'a task_outcome array
-(** Like {!init}, but no exception is re-raised: the merge reports a
-    per-index outcome instead, each failure carrying the backtrace
-    captured in the domain that ran it. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list ~jobs f l] maps [f] over [l] in parallel, preserving
-    order; same guarantees as {!init}. *)
-
 val quiesce : unit -> unit
 (** Retire the parked worker domains and join them; the next parallel
     call respawns the pool.  On OCaml 5 every live domain takes part in

@@ -4,10 +4,8 @@
     graphs, a pre-rendered clock component — structurally: the marking
     as an int array, the environment as its sorted scalar bindings and
     tables, everything hashed up front.  Interning a key into {!Tbl}
-    maps each distinct state to a dense int id without ever building
-    the old [Marking.to_key m ^ "|" ^ Env.snapshot env] strings, which
-    were both slow and unsound (separator characters inside variable
-    names could collide two distinct states). *)
+    maps each distinct state to a dense int id without building a
+    string. *)
 
 type t = private {
   k_hash : int;

@@ -180,6 +180,22 @@ let test_check_queries () =
   Alcotest.(check int) "failing query exit" 1 code;
   Testutil.check_contains "failure reported" out2 "fails"
 
+(* A name that is no place, transition or variable is a usage error
+   (exit 2 with the message) in queries and signals alike. *)
+let test_unknown_names () =
+  List.iter
+    (fun (what, args) ->
+      let code, out = run args in
+      Alcotest.(check int) (what ^ ": exit") 2 code;
+      Alcotest.(check string) (what ^ ": no stdout") "" out;
+      Testutil.check_contains (what ^ ": message") (read_file (tmp "err"))
+        "ghost")
+    [
+      ("check", [ "check"; trace_file; "forall s in S [ ghost(s) > 0 ]" ]);
+      ("tracer", [ "tracer"; trace_file; "-s"; "ghost" ]);
+      ("tracer csv", [ "tracer"; trace_file; "-s"; "ghost"; "--csv" ]);
+    ]
+
 let test_reach_and_ctl () =
   let out =
     check_run "reach"
@@ -676,6 +692,33 @@ let test_reach_max_states_zero () =
         "--max-states must be positive")
     [ []; [ "--timed" ] ]
 
+(* An arc list naming a place twice is one arc of the summed weight:
+   [take] needs two tokens of [p], so it never fires from one. *)
+let test_repeated_arcs () =
+  let odd = tmp "odd.pn" and odd_trace = tmp "odd.trace" in
+  let write init =
+    let oc = open_out odd in
+    Printf.fprintf oc
+      "net odd\nplace p init %d\nplace q\ntransition take\n  in p, p\n  \
+       out q\n"
+      init;
+    close_out oc
+  in
+  let started init =
+    write init;
+    let _ =
+      check_run "sim"
+        [ "sim"; odd; "--until"; "100"; "--trace"; odd_trace ]
+    in
+    check_run "stat" [ "stat"; odd_trace; "--tsv" ]
+  in
+  Testutil.check_contains "one token: never fires" (started 1)
+    "transition\ttake\t0\t0\t";
+  let reach = check_run "reach" [ "reach"; odd ] in
+  Testutil.check_contains "one-state graph" reach "states: 1\n";
+  Testutil.check_contains "two tokens: fires once" (started 2)
+    "started\t1\tfinished\t1"
+
 let test_model_is_directory () =
   List.iter
     (fun cmd ->
@@ -711,6 +754,7 @@ let () =
           Alcotest.test_case "tracer" `Quick test_tracer;
           Alcotest.test_case "tracer csv" `Quick test_tracer_csv;
           Alcotest.test_case "check" `Quick test_check_queries;
+          Alcotest.test_case "unknown names" `Quick test_unknown_names;
           Alcotest.test_case "reach" `Quick test_reach_and_ctl;
           Alcotest.test_case "reach query" `Quick test_reach_query;
           Alcotest.test_case "reach por" `Quick test_reach_por;
@@ -743,5 +787,6 @@ let () =
             test_reach_max_states_zero;
           Alcotest.test_case "model is a directory" `Quick
             test_model_is_directory;
+          Alcotest.test_case "repeated arcs" `Quick test_repeated_arcs;
         ] );
     ]

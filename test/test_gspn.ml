@@ -304,6 +304,35 @@ let test_analytic_matches_simulation () =
     true
     (Float.abs (thr_a -. thr_s) /. thr_a < 0.03)
 
+(* Byte-level identity of the chain: tangible and vanishing counts, and
+   a digest of every place mean and throughput printed exactly ([%h]).
+   Any change to the state-space builder must keep the discovery order
+   and with it every float sum. *)
+let test_identity () =
+  let digest r =
+    let buf = Buffer.create 1024 in
+    let add v = Buffer.add_string buf (Printf.sprintf "%h;" v) in
+    Array.iter add r.Gspn.place_means;
+    Array.iter add r.Gspn.throughputs;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let cfg = Pnut_pipeline.Config.default in
+  List.iter
+    (fun (name, net, tangible, vanishing, hex) ->
+      let r = Gspn.analyze ~max_states:5000 (Gspn.exponential_variant net) in
+      Alcotest.(check int) (name ^ " tangible") tangible r.Gspn.tangible_states;
+      Alcotest.(check int) (name ^ " vanishing") vanishing
+        r.Gspn.vanishing_states;
+      Alcotest.(check string) (name ^ " digest") hex (digest r))
+    [
+      ("prefetch", Pnut_pipeline.Model.prefetch_only cfg, 14, 7,
+       "da9de2d1ee9ad2578a049e99c08dc5c7");
+      ("full", Pnut_pipeline.Model.full cfg, 187, 236,
+       "b7036df6a2eaf884b01fc298127dd093");
+      ("indep2x3", Pnut_pipeline.Indep.net ~pipelines:2 ~stages:3, 1, 15,
+       "50f784b67c2dbcbc087e4d97fa7b2871");
+    ]
+
 let () =
   Alcotest.run "gspn"
     [
@@ -314,6 +343,7 @@ let () =
           Alcotest.test_case "vanishing split" `Quick test_vanishing_split;
           Alcotest.test_case "chained vanishing" `Quick test_chained_vanishing;
           Alcotest.test_case "absorbing" `Quick test_absorbing_net;
+          Alcotest.test_case "identity" `Quick test_identity;
         ] );
       ( "interface",
         [

@@ -66,9 +66,8 @@ let test_marking_keys () =
   let a = Marking.of_array [| 1; 2 |] in
   let b = Marking.of_array [| 1; 2 |] in
   let c = Marking.of_array [| 2; 1 |] in
-  Alcotest.(check string) "same key" (Marking.to_key a) (Marking.to_key b);
-  Alcotest.(check bool) "different key" false
-    (String.equal (Marking.to_key a) (Marking.to_key c));
+  Alcotest.(check bool) "same marking" true (Marking.equal a b);
+  Alcotest.(check bool) "different marking" false (Marking.equal a c);
   Alcotest.(check int) "hash consistent" (Marking.hash a) (Marking.hash b)
 
 (* -- Incidence -- *)

@@ -69,6 +69,34 @@ let test_builder_validation () =
     (Invalid_argument "Net.Builder.add_place: capacity below initial for r")
     (fun () -> ignore (B.add_place b "r" ~initial:3 ~capacity:2))
 
+(* A place repeated within one arc list is one arc: input and output
+   weights add up, an inhibitor keeps the smallest weight. *)
+let test_repeated_arcs () =
+  let b = B.create "odd" in
+  let p = B.add_place b "p" ~initial:1 in
+  let q = B.add_place b "q" in
+  let take =
+    B.add_transition b "take" ~inputs:[ (p, 1); (q, 1); (p, 1) ]
+      ~outputs:[ (q, 2); (q, 1) ]
+  in
+  let guard = B.add_transition b "guard" ~inhibitors:[ (q, 3); (q, 2) ] in
+  let net = B.build b in
+  let arcs l = List.map (fun a -> (a.Net.a_place, a.Net.a_weight)) l in
+  let tr = Net.transition net take in
+  Alcotest.(check (list (pair int int))) "inputs add up" [ (p, 2); (q, 1) ]
+    (arcs tr.Net.t_inputs);
+  Alcotest.(check (list (pair int int))) "outputs add up" [ (q, 3) ]
+    (arcs tr.Net.t_outputs);
+  Alcotest.(check (list (pair int int))) "smallest inhibitor wins" [ (q, 2) ]
+    (arcs (Net.transition net guard).Net.t_inhibitors);
+  let m = Net.initial_marking net in
+  let env = Net.initial_env net in
+  Marking.set m q 1;
+  Alcotest.(check bool) "one token of p is not enough" false
+    (Net.enabled net m env tr);
+  Marking.set m p 2;
+  Alcotest.(check bool) "two tokens of p are" true (Net.enabled net m env tr)
+
 let test_empty_net_rejected () =
   let b = B.create "empty" in
   Alcotest.check_raises "empty" (Invalid_argument "Net.Builder.build: empty net")
@@ -192,6 +220,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_duplicate_names_rejected;
           Alcotest.test_case "validation" `Quick test_builder_validation;
           Alcotest.test_case "empty rejected" `Quick test_empty_net_rejected;
+          Alcotest.test_case "repeated arcs" `Quick test_repeated_arcs;
         ] );
       ( "semantics",
         [

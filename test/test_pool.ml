@@ -29,13 +29,6 @@ let test_init_edges () =
     (Invalid_argument "Pool.init: negative size") (fun () ->
       ignore (Pool.init ~jobs:1 (-1) (fun i -> i)))
 
-let test_map_list () =
-  let l = List.init 37 (fun i -> i) in
-  Alcotest.(check (list int))
-    "order preserved"
-    (List.map (fun x -> x * 2) l)
-    (Pool.map_list ~jobs:3 (fun x -> x * 2) l)
-
 let test_lowest_index_error () =
   (* several tasks fail; the exception of the lowest-numbered one must
      surface, whatever worker hit it first *)
@@ -172,7 +165,6 @@ let () =
           Alcotest.test_case "init matches serial" `Quick
             test_init_matches_serial;
           Alcotest.test_case "edge cases" `Quick test_init_edges;
-          Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "lowest-index error wins" `Quick
             test_lowest_index_error;
           Alcotest.test_case "full coverage" `Quick

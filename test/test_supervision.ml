@@ -162,33 +162,6 @@ let test_outcome_helpers () =
   Alcotest.(check int) "map" 42 (Supervisor.value (Supervisor.map succ c));
   Alcotest.(check int) "map degraded" 2 (Supervisor.value (Supervisor.map succ d))
 
-(* -- Pool supervision -- *)
-
-let test_pool_supervised () =
-  let out =
-    Pnut_exec.Pool.init_supervised ~jobs:3 8 (fun i ->
-        if i = 2 || i = 5 then failwith (Printf.sprintf "task %d" i) else i * i)
-  in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Pnut_exec.Pool.Done v ->
-        Alcotest.(check int) (Printf.sprintf "task %d" i) (i * i) v
-      | Pnut_exec.Pool.Failed { exn; backtrace = _ } ->
-        if i <> 2 && i <> 5 then
-          Alcotest.failf "task %d unexpectedly failed" i
-        else
-          Alcotest.(check string) "carries the exception"
-            (Printf.sprintf "task %d" i)
-            (match exn with Failure m -> m | _ -> "?"))
-    out;
-  (* init still re-raises the lowest-index failure, with its backtrace *)
-  (match Pnut_exec.Pool.init ~jobs:2 4 (fun i ->
-       if i >= 1 then failwith (Printf.sprintf "task %d" i) else i)
-   with
-  | _ -> Alcotest.fail "init should re-raise"
-  | exception Failure m -> Alcotest.(check string) "lowest index" "task 1" m)
-
 (* -- Simulator -- *)
 
 let test_sim_budget () =
@@ -347,6 +320,17 @@ let test_gspn_budget () =
     in
     Alcotest.(check bool) "means are finite" true (Float.is_finite mass)
   | Supervisor.Complete _ -> Alcotest.fail "the pump never completes");
+  (* a cancelled token trips the first check, before the 256th
+     expansion: 256 states interned, the last one unexpanded *)
+  let tok = Budget.token () in
+  Budget.cancel tok;
+  (match Pnut_analytic.Gspn.analyze_supervised ~max_states:max_int
+           ~budget:(Budget.make ~cancel:tok ()) net
+   with
+  | Supervisor.Degraded { reason = Supervisor.Cancelled; progress; _ } ->
+    Alcotest.(check int) "visited" 256 progress.Supervisor.visited;
+    Alcotest.(check int) "frontier" 1 progress.Supervisor.frontier
+  | _ -> Alcotest.fail "expected a cancelled trip");
   (* the state cap stays a structural rejection, not a budget trip *)
   match Pnut_analytic.Gspn.analyze_supervised ~max_states:64 net with
   | _ -> Alcotest.fail "expected Too_many_states"
@@ -428,7 +412,6 @@ let () =
             test_unbudgeted_elapsed;
           Alcotest.test_case "heap trip" `Quick test_heap_trip;
           Alcotest.test_case "outcome helpers" `Quick test_outcome_helpers;
-          Alcotest.test_case "pool supervised" `Quick test_pool_supervised;
           Alcotest.test_case "sim budget" `Quick test_sim_budget;
           Alcotest.test_case "sim budget identical" `Quick
             test_sim_budget_identical;
