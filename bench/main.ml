@@ -207,7 +207,7 @@ let section_4_4 () =
     Pnut_reach.Ctl.AG
       (Pnut_reach.Ctl.Implies
          ( Pnut_reach.Ctl.Atom (Parser.parse_expr "Bus_busy == 1"),
-           Pnut_reach.Ctl.inev (Pnut_reach.Ctl.Atom (Parser.parse_expr "Bus_free == 1")) ))
+           Pnut_reach.Ctl.AF (Pnut_reach.Ctl.Atom (Parser.parse_expr "Bus_free == 1")) ))
   in
   Printf.printf "  reachability analyzer: AG (Bus_busy -> inev Bus_free) = %b (proof)\n"
     (Pnut_reach.Ctl.check g inev_free)

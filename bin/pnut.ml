@@ -13,8 +13,10 @@ let write_file path contents =
 (* Exit codes, used consistently by every subcommand:
    0  success;
    1  negative analysis verdict (failing query, unbounded net, dying
-      cycle, aborted simulation, fault campaign with deadlocks/errors);
-   2  usage, parse or specification errors;
+      cycle, aborted simulation);
+   2  parse, specification or input errors the tools detect themselves
+      (errors the argument parser catches — an unknown command or flag,
+      a malformed value — exit 124, cmdliner's own code);
    3  degraded: a resource budget (--wall-limit / --heap-limit-mb, or a
       state cap reported through a supervised builder) tripped and a
       partial result was emitted.  Partial output is well-formed — a
@@ -415,97 +417,6 @@ let sim_cmd =
     Term.(const run $ net_arg $ seed_arg $ until_arg $ max_events_arg
           $ trace_out $ format_arg $ stats $ runs $ explain $ budget_arg
           $ save_state $ load_state)
-
-(* -- pnut faults -- *)
-
-let faults_cmd =
-  let doc =
-    "Fault-injection campaign: compare faulty runs against their \
-     fault-free baselines."
-  in
-  let spec_file =
-    Arg.(value & opt (some file) None & info [ "spec" ] ~docv:"FILE"
-           ~doc:"Fault specification file (one fault per line; see \
-                 docs/ROBUSTNESS.md).")
-  in
-  let inline_faults =
-    Arg.(value & opt_all string [] & info [ "fault"; "f" ] ~docv:"SPEC"
-           ~doc:"Inline fault spec, e.g. 'stuck Start_memory from 100 \
-                 until 500' or 'delay-scale Start_memory factor 3'. \
-                 Repeatable; combines with --spec.")
-  in
-  let runs =
-    Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N"
-           ~doc:"Baseline/faulty run pairs with split random streams.")
-  in
-  let until =
-    Arg.(value & opt float 10000.0 & info [ "until" ] ~docv:"T" ~doc:"Horizon.")
-  in
-  let observe =
-    Arg.(value & opt (some string) None & info [ "observe" ] ~docv:"T"
-           ~doc:"Transition whose throughput is compared (default: the \
-                 busiest transition of the first baseline run).")
-  in
-  let csv =
-    Arg.(value & flag & info [ "csv" ]
-           ~doc:"Machine-readable CSV output instead of the table.")
-  in
-  let explain =
-    Arg.(value & flag & info [ "explain-deadlock" ]
-           ~doc:"Print the deadlock diagnosis of every faulty run that \
-                 died.")
-  in
-  let run path seed spec_file inline_faults runs until observe csv budget
-      explain jobs =
-    let net = load_net path in
-    let file_specs =
-      match spec_file with
-      | None -> []
-      | Some file -> (
-        try Pnut_fault.Fault.parse (read_file file)
-        with Pnut_fault.Fault.Parse_error (line, msg) ->
-          die "%s:%d: %s" file line msg)
-    in
-    let flag_specs =
-      List.concat_map
-        (fun text ->
-          try Pnut_fault.Fault.parse text
-          with Pnut_fault.Fault.Parse_error (_, msg) ->
-            die "fault %S: %s" text msg)
-        inline_faults
-    in
-    let specs = file_specs @ flag_specs in
-    if specs = [] then die "no faults given: pass --spec FILE or --fault SPEC";
-    match
-      Pnut_fault.Campaign.run_supervised ~seed ~runs ~until ?observe ?budget
-        ~jobs net specs
-    with
-    | outcome ->
-      let report = Pnut_exec.Supervisor.value outcome in
-      print_string
-        (if csv then Pnut_fault.Campaign.render_csv report
-         else Pnut_fault.Campaign.render report);
-      if explain then
-        List.iter
-          (fun r ->
-            match r.Pnut_fault.Campaign.rr_diagnosis with
-            | Some d ->
-              Printf.printf "\nrun %d deadlock diagnosis:\n%s"
-                r.Pnut_fault.Campaign.rr_run d
-            | None -> ())
-          report.Pnut_fault.Campaign.cr_faulty;
-      exit_if_degraded "campaign" outcome;
-      if
-        Pnut_fault.Campaign.deadlocks report > 0
-        || Pnut_fault.Campaign.errors report > 0
-      then exit 1
-    | exception Pnut_sim.Simulator.Sim_error e ->
-      die "%s" (Pnut_sim.Simulator.error_message e)
-    | exception Invalid_argument msg -> die "%s" msg
-  in
-  Cmd.v (Cmd.info "faults" ~doc)
-    Term.(const run $ net_arg $ seed_arg $ spec_file $ inline_faults $ runs
-          $ until $ observe $ csv $ budget_arg $ explain $ jobs_arg)
 
 (* -- pnut stat -- *)
 
@@ -1166,7 +1077,7 @@ let main =
   let doc = "P-NUT: Petri-Net Utility Tools" in
   let info = Cmd.info "pnut" ~version:"1.0.0" ~doc in
   Cmd.group info
-    [ model_cmd; sim_cmd; faults_cmd; stat_cmd; filter_cmd; tracer_cmd;
+    [ model_cmd; sim_cmd; stat_cmd; filter_cmd; tracer_cmd;
       check_cmd; reach_cmd; invariants_cmd; anim_cmd; validate_cmd;
       analytic_cmd; coverability_cmd; dot_cmd; replicate_cmd; explore_cmd;
       batch_cmd; cycle_cmd ]

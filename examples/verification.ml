@@ -42,7 +42,7 @@ let () =
     Ctl.AG
       (Ctl.Implies
          ( Ctl.Atom (Parser.parse_expr "Bus_busy == 1"),
-           Ctl.inev (Ctl.Atom (Parser.parse_expr "Bus_free == 1")) ))
+           Ctl.AF (Ctl.Atom (Parser.parse_expr "Bus_free == 1")) ))
   in
   Format.printf "  AG (Bus_busy -> inev Bus_free)%36s %b@.@." "" (Ctl.check g liveness);
 

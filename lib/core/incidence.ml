@@ -68,6 +68,10 @@ let farkas ~rows ~cols matrix =
     in
     let pos = List.filter (fun (_, row) -> row.(col) > 0) nonzero in
     let neg = List.filter (fun (_, row) -> row.(col) < 0) nonzero in
+    (* the step yields exactly |zero| + |pos|·|neg| rows: refuse it
+       before building any combination *)
+    if List.length zero + (List.length pos * List.length neg) > max_rows then
+      invalid_arg "Incidence: invariant computation exceeded row limit";
     let combos =
       List.concat_map
         (fun (cp, rp) ->
@@ -86,10 +90,7 @@ let farkas ~rows ~cols matrix =
             neg)
         pos
     in
-    let merged = zero @ combos in
-    if List.length merged > max_rows then
-      invalid_arg "Incidence: invariant computation exceeded row limit";
-    merged
+    zero @ combos
   in
   let rec go col current =
     if col >= cols then current else go (col + 1) (eliminate col current)

@@ -1,8 +1,8 @@
 (** Supervised execution: structured outcomes for budgeted work.
 
     Every long-running entry point in the library (simulation,
-    reachability, coverability, GSPN exploration, replication sweeps,
-    fault campaigns) accepts a {!Budget.t} and reports back through the
+    reachability, coverability, GSPN exploration, replication sweeps)
+    accepts a {!Budget.t} and reports back through the
     {!outcome} type below: either the computation ran to completion, or
     it was stopped early by a tripped limit and a {e usable partial
     result} is returned together with the reason and a progress
@@ -72,12 +72,11 @@ val elapsed : monitor -> float
 (** Wall-clock seconds since {!start}. *)
 
 val run_budget : monitor -> Budget.t option
-(** The budget of one run of a sweep (replications, fault campaigns)
-    starting now: [None] for {!Budget.none}, else the sweep's budget
-    with the wall time still left (at least 1 µs) and no state cap.
-    The sweep's wall limit is thus one absolute deadline: once it
-    passes, every in-flight run, on any worker domain, degrades at its
-    next watchdog slot. *)
+(** The budget of one run of a replication sweep starting now: [None]
+    for {!Budget.none}, else the sweep's budget with the wall time still
+    left (at least 1 µs) and no state cap.  The sweep's wall limit is
+    thus one absolute deadline: once it passes, every in-flight run, on
+    any worker domain, degrades at its next watchdog slot. *)
 
 val snapshot : monitor -> visited:int -> frontier:int -> progress
 (** Progress record at this instant. *)

@@ -22,8 +22,6 @@ type formula =
   | EU of formula * formula
   | AU of formula * formula
 
-let inev f = AF f
-
 (* Successor state indices, with an implicit self-loop at deadlocks. *)
 let successor_ids g i =
   match Graph.successors g i with

@@ -30,9 +30,6 @@ type formula =
   | EU of formula * formula   (** E[f U g] *)
   | AU of formula * formula   (** A[f U g] *)
 
-val inev : formula -> formula
-(** Alias for {!AF}. *)
-
 val sat : Graph.t -> formula -> bool array
 (** Truth value of the formula at every state. *)
 

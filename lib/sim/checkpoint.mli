@@ -6,8 +6,7 @@
     queue.  Restoring a checkpoint into a fresh {!Simulator.t} (see
     {!Simulator.checkpoint} / {!Simulator.restore}) and continuing
     produces the same trace suffix as the uninterrupted run — long
-    simulations and fault campaigns survive crashes and budget
-    exhaustion.
+    simulations survive crashes and budget exhaustion.
 
     The textual form is line-based and versioned ([%pnut-checkpoint 1]);
     floats round-trip exactly through hexadecimal notation. *)

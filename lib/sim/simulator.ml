@@ -44,7 +44,6 @@ type error =
       clock : float;
     }
   | Action_error of { transition : string; clock : float; message : string }
-  | Fault_error of string
   | Restore_error of string
 
 exception Sim_error of error
@@ -61,25 +60,9 @@ let error_message = function
       place tokens capacity transition clock
   | Action_error { transition; clock; message } ->
     Printf.sprintf "action of %s failed at t=%g: %s" transition clock message
-  | Fault_error msg -> Printf.sprintf "fault specification error: %s" msg
   | Restore_error msg -> Printf.sprintf "checkpoint restore error: %s" msg
 
 let sim_error e = raise (Sim_error e)
-
-type delay_kind = Enabling_delay | Firing_delay
-
-type hooks = {
-  hk_veto : clock:float -> Net.transition -> bool;
-  hk_delay : clock:float -> kind:delay_kind -> Net.transition -> float -> float;
-  hk_wakeup : clock:float -> float option;
-}
-
-let no_hooks =
-  {
-    hk_veto = (fun ~clock:_ _ -> false);
-    hk_delay = (fun ~clock:_ ~kind:_ _ d -> d);
-    hk_wakeup = (fun ~clock:_ -> None);
-  }
 
 type pending = {
   pe_transition : Net.transition_id;
@@ -92,7 +75,6 @@ type t = {
   sink : Trace.sink;
   max_instant_firings : int;
   check_capacities : bool;
-  hooks : hooks;
   marking : Marking.t;
   env : Env.t;
   mutable clock : float;
@@ -115,13 +97,11 @@ type t = {
   readers : int array array;  (* per place, ascending *)
   predicated : int array;     (* ascending *)
   (* reusable scratch: refresh_after's touched set (deduplicated by
-     generation stamp, no per-event allocation) and the veto-filtered
-     selection of one step *)
+     generation stamp, no per-event allocation) *)
   touched_stamp : int array;
   touched : int array;
   mutable touched_n : int;
   mutable generation : int;
-  sel : int array;
   mutable next_firing_id : int;
   mutable started : int;
   mutable finished : int;
@@ -137,7 +117,6 @@ let env st = st.env
 let in_flight st = Array.copy st.in_flight
 let events_started st = st.started
 let events_finished st = st.finished
-let last_activity st = st.last_activity
 
 let tokens st name = Marking.get st.marking (Net.place_id st.net name)
 
@@ -189,12 +168,7 @@ let refresh_one st (c : Kernel.compiled) =
     if not is_enabled then deactivate st id
   end
   else if is_enabled then begin
-    let d = c.c_enabling () in
-    let d =
-      Float.max 0.0
-        (st.hooks.hk_delay ~clock:st.clock ~kind:Enabling_delay c.c_tr d)
-    in
-    let dl = st.clock +. d in
+    let dl = st.clock +. c.c_enabling () in
     st.active.(id) <- true;
     st.deadline.(id) <- dl;
     if dl <= st.clock then ready_add st id else Dheap.insert st.heap id dl
@@ -238,8 +212,8 @@ let refresh_after st ~places ~env_changed =
     refresh_one st st.ctrans.(a.(k))
   done
 
-let make ~prng ~sink ~max_instant_firings ~check_capacities ~hooks ~marking
-    ~env ~clock ~queue net =
+let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
+    ~clock ~queue net =
   let nt = Net.num_transitions net in
   let kernel = Kernel.of_net net in
   {
@@ -248,7 +222,6 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~hooks ~marking
     sink;
     max_instant_firings;
     check_capacities;
-    hooks;
     marking;
     env;
     clock;
@@ -266,7 +239,6 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~hooks ~marking
     touched = Array.make (max nt 1) 0;
     touched_n = 0;
     generation = 0;
-    sel = Array.make (max nt 1) 0;
     next_firing_id = 0;
     started = 0;
     finished = 0;
@@ -276,11 +248,10 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~hooks ~marking
   }
 
 let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
-    ?(max_instant_firings = 10_000) ?(check_capacities = false)
-    ?(hooks = no_hooks) net =
+    ?(max_instant_firings = 10_000) ?(check_capacities = false) net =
   let prng = match prng with Some g -> g | None -> Prng.create seed in
   let st =
-    make ~prng ~sink ~max_instant_firings ~check_capacities ~hooks
+    make ~prng ~sink ~max_instant_firings ~check_capacities
       ~marking:(Net.initial_marking net) ~env:(Net.initial_env net) ~clock:0.0
       ~queue:(Event_queue.create ()) net
   in
@@ -288,45 +259,23 @@ let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
   refresh_enabling st;
   st
 
-(* Transitions that are enabled, past their enabling deadline, and not
-   vetoed by an active fault (the ready set minus vetoes). *)
-let fireable st =
-  let acc = ref [] in
-  for k = st.ready_n - 1 downto 0 do
-    let c = st.ctrans.(st.ready.(k)) in
-    if not (st.hooks.hk_veto ~clock:st.clock c.c_tr) then acc := c.c_tr :: !acc
-  done;
-  !acc
-
-(* Fill [sel] with the veto-filtered ready ids (ascending); returns how
-   many.  The allocation-free spine of [step] and [run]. *)
-let collect_fireable st =
-  let m = ref 0 in
-  for k = 0 to st.ready_n - 1 do
-    let tid = st.ready.(k) in
-    if not (st.hooks.hk_veto ~clock:st.clock st.ctrans.(tid).c_tr) then begin
-      st.sel.(!m) <- tid;
-      incr m
-    end
-  done;
-  !m
-
-(* Weighted conflict resolution over sel[0..m-1], replicating
+(* Weighted conflict resolution over the ready set, replicating
    [Prng.choose_weighted] on the same stream: total weight first, one
    unit draw, cumulative walk, last element as the rounding fallback.
    Frequencies are validated positive by the net builder, so the
    argument checks of [choose_weighted] can never fire here. *)
-let select_weighted st m =
+let select_weighted st =
+  let m = st.ready_n in
   let total = ref 0.0 in
   for k = 0 to m - 1 do
-    total := !total +. st.ctrans.(st.sel.(k)).c_frequency
+    total := !total +. st.ctrans.(st.ready.(k)).c_frequency
   done;
   let target = Prng.float st.prng !total in
   let rec pick acc k =
-    if k >= m - 1 then st.sel.(m - 1)
+    if k >= m - 1 then st.ready.(m - 1)
     else
-      let acc = acc +. st.ctrans.(st.sel.(k)).c_frequency in
-      if target < acc then st.sel.(k) else pick acc (k + 1)
+      let acc = acc +. st.ctrans.(st.ready.(k)).c_frequency in
+      if target < acc then st.ready.(k) else pick acc (k + 1)
   in
   pick 0.0 0
 
@@ -413,10 +362,6 @@ let start_firing st (c : Kernel.compiled) =
   (* The fired transition's own enabling clock restarts. *)
   deactivate st c.c_id;
   let duration = c.c_firing () in
-  let duration =
-    Float.max 0.0
-      (st.hooks.hk_delay ~clock:st.clock ~kind:Firing_delay c.c_tr duration)
-  in
   if duration <= 0.0 then begin
     emit_delta st Trace.Fire_start c.c_tr firing [] [];
     refresh_after st ~places:c.c_in_place ~env_changed:false;
@@ -437,9 +382,8 @@ type step_result =
   | Quiescent
 
 (* Earliest instant at which something can happen after the current one:
-   the next scheduled fire-end, the earliest pending enabling deadline
-   (the heap holds exactly the strictly-future ones), or a fault-window
-   boundary announced by the hooks.  O(1). *)
+   the next scheduled fire-end or the earliest pending enabling deadline
+   (the heap holds exactly the strictly-future ones).  O(1). *)
 let next_instant st =
   let best = ref infinity in
   let found = ref false in
@@ -448,11 +392,6 @@ let next_instant st =
     found := true;
     if t < !best then best := t
   | None -> ());
-  (match st.hooks.hk_wakeup ~clock:st.clock with
-  | Some t when t > st.clock ->
-    found := true;
-    if t < !best then best := t
-  | Some _ | None -> ());
   if not (Dheap.is_empty st.heap) then begin
     found := true;
     let d = Dheap.min_key st.heap in
@@ -469,16 +408,14 @@ let advance st t =
     ready_add st (Dheap.pop_min st.heap)
   done
 
-let fire_from_sel st m =
+let fire_ready st =
   if st.instant_firings >= st.max_instant_firings then
     sim_error (Livelock { clock = st.clock; firings = st.max_instant_firings });
   st.instant_firings <- st.instant_firings + 1;
-  let chosen = select_weighted st m in
-  start_firing st st.ctrans.(chosen)
+  start_firing st st.ctrans.(select_weighted st)
 
 let step st =
-  let m = collect_fireable st in
-  if m > 0 then Fired (fire_from_sel st m)
+  if st.ready_n > 0 then Fired (fire_ready st)
   else
     match Event_queue.peek_time st.queue with
     | Some time when Float.equal time st.clock ->
@@ -489,49 +426,29 @@ let step st =
       in
       complete_firing st st.ctrans.(pe.pe_transition) pe.pe_firing;
       Completed pe.pe_transition
-    | Some _ -> (
-      (* head strictly in the future: advance the clock, leaving the
-         entry in place *)
+    | _ -> (
+      (* nothing due now: advance the clock to the next instant, leaving
+         any queued entry in place; the heap holds only strictly-future
+         deadlines, so an empty ready set with nothing ahead is final *)
       match next_instant st with
       | Some t ->
         assert (t > st.clock);
         advance st t;
         Advanced t
-      | None -> assert false)
-    | None -> (
-      match next_instant st with
-      | Some t when t > st.clock ->
-        advance st t;
-        Advanced t
-      | Some _ ->
-        (* a deadline at the current instant with nothing fireable can
-           only be a vetoed transition; with no other activity and no
-           wakeup the net is stuck for good *)
-        Quiescent
       | None -> Quiescent)
 
-let fireable_transitions st = List.map (fun tr -> tr.Net.t_id) (fireable st)
+let fireable_transitions st = List.init st.ready_n (Array.get st.ready)
 
 let fire_transition st tid =
   let present =
     let rec mem k = k < st.ready_n && (st.ready.(k) = tid || mem (k + 1)) in
     mem 0
   in
-  if present && not (st.hooks.hk_veto ~clock:st.clock st.ctrans.(tid).c_tr)
-  then ignore (start_firing st st.ctrans.(tid) : Net.transition_id)
+  if present then ignore (start_firing st st.ctrans.(tid) : Net.transition_id)
   else
     invalid_arg
       (Printf.sprintf "Simulator.fire_transition: %s is not fireable now"
          (Net.transition st.net tid).Net.t_name)
-
-let perturb_tokens st p delta =
-  let have = Marking.get st.marking p in
-  let applied = if delta < 0 then -(min have (-delta)) else delta in
-  if applied <> 0 then begin
-    Marking.add st.marking p applied;
-    refresh_after st ~places:[| p |] ~env_changed:false
-  end;
-  applied
 
 type stop_reason =
   | Horizon
@@ -600,9 +517,8 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
       else stop_budget (Pnut_exec.Supervisor.Events st.started)
     end
     else begin
-      let m = collect_fireable st in
-      if m > 0 then begin
-        ignore (fire_from_sel st m : Net.transition_id);
+      if st.ready_n > 0 then begin
+        ignore (fire_ready st : Net.transition_id);
         loop ()
       end
       else
@@ -675,7 +591,6 @@ type block_reason =
   | Inhibited of { place : string; have : int; limit : int }
   | Predicate_false of string
   | Awaiting_enabling of { ready_at : float }
-  | Vetoed_by_fault
 
 type transition_diagnosis = {
   td_name : string;
@@ -723,11 +638,8 @@ let diagnose st =
     in
     let timing_blocks =
       if token_blocks <> [] || predicate_blocks <> [] then []
-      else if st.active.(tr.Net.t_id) then
-        if st.deadline.(tr.Net.t_id) > st.clock then
-          [ Awaiting_enabling { ready_at = st.deadline.(tr.Net.t_id) } ]
-        else if st.hooks.hk_veto ~clock:st.clock tr then [ Vetoed_by_fault ]
-        else []
+      else if st.active.(tr.Net.t_id) && st.deadline.(tr.Net.t_id) > st.clock
+      then [ Awaiting_enabling { ready_at = st.deadline.(tr.Net.t_id) } ]
       else []
     in
     { td_name = tr.Net.t_name;
@@ -756,7 +668,6 @@ let pp_reason ppf = function
   | Predicate_false p -> Format.fprintf ppf "predicate is false: %s" p
   | Awaiting_enabling { ready_at } ->
     Format.fprintf ppf "enabled, fireable at t=%g" ready_at
-  | Vetoed_by_fault -> Format.fprintf ppf "vetoed by an injected fault"
 
 let pp_diagnosis ppf d =
   Format.fprintf ppf "@[<v>deadlock diagnosis at t=%g (last event at t=%g)@,"
@@ -813,7 +724,7 @@ let checkpoint st =
   }
 
 let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
-    ?(check_capacities = false) ?(hooks = no_hooks) net ck =
+    ?(check_capacities = false) net ck =
   let restore_error fmt =
     Printf.ksprintf (fun s -> sim_error (Restore_error s)) fmt
   in
@@ -851,7 +762,7 @@ let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
     ck.Checkpoint.ck_pending;
   let st =
     make ~prng:(Prng.of_state ck.Checkpoint.ck_prng) ~sink
-      ~max_instant_firings ~check_capacities ~hooks ~marking ~env
+      ~max_instant_firings ~check_capacities ~marking ~env
       ~clock:ck.Checkpoint.ck_clock ~queue net
   in
   st.next_firing_id <- ck.Checkpoint.ck_next_firing_id;

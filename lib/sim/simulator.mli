@@ -51,8 +51,6 @@ type error =
     }
   | Action_error of { transition : string; clock : float; message : string }
       (** a transition action failed (unbound table, index out of bounds) *)
-  | Fault_error of string
-      (** a fault specification refers to unknown names or is malformed *)
   | Restore_error of string
       (** a checkpoint does not match the net it is restored into *)
 
@@ -61,42 +59,12 @@ exception Sim_error of error
 val error_message : error -> string
 (** One-line human-readable rendering of an {!error}. *)
 
-(** {2 Fault-injection hooks}
-
-    Hooks let an external layer (see [Pnut_fault]) perturb a running
-    simulation without the engine knowing about fault specs: vetoing
-    firings (a stuck stage), rescaling sampled delays (memory jitter),
-    and announcing future instants at which a veto may lapse so the
-    clock advances across fault windows instead of declaring the net
-    dead. *)
-
-type delay_kind = Enabling_delay | Firing_delay
-
-type hooks = {
-  hk_veto : clock:float -> Pnut_core.Net.transition -> bool;
-      (** [true] forbids the transition from starting a firing now;
-          its enabling clock keeps running. *)
-  hk_delay :
-    clock:float -> kind:delay_kind -> Pnut_core.Net.transition ->
-    float -> float;
-      (** Transforms a freshly sampled delay; the result is clamped to
-          be non-negative. *)
-  hk_wakeup : clock:float -> float option;
-      (** Earliest future instant at which a veto verdict may change
-          (e.g. a fault window boundary); [None] when no such instant
-          exists.  Ignored unless strictly greater than [clock]. *)
-}
-
-val no_hooks : hooks
-(** Identity hooks: never veto, never rescale, never wake. *)
-
 val create :
   ?seed:int ->
   ?prng:Pnut_core.Prng.t ->
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
   ?check_capacities:bool ->
-  ?hooks:hooks ->
   Pnut_core.Net.t -> t
 (** Builds the initial state and emits the trace header to [sink].
     [prng] overrides [seed] (default seed 1).  With [check_capacities]
@@ -121,20 +89,6 @@ val in_flight : t -> int array
 
 val events_started : t -> int
 val events_finished : t -> int
-
-val last_activity : t -> float
-(** Clock value of the most recent firing start or completion (the
-    initial clock if nothing fired yet).  After a [Dead] outcome this is
-    when the net actually died, even though the final clock was
-    fast-forwarded to the horizon. *)
-
-val perturb_tokens : t -> Pnut_core.Net.place_id -> int -> int
-(** [perturb_tokens st p delta] force-adds [delta] tokens to place [p]
-    (negative to drop), clamping at zero, and re-evaluates the
-    enabledness of the transitions reading [p].  Returns the delta
-    actually applied.  This is the fault-injection primitive behind
-    [Drop_tokens]/[Spurious_tokens]; the change happens outside any
-    transition so it is {e not} visible as a trace delta. *)
 
 (** One micro-step of the engine. *)
 type step_result =
@@ -194,7 +148,7 @@ val run :
     [finish] (default [true]) controls whether [on_finish] is emitted
     when this call stops at its horizon; pass [false] to pause a run
     that will be continued with a later horizon (segmented runs,
-    fault-pulse injection, checkpointing). *)
+    checkpointing). *)
 
 val run_supervised :
   ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
@@ -224,8 +178,8 @@ val trace :
 (** {2 Deadlock diagnosis}
 
     When a run ends [Dead], the quiescence has a concrete, explainable
-    cause: every transition is blocked by specific places, inhibitors,
-    predicates or fault vetoes.  [diagnose] computes that explanation
+    cause: every transition is blocked by specific places, inhibitors
+    or predicates.  [diagnose] computes that explanation
     from the current state. *)
 
 type block_reason =
@@ -234,7 +188,6 @@ type block_reason =
   | Predicate_false of string  (** the predicate in concrete syntax *)
   | Awaiting_enabling of { ready_at : float }
       (** enabled but its enabling delay has not elapsed *)
-  | Vetoed_by_fault
 
 type transition_diagnosis = {
   td_name : string;
@@ -245,6 +198,10 @@ type transition_diagnosis = {
 type diagnosis = {
   dg_clock : float;
   dg_last_activity : float;
+      (** clock of the most recent firing start or completion (the
+          initial clock if nothing fired yet): when the net actually
+          died, even though a [Dead] run fast-forwards the clock to
+          the horizon *)
   dg_marking : (string * int) list;  (** places with a nonzero count *)
   dg_transitions : transition_diagnosis list;
 }
@@ -267,7 +224,6 @@ val restore :
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
   ?check_capacities:bool ->
-  ?hooks:hooks ->
   Pnut_core.Net.t -> Checkpoint.t -> t
 (** Rebuilds a simulator mid-flight from a checkpoint taken on the same
     net.  Continuing the restored state produces exactly the same event

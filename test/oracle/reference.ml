@@ -16,8 +16,8 @@
    every time the clock advanced; both engines now complete
    simultaneous events in firing-start order.
 
-   Types are re-exported from [Simulator], so errors, hooks, outcomes
-   and diagnoses interoperate. *)
+   Types are re-exported from [Simulator], so errors, outcomes and
+   diagnoses interoperate. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -39,20 +39,9 @@ type error = Simulator.error =
       clock : float;
     }
   | Action_error of { transition : string; clock : float; message : string }
-  | Fault_error of string
   | Restore_error of string
 
 let sim_error e = raise (Simulator.Sim_error e)
-
-type delay_kind = Simulator.delay_kind = Enabling_delay | Firing_delay
-
-type hooks = Simulator.hooks = {
-  hk_veto : clock:float -> Net.transition -> bool;
-  hk_delay : clock:float -> kind:delay_kind -> Net.transition -> float -> float;
-  hk_wakeup : clock:float -> float option;
-}
-
-let no_hooks = Simulator.no_hooks
 
 type pending = {
   pe_transition : Net.transition_id;
@@ -65,7 +54,6 @@ type t = {
   sink : Trace.sink;
   max_instant_firings : int;
   check_capacities : bool;
-  hooks : hooks;
   marking : Marking.t;
   env : Env.t;
   mutable clock : float;
@@ -110,10 +98,6 @@ let refresh_one st tr =
   | None, false -> ()
   | None, true ->
     let d = Net.sample_duration ~prng:st.prng st.env tr.Net.t_enabling in
-    let d =
-      Float.max 0.0
-        (st.hooks.hk_delay ~clock:st.clock ~kind:Enabling_delay tr d)
-    in
     st.deadline.(id) <- Some (st.clock +. d)
 
 let refresh_enabling st =
@@ -159,8 +143,7 @@ let build_predicated net =
          if tr.Net.t_predicate <> None then Some tr.Net.t_id else None)
 
 let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
-    ?(max_instant_firings = 10_000) ?(check_capacities = false)
-    ?(hooks = no_hooks) net =
+    ?(max_instant_firings = 10_000) ?(check_capacities = false) net =
   let prng = match prng with Some g -> g | None -> Prng.create seed in
   let st =
     {
@@ -169,7 +152,6 @@ let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
       sink;
       max_instant_firings;
       check_capacities;
-      hooks;
       marking = Net.initial_marking net;
       env = Net.initial_env net;
       clock = 0.0;
@@ -190,15 +172,13 @@ let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
   refresh_enabling st;
   st
 
-(* Transitions that are enabled, past their enabling deadline, and not
-   vetoed by an active fault. *)
+(* Transitions that are enabled and past their enabling deadline. *)
 let fireable st =
   let acc = ref [] in
   Array.iter
     (fun tr ->
       match st.deadline.(tr.Net.t_id) with
-      | Some d when d <= st.clock ->
-        if not (st.hooks.hk_veto ~clock:st.clock tr) then acc := tr :: !acc
+      | Some d when d <= st.clock -> acc := tr :: !acc
       | Some _ | None -> ())
     (Net.transitions st.net);
   List.rev !acc
@@ -316,10 +296,6 @@ let start_firing st tr =
   st.deadline.(tr.Net.t_id) <- None;
   let consumed_places = List.map (fun a -> a.Net.a_place) tr.Net.t_inputs in
   let duration = Net.sample_duration ~prng:st.prng st.env tr.Net.t_firing in
-  let duration =
-    Float.max 0.0
-      (st.hooks.hk_delay ~clock:st.clock ~kind:Firing_delay tr duration)
-  in
   if duration <= 0.0 then begin
     emit_delta st Trace.Fire_start tr firing [] [];
     refresh_after st ~places:consumed_places ~env_changed:false;
@@ -340,16 +316,13 @@ type step_result = Simulator.step_result =
   | Quiescent
 
 (* Earliest instant at which something can happen after the current one:
-   the next scheduled fire-end, the earliest pending enabling deadline,
-   or a fault-window boundary announced by the hooks. *)
+   the next scheduled fire-end or the earliest pending enabling
+   deadline. *)
 let next_instant st =
   let candidates = ref [] in
   (match Event_queue.peek_time st.queue with
   | Some t -> candidates := t :: !candidates
   | None -> ());
-  (match st.hooks.hk_wakeup ~clock:st.clock with
-  | Some t when t > st.clock -> candidates := t :: !candidates
-  | Some _ | None -> ());
   Array.iter
     (fun deadline ->
       match deadline with
@@ -397,12 +370,7 @@ let step st =
         st.clock <- t;
         st.instant_firings <- 0;
         Advanced t
-      | Some _ ->
-        (* a deadline at the current instant with nothing fireable can
-           only be a vetoed transition; with no other activity and no
-           wakeup the net is stuck for good *)
-        Quiescent
-      | None -> Quiescent))
+      | Some _ | None -> Quiescent))
 
 let fireable_transitions st = List.map (fun tr -> tr.Net.t_id) (fireable st)
 
@@ -414,15 +382,6 @@ let fire_transition st tid =
     invalid_arg
       (Printf.sprintf "Simulator.fire_transition: %s is not fireable now"
          (Net.transition st.net tid).Net.t_name)
-
-let perturb_tokens st p delta =
-  let have = Marking.get st.marking p in
-  let applied = if delta < 0 then -(min have (-delta)) else delta in
-  if applied <> 0 then begin
-    Marking.add st.marking p applied;
-    refresh_after st ~places:[ p ] ~env_changed:false
-  end;
-  applied
 
 type stop_reason = Simulator.stop_reason =
   | Horizon
@@ -547,7 +506,6 @@ type block_reason = Simulator.block_reason =
   | Inhibited of { place : string; have : int; limit : int }
   | Predicate_false of string
   | Awaiting_enabling of { ready_at : float }
-  | Vetoed_by_fault
 
 type transition_diagnosis = Simulator.transition_diagnosis = {
   td_name : string;
@@ -598,7 +556,6 @@ let diagnose st =
       else
         match st.deadline.(tr.Net.t_id) with
         | Some d when d > st.clock -> [ Awaiting_enabling { ready_at = d } ]
-        | Some _ when st.hooks.hk_veto ~clock:st.clock tr -> [ Vetoed_by_fault ]
         | Some _ | None -> []
     in
     { td_name = tr.Net.t_name;
@@ -650,7 +607,7 @@ let checkpoint st =
   }
 
 let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
-    ?(check_capacities = false) ?(hooks = no_hooks) net ck =
+    ?(check_capacities = false) net ck =
   let restore_error fmt =
     Printf.ksprintf (fun s -> sim_error (Restore_error s)) fmt
   in
@@ -699,7 +656,6 @@ let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
       sink;
       max_instant_firings;
       check_capacities;
-      hooks;
       marking;
       env;
       clock = ck.Checkpoint.ck_clock;

@@ -22,7 +22,6 @@ val create :
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
   ?check_capacities:bool ->
-  ?hooks:Pnut_sim.Simulator.hooks ->
   Pnut_core.Net.t -> t
 
 val net : t -> Pnut_core.Net.t
@@ -34,8 +33,6 @@ val in_flight : t -> int array
 val events_started : t -> int
 val events_finished : t -> int
 val last_activity : t -> float
-
-val perturb_tokens : t -> Pnut_core.Net.place_id -> int -> int
 
 val step : t -> Pnut_sim.Simulator.step_result
 
@@ -68,5 +65,4 @@ val restore :
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
   ?check_capacities:bool ->
-  ?hooks:Pnut_sim.Simulator.hooks ->
   Pnut_core.Net.t -> Pnut_sim.Checkpoint.t -> t

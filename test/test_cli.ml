@@ -295,7 +295,8 @@ let test_removed_flags () =
       Alcotest.(check int) (String.concat " " args ^ " exits 124") 124 code)
     [ [ "reach"; model_file; "--packed"; "on" ];
       [ "reach"; model_file; "--timed"; "--explicit" ];
-      [ "sim"; model_file; "--engine"; "fast" ] ];
+      [ "sim"; model_file; "--engine"; "fast" ];
+      [ "faults"; model_file ] ];
   let help cmd = check_run (cmd ^ " help") [ cmd; "--help=plain" ] in
   let reach = help "reach" and sim = help "sim" in
   List.iter
@@ -578,51 +579,6 @@ let test_cycle () =
   Testutil.check_contains "walker livelock" out
     "zero-time livelock: time stops at 0"
 
-let test_faults_campaign () =
-  let out =
-    check_run "faults"
-      [ "faults"; model_file; "--fault"; "delay-scale End_prefetch factor 3";
-        "--runs"; "2"; "--until"; "1000"; "--observe"; "Decode"; "--seed"; "7" ]
-  in
-  Testutil.check_contains "banner" out "FAULT CAMPAIGN";
-  Testutil.check_contains "spec echoed" out "delay-scale End_prefetch factor 3";
-  Testutil.check_contains "summary row" out "mean";
-  let csv =
-    check_run "faults csv"
-      [ "faults"; model_file; "--fault"; "delay-scale End_prefetch factor 3";
-        "--runs"; "2"; "--until"; "1000"; "--observe"; "Decode"; "--seed"; "7";
-        "--csv" ]
-  in
-  Testutil.check_contains "csv header" csv
-    "run,baseline_throughput,faulty_throughput"
-
-let test_faults_deadlock_exit () =
-  (* a decoder stuck forever fills the instruction buffers and starves
-     the whole pipeline: the campaign must report the deadlock and
-     exit 1 *)
-  let spec = tmp "stuck.faults" in
-  let oc = open_out spec in
-  output_string oc "# decoder dies outright\nstuck Decode\n";
-  close_out oc;
-  let code, out =
-    run
-      [ "faults"; model_file; "--spec"; spec; "--runs"; "1"; "--until"; "500";
-        "--observe"; "Decode"; "--explain-deadlock" ]
-  in
-  Alcotest.(check int) "deadlock exit code" 1 code;
-  Testutil.check_contains "outcome" out "deadlocked";
-  Testutil.check_contains "diagnosis printed" out "deadlock diagnosis";
-  Testutil.check_contains "diagnosis names the veto" out
-    "vetoed by an injected fault"
-
-let test_faults_bad_spec () =
-  let code, _ = run [ "faults"; model_file; "--fault"; "teleport X" ] in
-  Alcotest.(check int) "spec error exit code" 2 code;
-  let code, _ = run [ "faults"; model_file; "--fault"; "stuck Warp_drive" ] in
-  Alcotest.(check int) "unknown name exit code" 2 code;
-  let code, _ = run [ "faults"; model_file ] in
-  Alcotest.(check int) "no faults exit code" 2 code
-
 let test_sim_checkpoint_resume () =
   (* an interrupted-and-resumed run must replay exactly what the
      uninterrupted run would have done *)
@@ -776,9 +732,6 @@ let () =
           Alcotest.test_case "explore" `Quick test_explore;
           Alcotest.test_case "batch" `Quick test_batch;
           Alcotest.test_case "cycle" `Quick test_cycle;
-          Alcotest.test_case "faults" `Quick test_faults_campaign;
-          Alcotest.test_case "faults deadlock" `Quick test_faults_deadlock_exit;
-          Alcotest.test_case "faults bad spec" `Quick test_faults_bad_spec;
           Alcotest.test_case "sim checkpoint" `Quick test_sim_checkpoint_resume;
           Alcotest.test_case "sim explain deadlock" `Quick
             test_sim_explain_deadlock;

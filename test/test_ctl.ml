@@ -50,10 +50,7 @@ let test_ef_af () =
   Alcotest.(check bool) "EF right" true (Ctl.check g (Ctl.EF (atom "right == 1")));
   (* the left loop can avoid 'right' forever *)
   Alcotest.(check bool) "AF right fails" false
-    (Ctl.check g (Ctl.AF (atom "right == 1")));
-  (* inev is AF *)
-  Alcotest.(check bool) "inev = AF" false
-    (Ctl.check g (Ctl.inev (atom "right == 1")))
+    (Ctl.check g (Ctl.AF (atom "right == 1")))
 
 let test_eg_ag () =
   let g = fork_graph () in
@@ -137,7 +134,7 @@ let test_pipeline_properties () =
      is inevitably freed *)
   Alcotest.(check bool) "AG (busy -> inev free)" true
     (check
-       (Ctl.AG (Ctl.Implies (atom "Bus_busy == 1", Ctl.inev (atom "Bus_free == 1")))))
+       (Ctl.AG (Ctl.Implies (atom "Bus_busy == 1", Ctl.AF (atom "Bus_free == 1")))))
 
 let () =
   Alcotest.run "ctl"

@@ -189,6 +189,37 @@ let test_pipeline_t_invariant_reproduces_marking () =
         m)
     invs
 
+(* The pipeline with its 20 place declarations rotated by 10: the
+   T-invariant elimination runs over places, and in that order its
+   tableau explodes.  The row limit must trip before any combination is
+   built — checked only afterwards, the product exhausted memory first.
+   The P-invariants eliminate over transitions, whose order is
+   unchanged, and still complete. *)
+let test_farkas_row_limit () =
+  let pipeline = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let text = Format.asprintf "%a" Net.pp pipeline in
+  let lines = String.split_on_char '\n' text in
+  let is_place l = String.starts_with ~prefix:"place " l in
+  let places = List.filter is_place lines in
+  let rest = List.filter (fun l -> not (is_place l)) lines in
+  let rotated =
+    List.filteri (fun i _ -> i >= 10) places
+    @ List.filteri (fun i _ -> i < 10) places
+  in
+  let net =
+    Pnut_lang.Parser.parse_net
+      (String.concat "\n" ((List.hd rest :: rotated) @ List.tl rest))
+  in
+  let c = Incidence.of_net net in
+  let limit =
+    Invalid_argument "Incidence: invariant computation exceeded row limit"
+  in
+  Alcotest.(check int) "p_invariants complete"
+    (List.length (Incidence.p_invariants (Incidence.of_net pipeline)))
+    (List.length (Incidence.p_invariants c));
+  Alcotest.check_raises "t_invariants" limit (fun () ->
+      ignore (Incidence.t_invariants c))
+
 let test_place_bounds () =
   (* bus: the one-hot invariant bounds both places at the invariant
      total; pump: q has no invariant cover and no capacity — unknown *)
@@ -404,6 +435,7 @@ let () =
           Alcotest.test_case "pipeline T-invariants" `Quick
             test_pipeline_t_invariant_reproduces_marking;
           Alcotest.test_case "place bounds" `Quick test_place_bounds;
+          Alcotest.test_case "farkas row limit" `Quick test_farkas_row_limit;
           Alcotest.test_case "vector rendering" `Quick test_pp_vector;
         ] );
       ( "relations",

@@ -12,7 +12,6 @@ module Timed = Pnut_reach.Timed
 module Boxed = Pnut_oracle.Boxed_graph
 module Stat = Pnut_stat.Stat
 module Replication = Pnut_stat.Replication
-module Campaign = Pnut_fault.Campaign
 
 let pipeline () = Pnut_pipeline.Model.full Pnut_pipeline.Config.default
 
@@ -118,22 +117,6 @@ let test_replicate_parity () =
         (estimate jobs = serial))
     [ 2; 4 ]
 
-let test_campaign_parity () =
-  let net = pipeline () in
-  let specs =
-    Pnut_fault.Fault.parse "stuck End_prefetch from 50 until 150"
-  in
-  let report jobs =
-    Campaign.render (Campaign.run ~seed:3 ~runs:4 ~until:500.0 ~jobs net specs)
-  in
-  let serial = report 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d report identical" jobs)
-        serial (report jobs))
-    [ 2; 4 ]
-
 let () =
   Alcotest.run "parallel-determinism"
     [
@@ -147,6 +130,5 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "replicate parity" `Slow test_replicate_parity;
-          Alcotest.test_case "campaign parity" `Slow test_campaign_parity;
         ] );
     ]

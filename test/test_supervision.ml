@@ -339,7 +339,7 @@ let test_gspn_budget () =
     Testutil.check_contains "message names the cap"
       (Pnut_analytic.Gspn.rejection_message r) "max_states"
 
-(* -- Replication and campaigns -- *)
+(* -- Replication -- *)
 
 let test_replication_budget () =
   let net = exp_pump_net () in
@@ -367,40 +367,6 @@ let test_replication_budget () =
       (p.Pnut_stat.Replication.pr_estimate = Some plain)
   | Supervisor.Degraded _ -> Alcotest.fail "generous budget should not trip"
 
-let test_campaign_budget () =
-  let net = exp_pump_net () in
-  let specs = Pnut_fault.Fault.parse "delay-scale pump factor 2" in
-  (match
-     Pnut_fault.Campaign.run_supervised ~runs:2 ~until:1e12
-       ~budget:(wall_50ms ()) net specs
-   with
-  | Supervisor.Degraded { reason; partial; _ } ->
-    Alcotest.(check bool) "wall reason" true (is_wall reason);
-    Alcotest.(check bool) "some run exhausted" true
-      (List.exists
-         (fun r ->
-           match r.Pnut_fault.Campaign.rr_class with
-           | Pnut_fault.Campaign.Exhausted _ -> true
-           | _ -> false)
-         (partial.Pnut_fault.Campaign.cr_baseline
-         @ partial.Pnut_fault.Campaign.cr_faulty));
-    (* the report still renders *)
-    Testutil.check_contains "render" (Pnut_fault.Campaign.render partial) "run"
-  | Supervisor.Complete _ -> Alcotest.fail "cannot complete until t=1e12");
-  (* generous budget reproduces the unbudgeted report *)
-  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
-  let specs = Pnut_fault.Fault.parse "delay-scale Decode factor 3" in
-  let plain = Pnut_fault.Campaign.run ~runs:2 ~until:2000.0 net specs in
-  match
-    Pnut_fault.Campaign.run_supervised ~runs:2 ~until:2000.0
-      ~budget:(generous ()) net specs
-  with
-  | Supervisor.Complete report ->
-    Alcotest.(check string) "identical report"
-      (Pnut_fault.Campaign.render_csv plain)
-      (Pnut_fault.Campaign.render_csv report)
-  | Supervisor.Degraded _ -> Alcotest.fail "generous budget should not trip"
-
 let () =
   Alcotest.run "supervision"
     [
@@ -426,6 +392,5 @@ let () =
           Alcotest.test_case "gspn budget" `Quick test_gspn_budget;
           Alcotest.test_case "replication budget" `Quick
             test_replication_budget;
-          Alcotest.test_case "campaign budget" `Quick test_campaign_budget;
         ] );
     ]
