@@ -706,11 +706,6 @@ let replicate =
     let rep jobs = Pnut_stat.Replication.replicate ~seed:7 ~jobs ~runs ~until net read in
     let sweep = List.map (fun jobs -> (jobs, wall (fun () -> rep jobs))) [ 1; 2; 4 ] in
     let _, (e1, serial_s) = List.hd sweep in
-    (* Parked worker domains join every stop-the-world minor GC, which
-       taxes the serial allocation-heavy measurements that follow — ~2x
-       on a single-core box.  Retire the pool after the replication
-       sweep so the serial sections measure a serial process. *)
-    Pnut_exec.Pool.quiesce ();
     let row (jobs, (_, s)) =
       let speedup = if s > 0.0 then serial_s /. s else 0.0 in
       Obj

@@ -373,7 +373,7 @@ let sim_cmd =
             if runs = 1 then Pnut_core.Prng.create seed
             else Pnut_core.Prng.split master
           in
-          Pnut_sim.Simulator.create ~prng ~sink net
+          or_die (fun () -> Pnut_sim.Simulator.create ~prng ~sink net)
       in
       match Pnut_sim.Simulator.run ?until ?max_events ?budget st with
       | outcome ->
@@ -408,6 +408,7 @@ let sim_cmd =
         Printf.eprintf "run %d aborted: %s\n" run_number
           (Pnut_sim.Simulator.error_message e);
         aborted := true
+      | exception Invalid_argument msg -> die "%s" msg
     done;
     Option.iter close_trace_out trace_chan;
     if !aborted then exit 1;
@@ -918,26 +919,21 @@ let replicate_cmd =
     let net = load_net path in
     if place = [] && transition = [] then
       die "nothing to estimate: pass --place and/or --throughput";
-    let degraded = ref false in
+    (* One sweep per command: every estimate reads the same reports. *)
+    let outcome =
+      or_die (fun () ->
+          Pnut_stat.Replication.sweep ~seed ~jobs ?budget ~runs ~until net)
+    in
+    let reports = Pnut_exec.Supervisor.value outcome in
     let estimate what read =
-      match
-        Pnut_stat.Replication.replicate_supervised ~seed ~confidence ~jobs
-          ?budget ~runs ~until net read
-      with
-      | outcome ->
-        let p = Pnut_exec.Supervisor.value outcome in
-        (match p.Pnut_stat.Replication.pr_estimate with
-        | Some e -> Format.printf "%-40s %a@." what Pnut_stat.Replication.pp e
-        | None ->
-          Format.printf "%-40s (no estimate: %d of %d replications done)@."
-            what p.Pnut_stat.Replication.pr_completed
-            p.Pnut_stat.Replication.pr_requested);
-        (match outcome with
-        | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-          degraded := true;
-          report_degraded what reason progress
-        | Pnut_exec.Supervisor.Complete _ -> ())
+      match Pnut_stat.Replication.summarize ~confidence read reports with
+      | { pr_estimate = Some e; _ } ->
+        Format.printf "%-40s %a@." what Pnut_stat.Replication.pp e
+      | { pr_estimate = None; pr_completed; pr_requested; _ } ->
+        Format.printf "%-40s (no estimate: %d of %d replications done)@."
+          what pr_completed pr_requested
       | exception Not_found -> die "unknown place/transition in %s" what
+      | exception Invalid_argument msg -> die "%s" msg
     in
     List.iter
       (fun p ->
@@ -947,7 +943,7 @@ let replicate_cmd =
       (fun t ->
         estimate (t ^ " throughput") (fun r -> Pnut_stat.Stat.throughput r t))
       transition;
-    if !degraded then exit exit_degraded
+    exit_if_degraded "replicate" outcome
   in
   Cmd.v (Cmd.info "replicate" ~doc)
     Term.(const run $ net_arg $ seed_arg $ runs $ until $ place $ transition
@@ -1026,7 +1022,7 @@ let explore_cmd =
   let doc = "Interactive state-space exploration of a model." in
   let run path seed =
     let net = load_net path in
-    Pnut_sim.Explorer.run ~seed net stdin stdout
+    or_die (fun () -> Pnut_sim.Explorer.run ~seed net stdin stdout)
   in
   Cmd.v (Cmd.info "explore" ~doc) Term.(const run $ net_arg $ seed_arg)
 

@@ -5,16 +5,18 @@
    explicit oracle agree to the letter on what is accepted and on the
    error text for what is not. *)
 
-let det ~who env = function
-  | Net.Zero -> 0.0
-  | Net.Const d -> d
-  | Net.Uniform (lo, hi) when Float.equal lo hi -> lo
-  | Net.Choice ((v, _) :: rest)
-    when List.for_all (fun (v', _) -> Float.equal v v') rest ->
-    v
-  | Net.Dynamic e when Expr.is_deterministic e -> Expr.eval_float env e
-  | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ ->
-    invalid_arg (who ^ ": stochastic duration in a timed reachability net")
+let det ~who env d =
+  Net.check_delay who
+    (match d with
+    | Net.Zero -> 0.0
+    | Net.Const d -> d
+    | Net.Uniform (lo, hi) when Float.equal lo hi -> lo
+    | Net.Choice ((v, _) :: rest)
+      when List.for_all (fun (v', _) -> Float.equal v v') rest ->
+      v
+    | Net.Dynamic e when Expr.is_deterministic e -> Expr.eval_float env e
+    | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ ->
+      invalid_arg (who () ^ ": stochastic duration in a timed reachability net"))
 
 let deterministic = function
   | Net.Zero | Net.Const _ -> true

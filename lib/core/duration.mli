@@ -6,12 +6,12 @@
     builder accepts exactly the same nets and rejects the rest with
     identical error text. *)
 
-val det : who:string -> Env.t -> Net.duration -> float
+val det : who:(unit -> string) -> Env.t -> Net.duration -> float
 (** Resolve a duration to its unique value in [env]: [Zero], [Const],
     degenerate [Uniform]/[Choice], and deterministic [Dynamic]
-    expressions.  Raises [Invalid_argument] ("[who]: stochastic
-    duration in a timed reachability net") on genuinely random
-    kinds. *)
+    expressions.  Raises [Invalid_argument] ("[who ()]: stochastic
+    duration in a timed reachability net") on genuinely random kinds,
+    and {!Net.check_delay}'s error on a negative or NaN value. *)
 
 val stochastic_logic : Net.transition -> string option
 (** [Some "predicate"] or [Some "action"] when the transition's

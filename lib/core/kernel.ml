@@ -243,8 +243,12 @@ let compile_one ?prng env c =
     c_out_place = c.s_out_place;
     c_out_weight = c.s_out_weight;
     c_pred = Option.map (Expr.compile_bool env) tr.Net.t_predicate;
-    c_enabling = Net.compile_duration ?prng env tr.Net.t_enabling;
-    c_firing = Net.compile_duration ?prng env tr.Net.t_firing;
+    c_enabling =
+      Net.compile_duration ?prng env tr.Net.t_enabling ~who:(fun () ->
+          "enabling time of transition " ^ tr.Net.t_name);
+    c_firing =
+      Net.compile_duration ?prng env tr.Net.t_firing ~who:(fun () ->
+          "firing time of transition " ^ tr.Net.t_name);
     c_action =
       Array.of_list (List.map (compile_stmt ?prng env) tr.Net.t_action);
     c_has_action = c.s_has_action;

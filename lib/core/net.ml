@@ -107,6 +107,15 @@ let produce _net marking t =
     (fun { a_place; a_weight } -> Marking.add marking a_place a_weight)
     t.t_outputs
 
+(* The one delay check of every engine: [not (d >= 0.0)] rejects NaN
+   too, which [d < 0.0] lets through. *)
+let check_delay who d =
+  if not (d >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "%s: %s delay" (who ())
+         (if Float.is_nan d then "NaN" else "negative"));
+  d
+
 let sample_duration ?prng env dur =
   let need_prng what =
     match prng with
@@ -115,9 +124,7 @@ let sample_duration ?prng env dur =
       invalid_arg
         (Printf.sprintf "Net.sample_duration: %s requires a random stream" what)
   in
-  let check d =
-    if d < 0.0 then invalid_arg "Net.sample_duration: negative delay" else d
-  in
+  let check d = check_delay (fun () -> "Net.sample_duration") d in
   match dur with
   | Zero -> 0.0
   | Const d -> check d
@@ -131,16 +138,14 @@ let sample_duration ?prng env dur =
 (* Compiled counterpart of [sample_duration]: distribution parameters,
    the random stream and (for [Dynamic]) the compiled expression are
    resolved once, so sampling in the simulator's hot loop is a single
-   closure call.  Draw order, results and error messages are identical
-   to [sample_duration] on the same stream. *)
-let compile_duration ?prng env dur =
+   closure call.  Draw order and results are identical to
+   [sample_duration] on the same stream; [who] names the delay. *)
+let compile_duration ?prng ~who env dur =
   let no_prng what () =
     invalid_arg
       (Printf.sprintf "Net.sample_duration: %s requires a random stream" what)
   in
-  let check d =
-    if d < 0.0 then invalid_arg "Net.sample_duration: negative delay" else d
-  in
+  let check d = check_delay who d in
   match dur with
   | Zero -> fun () -> 0.0
   | Const d -> fun () -> check d

@@ -87,17 +87,22 @@ val consume : t -> Marking.t -> transition -> unit
 val produce : t -> Marking.t -> transition -> unit
 (** Deposits the output tokens of one firing. *)
 
+val check_delay : (unit -> string) -> float -> float
+(** [check_delay who d] is [d] when [d >= 0]; a negative or NaN delay
+    raises [Invalid_argument] ("[who ()]: negative delay" or
+    "[who ()]: NaN delay").  Every engine checks its delays here. *)
+
 val sample_duration : ?prng:Prng.t -> Env.t -> duration -> float
 (** Samples a delay.  Stochastic durations require [prng].  The result is
-    always >= 0; a negative sampled value raises [Invalid_argument]. *)
+    checked by {!check_delay}, named ["Net.sample_duration"]. *)
 
 val compile_duration :
-  ?prng:Prng.t -> Env.t -> duration -> (unit -> float)
+  ?prng:Prng.t -> who:(unit -> string) -> Env.t -> duration -> (unit -> float)
 (** Compiled counterpart of {!sample_duration}: resolves the
     distribution, the random stream and (for [Dynamic]) the compiled
     expression once; each call of the returned closure draws one sample
-    with the same results, draw order and errors as
-    {!sample_duration} on the same stream. *)
+    with the same results and draw order as {!sample_duration} on the
+    same stream.  [who] names the delay in {!check_delay}'s error. *)
 
 val duration_is_deterministic : duration -> bool
 

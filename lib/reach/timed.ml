@@ -143,7 +143,14 @@ let domain_arrays g = (g.sup_off, g.sup, g.iv_lo, g.iv_hi)
 
 (* -- shared timed-semantics helpers (Razouk's two-phase rule) -- *)
 
-let det_duration env d = Duration.det ~who:"Reach.Timed" env d
+(* The firing time of [tr] if [firing], else its enabling time. *)
+let det_duration env (tr : Net.transition) ~firing =
+  Duration.det env
+    (if firing then tr.Net.t_firing else tr.Net.t_enabling)
+    ~who:(fun () ->
+      Printf.sprintf "Reach.Timed: %s time of transition %s"
+        (if firing then "firing" else "enabling")
+        tr.Net.t_name)
 
 (* -- exact residual vectors --
 
@@ -498,8 +505,8 @@ let pending_plan sp ~pending ~next env ~restart =
       (fun k t ->
         if keep.(k) >= 0 then 0.0
         else
-          det_duration env
-            (Kernel.transition sp.kernel t).Kernel.s_tr.Net.t_enabling)
+          det_duration env (Kernel.transition sp.kernel t).Kernel.s_tr
+            ~firing:false)
       next
   in
   (keep, fresh)
@@ -539,7 +546,7 @@ let make_step sp cl code =
     end
     else begin
       Kernel.consume c m';
-      let d = det_duration env c.Kernel.s_tr.Net.t_firing in
+      let d = det_duration env c.Kernel.s_tr ~firing:true in
       if Float.equal d 0.0 then begin
         Kernel.produce c m';
         ( cl.cl_flight, act (),
@@ -688,7 +695,7 @@ let initial_vector sp net =
   let n = Array.length pending in
   reserve sp (n + 1);
   List.iteri
-    (fun k c -> sp.dst.(k) <- det_duration env0 c.Kernel.s_tr.Net.t_enabling)
+    (fun k c -> sp.dst.(k) <- det_duration env0 c.Kernel.s_tr ~firing:false)
     enabled;
   let shift = normalize sp.dst ~nf:0 n in
   match find_class sp (Marking.to_array m0) env0 ~flight:[||] ~pending with

@@ -61,13 +61,12 @@ type partial_sweep = {
 module Budget = Pnut_exec.Budget
 module Supervisor = Pnut_exec.Supervisor
 
-let replicate_supervised ?(seed = 1) ?confidence ?jobs
-    ?(budget = Budget.none) ~runs ~until net read =
+let sweep ?(seed = 1) ?jobs ?(budget = Budget.none) ~runs ~until net =
   if runs < 2 then invalid_arg "Replication.replicate: need at least two runs";
   let monitor = Supervisor.start budget in
   let master = Pnut_core.Prng.create seed in
   (* Split every stream up front, in run order: [Prng.split] mutates the
-     master, so the streams — and hence the samples — are the same
+     master, so the streams — and hence the reports — are the same
      regardless of how the runs are later scheduled. *)
   let streams = Array.init runs (fun _ -> Pnut_core.Prng.split master) in
   let results =
@@ -80,38 +79,41 @@ let replicate_supervised ?(seed = 1) ?confidence ?jobs
         in
         match outcome.Pnut_sim.Simulator.stop with
         | Pnut_sim.Simulator.Budget_exhausted r -> Error r
-        | _ -> Ok (read (get ())))
+        | _ -> Ok (get ()))
   in
-  (* Completed samples keep their run-order position, so an estimate
-     over them is bit-identical to a smaller unbudgeted sweep over the
-     same prefix of streams. *)
-  let samples =
-    Array.to_list results
-    |> List.filter_map (function Ok s -> Some s | Error _ -> None)
+  let reports = Array.map Result.to_option results in
+  let completed =
+    Array.fold_left (fun k r -> if Option.is_some r then k + 1 else k) 0 reports
   in
-  let completed = List.length samples in
-  let estimate =
-    if completed >= 2 then Some (of_samples ?confidence samples) else None
-  in
-  let partial =
-    { pr_estimate = estimate; pr_samples = samples; pr_completed = completed;
-      pr_requested = runs }
-  in
-  let first_trip =
-    Array.to_list results
-    |> List.find_map (function Error r -> Some r | Ok _ -> None)
-  in
-  match first_trip with
-  | None -> Supervisor.Complete partial
+  match Array.find_map (function Error r -> Some r | Ok _ -> None) results with
+  | None -> Supervisor.Complete reports
   | Some reason ->
     Supervisor.Degraded
       {
         reason;
-        partial;
+        partial = reports;
         progress =
           Supervisor.snapshot monitor ~visited:completed
             ~frontier:(runs - completed);
       }
+
+(* Completed samples keep their run-order position, so an estimate over
+   them is bit-identical to a smaller unbudgeted sweep over the same
+   prefix of streams. *)
+let summarize ?confidence read reports =
+  let samples = Array.to_list reports |> List.filter_map (Option.map read) in
+  let completed = List.length samples in
+  {
+    pr_estimate =
+      (if completed >= 2 then Some (of_samples ?confidence samples) else None);
+    pr_samples = samples;
+    pr_completed = completed;
+    pr_requested = Array.length reports;
+  }
+
+let replicate_supervised ?seed ?confidence ?jobs ?budget ~runs ~until net read =
+  Supervisor.map (summarize ?confidence read)
+    (sweep ?seed ?jobs ?budget ~runs ~until net)
 
 let replicate ?seed ?confidence ?jobs ~runs ~until net read =
   match replicate_supervised ?seed ?confidence ?jobs ~runs ~until net read with

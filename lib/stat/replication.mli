@@ -50,6 +50,25 @@ type partial_sweep = {
   pr_requested : int;
 }
 
+val sweep :
+  ?seed:int ->
+  ?jobs:int ->
+  ?budget:Pnut_exec.Budget.t ->
+  runs:int ->
+  until:float ->
+  Pnut_core.Net.t -> Stat.report option array Pnut_exec.Supervisor.outcome
+(** The replications themselves, simulated once: slot [i] holds run
+    [i]'s statistics report, or [None] if the budget cut that run
+    short.  Read any number of estimates from it with {!summarize}.
+    The budget is the same as {!replicate_supervised}'s. *)
+
+val summarize :
+  ?confidence:float -> (Stat.report -> float) -> Stat.report option array ->
+  partial_sweep
+(** Apply [read] to every completed report, in run order, and
+    aggregate; the estimate is present when at least two runs
+    completed. *)
+
 val replicate_supervised :
   ?seed:int ->
   ?confidence:float ->

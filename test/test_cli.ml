@@ -440,6 +440,73 @@ let test_replicate () =
   Testutil.check_contains "place estimate" out "Bus_busy mean tokens";
   Testutil.check_contains "ci format" out "95% CI, 3 runs"
 
+let count_lines_with needle text =
+  List.length
+    (List.filter
+       (fun l -> Testutil.contains l needle)
+       (String.split_on_char '\n' text))
+
+let test_replicate_one_sweep () =
+  (* every estimate reads the same sweep, so a budget trips once *)
+  let code, out =
+    run
+      [ "replicate"; model_file; "--runs"; "2"; "--until"; "1e12"; "-j"; "1";
+        "--wall-limit"; "0.2"; "--place"; "Bus_busy"; "--throughput"; "Issue" ]
+  in
+  Alcotest.(check int) "budgeted replicate exits 3" 3 code;
+  Alcotest.(check int) "one line per estimate" 2 (count_lines_with "no estimate" out);
+  Alcotest.(check int) "one degraded line" 1
+    (count_lines_with "degraded" (read_file (tmp "err")));
+  List.iter
+    (fun (what, args) ->
+      let code, _ =
+        run ([ "replicate"; model_file; "--until"; "100"; "--throughput"; "Issue" ] @ args)
+      in
+      Alcotest.(check int) what 2 code)
+    [ ("one run is an input error", [ "--runs"; "1" ]);
+      ("unsupported confidence is an input error", [ "--confidence"; "0.5" ]) ];
+  if Domain.recommended_domain_count () < 64 then begin
+    let _ =
+      check_run "oversubscribed replicate"
+        [ "replicate"; model_file; "--runs"; "2"; "--until"; "100"; "-j";
+          "64"; "--place"; "Bus_busy"; "--throughput"; "Issue" ]
+    in
+    Alcotest.(check int) "one oversubscription warning" 1
+      (count_lines_with "warning" (read_file (tmp "err")))
+  end
+
+let test_bad_delays () =
+  (* a delay evaluating to NaN or below zero is an input error in every
+     engine, named in the message *)
+  List.iter
+    (fun (name, delay, verdict) ->
+      let model = tmp (name ^ ".pn") in
+      let oc = open_out model in
+      Printf.fprintf oc
+        "net %s\nvar x = 0.0\nplace p init 1\nplace q\ntransition t\n  \
+         in p\n  out q\n  firing expr(%s)\ntransition u\n  in q\n  \
+         out p\n  firing 1\n"
+        name delay;
+      close_out oc;
+      List.iter
+        (fun args ->
+          let what = String.concat " " (name :: args) in
+          let code, _ = run (List.hd args :: model :: List.tl args) in
+          Alcotest.(check int) (what ^ " exit code") 2 code;
+          Testutil.check_contains what (read_file (tmp "err"))
+            ("firing time of transition t: " ^ verdict ^ " delay"))
+        [ [ "sim"; "--max-events"; "100" ]; [ "sim"; "--until"; "10" ];
+          [ "reach"; "--timed" ]; [ "cycle" ] ];
+      let cmd =
+        Printf.sprintf "printf 'step\\nstep\\nquit\\n' | %s explore %s > %s 2>&1"
+          (Filename.quote pnut) (Filename.quote model)
+          (Filename.quote (tmp "err"))
+      in
+      Alcotest.(check int) (name ^ " explore exit code") 2 (Sys.command cmd);
+      Testutil.check_contains (name ^ " explore") (read_file (tmp "err"))
+        ("firing time of transition t: " ^ verdict ^ " delay"))
+    [ ("nan_delay", "x / x", "NaN"); ("neg_delay", "0 - 1", "negative") ]
+
 let test_coverability_cli () =
   (* write an unbounded inhibitor-free model by hand *)
   let pump = tmp "pump.pn" in
@@ -726,6 +793,9 @@ let () =
           Alcotest.test_case "dot" `Quick test_dot;
           Alcotest.test_case "dot budget" `Quick test_dot_budget;
           Alcotest.test_case "replicate" `Quick test_replicate;
+          Alcotest.test_case "replicate one sweep" `Quick
+            test_replicate_one_sweep;
+          Alcotest.test_case "bad delays" `Quick test_bad_delays;
           Alcotest.test_case "coverability" `Quick test_coverability_cli;
           Alcotest.test_case "budget degradation" `Quick
             test_budget_degradation;

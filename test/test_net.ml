@@ -186,7 +186,16 @@ let test_sample_duration_errors () =
     (fun () -> ignore (Net.sample_duration env (Net.Uniform (0.0, 1.0))));
   Alcotest.check_raises "negative const"
     (Invalid_argument "Net.sample_duration: negative delay") (fun () ->
-      ignore (Net.sample_duration env (Net.Const (-1.0))))
+      ignore (Net.sample_duration env (Net.Const (-1.0))));
+  Alcotest.check_raises "NaN const"
+    (Invalid_argument "Net.sample_duration: NaN delay") (fun () ->
+      ignore (Net.sample_duration env (Net.Const Float.nan)));
+  Alcotest.check_raises "NaN compiled"
+    (Invalid_argument "firing time of t: NaN delay") (fun () ->
+      ignore
+        (Net.compile_duration env (Net.Const Float.nan)
+           ~who:(fun () -> "firing time of t")
+           ()))
 
 let test_duration_classification () =
   Alcotest.(check bool) "const det" true (Net.duration_is_deterministic (Net.Const 1.0));

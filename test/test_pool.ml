@@ -77,32 +77,6 @@ let test_env_jobs_clamped () =
       Alcotest.(check int) "explicit override is honoured" 64
         (Pool.resolve ~jobs:64 ()))
 
-let test_oversubscription_latch () =
-  let c = cores () in
-  if c + 5 > 64 then
-    (* the 64-worker cap would mask oversubscription on this machine *)
-    Alcotest.(check bool) "skipped: too many cores to oversubscribe" true true
-  else begin
-    let warnings = ref [] in
-    Pool.set_warning_printer (fun m -> warnings := m :: !warnings);
-    Fun.protect
-      ~finally:(fun () ->
-        Pool.set_warning_printer (fun m -> Printf.eprintf "%s\n%!" m);
-        Pool.reset_oversubscription_latch ())
-      (fun () ->
-        Pool.reset_oversubscription_latch ();
-        ignore (Pool.resolve ~jobs:(c + 2) () : int);
-        Alcotest.(check int) "first oversubscribed resolve warns" 1
-          (List.length !warnings);
-        ignore (Pool.resolve ~jobs:(c + 2) () : int);
-        ignore (Pool.resolve ~jobs:(c + 1) () : int);
-        Alcotest.(check int) "repeating or shrinking stays quiet" 1
-          (List.length !warnings);
-        ignore (Pool.resolve ~jobs:(c + 5) () : int);
-        Alcotest.(check int) "a larger request warns again" 2
-          (List.length !warnings))
-  end
-
 (* Domain ids that ran the tasks of one [jobs]-wide batch.  Every task
    waits (up to 5 s) until a second domain has joined, so a batch always
    reaches a worker when one exists. *)
@@ -125,36 +99,18 @@ let batch_domains ~jobs =
       id)
   |> Array.to_list |> List.sort_uniq compare
 
-let test_persistent_domains () =
-  Pool.quiesce ();
-  let ids1 = batch_domains ~jobs:3 in
-  let ids2 = batch_domains ~jobs:3 in
-  if List.length ids1 < 2 then
-    Alcotest.(check bool) "skipped: no worker domain joined" true true
-  else
-    (* the pool is persistent: both batches run on the caller plus the
-       same two spawned workers, never on fresh domains *)
-    Alcotest.(check bool) "same domains reused across calls" true
-      (List.length (List.sort_uniq compare (ids1 @ ids2)) <= 3)
-
-let test_quiesce_respawns () =
+let test_fresh_domains () =
   let me = (Domain.self () :> int) in
   let workers ids = List.filter (fun id -> id <> me) ids in
-  Pool.quiesce ();
-  let w1 = workers (batch_domains ~jobs:2) in
-  Pool.quiesce ();
-  (* the next parallel call respawns the pool transparently *)
-  let w2 = workers (batch_domains ~jobs:2) in
+  let w1 = workers (batch_domains ~jobs:3) in
+  let w2 = workers (batch_domains ~jobs:3) in
   if w1 = [] || w2 = [] then
     Alcotest.(check bool) "skipped: no worker domain joined" true true
   else
-    (* domain ids are never reused within a process, so a retired
-       worker's replacement is observably a fresh domain *)
-    Alcotest.(check bool) "fresh worker domain after quiesce" true
-      (List.for_all (fun id -> not (List.mem id w1)) w2);
-  Pool.quiesce ();
-  (* quiescing an already-empty pool is a no-op *)
-  Pool.quiesce ()
+    (* workers are joined before [init] returns and domain ids are never
+       reused, so the second call runs on fresh domains *)
+    Alcotest.(check bool) "disjoint worker domains across calls" true
+      (List.for_all (fun id -> not (List.mem id w1)) w2)
 
 let () =
   Alcotest.run "pool"
@@ -171,14 +127,10 @@ let () =
             test_workers_really_cover_all_tasks;
           Alcotest.test_case "PNUT_JOBS clamped to cores" `Quick
             test_env_jobs_clamped;
-          Alcotest.test_case "oversubscription latch per count" `Quick
-            test_oversubscription_latch;
         ] );
       ( "workers",
         [
-          Alcotest.test_case "persistent domains reused" `Quick
-            test_persistent_domains;
-          Alcotest.test_case "quiesce retires and respawns" `Quick
-            test_quiesce_respawns;
+          Alcotest.test_case "fresh domains per call" `Quick
+            test_fresh_domains;
         ] );
     ]
