@@ -354,7 +354,8 @@ let sim_cmd =
         | Some _ | None -> []
       in
       let sink = Pnut_trace.Trace.tee sinks in
-      let st =
+      (* [create] scans enabledness: a failing predicate aborts there *)
+      let start () =
         match load_state with
         | Some file ->
           let ck =
@@ -373,10 +374,13 @@ let sim_cmd =
             if runs = 1 then Pnut_core.Prng.create seed
             else Pnut_core.Prng.split master
           in
-          or_die (fun () -> Pnut_sim.Simulator.create ~prng ~sink net)
+          Pnut_sim.Simulator.create ~prng ~sink net
       in
-      match Pnut_sim.Simulator.run ?until ?max_events ?budget st with
-      | outcome ->
+      match
+        let st = start () in
+        (st, Pnut_sim.Simulator.run ?until ?max_events ?budget st)
+      with
+      | st, outcome ->
         (match outcome.Pnut_sim.Simulator.stop with
         | Pnut_sim.Simulator.Budget_exhausted _ -> degraded := true
         | _ -> ());

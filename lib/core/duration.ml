@@ -14,7 +14,9 @@ let det ~who env d =
     | Net.Choice ((v, _) :: rest)
       when List.for_all (fun (v', _) -> Float.equal v v') rest ->
       v
-    | Net.Dynamic e when Expr.is_deterministic e -> Expr.eval_float env e
+    | Net.Dynamic e when Expr.is_deterministic e -> (
+      try Expr.eval_float env e
+      with Expr.Eval_error msg -> invalid_arg (who () ^ ": " ^ msg))
     | Net.Uniform _ | Net.Exponential _ | Net.Choice _ | Net.Dynamic _ ->
       invalid_arg (who () ^ ": stochastic duration in a timed reachability net"))
 

@@ -11,7 +11,8 @@ val det : who:(unit -> string) -> Env.t -> Net.duration -> float
     degenerate [Uniform]/[Choice], and deterministic [Dynamic]
     expressions.  Raises [Invalid_argument] ("[who ()]: stochastic
     duration in a timed reachability net") on genuinely random kinds,
-    and {!Net.check_delay}'s error on a negative or NaN value. *)
+    ("[who ()]: ...") on an expression that fails to evaluate, and
+    {!Net.check_delay}'s error on a negative or NaN value. *)
 
 val stochastic_logic : Net.transition -> string option
 (** [Some "predicate"] or [Some "action"] when the transition's

@@ -80,48 +80,14 @@ let tables env =
   Hashtbl.fold (fun k v acc -> (k, Array.copy v) :: acc) env.tbls []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let snapshot env =
-  let buf = Buffer.create 64 in
-  let add_var (k, v) =
-    Buffer.add_string buf k;
-    Buffer.add_char buf '=';
-    Buffer.add_string buf (Value.to_string v);
-    Buffer.add_char buf ';'
-  in
-  let add_table (k, arr) =
-    Buffer.add_string buf k;
-    Buffer.add_string buf "=[";
-    Array.iter
-      (fun v ->
-        Buffer.add_string buf (Value.to_string v);
-        Buffer.add_char buf ',')
-      arr;
-    Buffer.add_string buf "];"
-  in
-  List.iter add_var (bindings env);
-  List.iter add_table (tables env);
-  Buffer.contents buf
-
-(* Structural equality over the canonical (sorted) views.  The previous
-   snapshot-string comparison aliased distinct environments whose names
-   contain the separator characters — e.g. the single binding
-   ["a=1;b" = 2] against the pair [a = 1; b = 2]. *)
-
-let bindings_equal a b =
-  List.equal
-    (fun (ka, va) (kb, vb) -> String.equal ka kb && Value.equal va vb)
-    a b
-
-let tables_equal a b =
-  List.equal
-    (fun (ka, va) (kb, vb) ->
-      String.equal ka kb
-      && Array.length va = Array.length vb
-      && Array.for_all2 Value.equal va vb)
-    a b
-
+(* Structural equality over the canonical (sorted) views: names are
+   compared as strings, never rendered, so the single binding
+   ["a=1;b" = 2] and the pair [a = 1; b = 2] stay distinct. *)
 let equal a b =
-  bindings_equal (bindings a) (bindings b) && tables_equal (tables a) (tables b)
+  let entry eq (k, v) (k', v') = String.equal k k' && eq v v' in
+  let cells u v = Array.length u = Array.length v && Array.for_all2 Value.equal u v in
+  List.equal (entry Value.equal) (bindings a) (bindings b)
+  && List.equal (entry cells) (tables a) (tables b)
 
 let hash env =
   let h = ref 17 in

@@ -2,8 +2,8 @@
 
     The paper's Figure-4 model manipulates global model variables
     ([number-of-operands-needed]) and lookup tables ([operands\[type\]]).
-    An environment holds both.  Environments are mutable; [snapshot] and
-    [restore] support state-space exploration over interpreted nets. *)
+    An environment holds both.  Environments are mutable; state-space
+    exploration over interpreted nets keys states on {!hash}/{!equal}. *)
 
 type t
 
@@ -47,12 +47,6 @@ val bindings : t -> (string * Value.t) list
 
 val tables : t -> (string * Value.t array) list
 (** Current tables, sorted by name; arrays are copies. *)
-
-val snapshot : t -> string
-(** Human-readable serialization of the full environment state (trace
-    and debug output).  {b Not} injective — names containing [=], [;]
-    or [,] can make distinct environments render alike — so state-space
-    exploration keys on {!hash}/{!equal}, not on this string. *)
 
 val equal : t -> t -> bool
 (** Structural equality over sorted bindings and tables (values compared

@@ -140,11 +140,17 @@ let arcs_enabled m in_place in_weight inh_place inh_weight =
 let token_enabled c m =
   arcs_enabled m c.s_in_place c.s_in_weight c.s_inh_place c.s_inh_weight
 
-let enabled ?prng c m env =
+(* A predicate or action that fails to evaluate is an input error
+   naming its transition; token-only transitions never enter here. *)
+let guard what c f =
+  try f () with Expr.Eval_error m ->
+    invalid_arg (Printf.sprintf "%s of transition %s: %s" what c.s_tr.Net.t_name m)
+
+let enabled c m env =
   token_enabled c m
   && (match c.s_tr.Net.t_predicate with
      | None -> true
-     | Some p -> Expr.eval_bool ?prng env p)
+     | Some p -> guard "predicate" c (fun () -> Expr.eval_bool env p))
 
 let consume c m =
   for k = 0 to Array.length c.s_in_place - 1 do
@@ -161,11 +167,10 @@ let apply c m =
     Marking.add m c.s_delta_place.(k) c.s_delta_weight.(k)
   done
 
-let run_action env c = Expr.run_stmts env c.s_tr.Net.t_action
+let run_action env c =
+  guard "action" c (fun () -> Expr.run_stmts env c.s_tr.Net.t_action)
 
 (* -- the compiled instance view -- *)
-
-exception Action_failed of string
 
 type compiled = {
   c_tr : Net.transition;
@@ -188,9 +193,9 @@ type compiled = {
 }
 
 (* Compile one action statement.  Mirrors the interpreted runner: the
-   index and value are evaluated first (their errors — unbound names,
-   type errors — propagate as-is), then the table write is attempted and
-   its failures surface as [Action_failed] for the engine to wrap. *)
+   index and value are evaluated first, then the table write is
+   attempted; every failure is an [Expr.Eval_error] for the engine to
+   wrap. *)
 let compile_stmt ?prng env = function
   | Expr.Assign (name, e) ->
     let ce = Expr.compile ?prng env e in
@@ -220,12 +225,12 @@ let compile_stmt ?prng env = function
             arr
           | None ->
             raise
-              (Action_failed
+              (Expr.Eval_error
                  (Printf.sprintf "action writes unbound table %s" tbl)))
       in
       if i < 0 || i >= Array.length arr then
         raise
-          (Action_failed
+          (Expr.Eval_error
              (Printf.sprintf "Env.table_set: index %d out of bounds for %s[%d]"
                 i tbl (Array.length arr)));
       arr.(i) <- v;

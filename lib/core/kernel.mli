@@ -79,10 +79,11 @@ val token_enabled : ctrans -> Marking.t -> bool
 (** Token conditions only: every input place holds at least its arc
     weight, every inhibitor place fewer than its. *)
 
-val enabled : ?prng:Prng.t -> ctrans -> Marking.t -> Env.t -> bool
+val enabled : ctrans -> Marking.t -> Env.t -> bool
 (** Full enabledness: token conditions, then the predicate interpreted
-    against [env] — same evaluation order, draws and errors as
-    [Net.enabled]. *)
+    against [env] without a random stream, in [Net.enabled]'s order.
+    A predicate that fails to evaluate raises [Invalid_argument]
+    ("predicate of transition T: ..."). *)
 
 val consume : ctrans -> Marking.t -> unit
 (** Remove the input tokens of one firing.  The caller has already
@@ -98,14 +99,11 @@ val apply : ctrans -> Marking.t -> unit
     marking (reachability expansion). *)
 
 val run_action : Env.t -> ctrans -> unit
-(** Interpret the action statements against [env] (same order and
-    errors as [Expr.run_stmts]). *)
+(** Interpret the action statements against [env] (same order as
+    [Expr.run_stmts]); a failing statement raises [Invalid_argument]
+    ("action of transition T: ..."). *)
 
 (** {2 The compiled instance view} *)
-
-exception Action_failed of string
-(** Raised by a compiled table-assignment on a write failure; engines
-    convert it to their structured action-error naming the transition. *)
 
 (** A transition bound to one engine instance: the static arrays plus
     predicate/delays/action compiled to closures over the instance's
@@ -126,7 +124,8 @@ type compiled = {
   c_firing : unit -> float;
   c_action : (unit -> string * Value.t) array;
       (** each statement returns the (name, value) pair for the trace
-          delta; table writes report as ["tbl[i]"] *)
+          delta; table writes report as ["tbl[i]"].  Every failure,
+          including a bad table write, raises [Expr.Eval_error]. *)
   c_has_action : bool;
   c_frequency : float;
   c_consumed : (int * int) list;

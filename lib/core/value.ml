@@ -31,12 +31,12 @@ let equal a b =
   | (Int _ | Float _), (Int _ | Float _) -> Float.equal (to_float a) (to_float b)
 
 (* Must agree with [equal]: numerically equal Int/Float values hash the
-   same, so hash via the float image. *)
+   same, via the float image.  [Hashtbl.hash] mixes its bits: a small
+   integer's raw image has all-zero low bits, which hash tables bucket on. *)
 let hash = function
   | Bool false -> 0x2545F491
   | Bool true -> 0x4F6CDD1D
-  | (Int _ | Float _) as v ->
-    Int64.to_int (Int64.bits_of_float (to_float v)) land max_int
+  | (Int _ | Float _) as v -> Hashtbl.hash (to_float v)
 
 let compare_num a b =
   match a, b with

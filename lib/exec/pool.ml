@@ -12,8 +12,7 @@ let cores () = max 1 (Domain.recommended_domain_count ())
 
 (* [PNUT_JOBS] is auto-detection, so it is clamped to the machine on
    both paths ([Some 0] and the [None] default); only an explicit count
-   may oversubscribe, and that is worth a warning: domains are OS
-   threads, and contention makes runs slower, not faster. *)
+   may oversubscribe. *)
 let resolve ?jobs () =
   let env_or default =
     match env_jobs () with Some n -> min n (cores ()) | None -> default
@@ -25,21 +24,22 @@ let resolve ?jobs () =
     | Some n -> invalid_arg (Printf.sprintf "Pool: jobs must be >= 0, got %d" n)
     | None -> env_or 1
   in
-  let n = min n max_workers and c = cores () in
-  if n > c then
-    Printf.eprintf
-      "pnut: warning: %d jobs requested but only %d core%s available; extra \
-       workers will contend for CPU\n%!"
-      n c (if c = 1 then "" else "s");
-  n
+  min n max_workers
 
 (* Every participant claims task indices off one cursor, and task [i]'s
    outcome lands in slot [i] whoever computes it, so the result does
    not depend on scheduling.  A worker that fails to spawn is simply
-   missing: the caller keeps claiming until the cursor runs out. *)
+   missing: the caller keeps claiming until the cursor runs out.  More
+   workers than cores is worth a warning: domains are OS threads, and
+   contention makes runs slower, not faster. *)
 let init ?jobs n f =
   if n < 0 then invalid_arg "Pool.init: negative size";
-  let jobs = min (resolve ?jobs ()) (max 1 n) in
+  let jobs = min (resolve ?jobs ()) (max 1 n) and c = cores () in
+  if jobs > c then
+    Printf.eprintf
+      "pnut: warning: %d jobs requested but only %d core%s available; extra \
+       workers will contend for CPU\n%!"
+      jobs c (if c = 1 then "" else "s");
   let slots = Array.make n None and next = Atomic.make 0 in
   let rec work () =
     let i = Atomic.fetch_and_add next 1 in

@@ -20,8 +20,7 @@
 val resolve : ?jobs:int -> unit -> int
 (** Resolve a [?jobs] argument to a concrete worker count (see the
     table above), at most 64.  Raises [Invalid_argument] on a negative
-    count.  A count above the core count is honoured (useful in tests)
-    but warns on stderr, since extra domains only contend for CPU. *)
+    count.  A count above the core count is honoured (useful in tests). *)
 
 val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [[| f 0; ...; f (n-1) |]], computed by the
@@ -29,7 +28,9 @@ val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
     before it returns.  [f] must not depend on shared mutable state.
     If several tasks raise, the exception of the {e lowest-numbered}
     task is re-raised with its original backtrace.  With one worker
-    (or fewer than two tasks) everything runs in the calling domain. *)
+    (or fewer than two tasks) everything runs in the calling domain.
+    Warns on stderr when the workers, [min (resolve ?jobs ()) n],
+    outnumber the cores: extra domains only contend for CPU. *)
 
 val quiesce : unit -> unit
 (** A no-op: {!init} joins its workers before returning, so no domain

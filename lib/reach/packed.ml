@@ -72,13 +72,23 @@ let make_layout widths extra_width =
   { l_word = word; l_shift = shift; l_mask = mask; l_extra = extra;
     l_words = (if np = 0 && extra = None then 1 else !w + 1) }
 
+(* The side table keys on (hash, clocks, env), the hash computed once
+   per [intern_extra]; an action-free edge hands back the stored env
+   itself, so [==] settles the common hit without a binding walk. *)
+module Extra_tbl = Hashtbl.Make (struct
+  type t = int * string * Env.t
+
+  let equal (h, c, e) (h', c', e') =
+    h = h' && String.equal c c' && (e == e' || Env.equal e e')
+
+  let hash (h, _, _) = h
+end)
+
 type t = {
   mutable lay : layout;
-  extra_index : int Statekey.Tbl.t;  (* (env, clocks) -> id *)
+  extra_index : int Extra_tbl.t;  (* (env, clocks) -> id *)
   mutable extra_envs : Env.t array;
-  mutable extra_keys : Statekey.t array;
   mutable n_extra : int;
-  zero_marking : Marking.t;  (* env-only keys: reuses Statekey equality *)
 }
 
 let layout t = t.lay
@@ -108,11 +118,9 @@ let create ?bounds ?with_extra net =
   let extra_width = if with_extra then Some 10 else None in
   {
     lay = make_layout widths extra_width;
-    extra_index = Statekey.Tbl.create 16;
+    extra_index = Extra_tbl.create 16;
     extra_envs = [||];
-    extra_keys = [||];
     n_extra = 0;
-    zero_marking = Marking.create 0;
   }
 
 let bounds_known net =
@@ -121,29 +129,23 @@ let bounds_known net =
 (* -- side table -- *)
 
 let intern_extra t ?(clocks = "") env =
-  let k = Statekey.make ~clocks t.zero_marking env in
-  match Statekey.Tbl.find_opt t.extra_index k with
+  let k = (Env.hash env lxor Hashtbl.hash clocks, clocks, env) in
+  match Extra_tbl.find_opt t.extra_index k with
   | Some id -> id
   | None ->
     let id = t.n_extra in
     if id >= Array.length t.extra_envs then begin
-      let cap = max 16 (2 * Array.length t.extra_envs) in
-      let envs = Array.make cap env in
-      let keys = Array.make cap k in
+      let envs = Array.make (max 16 (2 * id)) env in
       Array.blit t.extra_envs 0 envs 0 id;
-      Array.blit t.extra_keys 0 keys 0 id;
-      t.extra_envs <- envs;
-      t.extra_keys <- keys
+      t.extra_envs <- envs
     end;
     t.extra_envs.(id) <- env;
-    t.extra_keys.(id) <- k;
-    Statekey.Tbl.replace t.extra_index k id;
+    Extra_tbl.replace t.extra_index k id;
     t.n_extra <- id + 1;
     id
 
 let extra_env t id = t.extra_envs.(id)
-let extra_key t id = t.extra_keys.(id)
-let extra_bindings t id = (extra_key t id).Statekey.k_bindings
+let extra_bindings t id = Env.bindings (extra_env t id)
 
 (* -- codec over an explicit layout (the store re-encodes with the old
       layout during a widen, so these do not read [t.lay]) -- *)

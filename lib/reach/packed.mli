@@ -87,15 +87,11 @@ val widen : t -> field:int -> value:int -> layout
 (** {2 The env/clock side table} *)
 
 val intern_extra : t -> ?clocks:string -> Pnut_core.Env.t -> int
-(** Intern an environment snapshot (plus an optional canonical clock
-    rendering) and return its dense id.  Identity is structural, via
-    {!Statekey} on a zero-length marking; the same (env, clocks) pair
-    always gets the same id.  The environment object is retained and
-    must not be mutated afterwards (the graph builders copy before
-    running actions, so sharing is safe there). *)
+(** Intern an environment (plus an optional canonical clock rendering)
+    and return its dense id, in discovery order.  Identity is
+    {!Pnut_core.Env.equal} on the env and [String.equal] on the clocks.
+    The environment itself is the stored key and must not be mutated
+    afterwards (the graph builders copy before running actions). *)
 
 val extra_env : t -> int -> Pnut_core.Env.t
-val extra_key : t -> int -> Statekey.t
-(** The interned snapshot: bindings, tables and clocks of the id. *)
-
 val extra_bindings : t -> int -> (string * Pnut_core.Value.t) list

@@ -80,9 +80,3 @@ let pop_min h =
   let id = h.ids.(0) in
   remove h id;
   id
-
-let clear h =
-  for slot = 0 to h.size - 1 do
-    h.pos.(h.ids.(slot)) <- -1
-  done;
-  h.size <- 0

@@ -30,5 +30,3 @@ val remove : t -> int -> unit
 val pop_min : t -> int
 (** Removes and returns an id with the smallest key.  Raises
     [Invalid_argument] on an empty heap. *)
-
-val clear : t -> unit

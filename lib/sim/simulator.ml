@@ -43,7 +43,8 @@ type error =
       transition : string;
       clock : float;
     }
-  | Action_error of { transition : string; clock : float; message : string }
+  | Transition_error of
+      { transition : string; what : string; clock : float; message : string }
   | Restore_error of string
 
 exception Sim_error of error
@@ -58,8 +59,8 @@ let error_message = function
       "capacity violation: place %s holds %d tokens (capacity %d) after %s \
        fired at t=%g"
       place tokens capacity transition clock
-  | Action_error { transition; clock; message } ->
-    Printf.sprintf "action of %s failed at t=%g: %s" transition clock message
+  | Transition_error { transition; what; clock; message } ->
+    Printf.sprintf "%s of %s failed at t=%g: %s" what transition clock message
   | Restore_error msg -> Printf.sprintf "checkpoint restore error: %s" msg
 
 let sim_error e = raise (Sim_error e)
@@ -212,11 +213,21 @@ let refresh_after st ~places ~env_changed =
     refresh_one st st.ctrans.(a.(k))
   done
 
+(* A predicate, dynamic delay or action that fails to evaluate aborts
+   the run naming the transition.  Only closures of expressions carry
+   the handler. *)
+let guard st (c : Kernel.compiled) what f () =
+  try f ()
+  with Expr.Eval_error message ->
+    sim_error
+      (Transition_error
+         { transition = c.c_tr.Net.t_name; what; clock = st.clock; message })
+
 let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
     ~clock ~queue net =
   let nt = Net.num_transitions net in
   let kernel = Kernel.of_net net in
-  {
+  let st = {
     net;
     prng;
     sink;
@@ -245,7 +256,18 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
     instant_firings = 0;
     last_activity = 0.0;
     finished_emitted = false;
-  }
+  } in
+  let delay c what d f =
+    match d with Net.Dynamic _ -> guard st c what f | _ -> f
+  in
+  Array.map_inplace
+    (fun (c : Kernel.compiled) ->
+      { c with
+        c_pred = Option.map (guard st c "predicate") c.c_pred;
+        c_enabling = delay c "enabling time" c.c_tr.Net.t_enabling c.c_enabling;
+        c_firing = delay c "firing time" c.c_tr.Net.t_firing c.c_firing })
+    st.ctrans;
+  st
 
 let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
     ?(max_instant_firings = 10_000) ?(check_capacities = false) net =
@@ -280,17 +302,14 @@ let select_weighted st =
   pick 0.0 0
 
 (* Run a compiled action, collecting every assignment for the trace
-   delta.  Failures surface as structured [Action_error]s naming the
-   transition. *)
+   delta. *)
 let run_action st (c : Kernel.compiled) =
   if not c.c_has_action then []
   else begin
     let changes = ref [] in
-    (try Array.iter (fun f -> changes := f () :: !changes) c.c_action
-     with Kernel.Action_failed message ->
-       sim_error
-         (Action_error
-            { transition = c.c_tr.Net.t_name; clock = st.clock; message }));
+    guard st c "action"
+      (fun () -> Array.iter (fun f -> changes := f () :: !changes) c.c_action)
+      ();
     List.rev !changes
   end
 

@@ -49,8 +49,10 @@ type error =
       transition : string;  (** the transition whose firing overflowed *)
       clock : float;
     }
-  | Action_error of { transition : string; clock : float; message : string }
-      (** a transition action failed (unbound table, index out of bounds) *)
+  | Transition_error of
+      { transition : string; what : string; clock : float; message : string }
+      (** its action, predicate or dynamic delay ([what]) failed to
+          evaluate (unbound table, index out of bounds, type error) *)
   | Restore_error of string
       (** a checkpoint does not match the net it is restored into *)
 
@@ -71,7 +73,7 @@ val create :
     (default false), exceeding a place's declared capacity raises
     [Sim_error] naming the place and the culprit transition — capacity
     declarations are otherwise documentation checked only by static and
-    reachability analyses. *)
+    reachability analyses.  The first enabledness scan may raise here. *)
 
 val net : t -> Pnut_core.Net.t
 val clock : t -> float

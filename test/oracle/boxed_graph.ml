@@ -7,7 +7,6 @@ module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
 module Env = Pnut_core.Env
 module Kernel = Pnut_core.Kernel
-module Statekey = Pnut_reach.Statekey
 module Stubborn = Pnut_reach.Stubborn
 module Supervisor = Pnut_exec.Supervisor
 open Pnut_reach.Graph

@@ -2,7 +2,7 @@
     oracle for the packed {!Pnut_reach.Graph}.
 
     Per-state records, successor and predecessor edge lists, and a
-    {!Pnut_reach.Statekey} hashtable index: the representation
+    {!Statekey} hashtable index: the representation
     {!Pnut_reach.Graph} shipped before the packed store became its only
     layout.  It interns states in the same FIFO order, records edges at
     the same points and polls budgets on the same 256-dequeue cadence,

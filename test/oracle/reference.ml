@@ -38,7 +38,12 @@ type error = Simulator.error =
       transition : string;
       clock : float;
     }
-  | Action_error of { transition : string; clock : float; message : string }
+  | Transition_error of {
+      transition : string;
+      what : string;
+      clock : float;
+      message : string;
+    }
   | Restore_error of string
 
 let sim_error e = raise (Simulator.Sim_error e)
@@ -185,11 +190,13 @@ let fireable st =
 
 (* Run an action, recording every assignment for the trace delta.  Table
    writes are recorded under the pseudo-variable name "tbl[i]".  Failures
-   surface as structured [Action_error]s naming the transition. *)
+   surface as structured [Transition_error]s naming the transition. *)
 let run_action st tr stmts =
   let action_error message =
     sim_error
-      (Action_error { transition = tr.Net.t_name; clock = st.clock; message })
+      (Transition_error
+         { transition = tr.Net.t_name; what = "action"; clock = st.clock;
+           message })
   in
   let changes = ref [] in
   let record name v = changes := (name, v) :: !changes in

@@ -14,7 +14,6 @@ module Env = Pnut_core.Env
 module Expr = Pnut_core.Expr
 module Value = Pnut_core.Value
 module Kernel = Pnut_core.Kernel
-module Statekey = Pnut_reach.Statekey
 
 type label =
   | Fire of Net.transition_id

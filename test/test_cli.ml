@@ -465,15 +465,23 @@ let test_replicate_one_sweep () =
       Alcotest.(check int) what 2 code)
     [ ("one run is an input error", [ "--runs"; "1" ]);
       ("unsupported confidence is an input error", [ "--confidence"; "0.5" ]) ];
-  if Domain.recommended_domain_count () < 64 then begin
+  (* the warning counts the workers that run: -j is clamped to --runs *)
+  let warnings ~runs ~jobs =
     let _ =
-      check_run "oversubscribed replicate"
-        [ "replicate"; model_file; "--runs"; "2"; "--until"; "100"; "-j";
-          "64"; "--place"; "Bus_busy"; "--throughput"; "Issue" ]
+      check_run "replicate"
+        [ "replicate"; model_file; "--runs"; string_of_int runs; "--until";
+          "100"; "-j"; string_of_int jobs; "--place"; "Bus_busy";
+          "--throughput"; "Issue" ]
     in
+    count_lines_with "jobs requested" (read_file (tmp "err"))
+  in
+  let cores = Domain.recommended_domain_count () in
+  if cores >= 2 then
+    Alcotest.(check int) "two runs under -j 64 do not warn" 0
+      (warnings ~runs:2 ~jobs:64);
+  if cores < 8 then
     Alcotest.(check int) "one oversubscription warning" 1
-      (count_lines_with "warning" (read_file (tmp "err")))
-  end
+      (warnings ~runs:(cores + 1) ~jobs:(cores + 1))
 
 let test_bad_delays () =
   (* a delay evaluating to NaN or below zero is an input error in every
@@ -506,6 +514,44 @@ let test_bad_delays () =
       Testutil.check_contains (name ^ " explore") (read_file (tmp "err"))
         ("firing time of transition t: " ^ verdict ^ " delay"))
     [ ("nan_delay", "x / x", "NaN"); ("neg_delay", "0 - 1", "negative") ]
+
+let test_expression_errors () =
+  (* an expression that fails to evaluate names its transition: exit 2
+     from the graph builders, an aborted run (exit 1) from the
+     simulator — never an uncaught exception *)
+  List.iter
+    (fun (name, decls, clause, cases) ->
+      let model = tmp (name ^ ".pn") in
+      let oc = open_out model in
+      Printf.fprintf oc
+        "net %s\n%splace p init 1\nplace q\ntransition t\n  in p\n  \
+         out q\n  %s\n"
+        name decls clause;
+      close_out oc;
+      List.iter
+        (fun (args, code, needle) ->
+          let what = String.concat " " (name :: args) in
+          let got, _ = run (List.hd args :: model :: List.tl args) in
+          Alcotest.(check int) (what ^ " exit code") code got;
+          Testutil.check_contains what (read_file (tmp "err")) needle)
+        cases)
+    [ ( "bad_action", "var n = 0\ntable w = [1]\n", "action w[n - 1] = 1",
+        [ ([ "sim"; "--until"; "10" ], 1, "action of t failed");
+          ([ "reach" ], 2, "action of transition t: Env.table_set");
+          ([ "reach"; "--timed" ], 2, "action of transition t");
+          ([ "reach"; "--por"; "off" ], 2, "action of transition t");
+          ([ "cycle" ], 2, "action of transition t") ] );
+      ( "bad_predicate", "var b = true\n", "predicate b + 1 > 0",
+        [ ([ "sim"; "--until"; "10" ], 1,
+           "predicate of t failed at t=0: operator + applied to a boolean");
+          ([ "reach" ], 2, "predicate of transition t: operator +");
+          ([ "reach"; "--timed" ], 2, "predicate of transition t");
+          ([ "cycle" ], 2, "predicate of transition t") ] );
+      ( "bad_delay", "table w = [1]\n", "firing expr(w[3])",
+        [ ([ "sim"; "--until"; "10" ], 1,
+           "firing time of t failed at t=0: Env.table_get");
+          ([ "reach"; "--timed" ], 2, "firing time of transition t: Env.table_get");
+          ([ "cycle" ], 2, "firing time of transition t") ] ) ]
 
 let test_coverability_cli () =
   (* write an unbounded inhibitor-free model by hand *)
@@ -796,6 +842,7 @@ let () =
           Alcotest.test_case "replicate one sweep" `Quick
             test_replicate_one_sweep;
           Alcotest.test_case "bad delays" `Quick test_bad_delays;
+          Alcotest.test_case "expression errors" `Quick test_expression_errors;
           Alcotest.test_case "coverability" `Quick test_coverability_cli;
           Alcotest.test_case "budget degradation" `Quick
             test_budget_degradation;

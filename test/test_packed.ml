@@ -15,7 +15,6 @@ module Env = Pnut_core.Env
 module Graph = Pnut_reach.Graph
 module Packed = Pnut_reach.Packed
 module Store = Pnut_reach.Store
-module Statekey = Pnut_reach.Statekey
 module Boxed = Pnut_oracle.Boxed_graph
 
 let triples es =
@@ -382,8 +381,24 @@ let test_intern_extra_clocks () =
   Alcotest.(check int) "same pair, same id" a (Packed.intern_extra codec env);
   Alcotest.(check int) "same clocks, same id" b
     (Packed.intern_extra codec ~clocks:"t0@1.5" env);
-  Alcotest.(check string) "key keeps the clocks" "t0@1.5"
-    (Packed.extra_key codec b).Statekey.k_clocks
+  (* identity is Env.equal on the env and String.equal on the clocks *)
+  let mk ?(cells = [| Value.Int 0; Value.Int 0 |]) n =
+    Env.of_bindings ~tables:[ ("w", cells) ] [ ("n", n) ]
+  in
+  let e = mk (Value.Int 1) in
+  let d = Packed.intern_extra codec e in
+  Alcotest.(check int) "distinct but equal envs, one id" d
+    (Packed.intern_extra codec (mk (Value.Int 1)));
+  Alcotest.(check int) "Int 1 and Float 1.0, one id" d
+    (Packed.intern_extra codec (mk (Value.Float 1.0)));
+  Alcotest.(check int) "Int 0 and Float -0.0, one id"
+    (Packed.intern_extra codec (mk (Value.Int 0)))
+    (Packed.intern_extra codec (mk (Value.Float (-0.0))));
+  Alcotest.(check bool) "one table cell apart, two ids" true
+    (d <> Packed.intern_extra codec
+            (mk ~cells:[| Value.Int 0; Value.Int 1 |] (Value.Int 1)));
+  Alcotest.(check bool) "same env, other clocks, two ids" true
+    (d <> Packed.intern_extra codec ~clocks:"t0@1.5" e)
 
 (* -- qcheck: codec round trip and key agreement -- *)
 

@@ -358,7 +358,7 @@ let test_action_error_surfaces () =
   let net = B.build b in
   match Sim.trace ~until:10.0 net with
   | _ -> Alcotest.fail "expected Sim_error"
-  | exception Sim.Sim_error (Sim.Action_error { transition; _ } as e) ->
+  | exception Sim.Sim_error (Sim.Transition_error { transition; _ } as e) ->
     Alcotest.(check string) "culprit" "boom" transition;
     Testutil.check_contains "message" (Sim.error_message e) "out of bounds"
   | exception Sim.Sim_error e ->

@@ -22,6 +22,18 @@ let test_value_equal () =
   Alcotest.(check bool) "bools" true
     (Value.equal (Value.Bool false) (Value.Bool false))
 
+let test_value_hash () =
+  Alcotest.(check int) "Int 1 and Float 1.0 hash alike"
+    (Value.hash (Value.Int 1)) (Value.hash (Value.Float 1.0));
+  (* hash tables bucket on the low bits: the counter values 0..1023
+     must spread over them, or a counter net's environments all land in
+     one bucket and interning goes quadratic *)
+  let buckets =
+    List.sort_uniq compare
+      (List.init 1024 (fun i -> Value.hash (Value.Int i) land 1023))
+  in
+  Alcotest.(check bool) "low bits spread" true (List.length buckets > 512)
+
 let test_value_coerce () =
   Alcotest.(check int) "float to int truncates" 3 (Value.to_int (Value.Float 3.7));
   Alcotest.(check (float 0.0)) "int to float" 5.0 (Value.to_float (Value.Int 5));
@@ -230,6 +242,7 @@ let () =
         [
           Alcotest.test_case "equality" `Quick test_value_equal;
           Alcotest.test_case "coercion" `Quick test_value_coerce;
+          Alcotest.test_case "hash" `Quick test_value_hash;
           Alcotest.test_case "comparison" `Quick test_value_compare;
         ] );
       ( "env",
