@@ -83,6 +83,11 @@ let parse_arg what parse text =
   with Pnut_lang.Parser.Parse_error (_, col, msg) ->
     die "%s %S: column %d: %s" what text col msg
 
+(* A simulation whose expression fails to evaluate aborts its run. *)
+let run_aborted n e =
+  Printf.eprintf "run %d aborted: %s\n" n (Pnut_sim.Simulator.error_message e);
+  exit 1
+
 (* Run an analysis that reports bad input via Invalid_argument. *)
 let or_die f = try f () with Invalid_argument msg -> die "%s" msg
 
@@ -738,8 +743,9 @@ let anim_cmd =
     let sink = Pnut_anim.Animator.sink ?places net emit in
     match trace_in with
     | Some tr -> or_die (fun () -> stream_trace tr sink)
-    | None ->
-      ignore (Pnut_sim.Simulator.simulate ~seed ~max_events:steps ~sink net)
+    | None -> (
+      try ignore (Pnut_sim.Simulator.simulate ~seed ~max_events:steps ~sink net)
+      with Pnut_sim.Simulator.Sim_error e -> run_aborted 1 e)
   in
   Cmd.v (Cmd.info "anim" ~doc)
     Term.(const run $ net_arg $ seed_arg $ steps $ delay $ places $ trace_in)
@@ -925,8 +931,10 @@ let replicate_cmd =
       die "nothing to estimate: pass --place and/or --throughput";
     (* One sweep per command: every estimate reads the same reports. *)
     let outcome =
-      or_die (fun () ->
-          Pnut_stat.Replication.sweep ~seed ~jobs ?budget ~runs ~until net)
+      try
+        or_die (fun () ->
+            Pnut_stat.Replication.sweep ~seed ~jobs ?budget ~runs ~until net)
+      with Pnut_stat.Replication.Aborted (n, e) -> run_aborted n e
     in
     let reports = Pnut_exec.Supervisor.value outcome in
     let estimate what read =
@@ -1026,7 +1034,8 @@ let explore_cmd =
   let doc = "Interactive state-space exploration of a model." in
   let run path seed =
     let net = load_net path in
-    or_die (fun () -> Pnut_sim.Explorer.run ~seed net stdin stdout)
+    try or_die (fun () -> Pnut_sim.Explorer.run ~seed net stdin stdout)
+    with Pnut_sim.Simulator.Sim_error e -> run_aborted 1 e
   in
   Cmd.v (Cmd.info "explore" ~doc) Term.(const run $ net_arg $ seed_arg)
 

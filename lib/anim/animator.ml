@@ -58,11 +58,11 @@ let arc_list net arcs =
          if a_weight = 1 then name else Printf.sprintf "%d x %s" a_weight name)
        arcs)
 
-let frame_for ?places net marking d phase =
-  let tr = Net.transition net d.Trace.d_transition in
+let frame_for ?places net marking v phase =
+  let tr = Net.transition net v.Trace.v_transition in
   let name = tr.Net.t_name in
   let caption, arrow, highlight =
-    match d.Trace.d_kind, phase with
+    match v.Trace.v_kind, phase with
     | Trace.Fire_start, Consume ->
       ( Printf.sprintf "%s takes %s" name (arc_list net tr.Net.t_inputs),
         Printf.sprintf "( %s ) ==> [ %s ]" (arc_list net tr.Net.t_inputs) name,
@@ -82,7 +82,7 @@ let frame_for ?places net marking d phase =
   in
   let rows = render_state_rows ?places net marking ~highlight in
   let text =
-    Printf.sprintf "t=%-10g %s\n%s\n%s\n" d.Trace.d_time caption arrow
+    Printf.sprintf "t=%-10g %s\n%s\n%s\n" (Trace.time v) caption arrow
       (String.concat "\n" rows)
   in
   (caption, text)
@@ -106,11 +106,11 @@ let check_header net (h : Trace.header) =
 let sink ?places net emit =
   let cursor = ref (Trace.cursor (Trace.header_of_net net)) in
   let step = ref 0 in
-  let frame d phase =
+  let frame v phase =
     let marking = Marking.unsafe_wrap (Trace.marking !cursor) in
-    let f_caption, f_text = frame_for ?places net marking d phase in
+    let f_caption, f_text = frame_for ?places net marking v phase in
     emit
-      { f_time = d.Trace.d_time; f_step = !step; f_phase = phase; f_caption;
+      { f_time = Trace.time v; f_step = !step; f_phase = phase; f_caption;
         f_text }
   in
   {
@@ -119,15 +119,15 @@ let sink ?places net emit =
         check_header net h;
         cursor := Trace.cursor h);
     on_delta =
-      (fun d ->
+      (fun v ->
         (* pre-state frame: tokens about to move *)
-        (match d.Trace.d_kind with
-        | Trace.Fire_start -> frame d Consume
-        | Trace.Fire_end -> frame d Transit);
-        Trace.step !cursor d;
-        (match d.Trace.d_kind with
-        | Trace.Fire_start -> frame d Transit
-        | Trace.Fire_end -> frame d Produce);
+        (match v.Trace.v_kind with
+        | Trace.Fire_start -> frame v Consume
+        | Trace.Fire_end -> frame v Transit);
+        Trace.step !cursor v;
+        (match v.Trace.v_kind with
+        | Trace.Fire_start -> frame v Transit
+        | Trace.Fire_end -> frame v Produce);
         incr step);
     on_finish = (fun _ -> ());
   }

@@ -80,14 +80,19 @@ let tables env =
   Hashtbl.fold (fun k v acc -> (k, Array.copy v) :: acc) env.tbls []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Structural equality over the canonical (sorted) views: names are
-   compared as strings, never rendered, so the single binding
-   ["a=1;b" = 2] and the pair [a = 1; b = 2] stay distinct. *)
+(* Names are unique keys, so equal sizes and every entry of [a] found
+   equal in [b] is equality, with no sort or copy.  Names are compared
+   as strings, never rendered, so the single binding ["a=1;b" = 2] and
+   the pair [a = 1; b = 2] stay distinct. *)
 let equal a b =
-  let entry eq (k, v) (k', v') = String.equal k k' && eq v v' in
+  let covers tbl eq (k, v) =
+    match Hashtbl.find_opt tbl k with Some v' -> eq v v' | None -> false
+  in
   let cells u v = Array.length u = Array.length v && Array.for_all2 Value.equal u v in
-  List.equal (entry Value.equal) (bindings a) (bindings b)
-  && List.equal (entry cells) (tables a) (tables b)
+  Hashtbl.length a.vars = Hashtbl.length b.vars
+  && Hashtbl.length a.tbls = Hashtbl.length b.tbls
+  && Seq.for_all (covers b.vars (fun u v -> Value.equal !u !v)) (Hashtbl.to_seq a.vars)
+  && Seq.for_all (covers b.tbls cells) (Hashtbl.to_seq a.tbls)
 
 let hash env =
   let h = ref 17 in

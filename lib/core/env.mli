@@ -49,8 +49,8 @@ val tables : t -> (string * Value.t array) list
 (** Current tables, sorted by name; arrays are copies. *)
 
 val equal : t -> t -> bool
-(** Structural equality over sorted bindings and tables (values compared
-    with {!Value.equal}). *)
+(** Structural equality of the bindings and tables, whatever their
+    insertion order (values compared with {!Value.equal}). *)
 
 val hash : t -> int
 (** Structural hash compatible with {!equal}; folds over every binding

@@ -18,9 +18,9 @@ type ctrans = {
   s_out_place : int array;
   s_out_weight : int array;
   s_frequency : float;
-  s_consumed : (int * int) list;
-  s_out_delta : (int * int) list;
-  s_net_delta : (int * int) list;
+  s_consumed_weight : int array;
+  s_produced_place : int array;
+  s_produced_weight : int array;
   s_delta_place : int array;
   s_delta_weight : int array;
   s_has_action : bool;
@@ -58,7 +58,9 @@ let static_of_transition tr =
     List.map (fun { Net.a_place; a_weight } -> (a_place, a_weight))
       tr.Net.t_outputs
   in
-  let net_delta = merge_changes consumed produced in
+  let split l = (Array.of_list (List.map fst l), Array.of_list (List.map snd l)) in
+  let produced_place, produced_weight = split (merge_changes [] produced) in
+  let delta_place, delta_weight = split (merge_changes consumed produced) in
   {
     s_tr = tr;
     s_id = tr.Net.t_id;
@@ -69,11 +71,11 @@ let static_of_transition tr =
     s_out_place = places tr.Net.t_outputs;
     s_out_weight = weights tr.Net.t_outputs;
     s_frequency = tr.Net.t_frequency;
-    s_consumed = consumed;
-    s_out_delta = merge_changes [] produced;
-    s_net_delta = net_delta;
-    s_delta_place = Array.of_list (List.map fst net_delta);
-    s_delta_weight = Array.of_list (List.map snd net_delta);
+    s_consumed_weight = Array.of_list (List.map snd consumed);
+    s_produced_place = produced_place;
+    s_produced_weight = produced_weight;
+    s_delta_place = delta_place;
+    s_delta_weight = delta_weight;
     s_has_action = tr.Net.t_action <> [];
   }
 
@@ -119,26 +121,22 @@ let predicated k = k.k_predicated
 
 (* Plain loops over the arc arrays: a local [let rec] capturing the
    marking is a heap closure per call on the non-flambda compiler, and
-   this test runs once per transition per explored state.  Shared with
-   the compiled view, whose arrays are the same. *)
-let arcs_enabled m in_place in_weight inh_place inh_weight =
+   this test runs once per transition per explored state. *)
+let token_enabled c m =
   let ok = ref true in
   let i = ref 0 in
-  let n = Array.length in_place in
+  let n = Array.length c.s_in_place in
   while !ok && !i < n do
-    if Marking.get m in_place.(!i) < in_weight.(!i) then ok := false;
+    if Marking.get m c.s_in_place.(!i) < c.s_in_weight.(!i) then ok := false;
     incr i
   done;
   let i = ref 0 in
-  let n = Array.length inh_place in
+  let n = Array.length c.s_inh_place in
   while !ok && !i < n do
-    if Marking.get m inh_place.(!i) >= inh_weight.(!i) then ok := false;
+    if Marking.get m c.s_inh_place.(!i) >= c.s_inh_weight.(!i) then ok := false;
     incr i
   done;
   !ok
-
-let token_enabled c m =
-  arcs_enabled m c.s_in_place c.s_in_weight c.s_inh_place c.s_inh_weight
 
 (* A predicate or action that fails to evaluate is an input error
    naming its transition; token-only transitions never enter here. *)
@@ -173,23 +171,11 @@ let run_action env c =
 (* -- the compiled instance view -- *)
 
 type compiled = {
-  c_tr : Net.transition;
-  c_id : Net.transition_id;
-  c_in_place : int array;
-  c_in_weight : int array;
-  c_inh_place : int array;
-  c_inh_weight : int array;
-  c_out_place : int array;
-  c_out_weight : int array;
+  c_s : ctrans;
   c_pred : (unit -> bool) option;
   c_enabling : unit -> float;
   c_firing : unit -> float;
   c_action : (unit -> string * Value.t) array;
-  c_has_action : bool;
-  c_frequency : float;
-  c_consumed : (int * int) list;
-  c_out_delta : (int * int) list;
-  c_net_delta : (int * int) list;
 }
 
 (* Compile one action statement.  Mirrors the interpreted runner: the
@@ -239,14 +225,7 @@ let compile_stmt ?prng env = function
 let compile_one ?prng env c =
   let tr = c.s_tr in
   {
-    c_tr = tr;
-    c_id = c.s_id;
-    c_in_place = c.s_in_place;
-    c_in_weight = c.s_in_weight;
-    c_inh_place = c.s_inh_place;
-    c_inh_weight = c.s_inh_weight;
-    c_out_place = c.s_out_place;
-    c_out_weight = c.s_out_weight;
+    c_s = c;
     c_pred = Option.map (Expr.compile_bool env) tr.Net.t_predicate;
     c_enabling =
       Net.compile_duration ?prng env tr.Net.t_enabling ~who:(fun () ->
@@ -256,15 +235,9 @@ let compile_one ?prng env c =
           "firing time of transition " ^ tr.Net.t_name);
     c_action =
       Array.of_list (List.map (compile_stmt ?prng env) tr.Net.t_action);
-    c_has_action = c.s_has_action;
-    c_frequency = c.s_frequency;
-    c_consumed = c.s_consumed;
-    c_out_delta = c.s_out_delta;
-    c_net_delta = c.s_net_delta;
   }
 
 let compile ?prng env k = Array.map (compile_one ?prng env) k.k_trans
 
 let compiled_enabled c m =
-  arcs_enabled m c.c_in_place c.c_in_weight c.c_inh_place c.c_inh_weight
-  && (match c.c_pred with None -> true | Some p -> p ())
+  token_enabled c.c_s m && (match c.c_pred with None -> true | Some p -> p ())

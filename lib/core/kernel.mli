@@ -37,15 +37,12 @@ type ctrans = {
   s_out_place : int array;
   s_out_weight : int array;
   s_frequency : float;
-  s_consumed : (int * int) list;
-      (** marking delta of consuming the inputs (negative weights) *)
-  s_out_delta : (int * int) list;
-      (** marking delta of producing the outputs *)
-  s_net_delta : (int * int) list;
-      (** merged consume+produce delta of an atomic firing *)
+  s_consumed_weight : int array;
+      (** with [s_in_place], the marking delta of consuming the inputs *)
+  s_produced_place : int array;
+  s_produced_weight : int array;  (** producing the outputs, merged per place *)
   s_delta_place : int array;
-  s_delta_weight : int array;
-      (** [s_net_delta] flattened to parallel arrays for {!apply} *)
+  s_delta_weight : int array;  (** an atomic firing, merged; see {!apply} *)
   s_has_action : bool;
 }
 
@@ -105,18 +102,11 @@ val run_action : Env.t -> ctrans -> unit
 
 (** {2 The compiled instance view} *)
 
-(** A transition bound to one engine instance: the static arrays plus
+(** A transition bound to one engine instance: its static view plus
     predicate/delays/action compiled to closures over the instance's
     environment and random stream. *)
 type compiled = {
-  c_tr : Net.transition;
-  c_id : Net.transition_id;
-  c_in_place : int array;
-  c_in_weight : int array;
-  c_inh_place : int array;
-  c_inh_weight : int array;
-  c_out_place : int array;
-  c_out_weight : int array;
+  c_s : ctrans;
   c_pred : (unit -> bool) option;
       (** compiled without a random stream, like the enabledness test of
           the interpreted engine: [irand] in a predicate raises *)
@@ -126,11 +116,6 @@ type compiled = {
       (** each statement returns the (name, value) pair for the trace
           delta; table writes report as ["tbl[i]"].  Every failure,
           including a bad table write, raises [Expr.Eval_error]. *)
-  c_has_action : bool;
-  c_frequency : float;
-  c_consumed : (int * int) list;
-  c_out_delta : (int * int) list;
-  c_net_delta : (int * int) list;
 }
 
 val compile : ?prng:Prng.t -> Env.t -> t -> compiled array

@@ -162,9 +162,11 @@ let resume_trace sink net ck =
     { (Trace.header_of_net net) with
       Trace.h_initial = ck.ck_marking;
       h_variables = ck.ck_variables };
+  let v = Trace.view () in
+  v.Trace.v_time.(0) <- ck.ck_clock;
   List.iter
     (fun (_, tid, fid) ->
-      sink.Trace.on_delta
-        { Trace.d_time = ck.ck_clock; d_kind = Trace.Fire_start;
-          d_transition = tid; d_firing = fid; d_marking = []; d_env = [] })
+      v.Trace.v_transition <- tid;
+      v.Trace.v_firing <- fid;
+      sink.Trace.on_delta v)
     ck.ck_pending

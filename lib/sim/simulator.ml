@@ -19,7 +19,7 @@
      cells ([Expr.compile], [Net.compile_duration]); the hot loop never
      walks an AST or looks up a name.
    - Trace deltas for consumed/produced tokens are precomputed per
-     transition ([merge_changes] of constant arc lists).
+     transition as arrays, and the one trace view points at them.
 
    Everything observable — trace deltas, random draw order, checkpoints,
    errors, outcomes — is bit-for-bit identical to the straightforward
@@ -74,6 +74,7 @@ type t = {
   net : Net.t;
   prng : Prng.t;
   sink : Trace.sink;
+  view : Trace.view;  (* every delta handed to [sink] *)
   max_instant_firings : int;
   check_capacities : bool;
   marking : Marking.t;
@@ -163,7 +164,7 @@ let deactivate st tid =
    newly disabled ones lose their deadline, continuously enabled ones
    keep it. *)
 let refresh_one st (c : Kernel.compiled) =
-  let id = c.c_id in
+  let id = c.c_s.s_id in
   let is_enabled = Kernel.compiled_enabled c st.marking in
   if st.active.(id) then begin
     if not is_enabled then deactivate st id
@@ -221,7 +222,7 @@ let guard st (c : Kernel.compiled) what f () =
   with Expr.Eval_error message ->
     sim_error
       (Transition_error
-         { transition = c.c_tr.Net.t_name; what; clock = st.clock; message })
+         { transition = c.c_s.s_tr.Net.t_name; what; clock = st.clock; message })
 
 let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
     ~clock ~queue net =
@@ -231,6 +232,7 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
     net;
     prng;
     sink;
+    view = Trace.view ();
     max_instant_firings;
     check_capacities;
     marking;
@@ -264,8 +266,8 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
     (fun (c : Kernel.compiled) ->
       { c with
         c_pred = Option.map (guard st c "predicate") c.c_pred;
-        c_enabling = delay c "enabling time" c.c_tr.Net.t_enabling c.c_enabling;
-        c_firing = delay c "firing time" c.c_tr.Net.t_firing c.c_firing })
+        c_enabling = delay c "enabling time" c.c_s.s_tr.Net.t_enabling c.c_enabling;
+        c_firing = delay c "firing time" c.c_s.s_tr.Net.t_firing c.c_firing })
     st.ctrans;
   st
 
@@ -290,39 +292,41 @@ let select_weighted st =
   let m = st.ready_n in
   let total = ref 0.0 in
   for k = 0 to m - 1 do
-    total := !total +. st.ctrans.(st.ready.(k)).c_frequency
+    total := !total +. st.ctrans.(st.ready.(k)).c_s.s_frequency
   done;
   let target = Prng.float st.prng !total in
   let rec pick acc k =
     if k >= m - 1 then st.ready.(m - 1)
     else
-      let acc = acc +. st.ctrans.(st.ready.(k)).c_frequency in
+      let acc = acc +. st.ctrans.(st.ready.(k)).c_s.s_frequency in
       if target < acc then st.ready.(k) else pick acc (k + 1)
   in
   pick 0.0 0
 
-(* Run a compiled action, collecting every assignment for the trace
-   delta. *)
+(* Run a compiled action, writing every assignment into the view's
+   variable updates. *)
 let run_action st (c : Kernel.compiled) =
-  if not c.c_has_action then []
-  else begin
-    let changes = ref [] in
+  let v = st.view in
+  v.Trace.v_env_n <- 0;
+  if c.c_s.s_has_action then
     guard st c "action"
-      (fun () -> Array.iter (fun f -> changes := f () :: !changes) c.c_action)
-      ();
-    List.rev !changes
-  end
+      (fun () ->
+        Array.iter (fun f -> let name, x = f () in Trace.add_env v name x)
+          c.c_action)
+      ()
 
-let emit_delta st kind tr firing marking_changes env_changes =
-  st.sink.Trace.on_delta
-    {
-      Trace.d_time = st.clock;
-      d_kind = kind;
-      d_transition = tr.Net.t_id;
-      d_firing = firing;
-      d_marking = marking_changes;
-      d_env = env_changes;
-    }
+(* Hands the view to the sink, its marking pointed at the kernel's
+   arrays and its variable updates already written. *)
+let emit_delta st kind tid firing places counts =
+  let v = st.view in
+  v.Trace.v_time.(0) <- st.clock;
+  v.Trace.v_kind <- kind;
+  v.Trace.v_transition <- tid;
+  v.Trace.v_firing <- firing;
+  v.Trace.v_places <- places;
+  v.Trace.v_counts <- counts;
+  v.Trace.v_marking_n <- Array.length places;
+  st.sink.Trace.on_delta v
 
 (* Capacity declarations are documentation by default; with
    [check_capacities] the simulator turns an overflow into a loud
@@ -347,18 +351,21 @@ let enforce_capacities st tr =
       tr.Net.t_outputs
 
 let complete_firing ?(zero = false) st (c : Kernel.compiled) firing =
-  for k = 0 to Array.length c.c_out_place - 1 do
-    Marking.add st.marking c.c_out_place.(k) c.c_out_weight.(k)
+  let s = c.c_s in
+  for k = 0 to Array.length s.s_out_place - 1 do
+    Marking.add st.marking s.s_out_place.(k) s.s_out_weight.(k)
   done;
-  enforce_capacities st c.c_tr;
-  let env_changes = run_action st c in
-  st.in_flight.(c.c_id) <- st.in_flight.(c.c_id) - 1;
+  enforce_capacities st s.s_tr;
+  run_action st c;
+  st.in_flight.(s.s_id) <- st.in_flight.(s.s_id) - 1;
   st.finished <- st.finished + 1;
   st.last_activity <- st.clock;
-  emit_delta st Trace.Fire_end c.c_tr firing
-    (if zero then c.c_net_delta else c.c_out_delta)
-    env_changes;
-  refresh_after st ~places:c.c_out_place ~env_changed:c.c_has_action
+  if zero then
+    emit_delta st Trace.Fire_end s.s_id firing s.s_delta_place s.s_delta_weight
+  else
+    emit_delta st Trace.Fire_end s.s_id firing s.s_produced_place
+      s.s_produced_weight;
+  refresh_after st ~places:s.s_out_place ~env_changed:s.s_has_action
 
 (* Starting a firing consumes the input tokens.  For a positive firing
    time this is observable (tokens are on neither side while the
@@ -368,31 +375,34 @@ let complete_firing ?(zero = false) st (c : Kernel.compiled) firing =
    change — no intermediate trace state ever violates invariants such as
    Bus_free + Bus_busy = 1. *)
 let start_firing st (c : Kernel.compiled) =
+  let s = c.c_s in
   (* the transition is fireable, hence token-enabled: consume without
      the redundant recheck of [Net.consume] *)
-  for k = 0 to Array.length c.c_in_place - 1 do
-    Marking.add st.marking c.c_in_place.(k) (-c.c_in_weight.(k))
+  for k = 0 to Array.length s.s_in_place - 1 do
+    Marking.add st.marking s.s_in_place.(k) (-s.s_in_weight.(k))
   done;
   let firing = st.next_firing_id in
   st.next_firing_id <- st.next_firing_id + 1;
   st.started <- st.started + 1;
-  st.in_flight.(c.c_id) <- st.in_flight.(c.c_id) + 1;
+  st.in_flight.(s.s_id) <- st.in_flight.(s.s_id) + 1;
   st.last_activity <- st.clock;
   (* The fired transition's own enabling clock restarts. *)
-  deactivate st c.c_id;
+  deactivate st s.s_id;
   let duration = c.c_firing () in
+  st.view.Trace.v_env_n <- 0;
   if duration <= 0.0 then begin
-    emit_delta st Trace.Fire_start c.c_tr firing [] [];
-    refresh_after st ~places:c.c_in_place ~env_changed:false;
+    emit_delta st Trace.Fire_start s.s_id firing [||] [||];
+    refresh_after st ~places:s.s_in_place ~env_changed:false;
     complete_firing ~zero:true st c firing
   end
   else begin
-    emit_delta st Trace.Fire_start c.c_tr firing c.c_consumed [];
+    emit_delta st Trace.Fire_start s.s_id firing s.s_in_place
+      s.s_consumed_weight;
     Event_queue.push st.queue (st.clock +. duration)
-      { pe_transition = c.c_id; pe_firing = firing };
-    refresh_after st ~places:c.c_in_place ~env_changed:false
+      { pe_transition = s.s_id; pe_firing = firing };
+    refresh_after st ~places:s.s_in_place ~env_changed:false
   end;
-  c.c_id
+  s.s_id
 
 type step_result =
   | Fired of Net.transition_id

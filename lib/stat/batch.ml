@@ -40,9 +40,10 @@ let place_utilization ?(warmup = 0.0) ?(batches = 10) ?confidence trace name =
   in
   let current = ref marking.(p) in
   let since = ref 0.0 in
+  let step = Trace.emit (Trace.step cursor) in
   Array.iter
     (fun d ->
-      Trace.step cursor d;
+      step d;
       if marking.(p) <> !current then begin
         accumulate !current !since d.Trace.d_time;
         current := marking.(p);

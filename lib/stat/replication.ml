@@ -61,6 +61,8 @@ type partial_sweep = {
 module Budget = Pnut_exec.Budget
 module Supervisor = Pnut_exec.Supervisor
 
+exception Aborted of int * Pnut_sim.Simulator.error
+
 let sweep ?(seed = 1) ?jobs ?(budget = Budget.none) ~runs ~until net =
   if runs < 2 then invalid_arg "Replication.replicate: need at least two runs";
   let monitor = Supervisor.start budget in
@@ -72,14 +74,13 @@ let sweep ?(seed = 1) ?jobs ?(budget = Budget.none) ~runs ~until net =
   let results =
     Pnut_exec.Pool.init ?jobs runs (fun i ->
         let sink, get = Stat.sink () in
-        let st = Pnut_sim.Simulator.create ~prng:streams.(i) ~sink net in
-        let outcome =
+        match
           Pnut_sim.Simulator.run ~until ?budget:(Supervisor.run_budget monitor)
-            st
-        in
-        match outcome.Pnut_sim.Simulator.stop with
-        | Pnut_sim.Simulator.Budget_exhausted r -> Error r
-        | _ -> Ok (get ()))
+            (Pnut_sim.Simulator.create ~prng:streams.(i) ~sink net)
+        with
+        | { Pnut_sim.Simulator.stop = Budget_exhausted r; _ } -> Error r
+        | _ -> Ok (get ())
+        | exception Pnut_sim.Simulator.Sim_error e -> raise (Aborted (i + 1, e)))
   in
   let reports = Array.map Result.to_option results in
   let completed =

@@ -50,6 +50,10 @@ type partial_sweep = {
   pr_requested : int;
 }
 
+exception Aborted of int * Pnut_sim.Simulator.error
+(** Replication [n] (counted from 1) stopped on a simulation error; of
+    several, the lowest [n]. *)
+
 val sweep :
   ?seed:int ->
   ?jobs:int ->
@@ -60,7 +64,8 @@ val sweep :
 (** The replications themselves, simulated once: slot [i] holds run
     [i]'s statistics report, or [None] if the budget cut that run
     short.  Read any number of estimates from it with {!summarize}.
-    The budget is the same as {!replicate_supervised}'s. *)
+    The budget is the same as {!replicate_supervised}'s.  Raises
+    {!Aborted}. *)
 
 val summarize :
   ?confidence:float -> (Stat.report -> float) -> Stat.report option array ->

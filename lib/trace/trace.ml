@@ -29,9 +29,74 @@ let header_of_net net =
     h_variables = Net.variables net;
   }
 
+type view = {
+  v_time : float array;
+  mutable v_kind : event_kind;
+  mutable v_transition : int;
+  mutable v_firing : int;
+  mutable v_places : int array;
+  mutable v_counts : int array;
+  mutable v_marking_n : int;
+  mutable v_names : string array;
+  mutable v_values : Pnut_core.Value.t array;
+  mutable v_env_n : int;
+}
+
+let view () =
+  { v_time = [| 0.0 |]; v_kind = Fire_start; v_transition = 0; v_firing = 0;
+    v_places = [||]; v_counts = [||]; v_marking_n = 0; v_names = [||];
+    v_values = [||]; v_env_n = 0 }
+
+let time v = Array.unsafe_get v.v_time 0
+
+(* A copy of the first [n] entries of [a], with room for as many more. *)
+let grow a n fill =
+  let b = Array.make (max 8 (2 * n)) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let add_marking v p d =
+  let n = v.v_marking_n in
+  if n = Array.length v.v_places then begin
+    v.v_places <- grow v.v_places n 0;
+    v.v_counts <- grow v.v_counts n 0
+  end;
+  v.v_places.(n) <- p;
+  v.v_counts.(n) <- d;
+  v.v_marking_n <- n + 1
+
+let add_env v name x =
+  let n = v.v_env_n in
+  if n = Array.length v.v_names then begin
+    v.v_names <- grow v.v_names n "";
+    v.v_values <- grow v.v_values n x
+  end;
+  v.v_names.(n) <- name;
+  v.v_values.(n) <- x;
+  v.v_env_n <- n + 1
+
+let to_delta v =
+  { d_time = time v; d_kind = v.v_kind; d_transition = v.v_transition;
+    d_firing = v.v_firing;
+    d_marking = List.init v.v_marking_n (fun i -> (v.v_places.(i), v.v_counts.(i)));
+    d_env = List.init v.v_env_n (fun i -> (v.v_names.(i), v.v_values.(i))) }
+
+let emit f =
+  let v = view () in
+  fun d ->
+    v.v_time.(0) <- d.d_time;
+    v.v_kind <- d.d_kind;
+    v.v_transition <- d.d_transition;
+    v.v_firing <- d.d_firing;
+    v.v_marking_n <- 0;
+    List.iter (fun (p, dm) -> add_marking v p dm) d.d_marking;
+    v.v_env_n <- 0;
+    List.iter (fun (name, x) -> add_env v name x) d.d_env;
+    f v
+
 type sink = {
   on_header : header -> unit;
-  on_delta : delta -> unit;
+  on_delta : view -> unit;
   on_finish : float -> unit;
 }
 
@@ -66,7 +131,7 @@ let collector () =
   let sink =
     {
       on_header = (fun h -> hdr := Some h);
-      on_delta = (fun d -> acc := d :: !acc);
+      on_delta = (fun v -> acc := to_delta v :: !acc);
       on_finish = (fun t -> fin := Some t);
     }
   in
@@ -81,7 +146,7 @@ let collector () =
 
 let replay tr sink =
   sink.on_header tr.header;
-  Array.iter sink.on_delta tr.deltas;
+  Array.iter (emit sink.on_delta) tr.deltas;
   sink.on_finish tr.final_time
 
 type cursor = {
@@ -99,13 +164,18 @@ let cursor h =
     c_env = Pnut_core.Env.of_bindings h.h_variables;
   }
 
-let step c d =
-  List.iter (fun (p, dm) -> c.c_marking.(p) <- c.c_marking.(p) + dm) d.d_marking;
-  let t = d.d_transition in
-  (match d.d_kind with
+let step c v =
+  for i = 0 to v.v_marking_n - 1 do
+    let p = v.v_places.(i) in
+    c.c_marking.(p) <- c.c_marking.(p) + v.v_counts.(i)
+  done;
+  let t = v.v_transition in
+  (match v.v_kind with
   | Fire_start -> c.c_in_flight.(t) <- c.c_in_flight.(t) + 1
   | Fire_end -> c.c_in_flight.(t) <- c.c_in_flight.(t) - 1);
-  List.iter (fun (name, v) -> Pnut_core.Env.set c.c_env name v) d.d_env
+  for i = 0 to v.v_env_n - 1 do
+    Pnut_core.Env.set c.c_env v.v_names.(i) v.v_values.(i)
+  done
 
 let marking c = c.c_marking
 let in_flight c = c.c_in_flight
@@ -128,12 +198,3 @@ let read c = function
   | Place p -> Pnut_core.Value.Int c.c_marking.(p)
   | Transition t -> Pnut_core.Value.Int c.c_in_flight.(t)
   | Variable name -> Pnut_core.Env.get c.c_env name
-
-let after tr i =
-  if i < 0 || i > Array.length tr.deltas then
-    invalid_arg "Trace.after: index out of range";
-  let c = cursor tr.header in
-  for k = 0 to i - 1 do
-    step c tr.deltas.(k)
-  done;
-  c

@@ -41,10 +41,58 @@ type header = {
 
 val header_of_net : Pnut_core.Net.t -> header
 
+(** {2 Streaming}
+
+    A stream hands each delta to its consumer as a {!view}: one
+    record per stream, overwritten in place for every event, whose
+    marking and variable updates are arrays read up to a length.  A
+    producer points the view at arrays it already holds (the
+    simulator at the kernel's per-transition deltas, the binary reader
+    at its marking dictionary), so no record is built per event. *)
+
+type view = {
+  v_time : float array;  (** one slot, the event time; see {!time} *)
+  mutable v_kind : event_kind;
+  mutable v_transition : int;
+  mutable v_firing : int;
+  mutable v_places : int array;
+  mutable v_counts : int array;
+      (** entry [i < v_marking_n] moves [v_counts.(i)] tokens in place
+          [v_places.(i)] *)
+  mutable v_marking_n : int;
+  mutable v_names : string array;
+  mutable v_values : Pnut_core.Value.t array;
+      (** entry [i < v_env_n] sets variable [v_names.(i)] *)
+  mutable v_env_n : int;
+}
+(** The delta being delivered.  A view and the arrays it points at are
+    valid only during the [on_delta] call that receives it: the
+    producer overwrites them for the next event.  A consumer reads
+    them and must neither keep nor change them; {!to_delta} copies
+    what it wants to keep. *)
+
+val view : unit -> view
+(** An empty view owning empty arrays, for a producer to fill. *)
+
+val time : view -> float
+
+val add_marking : view -> int -> int -> unit
+val add_env : view -> string -> Pnut_core.Value.t -> unit
+(** Append one entry past [v_marking_n] (resp. [v_env_n]), growing the
+    array.  Only for a view whose arrays its producer owns. *)
+
+val to_delta : view -> delta
+(** A copy that outlives the call. *)
+
+val emit : (view -> unit) -> delta -> unit
+(** [emit f] fills one view, reused by every call of the partial
+    application, from each delta and passes it to [f]: the adapter from
+    stored deltas to consumers of views. *)
+
 (** Streaming consumer. *)
 type sink = {
   on_header : header -> unit;
-  on_delta : delta -> unit;
+  on_delta : view -> unit;
   on_finish : float -> unit;  (** called once with the final clock value *)
 }
 
@@ -65,11 +113,13 @@ val length : t -> int
 val make : header -> delta list -> float -> t
 
 val collector : unit -> sink * (unit -> t)
-(** [collector ()] returns a sink and a function producing the stored
-    trace once [on_finish] has been seen. The function raises
+(** [collector ()] returns a sink, which stores a {!to_delta} copy of
+    each view, and a function producing the stored trace once
+    [on_finish] has been seen. The function raises
     [Invalid_argument] if the trace is incomplete. *)
 
 val replay : t -> sink -> unit
+(** Hands the stored deltas to the sink through {!emit}. *)
 
 (** {2 Replay}
 
@@ -87,9 +137,9 @@ val cursor : header -> cursor
     if the header binds a variable twice (both trace readers reject
     such a header). *)
 
-val step : cursor -> delta -> unit
-(** Applies every marking entry of the delta, its start or end and
-    every variable update. *)
+val step : cursor -> view -> unit
+(** Applies every marking entry of the view, its start or end and
+    every variable update.  [emit (step c)] steps stored deltas. *)
 
 val marking : cursor -> int array
 val in_flight : cursor -> int array
@@ -112,8 +162,3 @@ val lookup : cursor -> string -> source list
 
 val read : cursor -> source -> Pnut_core.Value.t
 (** The source's value in the cursor's current state. *)
-
-val after : t -> int -> cursor
-(** [after tr i] is a fresh cursor after deltas [0..i-1]; [after tr 0]
-    is the initial state.  Raises [Invalid_argument] unless
-    [0 <= i <= length tr]. *)

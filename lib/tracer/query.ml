@@ -82,9 +82,10 @@ let atom_matrix trace atom_list =
     List.iteri (fun ai e -> matrix.(ai).(state) <- eval_atom e) atom_list
   in
   record 0;
+  let step = Trace.emit (Trace.step cursor) in
   Array.iteri
     (fun i d ->
-      Trace.step cursor d;
+      step d;
       record (i + 1))
     deltas;
   matrix

@@ -93,9 +93,10 @@ let sample trace signals =
     end
   in
   List.iter (record 0.0) probes;
+  let step = Trace.emit (Trace.step cursor) in
   Array.iter
     (fun d ->
-      Trace.step cursor d;
+      step d;
       List.iter (record d.Trace.d_time) probes)
     (Trace.deltas trace);
   let t_end = Trace.final_time trace in

@@ -220,7 +220,7 @@ let run_action st tr stmts =
   List.rev !changes
 
 let emit_delta st kind tr firing marking_changes env_changes =
-  st.sink.Trace.on_delta
+  Trace.emit st.sink.Trace.on_delta
     {
       Trace.d_time = st.clock;
       d_kind = kind;

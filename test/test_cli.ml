@@ -517,8 +517,20 @@ let test_bad_delays () =
 
 let test_expression_errors () =
   (* an expression that fails to evaluate names its transition: exit 2
-     from the graph builders, an aborted run (exit 1) from the
-     simulator — never an uncaught exception *)
+     from the graph builders, an aborted run (exit 1) from every command
+     that simulates — never an uncaught exception *)
+  let explore model =
+    Sys.command
+      (Printf.sprintf "printf 'step\\nstep\\nquit\\n' | %s explore %s > %s 2> %s"
+         (Filename.quote pnut) (Filename.quote model) (Filename.quote (tmp "out"))
+         (Filename.quote (tmp "err")))
+  in
+  let simulating needle =
+    [ ([ "replicate"; "--runs"; "2"; "--until"; "10"; "--place"; "q" ], 1,
+       "run 1 aborted: " ^ needle);
+      ([ "anim" ], 1, "run 1 aborted: " ^ needle);
+      ([ "explore" ], 1, "run 1 aborted: " ^ needle) ]
+  in
   List.iter
     (fun (name, decls, clause, cases) ->
       let model = tmp (name ^ ".pn") in
@@ -531,7 +543,10 @@ let test_expression_errors () =
       List.iter
         (fun (args, code, needle) ->
           let what = String.concat " " (name :: args) in
-          let got, _ = run (List.hd args :: model :: List.tl args) in
+          let got =
+            if args = [ "explore" ] then explore model
+            else fst (run (List.hd args :: model :: List.tl args))
+          in
           Alcotest.(check int) (what ^ " exit code") code got;
           Testutil.check_contains what (read_file (tmp "err")) needle)
         cases)
@@ -540,18 +555,21 @@ let test_expression_errors () =
           ([ "reach" ], 2, "action of transition t: Env.table_set");
           ([ "reach"; "--timed" ], 2, "action of transition t");
           ([ "reach"; "--por"; "off" ], 2, "action of transition t");
-          ([ "cycle" ], 2, "action of transition t") ] );
+          ([ "cycle" ], 2, "action of transition t") ]
+        @ simulating "action of t failed" );
       ( "bad_predicate", "var b = true\n", "predicate b + 1 > 0",
         [ ([ "sim"; "--until"; "10" ], 1,
            "predicate of t failed at t=0: operator + applied to a boolean");
           ([ "reach" ], 2, "predicate of transition t: operator +");
           ([ "reach"; "--timed" ], 2, "predicate of transition t");
-          ([ "cycle" ], 2, "predicate of transition t") ] );
+          ([ "cycle" ], 2, "predicate of transition t") ]
+        @ simulating "predicate of t failed" );
       ( "bad_delay", "table w = [1]\n", "firing expr(w[3])",
         [ ([ "sim"; "--until"; "10" ], 1,
            "firing time of t failed at t=0: Env.table_get");
           ([ "reach"; "--timed" ], 2, "firing time of transition t: Env.table_get");
-          ([ "cycle" ], 2, "firing time of transition t") ] ) ]
+          ([ "cycle" ], 2, "firing time of transition t") ]
+        @ simulating "firing time of t failed" ) ]
 
 let test_coverability_cli () =
   (* write an unbounded inhibitor-free model by hand *)

@@ -293,7 +293,7 @@ let test_batch_two_input_arcs () =
       let held = float_of_int (Trace.marking c).(p) in
       area := !area +. (held *. (d.Trace.d_time -. !since));
       since := d.Trace.d_time;
-      Trace.step c d;
+      Trace.emit (Trace.step c) d;
       let n = (Trace.marking c).(p) in
       if n < 0 || n > 40 then in_range := false)
     (Trace.deltas trace);

@@ -114,7 +114,7 @@ let test_queries_on_text_model () =
   let cursor = Trace.cursor (Trace.header trace) in
   Array.iteri
     (fun i d ->
-      Trace.step cursor d;
+      Trace.emit (Trace.step cursor) d;
       if (Trace.marking cursor).(free_id) = 1 then last_free := i + 1)
     deltas;
   let truncated =

@@ -456,19 +456,6 @@ let prop_fired_matches_oracle =
       let net = random_plain_net rng in
       fired_agrees net (List.init 8 (fun _ -> random_marking rng net)))
 
-(* Minor words allocated by [f ()], net of the two [Gc.minor_words]
-   calls that measure it. *)
-let minor_words_of f =
-  let overhead =
-    let a = Gc.minor_words () in
-    let b = Gc.minor_words () in
-    b -. a
-  in
-  let a = Gc.minor_words () in
-  f ();
-  let b = Gc.minor_words () in
-  b -. a -. overhead
-
 let test_allocation_free () =
   let net = Pnut_pipeline.Indep.net ~pipelines:4 ~stages:3 in
   let kernel = Pnut_core.Kernel.of_net net in
@@ -476,7 +463,7 @@ let test_allocation_free () =
   let trans = Pnut_core.Kernel.transitions kernel in
   let hits = ref 0 in
   let words =
-    minor_words_of (fun () ->
+    Testutil.minor_words_of (fun () ->
         for k = 0 to 9_999 do
           if Pnut_core.Kernel.token_enabled trans.(k mod Array.length trans) m
           then incr hits
@@ -490,7 +477,7 @@ let test_allocation_free () =
   let sc = Stubborn.scratch sb in
   let size = Array.length (Stubborn.fired sb sc m) in
   let words =
-    minor_words_of (fun () ->
+    Testutil.minor_words_of (fun () ->
         for _ = 1 to 1_000 do
           ignore (Stubborn.fired sb sc m : int array)
         done)

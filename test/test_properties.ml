@@ -81,7 +81,7 @@ let prop_markings_never_negative =
       let c = Trace.cursor (Trace.header trace) in
       let nonneg () = Array.for_all (fun n -> n >= 0) (Trace.marking c) in
       nonneg ()
-      && Array.for_all (fun d -> Trace.step c d; nonneg ()) (Trace.deltas trace))
+      && Array.for_all (fun d -> Trace.emit (Trace.step c) d; nonneg ()) (Trace.deltas trace))
 
 let prop_trace_times_monotone =
   QCheck2.Test.make ~name:"trace timestamps are non-decreasing" ~count:150
@@ -165,7 +165,7 @@ let prop_simulated_quiescent_states_reachable =
             then ok := false
           in
           check ();
-          Array.iter (fun d -> Trace.step c d; check ()) (Trace.deltas trace);
+          Array.iter (fun d -> Trace.emit (Trace.step c) d; check ()) (Trace.deltas trace);
           !ok
         end)
 

@@ -252,7 +252,7 @@ let test_predicates_and_actions () =
   Alcotest.(check bool) "net dead after" true (outcome.Sim.stop = Sim.Dead);
   (* env changes recorded in the trace *)
   let env_final =
-    Pnut_core.Env.bindings (Trace.env (Trace.after trace (Trace.length trace)))
+    Pnut_core.Env.bindings (Trace.env (Testutil.after trace (Trace.length trace)))
   in
   Alcotest.(check bool) "n reached 0" true
     (List.assoc "n" env_final = Value.Int 0)
@@ -523,7 +523,7 @@ let states_from trace ~cut =
   let at_cut = ref (state ()) and after = ref [] in
   Array.iter
     (fun d ->
-      Trace.step c d;
+      Trace.emit (Trace.step c) d;
       if d.Trace.d_time <= cut then at_cut := state ()
       else after := state () :: !after)
     (Trace.deltas trace);

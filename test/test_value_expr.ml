@@ -86,6 +86,28 @@ let test_env_snapshot_equal () =
   Env.set b "x" (Value.Int 2);
   Alcotest.(check bool) "value-sensitive" false (Env.equal a b)
 
+let test_env_equal () =
+  let v i = Value.Int i in
+  let a = Env.of_bindings ~tables:[ ("t", [| v 1; v 2 |]); ("u", [| v 3 |]) ]
+      [ ("x", v 1); ("y", v 2) ] in
+  let b = Env.of_bindings ~tables:[ ("u", [| v 3 |]); ("t", [| v 1; v 2 |]) ]
+      [ ("y", v 2); ("x", v 1) ] in
+  Alcotest.(check bool) "insertion order ignored" true (Env.equal a b);
+  Alcotest.(check bool) "equal envs hash alike" true (Env.hash a = Env.hash b);
+  Env.table_set b "t" 1 (v 9);
+  Alcotest.(check bool) "tables compared by content" false (Env.equal a b);
+  Env.table_set b "t" 1 (v 2);
+  Alcotest.(check bool) "content restored" true (Env.equal a b);
+  let short = Env.of_bindings ~tables:[ ("t", [| v 1 |]); ("u", [| v 3 |]) ]
+      [ ("x", v 1); ("y", v 2) ] in
+  Alcotest.(check bool) "table lengths compared" false (Env.equal a short);
+  let one = Env.of_bindings [ ("a=1;b", v 2) ] in
+  let two = Env.of_bindings [ ("a", v 1); ("b", v 2) ] in
+  Alcotest.(check bool) "one binding is not two" false (Env.equal one two);
+  Alcotest.(check bool) "nor two one" false (Env.equal two one);
+  let other = Env.of_bindings [ ("a", v 1); ("c", v 2) ] in
+  Alcotest.(check bool) "names compared" false (Env.equal two other)
+
 let test_env_duplicate () =
   Alcotest.check_raises "duplicate var"
     (Invalid_argument "Env.of_bindings: duplicate variable x") (fun () ->
@@ -252,6 +274,7 @@ let () =
           Alcotest.test_case "deep copy" `Quick test_env_copy_deep;
           Alcotest.test_case "snapshot equality" `Quick test_env_snapshot_equal;
           Alcotest.test_case "duplicates rejected" `Quick test_env_duplicate;
+          Alcotest.test_case "equality" `Quick test_env_equal;
         ] );
       ( "expr",
         [

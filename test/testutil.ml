@@ -22,6 +22,19 @@ let check_close what ?tolerance expected actual =
   if not (close ?tolerance expected actual) then
     Alcotest.failf "%s: expected %g, got %g" what expected actual
 
+(* A fresh cursor after deltas [0..i-1] of a stored trace; [after tr 0]
+   is the initial state. *)
+let after tr i =
+  let module Trace = Pnut_trace.Trace in
+  if i < 0 || i > Trace.length tr then
+    invalid_arg "Testutil.after: index out of range";
+  let c = Trace.cursor (Trace.header tr) in
+  let step = Trace.emit (Trace.step c) in
+  for k = 0 to i - 1 do
+    step (Trace.deltas tr).(k)
+  done;
+  c
+
 (* Marking in effect at [time]: after every delta stamped at or before
    it (deltas are in time order). *)
 let state_at trace time =
@@ -30,7 +43,7 @@ let state_at trace time =
   Array.iter
     (fun d -> if d.Trace.d_time <= time then incr n)
     (Trace.deltas trace);
-  Trace.marking (Trace.after trace !n)
+  Trace.marking (after trace !n)
 
 (* Random timed nets for the steady-cycle oracles.  Each net has 2–5
    transitions; firing and enabling times are constants in 0–3 and each
@@ -83,3 +96,16 @@ let random_timed_net ?(marked_graph = false) rng =
         : int)
   done;
   Net.Builder.build b
+
+(* Minor words allocated by [f ()], net of the two [Gc.minor_words]
+   calls that measure it. *)
+let minor_words_of f =
+  let overhead =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let a = Gc.minor_words () in
+  f ();
+  let b = Gc.minor_words () in
+  b -. a -. overhead
