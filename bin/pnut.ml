@@ -64,16 +64,13 @@ let budget_arg =
   Term.(const mk $ wall $ heap)
 
 (* Report a budget trip on stderr, after whatever partial output the
-   caller has; [exit_if_degraded] then exits [exit_degraded]. *)
-let report_degraded what reason progress =
-  Format.eprintf "%s degraded: %s (%a)@." what
-    (Pnut_exec.Supervisor.reason_message reason)
-    Pnut_exec.Supervisor.pp_progress progress
-
+   caller has, and exit [exit_degraded]. *)
 let exit_if_degraded what = function
   | Pnut_exec.Supervisor.Complete _ -> ()
   | Pnut_exec.Supervisor.Degraded { reason; progress; _ } ->
-    report_degraded what reason progress;
+    Format.eprintf "%s degraded: %s (%a)@." what
+      (Pnut_exec.Supervisor.reason_message reason)
+      Pnut_exec.Supervisor.pp_progress progress;
     exit exit_degraded
 
 (* Parse a mini-language argument (query, signal, CTL formula), exiting
@@ -864,39 +861,27 @@ let dot_cmd =
     (* Graph-building kinds run under the shared budget flags like any
        other long-running subcommand: on a trip the dot of the partial
        graph (a valid prefix) is still written, then exit 3. *)
-    let degraded = ref false in
-    let supervised what_name outcome =
-      match outcome with
-      | Pnut_exec.Supervisor.Complete g -> g
-      | Pnut_exec.Supervisor.Degraded { reason; progress; partial } ->
-        report_degraded what_name reason progress;
-        degraded := true;
-        partial
-    in
-    let text =
+    let outcome =
       match what with
-      | `Net_graph -> Pnut_core.Dot.net net
+      | `Net_graph -> Pnut_exec.Supervisor.Complete (Pnut_core.Dot.net net)
       | `Reach ->
-        Pnut_reach.Export.graph_dot
-          (supervised "dot"
-             (or_die (fun () ->
-                  Pnut_reach.Graph.build_supervised ~max_states ?budget net)))
+        Pnut_exec.Supervisor.map Pnut_reach.Export.graph_dot
+          (or_die (fun () ->
+               Pnut_reach.Graph.build_supervised ~max_states ?budget net))
       | `Cov ->
-        let g =
-          try
-            supervised "dot"
-              (or_die (fun () ->
-                   Pnut_reach.Coverability.build_supervised ~max_states ?budget
-                     net))
-          with Pnut_reach.Coverability.Unsupported r ->
-            die "%s" (Pnut_reach.Coverability.rejection_message r)
-        in
-        Pnut_reach.Export.coverability_dot net g
+        Pnut_exec.Supervisor.map (Pnut_reach.Export.coverability_dot net)
+          (try
+             or_die (fun () ->
+                 Pnut_reach.Coverability.build_supervised ~max_states ?budget
+                   net)
+           with Pnut_reach.Coverability.Unsupported r ->
+             die "%s" (Pnut_reach.Coverability.rejection_message r))
     in
+    let text = Pnut_exec.Supervisor.value outcome in
     (match out with
     | Some path -> write_file path text
     | None -> print_string text);
-    if !degraded then exit exit_degraded
+    exit_if_degraded "dot" outcome
   in
   Cmd.v (Cmd.info "dot" ~doc)
     Term.(const run $ net_arg $ what $ max_states $ out $ budget_arg)

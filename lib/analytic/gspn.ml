@@ -63,8 +63,8 @@ type state = {
 }
 
 (* The chain is interned in the packed store: states get indices in
-   discovery order and a cursor [next] expands them in index order, so
-   the store is the BFS frontier — every index at or past [next] is
+   discovery order and {!Supervisor.sweep} expands them in index order,
+   so the store is the BFS frontier — every index past its cursor is
    still unexpanded.  Bounds are left unknown (fields widen on demand),
    so no invariant analysis runs before the first state.  A state that
    enables an immediate transition is vanishing and fires only its
@@ -72,13 +72,7 @@ type state = {
    its timed transitions at their rates.  Firings follow ascending
    transition ids, so state indices, edge order and every float sum
    downstream are fixed by the net alone. *)
-let explore ?(max_states = 2000) ~monitor net kinds =
-  let monitored = Supervisor.active monitor in
-  let max_states =
-    match Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
+let explore ~max_states ~monitor net kinds =
   let np = Net.num_places net in
   let trans = Kernel.transitions (Kernel.of_net net) in
   let tids = List.init (Array.length trans) Fun.id in
@@ -127,31 +121,20 @@ let explore ?(max_states = 2000) ~monitor net kinds =
     { marking = m; edges; vanishing = immediates <> [] }
   in
   let states = ref [] in  (* reversed: the head is the last state built *)
-  let next = ref 0 in
-  let trip = ref None in
-  (* Budget checks come before every 256th expansion (indices 255,
-     511, ...).  A trip leaves the states from [next] on with empty edge
-     lists; downstream they behave as absorbing states, which
-     uniformization tolerates. *)
-  (try
-     while !next < Store.num_states store do
-       let i = !next in
-       if monitored && (i + 1) land 255 = 0 then begin
-         match Supervisor.check monitor with
-         | Some r ->
-           trip := Some r;
-           raise_notrace Exit
-         | None -> ()
-       end;
-       next := i + 1;
-       states := state ~expanded:true i :: !states
-     done
-   with Exit -> ());
-  let frontier = Store.num_states store - !next in
-  for i = !next to Store.num_states store - 1 do
+  (* A budget trip leaves the last [left] states with empty edge lists;
+     downstream they behave as absorbing states, which uniformization
+     tolerates. *)
+  let stop =
+    Supervisor.sweep monitor
+      ~length:(fun () -> Store.num_states store)
+      (fun i -> states := state ~expanded:true i :: !states)
+  in
+  let n = Store.num_states store in
+  let left = match stop with Some (_, left) -> left | None -> 0 in
+  for i = n - left to n - 1 do
     states := state ~expanded:false i :: !states
   done;
-  (Array.of_list (List.rev !states), !trip, frontier)
+  (Array.of_list (List.rev !states), stop)
 
 (* -- vanishing elimination (Jacobi over absorption vectors) -- *)
 
@@ -160,7 +143,6 @@ let explore ?(max_states = 2000) ~monitor net kinds =
    firings before absorption. *)
 let eliminate_vanishing ~monitor states tangible_index nt n_transitions =
   let n = Array.length states in
-  let monitored = Supervisor.active monitor in
   let tripped = ref None in
   let absorb = Array.map (fun s -> if s.vanishing then Array.make nt 0.0 else [||]) states in
   let fires =
@@ -202,7 +184,7 @@ let eliminate_vanishing ~monitor states tangible_index nt n_transitions =
     if !delta > 1e-14 then begin
       (* A sweep visits every vanishing state, so polling once per sweep
          bounds post-trip work to a single pass over the chain. *)
-      match if monitored then Supervisor.check monitor else None with
+      match Supervisor.check monitor with
       | Some reason -> tripped := Some reason
       | None -> sweep (k + 1)
     end
@@ -214,7 +196,8 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
     ?(max_iterations = 100_000) ?(budget = Budget.none) net =
   let monitor = Supervisor.start budget in
   let kinds = classify net in
-  let states, trip, frontier = explore ~max_states ~monitor net kinds in
+  let max_states = Supervisor.cap ~who:"Gspn" monitor max_states in
+  let states, stop = explore ~max_states ~monitor net kinds in
   let n = Array.length states in
   let n_transitions = Net.num_transitions net in
   (* index tangible states *)
@@ -235,7 +218,6 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
     eliminate_vanishing ~monitor states tangible_index nt n_transitions
   in
   let solve_trip = ref elim_trip in
-  let monitored = Supervisor.active monitor in
   (* tangible CTMC: rows of (target tangible, rate), plus per-row exit rate *)
   let rows = Array.make nt [] in
   let exit = Array.make nt 0.0 in
@@ -281,7 +263,7 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
            poll keeps the solve responsive even on a huge partial chain left
            behind by a tripped exploration; the unconverged iterate is still
            emitted as the partial result. *)
-        match if monitored then Supervisor.check monitor else None with
+        match Supervisor.check monitor with
         | Some reason -> if !solve_trip = None then solve_trip := Some reason
         | None -> iterate (k + 1)
       end
@@ -326,16 +308,12 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
   in
   (* An exploration trip outranks a solve trip: it is the first budget
      violation and explains why the chain is a prefix at all. *)
-  let trip = match trip with Some _ -> trip | None -> !solve_trip in
-  match trip with
-  | None -> Supervisor.Complete result
-  | Some reason ->
-    Supervisor.Degraded
-      {
-        reason;
-        partial = result;
-        progress = Supervisor.snapshot monitor ~visited:n ~frontier;
-      }
+  let stop =
+    match stop with
+    | Some _ -> stop
+    | None -> Option.map (fun r -> (r, 0)) !solve_trip
+  in
+  Supervisor.finish monitor ~visited:n stop result
 
 let analyze ?max_states ?tolerance ?max_iterations net =
   Supervisor.value

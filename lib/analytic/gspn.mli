@@ -69,7 +69,7 @@ val analyze_supervised :
   ?budget:Pnut_exec.Budget.t ->
   Pnut_core.Net.t -> result Pnut_exec.Supervisor.outcome
 (** {!analyze} under a budget, polled before every 256th state
-    expansion; [budget.max_states] tightens [max_states].  A wall, heap
+    expansion; {!Pnut_exec.Supervisor.cap} tightens [max_states].  A wall, heap
     or cancellation trip yields [Degraded] with the analysis restricted
     to the explored prefix (unexpanded states act as absorbing, and the
     stationary vector is re-normalized); the state cap still raises

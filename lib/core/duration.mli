@@ -14,6 +14,11 @@ val det : who:(unit -> string) -> Env.t -> Net.duration -> float
     ("[who ()]: ...") on an expression that fails to evaluate, and
     {!Net.check_delay}'s error on a negative or NaN value. *)
 
+val deterministic : Net.duration -> bool
+(** [true] iff {!det} resolves the duration: [Zero], [Const],
+    degenerate [Uniform]/[Choice], and deterministic [Dynamic]
+    expressions. *)
+
 val stochastic_logic : Net.transition -> string option
 (** [Some "predicate"] or [Some "action"] when the transition's
     predicate, or else one of its action statements, draws random

@@ -166,25 +166,6 @@ let compile_duration ?prng ~who env dur =
     let c = Expr.compile ?prng env e in
     fun () -> check (Value.to_float (c ()))
 
-let duration_is_deterministic = function
-  | Zero | Const _ -> true
-  | Uniform (lo, hi) -> Float.equal lo hi
-  | Exponential _ -> false
-  | Choice items -> (
-    match items with
-    | [] -> true
-    | (v, _) :: rest -> List.for_all (fun (v', _) -> Float.equal v v') rest)
-  | Dynamic e -> Expr.is_deterministic e
-
-let max_duration = function
-  | Zero -> Some 0.0
-  | Const d -> Some d
-  | Uniform (_, hi) -> Some hi
-  | Exponential _ -> None
-  | Choice items ->
-    Some (List.fold_left (fun acc (v, _) -> Float.max acc v) 0.0 items)
-  | Dynamic _ -> None
-
 (* -- printing in the textual model language -- *)
 
 let pp_duration ppf = function

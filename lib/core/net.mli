@@ -104,11 +104,6 @@ val compile_duration :
     with the same results and draw order as {!sample_duration} on the
     same stream.  [who] names the delay in {!check_delay}'s error. *)
 
-val duration_is_deterministic : duration -> bool
-
-val max_duration : duration -> float option
-(** Upper bound of the delay if statically known ([None] for [Dynamic]). *)
-
 val pp_duration : Format.formatter -> duration -> unit
 (** Prints in the textual model syntax (e.g. [choice(1:0.5, 2:0.5)]). *)
 

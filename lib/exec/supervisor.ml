@@ -99,3 +99,31 @@ let snapshot m ~visited ~frontier =
     visited;
     frontier;
   }
+
+let cap ~who m max_states =
+  let max_states =
+    match m.budget.Budget.max_states with
+    | Some c -> min c max_states
+    | None -> max_states
+  in
+  if max_states < 1 then invalid_arg (who ^ ": max_states must be positive");
+  max_states
+
+let sweep m ~length expand =
+  let rec go i =
+    if i >= length () then None
+    else
+      match if (i + 1) land 255 = 0 then check m else None with
+      | Some r -> Some (r, length () - i)
+      | None ->
+        expand i;
+        go (i + 1)
+  in
+  go 0
+
+let finish m ~visited stop result =
+  match stop with
+  | None -> Complete result
+  | Some (reason, frontier) ->
+    Degraded
+      { reason; partial = result; progress = snapshot m ~visited ~frontier }

@@ -80,3 +80,29 @@ val run_budget : monitor -> Budget.t option
 
 val snapshot : monitor -> visited:int -> frontier:int -> progress
 (** Progress record at this instant. *)
+
+(** {1 The budget policy of a builder}
+
+    Every state-space builder runs under the same three rules: its
+    state cap is lowered to the budget's, it polls {!check} before
+    every 256th expansion, and it reports through {!finish}. *)
+
+val cap : who:string -> monitor -> int -> int
+(** [cap ~who m max_states] is [max_states], lowered to the budget's
+    state cap if it has one.  Raises [Invalid_argument
+    "<who>: max_states must be positive"] when the result is below 1. *)
+
+val sweep :
+  monitor -> length:(unit -> int) -> (int -> unit) -> (reason * int) option
+(** [sweep m ~length expand] calls [expand 0], [expand 1], ... while
+    the index is below [length ()], re-read before every item: the
+    queue may grow while it is expanded.  {!check} is polled before
+    every 256th item (indices 255, 511, ...), so a budgeted sweep that
+    completes expands exactly the items of an unbudgeted one.  Returns
+    [None] once the queue is drained, or the trip reason and the number
+    of items left unexpanded. *)
+
+val finish : monitor -> visited:int -> (reason * int) option -> 'a -> 'a outcome
+(** [finish m ~visited stop result]: [Complete result] when [stop] is
+    [None]; for [Some (reason, frontier)], [result] degraded with a
+    {!snapshot} of [visited] and [frontier]. *)

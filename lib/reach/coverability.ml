@@ -155,12 +155,9 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
+    Pnut_exec.Supervisor.cap ~who:"Reach.Coverability" monitor max_states
   in
-  let budget_stop = ref None in
-  let frontier_left = ref 0 in
+  let stop = ref None in
   let pops = ref 0 in
   let kernel = Kernel.of_net net in
   let initial =
@@ -170,7 +167,6 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   let index = Mark_tbl.create 256 in
   let nodes = ref [] in
   let n = ref 0 in
-  let truncated = ref false in
   let edge_acc = ref [] in
   (* work items carry the node index and the ancestor chain of
      ω-markings *)
@@ -198,17 +194,14 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
         monitored && !pops land 255 = 0
         && (match Pnut_exec.Supervisor.check monitor with
            | Some r ->
-             budget_stop := Some r;
-             frontier_left := List.length !stack;
+             stop := Some (r, List.length !stack);
              true
            | None -> false)
       then ()
       else begin
         stack := rest;
-        if !n >= max_states then begin
-          truncated := true;
-          frontier_left := 1 + List.length rest
-        end
+        if !n >= max_states then
+          stop := Some (Pnut_exec.Supervisor.States !n, 1 + List.length rest)
         else begin
           Array.iter
             (fun (c : Kernel.ctrans) ->
@@ -229,29 +222,8 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   let succ = Array.make !n [] in
   List.iter (fun e -> succ.(e.e_from) <- e :: succ.(e.e_from)) !edge_acc;
   Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
-  let complete = not !truncated && !budget_stop = None in
-  let g = { nodes = arr; succ; complete } in
-  match !budget_stop with
-  | Some reason ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = g;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:!n
-            ~frontier:!frontier_left;
-      }
-  | None ->
-    if !truncated then
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason = Pnut_exec.Supervisor.States !n;
-          partial = g;
-          progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:!n
-              ~frontier:!frontier_left;
-        }
-    else Pnut_exec.Supervisor.Complete g
+  Pnut_exec.Supervisor.finish monitor ~visited:!n !stop
+    { nodes = arr; succ; complete = !stop = None }
 
 let build ?max_states net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states net)

@@ -62,7 +62,7 @@ val build_supervised :
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
 (** {!build} under a budget, polled every 256 DFS pops;
-    [budget.max_states] tightens [max_states].  A tripped limit —
+    {!Pnut_exec.Supervisor.cap} tightens [max_states].  A tripped limit —
     including the state cap — yields [Degraded] with the partial graph
     and visited/frontier counts; a budgeted build that completes
     returns a graph identical to {!build}'s.  Still raises

@@ -59,9 +59,9 @@ let edges g =
 
 let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
 
-(* The sweep: a cursor [next] over state indices.  States are
-   interned in discovery order and expanded in index order, so the
-   store is the BFS frontier — every index at or past [next] is still
+(* The sweep: {!Pnut_exec.Supervisor.sweep} over state indices.  States
+   are interned in discovery order and expanded in index order, so the
+   store is the BFS frontier — every index past the cursor is still
    unexpanded — and begin_source sees ascending sources, letting the
    CSR offsets append in one pass.  The expanded state is
    decoded into a scratch array once.  An action-free firing whose
@@ -72,7 +72,7 @@ let packed_bytes_per_state g = Some (Store.bytes_per_state g.store)
    overflow a field, take the general path (blit, kernel apply, encode)
    whose overflow widens the layout; the deltas are rebuilt whenever the
    codec's layout is no longer the one they were computed for. *)
-let sweep ~max_states ~monitor ~monitored ~por ~stubborn net kernel =
+let sweep ~max_states ~monitor ~por ~stubborn net kernel =
   let codec = Packed.create net in
   let store = Store.create codec ~num_transitions:(Net.num_transitions net) in
   let np = Net.num_places net in
@@ -81,7 +81,6 @@ let sweep ~max_states ~monitor ~monitored ~por ~stubborn net kernel =
   assert (id0 = 0);
   let truncated = ref false in
   let enabled = ref 0 in
-  let budget_stop = ref None in
   let m0 = Marking.to_array (Net.initial_marking net) in
   (match Store.intern store m0 ~extra:id0 ~max_states with
   | `Added 0 -> ()
@@ -131,55 +130,51 @@ let sweep ~max_states ~monitor ~monitored ~por ~stubborn net kernel =
     else Store.add_edge store ~tid:c.Kernel.s_id ~target:j
   in
   let sb_scratch = Option.map Stubborn.scratch stubborn in
-  let next = ref 0 in
-  (* Budget checks come before every 256th expansion (indices 255,
-     511, ...), so a budgeted sweep that completes interns exactly the
-     same states in the same order as an unbudgeted one. *)
-  (try
-     while !next < Store.num_states store do
-       let i = !next in
-       if monitored && (i + 1) land 255 = 0 then begin
-         match Pnut_exec.Supervisor.check monitor with
-         | Some r ->
-           budget_stop := Some r;
-           raise_notrace Exit
-         | None -> ()
-       end;
-       next := i + 1;
-       Store.begin_source store i;
-       Store.marking_into store i parent;
-       let ex = Store.extra store i in
-       let env = Packed.extra_env codec ex in
-       match stubborn, sb_scratch with
-       | Some sb, Some sc ->
-         let tids = Stubborn.fired sb sc parent_mk in
-         enabled := !enabled + Stubborn.enabled_count sc;
-         for k = 0 to Array.length tids - 1 do
-           fire i ex env trans.(tids.(k))
-         done
-       | _ ->
-         for tid = 0 to Array.length trans - 1 do
-           let c = trans.(tid) in
-           if Kernel.enabled c parent_mk env then begin
-             incr enabled;
-             fire i ex env c
-           end
-         done
-     done
-   with Exit -> ());
-  (* A budget trip leaves the states from [next] on unexpanded.  Under
+  let expand i =
+    Store.begin_source store i;
+    Store.marking_into store i parent;
+    let ex = Store.extra store i in
+    let env = Packed.extra_env codec ex in
+    match stubborn, sb_scratch with
+    | Some sb, Some sc ->
+      let tids = Stubborn.fired sb sc parent_mk in
+      enabled := !enabled + Stubborn.enabled_count sc;
+      for k = 0 to Array.length tids - 1 do
+        fire i ex env trans.(tids.(k))
+      done
+    | _ ->
+      for tid = 0 to Array.length trans - 1 do
+        let c = trans.(tid) in
+        if Kernel.enabled c parent_mk env then begin
+          incr enabled;
+          fire i ex env c
+        end
+      done
+  in
+  let stop =
+    match
+      Pnut_exec.Supervisor.sweep monitor
+        ~length:(fun () -> Store.num_states store) expand
+    with
+    | None when !truncated ->
+      Some (Pnut_exec.Supervisor.States (Store.num_states store), 0)
+    | stop -> stop
+  in
+  (* A budget trip leaves the last [left] states unexpanded.  Under
      [por], count their enabled transitions too, so the total covers
      every recorded state. *)
-  let frontier_left = Store.num_states store - !next in
-  if por then
-    for i = !next to Store.num_states store - 1 do
+  (match stop with
+  | Some (_, left) when por ->
+    let n = Store.num_states store in
+    for i = n - left to n - 1 do
       Store.marking_into store i parent;
       Array.iter
         (fun c -> if Kernel.token_enabled c parent_mk then incr enabled)
         trans
-    done;
+    done
+  | _ -> ());
   Store.finalize store;
-  (store, !truncated, !budget_stop, frontier_left, !enabled)
+  (store, stop, !enabled)
 
 let build_supervised ?(max_states = 100_000) ?jobs:_
     ?(budget = Pnut_exec.Budget.none) ?packed:_ ?(por = false) net =
@@ -195,13 +190,9 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
           (List.sort_uniq String.compare
              (List.map (fun tr -> tr.Net.t_name) bad))));
   let monitor = Pnut_exec.Supervisor.start budget in
-  let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
+    Pnut_exec.Supervisor.cap ~who:"Reach.Graph" monitor max_states
   in
-  if max_states < 1 then invalid_arg "Reach.Graph: max_states must be positive";
   let kernel = Kernel.of_net net in
   (* Raises Stubborn.Unsupported when the net falls outside the
      reduction's fragment — callers choosing [por] must catch it or
@@ -215,38 +206,15 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
       let sb = Stubborn.create kernel in
       if Stubborn.reduces sb then Some sb else None
   in
-  let store, truncated, budget_stop, frontier_left, enabled =
-    sweep ~max_states ~monitor ~monitored ~por ~stubborn net kernel
+  let store, stop, enabled =
+    sweep ~max_states ~monitor ~por ~stubborn net kernel
   in
-  let n = Store.num_states store in
   let por_reduction =
     if not por then 1.0
     else float_of_int enabled /. float_of_int (max 1 (Store.num_edges store))
   in
-  let g =
-    { net; store; complete = (not truncated) && budget_stop = None;
-      por_reduction }
-  in
-  match budget_stop with
-  | Some reason ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = g;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:n
-            ~frontier:frontier_left;
-      }
-  | None ->
-    if truncated then
-      Pnut_exec.Supervisor.Degraded
-        {
-          reason = Pnut_exec.Supervisor.States n;
-          partial = g;
-          progress =
-            Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier:0;
-        }
-    else Pnut_exec.Supervisor.Complete g
+  Pnut_exec.Supervisor.finish monitor ~visited:(Store.num_states store) stop
+    { net; store; complete = stop = None; por_reduction }
 
 let build ?max_states ?por net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states ?por net)
@@ -277,21 +245,8 @@ let find_state g marking =
     go 0
   end
 
-let deadlocks g =
-  let acc = ref [] in
-  for i = num_states g - 1 downto 0 do
-    if Store.out_degree g.store i = 0 then acc := i :: !acc
-  done;
-  !acc
-
-let bound g p =
-  let scratch = Array.make (Net.num_places g.net) 0 in
-  let acc = ref 0 in
-  for i = 0 to num_states g - 1 do
-    Store.marking_into g.store i scratch;
-    if scratch.(p) > !acc then acc := scratch.(p)
-  done;
-  !acc
+let deadlocks g = Store.deadlocks g.store
+let bound g p = Store.max_tokens g.store p
 
 let is_safe g =
   let scratch = Array.make (Net.num_places g.net) 0 in

@@ -63,7 +63,7 @@ val build_supervised :
   t Pnut_exec.Supervisor.outcome
 (** {!build} under a budget.  Wall, heap and cancellation are polled on
     the interning cadence (every 256 expanded states); [budget.max_states]
-    tightens [max_states].  A tripped
+    tightens [max_states] by {!Pnut_exec.Supervisor.cap}.  A tripped
     limit — including the state cap — yields [Degraded] carrying the
     partial graph (a valid prefix: every interned state is present, only
     the unexpanded frontier is missing outgoing edges) plus a progress

@@ -344,6 +344,22 @@ let finalize st =
 let[@inline] first_edge st i = Pages.get st.succ_off i
 let out_degree st i = first_edge st (i + 1) - first_edge st i
 
+let deadlocks st =
+  let acc = ref [] in
+  for i = st.n - 1 downto 0 do
+    if out_degree st i = 0 then acc := i :: !acc
+  done;
+  !acc
+
+let max_tokens st p =
+  let scratch = Array.make (Packed.places (Packed.layout st.codec)) 0 in
+  let acc = ref 0 in
+  for i = 0 to st.n - 1 do
+    marking_into st i scratch;
+    if scratch.(p) > !acc then acc := scratch.(p)
+  done;
+  !acc
+
 let successors st i =
   let acc = ref [] in
   for k = first_edge st (i + 1) - 1 downto first_edge st i do

@@ -74,6 +74,13 @@ val finalize : t -> unit
 
 val out_degree : t -> int -> int
 
+val deadlocks : t -> int list
+(** The states without a successor, ascending (after {!finalize}). *)
+
+val max_tokens : t -> int -> int
+(** [max_tokens st p]: the largest token count of place [p] over the
+    stored states. *)
+
 val edge_bytes : t -> int
 (** Bytes per successor entry: 4, or 8 once an edge word outgrew 32
     bits. *)

@@ -682,7 +682,8 @@ let expand sp cl emit =
 
 (* The initial vector: empty flight, full enabling delays pending,
    normalized (the oracle reaches the same point through leading
-   Ticks).  Its id (always 0) and normalization shift. *)
+   Ticks).  Its id (always 0: every cap is at least 1) and
+   normalization shift. *)
 let initial_vector sp net =
   let m0 = Net.initial_marking net in
   let env0 = Net.initial_env net in
@@ -698,31 +699,18 @@ let initial_vector sp net =
     (fun k c -> sp.dst.(k) <- det_duration env0 c.Kernel.s_tr ~firing:false)
     enabled;
   let shift = normalize sp.dst ~nf:0 n in
-  match find_class sp (Marking.to_array m0) env0 ~flight:[||] ~pending with
-  | None -> invalid_arg "Reach.Timed: max_states must be positive"
-  | Some cl ->
-    (add_vector sp cl sp.dst n, shift)
+  let cl = find_class sp (Marking.to_array m0) env0 ~flight:[||] ~pending in
+  (add_vector sp (Option.get cl) sp.dst n, shift)
 
 (* -- serial class fixpoint: a FIFO over residual vectors.  Vectors are
       numbered in discovery order, so the FIFO is the arena itself and
-      the frontier is every vector past the cursor.  Returns the budget
-      stop, if any, with the frontier it left. -- *)
+      the frontier is every vector past the cursor. -- *)
 
-let sweep sp ~monitor ~monitored net =
+let sweep sp ~monitor net =
   ignore (initial_vector sp net : int * float);
-  (* Budget checks ride the dequeue boundary every 256 vectors — the
-     cadence of every other builder in the stack. *)
-  let rec go next =
-    if next >= sp.arena.count then None
-    else
-      let check = monitored && (next + 1) land 255 = 0 in
-      match if check then Pnut_exec.Supervisor.check monitor else None with
-      | Some r -> Some (r, sp.arena.count - next)
-      | None ->
-        expand sp (load sp next) (fun _ _ _ -> ());
-        go (next + 1)
-  in
-  go 0
+  Pnut_exec.Supervisor.sweep monitor
+    ~length:(fun () -> sp.arena.count)
+    (fun next -> expand sp (load sp next) (fun _ _ _ -> ()))
 
 (* -- assembly: the classes are already stored, so only the CSR is
       closed, from each class's steps in emission order. -- *)
@@ -741,15 +729,12 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
     ?(budget = Pnut_exec.Budget.none) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
-  let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
+    Pnut_exec.Supervisor.cap ~who:"Reach.Timed" monitor max_states
   in
   let sp = space_create net ~cap:max_states in
   let stop =
-    match sweep sp ~monitor ~monitored net with
+    match sweep sp ~monitor net with
     | None when sp.truncated ->
       Some (Pnut_exec.Supervisor.States (Store.num_states sp.store), 0)
     | stop -> stop
@@ -757,7 +742,7 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
   close_edges sp;
   let n = Store.num_states sp.store in
   let m = sp.dom_off.(n) in
-  let g =
+  Pnut_exec.Supervisor.finish monitor ~visited:n stop
     {
       net;
       store = sp.store;
@@ -768,36 +753,12 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
       iv_lo = Array.sub sp.lo 0 m;
       iv_hi = Array.sub sp.hi 0 m;
     }
-  in
-  match stop with
-  | None -> Pnut_exec.Supervisor.Complete g
-  | Some (reason, frontier) ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = g;
-        progress = Pnut_exec.Supervisor.snapshot monitor ~visited:n ~frontier;
-      }
 
 let build ?max_states net =
   Pnut_exec.Supervisor.value (build_supervised ?max_states net)
 
-let deadlocks g =
-  let acc = ref [] in
-  for i = num_states g - 1 downto 0 do
-    if Store.out_degree g.store i = 0 then acc := i :: !acc
-  done;
-  !acc
-
-let max_tokens g p =
-  let scratch = Array.make (Net.num_places g.net) 0 in
-  let acc = ref 0 in
-  for i = 0 to num_states g - 1 do
-    Store.marking_into g.store i scratch;
-    if scratch.(p) > !acc then acc := scratch.(p)
-  done;
-  !acc
-
+let deadlocks (g : t) = Store.deadlocks g.store
+let max_tokens (g : t) p = Store.max_tokens g.store p
 
 (* Earliest time before [tid] first starts firing: a uniform-cost
    search over normalized vectors where an edge costs its normalization

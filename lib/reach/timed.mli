@@ -76,7 +76,7 @@ val build_supervised :
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
 (** {!build} under a budget, polled on the vector-dequeue boundary;
-    [budget.max_states] tightens [max_states].  A tripped limit —
+    {!Pnut_exec.Supervisor.cap} tightens [max_states].  A tripped limit —
     including the class cap — yields [Degraded] with the partial graph
     (a valid prefix of classes) and visited/frontier counts; a budgeted
     build that completes returns a graph identical to {!build}'s.

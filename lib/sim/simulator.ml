@@ -586,24 +586,6 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   in
   try loop () with Budget_trip reason -> stop_budget reason
 
-let run_supervised ?until ?max_events ?budget ?finish (st : t) =
-  let monitor =
-    Pnut_exec.Supervisor.start
-      (Option.value budget ~default:Pnut_exec.Budget.none)
-  in
-  let outcome = run ?until ?max_events ?budget ?finish st in
-  match outcome.stop with
-  | Budget_exhausted reason ->
-    Pnut_exec.Supervisor.Degraded
-      {
-        reason;
-        partial = outcome;
-        progress =
-          Pnut_exec.Supervisor.snapshot monitor ~visited:outcome.started
-            ~frontier:0;
-      }
-  | Horizon | Dead | Event_limit -> Pnut_exec.Supervisor.Complete outcome
-
 let simulate ?seed ?prng ?max_instant_firings ?until ?max_events ?sink net =
   let st = create ?seed ?prng ?sink ?max_instant_firings net in
   run ?until ?max_events st

@@ -152,14 +152,6 @@ val run :
     that will be continued with a later horizon (segmented runs,
     checkpointing). *)
 
-val run_supervised :
-  ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
-  ?finish:bool -> t -> outcome Pnut_exec.Supervisor.outcome
-(** {!run}, wrapped in a structured verdict: [Complete outcome] when the
-    horizon/event-limit/quiescence was reached, [Degraded _] (carrying
-    the same partial outcome plus a progress snapshot) when the budget
-    tripped. *)
-
 val simulate :
   ?seed:int ->
   ?prng:Pnut_core.Prng.t ->

@@ -86,17 +86,11 @@ let sweep ?(seed = 1) ?jobs ?(budget = Budget.none) ~runs ~until net =
   let completed =
     Array.fold_left (fun k r -> if Option.is_some r then k + 1 else k) 0 reports
   in
-  match Array.find_map (function Error r -> Some r | Ok _ -> None) results with
-  | None -> Supervisor.Complete reports
-  | Some reason ->
-    Supervisor.Degraded
-      {
-        reason;
-        partial = reports;
-        progress =
-          Supervisor.snapshot monitor ~visited:completed
-            ~frontier:(runs - completed);
-      }
+  Supervisor.finish monitor ~visited:completed
+    (Array.find_map
+       (function Error r -> Some (r, runs - completed) | Ok _ -> None)
+       results)
+    reports
 
 (* Completed samples keep their run-order position, so an estimate over
    them is bit-identical to a smaller unbudgeted sweep over the same

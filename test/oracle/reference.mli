@@ -44,10 +44,6 @@ val run :
   ?finish:bool ->
   t -> Pnut_sim.Simulator.outcome
 
-val run_supervised :
-  ?until:float -> ?max_events:int -> ?budget:Pnut_exec.Budget.t ->
-  ?finish:bool -> t -> Pnut_sim.Simulator.outcome Pnut_exec.Supervisor.outcome
-
 val simulate :
   ?seed:int ->
   ?prng:Pnut_core.Prng.t ->

@@ -779,6 +779,33 @@ let test_reach_max_states_zero () =
         "--max-states must be positive")
     [ []; [ "--timed" ] ]
 
+(* Every other builder's state cap below 1 is a usage error too, not a
+   degraded run that records a state past the cap. *)
+let test_max_states_below_one () =
+  let pump = tmp "pump_cap.pn" and xpump = tmp "xpump_cap.pn" in
+  let write path extra =
+    let oc = open_out path in
+    output_string oc
+      ("net pump\nplace p init 1\nplace q\ntransition t\n  in p\n  out p, q\n"
+      ^ extra);
+    close_out oc
+  in
+  write pump "";
+  write xpump "  enabling exponential(0.001)\n";
+  List.iter
+    (fun args ->
+      let what = String.concat " " (List.hd args :: List.tl (List.tl args)) in
+      let code, out = run args in
+      Alcotest.(check int) (what ^ ": exit") 2 code;
+      Alcotest.(check string) (what ^ ": no stdout") "" out;
+      Testutil.check_contains (what ^ ": message") (read_file (tmp "err"))
+        "max_states must be positive")
+    [ [ "coverability"; pump; "--max-states=-5" ];
+      [ "coverability"; pump; "--max-states=0" ];
+      [ "dot"; pump; "--kind"; "coverability"; "--max-states=0" ];
+      [ "dot"; pump; "--kind"; "reach"; "--max-states"; "0" ];
+      [ "analytic"; xpump; "--max-states=0" ] ]
+
 (* An arc list naming a place twice is one arc of the summed weight:
    [take] needs two tokens of [p], so it never fires from one. *)
 let test_repeated_arcs () =
@@ -873,6 +900,8 @@ let () =
           Alcotest.test_case "bad model" `Quick test_bad_model_error;
           Alcotest.test_case "reach max-states 0" `Quick
             test_reach_max_states_zero;
+          Alcotest.test_case "max-states below 1" `Quick
+            test_max_states_below_one;
           Alcotest.test_case "model is a directory" `Quick
             test_model_is_directory;
           Alcotest.test_case "repeated arcs" `Quick test_repeated_arcs;

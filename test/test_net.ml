@@ -198,19 +198,15 @@ let test_sample_duration_errors () =
            ()))
 
 let test_duration_classification () =
-  Alcotest.(check bool) "const det" true (Net.duration_is_deterministic (Net.Const 1.0));
-  Alcotest.(check bool) "exp stochastic" false
-    (Net.duration_is_deterministic (Net.Exponential 1.0));
+  let det = Pnut_core.Duration.deterministic in
+  Alcotest.(check bool) "const det" true (det (Net.Const 1.0));
+  Alcotest.(check bool) "exp stochastic" false (det (Net.Exponential 1.0));
   Alcotest.(check bool) "degenerate uniform det" true
-    (Net.duration_is_deterministic (Net.Uniform (2.0, 2.0)));
+    (det (Net.Uniform (2.0, 2.0)));
   Alcotest.(check bool) "degenerate choice det" true
-    (Net.duration_is_deterministic (Net.Choice [ (3.0, 1.0); (3.0, 9.0) ]));
+    (det (Net.Choice [ (3.0, 1.0); (3.0, 9.0) ]));
   Alcotest.(check bool) "spread choice stochastic" false
-    (Net.duration_is_deterministic (Net.Choice [ (1.0, 1.0); (2.0, 1.0) ]));
-  Alcotest.(check (option (float 0.0))) "max of choice" (Some 50.0)
-    (Net.max_duration (Net.Choice [ (1.0, 0.5); (50.0, 0.05) ]));
-  Alcotest.(check (option (float 0.0))) "max of exponential" None
-    (Net.max_duration (Net.Exponential 1.0))
+    (det (Net.Choice [ (1.0, 1.0); (2.0, 1.0) ]))
 
 let test_pp_contains_structure () =
   let net, _, _, _, _ = build_simple () in

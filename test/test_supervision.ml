@@ -168,27 +168,25 @@ let test_sim_budget () =
   let net = exp_pump_net () in
   (* event cap through the budget *)
   let st = Sim.create ~seed:7 net in
-  (match Sim.run_supervised ~budget:(Budget.make ~max_events:500 ()) st with
-  | Supervisor.Degraded { reason = Supervisor.Events n; partial; _ } ->
+  (match Sim.run ~budget:(Budget.make ~max_events:500 ()) st with
+  | { Sim.stop = Sim.Budget_exhausted (Supervisor.Events n); started; _ } ->
     Alcotest.(check int) "events payload" 500 n;
-    Alcotest.(check int) "stopped at the cap" 500 partial.Sim.started
-  | _ -> Alcotest.fail "expected Degraded (Events _)");
+    Alcotest.(check int) "stopped at the cap" 500 started
+  | _ -> Alcotest.fail "expected Budget_exhausted (Events _)");
   (* wall budget on an endless run *)
   let st = Sim.create ~seed:7 net in
-  (match Sim.run_supervised ~until:1e12 ~budget:(wall_50ms ()) st with
-  | Supervisor.Degraded { reason; partial; progress } ->
+  (match Sim.run ~until:1e12 ~budget:(wall_50ms ()) st with
+  | { Sim.stop = Sim.Budget_exhausted reason; started; _ } ->
     Alcotest.(check bool) "wall reason" true (is_wall reason);
-    Alcotest.(check bool) "made progress" true (partial.Sim.started > 0);
-    Alcotest.(check bool) "snapshot counts events" true
-      (progress.Supervisor.visited = partial.Sim.started)
-  | Supervisor.Complete _ -> Alcotest.fail "cannot complete until t=1e12");
+    Alcotest.(check bool) "made progress" true (started > 0)
+  | _ -> Alcotest.fail "cannot complete until t=1e12");
   (* pre-cancelled token degrades at the first watchdog slot *)
   let tok = Budget.token () in
   Budget.cancel tok;
   let st = Sim.create ~seed:7 net in
-  (match Sim.run_supervised ~until:1e12 ~budget:(Budget.make ~cancel:tok ()) st with
-  | Supervisor.Degraded { reason = Supervisor.Cancelled; _ } -> ()
-  | _ -> Alcotest.fail "expected Degraded Cancelled")
+  (match Sim.run ~until:1e12 ~budget:(Budget.make ~cancel:tok ()) st with
+  | { Sim.stop = Sim.Budget_exhausted Supervisor.Cancelled; _ } -> ()
+  | _ -> Alcotest.fail "expected Budget_exhausted Cancelled")
 
 let test_sim_budget_identical () =
   (* a budgeted run that completes is indistinguishable from an
@@ -197,7 +195,7 @@ let test_sim_budget_identical () =
   let run budget =
     let sink, get = Pnut_trace.Trace.collector () in
     let st = Sim.create ~seed:3 ~sink net in
-    let o = Supervisor.value (Sim.run_supervised ~until:2000.0 ?budget st) in
+    let o = Sim.run ~until:2000.0 ?budget st in
     let t = get () in
     (o.Sim.stop, o.Sim.final_clock, o.Sim.started, o.Sim.finished,
      Pnut_trace.Trace.deltas t, Pnut_trace.Trace.final_time t)
@@ -298,6 +296,93 @@ let test_coverability_budget () =
     Alcotest.(check bool) "both unbounded" (Cov.is_bounded plain) (Cov.is_bounded g)
   | Supervisor.Degraded _ -> Alcotest.fail "generous budget should not trip"
 
+(* -- Where a cancelled build stops --
+
+   A token cancelled before the build starts trips the first poll,
+   which comes before the 256th item of the sweep (index 255): the
+   partial result is exactly what the unbudgeted build had recorded
+   at that point. *)
+
+let cancelled () =
+  let tok = Budget.token () in
+  Budget.cancel tok;
+  Budget.make ~cancel:tok ()
+
+let pipeline () = Pnut_pipeline.Model.full Pnut_pipeline.Config.default
+
+let test_graph_cancel_pin () =
+  let net = pipeline () in
+  let full = Graph.build net in
+  match Graph.build_supervised ~budget:(cancelled ()) net with
+  | Supervisor.Degraded { reason = Supervisor.Cancelled; partial; progress } ->
+    Alcotest.(check int) "visited" 311 progress.Supervisor.visited;
+    Alcotest.(check int) "frontier" 56 progress.Supervisor.frontier;
+    Alcotest.(check int) "visited = states" (Graph.num_states partial)
+      progress.Supervisor.visited;
+    let expanded = Graph.num_states partial - progress.Supervisor.frontier in
+    Alcotest.(check int) "expanded before the poll" 255 expanded;
+    for i = 0 to Graph.num_states partial - 1 do
+      Alcotest.(check (array int))
+        (Printf.sprintf "state %d marking" i)
+        (Graph.state full i).Graph.s_marking
+        (Graph.state partial i).Graph.s_marking;
+      Alcotest.(check bool)
+        (Printf.sprintf "state %d edges" i)
+        true
+        (Graph.successors partial i
+        = if i < expanded then Graph.successors full i else [])
+    done
+  | _ -> Alcotest.fail "expected Degraded Cancelled"
+
+let test_timed_cancel_pin () =
+  let net = pipeline () in
+  let full = Pnut_reach.Timed.build net in
+  match Pnut_reach.Timed.build_supervised ~budget:(cancelled ()) net with
+  | Supervisor.Degraded { reason = Supervisor.Cancelled; partial; progress } ->
+    Alcotest.(check int) "visited" 264 progress.Supervisor.visited;
+    Alcotest.(check int) "frontier" 64 progress.Supervisor.frontier;
+    Alcotest.(check int) "visited = classes"
+      (Pnut_reach.Timed.num_states partial) progress.Supervisor.visited;
+    for i = 0 to Pnut_reach.Timed.num_states partial - 1 do
+      Alcotest.(check (array int))
+        (Printf.sprintf "class %d marking" i)
+        (Pnut_reach.Timed.state full i).Pnut_reach.Timed.ts_marking
+        (Pnut_reach.Timed.state partial i).Pnut_reach.Timed.ts_marking;
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "class %d edge in the full graph" i)
+            true
+            (List.mem e (Pnut_reach.Timed.successors full i)))
+        (Pnut_reach.Timed.successors partial i)
+    done
+  | _ -> Alcotest.fail "expected Degraded Cancelled"
+
+let test_coverability_cancel_pin () =
+  (* 10 independent pumps: 1,024 nodes, one per subset of ω places *)
+  let net = many_pumps 10 in
+  let full = Cov.build net in
+  match Cov.build_supervised ~budget:(cancelled ()) net with
+  | Supervisor.Degraded { reason = Supervisor.Cancelled; partial; progress } ->
+    Alcotest.(check int) "visited" 274 progress.Supervisor.visited;
+    Alcotest.(check int) "frontier" 19 progress.Supervisor.frontier;
+    Alcotest.(check int) "visited = nodes" (Cov.num_nodes partial)
+      progress.Supervisor.visited;
+    for i = 0 to Cov.num_nodes partial - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d marking" i)
+        true
+        ((Cov.node full i).Cov.n_marking = (Cov.node partial i).Cov.n_marking);
+      List.iter
+        (fun e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "node %d edge in the full graph" i)
+            true
+            (List.mem e (Cov.successors full i)))
+        (Cov.successors partial i)
+    done
+  | _ -> Alcotest.fail "expected Degraded Cancelled"
+
 (* -- GSPN -- *)
 
 let test_gspn_budget () =
@@ -389,6 +474,10 @@ let () =
           Alcotest.test_case "timed wall budget" `Quick test_timed_wall_budget;
           Alcotest.test_case "coverability budget" `Quick
             test_coverability_budget;
+          Alcotest.test_case "graph cancel pin" `Quick test_graph_cancel_pin;
+          Alcotest.test_case "timed cancel pin" `Quick test_timed_cancel_pin;
+          Alcotest.test_case "coverability cancel pin" `Quick
+            test_coverability_cancel_pin;
           Alcotest.test_case "gspn budget" `Quick test_gspn_budget;
           Alcotest.test_case "replication budget" `Quick
             test_replication_budget;
