@@ -192,11 +192,15 @@ let eliminate_vanishing ~monitor states tangible_index nt n_transitions =
   sweep 0;
   (absorb, fires, !tripped)
 
-let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
-    ?(max_iterations = 100_000) ?(budget = Budget.none) net =
+(* The power iteration stops once an iterate moves less than
+   [tolerance] in L1, and fails after [max_iterations]. *)
+let tolerance = 1e-12
+let max_iterations = 100_000
+
+let analyze_supervised ?(max_states = 2000) ?(budget = Budget.none) net =
   let monitor = Supervisor.start budget in
   let kinds = classify net in
-  let max_states = Supervisor.cap ~who:"Gspn" monitor max_states in
+  let max_states = Supervisor.cap ~who:"Gspn" max_states in
   let states, stop = explore ~max_states ~monitor net kinds in
   let n = Array.length states in
   let n_transitions = Net.num_transitions net in
@@ -243,30 +247,36 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
   let pi = Array.make nt (1.0 /. float_of_int nt) in
   let next = Array.make nt 0.0 in
   let rec iterate k =
-    if k >= max_iterations then ()
-    else begin
-      Array.fill next 0 nt 0.0;
-      for i = 0 to nt - 1 do
-        let stay = 1.0 -. (exit.(i) /. lambda) in
-        next.(i) <- next.(i) +. (pi.(i) *. stay);
-        List.iter
-          (fun (j, rate) -> next.(j) <- next.(j) +. (pi.(i) *. rate /. lambda))
-          rows.(i)
-      done;
-      let delta = ref 0.0 in
-      for i = 0 to nt - 1 do
-        delta := !delta +. Float.abs (next.(i) -. pi.(i));
-        pi.(i) <- next.(i)
-      done;
-      if !delta > tolerance then begin
-        (* Each iteration sweeps the whole tangible chain, so a per-iteration
-           poll keeps the solve responsive even on a huge partial chain left
-           behind by a tripped exploration; the unconverged iterate is still
-           emitted as the partial result. *)
-        match Supervisor.check monitor with
-        | Some reason -> if !solve_trip = None then solve_trip := Some reason
-        | None -> iterate (k + 1)
-      end
+    Array.fill next 0 nt 0.0;
+    for i = 0 to nt - 1 do
+      let stay = 1.0 -. (exit.(i) /. lambda) in
+      next.(i) <- next.(i) +. (pi.(i) *. stay);
+      List.iter
+        (fun (j, rate) -> next.(j) <- next.(j) +. (pi.(i) *. rate /. lambda))
+        rows.(i)
+    done;
+    let delta = ref 0.0 in
+    for i = 0 to nt - 1 do
+      delta := !delta +. Float.abs (next.(i) -. pi.(i));
+      pi.(i) <- next.(i)
+    done;
+    if !delta > tolerance then begin
+      (* Each iteration sweeps the whole tangible chain, so a per-iteration
+         poll keeps the solve responsive even on a huge partial chain left
+         behind by a tripped exploration; the unconverged iterate is still
+         emitted as the partial result. *)
+      match Supervisor.check monitor with
+      | Some reason -> if !solve_trip = None then solve_trip := Some reason
+      | None when k + 1 < max_iterations -> iterate (k + 1)
+      | None ->
+        (* an exploration trip leaves a partial chain: its iterate is
+           reported as degraded, not as a failure *)
+        if stop = None then
+          invalid_arg
+            (Printf.sprintf
+               "Gspn: power iteration did not converge in %d iterations \
+                (last L1 change %g)"
+               max_iterations !delta)
     end
   in
   if !solve_trip = None then iterate 0;
@@ -315,9 +325,8 @@ let analyze_supervised ?(max_states = 2000) ?(tolerance = 1e-12)
   in
   Supervisor.finish monitor ~visited:n stop result
 
-let analyze ?max_states ?tolerance ?max_iterations net =
-  Supervisor.value
-    (analyze_supervised ?max_states ?tolerance ?max_iterations net)
+let analyze ?max_states net =
+  Supervisor.value (analyze_supervised ?max_states net)
 
 let place_mean r net name =
   r.place_means.(Net.place_id net name)

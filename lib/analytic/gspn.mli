@@ -52,27 +52,23 @@ exception Too_many_states of rejection
 val rejection_message : rejection -> string
 (** One-line human-readable rendering for CLI error reporting. *)
 
-val analyze :
-  ?max_states:int ->
-  ?tolerance:float ->
-  ?max_iterations:int ->
-  Pnut_core.Net.t -> result
+val analyze : ?max_states:int -> Pnut_core.Net.t -> result
 (** [max_states] caps the reachability exploration (default 2000;
-    raises {!Too_many_states} past it); [tolerance] is the
-    stationary-iteration stopping criterion (default 1e-12);
-    [max_iterations] bounds the power iteration (default 100_000). *)
+    raises {!Too_many_states} past it).  The stationary distribution
+    is a uniformized power iteration that stops once an iterate moves
+    less than 1e-12 in L1; after 100_000 iterations without that it
+    raises [Invalid_argument], naming the last change. *)
 
 val analyze_supervised :
   ?max_states:int ->
-  ?tolerance:float ->
-  ?max_iterations:int ->
   ?budget:Pnut_exec.Budget.t ->
   Pnut_core.Net.t -> result Pnut_exec.Supervisor.outcome
 (** {!analyze} under a budget, polled before every 256th state
-    expansion; {!Pnut_exec.Supervisor.cap} tightens [max_states].  A wall, heap
-    or cancellation trip yields [Degraded] with the analysis restricted
-    to the explored prefix (unexpanded states act as absorbing, and the
-    stationary vector is re-normalized); the state cap still raises
+    expansion and on every power iteration.  A wall, heap or
+    cancellation trip yields [Degraded] with the analysis restricted to
+    the explored prefix (unexpanded states act as absorbing, and the
+    stationary vector is re-normalized), and an unconverged solve on
+    such a prefix is reported the same way; the state cap still raises
     {!Too_many_states}. *)
 
 val place_mean : result -> Pnut_core.Net.t -> string -> float

@@ -137,14 +137,6 @@ let conserved c y =
   done;
   !ok
 
-let covered_by_p_invariants c =
-  let invs = p_invariants c in
-  let covered = Array.make c.np false in
-  List.iter
-    (fun y -> Array.iteri (fun i x -> if x > 0 then covered.(i) <- true) y)
-    invs;
-  Array.for_all (fun b -> b) covered
-
 let weighted_sum y m =
   let sum = ref 0 in
   Array.iteri (fun i x -> sum := !sum + (x * m.(i))) y;

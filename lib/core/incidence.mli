@@ -32,10 +32,6 @@ val t_invariants : t -> int array list
 val conserved : t -> int array -> bool
 (** [conserved c y] checks [y^T C = 0]. *)
 
-val covered_by_p_invariants : t -> bool
-(** Every place has a positive entry in some P-invariant; implies the net
-    is structurally bounded. *)
-
 val weighted_sum : int array -> int array -> int
 (** [weighted_sum y m] is the invariant value [y . m]. *)
 

@@ -16,17 +16,15 @@ type diagnostic = {
 }
 
 val check : Net.t -> diagnostic list
-(** All diagnostics, errors first.  Checks include:
-    - transitions with no input and no inhibitor arcs (fire forever at
-      time zero unless timed),
-    - zero-delay transitions whose inputs are all initially marked
-      self-loops (instantaneous livelock candidates),
-    - places never written by any transition and not initially marked
-      feeding inputs (dead inputs),
-    - places never read (write-only; often a model typo),
-    - dynamic durations referring to unbound variables,
-    - predicates/actions referring to unbound variables or tables,
-    - capacity declarations violated by the initial marking. *)
+(** All diagnostics, errors first.  Errors: malformed durations (an
+    invalid uniform range, a non-positive exponential mean, an empty
+    choice, a negative choice value or a non-positive choice weight)
+    and durations, predicates or actions referring to unbound variables
+    or tables.
+    Warnings: transitions with no input arc, inhibitor arc or predicate
+    (always enabled), and places that are read but never marked (dead
+    inputs), written but never read (often a typo) or connected to no
+    transition (isolated). *)
 
 val errors : diagnostic list -> diagnostic list
 val warnings : diagnostic list -> diagnostic list

@@ -1,11 +1,12 @@
 (** Resource budgets for long-running computations.
 
-    A budget is a passive record of limits — wall-clock seconds,
-    major-heap words, explored-state and executed-event caps, and an
-    optional cooperative cancellation token.  It does nothing by
-    itself; consumers hand it to {!Supervisor.start} and poll the
-    resulting monitor on their existing cheap cadences (the simulator's
-    256-step watchdog slot, the reachability interning loop).
+    A budget is a passive record of resource limits — wall-clock
+    seconds, major-heap words and an optional cooperative cancellation
+    token.  It does nothing by itself; consumers hand it to
+    {!Supervisor.start} and poll the resulting monitor on their existing
+    cheap cadences (the simulator's 256-step watchdog slot, the
+    reachability interning loop).  State and event caps are not part of
+    a budget: they are the builders' own limits.
 
     All limits are optional and independent; {!none} is the empty
     budget, under which every check is a near-free no-op. *)
@@ -26,8 +27,6 @@ type t = {
   wall_s : float option;      (** wall-clock limit in seconds *)
   heap_words : int option;    (** major-heap limit, in words
                                   ([Gc.quick_stat]) *)
-  max_states : int option;    (** explored-state cap (reach, gspn) *)
-  max_events : int option;    (** executed-event cap (sim) *)
   cancel : token option;      (** cooperative cancellation *)
 }
 
@@ -37,15 +36,12 @@ val none : t
 val make :
   ?wall_s:float ->
   ?heap_mb:int ->
-  ?heap_words:int ->
-  ?max_states:int ->
-  ?max_events:int ->
   ?cancel:token ->
   unit ->
   t
-(** Build a budget from whichever limits are given.  [heap_mb] is a
-    convenience spelling of [heap_words] (it wins if both are given);
-    limits must be positive ([Invalid_argument] otherwise). *)
+(** Build a budget from whichever limits are given; [heap_mb] becomes
+    [heap_words].  Limits must be positive ([Invalid_argument]
+    otherwise). *)
 
 val is_none : t -> bool
 (** No limit is set — consumers may skip monitoring entirely. *)

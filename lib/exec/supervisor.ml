@@ -2,7 +2,6 @@ type reason =
   | Wall of float
   | Heap of int
   | States of int
-  | Events of int
   | Cancelled
 
 type progress = {
@@ -32,7 +31,6 @@ let reason_message = function
       (float_of_int w /. 1e6)
       (w * (Sys.word_size / 8) / 1024 / 1024)
   | States n -> Printf.sprintf "state budget exhausted at %d states" n
-  | Events n -> Printf.sprintf "event budget exhausted at %d events" n
   | Cancelled -> "cancelled"
 
 let pp_progress ppf p =
@@ -79,9 +77,6 @@ let check m =
           if w >= limit then Some (Heap w) else None
         | _ -> None))
 
-let max_states m = m.budget.Budget.max_states
-let max_events m = m.budget.Budget.max_events
-
 let run_budget m =
   if not m.is_active then None
   else
@@ -89,8 +84,7 @@ let run_budget m =
     Some
       { b with
         Budget.wall_s =
-          Option.map (fun w -> Float.max 1e-6 (w -. elapsed m)) b.Budget.wall_s;
-        max_states = None }
+          Option.map (fun w -> Float.max 1e-6 (w -. elapsed m)) b.Budget.wall_s }
 
 let snapshot m ~visited ~frontier =
   {
@@ -100,12 +94,7 @@ let snapshot m ~visited ~frontier =
     frontier;
   }
 
-let cap ~who m max_states =
-  let max_states =
-    match m.budget.Budget.max_states with
-    | Some c -> min c max_states
-    | None -> max_states
-  in
+let cap ~who max_states =
   if max_states < 1 then invalid_arg (who ^ ": max_states must be positive");
   max_states
 

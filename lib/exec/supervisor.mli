@@ -13,7 +13,6 @@ type reason =
   | Wall of float    (** wall-clock limit hit; payload = elapsed seconds *)
   | Heap of int      (** major-heap limit hit; payload = heap words *)
   | States of int    (** state cap hit; payload = states interned *)
-  | Events of int    (** event cap hit; payload = events executed *)
   | Cancelled        (** the budget's cancellation token was raised *)
 
 type progress = {
@@ -65,18 +64,15 @@ val check : monitor -> reason option
     on the first call and then at most once per millisecond of wall
     clock, so a heap trip is seen within 1 ms plus one poll interval. *)
 
-val max_states : monitor -> int option
-val max_events : monitor -> int option
-
 val elapsed : monitor -> float
 (** Wall-clock seconds since {!start}. *)
 
 val run_budget : monitor -> Budget.t option
 (** The budget of one run of a replication sweep starting now: [None]
     for {!Budget.none}, else the sweep's budget with the wall time still
-    left (at least 1 µs) and no state cap.  The sweep's wall limit is
-    thus one absolute deadline: once it passes, every in-flight run, on
-    any worker domain, degrades at its next watchdog slot. *)
+    left (at least 1 µs).  The sweep's wall limit is thus one absolute
+    deadline: once it passes, every in-flight run, on any worker domain,
+    degrades at its next watchdog slot. *)
 
 val snapshot : monitor -> visited:int -> frontier:int -> progress
 (** Progress record at this instant. *)
@@ -84,13 +80,12 @@ val snapshot : monitor -> visited:int -> frontier:int -> progress
 (** {1 The budget policy of a builder}
 
     Every state-space builder runs under the same three rules: its
-    state cap is lowered to the budget's, it polls {!check} before
-    every 256th expansion, and it reports through {!finish}. *)
+    state cap is validated by {!cap}, it polls {!check} before every
+    256th expansion, and it reports through {!finish}. *)
 
-val cap : who:string -> monitor -> int -> int
-(** [cap ~who m max_states] is [max_states], lowered to the budget's
-    state cap if it has one.  Raises [Invalid_argument
-    "<who>: max_states must be positive"] when the result is below 1. *)
+val cap : who:string -> int -> int
+(** [cap ~who max_states] is [max_states].  Raises [Invalid_argument
+    "<who>: max_states must be positive"] when it is below 1. *)
 
 val sweep :
   monitor -> length:(unit -> int) -> (int -> unit) -> (reason * int) option

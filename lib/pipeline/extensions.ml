@@ -2,11 +2,13 @@ module Net = Pnut_core.Net
 module B = Net.Builder
 module I = Model.Internal
 
+let cache_cycles = 1.0
+
 (* Instruction-cache front end replacing the plain prefetch: a single
    prefetch unit probes the cache; hits deliver buffer words in
    [cache_cycles] without the bus, misses fall back to the Figure-1 bus
    transaction. *)
-let add_cached_prefetch b (c : Config.t) (s : I.shared) ~hit_ratio ~cache_cycles
+let add_cached_prefetch b (c : Config.t) (s : I.shared) ~hit_ratio
     ~extra_inhibitors =
   let w = c.Config.prefetch_words in
   let unit_free = B.add_place b "Prefetch_unit" ~initial:1 ~capacity:1 in
@@ -48,7 +50,7 @@ let add_cached_prefetch b (c : Config.t) (s : I.shared) ~hit_ratio ~cache_cycles
   end
 
 let with_caches ?(icache_hit_ratio = 0.0) ?(dcache_hit_ratio = 0.0)
-    ?(cache_cycles = 1.0) (c : Config.t) =
+    (c : Config.t) =
   Config.validate c;
   let check name r =
     if r < 0.0 || r > 1.0 then
@@ -56,15 +58,13 @@ let with_caches ?(icache_hit_ratio = 0.0) ?(dcache_hit_ratio = 0.0)
   in
   check "icache_hit_ratio" icache_hit_ratio;
   check "dcache_hit_ratio" dcache_hit_ratio;
-  if cache_cycles < 0.0 then
-    invalid_arg "Extensions.with_caches: negative cache_cycles";
   let b = B.create "pipeline3c" in
   let s = I.add_shared b c in
   (* data-cache lookup places exist up front so the prefetch inhibitors
      can reference them *)
   let d_lookup = B.add_place b "D_lookup" ~capacity:2 in
   let d_wait = B.add_place b "D_wait_bus" ~capacity:2 in
-  add_cached_prefetch b c s ~hit_ratio:icache_hit_ratio ~cache_cycles
+  add_cached_prefetch b c s ~hit_ratio:icache_hit_ratio
     ~extra_inhibitors:[ (d_lookup, 1); (d_wait, 1) ];
   I.add_decode b c s;
   let dcache_fetch_path b (c : Config.t) (s : I.shared) ~operand_done =

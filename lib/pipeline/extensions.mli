@@ -19,8 +19,7 @@
 val with_caches :
   ?icache_hit_ratio:float ->
   ?dcache_hit_ratio:float ->
-  ?cache_cycles:float ->
   Config.t -> Pnut_core.Net.t
-(** Hit ratios in [0, 1] (default 0 = no cache benefit); [cache_cycles]
-    is the hit service time (default 1 cycle).  Raises
-    [Invalid_argument] on out-of-range ratios. *)
+(** Hit ratios in [0, 1] (default 0 = no cache benefit); a hit is
+    served in 1 cycle.  Raises [Invalid_argument] on out-of-range
+    ratios. *)

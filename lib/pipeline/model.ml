@@ -199,11 +199,8 @@ let full c =
   add_execution b c s;
   B.build b
 
-let prefetch_only ?consumer_cycles c =
+let prefetch_only c =
   Config.validate c;
-  let service =
-    Option.value consumer_cycles ~default:c.Config.decode_cycles
-  in
   let b = B.create "prefetch" in
   let s = add_shared b c in
   add_prefetch b c s;
@@ -214,7 +211,7 @@ let prefetch_only ?consumer_cycles c =
     (B.add_transition b "consume"
        ~inputs:[ (s.decoded_instruction, 1) ]
        ~outputs:[ (s.decoder_ready, 1) ]
-       ~firing:(Net.Const service)
+       ~firing:(Net.Const c.Config.decode_cycles)
       : Net.transition_id);
   B.build b
 

@@ -30,10 +30,10 @@
 val full : Config.t -> Pnut_core.Net.t
 (** The complete 3-stage pipeline model of Section 2. *)
 
-val prefetch_only : ?consumer_cycles:float -> Config.t -> Pnut_core.Net.t
+val prefetch_only : Config.t -> Pnut_core.Net.t
 (** The Figure-1 net alone, closed with a simple decoder that consumes
-    instructions at a fixed rate ([consumer_cycles] per word, default the
-    decode time) and immediately recycles [Decoder_ready]. *)
+    instructions at a fixed rate (one per decode time) and immediately
+    recycles [Decoder_ready]. *)
 
 val exec_transition_names : Config.t -> string list
 (** [exec_type_1 .. exec_type_n] for the configured profile, in order. *)

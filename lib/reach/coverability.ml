@@ -155,7 +155,7 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states =
-    Pnut_exec.Supervisor.cap ~who:"Reach.Coverability" monitor max_states
+    Pnut_exec.Supervisor.cap ~who:"Reach.Coverability" max_states
   in
   let stop = ref None in
   let pops = ref 0 in

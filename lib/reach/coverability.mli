@@ -61,8 +61,8 @@ val build_supervised :
   ?budget:Pnut_exec.Budget.t ->
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
-(** {!build} under a budget, polled every 256 DFS pops;
-    {!Pnut_exec.Supervisor.cap} tightens [max_states].  A tripped limit —
+(** {!build} under a budget, polled every 256 DFS pops.  A tripped
+    limit —
     including the state cap — yields [Degraded] with the partial graph
     and visited/frontier counts; a budgeted build that completes
     returns a graph identical to {!build}'s.  Still raises

@@ -190,9 +190,7 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
           (List.sort_uniq String.compare
              (List.map (fun tr -> tr.Net.t_name) bad))));
   let monitor = Pnut_exec.Supervisor.start budget in
-  let max_states =
-    Pnut_exec.Supervisor.cap ~who:"Reach.Graph" monitor max_states
-  in
+  let max_states = Pnut_exec.Supervisor.cap ~who:"Reach.Graph" max_states in
   let kernel = Kernel.of_net net in
   (* Raises Stubborn.Unsupported when the net falls outside the
      reduction's fragment — callers choosing [por] must catch it or
@@ -258,24 +256,9 @@ let is_safe g =
   in
   go 0
 
-(* One pass over the edges marks fired transitions; both liveness
-   queries read the same bool array instead of the old O(T^2)
-   list-membership scan. *)
-let transition_fired g =
+let dead_transitions g =
   let seen = Array.make (Net.num_transitions g.net) false in
   Store.iter_edges g.store (fun _ tid _ -> seen.(tid) <- true);
-  seen
-
-let live_transitions g =
-  let seen = transition_fired g in
-  let acc = ref [] in
-  for i = Array.length seen - 1 downto 0 do
-    if seen.(i) then acc := i :: !acc
-  done;
-  !acc
-
-let dead_transitions g =
-  let seen = transition_fired g in
   let acc = ref [] in
   for i = Array.length seen - 1 downto 0 do
     if not seen.(i) then acc := i :: !acc
@@ -286,29 +269,7 @@ let dead_transitions g =
    together with its incoming edge, in a truncated or budget-stopped
    prefix too — so state 0 is reachable from every state exactly when
    the graph is one SCC. *)
-let is_reversible g = Store.components (Store.sccs g.store) = 1
-
-(* A home state is reachable from every state.  Every state reaches
-   some bottom SCC, and nothing leaves one, so the home states are the
-   members of the bottom SCC when it is unique, and none otherwise. *)
-let home_states g =
-  let c = Store.sccs g.store in
-  if Store.bottoms c <> 1 then []
-  else begin
-    let bottom = Store.bottom_id c in
-    let acc = ref [] in
-    for i = num_states g - 1 downto 0 do
-      if Store.component c i = bottom then acc := i :: !acc
-    done;
-    !acc
-  end
-
-let check_invariant g p =
-  let n = num_states g in
-  let rec go i =
-    if i >= n then None else if not (p (state g i)) then Some i else go (i + 1)
-  in
-  go 0
+let is_reversible g = Store.strongly_connected g.store
 
 let pp_summary ppf g =
   Format.fprintf ppf

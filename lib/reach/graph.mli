@@ -62,8 +62,7 @@ val build_supervised :
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
 (** {!build} under a budget.  Wall, heap and cancellation are polled on
-    the interning cadence (every 256 expanded states); [budget.max_states]
-    tightens [max_states] by {!Pnut_exec.Supervisor.cap}.  A tripped
+    the interning cadence (every 256 expanded states).  A tripped
     limit — including the state cap — yields [Degraded] carrying the
     partial graph (a valid prefix: every interned state is present, only
     the unexpanded frontier is missing outgoing edges) plus a progress
@@ -112,24 +111,15 @@ val bound : t -> Pnut_core.Net.place_id -> int
 val is_safe : t -> bool
 (** Every place holds at most one token in every reachable state. *)
 
-val live_transitions : t -> Pnut_core.Net.transition_id list
-(** Transitions that fire on at least one edge (L1-live). *)
-
 val dead_transitions : t -> Pnut_core.Net.transition_id list
+(** Transitions that fire on no edge (not L1-live). *)
 
 val is_reversible : t -> bool
 (** The initial state is reachable from every reachable state.  Every
     recorded state is reachable from the initial one (in a truncated
     prefix too), so this holds exactly when the recorded graph is one
-    strongly connected component: one linear {!Store.sccs} pass over
-    the successors, with no predecessors built. *)
-
-val home_states : t -> int list
-(** States reachable from every reachable state, ascending: the members
-    of the unique bottom SCC, or [[]] when there are two or more.  One
-    linear {!Store.sccs} pass. *)
-
-val check_invariant : t -> (state -> bool) -> int option
-(** First state violating a predicate, if any. *)
+    strongly connected component: {!Store.strongly_connected}, a
+    depth-first search that stops at the first component it closes,
+    with no predecessors built. *)
 
 val pp_summary : Format.formatter -> t -> unit

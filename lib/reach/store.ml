@@ -13,17 +13,17 @@
 
 (* Unsigned words in byte pages: the CSR offsets, the edge words
    [(target lsl t_bits) lor tid] (a source in place of the target in
-   the predecessor CSR), the intern index and the SCC scratch.  Entries
-   are 4 bytes, in pages of [page_len]; the CSR tables are appended as
-   the sweep runs, so there is no doubling copy of what is stored and
-   no trim at finalize; only page 0 starts small and doubles up to
-   [page_len], which keeps tiny graphs tiny.  The GC never scans
-   [Bytes], yet they count in the major heap, so a heap budget still
-   covers them.  The first word that does not fit 32 bits re-encodes
+   the predecessor CSR), the intern index and the reversibility DFS
+   tables.  Entries are 4 bytes, in pages of [page_len]; the CSR tables
+   are appended as the sweep runs, so there is no doubling copy of what
+   is stored and no trim at finalize; only page 0 starts small and
+   doubles up to [page_len], which keeps tiny graphs tiny.  The GC never
+   scans [Bytes], yet they count in the major heap, so a heap budget
+   still covers them.  The first word that does not fit 32 bits re-encodes
    every page once to 8-byte entries, the way {!Packed.widen} re-lays
    the arena; entries keep their page and slot, only the page bytes
    double.  Tables of a known size and widest value (the index, the
-   SCC scratch, the predecessor CSR) pick their width up front. *)
+   DFS tables, the predecessor CSR) pick their width up front. *)
 module Pages = struct
   let page_bits = 16
   let page_len = 1 lsl page_bits
@@ -59,7 +59,7 @@ module Pages = struct
 
   (* [len] entries of room up front (the predecessor CSR's size is
      known before it is filled); [zero] fills them with 0 (an empty
-     index, unvisited SCC ranks) *)
+     index, unvisited DFS ranks) *)
   let create ?(len = 0) ?(zero = false) ~wide () =
     let cap = min page_len (max 256 len) in
     let eb = if wide then 8 else 4 in
@@ -419,45 +419,24 @@ let predecessors st j =
   done;
   !acc
 
-(* Strongly connected components of the recorded graph, in one
-   iterative pass over the successors: Pearce's one-array variant of
-   Tarjan ("A space-efficient algorithm for finding strongly connected
-   components", IPL 2016).  [rindex] at [v] is 0 while [v] is unvisited,
-   its visit rank while its component is open, and the component id
-   once that closes.  Ids count down from [n], so every open rank stays
-   below every closed id: an edge into a closed component is told apart
-   by value, with no on-stack bit.
+(* Strong connectivity of the recorded graph: an iterative depth-first
+   search from state 0 with Pearce's one-array lowlinks ("A
+   space-efficient algorithm for finding strongly connected
+   components", IPL 2016), stopped at the first component it closes.
+   Every recorded state is reachable from 0, so the graph is one SCC
+   exactly when that first component is rooted at 0.
 
-   A state is on the DFS path, or done but waiting for its component's
-   root, or closed — never two at once — so both stacks share one
-   [n]-slot array, the path growing up from 0 and the waiting states
-   down from [n].  A path frame packs the state, its edge cursor
-   (relative to its first edge) and two bits: "root" (no edge has yet
-   reached a lower rank) and "leaves" (some edge reaches a closed
-   component).  A waiting entry keeps the state and its "leaves" bit;
-   OR-ed over a component as the root pops it, that bit tells whether
-   the component is a bottom SCC.
-
-   Both arrays are {!Pages}, each 4 bytes an entry unless its widest
-   possible value (the state count, a frame of the last state at the
-   largest degree) needs 8. *)
-type sccs = {
-  components : int;
-  bottoms : int;
-  bottom_id : int;
-  ids : Pages.t;  (* state -> component id *)
-}
-
-let components c = c.components
-let bottoms c = c.bottoms
-let bottom_id c = c.bottom_id
-let component c i = Pages.get c.ids i
-
-let root_bit = 1
-let leaves_bit = 2
-
-let sccs st =
+   Until a component closes, every visited state is still open: no
+   state waits off the path for its root and no component id is
+   stored.  [rank] at [v] is 0 while [v] is unvisited, else the lowest
+   rank [v] has reached.  A path frame packs the state, its edge cursor
+   (relative to its first edge) and a "root" bit (no edge has yet
+   reached a lower rank).  Both tables are {!Pages}, 4 bytes an entry
+   unless the widest possible value (the state count, a frame of the
+   last state at the largest degree) needs 8. *)
+let strongly_connected st =
   let n = st.n in
+  n > 0 &&
   let max_degree = ref 0 in
   for v = 0 to n - 1 do
     let d = first_edge st (v + 1) - first_edge st v in
@@ -465,114 +444,67 @@ let sccs st =
   done;
   let d_bits = bits_for !max_degree in
   let d_mask = (1 lsl d_bits) - 1 in
-  let rindex =
-    Pages.create ~len:n ~zero:true ~wide:(not (Pages.fits32 n)) ()
-  in
-  let widest_frame = (((max 0 (n - 1) lsl d_bits) lor d_mask) lsl 2) lor 3 in
-  let stack =
-    Pages.create ~len:n ~wide:(not (Pages.fits32 widest_frame)) ()
-  in
-  let path = ref 0 (* frames in stack entries 0 .. path - 1 *) in
-  let wait = ref n (* waiting states in entries wait .. n - 1 *) in
-  let rank = ref 1 and next_id = ref n in
-  let components = ref 0 and bottoms = ref 0 and bottom_id = ref 0 in
-  for s = 0 to n - 1 do
-    if Pages.get rindex s = 0 then begin
-      (* the frame of the state being explored lives in these refs:
-         state [v] with its rank [rv] (as in [rindex]), first edge
-         [k0], next edge [k], edges end at [k_end], bits [f] *)
-      let v = ref s and rv = ref !rank and f = ref root_bit in
-      let k0 = ref (first_edge st s) in
-      let k = ref !k0 in
-      let k_end = ref (first_edge st (s + 1)) in
-      Pages.set rindex s !rank;
-      incr rank;
-      let active = ref true in
-      while !active do
-        if !k < !k_end then begin
-          let w = Pages.get st.succ_dat !k lsr st.t_bits in
-          let rw = Pages.get rindex w in
-          if rw = 0 then begin
-            (* descend, parking [v] with its cursor on this edge *)
-            let rel = !k - !k0 in
-            Pages.set stack !path ((((!v lsl d_bits) lor rel) lsl 2) lor !f);
-            incr path;
-            v := w;
-            rv := !rank;
-            f := root_bit;
-            k0 := first_edge st w;
-            k := !k0;
-            k_end := first_edge st (w + 1);
-            Pages.set rindex w !rank;
-            incr rank
-          end
-          else begin
-            if rw > !next_id then f := !f lor leaves_bit
-            else if rw < !rv then begin
-              rv := rw;
-              Pages.set rindex !v rw;
-              f := !f land lnot root_bit
-            end;
-            incr k
-          end
-        end
-        else begin
-          (* [v]'s edges are done: it waits for its root, or it is the
-             root and closes its component *)
-          let w = !v in
-          if !f land root_bit = 0 then begin
-            decr wait;
-            Pages.set stack !wait ((w lsl 1) lor ((!f lsr 1) land 1))
-          end
-          else begin
-            let id = !next_id in
-            let r = !rv in
-            let leaves = ref (!f land leaves_bit) in
-            let popping = ref (!wait < n) in
-            while !popping do
-              let x = Pages.get stack !wait in
-              if Pages.get rindex (x lsr 1) < r then popping := false
-              else begin
-                leaves := !leaves lor ((x land 1) lsl 1);
-                Pages.set rindex (x lsr 1) id;
-                incr wait;
-                decr rank;
-                popping := !wait < n
-              end
-            done;
-            Pages.set rindex w id;
-            decr rank;
-            decr next_id;
-            incr components;
-            if !leaves = 0 then begin
-              incr bottoms;
-              bottom_id := id
-            end
-          end;
-          if !path = 0 then active := false
-          else begin
-            (* back in the parent, on its edge to [w]: now that [w] is
-               visited, the next turn finishes that edge *)
-            decr path;
-            let frame = Pages.get stack !path in
-            let u = frame lsr (d_bits + 2) in
-            v := u;
-            rv := Pages.get rindex u;
-            f := frame land 3;
-            k0 := first_edge st u;
-            k := !k0 + ((frame lsr 2) land d_mask);
-            k_end := first_edge st (u + 1)
-          end
-        end
-      done
+  let rank = Pages.create ~len:n ~zero:true ~wide:(not (Pages.fits32 n)) () in
+  let widest_frame = (((max 0 (n - 1) lsl d_bits) lor d_mask) lsl 1) lor 1 in
+  let path = Pages.create ~len:n ~wide:(not (Pages.fits32 widest_frame)) () in
+  let depth = ref 0 (* frames in path entries 0 .. depth - 1 *) in
+  let next_rank = ref 1 in
+  (* the frame of the state being explored lives in these refs: state
+     [v] with its rank [rv] (as in [rank]), first edge [k0], next edge
+     [k], edges end at [k_end], root bit [root] *)
+  let v = ref 0 and rv = ref 1 and root = ref true in
+  let k0 = ref (first_edge st 0) in
+  let k = ref !k0 in
+  let k_end = ref (first_edge st 1) in
+  Pages.set rank 0 1;
+  let rec go () =
+    if !k < !k_end then begin
+      let w = Pages.get st.succ_dat !k lsr st.t_bits in
+      let rw = Pages.get rank w in
+      if rw = 0 then begin
+        (* descend, parking [v] with its cursor on this edge *)
+        Pages.set path !depth
+          ((((!v lsl d_bits) lor (!k - !k0)) lsl 1) lor Bool.to_int !root);
+        incr depth;
+        incr next_rank;
+        v := w;
+        rv := !next_rank;
+        root := true;
+        k0 := first_edge st w;
+        k := !k0;
+        k_end := first_edge st (w + 1);
+        Pages.set rank w !rv
+      end
+      else begin
+        if rw < !rv then begin
+          rv := rw;
+          Pages.set rank !v rw;
+          root := false
+        end;
+        incr k
+      end;
+      go ()
     end
-  done;
-  {
-    components = !components;
-    bottoms = !bottoms;
-    bottom_id = !bottom_id;
-    ids = rindex;
-  }
+    else if !root then
+      (* [v] closes the first component.  State 0 holds the lowest
+         rank, so it is always a root and the path never runs dry. *)
+      !v = 0
+    else begin
+      (* back in the parent, on its edge to [v]: now that [v] is done,
+         the next turn finishes that edge *)
+      decr depth;
+      let frame = Pages.get path !depth in
+      let u = frame lsr (d_bits + 1) in
+      v := u;
+      rv := Pages.get rank u;
+      root := frame land 1 = 1;
+      k0 := first_edge st u;
+      k := !k0 + ((frame lsr 1) land d_mask);
+      k_end := first_edge st (u + 1);
+      go ()
+    end
+  in
+  go ()
 
 let edge_bytes st = Pages.entry_bytes st.succ_dat
 

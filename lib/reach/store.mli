@@ -72,8 +72,6 @@ val begin_source : t -> int -> unit
 val add_edge : t -> tid:int -> target:int -> unit
 val finalize : t -> unit
 
-val out_degree : t -> int -> int
-
 val deadlocks : t -> int list
 (** The states without a successor, ascending (after {!finalize}). *)
 
@@ -98,28 +96,12 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
     in ascending-source sweep order — the frozen boxed oracle's edge
     order. *)
 
-(** {2 Strongly connected components} *)
-
-type sccs
-
-val sccs : t -> sccs
-(** The SCCs of the successor graph (after {!finalize}), in one
-    iterative pass: linear in states plus edges, with two [n]-entry
-    scratch tables of 4 bytes an entry (8 once a rank or a DFS frame
-    needs more than 32 bits) and no predecessors.  Ids lie in
-    [\[n - components + 1, n\]]. *)
-
-val components : sccs -> int
-(** Number of SCCs. *)
-
-val bottoms : sccs -> int
-(** SCCs that no edge leaves. *)
-
-val bottom_id : sccs -> int
-(** The id of the last bottom SCC found. *)
-
-val component : sccs -> int -> int
-(** [component c i] is state [i]'s SCC id. *)
+val strongly_connected : t -> bool
+(** Whether the successor graph (after {!finalize}) is one strongly
+    connected component, given that every state is reachable from
+    state 0.  A depth-first search from 0 that stops at the first
+    component it closes: linear at worst, with two [n]-entry scratch
+    tables of 4 bytes an entry (8 past 32 bits) and no predecessors. *)
 
 val bytes_per_state : t -> float
 (** Bytes held per stored state: the stored arena words plus the index

@@ -729,9 +729,7 @@ let build_supervised ?(max_states = 50_000) ?jobs:_ ?packed:_
     ?(budget = Pnut_exec.Budget.none) net =
   Duration.check_net ~who:"Reach.Timed" net;
   let monitor = Pnut_exec.Supervisor.start budget in
-  let max_states =
-    Pnut_exec.Supervisor.cap ~who:"Reach.Timed" monitor max_states
-  in
+  let max_states = Pnut_exec.Supervisor.cap ~who:"Reach.Timed" max_states in
   let sp = space_create net ~cap:max_states in
   let stop =
     match sweep sp ~monitor net with

@@ -75,8 +75,8 @@ val build_supervised :
   ?budget:Pnut_exec.Budget.t ->
   Pnut_core.Net.t ->
   t Pnut_exec.Supervisor.outcome
-(** {!build} under a budget, polled on the vector-dequeue boundary;
-    {!Pnut_exec.Supervisor.cap} tightens [max_states].  A tripped limit —
+(** {!build} under a budget, polled on the vector-dequeue boundary.
+    A tripped limit —
     including the class cap — yields [Degraded] with the partial graph
     (a valid prefix of classes) and visited/frontier counts; a budgeted
     build that completes returns a graph identical to {!build}'s.

@@ -360,8 +360,10 @@ let complete_firing ?(zero = false) st (c : Kernel.compiled) firing =
   st.in_flight.(s.s_id) <- st.in_flight.(s.s_id) - 1;
   st.finished <- st.finished + 1;
   st.last_activity <- st.clock;
-  if zero then
-    emit_delta st Trace.Fire_end s.s_id firing s.s_delta_place s.s_delta_weight
+  if zero then begin
+    emit_delta st Trace.Fire_end s.s_id firing s.s_delta_place s.s_delta_weight;
+    refresh_after st ~places:s.s_in_place ~env_changed:false
+  end
   else
     emit_delta st Trace.Fire_end s.s_id firing s.s_produced_place
       s.s_produced_weight;
@@ -373,7 +375,9 @@ let complete_firing ?(zero = false) st (c : Kernel.compiled) firing =
    zero firing time is atomic in the paper's semantics, so the Fire_start
    delta is empty and the paired Fire_end delta carries the net marking
    change — no intermediate trace state ever violates invariants such as
-   Bus_free + Bus_busy = 1. *)
+   Bus_free + Bus_busy = 1.  Enabling is not re-tested between the
+   consume and the produce either: a transition sharing an input place
+   keeps its enabling clock. *)
 let start_firing st (c : Kernel.compiled) =
   let s = c.c_s in
   (* the transition is fireable, hence token-enabled: consume without
@@ -392,7 +396,6 @@ let start_firing st (c : Kernel.compiled) =
   st.view.Trace.v_env_n <- 0;
   if duration <= 0.0 then begin
     emit_delta st Trace.Fire_start s.s_id firing [||] [||];
-    refresh_after st ~places:s.s_in_place ~env_changed:false;
     complete_firing ~zero:true st c firing
   end
   else begin
@@ -495,11 +498,8 @@ type outcome = {
 exception Budget_trip of Pnut_exec.Supervisor.reason
 
 let run ?until ?max_events ?budget ?(finish = true) (st : t) =
-  if until = None && max_events = None
-     && (match budget with
-         | Some b -> b.Pnut_exec.Budget.max_events = None
-         | None -> true)
-  then invalid_arg "Simulator.run: needs a horizon or an event limit";
+  if until = None && max_events = None then
+    invalid_arg "Simulator.run: needs a horizon or an event limit";
   let horizon = Option.value until ~default:infinity in
   let limit = Option.value max_events ~default:max_int in
   let monitor =
@@ -507,13 +507,6 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
       (Option.value budget ~default:Pnut_exec.Budget.none)
   in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  (* Fold the budget's event cap into the engine's own limit: the hot
-     loop keeps a single comparison per event, and the stop site sorts
-     out which cap was hit. *)
-  let budget_events =
-    Option.value (Pnut_exec.Supervisor.max_events monitor) ~default:max_int
-  in
-  let eff_limit = min limit budget_events in
   let emit_finish t = if finish then begin
     if not st.finished_emitted then begin
       st.finished_emitted <- true;
@@ -537,13 +530,10 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   in
   let rec loop () =
     check_budget ();
-    if st.started >= eff_limit then begin
-      if st.started >= limit then begin
-        emit_finish st.clock;
-        { stop = Event_limit; final_clock = st.clock; started = st.started;
-          finished = st.finished }
-      end
-      else stop_budget (Pnut_exec.Supervisor.Events st.started)
+    if st.started >= limit then begin
+      emit_finish st.clock;
+      { stop = Event_limit; final_clock = st.clock; started = st.started;
+        finished = st.finished }
     end
     else begin
       if st.ready_n > 0 then begin

@@ -137,11 +137,10 @@ val run :
 (** Runs until the horizon, the event limit, or quiescence; emits
     [on_finish] to the sink.  When the horizon is hit, the final clock is
     exactly [until] (in-flight events beyond it stay unprocessed).  At
-    least one of [until], [max_events] and [budget.max_events] must be
-    given.
+    least one of [until] and [max_events] must be given.
 
     [budget] supervises the run: wall, heap and cancellation are polled
-    on the 256-step watchdog slot, the event cap per step.  A tripped
+    on the 256-step watchdog slot.  A tripped
     limit does not raise — the run stops at the current clock, emits
     [on_finish] (so the partial trace is well-formed) and returns
     [stop = Budget_exhausted _].  A budgeted run that completes is

@@ -106,15 +106,13 @@ let summarize ?confidence read reports =
     pr_requested = Array.length reports;
   }
 
-let replicate_supervised ?seed ?confidence ?jobs ?budget ~runs ~until net read =
-  Supervisor.map (summarize ?confidence read)
-    (sweep ?seed ?jobs ?budget ~runs ~until net)
-
 let replicate ?seed ?confidence ?jobs ~runs ~until net read =
-  match replicate_supervised ?seed ?confidence ?jobs ~runs ~until net read with
-  | Supervisor.Complete { pr_estimate = Some e; _ } -> e
-  | Supervisor.Complete { pr_estimate = None; _ } | Supervisor.Degraded _ ->
-    assert false (* no budget, and at least two runs *)
+  match
+    summarize ?confidence read
+      (Supervisor.value (sweep ?seed ?jobs ~runs ~until net))
+  with
+  | { pr_estimate = Some e; _ } -> e
+  | { pr_estimate = None; _ } -> assert false (* no budget, two runs *)
 
 let pp ppf e =
   Format.fprintf ppf "%.4f ± %.4f (%.0f%% CI, %d runs)" e.mean e.half_width

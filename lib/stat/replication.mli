@@ -64,8 +64,14 @@ val sweep :
 (** The replications themselves, simulated once: slot [i] holds run
     [i]'s statistics report, or [None] if the budget cut that run
     short.  Read any number of estimates from it with {!summarize}.
-    The budget is the same as {!replicate_supervised}'s.  Raises
-    {!Aborted}. *)
+
+    The budget is sweep-wide.  Its wall limit is an absolute deadline
+    shared by all runs; heap limits and cancellation apply per run.
+    Runs cut short by the budget are [None] (a truncated horizon would
+    bias an estimate), and the sweep is reported [Degraded] with the
+    first tripped reason in run order.  A sweep that completes within
+    the budget returns [Complete] with the reports of an unbudgeted
+    one.  Raises {!Aborted}. *)
 
 val summarize :
   ?confidence:float -> (Stat.report -> float) -> Stat.report option array ->
@@ -73,24 +79,6 @@ val summarize :
 (** Apply [read] to every completed report, in run order, and
     aggregate; the estimate is present when at least two runs
     completed. *)
-
-val replicate_supervised :
-  ?seed:int ->
-  ?confidence:float ->
-  ?jobs:int ->
-  ?budget:Pnut_exec.Budget.t ->
-  runs:int ->
-  until:float ->
-  Pnut_core.Net.t ->
-  (Stat.report -> float) -> partial_sweep Pnut_exec.Supervisor.outcome
-(** {!replicate} under a sweep-wide budget.  The wall limit is an
-    absolute deadline shared by all runs; heap limits, event caps and
-    cancellation apply per run.  Replications cut short by the budget
-    are dropped from the sample set (a truncated horizon would bias the
-    estimate); the rest aggregate as usual, and the sweep is reported
-    [Degraded] with the first tripped reason in run order.  A sweep
-    that completes within the budget returns [Complete] with an
-    estimate identical to {!replicate}'s. *)
 
 val pp : Format.formatter -> estimate -> unit
 (** e.g. [0.6581 ± 0.0042 (95% CI, 10 runs)]. *)

@@ -386,8 +386,6 @@ let reader sink =
     r_cur = { s = ""; hi = 0; line_no = 0; pos = 0 }; r_view = Trace.view ();
     r_line = 0; r_in_body = false; r_finished = false; r_places = 0; r_transitions = 0 }
 
-let finished r = r.r_finished
-
 let feed_header_line r line_no line =
   let st = r.r_st in
   match split_ws line with
@@ -443,8 +441,6 @@ let feed r s lo hi =
     r.r_sink.Trace.on_finish t.(0)
   end
 
-let feed_line r line = feed r line 0 (String.length line)
-
 let check_finished r =
   if not r.r_finished then begin
     (* distinguish the two "truncated input" flavours for error parity
@@ -457,7 +453,9 @@ let check_finished r =
 let parse text =
   let sink, get = Trace.collector () in
   let r = reader sink in
-  List.iter (feed_line r) (String.split_on_char '\n' text);
+  List.iter
+    (fun line -> feed r line 0 (String.length line))
+    (String.split_on_char '\n' text);
   check_finished r;
   get ()
 

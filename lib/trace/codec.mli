@@ -49,23 +49,12 @@ val read_channel : in_channel -> Trace.t
 
 (** {2 Streaming}
 
-    The incremental reader drives a {!Trace.sink} record-by-record: the
+    The streaming reader drives a {!Trace.sink} record-by-record: the
     header is emitted once [begin] is seen, every delta line flows
     straight to the sink, and the trace is never materialized.  This is
     what makes [pnut sim - | pnut filter - | pnut stat -] run in
-    constant memory regardless of trace length. *)
-
-type reader
-
-val reader : Trace.sink -> reader
-(** A fresh incremental parser for the textual format feeding [sink]. *)
-
-val feed_line : reader -> string -> unit
-(** Feeds one line (without its newline).  Raises [Parse_error] on
-    malformed input, including any non-blank line after [end]. *)
-
-val finished : reader -> bool
-(** Whether the [end] record has been seen. *)
+    constant memory regardless of trace length.  {!parse} drives the
+    same reader line by line. *)
 
 val stream_channel : in_channel -> Trace.sink -> unit
 (** Streams a whole trace from a channel into a sink in O(1) memory,

@@ -68,8 +68,8 @@ type view = {
 (** The delta being delivered.  A view and the arrays it points at are
     valid only during the [on_delta] call that receives it: the
     producer overwrites them for the next event.  A consumer reads
-    them and must neither keep nor change them; {!to_delta} copies
-    what it wants to keep. *)
+    them and must neither keep nor change them; it copies what it
+    wants to keep. *)
 
 val view : unit -> view
 (** An empty view owning empty arrays, for a producer to fill. *)
@@ -80,9 +80,6 @@ val add_marking : view -> int -> int -> unit
 val add_env : view -> string -> Pnut_core.Value.t -> unit
 (** Append one entry past [v_marking_n] (resp. [v_env_n]), growing the
     array.  Only for a view whose arrays its producer owns. *)
-
-val to_delta : view -> delta
-(** A copy that outlives the call. *)
 
 val emit : (view -> unit) -> delta -> unit
 (** [emit f] fills one view, reused by every call of the partial
@@ -113,8 +110,8 @@ val length : t -> int
 val make : header -> delta list -> float -> t
 
 val collector : unit -> sink * (unit -> t)
-(** [collector ()] returns a sink, which stores a {!to_delta} copy of
-    each view, and a function producing the stored trace once
+(** [collector ()] returns a sink, which stores a copy of each view as
+    a {!delta}, and a function producing the stored trace once
     [on_finish] has been seen. The function raises
     [Invalid_argument] if the trace is incomplete. *)
 

@@ -32,11 +32,6 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
     ?(por = false) net =
   let monitor = Supervisor.start budget in
   let monitored = Supervisor.active monitor in
-  let max_states =
-    match Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
   if max_states < 1 then invalid_arg "Boxed_graph: max_states must be positive";
   let kernel = Kernel.of_net net in
   let stubborn = if por then Some (Stubborn.create kernel) else None in
@@ -179,10 +174,6 @@ let reached_by_all g target =
   Array.for_all Fun.id seen
 
 let is_reversible g = reached_by_all g 0
-
-(* one backward walk per state: quadratic, for small graphs only *)
-let home_states g =
-  List.filter (reached_by_all g) (List.init (num_states g) Fun.id)
 
 let dead_transitions g =
   let fired = Array.make (Net.num_transitions g.net) false in

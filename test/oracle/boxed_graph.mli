@@ -38,9 +38,6 @@ val bound : t -> Pnut_core.Net.place_id -> int
 val is_safe : t -> bool
 val is_reversible : t -> bool
 
-val home_states : t -> int list
-(** One backward walk per state, O(n·(n+e)): small graphs only. *)
-
 val dead_transitions : t -> Pnut_core.Net.transition_id list
 
 val pp_summary : Format.formatter -> t -> unit

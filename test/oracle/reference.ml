@@ -276,6 +276,8 @@ let complete_firing ?(extra_changes = []) st tr firing =
   st.last_activity <- st.clock;
   emit_delta st Trace.Fire_end tr firing (merge_changes extra_changes produced)
     env_changes;
+  (* a zero-time firing re-tests its consumed places only now *)
+  refresh_after st ~places:(List.map fst extra_changes) ~env_changed:false;
   refresh_after st
     ~places:(List.map (fun a -> a.Net.a_place) tr.Net.t_outputs)
     ~env_changed:(tr.Net.t_action <> [])
@@ -286,7 +288,8 @@ let complete_firing ?(extra_changes = []) st tr firing =
    zero firing time is atomic in the paper's semantics, so the Fire_start
    delta is empty and the paired Fire_end delta carries the net marking
    change — no intermediate trace state ever violates invariants such as
-   Bus_free + Bus_busy = 1. *)
+   Bus_free + Bus_busy = 1.  Enabling is not re-tested between the
+   consume and the produce either. *)
 let start_firing st tr =
   Net.consume st.net st.marking tr;
   let firing = st.next_firing_id in
@@ -305,7 +308,6 @@ let start_firing st tr =
   let duration = Net.sample_duration ~prng:st.prng st.env tr.Net.t_firing in
   if duration <= 0.0 then begin
     emit_delta st Trace.Fire_start tr firing [] [];
-    refresh_after st ~places:consumed_places ~env_changed:false;
     complete_firing ~extra_changes:consumed st tr firing
   end
   else begin
@@ -406,11 +408,8 @@ type outcome = Simulator.outcome = {
 exception Budget_trip of Pnut_exec.Supervisor.reason
 
 let run ?until ?max_events ?budget ?(finish = true) (st : t) =
-  if until = None && max_events = None
-     && (match budget with
-         | Some b -> b.Pnut_exec.Budget.max_events = None
-         | None -> true)
-  then invalid_arg "Simulator.run: needs a horizon or an event limit";
+  if until = None && max_events = None then
+    invalid_arg "Simulator.run: needs a horizon or an event limit";
   let horizon = Option.value until ~default:infinity in
   let limit = Option.value max_events ~default:max_int in
   let monitor =
@@ -418,12 +417,6 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
       (Option.value budget ~default:Pnut_exec.Budget.none)
   in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  (* Fold the budget's event cap into the engine's own limit: one
-     comparison per event, mirroring the optimized engine. *)
-  let budget_events =
-    Option.value (Pnut_exec.Supervisor.max_events monitor) ~default:max_int
-  in
-  let eff_limit = min limit budget_events in
   let emit_finish t = if finish then begin
     if not st.finished_emitted then begin
       st.finished_emitted <- true;
@@ -447,13 +440,10 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   in
   let rec loop () =
     check_budget ();
-    if st.started >= eff_limit then begin
-      if st.started >= limit then begin
-        emit_finish st.clock;
-        { stop = Event_limit; final_clock = st.clock; started = st.started;
-          finished = st.finished }
-      end
-      else stop_budget (Pnut_exec.Supervisor.Events st.started)
+    if st.started >= limit then begin
+      emit_finish st.clock;
+      { stop = Event_limit; final_clock = st.clock; started = st.started;
+        finished = st.finished }
     end
     else
       (* Peek whether the next instant would overshoot the horizon. *)

@@ -245,11 +245,6 @@ let build_supervised ?(max_states = 50_000) ?horizon
   check_deterministic net;
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  let max_states =
-    match Pnut_exec.Supervisor.max_states monitor with
-    | Some cap -> min cap max_states
-    | None -> max_states
-  in
   let budget_stop = ref None in
   let frontier_left = ref 0 in
   let kernel = Kernel.of_net net in

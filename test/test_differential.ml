@@ -328,11 +328,9 @@ let test_replication_streams_match_reference () =
     (List.length (List.sort_uniq compare expected) > 1);
   List.iter
     (fun jobs ->
-      match
-        Pnut_stat.Replication.replicate_supervised ~seed:9 ~jobs ~runs ~until
-          net read
-      with
-      | Pnut_exec.Supervisor.Complete p ->
+      match Pnut_stat.Replication.sweep ~seed:9 ~jobs ~runs ~until net with
+      | Pnut_exec.Supervisor.Complete reports ->
+        let p = Pnut_stat.Replication.summarize read reports in
         Alcotest.(check (list (float 0.0)))
           (Printf.sprintf "jobs=%d samples" jobs)
           expected p.Pnut_stat.Replication.pr_samples

@@ -225,6 +225,33 @@ let test_rejections () =
     Alcotest.(check int) "cap reported" 50 r.Gspn.rj_cap;
     Testutil.check_contains "message" (Gspn.rejection_message r) "max_states"
 
+(* One token on A, B, C; B picks between going back to A and on to C.
+   Every marking has exit rate 1, so the uniformized chain is the jump
+   chain, which has period 2: the power iteration swings between two
+   vectors and never meets its tolerance.  The stationary distribution
+   is (1/4, 1/2, 1/4); until the solve is made immune to periodicity it
+   must fail instead of reporting the iterate it stopped on. *)
+let test_periodic_chain_fails () =
+  let b = B.create "periodic" in
+  let a = B.add_place b "A" ~initial:1 in
+  let bb = B.add_place b "B" in
+  let c = B.add_place b "C" in
+  let arc name src dst mean =
+    ignore
+      (B.add_transition b name ~inputs:[ (src, 1) ] ~outputs:[ (dst, 1) ]
+         ~enabling:(Net.Exponential mean)
+        : Net.transition_id)
+  in
+  arc "ab" a bb 1.0;
+  arc "ba" bb a 2.0;
+  arc "bc" bb c 2.0;
+  arc "cb" c bb 1.0;
+  match Gspn.analyze (B.build b) with
+  | _ -> Alcotest.fail "expected the unconverged solve to fail"
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "message" msg "did not converge";
+    Testutil.check_contains "message" msg "last L1 change"
+
 let test_exponential_variant_rebuild () =
   (* a Choice delay has no single exponential equivalent: rejected *)
   let choicy =
@@ -348,6 +375,8 @@ let () =
       ( "interface",
         [
           Alcotest.test_case "rejections" `Quick test_rejections;
+          Alcotest.test_case "periodic chain fails" `Quick
+            test_periodic_chain_fails;
           Alcotest.test_case "exponential variant" `Quick
             test_exponential_variant_rebuild;
         ] );

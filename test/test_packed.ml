@@ -181,11 +181,10 @@ let test_late_widen_identical () =
     (graphs_equal boxed packed)
 
 let test_budget_trip_identical () =
-  (* a tripped state budget degrades both builders at the same point *)
+  (* a state cap degrades both builders at the same point *)
   let net = ring ~tokens:6 () in
-  let budget = { Pnut_exec.Budget.none with max_states = Some 50 } in
-  let out_boxed = Boxed.build_supervised ~budget net in
-  let out_packed = Graph.build_supervised ~budget net in
+  let out_boxed = Boxed.build_supervised ~max_states:50 net in
+  let out_packed = Graph.build_supervised ~max_states:50 net in
   match (out_boxed, out_packed) with
   | ( Pnut_exec.Supervisor.Degraded { partial = gb; _ },
       Pnut_exec.Supervisor.Degraded { partial = gp; _ } ) ->
@@ -497,11 +496,15 @@ let action_of_code = function
           Expr.(index "tbl" (emod (var "n") (int 3)) + int 1) ) ]
   | _ -> []
 
-let build_spec_net spec =
+(* [plain] drops the predicates, actions, variable and table: a net
+   the stubborn-set reduction accepts *)
+let build_spec_net ?(plain = false) spec =
   let b =
-    B.create "random"
-      ~variables:[ ("n", Value.Int 0) ]
-      ~tables:[ ("tbl", Array.make 3 (Value.Int 0)) ]
+    if plain then B.create "random"
+    else
+      B.create "random"
+        ~variables:[ ("n", Value.Int 0) ]
+        ~tables:[ ("tbl", Array.make 3 (Value.Int 0)) ]
   in
   let np = List.length spec.sp_tokens in
   let places =
@@ -526,7 +529,8 @@ let build_spec_net spec =
         (B.add_transition b
            (Printf.sprintf "t%d" ti)
            ~inputs:(arcs inputs) ~outputs:(arcs outputs)
-           ?predicate:(predicate_of_code p) ~action:(action_of_code a)
+           ?predicate:(if plain then None else predicate_of_code p)
+           ~action:(if plain then [] else action_of_code a)
           : Net.transition_id))
     spec.sp_trans;
   B.build b
@@ -583,13 +587,12 @@ let check_against_model what st ~n edges =
   let ok = ref true in
   for i = 0 to n - 1 do
     if
-      Store.out_degree st i <> List.length out.(i)
-      || Store.successors st i <> List.rev out.(i)
+      Store.successors st i <> List.rev out.(i)
       || Store.predecessors st i <> into.(i)
     then ok := false
   done;
   Alcotest.(check bool)
-    (what ^ ": out_degree, successors and predecessors")
+    (what ^ ": successors and predecessors")
     true !ok
 
 (* [finalize] releases the intern index: every intern entry point
@@ -649,8 +652,8 @@ let test_edge_pages_cross () =
     (Store.edge_bytes st);
   check_against_model "paged wide" st ~n wide
 
-(* -- reversibility and home states: one SCC pass against the boxed
-      oracle's backward walks -- *)
+(* -- reversibility: the early-stopping DFS against the boxed oracle's
+      backward walks -- *)
 
 let net_of name ~places transitions =
   let b = B.create name in
@@ -667,56 +670,53 @@ let net_of name ~places transitions =
     transitions;
   B.build b
 
-let check_scc ?max_states net ~reversible ~home () =
+let check_scc ?max_states net ~reversible () =
   let o = Pnut_exec.Supervisor.value (Boxed.build_supervised ?max_states net) in
   let g = Pnut_exec.Supervisor.value (Graph.build_supervised ?max_states net) in
   Alcotest.(check bool) "oracle reversible" reversible (Boxed.is_reversible o);
-  Alcotest.(check (list int)) "oracle home states" home (Boxed.home_states o);
-  Alcotest.(check bool) "reversible" reversible (Graph.is_reversible g);
-  Alcotest.(check (list int)) "home states" home (Graph.home_states g)
+  Alcotest.(check bool) "reversible" reversible (Graph.is_reversible g)
 
-(* p branches into two 2-cycles: two bottom SCCs, no home state *)
+(* p branches into two 2-cycles: two bottom SCCs *)
 let test_scc_two_bottoms =
   check_scc
     (net_of "forks"
        ~places:[ ("p", 1); ("a", 0); ("a2", 0); ("b", 0); ("b2", 0) ]
        [ ("ta", "p", "a"); ("tb", "p", "b"); ("ta2", "a", "a2");
          ("ta1", "a2", "a"); ("tb2", "b", "b2"); ("tb1", "b2", "b") ])
-    ~reversible:false ~home:[]
+    ~reversible:false
 
 let test_scc_sink =
   check_scc
     (net_of "sink" ~places:[ ("p", 1); ("q", 0) ] [ ("t", "p", "q") ])
-    ~reversible:false ~home:[ 1 ]
+    ~reversible:false
 
 (* [a <-> b] with the exit [b -> c] on the member that is not the
-   component's root: the root must inherit b's leaving edge *)
+   component's root: the first component to close is c's, not a's *)
 let test_scc_exit_from_member =
   check_scc
     (net_of "member exit" ~places:[ ("a", 1); ("b", 0); ("c", 0) ]
        [ ("ab", "a", "b"); ("ba", "b", "a"); ("bc", "b", "c") ])
-    ~reversible:false ~home:[ 2 ]
+    ~reversible:false
 
-(* p reaches the sink q directly and through r; r's only edge leads
-   into the component closed just before *)
+(* p reaches the sink q directly and through r; the sink closes first *)
 let test_scc_into_last_closed =
   check_scc
     (net_of "diamond" ~places:[ ("p", 1); ("q", 0); ("r", 0) ]
        [ ("pq", "p", "q"); ("pr", "p", "r"); ("rq", "r", "q") ])
-    ~reversible:false ~home:[ 1 ]
+    ~reversible:false
 
 let test_scc_one_state () =
   check_scc
     (net_of "loop" ~places:[ ("p", 1) ] [ ("t", "p", "p") ])
-    ~reversible:true ~home:[ 0 ] ();
+    ~reversible:true ();
   check_scc
     (net_of "dead" ~places:[ ("p", 0); ("q", 0) ] [ ("t", "p", "q") ])
-    ~reversible:true ~home:[ 0 ] ()
+    ~reversible:true ()
 
 (* a capped prefix: the unexpanded frontier states are sinks *)
 let test_scc_truncated () =
-  check_scc ~max_states:50 (pump_net ()) ~reversible:false ~home:[ 49 ] ();
-  check_scc ~max_states:50 (ring ~tokens:6 ()) ~reversible:false ~home:[] ()
+  check_scc ~max_states:50 (pump_net ()) ~reversible:false ();
+  check_scc ~max_states:50 (ring ~tokens:6 ()) ~reversible:false ()
 
 let test_scc_ring_scale () =
   let net = ring9 ~tokens:8 in
@@ -724,19 +724,19 @@ let test_scc_ring_scale () =
     (fun por ->
       let g = Graph.build ~por net in
       let what = Printf.sprintf "por=%b" por in
+      Alcotest.(check int) (what ^ ": every marking") 12870
+        (Graph.num_states g);
       Alcotest.(check bool) (what ^ ": reversible") true
-        (Graph.is_reversible g);
-      Alcotest.(check bool) (what ^ ": every state is a home state") true
-        (Graph.home_states g = List.init 12870 Fun.id))
+        (Graph.is_reversible g))
     [ true; false ]
 
 (* ring9 with 10 tokens (C(18,8) = 43,758 markings) and a one-shot
    [latch], enabled while r8 holds 8 tokens, that moves the token of
    [armed] to [latched]: 87,516 states.  That is more than 0.7 of a
    65,536-slot page, so the intern index grows into a second page, and
-   the SCC ranks and stack cross a page too.  Every marking stays
-   reachable after the latch, so the latched half is the one bottom
-   SCC and its states are exactly the home states. *)
+   the DFS ranks and path cross a page too.  The latch never fires
+   back, so the graph is not reversible: the DFS closes a latched
+   component first. *)
 let latched_ring () =
   let b = B.create "latched ring" in
   let ps =
@@ -779,18 +779,21 @@ let test_scc_index_pages () =
           (List.init n Fun.id)
       in
       Alcotest.(check int) (what ^ ": half the states are latched") (n / 2)
-        (List.length latched_states);
-      Alcotest.(check bool) (what ^ ": home states are the latched ones") true
-        (Graph.home_states packed = latched_states))
+        (List.length latched_states))
     [ true; false ]
 
+(* unreduced builds of the interpreted nets, and reduced builds of
+   their plain projections *)
 let prop_scc_equals_backward_walks =
   QCheck2.Test.make
-    ~name:"SCC reversibility and home states equal the backward walks"
+    ~name:"reversibility equals the backward walks, reduced or not"
     ~count:120 gen_spec (fun spec ->
       let boxed, packed = both ~max_states:300 (build_spec_net spec) in
+      let plain = build_spec_net ~plain:true spec in
       Boxed.is_reversible boxed = Graph.is_reversible packed
-      && Boxed.home_states boxed = Graph.home_states packed)
+      && Pnut_reach.Stubborn.unsupported plain = None
+      && Boxed.is_reversible (Boxed.build ~max_states:300 ~por:true plain)
+         = Graph.is_reversible (Graph.build ~max_states:300 ~por:true plain))
 
 let () =
   Alcotest.run "packed"
@@ -836,7 +839,7 @@ let () =
             test_scc_into_last_closed;
           Alcotest.test_case "one state" `Quick test_scc_one_state;
           Alcotest.test_case "truncated prefix" `Quick test_scc_truncated;
-          Alcotest.test_case "ring9 home states" `Quick test_scc_ring_scale;
+          Alcotest.test_case "ring9 reversible" `Quick test_scc_ring_scale;
           Alcotest.test_case "index past one page" `Quick
             test_scc_index_pages;
         ] );

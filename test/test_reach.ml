@@ -34,16 +34,14 @@ let test_bus_graph_shape () =
   Alcotest.(check (list int)) "no deadlocks" [] (Graph.deadlocks g);
   Alcotest.(check bool) "safe" true (Graph.is_safe g);
   Alcotest.(check bool) "reversible" true (Graph.is_reversible g);
-  Alcotest.(check (list int)) "all transitions live" [ 0; 1 ]
-    (Graph.live_transitions g);
-  Alcotest.(check (list int)) "both home states" [ 0; 1 ] (Graph.home_states g)
+  Alcotest.(check (list int)) "no dead transitions" []
+    (Graph.dead_transitions g)
 
 let test_terminating_graph () =
   let g = Graph.build (terminating_net ()) in
   Alcotest.(check int) "three states" 3 (Graph.num_states g);
   Alcotest.(check (list int)) "final state deadlocked" [ 2 ] (Graph.deadlocks g);
-  Alcotest.(check bool) "not reversible" false (Graph.is_reversible g);
-  Alcotest.(check (list int)) "home state is the sink" [ 2 ] (Graph.home_states g)
+  Alcotest.(check bool) "not reversible" false (Graph.is_reversible g)
 
 let test_find_state_and_successors () =
   let net = bus_net () in
@@ -192,14 +190,6 @@ let test_truncation_boundary () =
   Alcotest.(check int) "self-loop kept at the cap" 1 (List.length last);
   Alcotest.(check int) "to itself" 9 (List.hd last).Graph.e_to
 
-let test_check_invariant () =
-  let g = Graph.build (bus_net ()) in
-  Alcotest.(check (option int)) "one-hot invariant" None
-    (Graph.check_invariant g (fun s ->
-         s.Graph.s_marking.(0) + s.Graph.s_marking.(1) = 1));
-  Alcotest.(check (option int)) "violated predicate found" (Some 1)
-    (Graph.check_invariant g (fun s -> s.Graph.s_marking.(0) = 1))
-
 let test_pipeline_graph () =
   let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
   let g = Graph.build ~max_states:20000 net in
@@ -207,9 +197,8 @@ let test_pipeline_graph () =
   Alcotest.(check (list int)) "deadlock-free" [] (Graph.deadlocks g);
   Alcotest.(check bool) "reversible (pipeline can drain)" true
     (Graph.is_reversible g);
-  Alcotest.(check int) "all transitions live"
-    (Net.num_transitions net)
-    (List.length (Graph.live_transitions g));
+  Alcotest.(check (list int)) "all transitions live" []
+    (Graph.dead_transitions g);
   (* the buffer bound is respected in every reachable state *)
   Alcotest.(check int) "buffer bounded by 6" 6
     (Graph.bound g (Net.place_id net "Full_I_buffers"))
@@ -263,7 +252,6 @@ let () =
         ] );
       ( "analysis",
         [
-          Alcotest.test_case "check invariant" `Quick test_check_invariant;
           Alcotest.test_case "pipeline graph" `Slow test_pipeline_graph;
           Alcotest.test_case "summary" `Quick test_summary_rendering;
         ] );

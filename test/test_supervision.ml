@@ -66,9 +66,10 @@ let test_budget () =
   (match Budget.make ~wall_s:(-1.0) () with
   | _ -> Alcotest.fail "negative wall limit accepted"
   | exception Invalid_argument _ -> ());
-  (match Budget.make ~max_states:0 () with
-  | _ -> Alcotest.fail "zero state cap accepted"
-  | exception Invalid_argument _ -> ());
+  (match Budget.make ~heap_mb:0 () with
+  | _ -> Alcotest.fail "zero heap limit accepted"
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "names the limit" msg "heap_words");
   let tok = Budget.token () in
   Alcotest.(check bool) "fresh token" false (Budget.cancelled tok);
   Budget.cancel tok;
@@ -81,16 +82,14 @@ let test_supervisor () =
   Alcotest.(check bool) "none never trips" true (Supervisor.check m = None);
   Alcotest.(check bool) "none runs unbudgeted" true
     (Supervisor.run_budget m = None);
-  let m = Supervisor.start (Budget.make ~max_states:10 ~max_events:20 ()) in
+  let m = Supervisor.start (Budget.make ~wall_s:10.0 ~heap_mb:8 ()) in
   (match Supervisor.run_budget m with
   | Some b ->
-    Alcotest.(check (option int)) "runs drop the state cap" None
-      b.Budget.max_states;
-    Alcotest.(check (option int)) "runs keep the event cap" (Some 20)
-      b.Budget.max_events
-  | None -> Alcotest.fail "a capped sweep budgets its runs");
-  Alcotest.(check (option int)) "max_states" (Some 10) (Supervisor.max_states m);
-  Alcotest.(check (option int)) "max_events" (Some 20) (Supervisor.max_events m);
+    Alcotest.(check bool) "runs get the wall time left" true
+      (match b.Budget.wall_s with Some w -> w <= 10.0 | None -> false);
+    Alcotest.(check (option int)) "runs keep the heap limit"
+      (Some (Budget.words_of_mb 8)) b.Budget.heap_words
+  | None -> Alcotest.fail "a budgeted sweep budgets its runs");
   (* a cancelled token trips check immediately *)
   let tok = Budget.token () in
   let m = Supervisor.start (Budget.make ~cancel:tok ()) in
@@ -125,12 +124,15 @@ let test_unbudgeted_elapsed () =
    once the heap grows past it, however fast the polls come. *)
 let test_heap_trip () =
   let heap () = (Gc.quick_stat ()).Gc.heap_words in
-  let m = Supervisor.start (Budget.make ~heap_words:1 ()) in
+  let m = Supervisor.start { Budget.none with heap_words = Some 1 } in
   (match Supervisor.check m with
   | Some (Supervisor.Heap _) -> ()
   | _ -> Alcotest.fail "the first poll reads the heap");
   let limit = heap () + (1 lsl 20) in
-  let m = Supervisor.start (Budget.make ~heap_words:limit ~wall_s:10.0 ()) in
+  let m =
+    Supervisor.start
+      { Budget.none with heap_words = Some limit; wall_s = Some 10.0 }
+  in
   ignore (Supervisor.check m : Supervisor.reason option);
   let kept = ref [] in
   while heap () < limit do
@@ -166,13 +168,6 @@ let test_outcome_helpers () =
 
 let test_sim_budget () =
   let net = exp_pump_net () in
-  (* event cap through the budget *)
-  let st = Sim.create ~seed:7 net in
-  (match Sim.run ~budget:(Budget.make ~max_events:500 ()) st with
-  | { Sim.stop = Sim.Budget_exhausted (Supervisor.Events n); started; _ } ->
-    Alcotest.(check int) "events payload" 500 n;
-    Alcotest.(check int) "stopped at the cap" 500 started
-  | _ -> Alcotest.fail "expected Budget_exhausted (Events _)");
   (* wall budget on an endless run *)
   let st = Sim.create ~seed:7 net in
   (match Sim.run ~until:1e12 ~budget:(wall_50ms ()) st with
@@ -221,7 +216,7 @@ let test_reach_partial_is_prefix () =
   let net = pump_net () in
   (* a state-capped build degrades too, carrying exactly the prefix *)
   let small =
-    match Graph.build_supervised ~budget:(Budget.make ~max_states:40 ()) net with
+    match Graph.build_supervised ~max_states:40 net with
     | Supervisor.Degraded { reason = Supervisor.States 40; partial; _ } -> partial
     | _ -> Alcotest.fail "expected Degraded (States 40)"
   in
@@ -279,10 +274,8 @@ let test_coverability_budget () =
     Alcotest.(check bool) "partial tree" true (Cov.num_nodes partial > 1);
     Alcotest.(check bool) "flagged incomplete" true (not (Cov.complete partial))
   | Supervisor.Complete _ -> Alcotest.fail "2^24 nodes in 50 ms?");
-  (* state-cap trip via the budget *)
-  (match Cov.build_supervised ~budget:(Budget.make ~max_states:5 ())
-           (many_pumps 4)
-   with
+  (* state-cap trip *)
+  (match Cov.build_supervised ~max_states:5 (many_pumps 4) with
   | Supervisor.Degraded { reason = Supervisor.States _; partial; progress } ->
     Alcotest.(check int) "capped size" 5 (Cov.num_nodes partial);
     Alcotest.(check bool) "frontier left" true (progress.Supervisor.frontier > 0)
@@ -429,13 +422,18 @@ let test_gspn_budget () =
 let test_replication_budget () =
   let net = exp_pump_net () in
   (match
-     Pnut_stat.Replication.replicate_supervised ~seed:5 ~budget:(wall_50ms ())
-       ~runs:4 ~until:1e12 net (fun r -> Pnut_stat.Stat.throughput r "pump")
+     Pnut_stat.Replication.sweep ~seed:5 ~budget:(wall_50ms ()) ~runs:4
+       ~until:1e12 net
    with
   | Supervisor.Degraded { reason; partial; _ } ->
+    let p =
+      Pnut_stat.Replication.summarize
+        (fun r -> Pnut_stat.Stat.throughput r "pump")
+        partial
+    in
     Alcotest.(check bool) "wall reason" true (is_wall reason);
     Alcotest.(check bool) "truncated runs dropped" true
-      (partial.Pnut_stat.Replication.pr_completed < 4)
+      (p.Pnut_stat.Replication.pr_completed < 4)
   | Supervisor.Complete _ -> Alcotest.fail "cannot complete until t=1e12");
   (* generous budget: estimate identical to the unbudgeted sweep *)
   let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
@@ -444,10 +442,11 @@ let test_replication_budget () =
     Pnut_stat.Replication.replicate ~seed:5 ~runs:4 ~until:2000.0 net read
   in
   match
-    Pnut_stat.Replication.replicate_supervised ~seed:5 ~budget:(generous ())
-      ~runs:4 ~until:2000.0 net read
+    Pnut_stat.Replication.sweep ~seed:5 ~budget:(generous ()) ~runs:4
+      ~until:2000.0 net
   with
-  | Supervisor.Complete p ->
+  | Supervisor.Complete reports ->
+    let p = Pnut_stat.Replication.summarize read reports in
     Alcotest.(check bool) "identical estimate" true
       (p.Pnut_stat.Replication.pr_estimate = Some plain)
   | Supervisor.Degraded _ -> Alcotest.fail "generous budget should not trip"

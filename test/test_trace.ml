@@ -263,20 +263,6 @@ let test_codec_bad_escape () =
   (* a raw space in a name cannot parse as a well-formed header line *)
   expect_error "net x\nplace 0 my name 0\nbegin\nend 1" "unexpected header line"
 
-(* -- incremental reader -- *)
-
-let test_incremental_reader () =
-  let tr = sample_trace () in
-  let text = Codec.to_string tr in
-  let sink, get = Trace.collector () in
-  let r = Codec.reader sink in
-  let lines = String.split_on_char '\n' text in
-  List.iter
-    (fun line -> if not (Codec.finished r) then Codec.feed_line r line)
-    lines;
-  Alcotest.(check bool) "finished" true (Codec.finished r);
-  Alcotest.(check string) "incremental = batch" text (Codec.to_string (get ()))
-
 (* -- binary codec -- *)
 
 let test_binary_roundtrip () =
@@ -857,7 +843,6 @@ let () =
           Alcotest.test_case "empty name rejected" `Quick
             test_codec_empty_name_rejected;
           Alcotest.test_case "bad escapes" `Quick test_codec_bad_escape;
-          Alcotest.test_case "incremental reader" `Quick test_incremental_reader;
           Alcotest.test_case "pinned bytes" `Quick test_pinned_bytes;
           Alcotest.test_case "allocation pin" `Quick test_allocation_pin;
           Alcotest.test_case "float_str cases" `Quick test_float_str_cases;
