@@ -242,8 +242,10 @@ let analyze_supervised ?(max_states = 2000) ?(budget = Budget.none) net =
       states.(i).edges;
     rows.(ti) <- Hashtbl.fold (fun j r acc -> (j, r) :: acc) acc []
   done;
-  (* uniformized power iteration *)
-  let lambda = Array.fold_left Float.max 1e-9 exit in
+  (* uniformized power iteration; a rate strictly above every exit rate
+     leaves each state a self-loop, so the uniformized chain is aperiodic
+     even where the jump chain has period 2 *)
+  let lambda = 1.05 *. Array.fold_left Float.max 1e-9 exit in
   let pi = Array.make nt (1.0 /. float_of_int nt) in
   let next = Array.make nt 0.0 in
   let rec iterate k =

@@ -55,9 +55,11 @@ val rejection_message : rejection -> string
 val analyze : ?max_states:int -> Pnut_core.Net.t -> result
 (** [max_states] caps the reachability exploration (default 2000;
     raises {!Too_many_states} past it).  The stationary distribution
-    is a uniformized power iteration that stops once an iterate moves
-    less than 1e-12 in L1; after 100_000 iterations without that it
-    raises [Invalid_argument], naming the last change. *)
+    is a power iteration uniformized at 1.05 times the largest exit
+    rate, so a periodic jump chain still converges.  It stops once an
+    iterate moves less than 1e-12 in L1; after 100_000 iterations
+    without that it raises [Invalid_argument], naming the last
+    change. *)
 
 val analyze_supervised :
   ?max_states:int ->

@@ -1,31 +1,34 @@
-(** Future-event list: a binary min-heap keyed by (time, insertion order).
+(** Completion queue: a binary min-heap of in-flight firings keyed by
+    (completion time, insertion order).
 
-    Events with equal timestamps pop in insertion (FIFO) order, which makes
-    simulation runs deterministic for a given random seed. *)
+    Each entry is a (transition id, firing id) pair held in parallel
+    arrays next to its time and sequence number, so pushing, reading and
+    dropping the head allocate nothing once the arrays have grown.
+    Entries with equal times leave in insertion (FIFO) order, which
+    makes simulation runs deterministic for a given random seed. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val length : 'a t -> int
+val push : t -> float -> transition:int -> firing:int -> unit
+(** [push q time ~transition ~firing] schedules a completion at [time]. *)
 
-val push : 'a t -> float -> 'a -> unit
-(** [push q time payload] schedules [payload] at [time]. *)
+val min_time : t -> float
+(** Time of the earliest entry, or [infinity] when empty (use
+    {!is_empty} to tell an empty queue from an entry at [infinity]). *)
 
-val peek_time : 'a t -> float option
-(** Earliest scheduled time, if any. *)
+val top_transition : t -> int
+val top_firing : t -> int
+(** The earliest entry's transition and firing id (FIFO among equal
+    times).  Only meaningful on a non-empty queue. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Removes and returns the earliest event (FIFO among equal times). *)
+val drop : t -> unit
+(** Removes the earliest entry.  Raises [Invalid_argument] when empty. *)
 
-val to_sorted_list : 'a t -> (float * 'a) list
-(** All pending events in pop order, without disturbing the queue.
-    Re-pushing them in this order into a fresh queue preserves the FIFO
-    tie-breaking — the basis of checkpoint/restore. *)
-
-val clear : 'a t -> unit
-(** Drops all entries (releasing their payloads) and resets the
-    insertion counter, restoring the queue to its freshly-created
-    state. *)
+val to_sorted_list : t -> (float * int * int) list
+(** Every entry as (time, transition, firing), earliest first, without
+    disturbing the queue.  Pushing them in this order into a fresh queue
+    rebuilds the same order — the basis of checkpoint/restore. *)

@@ -120,7 +120,8 @@ let step session oc =
   | Simulator.Quiescent -> out_line oc "the net is dead (no activity possible)"
 
 let run_for session oc duration =
-  if duration <= 0.0 then out_line oc "error: run needs a positive duration"
+  if not (duration > 0.0 && Float.is_finite duration) then
+    out_line oc "error: run needs a finite positive duration"
   else begin
     record session (M_run duration);
     let target = Simulator.clock session.sim +. duration in

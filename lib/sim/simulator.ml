@@ -36,13 +36,6 @@ module Trace = Pnut_trace.Trace
 
 type error =
   | Livelock of { clock : float; firings : int }
-  | Capacity_violation of {
-      place : string;
-      tokens : int;
-      capacity : int;
-      transition : string;
-      clock : float;
-    }
   | Transition_error of
       { transition : string; what : string; clock : float; message : string }
   | Restore_error of string
@@ -54,21 +47,11 @@ let error_message = function
     Printf.sprintf
       "livelock: more than %d firings at time %g (zero-delay loop?)" firings
       clock
-  | Capacity_violation { place; tokens; capacity; transition; clock } ->
-    Printf.sprintf
-      "capacity violation: place %s holds %d tokens (capacity %d) after %s \
-       fired at t=%g"
-      place tokens capacity transition clock
   | Transition_error { transition; what; clock; message } ->
     Printf.sprintf "%s of %s failed at t=%g: %s" what transition clock message
   | Restore_error msg -> Printf.sprintf "checkpoint restore error: %s" msg
 
 let sim_error e = raise (Sim_error e)
-
-type pending = {
-  pe_transition : Net.transition_id;
-  pe_firing : int;
-}
 
 type t = {
   net : Net.t;
@@ -76,11 +59,10 @@ type t = {
   sink : Trace.sink;
   view : Trace.view;  (* every delta handed to [sink] *)
   max_instant_firings : int;
-  check_capacities : bool;
   marking : Marking.t;
   env : Env.t;
   mutable clock : float;
-  queue : pending Event_queue.t;
+  queue : Event_queue.t;  (* in-flight firings by completion time *)
   (* the net's transitions compiled against this instance's environment
      and random stream by the shared semantics kernel *)
   ctrans : Kernel.compiled array;
@@ -112,13 +94,11 @@ type t = {
   mutable finished_emitted : bool;
 }
 
-let net st = st.net
 let clock st = st.clock
 let marking st = Marking.copy st.marking
 let env st = st.env
 let in_flight st = Array.copy st.in_flight
 let events_started st = st.started
-let events_finished st = st.finished
 
 let tokens st name = Marking.get st.marking (Net.place_id st.net name)
 
@@ -224,8 +204,7 @@ let guard st (c : Kernel.compiled) what f () =
       (Transition_error
          { transition = c.c_s.s_tr.Net.t_name; what; clock = st.clock; message })
 
-let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
-    ~clock ~queue net =
+let make ~prng ~sink ~max_instant_firings ~marking ~env ~clock ~queue net =
   let nt = Net.num_transitions net in
   let kernel = Kernel.of_net net in
   let st = {
@@ -234,7 +213,6 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
     sink;
     view = Trace.view ();
     max_instant_firings;
-    check_capacities;
     marking;
     env;
     clock;
@@ -272,10 +250,10 @@ let make ~prng ~sink ~max_instant_firings ~check_capacities ~marking ~env
   st
 
 let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
-    ?(max_instant_firings = 10_000) ?(check_capacities = false) net =
+    ?(max_instant_firings = 10_000) net =
   let prng = match prng with Some g -> g | None -> Prng.create seed in
   let st =
-    make ~prng ~sink ~max_instant_firings ~check_capacities
+    make ~prng ~sink ~max_instant_firings
       ~marking:(Net.initial_marking net) ~env:(Net.initial_env net) ~clock:0.0
       ~queue:(Event_queue.create ()) net
   in
@@ -328,34 +306,11 @@ let emit_delta st kind tid firing places counts =
   v.Trace.v_marking_n <- Array.length places;
   st.sink.Trace.on_delta v
 
-(* Capacity declarations are documentation by default; with
-   [check_capacities] the simulator turns an overflow into a loud
-   modeling-bug report at the moment it happens. *)
-let enforce_capacities st tr =
-  if st.check_capacities then
-    List.iter
-      (fun { Net.a_place; _ } ->
-        let p = Net.place st.net a_place in
-        match p.Net.p_capacity with
-        | Some cap when Marking.get st.marking a_place > cap ->
-          sim_error
-            (Capacity_violation
-               {
-                 place = p.Net.p_name;
-                 tokens = Marking.get st.marking a_place;
-                 capacity = cap;
-                 transition = tr.Net.t_name;
-                 clock = st.clock;
-               })
-        | Some _ | None -> ())
-      tr.Net.t_outputs
-
 let complete_firing ?(zero = false) st (c : Kernel.compiled) firing =
   let s = c.c_s in
   for k = 0 to Array.length s.s_out_place - 1 do
     Marking.add st.marking s.s_out_place.(k) s.s_out_weight.(k)
   done;
-  enforce_capacities st s.s_tr;
   run_action st c;
   st.in_flight.(s.s_id) <- st.in_flight.(s.s_id) - 1;
   st.finished <- st.finished + 1;
@@ -401,8 +356,8 @@ let start_firing st (c : Kernel.compiled) =
   else begin
     emit_delta st Trace.Fire_start s.s_id firing s.s_in_place
       s.s_consumed_weight;
-    Event_queue.push st.queue (st.clock +. duration)
-      { pe_transition = s.s_id; pe_firing = firing };
+    Event_queue.push st.queue (st.clock +. duration) ~transition:s.s_id
+      ~firing;
     refresh_after st ~places:s.s_in_place ~env_changed:false
   end;
   s.s_id
@@ -415,30 +370,22 @@ type step_result =
 
 (* Earliest instant at which something can happen after the current one:
    the next scheduled fire-end or the earliest pending enabling deadline
-   (the heap holds exactly the strictly-future ones).  O(1). *)
+   (the heap holds exactly the strictly-future ones).  O(1); [infinity]
+   when both are empty. *)
 let next_instant st =
-  let best = ref infinity in
-  let found = ref false in
-  (match Event_queue.peek_time st.queue with
-  | Some t ->
-    found := true;
-    if t < !best then best := t
-  | None -> ());
-  if not (Dheap.is_empty st.heap) then begin
-    found := true;
-    let d = Dheap.min_key st.heap in
-    if d < !best then best := d
-  end;
-  if !found then Some !best else None
+  Float.min (Event_queue.min_time st.queue) (Dheap.min_key st.heap)
 
-(* Move the clock and promote every deadline that has come due from the
-   heap into the ready set. *)
-let advance st t =
+(* Move the clock to the next instant and promote every deadline that
+   has come due from the heap into the ready set. *)
+let advance st =
+  let t = next_instant st in
+  assert (t > st.clock);
   st.clock <- t;
   st.instant_firings <- 0;
   while (not (Dheap.is_empty st.heap)) && Dheap.min_key st.heap <= t do
     ready_add st (Dheap.pop_min st.heap)
-  done
+  done;
+  t
 
 let fire_ready st =
   if st.instant_firings >= st.max_instant_firings then
@@ -446,28 +393,36 @@ let fire_ready st =
   st.instant_firings <- st.instant_firings + 1;
   start_firing st st.ctrans.(select_weighted st)
 
+(* End the earliest in-flight firing, which is due now. *)
+let complete_next st =
+  let q = st.queue in
+  let tid = Event_queue.top_transition q in
+  let firing = Event_queue.top_firing q in
+  Event_queue.drop q;
+  complete_firing st st.ctrans.(tid) firing;
+  tid
+
+(* What the engine does next, given a horizon the clock may not pass:
+   start a firing, end a firing due now, advance the clock, stop short
+   of an instant beyond the horizon, or nothing at all (no fireable
+   transition and nothing scheduled: the net is dead).  A constant
+   constructor, so deciding allocates nothing. *)
+type move = Fire | Complete | Advance | Overshoot | Quiet
+
+let next_move st ~horizon =
+  if st.ready_n > 0 then Fire
+  else if Event_queue.is_empty st.queue && Dheap.is_empty st.heap then Quiet
+  else if next_instant st > horizon then Overshoot
+  else if Float.equal (Event_queue.min_time st.queue) st.clock then Complete
+  else Advance
+
 let step st =
-  if st.ready_n > 0 then Fired (fire_ready st)
-  else
-    match Event_queue.peek_time st.queue with
-    | Some time when Float.equal time st.clock ->
-      let pe =
-        match Event_queue.pop st.queue with
-        | Some (_, pe) -> pe
-        | None -> assert false
-      in
-      complete_firing st st.ctrans.(pe.pe_transition) pe.pe_firing;
-      Completed pe.pe_transition
-    | _ -> (
-      (* nothing due now: advance the clock to the next instant, leaving
-         any queued entry in place; the heap holds only strictly-future
-         deadlines, so an empty ready set with nothing ahead is final *)
-      match next_instant st with
-      | Some t ->
-        assert (t > st.clock);
-        advance st t;
-        Advanced t
-      | None -> Quiescent)
+  match next_move st ~horizon:infinity with
+  | Fire -> Fired (fire_ready st)
+  | Complete -> Completed (complete_next st)
+  | Advance -> Advanced (advance st)
+  | Quiet -> Quiescent
+  | Overshoot -> assert false (* nothing lies beyond an infinite horizon *)
 
 let fireable_transitions st = List.init st.ready_n (Array.get st.ready)
 
@@ -501,80 +456,56 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   if until = None && max_events = None then
     invalid_arg "Simulator.run: needs a horizon or an event limit";
   let horizon = Option.value until ~default:infinity in
+  if not (horizon >= st.clock) then
+    invalid_arg
+      (Printf.sprintf "Simulator.run: horizon %g is before the clock %g"
+         horizon st.clock);
   let limit = Option.value max_events ~default:max_int in
   let monitor =
     Pnut_exec.Supervisor.start
       (Option.value budget ~default:Pnut_exec.Budget.none)
   in
   let monitored = Pnut_exec.Supervisor.active monitor in
-  let emit_finish t = if finish then begin
-    if not st.finished_emitted then begin
+  let stop reason =
+    if finish && not st.finished_emitted then begin
       st.finished_emitted <- true;
-      st.sink.Trace.on_finish t
-    end
-  end in
+      st.sink.Trace.on_finish st.clock
+    end;
+    { stop = reason; final_clock = st.clock; started = st.started;
+      finished = st.finished }
+  in
+  let settle t =
+    st.clock <- t;
+    st.instant_firings <- 0
+  in
   (* Budget checks cost one monitor poll every 256 engine steps, so a
      budgeted run pays nothing extra per event. *)
-  let steps = ref 0 in
-  let check_budget () =
-    incr steps;
-    if monitored && !steps land 255 = 0 then
-      match Pnut_exec.Supervisor.check monitor with
-      | Some reason -> raise_notrace (Budget_trip reason)
-      | None -> ()
-  in
-  let stop_budget reason =
-    emit_finish st.clock;
-    { stop = Budget_exhausted reason; final_clock = st.clock;
-      started = st.started; finished = st.finished }
-  in
-  let rec loop () =
-    check_budget ();
-    if st.started >= limit then begin
-      emit_finish st.clock;
-      { stop = Event_limit; final_clock = st.clock; started = st.started;
-        finished = st.finished }
-    end
-    else begin
-      if st.ready_n > 0 then begin
+  let rec loop steps =
+    let steps = steps + 1 in
+    (if monitored && steps land 255 = 0 then
+       match Pnut_exec.Supervisor.check monitor with
+       | Some reason -> raise_notrace (Budget_trip reason)
+       | None -> ());
+    if st.started >= limit then stop Event_limit
+    else
+      match next_move st ~horizon with
+      | Fire ->
         ignore (fire_ready st : Net.transition_id);
-        loop ()
-      end
-      else
-        (* Peek whether the next instant would overshoot the horizon. *)
-        match next_instant st with
-        | Some t when t > horizon ->
-          st.clock <- horizon;
-          st.instant_firings <- 0;
-          emit_finish horizon;
-          { stop = Horizon; final_clock = horizon; started = st.started;
-            finished = st.finished }
-        | Some t -> (
-          match Event_queue.peek_time st.queue with
-          | Some time when Float.equal time st.clock ->
-            let pe =
-              match Event_queue.pop st.queue with
-              | Some (_, pe) -> pe
-              | None -> assert false
-            in
-            complete_firing st st.ctrans.(pe.pe_transition) pe.pe_firing;
-            loop ()
-          | _ ->
-            assert (t > st.clock);
-            advance st t;
-            loop ())
-        | None ->
-          let final =
-            if Float.is_finite horizon then horizon else st.clock
-          in
-          st.clock <- final;
-          st.instant_firings <- 0;
-          emit_finish final;
-          { stop = Dead; final_clock = final; started = st.started;
-            finished = st.finished }
-    end
+        loop steps
+      | Complete ->
+        ignore (complete_next st : Net.transition_id);
+        loop steps
+      | Advance ->
+        ignore (advance st : float);
+        loop steps
+      | Overshoot ->
+        settle horizon;
+        stop Horizon
+      | Quiet ->
+        settle (if Float.is_finite horizon then horizon else st.clock);
+        stop Dead
   in
-  try loop () with Budget_trip reason -> stop_budget reason
+  try loop 0 with Budget_trip reason -> stop (Budget_exhausted reason)
 
 let simulate ?seed ?prng ?max_instant_firings ?until ?max_events ?sink net =
   let st = create ?seed ?prng ?sink ?max_instant_firings net in
@@ -712,10 +643,7 @@ let checkpoint st =
          (fun tid n -> if n <> 0 then acc := (tid, n) :: !acc)
          st.in_flight;
        List.rev !acc);
-    ck_pending =
-      List.map
-        (fun (time, pe) -> (time, pe.pe_transition, pe.pe_firing))
-        (Event_queue.to_sorted_list st.queue);
+    ck_pending = Event_queue.to_sorted_list st.queue;
     ck_variables = Env.bindings st.env;
     ck_tables = Env.tables st.env;
     ck_next_firing_id = st.next_firing_id;
@@ -724,8 +652,7 @@ let checkpoint st =
     ck_instant_firings = st.instant_firings;
   }
 
-let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
-    ?(check_capacities = false) net ck =
+let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000) net ck =
   let restore_error fmt =
     Printf.ksprintf (fun s -> sim_error (Restore_error s)) fmt
   in
@@ -758,12 +685,12 @@ let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
   in
   let queue = Event_queue.create () in
   List.iter
-    (fun (time, tid, fid) ->
-      Event_queue.push queue time { pe_transition = tid; pe_firing = fid })
+    (fun (time, transition, firing) ->
+      Event_queue.push queue time ~transition ~firing)
     ck.Checkpoint.ck_pending;
   let st =
     make ~prng:(Prng.of_state ck.Checkpoint.ck_prng) ~sink
-      ~max_instant_firings ~check_capacities ~marking ~env
+      ~max_instant_firings ~marking ~env
       ~clock:ck.Checkpoint.ck_clock ~queue net
   in
   st.next_firing_id <- ck.Checkpoint.ck_next_firing_id;

@@ -42,13 +42,6 @@ type t
 type error =
   | Livelock of { clock : float; firings : int }
       (** more than [max_instant_firings] firings at one instant *)
-  | Capacity_violation of {
-      place : string;
-      tokens : int;
-      capacity : int;
-      transition : string;  (** the transition whose firing overflowed *)
-      clock : float;
-    }
   | Transition_error of
       { transition : string; what : string; clock : float; message : string }
       (** its action, predicate or dynamic delay ([what]) failed to
@@ -66,16 +59,13 @@ val create :
   ?prng:Pnut_core.Prng.t ->
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
-  ?check_capacities:bool ->
   Pnut_core.Net.t -> t
 (** Builds the initial state and emits the trace header to [sink].
-    [prng] overrides [seed] (default seed 1).  With [check_capacities]
-    (default false), exceeding a place's declared capacity raises
-    [Sim_error] naming the place and the culprit transition — capacity
-    declarations are otherwise documentation checked only by static and
-    reachability analyses.  The first enabledness scan may raise here. *)
+    [prng] overrides [seed] (default seed 1).  The simulator does not
+    enforce place capacities: a run may overfill a place, and the
+    static and reachability analyses are what check capacity
+    declarations.  The first enabledness scan may raise here. *)
 
-val net : t -> Pnut_core.Net.t
 val clock : t -> float
 val marking : t -> Pnut_core.Marking.t
 (** A copy of the current marking. *)
@@ -90,7 +80,6 @@ val in_flight : t -> int array
 (** Current number of unfinished firings per transition id. *)
 
 val events_started : t -> int
-val events_finished : t -> int
 
 (** One micro-step of the engine. *)
 type step_result =
@@ -103,6 +92,9 @@ type step_result =
       (** no enabled transition and no pending event: the net is dead *)
 
 val step : t -> step_result
+(** Takes the move {!run} would take next with no horizon: start a
+    fireable transition, else end a firing due now, else advance the
+    clock to the next instant. *)
 
 val fireable_transitions : t -> Pnut_core.Net.transition_id list
 (** Transitions that could start firing at the current instant (enabled
@@ -137,7 +129,9 @@ val run :
 (** Runs until the horizon, the event limit, or quiescence; emits
     [on_finish] to the sink.  When the horizon is hit, the final clock is
     exactly [until] (in-flight events beyond it stay unprocessed).  At
-    least one of [until] and [max_events] must be given.
+    least one of [until] and [max_events] must be given.  Raises
+    [Invalid_argument] if [until] is before the current clock (a
+    restored state may start late) or is NaN: a run never rewinds.
 
     [budget] supervises the run: wall, heap and cancellation are polled
     on the 256-step watchdog slot.  A tripped
@@ -216,7 +210,6 @@ val checkpoint : t -> Checkpoint.t
 val restore :
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
-  ?check_capacities:bool ->
   Pnut_core.Net.t -> Checkpoint.t -> t
 (** Rebuilds a simulator mid-flight from a checkpoint taken on the same
     net.  Continuing the restored state produces exactly the same event

@@ -135,12 +135,11 @@ let sink_of_out out =
   { Trace.on_header = record emit_header; on_delta = record emit_delta;
     on_finish = record emit_finish }
 
-let writer_sink buf = sink_of_out (Buffer.add_buffer buf)
 let channel_sink oc = sink_of_out (Buffer.output_buffer oc)
 
 let to_string tr =
   let buf = Buffer.create 4096 in
-  Trace.replay tr (writer_sink buf);
+  Trace.replay tr (sink_of_out (Buffer.add_buffer buf));
   Buffer.contents buf
 
 (* -- parsing --

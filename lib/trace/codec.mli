@@ -33,10 +33,9 @@ val float_str : float -> string
 
 val to_string : Trace.t -> string
 
-val writer_sink : Buffer.t -> Trace.sink
-(** Streaming writer: serializes records as they arrive. *)
-
 val channel_sink : out_channel -> Trace.sink
+(** Streaming writer: serializes each record to the channel as it
+    arrives. *)
 
 val parse : string -> Trace.t
 (** Raises [Parse_error (line, message)] on malformed input. *)

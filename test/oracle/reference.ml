@@ -10,11 +10,13 @@
 
    The single deliberate deviation from the pre-optimization code is
    shared with [Simulator]: the future-completion branch of [step] peeks
-   at the event queue instead of popping and re-pushing the head entry.
-   The old pop/re-push allotted the entry a fresh tie-break sequence
-   number, which rotated the completion order of simultaneous fire-ends
-   every time the clock advanced; both engines now complete
-   simultaneous events in firing-start order.
+   at the pending completions instead of popping and re-pushing the head
+   entry.  The old pop/re-push allotted the entry a fresh tie-break
+   sequence number, which rotated the completion order of simultaneous
+   fire-ends every time the clock advanced; both engines now complete
+   simultaneous events in firing-start order.  The pending completions
+   are a plain sorted list here, not the simulator's heap, so the
+   differential suite checks that heap too.
 
    Types are re-exported from [Simulator], so errors, outcomes and
    diagnoses interoperate. *)
@@ -27,17 +29,9 @@ module Prng = Pnut_core.Prng
 module Trace = Pnut_trace.Trace
 module Simulator = Pnut_sim.Simulator
 module Checkpoint = Pnut_sim.Checkpoint
-module Event_queue = Pnut_sim.Event_queue
 
 type error = Simulator.error =
   | Livelock of { clock : float; firings : int }
-  | Capacity_violation of {
-      place : string;
-      tokens : int;
-      capacity : int;
-      transition : string;
-      clock : float;
-    }
   | Transition_error of {
       transition : string;
       what : string;
@@ -48,21 +42,24 @@ type error = Simulator.error =
 
 let sim_error e = raise (Simulator.Sim_error e)
 
-type pending = {
-  pe_transition : Net.transition_id;
-  pe_firing : int;
-}
+(* Pending completions (time, transition, firing id), sorted by time; a
+   new entry goes after every entry with the same time, so simultaneous
+   completions leave in firing-start order. *)
+type pending = (float * Net.transition_id * int) list
+
+let rec schedule ((time, _, _) as e) = function
+  | ((t, _, _) as hd) :: tl when t <= time -> hd :: schedule e tl
+  | l -> e :: l
 
 type t = {
   net : Net.t;
   prng : Prng.t;
   sink : Trace.sink;
   max_instant_firings : int;
-  check_capacities : bool;
   marking : Marking.t;
   env : Env.t;
   mutable clock : float;
-  queue : pending Event_queue.t;
+  mutable queue : pending;
   (* enabling bookkeeping *)
   deadline : float option array;  (* per transition: time it may fire *)
   in_flight : int array;
@@ -148,7 +145,7 @@ let build_predicated net =
          if tr.Net.t_predicate <> None then Some tr.Net.t_id else None)
 
 let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
-    ?(max_instant_firings = 10_000) ?(check_capacities = false) net =
+    ?(max_instant_firings = 10_000) net =
   let prng = match prng with Some g -> g | None -> Prng.create seed in
   let st =
     {
@@ -156,11 +153,10 @@ let create ?(seed = 1) ?prng ?(sink = Trace.null_sink)
       prng;
       sink;
       max_instant_firings;
-      check_capacities;
       marking = Net.initial_marking net;
       env = Net.initial_env net;
       clock = 0.0;
-      queue = Event_queue.create ();
+      queue = [];
       deadline = Array.make (Net.num_transitions net) None;
       in_flight = Array.make (Net.num_transitions net) 0;
       readers = build_readers net;
@@ -242,31 +238,8 @@ let merge_changes a b =
   Hashtbl.fold (fun p d acc -> if d = 0 then acc else (p, d) :: acc) tbl []
   |> List.sort compare
 
-(* Capacity declarations are documentation by default; with
-   [check_capacities] the simulator turns an overflow into a loud
-   modeling-bug report at the moment it happens. *)
-let enforce_capacities st tr =
-  if st.check_capacities then
-    List.iter
-      (fun { Net.a_place; _ } ->
-        let p = Net.place st.net a_place in
-        match p.Net.p_capacity with
-        | Some cap when Marking.get st.marking a_place > cap ->
-          sim_error
-            (Capacity_violation
-               {
-                 place = p.Net.p_name;
-                 tokens = Marking.get st.marking a_place;
-                 capacity = cap;
-                 transition = tr.Net.t_name;
-                 clock = st.clock;
-               })
-        | Some _ | None -> ())
-      tr.Net.t_outputs
-
 let complete_firing ?(extra_changes = []) st tr firing =
   Net.produce st.net st.marking tr;
-  enforce_capacities st tr;
   let env_changes = run_action st tr tr.Net.t_action in
   let produced =
     List.map (fun { Net.a_place; a_weight } -> (a_place, a_weight)) tr.Net.t_outputs
@@ -312,8 +285,7 @@ let start_firing st tr =
   end
   else begin
     emit_delta st Trace.Fire_start tr firing consumed [];
-    Event_queue.push st.queue (st.clock +. duration)
-      { pe_transition = tr.Net.t_id; pe_firing = firing };
+    st.queue <- schedule (st.clock +. duration, tr.Net.t_id, firing) st.queue;
     refresh_after st ~places:consumed_places ~env_changed:false
   end;
   tr.Net.t_id
@@ -329,9 +301,9 @@ type step_result = Simulator.step_result =
    deadline. *)
 let next_instant st =
   let candidates = ref [] in
-  (match Event_queue.peek_time st.queue with
-  | Some t -> candidates := t :: !candidates
-  | None -> ());
+  (match st.queue with
+  | (t, _, _) :: _ -> candidates := t :: !candidates
+  | [] -> ());
   Array.iter
     (fun deadline ->
       match deadline with
@@ -353,17 +325,12 @@ let step st =
     let chosen = Prng.choose_weighted st.prng weighted in
     Fired (start_firing st chosen)
   | [] -> (
-    match Event_queue.peek_time st.queue with
-    | Some time when Float.equal time st.clock ->
-      let pe =
-        match Event_queue.pop st.queue with
-        | Some (_, pe) -> pe
-        | None -> assert false
-      in
-      let tr = Net.transition st.net pe.pe_transition in
-      complete_firing st tr pe.pe_firing;
-      Completed pe.pe_transition
-    | Some _ ->
+    match st.queue with
+    | (time, tid, firing) :: rest when Float.equal time st.clock ->
+      st.queue <- rest;
+      complete_firing st (Net.transition st.net tid) firing;
+      Completed tid
+    | _ :: _ ->
       (* head strictly in the future: advance the clock, leaving the
          entry in place (peek, not pop/re-push — see the header note) *)
       (match next_instant st with
@@ -373,7 +340,7 @@ let step st =
         st.instant_firings <- 0;
         Advanced t
       | None -> assert false)
-    | None -> (
+    | [] -> (
       match next_instant st with
       | Some t when t > st.clock ->
         st.clock <- t;
@@ -411,6 +378,10 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   if until = None && max_events = None then
     invalid_arg "Simulator.run: needs a horizon or an event limit";
   let horizon = Option.value until ~default:infinity in
+  if not (horizon >= st.clock) then
+    invalid_arg
+      (Printf.sprintf "Simulator.run: horizon %g is before the clock %g"
+         horizon st.clock);
   let limit = Option.value max_events ~default:max_int in
   let monitor =
     Pnut_exec.Supervisor.start
@@ -573,10 +544,7 @@ let checkpoint st =
          (fun tid n -> if n <> 0 then acc := (tid, n) :: !acc)
          st.in_flight;
        List.rev !acc);
-    ck_pending =
-      List.map
-        (fun (time, pe) -> (time, pe.pe_transition, pe.pe_firing))
-        (Event_queue.to_sorted_list st.queue);
+    ck_pending = st.queue;
     ck_variables = Env.bindings st.env;
     ck_tables = Env.tables st.env;
     ck_next_firing_id = st.next_firing_id;
@@ -585,8 +553,7 @@ let checkpoint st =
     ck_instant_firings = st.instant_firings;
   }
 
-let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
-    ?(check_capacities = false) net ck =
+let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000) net ck =
   let restore_error fmt =
     Printf.ksprintf (fun s -> sim_error (Restore_error s)) fmt
   in
@@ -623,18 +590,15 @@ let restore ?(sink = Trace.null_sink) ?(max_instant_firings = 10_000)
     ck.Checkpoint.ck_deadlines;
   let in_flight = Array.make (Net.num_transitions net) 0 in
   List.iter (fun (tid, n) -> in_flight.(tid) <- n) ck.Checkpoint.ck_in_flight;
-  let queue = Event_queue.create () in
-  List.iter
-    (fun (time, tid, fid) ->
-      Event_queue.push queue time { pe_transition = tid; pe_firing = fid })
-    ck.Checkpoint.ck_pending;
+  let queue =
+    List.fold_left (fun q e -> schedule e q) [] ck.Checkpoint.ck_pending
+  in
   let st =
     {
       net;
       prng = Prng.of_state ck.Checkpoint.ck_prng;
       sink;
       max_instant_firings;
-      check_capacities;
       marking;
       env;
       clock = ck.Checkpoint.ck_clock;

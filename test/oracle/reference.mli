@@ -21,7 +21,6 @@ val create :
   ?prng:Pnut_core.Prng.t ->
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
-  ?check_capacities:bool ->
   Pnut_core.Net.t -> t
 
 val net : t -> Pnut_core.Net.t
@@ -60,5 +59,4 @@ val checkpoint : t -> Pnut_sim.Checkpoint.t
 val restore :
   ?sink:Pnut_trace.Trace.sink ->
   ?max_instant_firings:int ->
-  ?check_capacities:bool ->
   Pnut_core.Net.t -> Pnut_sim.Checkpoint.t -> t

@@ -743,6 +743,27 @@ let test_sim_checkpoint_resume () =
     (tail 20 (read_file full_trace))
     (tail 20 (read_file resumed_trace))
 
+(* A horizon before the clock is an input error (exit 2), not a trace
+   that runs backwards: a negative horizon, and a resume at t=300 asked
+   to stop at t=100.  Neither run reports a horizon. *)
+let test_sim_past_horizon () =
+  let state = tmp "past.ck" in
+  let _ =
+    check_run "first half"
+      [ "sim"; model_file; "--until"; "300"; "--seed"; "5"; "--save-state";
+        state ]
+  in
+  List.iter
+    (fun (what, args) ->
+      let code, _ = run args in
+      Alcotest.(check int) (what ^ " exit code") 2 code;
+      Testutil.check_contains what (read_file (tmp "err")) "is before the clock")
+    [ ("negative horizon",
+       [ "sim"; model_file; "--until=-5"; "--trace"; tmp "past.trace" ]);
+      ("restored past the horizon",
+       [ "sim"; model_file; "--load-state"; state; "--until"; "100";
+         "--trace"; tmp "past.trace" ]) ]
+
 let test_sim_explain_deadlock () =
   let dead = tmp "dead.pn" in
   let oc = open_out dead in
@@ -895,6 +916,7 @@ let () =
           Alcotest.test_case "batch" `Quick test_batch;
           Alcotest.test_case "cycle" `Quick test_cycle;
           Alcotest.test_case "sim checkpoint" `Quick test_sim_checkpoint_resume;
+          Alcotest.test_case "sim past horizon" `Quick test_sim_past_horizon;
           Alcotest.test_case "sim explain deadlock" `Quick
             test_sim_explain_deadlock;
           Alcotest.test_case "bad model" `Quick test_bad_model_error;

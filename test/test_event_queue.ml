@@ -1,117 +1,94 @@
-(* Tests for the future-event list (binary heap with FIFO tie-breaking). *)
+(* Tests for the completion queue (binary heap with FIFO tie-breaking). *)
 
 module Q = Pnut_sim.Event_queue
 
+(* Pops every entry as (time, transition, firing), earliest first. *)
 let drain q =
   let rec go acc =
-    match Q.pop q with
-    | Some (t, v) -> go ((t, v) :: acc)
-    | None -> List.rev acc
+    if Q.is_empty q then List.rev acc
+    else begin
+      let e = (Q.min_time q, Q.top_transition q, Q.top_firing q) in
+      Q.drop q;
+      go (e :: acc)
+    end
   in
   go []
+
+let push q time transition = Q.push q time ~transition ~firing:(100 + transition)
+
+let entry = Alcotest.(triple (float 0.0) int int)
 
 let test_empty () =
   let q = Q.create () in
   Alcotest.(check bool) "is_empty" true (Q.is_empty q);
-  Alcotest.(check int) "length" 0 (Q.length q);
-  Alcotest.(check bool) "peek none" true (Q.peek_time q = None);
-  Alcotest.(check bool) "pop none" true (Q.pop q = None)
+  Alcotest.(check (float 0.0)) "min_time" infinity (Q.min_time q);
+  Alcotest.check_raises "drop" (Invalid_argument "Event_queue.drop: empty queue")
+    (fun () -> Q.drop q)
 
 let test_ordering () =
   let q = Q.create () in
-  List.iter (fun (t, v) -> Q.push q t v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
-  Alcotest.(check int) "length" 3 (Q.length q);
-  Alcotest.(check (option (float 0.0))) "peek min" (Some 1.0) (Q.peek_time q);
-  Alcotest.(check (list (pair (float 0.0) string)))
+  List.iter (fun (t, v) -> push q t v) [ (3.0, 3); (1.0, 1); (2.0, 2) ];
+  Alcotest.(check (float 0.0)) "min_time" 1.0 (Q.min_time q);
+  Alcotest.(check (list entry))
     "sorted"
-    [ (1.0, "a"); (2.0, "b"); (3.0, "c") ]
+    [ (1.0, 1, 101); (2.0, 2, 102); (3.0, 3, 103) ]
     (drain q)
 
 let test_fifo_ties () =
   let q = Q.create () in
-  List.iteri (fun i v -> Q.push q 5.0 (i, v)) [ "x"; "y"; "z" ];
-  Q.push q 1.0 (99, "first");
-  let order = List.map snd (drain q) in
-  Alcotest.(check (list (pair int string)))
-    "insertion order among equals"
-    [ (99, "first"); (0, "x"); (1, "y"); (2, "z") ]
+  List.iter (fun v -> push q 5.0 v) [ 0; 1; 2 ];
+  push q 1.0 99;
+  let order = List.map (fun (_, v, _) -> v) (drain q) in
+  Alcotest.(check (list int)) "insertion order among equals" [ 99; 0; 1; 2 ]
     order
 
-let test_interleaved_push_pop () =
+let test_interleaved_push_drop () =
   let q = Q.create () in
-  Q.push q 2.0 "b";
-  Q.push q 1.0 "a";
-  Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a")) (Q.pop q);
-  Q.push q 0.5 "pre";
-  Alcotest.(check (option (pair (float 0.0) string))) "pop pre" (Some (0.5, "pre")) (Q.pop q);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b")) (Q.pop q);
+  push q 2.0 2;
+  push q 1.0 1;
+  Alcotest.(check int) "top a" 1 (Q.top_transition q);
+  Q.drop q;
+  push q 0.5 0;
+  Alcotest.(check int) "top pre" 0 (Q.top_transition q);
+  Alcotest.(check int) "its firing" 100 (Q.top_firing q);
+  Q.drop q;
+  Alcotest.(check (float 0.0)) "min b" 2.0 (Q.min_time q);
+  Q.drop q;
   Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 let test_growth () =
   let q = Q.create () in
   for i = 999 downto 0 do
-    Q.push q (float_of_int i) i
+    push q (float_of_int i) i
   done;
-  Alcotest.(check int) "length 1000" 1000 (Q.length q);
   let popped = drain q in
   Alcotest.(check int) "all popped" 1000 (List.length popped);
-  let sorted = List.for_all2 (fun (t, _) i -> Float.equal t (float_of_int i)) popped (List.init 1000 Fun.id) in
+  let sorted =
+    List.for_all2
+      (fun (t, v, f) i -> Float.equal t (float_of_int i) && v = i && f = 100 + i)
+      popped (List.init 1000 Fun.id)
+  in
   Alcotest.(check bool) "ascending" true sorted
 
-let test_clear () =
+(* [to_sorted_list] leaves the queue alone, and pushing its entries in
+   order into a fresh queue rebuilds the same drain order, ties included
+   (the checkpoint/restore path depends on this). *)
+let test_sorted_list_round_trip () =
   let q = Q.create () in
-  Q.push q 1.0 "x";
-  Q.clear q;
-  Alcotest.(check bool) "cleared" true (Q.is_empty q);
-  Q.push q 2.0 "y";
-  Alcotest.(check (option (pair (float 0.0) string))) "usable after clear"
-    (Some (2.0, "y")) (Q.pop q)
-
-(* A popped payload must not stay reachable from the queue's backing
-   array (the vacated slot used to keep the moved entry alive; the
-   growth filler used to pin one payload in every unused slot). *)
-let test_pop_releases_payloads () =
-  let n = 20 (* crosses the initial capacity of 16, forcing a growth *) in
-  let q = Q.create () in
-  let w = Weak.create n in
-  (* fill from a separate function so no local keeps the payloads alive *)
-  let fill () =
-    for i = 0 to n - 1 do
-      let payload = ref i in
-      Weak.set w i (Some payload);
-      Q.push q (float_of_int i) payload
-    done
-  in
-  fill ();
-  let rec drop () = match Q.pop q with Some _ -> drop () | None -> () in
-  drop ();
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check w i then incr live
-  done;
-  Alcotest.(check int) "no payload pinned by the drained queue" 0 !live;
-  (* the queue (with its grown backing array) is still usable *)
-  Q.push q 1.0 (ref 7);
-  Alcotest.(check bool) "usable after drain" true (Q.pop q <> None)
-
-(* [clear] resets the insertion counter: a cleared queue behaves exactly
-   like a fresh one on the same push sequence (the checkpoint/restore
-   path depends on this). *)
-let test_clear_resets_sequence () =
-  let used = Q.create () in
-  for i = 0 to 9 do
-    Q.push used (float_of_int i) i
-  done;
-  Q.clear used;
+  List.iter (fun (t, v) -> push q t v)
+    [ (5.0, 0); (5.0, 1); (2.0, 2); (5.0, 3); (infinity, 4); (2.0, 5) ];
+  Q.drop q;
+  push q 5.0 6;
+  let listed = Q.to_sorted_list q in
   let fresh = Q.create () in
   List.iter
-    (fun (t, v) ->
-      Q.push used t v;
-      Q.push fresh t v)
-    [ (5.0, 0); (5.0, 1); (2.0, 2); (5.0, 3) ];
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "same drain as a fresh queue" (drain fresh) (drain used)
+    (fun (time, transition, firing) -> Q.push fresh time ~transition ~firing)
+    listed;
+  Alcotest.(check (list entry)) "listing is the drain order" listed (drain q);
+  Alcotest.(check (list entry)) "rebuilt queue drains the same" listed
+    (drain fresh);
+  Alcotest.(check (list int)) "ties stay in insertion order" [ 5; 0; 1; 3; 6; 4 ]
+    (List.map (fun (_, v, _) -> v) listed)
 
 (* property: popping a random push sequence yields times in ascending
    order, and equal times preserve insertion order *)
@@ -120,10 +97,10 @@ let prop_heap_order =
     QCheck2.Gen.(list (int_range 0 20))
     (fun times ->
       let q = Q.create () in
-      List.iteri (fun i t -> Q.push q (float_of_int t) i) times;
+      List.iteri (fun i t -> push q (float_of_int t) i) times;
       let popped = drain q in
       let rec ordered = function
-        | (t1, i1) :: ((t2, i2) :: _ as rest) ->
+        | (t1, i1, _) :: ((t2, i2, _) :: _ as rest) ->
           (t1 < t2 || (Float.equal t1 t2 && i1 < i2)) && ordered rest
         | [ _ ] | [] -> true
       in
@@ -137,13 +114,10 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "ordering" `Quick test_ordering;
           Alcotest.test_case "FIFO ties" `Quick test_fifo_ties;
-          Alcotest.test_case "interleaved" `Quick test_interleaved_push_pop;
+          Alcotest.test_case "interleaved" `Quick test_interleaved_push_drop;
           Alcotest.test_case "growth" `Quick test_growth;
-          Alcotest.test_case "clear" `Quick test_clear;
-          Alcotest.test_case "pop releases payloads" `Quick
-            test_pop_releases_payloads;
-          Alcotest.test_case "clear resets sequence" `Quick
-            test_clear_resets_sequence;
+          Alcotest.test_case "sorted list round trip" `Quick
+            test_sorted_list_round_trip;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_heap_order ]);
     ]

@@ -69,13 +69,18 @@ let test_explorer_reset_and_errors () =
   let out =
     explore
       [ "fire grab"; "reset"; "enabled"; "fire release"; "fire ghost";
-        "run -3"; "run x"; "nonsense"; "quit" ]
+        "run -3"; "run nan"; "run inf"; "run x"; "nonsense"; "quit" ]
   in
   Testutil.check_contains "reset message" out "reset to the initial state";
   Testutil.check_contains "fireable after reset" out "fireable: grab";
   Testutil.check_contains "not fireable error" out "release is not fireable";
   Testutil.check_contains "unknown transition" out "no transition named ghost";
   Testutil.check_contains "bad duration" out "positive duration";
+  Alcotest.(check int) "negative, NaN and infinite durations refused" 3
+    (List.length
+       (List.filter
+          (fun l -> Testutil.contains l "positive duration")
+          (String.split_on_char '\n' out)));
   Testutil.check_contains "bad number" out "expects a number";
   Testutil.check_contains "unknown command" out "unknown command"
 

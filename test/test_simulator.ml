@@ -208,6 +208,32 @@ let test_run_needs_bound () =
     (Invalid_argument "Simulator.run: needs a horizon or an event limit")
     (fun () -> ignore (Sim.run st))
 
+(* A horizon before the clock is an input error, not a rewind: the run
+   raises before it emits anything, from a fresh state (a negative or
+   NaN horizon) and from one restored at a later clock. *)
+let test_run_rejects_past_horizon () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let finishes = ref 0 in
+  let sink =
+    { Trace.null_sink with Trace.on_finish = (fun _ -> incr finishes) }
+  in
+  let st = Sim.create ~seed:4 ~sink net in
+  Alcotest.check_raises "negative horizon"
+    (Invalid_argument "Simulator.run: horizon -5 is before the clock 0")
+    (fun () -> ignore (Sim.run ~until:(-5.0) st));
+  Alcotest.check_raises "NaN horizon"
+    (Invalid_argument "Simulator.run: horizon nan is before the clock 0")
+    (fun () -> ignore (Sim.run ~until:Float.nan st));
+  let _ = Sim.run ~until:500.0 ~finish:false st in
+  let restored = Sim.restore ~sink net (Sim.checkpoint st) in
+  Alcotest.check_raises "restored at 500"
+    (Invalid_argument "Simulator.run: horizon 100 is before the clock 500")
+    (fun () -> ignore (Sim.run ~until:100.0 restored));
+  Alcotest.(check int) "no finish record" 0 !finishes;
+  let o = Sim.run ~until:500.0 restored in
+  Alcotest.(check bool) "the clock itself is a horizon" true
+    (o.Sim.stop = Sim.Horizon && Float.equal o.Sim.final_clock 500.0)
+
 let test_determinism_same_seed () =
   let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
   let t1, _ = Sim.trace ~seed:123 ~until:500.0 net in
@@ -365,35 +391,19 @@ let test_action_error_surfaces () =
     Alcotest.failf "wrong error: %s" (Sim.error_message e)
 
 let test_capacity_monitoring () =
-  (* a producer overfilling a capacity-2 place: silent by default, a
-     loud Sim_error with check_capacities *)
-  let make () =
-    let b = B.create "overflow" in
-    let src = B.add_place b "src" ~initial:5 in
-    let buf = B.add_place b "buf" ~capacity:2 in
-    let _ =
-      B.add_transition b "fill" ~inputs:[ (src, 1) ] ~outputs:[ (buf, 1) ]
-        ~firing:(Net.Const 1.0)
-    in
-    B.build b
+  (* a producer overfilling a capacity-2 place: the simulator does not
+     enforce capacities (the static and reachability analyses check
+     them) *)
+  let b = B.create "overflow" in
+  let src = B.add_place b "src" ~initial:5 in
+  let buf = B.add_place b "buf" ~capacity:2 in
+  let _ =
+    B.add_transition b "fill" ~inputs:[ (src, 1) ] ~outputs:[ (buf, 1) ]
+      ~firing:(Net.Const 1.0)
   in
-  (* default: the model bug goes unnoticed *)
-  let st = Sim.create (make ()) in
+  let st = Sim.create (B.build b) in
   let _ = Sim.run ~until:100.0 st in
-  Alcotest.(check int) "silently overfilled" 5 (Sim.tokens st "buf");
-  (* monitored: caught at the third fill *)
-  let st2 = Sim.create ~check_capacities:true (make ()) in
-  match Sim.run ~until:100.0 st2 with
-  | _ -> Alcotest.fail "expected capacity violation"
-  | exception Sim.Sim_error (Sim.Capacity_violation { place; capacity; _ } as e)
-    ->
-    Alcotest.(check string) "place" "buf" place;
-    Alcotest.(check int) "capacity" 2 capacity;
-    let msg = Sim.error_message e in
-    Testutil.check_contains "message" msg "capacity violation: place buf";
-    Testutil.check_contains "culprit" msg "after fill fired"
-  | exception Sim.Sim_error e ->
-    Alcotest.failf "wrong error: %s" (Sim.error_message e)
+  Alcotest.(check int) "silently overfilled" 5 (Sim.tokens st "buf")
 
 let test_manual_fire_api () =
   let net = one_shot_net ~firing:Net.Zero ~enabling:Net.Zero in
@@ -598,6 +608,7 @@ let () =
           Alcotest.test_case "horizon" `Quick test_horizon_cuts_events;
           Alcotest.test_case "max events" `Quick test_max_events;
           Alcotest.test_case "needs bound" `Quick test_run_needs_bound;
+          Alcotest.test_case "past horizon" `Quick test_run_rejects_past_horizon;
           Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_trace;
           Alcotest.test_case "step API" `Quick test_step_api_sequence;

@@ -190,12 +190,20 @@ let test_codec_errors () =
   expect_error "net x\nbegin" "missing end line";
   expect_error "net x\nplace 1 late 0\nbegin\nend 1" "ids not contiguous"
 
-let test_writer_sink_streams () =
+let test_channel_sink_streams () =
   let tr = sample_trace () in
-  let buf = Buffer.create 256 in
-  Trace.replay tr (Codec.writer_sink buf);
-  Alcotest.(check string) "streaming write equals batch write"
-    (Codec.to_string tr) (Buffer.contents buf)
+  let path = Filename.temp_file "pnut_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Trace.replay tr (Codec.channel_sink oc);
+      close_out oc;
+      let ic = open_in_bin path in
+      let written = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check string) "streaming write equals batch write"
+        (Codec.to_string tr) written)
 
 let sim_trace () =
   let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
@@ -838,7 +846,7 @@ let () =
           Alcotest.test_case "float precision" `Quick test_codec_float_precision;
           Alcotest.test_case "foreign producer" `Quick test_codec_foreign_trace;
           Alcotest.test_case "errors" `Quick test_codec_errors;
-          Alcotest.test_case "streaming writer" `Quick test_writer_sink_streams;
+          Alcotest.test_case "streaming writer" `Quick test_channel_sink_streams;
           Alcotest.test_case "name escaping" `Quick test_codec_escapes_names;
           Alcotest.test_case "empty name rejected" `Quick
             test_codec_empty_name_rejected;
