@@ -337,6 +337,23 @@ let sim_cmd =
           Format.eprintf "%a@." Pnut_core.Validate.pp_diagnostic d)
         diags);
     let until = if until = None && max_events = None then Some 10000.0 else until in
+    let ck =
+      Option.map
+        (fun file ->
+          try Pnut_sim.Checkpoint.load file with
+          | Pnut_sim.Checkpoint.Parse_error (line, msg) ->
+            die "%s:%d: %s" file line msg
+          | Sys_error msg -> die "%s" msg)
+        load_state
+    in
+    (* A horizon before the starting clock is refused before --trace
+       creates its file. *)
+    let clock =
+      Option.fold ck ~none:0.0 ~some:(fun c -> c.Pnut_sim.Checkpoint.ck_clock)
+    in
+    Option.iter
+      (fun u -> or_die (fun () -> Pnut_sim.Simulator.check_horizon u ~clock))
+      until;
     let master = Pnut_core.Prng.create seed in
     (* Trace records stream straight to the channel as the run produces
        them; the trace is never held in memory. *)
@@ -358,14 +375,8 @@ let sim_cmd =
       let sink = Pnut_trace.Trace.tee sinks in
       (* [create] scans enabledness: a failing predicate aborts there *)
       let start () =
-        match load_state with
-        | Some file ->
-          let ck =
-            try Pnut_sim.Checkpoint.load file with
-            | Pnut_sim.Checkpoint.Parse_error (line, msg) ->
-              die "%s:%d: %s" file line msg
-            | Sys_error msg -> die "%s" msg
-          in
+        match ck with
+        | Some ck ->
           (try Pnut_sim.Simulator.restore ~sink net ck
            with Pnut_sim.Simulator.Sim_error e ->
              die "%s" (Pnut_sim.Simulator.error_message e))
@@ -435,8 +446,7 @@ let stat_cmd =
   let run path tsv =
     let stat_sink, stat_get = Pnut_stat.Stat.sink () in
     (try stream_trace path stat_sink
-     with Pnut_stat.Stat.Stat_error e ->
-       die "%s: %s" path (Pnut_stat.Stat.error_message e));
+     with Invalid_argument msg -> die "%s: %s" path msg);
     let report = stat_get () in
     print_string
       (if tsv then Pnut_stat.Stat.render_tsv report
@@ -517,14 +527,12 @@ let tracer_cmd =
         markers
     in
     let output =
-      try
-        if csv then Pnut_tracer.Signal.to_csv trace sigs
-        else
-          let style = { Pnut_tracer.Waveform.default_style with width } in
-          Pnut_tracer.Waveform.render ~style ~from_time:from_t ?to_time:to_t
-            ~markers trace sigs
-      with Pnut_tracer.Signal.Unknown_signal name ->
-        die "signal %S: no place, transition or variable of that name" name
+      or_die (fun () ->
+          if csv then Pnut_tracer.Signal.to_csv trace sigs
+          else
+            let style = { Pnut_tracer.Waveform.default_style with width } in
+            Pnut_tracer.Waveform.render ~style ~from_time:from_t ?to_time:to_t
+              ~markers trace sigs)
     in
     print_string output
   in
@@ -550,8 +558,7 @@ let check_cmd =
         | result ->
           if not (Pnut_tracer.Query.holds result) then incr failures;
           Format.printf "%-60s %a@." q Pnut_tracer.Query.pp_result result
-        | exception Pnut_tracer.Query.Query_error msg ->
-          die "query %S: %s" q msg)
+        | exception Invalid_argument msg -> die "query %S: %s" q msg)
       queries;
     if !failures > 0 then exit 1
   in
@@ -603,8 +610,8 @@ let reach_cmd =
       die "--max-states must be positive (got %d)" max_states;
     let net = load_net path in
     (* On a budget trip the partial graph is still a valid prefix:
-       summarize it, run the CTL/query checks on it (a failure on the
-       prefix is a failure on the full graph), then exit 3. *)
+       summarize it and exit 3.  The CTL/query checks need the complete
+       graph, so a degraded build skips them. *)
     if timed then begin
       if por = `On then
         die "--por on: partial-order reduction supports untimed \
@@ -630,13 +637,18 @@ let reach_cmd =
             die "--por on: --ctl/--query need the full interleaving graph; \
                  drop them or pass --por off";
           (match Pnut_reach.Stubborn.unsupported net with
-          | Some r -> die "%s" (Pnut_reach.Stubborn.rejection_message r)
+          | Some msg -> die "%s" msg
           | None -> true)
         | `Off -> false
         | `Auto ->
           ctl = [] && query = []
           && Pnut_reach.Stubborn.unsupported net = None
       in
+      (* Every formula is parsed before the build, so a typo costs no
+         exploration. *)
+      let parse_all what parse = List.map (fun s -> (s, parse_arg what parse s)) in
+      let ctl = parse_all "formula" Pnut_lang.Parser.parse_expr ctl in
+      let query = parse_all "query" Pnut_lang.Parser.parse_query query in
       let outcome =
         or_die (fun () ->
             Pnut_reach.Graph.build_supervised ~max_states ?budget ~por net)
@@ -654,25 +666,27 @@ let reach_cmd =
         (Pnut_reach.Graph.num_edges g)
         (Option.get (Pnut_reach.Graph.packed_bytes_per_state g))
         (Pnut_reach.Graph.por_reduction g);
-      let failures = ref 0 in
-      List.iter
-        (fun f ->
-          let e = parse_arg "formula" Pnut_lang.Parser.parse_expr f in
-          let ok = Pnut_reach.Ctl.check g (Pnut_reach.Ctl.AG (Pnut_reach.Ctl.Atom e)) in
-          if not ok then incr failures;
-          Format.printf "AG(%s): %b@." f ok)
-        ctl;
-      List.iter
-        (fun q ->
-          let parsed = parse_arg "query" Pnut_lang.Parser.parse_query q in
-          match Pnut_reach.Predicate.eval g parsed with
-          | result ->
-            if not (Pnut_tracer.Query.holds result) then incr failures;
-            Format.printf "%-60s %a@." q Pnut_tracer.Query.pp_result result
-          | exception Pnut_tracer.Query.Query_error msg ->
-            die "query %S: %s" q msg)
-        query;
-      if !failures > 0 then exit 1;
+      (match outcome with
+      | Pnut_exec.Supervisor.Degraded _ -> ()
+      | Pnut_exec.Supervisor.Complete g ->
+        let failures = ref 0 in
+        List.iter
+          (fun (f, e) ->
+            match Pnut_reach.Ctl.check g Pnut_reach.Ctl.(AG (Atom e)) with
+            | ok ->
+              if not ok then incr failures;
+              Format.printf "AG(%s): %b@." f ok
+            | exception Invalid_argument msg -> die "formula %S: %s" f msg)
+          ctl;
+        List.iter
+          (fun (q, parsed) ->
+            match Pnut_reach.Predicate.eval g parsed with
+            | result ->
+              if not (Pnut_tracer.Query.holds result) then incr failures;
+              Format.printf "%-60s %a@." q Pnut_tracer.Query.pp_result result
+            | exception Invalid_argument msg -> die "query %S: %s" q msg)
+          query;
+        if !failures > 0 then exit 1);
       exit_if_degraded "reach" outcome
     end
   in
@@ -737,7 +751,7 @@ let anim_cmd =
     (* Frames are emitted one at a time straight from the trace sink;
        neither the trace nor the frame list is materialized. *)
     let emit f = Pnut_anim.Animator.play ~delay_s:delay stdout [ f ] in
-    let sink = Pnut_anim.Animator.sink ?places net emit in
+    let sink = or_die (fun () -> Pnut_anim.Animator.sink ?places net emit) in
     match trace_in with
     | Some tr -> or_die (fun () -> stream_trace tr sink)
     | None -> (
@@ -785,11 +799,8 @@ let analytic_cmd =
       else net
     in
     let outcome =
-      try
-        or_die (fun () ->
-            Pnut_analytic.Gspn.analyze_supervised ~max_states ?budget net)
-      with Pnut_analytic.Gspn.Too_many_states r ->
-        die "%s" (Pnut_analytic.Gspn.rejection_message r)
+      or_die (fun () ->
+          Pnut_analytic.Gspn.analyze_supervised ~max_states ?budget net)
     in
     let r = Pnut_exec.Supervisor.value outcome in
     Printf.printf "tangible states:  %d\n" r.Pnut_analytic.Gspn.tangible_states;
@@ -822,11 +833,8 @@ let coverability_cmd =
   let run path max_states budget =
     let net = load_net path in
     let outcome =
-      try
-        or_die (fun () ->
-            Pnut_reach.Coverability.build_supervised ~max_states ?budget net)
-      with Pnut_reach.Coverability.Unsupported r ->
-        die "%s" (Pnut_reach.Coverability.rejection_message r)
+      or_die (fun () ->
+          Pnut_reach.Coverability.build_supervised ~max_states ?budget net)
     in
     let g = Pnut_exec.Supervisor.value outcome in
     Format.printf "%a@." (Pnut_reach.Coverability.pp_summary net) g;
@@ -870,12 +878,9 @@ let dot_cmd =
                Pnut_reach.Graph.build_supervised ~max_states ?budget net))
       | `Cov ->
         Pnut_exec.Supervisor.map (Pnut_reach.Export.coverability_dot net)
-          (try
-             or_die (fun () ->
-                 Pnut_reach.Coverability.build_supervised ~max_states ?budget
-                   net)
-           with Pnut_reach.Coverability.Unsupported r ->
-             die "%s" (Pnut_reach.Coverability.rejection_message r))
+          (or_die (fun () ->
+               Pnut_reach.Coverability.build_supervised ~max_states ?budget
+                 net))
     in
     let text = Pnut_exec.Supervisor.value outcome in
     (match out with

@@ -6,19 +6,6 @@ module Supervisor = Pnut_exec.Supervisor
 module Packed = Pnut_reach.Packed
 module Store = Pnut_reach.Store
 
-type rejection = {
-  rj_explored : int;
-  rj_cap : int;
-}
-
-exception Too_many_states of rejection
-
-let rejection_message { rj_explored; rj_cap } =
-  Printf.sprintf
-    "Gspn: state space exceeds max_states (%d states explored, cap %d) — the \
-     net may be unbounded; raise the cap or bound the offending places"
-    rj_explored rj_cap
-
 type kind =
   | Immediate of float  (* conflict weight *)
   | Timed of float      (* rate = 1 / mean *)
@@ -83,9 +70,12 @@ let explore ~max_states ~monitor net kinds =
   let intern m =
     let j = Store.intern_index store m ~extra:0 ~max_states in
     if j < 0 then
-      raise
-        (Too_many_states
-           { rj_explored = Store.num_states store; rj_cap = max_states });
+      invalid_arg
+        (Printf.sprintf
+           "Gspn: state space exceeds max_states (%d states explored, cap \
+            %d) — the net may be unbounded; raise the cap or bound the \
+            offending places"
+           (Store.num_states store) max_states);
     j
   in
   ignore (intern (Marking.to_array (Net.initial_marking net)) : int);

@@ -24,7 +24,8 @@
     Restrictions (checked, [Invalid_argument] otherwise): no predicates or
     actions (the state must be the marking alone), single-server semantics
     (a timed transition's rate does not scale with its enabling degree),
-    bounded nets within [max_states].
+    bounded nets within [max_states] (past it — typically an unbounded
+    net — the message counts the states explored).
 
     Results are exact up to the linear-algebra tolerance, so they serve as
     an oracle for the simulator on exponential models (and vice versa). *)
@@ -38,23 +39,9 @@ type result = {
       (** firings per unit time per transition id, timed and immediate *)
 }
 
-type rejection = {
-  rj_explored : int;  (** states interned when the cap was hit *)
-  rj_cap : int;       (** the effective [max_states] *)
-}
-
-exception Too_many_states of rejection
-(** Raised by {!analyze}/{!analyze_supervised} when exploration exceeds
-    the state cap — typically an unbounded net, for which no stationary
-    analysis exists.  A structural rejection like
-    {!Pnut_reach.Coverability.Unsupported}, not a resource trip. *)
-
-val rejection_message : rejection -> string
-(** One-line human-readable rendering for CLI error reporting. *)
-
 val analyze : ?max_states:int -> Pnut_core.Net.t -> result
 (** [max_states] caps the reachability exploration (default 2000;
-    raises {!Too_many_states} past it).  The stationary distribution
+    raises [Invalid_argument] past it).  The stationary distribution
     is a power iteration uniformized at 1.05 times the largest exit
     rate, so a periodic jump chain still converges.  It stops once an
     iterate moves less than 1e-12 in L1; after 100_000 iterations
@@ -71,7 +58,7 @@ val analyze_supervised :
     the explored prefix (unexpanded states act as absorbing, and the
     stationary vector is re-normalized), and an unconverged solve on
     such a prefix is reported the same way; the state cap still raises
-    {!Too_many_states}. *)
+    [Invalid_argument]. *)
 
 val place_mean : result -> Pnut_core.Net.t -> string -> float
 (** Lookup by place name; raises [Not_found]. *)

@@ -20,17 +20,18 @@ let gauge count =
   let dots = String.concat "" (List.init shown (fun _ -> "o")) in
   if count > shown then dots ^ "+" else dots
 
+(* The state panel's rows; every requested name must be a place. *)
 let selected_places ?places net =
-  let all = Array.to_list (Net.places net) in
   match places with
-  | None -> all
-  | Some names ->
-    List.filter_map (fun name -> Net.find_place net name) names
-    |> fun found ->
-    if found = [] then all else found
+  | None -> Array.to_list (Net.places net)
+  | Some names -> (
+    match List.filter (fun n -> Net.find_place net n = None) names with
+    | [] -> List.filter_map (Net.find_place net) names
+    | unknown ->
+      invalid_arg
+        ("Animator: no place named " ^ String.concat ", " unknown))
 
-let render_state_rows ?places net marking ~highlight =
-  let rows = selected_places ?places net in
+let render_state_rows rows marking ~highlight =
   let width =
     List.fold_left (fun acc p -> max acc (String.length p.Net.p_name)) 4 rows
   in
@@ -48,7 +49,8 @@ let render_state_rows ?places net marking ~highlight =
     rows
 
 let render_state ?places net marking =
-  String.concat "\n" (render_state_rows ?places net marking ~highlight:[]) ^ "\n"
+  let rows = selected_places ?places net in
+  String.concat "\n" (render_state_rows rows marking ~highlight:[]) ^ "\n"
 
 let arc_list net arcs =
   String.concat ", "
@@ -58,7 +60,7 @@ let arc_list net arcs =
          if a_weight = 1 then name else Printf.sprintf "%d x %s" a_weight name)
        arcs)
 
-let frame_for ?places net marking v phase =
+let frame_for rows net marking v phase =
   let tr = Net.transition net v.Trace.v_transition in
   let name = tr.Net.t_name in
   let caption, arrow, highlight =
@@ -80,10 +82,9 @@ let frame_for ?places net marking v phase =
         Printf.sprintf "[ %s ] ==> ( %s )" name (arc_list net tr.Net.t_outputs),
         List.map (fun a -> (a.Net.a_place, `In)) tr.Net.t_outputs )
   in
-  let rows = render_state_rows ?places net marking ~highlight in
   let text =
     Printf.sprintf "t=%-10g %s\n%s\n%s\n" (Trace.time v) caption arrow
-      (String.concat "\n" rows)
+      (String.concat "\n" (render_state_rows rows marking ~highlight))
   in
   (caption, text)
 
@@ -104,11 +105,12 @@ let check_header net (h : Trace.header) =
     invalid_arg "Animator: trace does not match the net"
 
 let sink ?places net emit =
+  let rows = selected_places ?places net in
   let cursor = ref (Trace.cursor (Trace.header_of_net net)) in
   let step = ref 0 in
   let frame v phase =
     let marking = Marking.unsafe_wrap (Trace.marking !cursor) in
-    let f_caption, f_text = frame_for ?places net marking v phase in
+    let f_caption, f_text = frame_for rows net marking v phase in
     emit
       { f_time = Trace.time v; f_step = !step; f_phase = phase; f_caption;
         f_text }

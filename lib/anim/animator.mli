@@ -34,9 +34,10 @@ val sink :
     records arrive, holding only the current state, which starts from
     the trace header (a resumed trace starts at its checkpoint) —
     suitable for animating an unbounded piped trace.  [places]
-    restricts the state panel (default all).  [on_header] raises [Invalid_argument] if the
-    trace was not produced from (a net isomorphic to) [net] —
-    place/transition name tables must match. *)
+    restricts the state panel (default all); a name that is not a place
+    of [net] raises [Invalid_argument] here, naming it.  [on_header]
+    raises [Invalid_argument] if the trace was not produced from (a net
+    isomorphic to) [net] — place/transition name tables must match. *)
 
 val frames :
   ?places:string list ->
@@ -44,13 +45,14 @@ val frames :
   Pnut_trace.Trace.t ->
   frame list
 (** Renders the whole trace; [places] restricts the state panel (default
-    all).  Raises [Invalid_argument] if the trace was not produced from
-    (a net isomorphic to) [net] — place/transition name tables must
-    match. *)
+    all) as in {!sink}.  Raises [Invalid_argument] if the trace was not
+    produced from (a net isomorphic to) [net] — place/transition name
+    tables must match. *)
 
 val render_state :
   ?places:string list -> Pnut_core.Net.t -> Pnut_core.Marking.t -> string
-(** Just the state panel: one row per place with a token gauge. *)
+(** Just the state panel: one row per place with a token gauge; [places]
+    as in {!sink}. *)
 
 val play : ?delay_s:float -> out_channel -> frame list -> unit
 (** Prints frames in order, separated by rules; [delay_s] paces the

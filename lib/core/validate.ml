@@ -8,8 +8,6 @@ type diagnostic = {
   message : string;
 }
 
-exception Invalid_model of string
-
 let diag severity subject fmt =
   Printf.ksprintf (fun message -> { severity; subject; message }) fmt
 
@@ -167,4 +165,4 @@ let assert_valid net =
       String.concat "\n"
         (List.map (fun d -> Format.asprintf "%a" pp_diagnostic d) errs)
     in
-    raise (Invalid_model msg)
+    invalid_arg msg

@@ -32,7 +32,5 @@ val warnings : diagnostic list -> diagnostic list
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 
 val assert_valid : Net.t -> unit
-(** Raises [Invalid_model] carrying the rendered errors if [check]
+(** Raises [Invalid_argument] carrying the rendered errors if [check]
     reports any [Error]. *)
-
-exception Invalid_model of string

@@ -22,38 +22,20 @@ type t = {
   complete : bool;
 }
 
-type unsupported_feature =
-  | Inhibitor_arcs
-  | Predicate
-  | Action
-
-type rejection = {
-  r_transition : string;
-  r_feature : unsupported_feature;
-}
-
-exception Unsupported of rejection
-
-let feature_name = function
-  | Inhibitor_arcs -> "inhibitor arcs"
-  | Predicate -> "a predicate"
-  | Action -> "an action"
-
-let rejection_message { r_transition; r_feature } =
-  Printf.sprintf
-    "coverability: transition %s has %s; the Karp-Miller construction needs \
-     plain monotone nets (weighted input/output arcs only)"
-    r_transition (feature_name r_feature)
-
 let check_plain net =
   Array.iter
     (fun tr ->
-      let reject r_feature =
-        raise (Unsupported { r_transition = tr.Net.t_name; r_feature })
+      let reject feature =
+        invalid_arg
+          (Printf.sprintf
+             "coverability: transition %s has %s; the Karp-Miller \
+              construction needs plain monotone nets (weighted input/output \
+              arcs only)"
+             tr.Net.t_name feature)
       in
-      if tr.Net.t_inhibitors <> [] then reject Inhibitor_arcs;
-      if tr.Net.t_predicate <> None then reject Predicate;
-      if tr.Net.t_action <> [] then reject Action)
+      if tr.Net.t_inhibitors <> [] then reject "inhibitor arcs";
+      if tr.Net.t_predicate <> None then reject "a predicate";
+      if tr.Net.t_action <> [] then reject "an action")
     (Net.transitions net)
 
 let token_ge a b =

@@ -7,36 +7,14 @@
     unbounded iff some coverability node marks it [ω].
 
     Restrictions: nets with inhibitor arcs or predicates are rejected
-    with {!Unsupported} — the acceleration argument needs plain monotone
-    firing (more tokens never disable a transition), which inhibitors
-    break.  Actions are likewise rejected (the environment is not part
-    of the covering order).  The CLI maps {!Unsupported} to its
-    documented exit code 2 (specification errors). *)
+    with [Invalid_argument] naming the transition and the feature — the
+    acceleration argument needs plain monotone firing (more tokens never
+    disable a transition), which inhibitors break.  Actions are likewise
+    rejected (the environment is not part of the covering order). *)
 
 type token =
   | Finite of int
   | Omega
-
-(** {2 Structured rejection}
-
-    Which extended-net feature puts a net outside the Karp-Miller
-    fragment. *)
-
-type unsupported_feature =
-  | Inhibitor_arcs
-  | Predicate
-  | Action
-
-type rejection = {
-  r_transition : string;  (** name of the offending transition *)
-  r_feature : unsupported_feature;
-}
-
-exception Unsupported of rejection
-(** Raised by {!build} before any exploration. *)
-
-val rejection_message : rejection -> string
-(** One-line human-readable rendering for CLI error reporting. *)
 
 type node = {
   n_index : int;
@@ -53,8 +31,8 @@ type t
 
 val build : ?max_states:int -> Pnut_core.Net.t -> t
 (** [max_states] (default 100_000) is a safety net; genuine Karp-Miller
-    trees are finite but can be huge.  Raises {!Unsupported} on nets
-    with inhibitors, predicates or actions. *)
+    trees are finite but can be huge.  Raises [Invalid_argument] on nets
+    with inhibitors, predicates or actions, before any exploration. *)
 
 val build_supervised :
   ?max_states:int ->
@@ -66,8 +44,8 @@ val build_supervised :
     including the state cap — yields [Degraded] with the partial graph
     and visited/frontier counts; a budgeted build that completes
     returns a graph identical to {!build}'s.  Still raises
-    {!Unsupported} on out-of-fragment nets (a structural rejection, not
-    a resource condition). *)
+    [Invalid_argument] on out-of-fragment nets (a structural rejection,
+    not a resource condition). *)
 
 val num_nodes : t -> int
 val node : t -> int -> node

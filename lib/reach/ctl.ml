@@ -3,8 +3,6 @@ module Expr = Pnut_core.Expr
 module Env = Pnut_core.Env
 module Value = Pnut_core.Value
 
-exception Ctl_error of string
-
 type formula =
   | True
   | False
@@ -47,20 +45,17 @@ let eval_atom g e =
         match List.assoc_opt name s.Graph.s_env with
         | Some v -> Env.set scratch name v
         | None ->
-          raise
-            (Ctl_error
-               (Printf.sprintf "unknown identifier %s (no place or variable)"
-                  name)))
+          invalid_arg
+            (Printf.sprintf "unknown identifier %s (no place or variable)" name))
     in
     List.iter bind free;
     match Expr.eval scratch e with
     | Value.Bool b -> out.(i) <- b
     | (Value.Int _ | Value.Float _) as v ->
-      raise
-        (Ctl_error
-           (Printf.sprintf "atom %s is not boolean (got %s)" (Expr.to_string e)
-              (Value.to_string v)))
-    | exception Expr.Eval_error msg -> raise (Ctl_error msg)
+      invalid_arg
+        (Printf.sprintf "atom %s is not boolean (got %s)" (Expr.to_string e)
+           (Value.to_string v))
+    | exception (Expr.Eval_error msg | Value.Type_error msg) -> invalid_arg msg
   done;
   out
 

@@ -31,14 +31,14 @@ type formula =
   | AU of formula * formula   (** A[f U g] *)
 
 val sat : Graph.t -> formula -> bool array
-(** Truth value of the formula at every state. *)
+(** Truth value of the formula at every state.  Raises
+    [Invalid_argument] when an atom names no place or variable, is not
+    boolean, or fails to evaluate. *)
 
 val check : Graph.t -> formula -> bool
 (** Does the formula hold in the initial state?  Raises
-    [Invalid_argument] if the graph is truncated (a capped graph cannot
-    certify branching-time properties). *)
+    [Invalid_argument] as {!sat} does, and if the graph is truncated (a
+    capped graph cannot certify branching-time properties). *)
 
 val counterexample : Graph.t -> formula -> int option
 (** First state (BFS order) where the formula fails, if any. *)
-
-exception Ctl_error of string

@@ -192,9 +192,9 @@ let build_supervised ?(max_states = 100_000) ?jobs:_
   let monitor = Pnut_exec.Supervisor.start budget in
   let max_states = Pnut_exec.Supervisor.cap ~who:"Reach.Graph" max_states in
   let kernel = Kernel.of_net net in
-  (* Raises Stubborn.Unsupported when the net falls outside the
-     reduction's fragment — callers choosing [por] must catch it or
-     pre-check with Stubborn.unsupported. *)
+  (* Raises Invalid_argument when the net falls outside the reduction's
+     fragment — callers choosing [por] must catch it or pre-check with
+     Stubborn.unsupported. *)
   let stubborn =
     if not por then None
     else

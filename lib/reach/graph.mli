@@ -49,9 +49,9 @@ val build :
     counts, CTL over the full graph and path-sensitive queries are not
     preserved — build without [por] for those.  The reduced set is a
     deterministic function of the marking, so the numbering is still
-    fixed by the net.  Raises {!Stubborn.Unsupported} when
-    the net has variables, tables, predicates or actions (pre-check
-    with {!Stubborn.unsupported}). *)
+    fixed by the net.  Raises [Invalid_argument] when the net has
+    variables, tables, predicates or actions (pre-check with
+    {!Stubborn.unsupported}). *)
 
 val build_supervised :
   ?max_states:int ->

@@ -10,13 +10,9 @@ let rec to_ctl (f : Query.formula) : Ctl.formula =
   | Query.Inev g -> Ctl.AF (to_ctl g)
   | Query.Alw g -> Ctl.AG (to_ctl g)
 
-let sat g f =
-  try Ctl.sat g (to_ctl f)
-  with Ctl.Ctl_error msg -> raise (Query.Query_error msg)
-
 let eval g query =
   if not (Graph.complete g) then
     invalid_arg "Reach.Predicate.eval: reachability graph was truncated";
-  Query.decide query (Graph.num_states g) (sat g)
+  Query.decide query (Graph.num_states g) (fun f -> Ctl.sat g (to_ctl f))
 
 let holds g query = Query.holds (eval g query)

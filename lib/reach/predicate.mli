@@ -15,7 +15,6 @@ val eval : Graph.t -> Pnut_tracer.Query.t -> Pnut_tracer.Query.result
 (** Identifiers resolve to place token counts, then model variables.
     Transition activity (concurrent firings) does not exist in atomic
     interleaving semantics; referring to a transition name raises
-    [Pnut_tracer.Query.Query_error].  Raises [Invalid_argument] if the
-    graph is truncated. *)
+    [Invalid_argument], as do ill-typed atoms and a truncated graph. *)
 
 val holds : Graph.t -> Pnut_tracer.Query.t -> bool

@@ -36,55 +36,29 @@ module Marking = Pnut_core.Marking
 module Kernel = Pnut_core.Kernel
 module Incidence = Pnut_core.Incidence
 
-type unsupported_feature =
-  | Predicate
-  | Action
-  | Variables
-
-type rejection = {
-  r_transition : string option;
-  r_feature : unsupported_feature;
-}
-
-exception Unsupported of rejection
-
-let feature_name = function
-  | Predicate -> "a predicate"
-  | Action -> "an action"
-  | Variables -> "variables or tables"
-
-let rejection_message r =
-  match r.r_transition with
-  | Some t ->
-    Printf.sprintf
-      "partial-order reduction: transition %s carries %s, which makes \
-       firings visible beyond the marking; rerun with --por off"
-      t (feature_name r.r_feature)
-  | None ->
-    Printf.sprintf
-      "partial-order reduction: the net declares %s, which make state \
-       identity richer than the marking; rerun with --por off"
-      (feature_name r.r_feature)
-
 (* The reduction reasons about markings only, so anything that makes a
    firing visible beyond the marking — a predicate reading the
    environment, an action writing it, or declared variables/tables that
    become part of state identity — is out of fragment. *)
 let unsupported net =
+  let carries tr feature =
+    Some
+      (Printf.sprintf
+         "partial-order reduction: transition %s carries %s, which makes \
+          firings visible beyond the marking; rerun with --por off"
+         tr.Net.t_name feature)
+  in
   if Net.variables net <> [] || Net.tables net <> [] then
-    Some { r_transition = None; r_feature = Variables }
+    Some
+      "partial-order reduction: the net declares variables or tables, which \
+       make state identity richer than the marking; rerun with --por off"
   else
-    Array.fold_left
-      (fun acc tr ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if tr.Net.t_predicate <> None then
-            Some { r_transition = Some tr.Net.t_name; r_feature = Predicate }
-          else if tr.Net.t_action <> [] then
-            Some { r_transition = Some tr.Net.t_name; r_feature = Action }
-          else None)
-      None (Net.transitions net)
+    Array.find_map
+      (fun tr ->
+        if tr.Net.t_predicate <> None then carries tr "a predicate"
+        else if tr.Net.t_action <> [] then carries tr "an action"
+        else None)
+      (Net.transitions net)
 
 type t = {
   trans : Kernel.ctrans array;
@@ -139,9 +113,7 @@ let irreducible t =
 
 let create kernel =
   let net = Kernel.net kernel in
-  (match unsupported net with
-  | None -> ()
-  | Some r -> raise (Unsupported r));
+  Option.iter invalid_arg (unsupported net);
   let t =
     {
       trans = Kernel.transitions kernel;

@@ -15,27 +15,11 @@
     repeated builds, and the frozen boxed oracle the tests compare
     against, produce the same reduced graph. *)
 
-(** Why a net falls outside the reduction's fragment. *)
-type unsupported_feature =
-  | Predicate  (** a transition guard reads the environment *)
-  | Action     (** a transition firing writes the environment *)
-  | Variables  (** declared variables/tables enrich state identity *)
-
-type rejection = {
-  r_transition : string option;
-      (** offending transition, when the feature is per-transition *)
-  r_feature : unsupported_feature;
-}
-
-exception Unsupported of rejection
-
-val rejection_message : rejection -> string
-(** One-line human-readable explanation, suitable for [die]. *)
-
-val unsupported : Pnut_core.Net.t -> rejection option
+val unsupported : Pnut_core.Net.t -> string option
 (** [None] when the net is plain (no variables, tables, predicates or
-    actions) and the reduction is sound; the first offending feature
-    otherwise.  This is what [--por auto] consults. *)
+    actions) and the reduction is sound; otherwise a one-line message
+    naming the first offending feature (and its transition).  This is
+    what [--por auto] consults. *)
 
 type t
 (** Per-net static structure: the compiled transitions plus the
@@ -45,7 +29,8 @@ type t
 
 val create : Pnut_core.Kernel.t -> t
 (** Precomputes the relations and runs the {!reduces} test.  @raise
-    Unsupported when {!unsupported} is [Some _] for the kernel's net. *)
+    Invalid_argument with {!unsupported}'s message when it is [Some _]
+    for the kernel's net. *)
 
 val reduces : t -> bool
 (** [false] when the net's structure guarantees that no stubborn set is

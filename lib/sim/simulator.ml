@@ -452,14 +452,17 @@ type outcome = {
 
 exception Budget_trip of Pnut_exec.Supervisor.reason
 
+let check_horizon horizon ~clock =
+  if not (horizon >= clock) then
+    invalid_arg
+      (Printf.sprintf "Simulator.run: horizon %g is before the clock %g"
+         horizon clock)
+
 let run ?until ?max_events ?budget ?(finish = true) (st : t) =
   if until = None && max_events = None then
     invalid_arg "Simulator.run: needs a horizon or an event limit";
   let horizon = Option.value until ~default:infinity in
-  if not (horizon >= st.clock) then
-    invalid_arg
-      (Printf.sprintf "Simulator.run: horizon %g is before the clock %g"
-         horizon st.clock);
+  check_horizon horizon ~clock:st.clock;
   let limit = Option.value max_events ~default:max_int in
   let monitor =
     Pnut_exec.Supervisor.start

@@ -145,6 +145,10 @@ val run :
     that will be continued with a later horizon (segmented runs,
     checkpointing). *)
 
+val check_horizon : float -> clock:float -> unit
+(** Raises {!run}'s [Invalid_argument] when [until] is before [clock]
+    or is NaN, for a caller that checks before it opens any output. *)
+
 val simulate :
   ?seed:int ->
   ?prng:Pnut_core.Prng.t ->

@@ -59,22 +59,6 @@ let signal_stats s i total =
     (mean, sqrt var)
   end
 
-type error = Time_regression of { at : float; prev : float }
-
-exception Stat_error of error
-
-let error_message = function
-  | Time_regression { at; prev } ->
-    Printf.sprintf
-      "stat: trace time went backwards (delta at %g after clock %g); traces \
-       must be time-ordered"
-      at prev
-
-let () =
-  Printexc.register_printer (function
-    | Stat_error e -> Some (error_message e)
-    | _ -> None)
-
 type acc = {
   run : int;
   mutable header : Trace.header option;
@@ -91,7 +75,11 @@ type acc = {
 let[@inline] advance acc time =
   let dt = time -. acc.prev.(0) in
   if dt < 0.0 then
-    raise (Stat_error (Time_regression { at = time; prev = acc.prev.(0) }))
+    invalid_arg
+      (Printf.sprintf
+         "stat: trace time went backwards (delta at %g after clock %g); \
+          traces must be time-ordered"
+         time acc.prev.(0))
   else if dt > 0.0 then begin
     let s = acc.signals in
     for i = 0 to Array.length s.current - 1 do

@@ -50,21 +50,12 @@ type report = {
   transitions : transition_stats array;
 }
 
-type error =
-  | Time_regression of { at : float; prev : float }
-      (** A delta (or the end record) carried a timestamp earlier than the
-          clock already reached.  Time-weighted averages are meaningless
-          over such a trace, so it is rejected instead of silently
-          mis-accounted. *)
-
-exception Stat_error of error
-
-val error_message : error -> string
-
 val sink : ?run:int -> unit -> Pnut_trace.Trace.sink * (unit -> report)
 (** Streaming accumulator; the getter raises [Invalid_argument] before
-    [on_finish] has been seen.  The sink raises {!Stat_error} on a
-    time-regressing trace. *)
+    [on_finish] has been seen.  The sink raises [Invalid_argument] on a
+    delta (or end record) timestamped before the clock already reached:
+    time-weighted averages are meaningless over such a trace, so it is
+    rejected instead of silently mis-accounted. *)
 
 val of_trace : ?run:int -> Pnut_trace.Trace.t -> report
 

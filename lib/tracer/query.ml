@@ -3,8 +3,6 @@ module Expr = Pnut_core.Expr
 module Env = Pnut_core.Env
 module Value = Pnut_core.Value
 
-exception Query_error of string
-
 type formula =
   | Atom of Expr.t
   | Not of formula
@@ -54,11 +52,10 @@ let atom_matrix trace atom_list =
       match Trace.lookup cursor name with
       | source :: _ -> Hashtbl.replace sources name source
       | [] ->
-        raise
-          (Query_error
-             (Printf.sprintf
-                "unknown identifier %s (no such place, transition or variable)"
-                name))
+        invalid_arg
+          (Printf.sprintf
+             "unknown identifier %s (no such place, transition or variable)"
+             name)
   in
   List.iter (fun e -> List.iter resolve (Expr.variables e)) atom_list;
   let scratch = Env.create () in
@@ -69,11 +66,10 @@ let atom_matrix trace atom_list =
     match Expr.eval scratch e with
     | Value.Bool b -> b
     | (Value.Int _ | Value.Float _) as v ->
-      raise
-        (Query_error
-           (Printf.sprintf "formula atom %s is not boolean (got %s)"
-              (Expr.to_string e) (Value.to_string v)))
-    | exception Expr.Eval_error msg -> raise (Query_error msg)
+      invalid_arg
+        (Printf.sprintf "formula atom %s is not boolean (got %s)"
+           (Expr.to_string e) (Value.to_string v))
+    | exception (Expr.Eval_error msg | Value.Type_error msg) -> invalid_arg msg
   in
   let matrix =
     Array.of_list (List.map (fun _ -> Array.make n_states false) atom_list)

@@ -54,6 +54,9 @@ val holds : result -> bool
 (** [Holds _] and [Vacuous] count as success. *)
 
 val eval : Pnut_trace.Trace.t -> t -> result
+(** Raises [Invalid_argument] when an identifier names no place,
+    transition or variable, or an atom is not boolean or fails to
+    evaluate. *)
 
 val decide : t -> int -> (formula -> bool array) -> result
 (** [decide q n rows] quantifies over states [0..n-1], given the truth
@@ -64,9 +67,7 @@ val decide : t -> int -> (formula -> bool array) -> result
 
 val eval_formula : Pnut_trace.Trace.t -> formula -> int -> bool
 (** Evaluate a formula at one state index (0 = initial state).
-    Raises [Invalid_argument] on an out-of-range index and
-    [Query_error] on unresolvable identifiers or type errors. *)
+    Raises [Invalid_argument] on an out-of-range index and as {!eval}
+    does. *)
 
 val pp_result : Format.formatter -> result -> unit
-
-exception Query_error of string

@@ -3,8 +3,6 @@ module Expr = Pnut_core.Expr
 module Env = Pnut_core.Env
 module Value = Pnut_core.Value
 
-exception Unknown_signal of string
-
 type t =
   | Place of string
   | Transition of string
@@ -50,7 +48,10 @@ let sample trace signals =
   let reader keep name =
     match List.find_opt keep (Trace.lookup cursor name) with
     | Some source -> fun () -> Value.to_float (Trace.read cursor source)
-    | None -> raise (Unknown_signal name)
+    | None ->
+      invalid_arg
+        (Printf.sprintf "signal %S: no place, transition or variable of that name"
+           name)
   in
   let compute_of_signal = function
     | Place name -> reader (function Trace.Place _ -> true | _ -> false) name
@@ -84,7 +85,14 @@ let sample trace signals =
      the waveform renderer, and [value_at] resolves a repeated time to
      the last value recorded at it. *)
   let record time p =
-    let v = p.compute () in
+    let v =
+      try p.compute ()
+      with Expr.Eval_error msg | Value.Type_error msg ->
+        let shown =
+          match p.signal with Fun (_, e) -> Expr.to_string e | s -> label s
+        in
+        invalid_arg (Printf.sprintf "signal %S: %s" shown msg)
+    in
     if (not p.started) || not (Float.equal v p.last) then begin
       p.times_rev <- time :: p.times_rev;
       p.values_rev <- v :: p.values_rev;

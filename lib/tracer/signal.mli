@@ -34,13 +34,12 @@ val value_at : series -> float -> float
 
 val sample : Pnut_trace.Trace.t -> t list -> (t * series) list
 (** Extracts all requested signals in one pass over the trace.
-    Raises [Unknown_signal] if a name matches no place, transition or
-    variable. *)
+    Raises [Invalid_argument] naming the signal if a name matches no
+    place, transition or variable, or if a value is not a number or
+    fails to evaluate. *)
 
 val to_csv : Pnut_trace.Trace.t -> t list -> string
 (** The sampled signals as CSV for external plotting: a [time] column
     followed by one column per signal, one row per instant where any
     signal changes (last value per instant), plus a closing row at the
     trace's final time. *)
-
-exception Unknown_signal of string

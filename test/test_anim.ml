@@ -30,6 +30,18 @@ let test_render_state_restricted () =
   Testutil.check_contains "kept" text "output";
   Alcotest.(check bool) "input hidden" false (Testutil.contains text "input")
 
+(* An unknown name is rejected when the sink is made, before any frame,
+   even beside a known one: it used to be dropped silently, and a panel
+   of only unknown names showed every place. *)
+let test_unknown_places_rejected () =
+  let net = small_net () in
+  List.iter
+    (fun places ->
+      Alcotest.check_raises (String.concat "," places)
+        (Invalid_argument "Animator: no place named ghost") (fun () ->
+          ignore (Anim.sink ~places net (fun _ -> ()))))
+    [ [ "ghost" ]; [ "ghost"; "output" ] ]
+
 let test_frames_phases () =
   let net = small_net () in
   let trace, _ = Sim.trace ~until:10.0 net in
@@ -108,6 +120,8 @@ let () =
         [
           Alcotest.test_case "state panel" `Quick test_render_state;
           Alcotest.test_case "restricted panel" `Quick test_render_state_restricted;
+          Alcotest.test_case "unknown places rejected" `Quick
+            test_unknown_places_rejected;
         ] );
       ( "frames",
         [

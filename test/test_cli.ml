@@ -196,6 +196,56 @@ let test_unknown_names () =
       ("tracer csv", [ "tracer"; trace_file; "-s"; "ghost"; "--csv" ]);
     ]
 
+(* Bad input exits 2 with one message, never as an uncaught exception
+   (exit 125): an ill-typed or unknown formula atom or signal, an empty
+   time window.  Checks on a capped graph are skipped (exit 3), and a
+   formula that does not parse stops reach before it builds. *)
+let test_bad_input_exit_codes () =
+  let interp = tmp "bad_interp.pn" and interp_trace = tmp "bad_interp.trace" in
+  let _ = check_run "interp model" [ "model"; "interpreted"; "-o"; interp ] in
+  let _ =
+    check_run "interp sim"
+      [ "sim"; interp; "--until"; "100"; "--trace"; interp_trace ]
+  in
+  List.iter
+    (fun (what, expected, args, message) ->
+      let code, out = run args in
+      Alcotest.(check int) (what ^ ": exit") expected code;
+      let err = read_file (tmp "err") in
+      Testutil.check_contains (what ^ ": message") err message;
+      Alcotest.(check bool) (what ^ ": no uncaught exception") false
+        (Testutil.contains err "uncaught");
+      Alcotest.(check bool) (what ^ ": no check result") false
+        (Testutil.contains out "AG(" || Testutil.contains out "holds"))
+    [
+      ("ctl not boolean", 2, [ "reach"; model_file; "--ctl"; "Bus_busy + 1" ],
+       "formula \"Bus_busy + 1\": atom Bus_busy + 1 is not boolean");
+      ("ctl unknown name", 2, [ "reach"; model_file; "--ctl"; "ghost == 1" ],
+       "formula \"ghost == 1\": unknown identifier ghost");
+      ("ill-typed signal", 2, [ "tracer"; trace_file; "-s"; "Bus_busy + true" ],
+       "operator + applied to a boolean");
+      ("boolean signal", 2, [ "tracer"; interp_trace; "-s"; "store_flag" ],
+       "signal \"store_flag\": expected number, got bool");
+      ("empty window", 2,
+       [ "tracer"; trace_file; "-s"; "Bus_busy"; "--from"; "100"; "--to"; "10" ],
+       "Waveform.render: empty time window");
+      ("ctl on a capped graph", 3,
+       [ "reach"; model_file; "--max-states"; "100"; "--ctl";
+         "Bus_free + Bus_busy == 1" ],
+       "reach degraded");
+      ("query on a capped graph", 3,
+       [ "reach"; model_file; "--max-states"; "100"; "--query";
+         "forall s in S [ Bus_free(s) + Bus_busy(s) = 1 ]" ],
+       "reach degraded");
+    ];
+  let code, out = run [ "reach"; model_file; "--ctl"; "Bus_busy $ 1" ] in
+  Alcotest.(check int) "unparsable formula: exit" 2 code;
+  Alcotest.(check string) "unparsable formula: no summary" "" out;
+  let err = read_file (tmp "err") in
+  Testutil.check_contains "unparsable formula: message" err "column 10";
+  Alcotest.(check bool) "unparsable formula: no build" false
+    (Testutil.contains err "reach: states")
+
 let test_reach_and_ctl () =
   let out =
     check_run "reach"
@@ -383,7 +433,15 @@ let test_anim () =
       [ "anim"; model_file; "--trace"; trace_file; "--places";
         "Bus_free,Bus_busy" ]
   in
-  Testutil.check_contains "trace frames" out "Start_prefetch"
+  Testutil.check_contains "trace frames" out "Start_prefetch";
+  (* a name that is no place is a usage error, even beside a known one *)
+  let code, out =
+    run [ "anim"; model_file; "--steps"; "1"; "--places"; "ghost,Bus_busy" ]
+  in
+  Alcotest.(check int) "unknown place: exit" 2 code;
+  Alcotest.(check string) "unknown place: no frames" "" out;
+  Testutil.check_contains "unknown place: message" (read_file (tmp "err"))
+    "no place named ghost"
 
 let test_analytic () =
   let out =
@@ -753,16 +811,21 @@ let test_sim_past_horizon () =
       [ "sim"; model_file; "--until"; "300"; "--seed"; "5"; "--save-state";
         state ]
   in
+  (* the horizon is refused before --trace creates its file *)
+  let trace = tmp "past.trace" in
   List.iter
     (fun (what, args) ->
+      if Sys.file_exists trace then Sys.remove trace;
       let code, _ = run args in
       Alcotest.(check int) (what ^ " exit code") 2 code;
-      Testutil.check_contains what (read_file (tmp "err")) "is before the clock")
+      Testutil.check_contains what (read_file (tmp "err")) "is before the clock";
+      Alcotest.(check bool) (what ^ ": no trace file") false
+        (Sys.file_exists trace))
     [ ("negative horizon",
-       [ "sim"; model_file; "--until=-5"; "--trace"; tmp "past.trace" ]);
+       [ "sim"; model_file; "--until=-5"; "--trace"; trace ]);
       ("restored past the horizon",
        [ "sim"; model_file; "--load-state"; state; "--until"; "100";
-         "--trace"; tmp "past.trace" ]) ]
+         "--trace"; trace ]) ]
 
 let test_sim_explain_deadlock () =
   let dead = tmp "dead.pn" in
@@ -890,6 +953,8 @@ let () =
           Alcotest.test_case "tracer csv" `Quick test_tracer_csv;
           Alcotest.test_case "check" `Quick test_check_queries;
           Alcotest.test_case "unknown names" `Quick test_unknown_names;
+          Alcotest.test_case "bad input exit codes" `Quick
+            test_bad_input_exit_codes;
           Alcotest.test_case "reach" `Quick test_reach_and_ctl;
           Alcotest.test_case "reach query" `Quick test_reach_query;
           Alcotest.test_case "reach por" `Quick test_reach_por;

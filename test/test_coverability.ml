@@ -97,9 +97,9 @@ let test_pipeline_is_bounded () =
   let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
   (match Cov.build net with
   | _ -> Alcotest.fail "expected inhibitor rejection"
-  | exception Cov.Unsupported r ->
-    Alcotest.(check bool) "feature" true (r.Cov.r_feature = Cov.Inhibitor_arcs);
-    Testutil.check_contains "message" (Cov.rejection_message r) "inhibitor")
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "feature" msg "inhibitor arcs";
+    Testutil.check_contains "transition" msg "Start_prefetch")
 
 let test_predicate_rejected () =
   let b = B.create "interp" ~variables:[ ("n", Pnut_core.Value.Int 0) ] in
@@ -111,9 +111,9 @@ let test_predicate_rejected () =
   let net = B.build b in
   match Cov.build net with
   | _ -> Alcotest.fail "expected predicate rejection"
-  | exception Cov.Unsupported r ->
-    Alcotest.(check bool) "feature" true (r.Cov.r_feature = Cov.Predicate);
-    Testutil.check_contains "message" (Cov.rejection_message r) "predicate"
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "feature" msg "a predicate";
+    Testutil.check_contains "transition" msg "transition t "
 
 let test_weighted_arcs () =
   (* accumulate two tokens, spend three: net gain -1 per pair... the net

@@ -107,16 +107,20 @@ let test_truncated_graph_rejected () =
 let test_unknown_atom_identifier () =
   let g = fork_graph () in
   (match Ctl.check g (atom "ghost == 1") with
-  | _ -> Alcotest.fail "expected Ctl_error"
-  | exception Ctl.Ctl_error msg ->
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
     Testutil.check_contains "message" msg "unknown identifier ghost")
 
 let test_non_boolean_atom () =
   let g = fork_graph () in
   (match Ctl.check g (atom "start + 1") with
-  | _ -> Alcotest.fail "expected Ctl_error"
-  | exception Ctl.Ctl_error msg ->
-    Testutil.check_contains "message" msg "not boolean")
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "message" msg "not boolean");
+  (* a type error inside the atom is bad input too *)
+  Alcotest.check_raises "ill-typed"
+    (Invalid_argument "cannot order boolean values") (fun () ->
+      ignore (Ctl.check g (atom "start < true")))
 
 let test_pipeline_properties () =
   let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in

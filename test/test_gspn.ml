@@ -220,10 +220,10 @@ let test_rejections () =
   in
   match Gspn.analyze ~max_states:50 unbounded with
   | _ -> Alcotest.fail "expected state cap"
-  | exception Gspn.Too_many_states r ->
-    Alcotest.(check int) "explored states reported" 50 r.Gspn.rj_explored;
-    Alcotest.(check int) "cap reported" 50 r.Gspn.rj_cap;
-    Testutil.check_contains "message" (Gspn.rejection_message r) "max_states"
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "explored states and cap reported" msg
+      "50 states explored, cap 50";
+    Testutil.check_contains "message" msg "max_states"
 
 (* One token on A, B, C; B picks between going back to A and on to C.
    Every marking has exit rate 1, so the jump chain has period 2: a

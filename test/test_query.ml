@@ -128,15 +128,19 @@ let test_eval_formula_single_state () =
 
 let test_unknown_identifier () =
   (match eval (Query.Forall (Query.whole, atom "ghost > 0")) with
-  | _ -> Alcotest.fail "expected Query_error"
-  | exception Query.Query_error msg ->
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
     Testutil.check_contains "message" msg "unknown identifier ghost")
 
 let test_non_boolean_atom () =
   (match eval (Query.Forall (Query.whole, atom "busy + 1")) with
-  | _ -> Alcotest.fail "expected Query_error"
-  | exception Query.Query_error msg ->
-    Testutil.check_contains "message" msg "not boolean")
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Testutil.check_contains "message" msg "not boolean");
+  (* a type error inside the atom is bad input too *)
+  Alcotest.check_raises "ill-typed"
+    (Invalid_argument "cannot order boolean values") (fun () ->
+      ignore (eval (Query.Forall (Query.whole, atom "busy < true"))))
 
 let test_transition_activity_in_query () =
   (* 'work' is in flight at states #1 and #3 *)

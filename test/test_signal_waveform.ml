@@ -75,8 +75,19 @@ let test_fun_resolution_order () =
   Alcotest.(check (float 0.0)) "var resolved" 5.0 (Signal.value_at s 0.0)
 
 let test_unknown_signal () =
-  Alcotest.check_raises "unknown" (Signal.Unknown_signal "ghost") (fun () ->
-      ignore (Signal.sample tr [ Signal.Place "ghost" ]))
+  Alcotest.check_raises "unknown"
+    (Invalid_argument
+       "signal \"ghost\": no place, transition or variable of that name")
+    (fun () -> ignore (Signal.sample tr [ Signal.Place "ghost" ]));
+  (* an expression that fails or yields a boolean names its signal *)
+  List.iter
+    (fun (e, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Signal.sample tr [ Signal.Fun ("f", e) ])))
+    [ (Expr.(var "level" + bool true),
+       "signal \"level + true\": operator + applied to a boolean");
+      (Expr.(var "level" > int 1),
+       "signal \"level > 1\": expected number, got bool") ]
 
 let test_value_at_interpolation_boundaries () =
   let s = series_of (Signal.Place "p") in

@@ -74,8 +74,7 @@ let test_unbound_variable_in_predicate () =
   Alcotest.(check bool) "names the variable" true
     (has_message diags "unbound variable ghost");
   Alcotest.check_raises "assert_valid raises"
-    (Validate.Invalid_model
-       "error: t: predicate refers to unbound variable ghost") (fun () ->
+    (Invalid_argument "error: t: predicate refers to unbound variable ghost") (fun () ->
       Validate.assert_valid net)
 
 let test_unbound_table_in_action () =
