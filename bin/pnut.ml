@@ -581,13 +581,15 @@ let reach_cmd =
   in
   let ctl =
     Arg.(value & opt_all string [] & info [ "ctl" ] ~docv:"FORMULA"
-           ~doc:"Check an invariant atom under AG, e.g. 'Bus_free + Bus_busy == 1'.")
+           ~doc:"Check an invariant atom under AG, e.g. 'Bus_free + Bus_busy == 1' \
+                 (untimed graph only).")
   in
   let query =
     Arg.(value & opt_all string [] & info [ "query" ] ~docv:"QUERY"
            ~doc:"Prove a forall/exists query over all reachable states \
                  (inev/alw are branching-time AF/AG), e.g. \
-                 'forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]'.")
+                 'forall s in S [ Bus_busy(s) + Bus_free(s) = 1 ]' \
+                 (untimed graph only).")
   in
   let por =
     Arg.(value
@@ -616,6 +618,10 @@ let reach_cmd =
       if por = `On then
         die "--por on: partial-order reduction supports untimed \
              reachability only";
+      if ctl <> [] then
+        die "--ctl: CTL checks run on the untimed graph only; drop --timed";
+      if query <> [] then
+        die "--query: queries run on the untimed graph only; drop --timed";
       let outcome =
         or_die (fun () ->
             Pnut_reach.Timed.build_supervised ~max_states ?budget net)

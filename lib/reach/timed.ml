@@ -41,7 +41,15 @@
    class id is its store index from the first edge on, and assembly
    only closes the CSR.  Builds run under {!Pnut_exec.Supervisor}
    budgets.  The old explicit expansion is frozen in the test-only
-   oracle library as the differential reference. *)
+   oracle library as the differential reference.
+
+   The residual vectors, not the classes, hold most of a build's memory
+   (200,959 vectors close the 8,610 classes of the memory-50 pipeline).
+   They live in one byte arena, each a span that starts with its class
+   id and goes on with its exact residuals, so a vector needs no side
+   array for its class and dedup compares one span; its offset and its
+   dedup slot are 4-byte entries in [Bytes] the GC never scans.  The
+   arena is also the sweep's FIFO. *)
 
 module Net = Pnut_core.Net
 module Marking = Pnut_core.Marking
@@ -158,63 +166,134 @@ let det_duration env (tr : Net.transition) ~firing =
    part of its identity and the pending tids are a function of (marking,
    env).  Inside a class a vector is therefore identified by its
    residual values alone, and every vector of a build is written back to
-   back into one byte arena.  A residual that is a non-negative integer
+   back into one byte arena as one span: the LEB128 varint of its class
+   id, then its residuals.  A residual that is a non-negative integer
    below 2^40 is the LEB128 varint of [2n] (low bit 0); anything else is
    a [0x01] tag byte followed by its 8-byte IEEE pattern.  Every float
-   has exactly one encoding, so two vectors of a class share bytes iff
-   their residuals are bit-identical — no rounding ever merges two
-   vectors.  An open-addressing table of vector ids, hashed on (class,
-   bytes), dedups them. *)
+   has exactly one encoding, so two spans are equal iff they belong to
+   the same class and their residuals are bit-identical — no rounding
+   ever merges two vectors, and no two classes share a vector.  An
+   open-addressing table of vector ids, hashed on the span, dedups them.
+
+   The span offsets and the dedup slots are unsigned 4-byte entries in
+   [Bytes], which the GC never scans (a heap budget still counts them);
+   each grows by one doubling copy.  The widths are fixed when a table
+   is allocated: the slots are 8 bytes only past 2^32 slots, as
+   {!Store}'s index, and the offsets switch once to 8 bytes when the
+   residual bytes outgrow 2^32 - 1.  The accesses are this module's own
+   primitives: a call into another module is indirect in a build with
+   cross-module inlining off, and these are the sweep's hottest
+   loads. *)
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Entry [k] of a table of 4-byte (or, [wide], 8-byte) unsigned
+   entries; the caller keeps [k] inside the table. *)
+let[@inline] entry b ~wide k =
+  if wide then Int64.to_int (get64u b (k lsl 3))
+  else Int32.to_int (get32u b (k lsl 2)) land 0xFFFF_FFFF
+
+let[@inline] set_entry b ~wide k v =
+  if wide then set64u b (k lsl 3) (Int64.of_int v)
+  else set32u b (k lsl 2) (Int32.of_int v)
+
+let entry_bytes wide = if wide then 8 else 4
 
 type arena = {
   mutable bytes : Bytes.t;
   mutable fill : int;  (* committed vectors plus the candidate being written *)
-  mutable off : int array;  (* vector v is bytes off.(v) .. off.(v+1)-1 *)
-  mutable owner : int array;  (* class of vector v *)
+  mutable off : Bytes.t;  (* vector v is bytes off[v] .. off[v+1]-1 *)
+  mutable off_wide : bool;
   mutable count : int;
-  mutable slots : int array;  (* vector id + 1; 0 = empty *)
+  mutable slots : Bytes.t;  (* vector id + 1; 0 = empty *)
+  mutable slots_wide : bool;
+  mutable slot_mask : int;
 }
+
+let slots_wide n = n > 1 lsl 32
+
+let new_slots n = Bytes.make (n * entry_bytes (slots_wide n)) '\000'
 
 let arena_create () =
   {
     bytes = Bytes.create 4096;
     fill = 0;
-    off = Array.make 1024 0;
-    owner = Array.make 1024 0;
+    off = Bytes.make (1024 * 4) '\000';
+    off_wide = false;
     count = 0;
-    slots = Array.make 2048 0;
+    slots = new_slots 2048;
+    slots_wide = slots_wide 2048;
+    slot_mask = 2047;
   }
+
+let[@inline] off a v = entry a.off ~wide:a.off_wide v
+let[@inline] slot a i = entry a.slots ~wide:a.slots_wide i
+
+(* Once, when the arena outgrows 4-byte offsets. *)
+let widen_off a =
+  let n = Bytes.length a.off / 4 in
+  let b = Bytes.create (8 * n) in
+  for v = 0 to n - 1 do
+    set64u b (v lsl 3) (Int64.of_int (entry a.off ~wide:false v))
+  done;
+  a.off <- b;
+  a.off_wide <- true
+
+(* Room for [n] more bytes.  Offsets range up to the arena's length, so
+   the doubling that takes it past 2^32 - 1 widens them. *)
+let reserve_bytes a n =
+  if a.fill + n > Bytes.length a.bytes then begin
+    let b = Bytes.create (2 * Bytes.length a.bytes) in
+    Bytes.blit a.bytes 0 b 0 a.fill;
+    a.bytes <- b;
+    if Bytes.length b > 0xFFFF_FFFF && not a.off_wide then widen_off a
+  end
+
+let put_varint a n =
+  let b = a.bytes in
+  let n = ref n and i = ref a.fill in
+  while !n >= 0x80 do
+    Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7;
+    incr i
+  done;
+  Bytes.unsafe_set b !i (Char.unsafe_chr !n);
+  a.fill <- !i + 1
 
 let small_residual = 0x1p40
 
 let put_residual a r =
-  if a.fill + 9 > Bytes.length a.bytes then begin
-    let b = Bytes.create (2 * Bytes.length a.bytes) in
-    Bytes.blit a.bytes 0 b 0 a.fill;
-    a.bytes <- b
-  end;
-  let b = a.bytes in
-  if Float.is_integer r && r < small_residual && not (Float.sign_bit r) then begin
-    let n = ref (Float.to_int r lsl 1) and i = ref a.fill in
-    while !n >= 0x80 do
-      Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
-      n := !n lsr 7;
-      incr i
-    done;
-    Bytes.unsafe_set b !i (Char.unsafe_chr !n);
-    a.fill <- !i + 1
-  end
+  reserve_bytes a 9;
+  if Float.is_integer r && r < small_residual && not (Float.sign_bit r) then
+    put_varint a (Float.to_int r lsl 1)
   else begin
-    Bytes.unsafe_set b a.fill '\001';
-    Bytes.set_int64_le b (a.fill + 1) (Int64.bits_of_float r);
+    Bytes.unsafe_set a.bytes a.fill '\001';
+    Bytes.set_int64_le a.bytes (a.fill + 1) (Int64.bits_of_float r);
     a.fill <- a.fill + 9
   end
 
-(* Decode vector [v] into [dst.(0 ..)]. *)
+(* The class of vector [v]: the varint its span starts with. *)
+let class_of a v =
+  let b = a.bytes in
+  let i = ref (off a v) and n = ref 0 and shift = ref 0 and byte = ref 0x80 in
+  while !byte >= 0x80 do
+    byte := Char.code (Bytes.unsafe_get b !i);
+    n := !n lor ((!byte land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr i
+  done;
+  !n
+
+(* Decode the residuals of vector [v] into [dst.(0 ..)]. *)
 let get_residuals a v dst =
   let b = a.bytes in
-  let i = ref a.off.(v) and k = ref 0 in
-  let stop = a.off.(v + 1) in
+  let i = ref (off a v) and k = ref 0 in
+  let stop = off a (v + 1) in
+  while Char.code (Bytes.unsafe_get b !i) >= 0x80 do incr i done;
+  incr i;
   while !i < stop do
     let c = Char.code (Bytes.unsafe_get b !i) in
     if c land 1 = 1 then begin
@@ -235,63 +314,59 @@ let get_residuals a v dst =
     incr k
   done
 
-let hash_span b lo hi cls =
-  let h = ref (cls + 1) in
+let hash_span b lo hi =
+  let h = ref 1 in
   for i = lo to hi - 1 do
     h := (!h * 31) + Char.code (Bytes.unsafe_get b i)
   done;
   let h = !h * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
-let rec probe_free slots i =
-  if slots.(i) = 0 then i else probe_free slots ((i + 1) land (Array.length slots - 1))
-
 let rehash a =
-  let slots = Array.make (2 * Array.length a.slots) 0 in
+  let n = 2 * (a.slot_mask + 1) in
+  let wide = slots_wide n and mask = n - 1 in
+  let slots = new_slots n in
   for v = 0 to a.count - 1 do
-    let h = hash_span a.bytes a.off.(v) a.off.(v + 1) a.owner.(v) in
-    slots.(probe_free slots (h land (Array.length slots - 1))) <- v + 1
+    let i = ref (hash_span a.bytes (off a v) (off a (v + 1)) land mask) in
+    while entry slots ~wide !i <> 0 do
+      i := (!i + 1) land mask
+    done;
+    set_entry slots ~wide !i (v + 1)
   done;
-  a.slots <- slots
+  a.slots <- slots;
+  a.slots_wide <- wide;
+  a.slot_mask <- mask
 
-let same_span b i j len =
-  let rec go k =
-    k >= len || (Bytes.unsafe_get b (i + k) = Bytes.unsafe_get b (j + k) && go (k + 1))
-  in
-  go 0
+let rec same_span b i j len =
+  len = 0
+  || Bytes.unsafe_get b i = Bytes.unsafe_get b j
+     && same_span b (i + 1) (j + 1) (len - 1)
 
-(* Intern the candidate written since the last commit as a vector of
-   class [cls], probing from slot [i]: its id.  A duplicate drops the
-   candidate bytes; a new vector is committed. *)
-let rec intern_vector a cls i =
-  let lo = a.off.(a.count) in
-  let s = a.slots.(i) in
+(* Intern the candidate span written since the last commit, probing
+   from slot [i]: its id.  A duplicate drops the candidate bytes; a new
+   vector is committed. *)
+let rec intern_vector a i =
+  let s = slot a i in
   if s = 0 then begin
     let v = a.count in
-    if v + 2 > Array.length a.off then begin
-      let grow arr = Array.append arr (Array.make (Array.length arr) 0) in
-      a.off <- grow a.off;
-      a.owner <- grow a.owner
-    end;
-    a.slots.(i) <- v + 1;
-    a.owner.(v) <- cls;
-    a.off.(v + 1) <- a.fill;
+    if (v + 2) * entry_bytes a.off_wide > Bytes.length a.off then
+      a.off <- Bytes.extend a.off 0 (Bytes.length a.off);
+    set_entry a.slots ~wide:a.slots_wide i (v + 1);
+    set_entry a.off ~wide:a.off_wide (v + 1) a.fill;
     a.count <- v + 1;
-    if 2 * a.count > Array.length a.slots then rehash a;
+    if 2 * a.count > a.slot_mask + 1 then rehash a;
     v
   end
   else begin
     let v = s - 1 in
+    let lo = off a a.count in
     let len = a.fill - lo in
-    if
-      a.owner.(v) = cls
-      && a.off.(v + 1) - a.off.(v) = len
-      && same_span a.bytes a.off.(v) lo len
-    then begin
+    let vlo = off a v in
+    if off a (v + 1) - vlo = len && same_span a.bytes vlo lo len then begin
       a.fill <- lo;
       v
     end
-    else intern_vector a cls ((i + 1) land (Array.length a.slots - 1))
+    else intern_vector a ((i + 1) land a.slot_mask)
   end
 
 (* -- classes and their edges -- *)
@@ -429,13 +504,14 @@ let reserve sp n =
    its id.  A new vector widens the class's interval domain in place. *)
 let add_vector sp cl r n =
   let a = sp.arena in
+  let lo = a.fill in
+  reserve_bytes a 10;
+  put_varint a cl.cl_index;
   for k = 0 to n - 1 do
     put_residual a r.(k)
   done;
   let before = a.count in
-  let lo = a.off.(before) in
-  let h = hash_span a.bytes lo a.fill cl.cl_index in
-  let v = intern_vector a cl.cl_index (h land (Array.length a.slots - 1)) in
+  let v = intern_vector a (hash_span a.bytes lo a.fill land a.slot_mask) in
   if a.count > before then begin
     let base = sp.dom_off.(cl.cl_index) in
     for k = 0 to n - 1 do
@@ -447,7 +523,7 @@ let add_vector sp cl r n =
 
 (* Load vector [v] into [sp.src]; its class. *)
 let load sp v =
-  let cl = sp.classes.(sp.arena.owner.(v)) in
+  let cl = sp.classes.(class_of sp.arena v) in
   (* room for any successor too: one more flight entry, every
      transition pending *)
   reserve sp (Array.length cl.cl_flight + 1 + Kernel.num_transitions sp.kernel);

@@ -335,6 +335,22 @@ let test_timed_reach () =
   let err = read_file (tmp "err") in
   Testutil.check_contains "class stderr" err "reach: classes="
 
+(* The class graph has no CTL or query checker: asking for one with
+   --timed is a usage error before the build, one line naming the
+   flag, not a silent summary. *)
+let test_timed_reach_rejects_checks () =
+  List.iter
+    (fun (flag, arg) ->
+      let code, out = run [ "reach"; model_file; "--timed"; flag; arg ] in
+      Alcotest.(check int) ("--timed " ^ flag ^ " exits 2") 2 code;
+      Alcotest.(check string) ("--timed " ^ flag ^ ": no summary") "" out;
+      let err = read_file (tmp "err") in
+      Alcotest.(check int) ("--timed " ^ flag ^ ": one line") 1
+        (List.length (String.split_on_char '\n' (String.trim err)));
+      Testutil.check_contains ("--timed " ^ flag ^ " names the flag") err flag)
+    [ ("--ctl", "bad $"); ("--ctl", "Bus_free + Bus_busy == 1");
+      ("--query", "zzz") ]
+
 (* The representation and engine switches are gone: the packed store is
    the only graph layout and the fast simulator the only engine, so the
    old flags are unknown options (cmdliner's exit 124). *)
@@ -992,5 +1008,7 @@ let () =
           Alcotest.test_case "model is a directory" `Quick
             test_model_is_directory;
           Alcotest.test_case "repeated arcs" `Quick test_repeated_arcs;
+          Alcotest.test_case "timed reach rejects checks" `Quick
+            test_timed_reach_rejects_checks;
         ] );
     ]

@@ -230,7 +230,7 @@ let test_rejections () =
    power iteration uniformized at exactly the largest exit rate swings
    between two vectors and never converges.  The stationary
    distribution is (1/4, 1/2, 1/4). *)
-let test_periodic_chain () =
+let periodic_net () =
   let b = B.create "periodic" in
   let a = B.add_place b "A" ~initial:1 in
   let bb = B.add_place b "B" in
@@ -245,7 +245,10 @@ let test_periodic_chain () =
   arc "ba" bb a 2.0;
   arc "bc" bb c 2.0;
   arc "cb" c bb 1.0;
-  let r = Gspn.analyze (B.build b) in
+  B.build b
+
+let test_periodic_chain () =
+  let r = Gspn.analyze (periodic_net ()) in
   List.iteri
     (fun p expected ->
       Alcotest.(check (float 1e-9))
@@ -362,6 +365,117 @@ let test_identity () =
        "50f784b67c2dbcbc087e4d97fa7b2871");
     ]
 
+(* -- the independent GTH oracle --
+
+   Random exponential nets whose chain is irreducible: a ring
+   p0 -> p1 -> ... -> p0 moves any token to any place, and every other
+   transition puts back as many tokens as it takes, so every marking
+   with the initial token count reaches every other.  The extra
+   transitions add joins, splits, weight-2 arcs and inhibitors. *)
+
+type extra = {
+  x_inputs : (int * int) list;
+  x_outputs : (int * int) list;
+  x_inhibitor : (int * int) option;
+  x_mean : int;
+}
+
+type spec = {
+  s_tokens : int list;
+  s_ring : int list;  (* mean codes, one per place *)
+  s_extras : extra list;
+}
+
+let mean_of_code c = [| 0.5; 1.0; 2.0; 3.0 |].(c)
+
+let gen_spec =
+  QCheck2.Gen.(
+    let* np = int_range 2 4 in
+    let* tokens = list_size (return np) (int_range 0 2) in
+    let tokens =
+      if List.for_all (( = ) 0) tokens then 1 :: List.tl tokens else tokens
+    in
+    let* ring = list_size (return np) (int_range 0 3) in
+    let place = int_range 0 (np - 1) in
+    let gen_extra =
+      let* shape = int_range 0 2 in
+      let* a = place and* b = place and* c = place and* d = place in
+      let x_inputs, x_outputs =
+        match shape with
+        | 0 -> ([ (a, 1) ], [ (b, 1) ])
+        | 1 -> ([ (a, 1); (b, 1) ], [ (c, 1); (d, 1) ])
+        | _ -> ([ (a, 2) ], [ (b, 1); (c, 1) ])
+      in
+      let* inhibit = int_range 0 3 and* w = int_range 1 2 in
+      let* x_mean = int_range 0 3 in
+      return
+        { x_inputs; x_outputs;
+          x_inhibitor = (if inhibit = 0 then Some (d, w) else None); x_mean }
+    in
+    let* extras = list_size (int_range 0 4) gen_extra in
+    return { s_tokens = tokens; s_ring = ring; s_extras = extras })
+
+let build_spec spec =
+  let b = B.create "random" in
+  let np = List.length spec.s_tokens in
+  let places =
+    Array.of_list
+      (List.mapi
+         (fun i k -> B.add_place b (Printf.sprintf "p%d" i) ~initial:k)
+         spec.s_tokens)
+  in
+  let arcs = List.map (fun (p, w) -> (places.(p), w)) in
+  List.iteri
+    (fun i code ->
+      ignore
+        (B.add_transition b (Printf.sprintf "ring%d" i)
+           ~inputs:[ (places.(i), 1) ]
+           ~outputs:[ (places.((i + 1) mod np), 1) ]
+           ~enabling:(Net.Exponential (mean_of_code code))
+          : Net.transition_id))
+    spec.s_ring;
+  List.iteri
+    (fun i x ->
+      ignore
+        (B.add_transition b (Printf.sprintf "x%d" i) ~inputs:(arcs x.x_inputs)
+           ~outputs:(arcs x.x_outputs)
+           ~inhibitors:(arcs (Option.to_list x.x_inhibitor))
+           ~enabling:(Net.Exponential (mean_of_code x.x_mean))
+          : Net.transition_id))
+    spec.s_extras;
+  B.build b
+
+(* Place means and throughputs of [Gspn.analyze] within 1e-8 of the
+   oracle's; every marking is tangible, so the state counts agree. *)
+let agrees_with_gth net =
+  let r = Gspn.analyze net in
+  let o = Pnut_oracle.Gth.analyze net in
+  let close a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-8) a b
+  in
+  r.Gspn.vanishing_states = 0
+  && r.Gspn.tangible_states = o.Pnut_oracle.Gth.states
+  && close r.Gspn.place_means o.Pnut_oracle.Gth.place_means
+  && close r.Gspn.throughputs o.Pnut_oracle.Gth.throughputs
+
+let prop_matches_gth =
+  QCheck2.Test.make ~name:"analyze matches the GTH oracle" ~count:200
+    ~print:(fun spec -> Format.asprintf "%a" Net.pp (build_spec spec))
+    gen_spec
+    (fun spec -> agrees_with_gth (build_spec spec))
+
+let test_gth_periodic () =
+  let net = periodic_net () in
+  let o = Pnut_oracle.Gth.analyze net in
+  List.iteri
+    (fun p expected ->
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "oracle mean of place %d" p)
+        expected o.Pnut_oracle.Gth.place_means.(p))
+    [ 0.25; 0.5; 0.25 ];
+  Alcotest.(check bool) "analyze agrees" true (agrees_with_gth net)
+
 let () =
   Alcotest.run "gspn"
     [
@@ -380,6 +494,11 @@ let () =
           Alcotest.test_case "periodic chain" `Quick test_periodic_chain;
           Alcotest.test_case "exponential variant" `Quick
             test_exponential_variant_rebuild;
+        ] );
+      ( "gth oracle",
+        [
+          Alcotest.test_case "periodic chain" `Quick test_gth_periodic;
+          QCheck_alcotest.to_alcotest prop_matches_gth;
         ] );
       ( "cross-validation",
         [

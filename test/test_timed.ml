@@ -327,6 +327,67 @@ let test_residual_encodings () =
         (Tx.min_cycle_time x t))
     [ ("a", ta, 2.0); ("b", tb, 20000.0); ("c", tc, 0x1p41); ("d", td, 3.5) ]
 
+(* -- span identity: a vector's bytes start with its class id, so the
+      dedup table never merges the vectors of two classes -- *)
+
+(* p0 -t0-> p1 -t1-> ... -> pn, one token, every enabling delay 1: class
+   i holds the token in p_i and its one vector is t_i's residual,
+   normalized to 0, so the classes before the last share their residual
+   bytes. *)
+let chain n =
+  let b = B.create "chain" in
+  let place i =
+    B.add_place b (Printf.sprintf "p%d" i) ~initial:(if i = 0 then 1 else 0)
+  in
+  let places = Array.init (n + 1) place in
+  let _ =
+    Array.init n (fun i ->
+        B.add_transition b (Printf.sprintf "t%d" i)
+          ~inputs:[ (places.(i), 1) ] ~outputs:[ (places.(i + 1), 1) ]
+          ~enabling:(Net.Const 1.0))
+  in
+  B.build b
+
+(* Class [i] of the chain is the token in p_i, with one edge, firing
+   t_i, into class [i + 1]. *)
+let check_chain_class g n i =
+  let what = Printf.sprintf "class %d" i in
+  Alcotest.(check (list int)) (what ^ " marking")
+    (List.init (n + 1) (fun p -> if p = i then 1 else 0))
+    (Array.to_list (Timed.state g i).Timed.ts_marking);
+  Alcotest.(check (list (pair string int))) (what ^ " successors")
+    (if i < n then [ (Printf.sprintf "f%d" i, i + 1) ] else [])
+    (List.map
+       (fun e ->
+         match e.Timed.e_label with
+         | Timed.Fire t -> (Printf.sprintf "f%d" t, e.Timed.e_to)
+         | Timed.Complete t -> (Printf.sprintf "c%d" t, e.Timed.e_to))
+       (Timed.successors g i))
+
+let test_twin_vectors_kept () =
+  let g = Timed.build (chain 2) in
+  Alcotest.(check int) "three classes" 3 (Timed.num_states g);
+  Alcotest.(check int) "one vector per class" 3 (Timed.num_vectors g);
+  List.iter
+    (fun i ->
+      Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+        (Printf.sprintf "class %d holds residual 0" i)
+        [ (0.0, 0.0) ] (Timed.state g i).Timed.ts_pending_iv)
+    [ 0; 1 ];
+  List.iter (check_chain_class g 2) [ 0; 1; 2 ]
+
+let test_class_id_varint_boundary () =
+  (* ids 0..127 are one varint byte, 128..300 two: each vector must
+     load as its own class, or the sweep stalls at the boundary *)
+  let n = 300 in
+  let g = Timed.build (chain n) in
+  Alcotest.(check bool) "complete" true (Timed.complete g);
+  Alcotest.(check int) "classes" (n + 1) (Timed.num_states g);
+  Alcotest.(check int) "vectors" (n + 1) (Timed.num_vectors g);
+  for i = 0 to n do
+    check_chain_class g n i
+  done
+
 (* -- identity pin: the Figure 1-3 pipeline's class graph, byte for
       byte.  The digests were recorded from the string-keyed builder
       this one replaced; any change to class numbering, edge order,
@@ -679,6 +740,9 @@ let () =
           Alcotest.test_case "near-tie vectors kept" `Quick
             test_near_tie_vectors_kept;
           Alcotest.test_case "residual encodings" `Quick test_residual_encodings;
+          Alcotest.test_case "twin vectors kept" `Quick test_twin_vectors_kept;
+          Alcotest.test_case "class id varint boundary" `Quick
+            test_class_id_varint_boundary;
         ] );
       ( "durations",
         [
