@@ -927,25 +927,35 @@ let sim =
     let events = outcome.Sim.started and ref_events = ref_outcome.Sim.started in
     (* supervision overhead: the same Figure-5 model under a generous
        budget (never trips, but arms the 256-step monitor poll) against
-       the unbudgeted engine.  A 10x horizon and best-of keep the ratio
-       out of scheduler noise: the 10k-cycle run lasts ~2.5 ms, where a
-       single preemption swamps a sub-3% comparison. *)
-    let budget_reps = if quick then 7 else 11 and budget_until = 10.0 *. until in
+       the unbudgeted engine, at a 10x horizon (~30 ms a run).  The two
+       sides run as pairs, in alternating order so that neither always
+       goes first, and the gate reads the median of the per-pair ratios:
+       a preemption or a slow spell on a busy host moves the one pair it
+       hits, where a best-of on each side let it decide the verdict. *)
+    let budget_pairs = if quick then 15 else 25 and budget_until = 10.0 *. until in
     let generous_budget = Pnut_exec.Budget.make ~wall_s:3600.0 ~heap_mb:65536 () in
     let run_plain () = Sim.simulate ~seed:42 ~until:budget_until net in
     let run_budgeted () =
       Sim.run ~until:budget_until ~budget:generous_budget (Sim.create ~seed:42 net)
     in
-    (* Interleave the pair so slow drift (thermal, noisy neighbours) hits
-       both sides equally; the per-side minimum is the cleanest shot. *)
-    let plain = ref (wall run_plain) in
-    let budgeted = ref (wall run_budgeted) in
-    let keep best (o, s) = if s < snd !best then best := (o, s) in
-    for _ = 2 to budget_reps do
-      keep plain (wall run_plain);
-      keep budgeted (wall run_budgeted)
-    done;
-    let (plain_outcome, plain_s), (budgeted_outcome, budgeted_s) = (!plain, !budgeted) in
+    let pairs =
+      List.init budget_pairs (fun k ->
+          if k land 1 = 0 then
+            let p = wall run_plain in
+            (p, wall run_budgeted)
+          else
+            let b = wall run_budgeted in
+            (wall run_plain, b))
+    in
+    let median xs =
+      let a = Array.of_list xs in
+      Array.sort Float.compare a;
+      a.(Array.length a / 2)
+    in
+    let (plain_outcome, _), (budgeted_outcome, _) = List.hd pairs in
+    let plain_s = median (List.map (fun ((_, s), _) -> s) pairs) in
+    let budgeted_s = median (List.map (fun (_, (_, s)) -> s) pairs) in
+    let pair_ratio = median (List.map (fun ((_, p), (_, b)) -> p /. b) pairs) in
     let sweep =
       List.map
         (fun (name, m) ->
@@ -966,7 +976,8 @@ let sim =
              [ ("until", Float budget_until); ("plain_seconds", num plain_s);
                ("budgeted_seconds", num budgeted_s);
                ("budgeted_events_per_sec", rate budgeted_outcome.Sim.started budgeted_s);
-               ("events_per_sec_ratio", ratio ~dp:4 plain_s budgeted_s);
+               ("pairs", Int budget_pairs);
+               ("events_per_sec_ratio", num ~dp:4 pair_ratio);
                ("outcome_identical",
                 Bool
                   (budgeted_outcome.started = plain_outcome.started
@@ -976,8 +987,8 @@ let sim =
   (* an armed-but-untripped budget must keep its events/sec within 3%
      of the unbudgeted engine's — the monitor poll rides the existing
      watchdog cadence, so anything slower means a check leaked into the
-     hot loop.  Both sides come from the interleaved pairs in this
-     process, so the host's speed cancels out. *)
+     hot loop.  The ratio is the median over pairs run in this process,
+     so the host's speed cancels out. *)
   let gates ~quick:_ =
     [ ("budget_overhead",
        [ Show "plain_seconds"; Show "budgeted_seconds";

@@ -236,7 +236,16 @@ let analyze_supervised ?(max_states = 2000) ?(budget = Budget.none) net =
      leaves each state a self-loop, so the uniformized chain is aperiodic
      even where the jump chain has period 2 *)
   let lambda = 1.05 *. Array.fold_left Float.max 1e-9 exit in
-  let pi = Array.make nt (1.0 /. float_of_int nt) in
+  (* The iteration starts from the initial marking (state 0), or from the
+     absorption vector of its immediate excursion when it is vanishing:
+     on a chain with several closed classes the limit depends on where it
+     starts.  A vector with no mass is left only by a budget trip that
+     cut the excursion short; that degraded answer starts uniform. *)
+  let pi = Array.make nt 0.0 in
+  if states.(0).vanishing then Array.blit absorb.(0) 0 pi 0 nt
+  else pi.(tangible_index.(0)) <- 1.0;
+  if not (Array.fold_left ( +. ) 0.0 pi > 0.0) then
+    Array.fill pi 0 nt (1.0 /. float_of_int nt);
   let next = Array.make nt 0.0 in
   let rec iterate k =
     Array.fill next 0 nt 0.0;

@@ -2,28 +2,36 @@
    generators", OOPSLA 2014.  State advances by the golden-gamma constant;
    outputs are a finalizer of the state. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: storing a new [int64] in a
+   mutable record field would allocate a boxed copy on every draw.
+   [bits64], [unit_float] and [float] are inlined into their callers,
+   so a draw does not box its [int64] or [float] result either. *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  set64u g 0 s;
+  g
 
-let state g = g.state
+let create seed = of_state (Int64.of_int seed)
 
-let of_state s = { state = s }
+let state g = get64u g 0
 
-let copy g = { state = g.state }
+let copy = Bytes.copy
 
-let bits64 g =
-  let z = Int64.add g.state golden_gamma in
-  g.state <- z;
+let[@inline] bits64 g =
+  let z = Int64.add (get64u g 0) golden_gamma in
+  set64u g 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g =
-  let s = bits64 g in
-  { state = s }
+let split g = of_state (bits64 g)
 
 (* Non-negative 62-bit value, cheap and unbiased enough for modulo use
    after rejection sampling below. *)
@@ -44,12 +52,12 @@ let int_range g lo hi =
   if lo > hi then invalid_arg "Prng.int_range: empty range";
   lo + int g (hi - lo + 1)
 
-let unit_float g =
+let[@inline] unit_float g =
   (* 53 random bits into [0,1) *)
   let v = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   v *. (1.0 /. 9007199254740992.0)
 
-let float g x = unit_float g *. x
+let[@inline] float g x = unit_float g *. x
 
 let uniform g lo hi =
   if lo > hi then invalid_arg "Prng.uniform: empty range";

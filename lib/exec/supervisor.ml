@@ -98,11 +98,13 @@ let cap ~who max_states =
   if max_states < 1 then invalid_arg (who ^ ": max_states must be positive");
   max_states
 
+let[@inline] poll m i = if i land 255 = 0 then check m else None
+
 let sweep m ~length expand =
   let rec go i =
     if i >= length () then None
     else
-      match if (i + 1) land 255 = 0 then check m else None with
+      match poll m (i + 1) with
       | Some r -> Some (r, length () - i)
       | None ->
         expand i;

@@ -87,13 +87,19 @@ val cap : who:string -> int -> int
 (** [cap ~who max_states] is [max_states].  Raises [Invalid_argument
     "<who>: max_states must be positive"] when it is below 1. *)
 
+val poll : monitor -> int -> reason option
+(** [poll m i] is [check m] when [i] is a multiple of 256, else [None]:
+    {!sweep}'s cadence, for a loop that counts its own steps.  Marked
+    for inlining, so the other 255 steps cost a mask and a test. *)
+
 val sweep :
   monitor -> length:(unit -> int) -> (int -> unit) -> (reason * int) option
 (** [sweep m ~length expand] calls [expand 0], [expand 1], ... while
     the index is below [length ()], re-read before every item: the
     queue may grow while it is expanded.  {!check} is polled before
-    every 256th item (indices 255, 511, ...), so a budgeted sweep that
-    completes expands exactly the items of an unbudgeted one.  Returns
+    every 256th item (indices 255, 511, ...: {!poll} of [index + 1]),
+    so a budgeted sweep that completes expands exactly the items of an
+    unbudgeted one.  Returns
     [None] once the queue is drained, or the trip reason and the number
     of items left unexpanded. *)
 

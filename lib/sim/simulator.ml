@@ -18,6 +18,8 @@
      [create]/[restore] into closures over pre-resolved environment
      cells ([Expr.compile], [Net.compile_duration]); the hot loop never
      walks an AST or looks up a name.
+   - The per-event path builds no closure and boxes no random state;
+     [test_simulator]'s "allocation pin" bounds what is left.
    - Trace deltas for consumed/produced tokens are precomputed per
      transition as arrays, and the one trace view points at them.
 
@@ -174,10 +176,16 @@ let touch st tid =
 let refresh_after st ~places ~env_changed =
   st.generation <- st.generation + 1;
   st.touched_n <- 0;
-  Array.iter
-    (fun p -> Array.iter (fun tid -> touch st tid) st.readers.(p))
-    places;
-  if env_changed then Array.iter (fun tid -> touch st tid) st.predicated;
+  for i = 0 to Array.length places - 1 do
+    let rs = st.readers.(places.(i)) in
+    for k = 0 to Array.length rs - 1 do
+      touch st rs.(k)
+    done
+  done;
+  if env_changed then
+    for k = 0 to Array.length st.predicated - 1 do
+      touch st st.predicated.(k)
+    done;
   let a = st.touched in
   let n = st.touched_n in
   (* insertion sort: the touched set is small and nearly sorted *)
@@ -273,13 +281,17 @@ let select_weighted st =
     total := !total +. st.ctrans.(st.ready.(k)).c_s.s_frequency
   done;
   let target = Prng.float st.prng !total in
-  let rec pick acc k =
-    if k >= m - 1 then st.ready.(m - 1)
-    else
-      let acc = acc +. st.ctrans.(st.ready.(k)).c_s.s_frequency in
-      if target < acc then st.ready.(k) else pick acc (k + 1)
-  in
-  pick 0.0 0
+  let acc = ref 0.0 in
+  let k = ref 0 in
+  let picked = ref (-1) in
+  while !picked < 0 do
+    if !k >= m - 1 then picked := st.ready.(m - 1)
+    else begin
+      acc := !acc +. st.ctrans.(st.ready.(!k)).c_s.s_frequency;
+      if target < !acc then picked := st.ready.(!k) else incr k
+    end
+  done;
+  !picked
 
 (* Run a compiled action, writing every assignment into the view's
    variable updates. *)
@@ -468,7 +480,6 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
     Pnut_exec.Supervisor.start
       (Option.value budget ~default:Pnut_exec.Budget.none)
   in
-  let monitored = Pnut_exec.Supervisor.active monitor in
   let stop reason =
     if finish && not st.finished_emitted then begin
       st.finished_emitted <- true;
@@ -485,10 +496,9 @@ let run ?until ?max_events ?budget ?(finish = true) (st : t) =
      budgeted run pays nothing extra per event. *)
   let rec loop steps =
     let steps = steps + 1 in
-    (if monitored && steps land 255 = 0 then
-       match Pnut_exec.Supervisor.check monitor with
-       | Some reason -> raise_notrace (Budget_trip reason)
-       | None -> ());
+    (match Pnut_exec.Supervisor.poll monitor steps with
+     | Some reason -> raise_notrace (Budget_trip reason)
+     | None -> ());
     if st.started >= limit then stop Event_limit
     else
       match next_move st ~horizon with

@@ -103,12 +103,15 @@ type sink = {
 let null_sink =
   { on_header = (fun _ -> ()); on_delta = (fun _ -> ()); on_finish = (fun _ -> ()) }
 
-let tee sinks =
-  {
-    on_header = (fun h -> List.iter (fun s -> s.on_header h) sinks);
-    on_delta = (fun d -> List.iter (fun s -> s.on_delta d) sinks);
-    on_finish = (fun t -> List.iter (fun s -> s.on_finish t) sinks);
-  }
+(* One sink is itself: a wrapper would allocate a closure per delta. *)
+let tee = function
+  | [ s ] -> s
+  | sinks ->
+    {
+      on_header = (fun h -> List.iter (fun s -> s.on_header h) sinks);
+      on_delta = (fun d -> List.iter (fun s -> s.on_delta d) sinks);
+      on_finish = (fun t -> List.iter (fun s -> s.on_finish t) sinks);
+    }
 
 type t = {
   header : header;

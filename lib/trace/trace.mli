@@ -96,7 +96,7 @@ type sink = {
 val null_sink : sink
 
 val tee : sink list -> sink
-(** Broadcasts to several sinks in order. *)
+(** Broadcasts to several sinks in order; [tee [s]] is [s]. *)
 
 (** {2 Stored traces} *)
 

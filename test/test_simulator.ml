@@ -576,6 +576,27 @@ let test_restore_rejects_wrong_net () =
   | exception Sim.Sim_error e ->
     Alcotest.failf "wrong error: %s" (Sim.error_message e)
 
+(* The per-event path allocates little: the random state is unboxed
+   and the refresh and selection loops build no closures.  The release
+   build reads 5.4 words per event and the dev profile 9.4; a closure
+   per refresh (26.0) or a boxed random state (13.4) fails the bound. *)
+let sim_words_per_event = 10.0
+
+let test_allocation_pin () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let st = Sim.create ~seed:1 ~sink:Trace.null_sink net in
+  let outcome = ref None in
+  let words =
+    Testutil.minor_words_of (fun () -> outcome := Some (Sim.run ~until:1e5 st))
+  in
+  let events = (Option.get !outcome).Sim.started in
+  let per = words /. float_of_int events in
+  Alcotest.(check bool) "tens of thousands of events" true (events > 50_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "Simulator.run into the null sink: %.1f words/event <= %g"
+       per sim_words_per_event)
+    true (per <= sim_words_per_event)
+
 let () =
   Alcotest.run "simulator"
     [
@@ -616,6 +637,7 @@ let () =
           Alcotest.test_case "capacity monitoring" `Quick test_capacity_monitoring;
           Alcotest.test_case "manual firing" `Quick test_manual_fire_api;
           Alcotest.test_case "tokens accessor" `Quick test_tokens_accessor;
+          Alcotest.test_case "allocation pin" `Quick test_allocation_pin;
         ] );
       ( "interpreted",
         [ Alcotest.test_case "predicates and actions" `Quick test_predicates_and_actions ]
