@@ -72,9 +72,13 @@ let table_set env name i v =
          (Array.length arr));
   arr.(i) <- v
 
+(* Most nets declare no variable, and [Graph.state] asks for every
+   state's bindings: an empty env skips the fold's closure and the sort. *)
 let bindings env =
-  Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) env.vars []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  if Hashtbl.length env.vars = 0 then []
+  else
+    Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) env.vars []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let tables env =
   Hashtbl.fold (fun k v acc -> (k, Array.copy v) :: acc) env.tbls []

@@ -185,8 +185,9 @@ let extra_of lay src ~pos =
   | Some (w, s, m) -> (src.(pos + w) lsr s) land m
 
 (* FNV-1a over the state's words with a final avalanche; equal packed
-   states hash equal by construction, and no per-state hash is stored
-   (the index recomputes from the arena when it grows). *)
+   states hash equal by construction.  The store keeps no whole hash:
+   an index slot tags its state with the hash bits above the slot mask,
+   and the index recomputes hashes from the arena when it grows. *)
 let fnv_prime = 0x100000001b3
 
 let hash lay src ~pos =

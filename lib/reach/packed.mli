@@ -61,8 +61,9 @@ val extra_of : layout -> int array -> pos:int -> int
 (** The packed side-table id ([0] when the layout has no id field). *)
 
 val hash : layout -> int array -> pos:int -> int
-(** Hash of the packed words (FNV-1a, non-negative).  Nothing is
-    stored: the index recomputes hashes from the arena when it grows. *)
+(** Hash of the packed words (FNV-1a, non-negative).  The store's index
+    keeps only the bits above its slot mask, as a tag in the slot, and
+    recomputes whole hashes from the arena when it grows. *)
 
 val equal : layout -> int array -> pos:int -> int array -> int -> bool
 (** Word-for-word equality of two packed states. *)

@@ -1,7 +1,8 @@
 (* Arena-backed compact state store: packed markings in int-array
    pages, an open-addressing index over state indices (no per-state
-   boxes, no stored hashes — they are recomputed from the arena when
-   the table grows; 4-byte slots, released at [finalize]), and
+   boxes; 4-byte slots, released at [finalize]) whose slots carry a
+   fragment of their state's hash in the bits the index does not need,
+   so a probe reads the arena only for slots that may match, and
    successor edges in CSR form built in one pass.
    BFS interns states in ascending order and expands them in ascending
    order, so the store is its own frontier: the sweep walks a cursor
@@ -133,7 +134,8 @@ type t = {
   mutable cap_states : int;
   mutable n : int;
   mutable index : Pages.t;
-      (* state index + 1 per slot, 0 = empty; released at finalize *)
+      (* [tag lor (state index + 1)] per slot, 0 = empty; released at
+         finalize *)
   mutable index_mask : int;  (* slots - 1, kept after the release *)
   mutable key_buf : int array;  (* candidate scratch, [words] long *)
   t_bits : int;
@@ -152,10 +154,20 @@ let bits_for v =
 
 (* Every stored [i + 1] is below the slot count (the load factor stays
    under 0.7), so the slots are 4 bytes until there are more than 2^32
-   of them. *)
+   of them, and [i + 1] needs only the low [log2 slots] bits of its
+   slot.  The bits above hold a tag: the same bits of the state's
+   {!Packed.hash}, whose low bits pick the home slot.  A probe compares
+   the tag before it reads the arena, so of the slots on its chain that
+   hold other states only about one in [2^tag_bits] reaches
+   {!Packed.equal}.  The tag is [32 - log2 slots] bits wide on 4-byte
+   slots (11 at 2^21 slots; 0 at 2^32, where every slot is compared
+   again), and [62 - log2 slots] on the 8-byte slots past 2^32, the
+   hash's 62 bits less the index's; never negative. *)
 let index_wide slots = slots > 1 lsl 32
 let new_index slots =
   Pages.create ~len:slots ~zero:true ~wide:(index_wide slots) ()
+let tag_mask slots =
+  (if index_wide slots then max_int else 0xFFFF_FFFF) land lnot (slots - 1)
 
 let create codec ~num_transitions =
   let lay = Packed.layout codec in
@@ -192,13 +204,14 @@ let rehash st =
   let idx = new_index (st.index_mask + 1) in
   let lay = Packed.layout st.codec in
   let mask = st.index_mask in
+  let tags = tag_mask (mask + 1) in
   for i = 0 to st.n - 1 do
     let h = Packed.hash lay (page_of st i) ~pos:(pos_of st i) in
     let s = ref (h land mask) in
     while Pages.get idx !s <> 0 do
       s := (!s + 1) land mask
     done;
-    Pages.set idx !s (i + 1)
+    Pages.set idx !s ((h land tags) lor (i + 1))
   done;
   st.index <- idx
 
@@ -258,13 +271,16 @@ let intern_key st ~max_states =
   let lay = Packed.layout st.codec in
   let h = Packed.hash lay st.key_buf ~pos:0 in
   let idx = st.index and mask = st.index_mask in
+  let tag = h land tag_mask (mask + 1) in
   let s = ref (h land mask) in
   let found = ref (-1) in
   let e = ref (Pages.get idx !s) in
   while !e <> 0 && !found < 0 do
-    let i = !e - 1 in
-    if Packed.equal lay (page_of st i) ~pos:(pos_of st i) st.key_buf 0 then
-      found := i
+    let i = (!e land mask) - 1 in
+    (* the slot's tag is [tag] exactly when only index bits differ *)
+    if !e lxor tag <= mask
+       && Packed.equal lay (page_of st i) ~pos:(pos_of st i) st.key_buf 0
+    then found := i
     else begin
       s := (!s + 1) land mask;
       e := Pages.get idx !s
@@ -276,7 +292,7 @@ let intern_key st ~max_states =
     let i = st.n in
     ensure_arena st;
     Array.blit st.key_buf 0 (page_of st i) (pos_of st i) st.words;
-    Pages.set idx !s (i + 1);
+    Pages.set idx !s (tag lor (i + 1));
     st.n <- i + 1;
     (* keep the load factor under 0.7 — linear probing stays short and
        the slots cost stays well inside the bytes/state budget *)

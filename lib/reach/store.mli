@@ -3,10 +3,17 @@
     States live as {!Packed} words in an arena of int-array pages
     (2{^16} states each, appended as it fills, so stored states are
     never copied to grow it); membership is an open-addressing table of
-    state indices (no per-state boxes, no stored hashes — they are
-    recomputed from the arena on growth) in 4-byte slots, doubled and
+    state indices (no per-state boxes) in 4-byte slots, doubled and
     rehashed under a 0.7 load factor and released by {!finalize}, after
-    which nothing can be interned.
+    which nothing can be interned.  A slot holds its state index + 1 in
+    its low [log2 slots] bits and a fragment of the state's
+    {!Packed.hash} in the bits above, so a probe reads the arena only
+    for a slot whose fragment matches.  The fragment takes what the
+    entry width leaves: [32 - log2 slots] bits of a 4-byte slot (11 at
+    the 2{^21} slots of a million states, 0 at 2{^32}), and
+    [62 - log2 slots] of the 8-byte slots used past 2{^32}, so it is
+    never negative.  The whole hash is recomputed from the arena when
+    the table grows.
     Edges are appended in sweep order as CSR successors: one offset per
     state and one word per edge, each a 4-byte entry in [Bytes] pages
     of 2{^16} entries (only the first starts small and doubles), so they

@@ -99,7 +99,7 @@ let on_header acc (h : Trace.header) =
   acc.ends <- Array.make nt 0
 
 let on_delta acc (v : Trace.view) =
-  advance acc (Trace.time v);
+  advance acc v.Trace.v_time.(0);
   let s = acc.signals in
   for i = 0 to v.Trace.v_marking_n - 1 do
     let p = v.Trace.v_places.(i) in

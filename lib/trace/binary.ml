@@ -134,7 +134,7 @@ let emit_delta w (v : Trace.view) =
   let has_env = v.Trace.v_env_n > 0 in
   Buffer.add_char buf
     (Char.chr (kind lor (mark_mode lsl 1) lor (if has_env then 8 else 0)));
-  add_time w (Trace.time v);
+  add_time w v.Trace.v_time.(0);
   add_varint buf v.Trace.v_transition;
   (match v.Trace.v_kind with
   | Trace.Fire_start ->

@@ -106,7 +106,7 @@ let emit_header buf (h : Trace.header) =
 
 let emit_delta buf (v : Trace.view) =
   Buffer.add_string buf "@ ";
-  add_float buf (Trace.time v);
+  add_float buf v.Trace.v_time.(0);
   Buffer.add_string buf
     (match v.Trace.v_kind with Trace.Fire_start -> " S " | Trace.Fire_end -> " E ");
   add_int buf v.Trace.v_transition;

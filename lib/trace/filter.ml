@@ -78,7 +78,7 @@ let filter_header maps spec (h : Trace.header) =
    and borrows the upstream view's env arrays. *)
 let filter_delta m spec ~other ~other_fid downstream (out : Trace.view)
     (v : Trace.view) =
-  out.Trace.v_time.(0) <- Trace.time v;
+  out.Trace.v_time.(0) <- v.Trace.v_time.(0);
   out.Trace.v_marking_n <- 0;
   for i = 0 to v.Trace.v_marking_n - 1 do
     let p' = m.place_map.(v.Trace.v_places.(i)) in

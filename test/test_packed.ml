@@ -447,6 +447,74 @@ let prop_roundtrip_and_agreement =
       && ((not same_marking)
          || Packed.hash lay buf ~pos:0 = Packed.hash lay buf ~pos:w))
 
+(* -- qcheck: the store's intern agrees with a hash table -- *)
+
+(* Random markings interned into a {!Store} and into a [Hashtbl] keyed
+   on the marking: each intern must return [`Found] of the table's id
+   for a marking seen before and [`Added] of the next id for a fresh
+   one.  The declared capacity [lie] is too small: the first phase
+   stays within it until the store holds 800 states, past the 1024-slot
+   index's first doubling (at 717), and the second draws counts up to
+   [4 * lie + 8], so the codec widens and re-encodes the stored states,
+   and the index doubles twice more (at 1434 and 2868) before 3000.  A
+   third of the draws repeat a stored marking, so [`Found] is checked
+   after every rehash. *)
+let gen_intern_run =
+  QCheck2.Gen.(
+    let* np = int_range 7 8 in
+    let* lie = int_range 2 3 in
+    let* seed = int in
+    return (np, lie, seed))
+
+let prop_intern_agrees_with_hashtbl =
+  QCheck2.Test.make ~name:"store intern agrees with a hash table"
+    ~count:20 gen_intern_run (fun (np, lie, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let net = carrier_net (Array.make np lie) in
+      let codec =
+        Packed.create ~bounds:(Array.make np (Some lie)) ~with_extra:false net
+      in
+      let lay0 = Packed.layout codec in
+      let st = Store.create codec ~num_transitions:1 in
+      let ids = Hashtbl.create 4096 and by_id = Array.make 3000 [||] in
+      let ok = ref true in
+      let draw hi =
+        let n = Hashtbl.length ids in
+        if n > 0 && Random.State.int rs 3 = 0 then
+          Array.copy by_id.(Random.State.int rs n)
+        else Array.init np (fun _ -> Random.State.int rs (hi + 1))
+      in
+      let intern m =
+        let expected =
+          match Hashtbl.find_opt ids m with
+          | Some i -> `Found i
+          | None ->
+            let i = Hashtbl.length ids in
+            Hashtbl.add ids m i;
+            by_id.(i) <- Array.copy m;
+            `Added i
+        in
+        if Store.intern st m ~extra:0 ~max_states:max_int <> expected then
+          ok := false
+      in
+      while Hashtbl.length ids < 800 do
+        intern (draw lie)
+      done;
+      let unwidened = Packed.layout codec == lay0 in
+      while Hashtbl.length ids < 3000 do
+        intern (draw ((4 * lie) + 8))
+      done;
+      let back = Array.make np 0 in
+      Hashtbl.iter
+        (fun m i ->
+          Store.marking_into st i back;
+          if back <> m then ok := false)
+        ids;
+      !ok
+      && Store.num_states st = Hashtbl.length ids
+      && unwidened
+      && Packed.layout codec != lay0)
+
 (* -- qcheck: packed builder equals the boxed oracle on random
       interpreted nets (variables, tables, predicates, actions) -- *)
 
@@ -849,6 +917,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip_and_agreement;
+          QCheck_alcotest.to_alcotest prop_intern_agrees_with_hashtbl;
           QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
           QCheck_alcotest.to_alcotest prop_scc_equals_backward_walks;
         ] );
