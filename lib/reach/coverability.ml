@@ -131,9 +131,29 @@ let accelerate ancestors m =
     ancestors;
   m
 
+(* Whether the P-invariants give every place a positive weight: their
+   sum [y > 0] keeps [y . M] constant over the reachable markings, so no
+   reachable marking strictly dominates another and {!accelerate} never
+   finds an ω.  Declared capacities do not count — they are not enforced.
+   The size guard and the Farkas refusal are those of
+   {!Pnut_core.Incidence.place_bounds}: without invariants, acceleration
+   runs. *)
+let conservative net =
+  let np = Net.num_places net in
+  np <= 200 && Net.num_transitions net <= 200
+  &&
+  let invs =
+    try Pnut_core.Incidence.(p_invariants (of_net net))
+    with Invalid_argument _ -> []
+  in
+  List.for_all
+    (fun p -> List.exists (fun y -> y.(p) > 0) invs)
+    (List.init np Fun.id)
+
 let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
     net =
   check_plain net;
+  let conservative = conservative net in
   let monitor = Pnut_exec.Supervisor.start budget in
   let monitored = Pnut_exec.Supervisor.active monitor in
   let max_states =
@@ -151,7 +171,8 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
   let n = ref 0 in
   let edge_acc = ref [] in
   (* work items carry the node index and the ancestor chain of
-     ω-markings *)
+     ω-markings; the chain stays empty on a conservative net, where
+     acceleration has nothing to find *)
   let intern marking =
     match Mark_tbl.find_opt index marking with
     | Some i -> (i, false)
@@ -185,13 +206,17 @@ let build_supervised ?(max_states = 100_000) ?(budget = Pnut_exec.Budget.none)
         if !n >= max_states then
           stop := Some (Pnut_exec.Supervisor.States !n, 1 + List.length rest)
         else begin
+          let chain = if conservative then [] else marking :: ancestors in
           Array.iter
             (fun (c : Kernel.ctrans) ->
               if enabled c marking then begin
-                let m' = accelerate (marking :: ancestors) (fire c marking) in
+                let m' =
+                  if conservative then fire c marking
+                  else accelerate chain (fire c marking)
+                in
                 let j, fresh = intern m' in
                 edge_acc := { e_from = i; e_transition = c.Kernel.s_id; e_to = j } :: !edge_acc;
-                if fresh then stack := (j, m', marking :: ancestors) :: !stack
+                if fresh then stack := (j, m', chain) :: !stack
               end)
             (Kernel.transitions kernel);
           loop ()

@@ -10,7 +10,13 @@
     with [Invalid_argument] naming the transition and the feature — the
     acceleration argument needs plain monotone firing (more tokens never
     disable a transition), which inhibitors break.  Actions are likewise
-    rejected (the environment is not part of the covering order). *)
+    rejected (the environment is not part of the covering order).
+
+    When the net's P-invariants ({!Pnut_core.Incidence.p_invariants})
+    give every place a positive weight, no reachable marking strictly
+    dominates another, so the build fires without acceleration and
+    keeps no ancestor chains; the graph is the same.  Declared
+    capacities are not enforced and play no part in that test. *)
 
 type token =
   | Finite of int

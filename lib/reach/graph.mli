@@ -118,8 +118,11 @@ val is_reversible : t -> bool
 (** The initial state is reachable from every reachable state.  Every
     recorded state is reachable from the initial one (in a truncated
     prefix too), so this holds exactly when the recorded graph is one
-    strongly connected component: {!Store.strongly_connected}, a
-    depth-first search that stops at the first component it closes,
-    with no predecessors built. *)
+    strongly connected component: {!Store.strongly_connected}.  Two
+    index-order passes over the edges mark the states that reach the
+    initial one; they answer exactly when they mark every state (true)
+    or when a pass marks nothing (false: the marks are then every state
+    that reaches it).  Otherwise a depth-first search decides, stopping
+    at the first component it closes.  No predecessors are built. *)
 
 val pp_summary : Format.formatter -> t -> unit

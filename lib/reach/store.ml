@@ -435,10 +435,36 @@ let predecessors st j =
   done;
   !acc
 
-(* Strong connectivity of the recorded graph: an iterative depth-first
-   search from state 0 with Pearce's one-array lowlinks ("A
-   space-efficient algorithm for finding strongly connected
-   components", IPL 2016), stopped at the first component it closes.
+(* One sequential sweep over the CSR rows of states [1 .. n-1], in
+   ascending or descending order: an unmarked state whose successor is
+   marked gets marked, and the scan of its edges stops at the first
+   marked successor.  A state marked earlier in the sweep counts at once.
+   Returns how many states the sweep marked. *)
+let mark_pass st mark ~descending =
+  let n = st.n in
+  let added = ref 0 in
+  for j = 1 to n - 1 do
+    let v = if descending then n - j else j in
+    if Bytes.get mark v = '\000' then begin
+      let k = ref (first_edge st v) and k_end = first_edge st (v + 1) in
+      while !k < k_end do
+        if Bytes.get mark (Pages.get st.succ_dat !k lsr st.t_bits) <> '\000'
+        then begin
+          Bytes.set mark v '\001';
+          incr added;
+          k := k_end
+        end
+        else incr k
+      done
+    end
+  done;
+  !added
+
+(* Strong connectivity of the recorded graph, when the passes below
+   leave it open: an iterative depth-first search from state 0 with
+   Pearce's one-array lowlinks ("A space-efficient algorithm for
+   finding strongly connected components", IPL 2016), stopped at the
+   first component it closes.
    Every recorded state is reachable from 0, so the graph is one SCC
    exactly when that first component is rooted at 0.
 
@@ -450,7 +476,7 @@ let predecessors st j =
    reached a lower rank).  Both tables are {!Pages}, 4 bytes an entry
    unless the widest possible value (the state count, a frame of the
    last state at the largest degree) needs 8. *)
-let strongly_connected st =
+let strongly_connected_dfs st =
   let n = st.n in
   n > 0 &&
   let max_degree = ref 0 in
@@ -521,6 +547,33 @@ let strongly_connected st =
     end
   in
   go ()
+
+(* Every recorded state is reachable from 0, so the graph is one SCC
+   exactly when every state reaches 0.  The marks grow towards the
+   states that do, one byte each, from state 0 alone: every marked state
+   reaches 0 through a marked successor.  Each of at most two passes
+   reads the CSR rows in index order, one sequential sweep, where the
+   DFS above visits them in an order unrelated to the numbering and
+   pays a cache miss per row; the only random reads are of the marks,
+   a byte per state.  When a pass has marked every state, the answer is true.
+   When a pass marked nothing, no unmarked state has a marked successor,
+   so the marks are the least fixpoint — exactly the states that reach
+   0 — and some state does not: the answer is false.  Otherwise the DFS
+   decides. *)
+let strongly_connected st =
+  let n = st.n in
+  n > 0 &&
+  let mark = Bytes.make n '\000' in
+  Bytes.set mark 0 '\001';
+  let rec passes marked = function
+    | [] -> strongly_connected_dfs st
+    | descending :: rest ->
+      let added = mark_pass st mark ~descending in
+      if marked + added = n then true
+      else if added = 0 then false
+      else passes (marked + added) rest
+  in
+  passes 1 [ false; true ]
 
 let edge_bytes st = Pages.entry_bytes st.succ_dat
 

@@ -106,9 +106,17 @@ val iter_edges : t -> (int -> int -> int -> unit) -> unit
 val strongly_connected : t -> bool
 (** Whether the successor graph (after {!finalize}) is one strongly
     connected component, given that every state is reachable from
-    state 0.  A depth-first search from 0 that stops at the first
-    component it closes: linear at worst, with two [n]-entry scratch
-    tables of 4 bytes an entry (8 past 32 bits) and no predecessors. *)
+    state 0: whether every state reaches 0.  At most two sequential
+    passes over the successor rows, states [1 .. n-1] ascending and
+    then descending, mark a state (a byte each) once one of its
+    successors is marked, from state 0 alone.  Every marked state
+    reaches 0, so a pass that leaves every state marked answers true;
+    a pass that marks nothing has reached the least fixpoint, the
+    states that reach 0, so it answers false.  Only when two passes
+    leave the answer open does a depth-first search from 0 decide; it
+    stops at the first component it closes, with two [n]-entry scratch
+    tables of 4 bytes an entry (8 past 32 bits).  Linear at worst; no
+    predecessors are built. *)
 
 val bytes_per_state : t -> float
 (** Bytes held per stored state: the stored arena words plus the index

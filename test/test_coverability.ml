@@ -143,6 +143,43 @@ let test_omega_propagates () =
   Alcotest.(check (option int)) "r unbounded too" None
     (Cov.place_bound g (Net.place_id net "r"))
 
+(* The pump with a capacity of 1 declared on both places: capacities
+   are not enforced, so q still grows without bound and must get its ω.
+   Only P-invariants may switch acceleration off, and this net has
+   none. *)
+let test_capacity_is_no_bound () =
+  let b = B.create "capped pump" in
+  let p = B.add_place b "p" ~initial:1 ~capacity:1 in
+  let q = B.add_place b "q" ~capacity:1 in
+  let _ = B.add_transition b "pump" ~inputs:[ (p, 1) ] ~outputs:[ (p, 1); (q, 1) ] in
+  let net = B.build b in
+  let g = Cov.build ~max_states:1000 net in
+  Alcotest.(check bool) "complete" true (Cov.complete g);
+  Alcotest.(check int) "two nodes" 2 (Cov.num_nodes g);
+  Alcotest.(check (list int)) "q unbounded" [ q ] (Cov.unbounded_places g)
+
+(* A ring of 8 places with 9 tokens in the first: the all-ones
+   P-invariant bounds it, so every node is a reachable marking, C(16, 7)
+   of them, built without comparing any ancestor chain. *)
+let test_invariant_bounded_ring () =
+  let b = B.create "ring" in
+  let ps =
+    Array.init 8 (fun i ->
+        B.add_place b (Printf.sprintf "r%d" i) ~initial:(if i = 0 then 9 else 0))
+  in
+  Array.iteri
+    (fun i p ->
+      ignore
+        (B.add_transition b (Printf.sprintf "t%d" i) ~inputs:[ (p, 1) ]
+           ~outputs:[ (ps.((i + 1) mod 8), 1) ]
+          : Net.transition_id))
+    ps;
+  let g = Cov.build (B.build b) in
+  Alcotest.(check bool) "complete" true (Cov.complete g);
+  Alcotest.(check int) "every marking" 11440 (Cov.num_nodes g);
+  Alcotest.(check bool) "bounded" true (Cov.is_bounded g);
+  Alcotest.(check (option int)) "r0 bound" (Some 9) (Cov.place_bound g 0)
+
 let test_summary () =
   let net, _, _ = unbounded_net () in
   let g = Cov.build net in
@@ -166,5 +203,9 @@ let () =
           Alcotest.test_case "weighted arcs" `Quick test_weighted_arcs;
           Alcotest.test_case "omega propagates" `Quick test_omega_propagates;
           Alcotest.test_case "summary" `Quick test_summary;
+          Alcotest.test_case "capacity is no bound" `Quick
+            test_capacity_is_no_bound;
+          Alcotest.test_case "invariant-bounded ring" `Quick
+            test_invariant_bounded_ring;
         ] );
     ]

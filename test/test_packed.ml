@@ -850,6 +850,105 @@ let test_scc_index_pages () =
         (List.length latched_states))
     [ true; false ]
 
+(* -- which step decides: at most two index-order passes mark the
+      states that reach state 0, and the DFS runs only when they leave
+      the answer open.  The marks take a byte a state and the DFS's two
+      tables 4 bytes a state each, so the bytes [Graph.is_reversible]
+      allocates tell the steps apart.  The minor heap is emptied first,
+      so no promotion falls inside the count; tables past 256 words go
+      straight to the major heap, which [Gc.minor_words] does not
+      see. -- *)
+
+let allocated_words () =
+  let _, _, major = Gc.counters () in
+  Gc.minor_words () +. major
+
+let check_decided what g ~reversible ~by =
+  let n = Graph.num_states g in
+  Gc.minor ();
+  let a = allocated_words () in
+  let r = Graph.is_reversible g in
+  let bytes = (allocated_words () -. a) *. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool) (what ^ ": reversible") reversible r;
+  let detail = Printf.sprintf "(%.0f bytes for %d states)" bytes n in
+  match by with
+  | `Passes ->
+    Alcotest.(check bool) (what ^ ": no DFS tables " ^ detail) true
+      (bytes < float_of_int ((2 * n) + 512))
+  | `Dfs ->
+    Alcotest.(check bool) (what ^ ": the DFS tables " ^ detail) true
+      (bytes >= float_of_int (8 * n))
+
+(* the ascending pass marks the 8 states that move every token back to
+   r0 at once, the descending pass all the others *)
+let test_passes_say_true () =
+  List.iter
+    (fun por ->
+      let g = Graph.build ~por (ring9 ~tokens:8) in
+      let what = Printf.sprintf "por=%b" por in
+      Alcotest.(check int) (what ^ ": states") 12870 (Graph.num_states g);
+      check_decided what g ~reversible:true ~by:`Passes)
+    [ true; false ]
+
+(* state 1 (q marked) has no successor: the first pass marks nothing *)
+let test_passes_say_false () =
+  let g =
+    Graph.build (net_of "sink" ~places:[ ("p", 1); ("q", 0) ] [ ("t", "p", "q") ])
+  in
+  Alcotest.(check int) "states" 2 (Graph.num_states g);
+  check_decided "p -t-> q" g ~reversible:false ~by:`Passes
+
+(* the Figure 1-3 pipeline drains back to state 0 only through long
+   chains that both passes cross against their order; capped at 500
+   states, its unexpanded frontier never reaches 0 *)
+let test_dfs_decides () =
+  let net = Pnut_pipeline.Model.full Pnut_pipeline.Config.default in
+  let g = Graph.build ~max_states:20000 ~por:true net in
+  Alcotest.(check int) "states" 552 (Graph.num_states g);
+  check_decided "pipeline" g ~reversible:true ~by:`Dfs;
+  let g = Graph.build ~max_states:500 ~por:true net in
+  Alcotest.(check bool) "capped" false (Graph.complete g);
+  check_decided "pipeline capped at 500" g ~reversible:false ~by:`Dfs
+
+(* Random graphs written straight into the store: state [v > 0] gets a
+   tree edge from a lower state, so every state is reachable from 0,
+   and extra edges go anywhere.  [Store.strongly_connected] against a
+   backward fixpoint from state 0. *)
+let gen_rooted_graph =
+  let open QCheck2.Gen in
+  let* n = int_range 1 40 in
+  let* parents = list_repeat (n - 1) (int_bound 1000) in
+  let* extra =
+    list_size (int_bound (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+  in
+  return (n, parents, extra)
+
+let prop_scc_equals_backward_fixpoint =
+  QCheck2.Test.make ~name:"strongly_connected equals the backward fixpoint"
+    ~count:500
+    ~print:QCheck2.Print.(triple int (list int) (list (pair int int)))
+    gen_rooted_graph
+    (fun (n, parents, extra) ->
+      let tree = List.mapi (fun i x -> (x mod (i + 1), i + 1)) parents in
+      let edges = List.stable_sort compare (tree @ extra) in
+      let st =
+        store_of_edges ~num_transitions:1 ~n
+          (List.map (fun (s, t) -> (s, 0, t)) edges)
+      in
+      let reaches = Array.init n (fun i -> i = 0) in
+      let grew = ref true in
+      while !grew do
+        grew := false;
+        List.iter
+          (fun (s, t) ->
+            if reaches.(t) && not reaches.(s) then begin
+              reaches.(s) <- true;
+              grew := true
+            end)
+          edges
+      done;
+      Store.strongly_connected st = Array.for_all Fun.id reaches)
+
 (* unreduced builds of the interpreted nets, and reduced builds of
    their plain projections *)
 let prop_scc_equals_backward_walks =
@@ -910,6 +1009,10 @@ let () =
           Alcotest.test_case "ring9 reversible" `Quick test_scc_ring_scale;
           Alcotest.test_case "index past one page" `Quick
             test_scc_index_pages;
+          Alcotest.test_case "passes say true" `Quick test_passes_say_true;
+          Alcotest.test_case "passes say false" `Quick test_passes_say_false;
+          Alcotest.test_case "DFS decides" `Quick test_dfs_decides;
+          QCheck_alcotest.to_alcotest prop_scc_equals_backward_fixpoint;
         ] );
       ( "side table",
         [ Alcotest.test_case "env and clocks" `Quick test_intern_extra_clocks ]
